@@ -31,6 +31,7 @@ from .runtime.stats import RunStats
 from .seq.datasets import Workload
 from .seq.encoding import encode_seq
 from .seq.fastx import read_fastx
+from .seq.kmers import count_packed_kmers, extract_kmers_from_reads
 
 __all__ = ["CountRun", "count_kmers", "ALGORITHMS", "resolve_machine", "load_reads"]
 
@@ -39,8 +40,9 @@ __all__ = ["CountRun", "count_kmers", "ALGORITHMS", "resolve_machine", "load_rea
 #: engine, the KMC3 shared-memory baseline, and the extensions:
 #: ``dakc-overlap`` (barrier-free sorted-set variant, 2 global syncs),
 #: ``minimizer`` (kmerind-style super-k-mer partitioning on the
-#: simulated machine), and ``fast`` (the real vectorised super-k-mer
-#: pipeline — no simulation, just the quickest way to actual counts).
+#: simulated machine), and ``fast`` (the real vectorised window ->
+#: sort -> accumulate kernel — no simulation, just the quickest way to
+#: actual counts).
 ALGORITHMS = (
     "serial",
     "fast",
@@ -180,17 +182,15 @@ def count_kmers(
 
     if algorithm == "fast":
         from .apps.streaming import count_file_streaming
-        from .seq.superkmers import count_superkmer_batch, split_superkmers_batch
 
         if isinstance(reads, (str, os.PathLike)):
             if not Path(reads).exists():
                 raise FileNotFoundError(f"no such read file: {reads}")
             counts = count_file_streaming(reads, k, canonical=canonical)
         else:
-            data = load_reads(reads)
-            batch = split_superkmers_batch(data, k, min(k, 7))
-            keys, vals = count_superkmer_batch(batch, canonical=canonical)
-            counts = KmerCounts(k, keys, vals)
+            kmers = extract_kmers_from_reads(load_reads(reads), k)
+            counts = KmerCounts(
+                k, *count_packed_kmers(kmers, k, canonical=canonical))
         return CountRun(counts, RunStats(n_pes=1), algorithm)
 
     data = load_reads(reads)

@@ -9,15 +9,14 @@ running (k-mer, count) database.  Peak memory is one batch of reads
 plus the distinct-k-mer database (the irreducible output), instead of
 the whole read set.
 
-Two batch kernels back this path.  The default (``fast=True``) is the
-vectorised super-k-mer pipeline: one joined encode of the whole batch
-(:func:`repro.seq.encoding.encode_batch`), the flat super-k-mer split
-kernel (:func:`repro.seq.superkmers.split_superkmers_flat`), and a
-fused extract -> sort -> accumulate — zero per-read or per-k-mer
-Python in the hot loop.  ``fast=False`` keeps the original per-read
-``encode_seq`` + :func:`repro.core.serial.serial_count` path; it is
-retained as the differential oracle (see ``tests/count/``) and for
-apples-to-apples benchmarking (the ``count-bench`` experiment).
+Each batch runs the one counting kernel: a joined encode of the whole
+batch (:func:`repro.seq.encoding.encode_batch`), the flat window
+kernel (:func:`repro.seq.kmers.extract_kmers_flat`) and
+(canonical) -> sort -> accumulate
+(:func:`repro.seq.kmers.count_packed_kmers`) — zero per-read or
+per-k-mer Python in the hot loop, and no super-k-mer split: nothing
+here crosses a disk or a wire.  The reference it is tested against is
+per-read ``encode_seq`` + :func:`repro.core.serial.serial_count`.
 """
 
 from __future__ import annotations
@@ -28,14 +27,9 @@ from collections.abc import Callable, Iterable, Iterator
 import numpy as np
 
 from ..core.result import KmerCounts
-from ..core.serial import serial_count
-from ..seq.encoding import encode_batch, encode_seq
+from ..seq.encoding import encode_batch
 from ..seq.fastx import SeqRecord, read_fastx
-from ..seq.superkmers import (
-    DEFAULT_MINIMIZER_LEN,
-    count_superkmer_batch,
-    split_superkmers_flat,
-)
+from ..seq.kmers import count_packed_kmers, extract_kmers_flat
 from .store import merge_sorted_counts
 
 __all__ = ["count_records_streaming", "count_file_streaming", "count_files_streaming"]
@@ -59,8 +53,6 @@ def count_records_streaming(
     batch_records: int = 100_000,
     canonical: bool = False,
     progress: Callable[[int, KmerCounts], None] | None = None,
-    fast: bool = True,
-    w: int | None = None,
 ) -> KmerCounts:
     """Count k-mers of a record stream in bounded batches.
 
@@ -68,29 +60,16 @@ def count_records_streaming(
     ``(records_so_far, running_counts)`` — usable for live status or
     early inspection (the running counts are always valid for the
     prefix consumed so far).
-
-    *fast* selects the vectorised super-k-mer batch kernel (default);
-    ``fast=False`` runs the original per-read scalar path, kept as the
-    differential oracle.  *w* is the minimizer length of the fast
-    path (default ``min(k, 7)``); counts are independent of it — it
-    only shifts work between the split and sort stages.
     """
     if batch_records < 1:
         raise ValueError("batch_records must be >= 1")
-    w_eff = min(k, DEFAULT_MINIMIZER_LEN if w is None else w)
     merged_keys = np.empty(0, dtype=np.uint64)
     merged_vals = np.empty(0, dtype=np.int64)
     seen = 0
     for batch in _batches(records, batch_records):
-        if fast:
-            flat, offsets = encode_batch(
-                [r.seq for r in batch], validate=False)
-            skb = split_superkmers_flat(flat, offsets, k, w_eff)
-            keys, vals = count_superkmer_batch(skb, canonical=canonical)
-        else:
-            encoded = [encode_seq(r.seq, validate=False) for r in batch]
-            partial = serial_count(encoded, k, canonical=canonical)
-            keys, vals = partial.kmers, partial.counts
+        flat, offsets = encode_batch([r.seq for r in batch], validate=False)
+        keys, vals = count_packed_kmers(
+            extract_kmers_flat(flat, offsets, k), k, canonical=canonical)
         merged_keys, merged_vals = merge_sorted_counts(
             merged_keys, merged_vals, keys, vals
         )
@@ -107,14 +86,11 @@ def count_file_streaming(
     batch_records: int = 100_000,
     canonical: bool = False,
     progress: Callable[[int, KmerCounts], None] | None = None,
-    fast: bool = True,
-    w: int | None = None,
 ) -> KmerCounts:
     """Count a FASTA/FASTQ file without loading it whole."""
     return count_records_streaming(
         read_fastx(path), k,
         batch_records=batch_records, canonical=canonical, progress=progress,
-        fast=fast, w=w,
     )
 
 
@@ -125,8 +101,6 @@ def count_files_streaming(
     batch_records: int = 100_000,
     canonical: bool = False,
     progress: Callable[[int, KmerCounts], None] | None = None,
-    fast: bool = True,
-    w: int | None = None,
 ) -> KmerCounts:
     """Count several files into one database (multi-lane sequencing runs).
 
@@ -142,5 +116,4 @@ def count_files_streaming(
     return count_records_streaming(
         chain(), k,
         batch_records=batch_records, canonical=canonical, progress=progress,
-        fast=fast, w=w,
     )

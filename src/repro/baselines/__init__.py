@@ -8,13 +8,12 @@
 """
 
 from .hysortk import hysortk_cost_model, hysortk_count
-from .kmc3 import Kmc3Config, kmc3_count, minimizers
+from .kmc3 import Kmc3Config, kmc3_count
 from .pakman import pakman_count, pakman_star_count
 
 __all__ = [
     "kmc3_count",
     "Kmc3Config",
-    "minimizers",
     "pakman_count",
     "pakman_star_count",
     "hysortk_count",

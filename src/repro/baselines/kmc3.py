@@ -36,14 +36,18 @@ from ..runtime.cache import CacheAccounting
 from ..runtime.cost import CostModel
 from ..runtime.machine import MachineConfig
 from ..runtime.stats import RunStats
-from ..seq.kmers import canonical_kmers, extract_kmers_from_reads, kmer_width_bits
-from ..sort.accumulate import accumulate_sorted, merge_count_arrays
+from ..seq.kmers import (
+    canonical_kmers,
+    count_packed_kmers,
+    extract_kmers_from_reads,
+    kmer_width_bits,
+)
+from ..seq.minimizers import minimizers_of_kmers
+from ..sort.accumulate import merge_count_arrays
 from ..core.owner import splitmix64
 from ..core.result import KmerCounts
 
-from ..seq.minimizers import minimizers_of_kmers
-
-__all__ = ["Kmc3Config", "kmc3_count", "minimizers"]
+__all__ = ["Kmc3Config", "kmc3_count"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,13 +68,6 @@ class Kmc3Config:
             raise ValueError("n_bins must be >= 1")
         if self.minimizer_len < 1:
             raise ValueError("minimizer_len must be >= 1")
-
-
-def minimizers(kmers: np.ndarray, k: int, w: int) -> np.ndarray:
-    """Minimizer of each packed k-mer (shared implementation in
-    :mod:`repro.seq.minimizers`; re-exported here because minimizer
-    binning is KMC3's signature design)."""
-    return minimizers_of_kmers(kmers, k, w)
 
 
 def kmc3_count(
@@ -108,7 +105,7 @@ def kmc3_count(
         kmers = canonical_kmers(kmers, k)
     pe.kmers_generated = int(kmers.size)
     w = min(config.minimizer_len, k)
-    mins = minimizers(kmers, k, w) if kmers.size else kmers
+    mins = minimizers_of_kmers(kmers, k, w) if kmers.size else kmers
     bins = (splitmix64(mins) % np.uint64(config.n_bins)).astype(np.int64)
     cost.charge_compute(pe, kmers.size * (k - w + 2))  # rolling minimizer scan
     cost.charge_mem(pe, total_bases)  # read scan
@@ -130,7 +127,7 @@ def kmc3_count(
         cost.charge_compute(pe, chunk.size * passes)
         cost.charge_mem(pe, 2 * chunk.nbytes * passes)
         cache.stream(2 * chunk.nbytes * passes)
-        results.append(accumulate_sorted(np.sort(chunk)))
+        results.append(count_packed_kmers(chunk, k))
     pe.cache_misses_p2 += cache.reset()
 
     uniq, counts = merge_count_arrays(results)

@@ -604,7 +604,7 @@ def _cmd_count(args) -> int:
         reads = args.input
         source = args.input
 
-    # "auto": real files get the vectorised super-k-mer fast path;
+    # "auto": real files get the vectorised fast path;
     # dataset replicas keep the simulated dakc run (the paper's view).
     algorithm = args.algorithm
     if algorithm == "auto":

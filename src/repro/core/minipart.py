@@ -30,10 +30,10 @@ from ..runtime.collectives import barrier
 from ..runtime.cost import OPS_PER_SUPERKMER, CostModel
 from ..runtime.machine import MachineConfig
 from ..runtime.stats import RunStats
-from ..seq.kmers import canonical_kmers
+from ..seq.kmers import canonical_kmers, count_packed_kmers
 from ..seq.minimizers import minimizers_of_kmers
 from ..seq.superkmers import split_superkmers_batch
-from ..sort.accumulate import accumulate_sorted, merge_count_arrays
+from ..sort.accumulate import merge_count_arrays
 from .owner import splitmix64
 from .result import KmerCounts
 
@@ -106,12 +106,15 @@ def minimizer_partitioned_count(
             continue
         if canonical:
             # Route by the canonical form's minimizer so both strands
-            # of a k-mer share an owner.
+            # of a k-mer share an owner; it has no read context, so it
+            # is recomputed per k-mer.
             kmers = canonical_kmers(kmers, k)
+            mins = minimizers_of_kmers(kmers, k, w)
+        else:
+            mins = np.repeat(batch.minimizers, batch.n_kmers_per)
         pe.kmers_generated += int(kmers.size)
         cost.charge_compute(pe, int(kmers.size) * (k - w + 2))
         cost.charge_mem(pe, int(batch.codes.size))
-        mins = minimizers_of_kmers(kmers, k, w)
         owners = (splitmix64(mins) % np.uint64(n_pes)).astype(np.int64)
         read_of = np.repeat(batch.read_ids, batch.n_kmers_per)
         # Super-k-mer runs: boundaries where the owner (or the source
@@ -151,7 +154,7 @@ def minimizer_partitioned_count(
         # super-k-mers on top of the usual sort+accumulate.
         cost.charge_compute(pe, 3 * int(merged.size))
         cost.charge_mem(pe, 4 * int(merged.nbytes))
-        results.append(accumulate_sorted(np.sort(merged)))
+        results.append(count_packed_kmers(merged, k))
 
     barrier(cost, stats)  # sync 3
     stats.sim_time = stats.max_clock

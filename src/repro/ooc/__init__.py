@@ -7,8 +7,9 @@ KMC 2's two-pass design under a hard memory ceiling:
   bins on disk, flushing whole bins whenever buffering crosses the
   ceiling;
 * **pass 2** (:mod:`.count`) counts each bin independently with the
-  :mod:`repro.sort` kernels and optionally bulk-loads results into a
-  :class:`repro.lsm.LsmStore` as it goes.
+  same sort -> accumulate kernel as the in-memory counters
+  (:func:`repro.seq.kmers.count_packed_kmers`) and optionally
+  bulk-loads results into a :class:`repro.lsm.LsmStore` as it goes.
 
 The bin file format (:mod:`.format`) is versioned, checksummed and
 defensively loaded, mirroring :mod:`repro.trace.format`.

@@ -2,10 +2,11 @@
 
 Each spill bin is a closed k-mer multiset, so pass 2 is a loop of
 independent in-memory counts: unpack a bin chunk by chunk, expand its
-super-k-mers into packed k-mers (one vectorised gather per window
-offset), sort, run-length accumulate, and merge chunk results — the
-exact kernels of :func:`repro.core.serial.serial_count`, applied to
-one bin's worth of data at a time instead of the whole dataset.
+super-k-mers into packed k-mers (:func:`~.format.superkmer_kmers`),
+count them with the one kernel every in-memory counter uses
+(:func:`repro.seq.kmers.count_packed_kmers`: canonical -> sort ->
+accumulate), and merge chunk results — one bin's worth of data at a
+time instead of the whole dataset.
 
 :func:`ooc_count` glues both passes together under one memory ceiling
 and optionally *fuses* the results into a :class:`repro.lsm.LsmStore`:
@@ -25,9 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.result import KmerCounts
-from ..sort.accumulate import accumulate_sorted, merge_count_arrays
-from ..sort.hybrid import hybrid_sort
-from ..seq.kmers import canonical_kmers
+from ..seq.kmers import count_packed_kmers
+from ..sort.accumulate import merge_count_arrays
 from .format import BinFormatError, read_bin_records, superkmer_kmers
 from .spill import BinWriter, FlushOrder, OocStats
 
@@ -53,11 +53,9 @@ def count_bin(path: str | os.PathLike, *, k: int | None = None,
             f"{path}: bin was written at k={header.k}, requested k={k}")
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     for lengths, blob in chunks:
-        kmers = superkmer_kmers(lengths, blob, header.k)
-        if canonical:
-            kmers = canonical_kmers(kmers, header.k)
-        uniq, counts = accumulate_sorted(hybrid_sort(kmers, key_bits=2 * header.k))
-        parts.append((uniq, counts))
+        parts.append(count_packed_kmers(
+            superkmer_kmers(lengths, blob, header.k), header.k,
+            canonical=canonical))
         if len(parts) > 8:  # keep the accumulator list flat
             parts = [merge_count_arrays(parts)]
     if stats is not None:

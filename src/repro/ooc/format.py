@@ -19,7 +19,7 @@ Super-k-mers are packed 4 bases/byte, each record padded to a byte
 boundary, so a chunk's wire size is ``16 + 4·n + Σ ceil(len_i / 4)``
 bytes — the ``k/4``-ish compression over shipping raw 8-byte k-mers
 that makes disk spill cheaper than it looks (the same arithmetic as
-:func:`repro.seq.minimizers.superkmer_compression_ratio`).
+:func:`repro.seq.superkmers.superkmer_wire_bytes`).
 
 Loads are defensive, mirroring :class:`repro.trace.format.TraceFormatError`:
 any truncation, bad magic, future version, or checksum mismatch raises
@@ -37,6 +37,8 @@ from pathlib import Path
 from typing import BinaryIO, Iterator
 
 import numpy as np
+
+from ..seq.superkmers import pack_spans, span_kmers
 
 __all__ = [
     "BIN_MAGIC",
@@ -86,8 +88,6 @@ def pack_superkmers(superkmers: list[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     :func:`repro.seq.superkmers.pack_spans` — the one packing kernel
     shared with the vectorised counting fast path.
     """
-    from ..seq.superkmers import pack_spans
-
     lengths = np.array([sk.size for sk in superkmers], dtype=np.int64)
     if lengths.size == 0:
         return lengths.astype(np.uint32), np.empty(0, dtype=np.uint8)
@@ -134,10 +134,9 @@ def _blob_codes(lengths: np.ndarray, blob: np.ndarray) -> np.ndarray:
 def superkmer_kmers(lengths: np.ndarray, blob: np.ndarray, k: int) -> np.ndarray:
     """All packed k-mers of a chunk, without materialising records.
 
-    The counting kernel of pass 2: every super-k-mer of ``n`` bases
-    contributes ``n - k + 1`` k-mers.  One gather per window offset —
-    ``k`` vectorised passes over the whole chunk, zero per-record
-    Python.
+    Every super-k-mer of ``n`` bases contributes ``n - k + 1`` k-mers:
+    unpack the blob to codes, then the same span expansion in-memory
+    batches use (:func:`repro.seq.superkmers.span_kmers`).
     """
     lengths = np.asarray(lengths, dtype=np.uint32)
     blob = np.asarray(blob, dtype=np.uint8)
@@ -146,19 +145,9 @@ def superkmer_kmers(lengths: np.ndarray, blob: np.ndarray, k: int) -> np.ndarray
     if int(lengths.min()) < k:
         raise BinFormatError(
             f"super-k-mer of {int(lengths.min())} bases cannot hold a {k}-mer")
-    codes = _blob_codes(lengths, blob)
-    n_kmers = lengths.astype(np.int64) - k + 1
-    base_starts = _byte_offsets(lengths)[:-1] * 4
-    # Start position (in `codes`) of every k-mer window.
-    within = np.arange(int(n_kmers.sum()), dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(n_kmers)))[:-1], n_kmers
-    )
-    starts = np.repeat(base_starts, n_kmers) + within
-    kmers = np.zeros(starts.size, dtype=np.uint64)
-    for j in range(k):
-        np.left_shift(kmers, np.uint64(2), out=kmers)
-        np.bitwise_or(kmers, codes[starts + j].astype(np.uint64), out=kmers)
-    return kmers
+    return span_kmers(_blob_codes(lengths, blob),
+                      _byte_offsets(lengths)[:-1] * 4,
+                      lengths.astype(np.int64) - k + 1, k)
 
 
 # -- header ------------------------------------------------------------

@@ -5,7 +5,10 @@ k-mer counting algorithms need from the genomics side lives here:
 
 * :mod:`repro.seq.alphabet` — the 2-bit DNA alphabet and lookup tables;
 * :mod:`repro.seq.encoding` — vectorised ASCII <-> 2-bit conversion;
-* :mod:`repro.seq.kmers` — packed ``uint64`` k-mer extraction;
+* :mod:`repro.seq.kmers` — packed ``uint64`` k-mer extraction and the
+  one window -> sort -> accumulate counting kernel;
+* :mod:`repro.seq.superkmers` — the batch super-k-mer splitter, used
+  only by the partitioners (spill bins, minimizer routing);
 * :mod:`repro.seq.fastx` — FASTA/FASTQ reading and writing;
 * :mod:`repro.seq.genomes` — synthetic genome generators;
 * :mod:`repro.seq.readsim` — ART-Illumina-style read simulation;
@@ -30,8 +33,11 @@ from .genomes import RepeatSpec, repeat_genome, uniform_genome
 from .kmers import (
     MAX_K,
     canonical_kmers,
+    count_packed_kmers,
     extract_kmers,
+    extract_kmers_flat,
     extract_kmers_from_reads,
+    flatten_reads,
     iter_kmers,
     kmer_storage_bytes,
     kmer_to_str,
@@ -62,7 +68,6 @@ from .minimizers import (
     minimizers_of_kmers,
     read_minimizers,
     split_superkmers,
-    superkmer_compression_ratio,
 )
 from .quality import (
     decode_phred,
@@ -79,9 +84,9 @@ from .superkmers import (
     DEFAULT_MINIMIZER_LEN,
     SuperKmerBatch,
     count_superkmer_batch,
-    flatten_reads,
     pack_spans,
     partition_superkmers,
+    span_kmers,
     split_superkmers_batch,
     split_superkmers_flat,
     superkmer_wire_bytes,
@@ -113,7 +118,9 @@ __all__ = [
     "uniform_genome",
     "repeat_genome",
     "extract_kmers",
+    "extract_kmers_flat",
     "extract_kmers_from_reads",
+    "count_packed_kmers",
     "iter_kmers",
     "canonical_kmers",
     "kmer_to_str",
@@ -142,13 +149,13 @@ __all__ = [
     "read_minimizers",
     "SuperKmer",
     "split_superkmers",
-    "superkmer_compression_ratio",
     "DEFAULT_MINIMIZER_LEN",
     "SuperKmerBatch",
     "split_superkmers_flat",
     "split_superkmers_batch",
     "flatten_reads",
     "pack_spans",
+    "span_kmers",
     "partition_superkmers",
     "count_superkmer_batch",
     "superkmer_wire_bytes",

@@ -1,13 +1,19 @@
-"""k-mer extraction, packing and manipulation.
+"""k-mer extraction, packing, counting and manipulation.
 
 Implements the k-mer generation kernel of Algorithm 1 (``GetFirstKmer``
 plus the rolling ``(kmer << 2) | Encode(base)`` update) in two forms:
 
 * :func:`iter_kmers` — the faithful per-base rolling loop, used as the
   reference implementation in tests;
-* :func:`extract_kmers` — the vectorised NumPy version used by all the
-  actual counters (k shifted adds over the window array instead of a
-  per-window Python loop).
+* the **flat window kernel** used by every actual counter:
+  :func:`pack_windows` (``k`` shifted ORs over one flat code array
+  instead of a per-window Python loop) and :func:`valid_windows` (which
+  windows stay inside one read and cover no ambiguous base), composed
+  by :func:`extract_kmers_flat`.  :func:`extract_kmers` and the list
+  form of :func:`extract_kmers_from_reads` are thin wrappers over it.
+
+:func:`count_packed_kmers` is the rest of Algorithm 1 for wall-clock
+code — (canonical) -> sort -> accumulate — written once.
 
 k-mers of length ``k <= 32`` are stored in unsigned 64-bit integers, as
 in the paper ("k-mers of length <= 32 are stored as 64-bit integers";
@@ -23,6 +29,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from ..sort.accumulate import accumulate_sorted
 from .alphabet import BASES, INVALID_CODE
 from .encoding import encode_base, encode_seq
 
@@ -30,8 +37,13 @@ __all__ = [
     "MAX_K",
     "kmer_width_bits",
     "kmer_storage_bytes",
+    "flatten_reads",
+    "pack_windows",
+    "valid_windows",
+    "extract_kmers_flat",
     "extract_kmers",
     "extract_kmers_from_reads",
+    "count_packed_kmers",
     "iter_kmers",
     "kmer_to_str",
     "str_to_kmer",
@@ -65,53 +77,109 @@ def kmer_storage_bytes(k: int) -> int:
     return max(1, kmer_width_bits(k) // 8)
 
 
-def extract_kmers(codes: np.ndarray, k: int) -> np.ndarray:
-    """Extract all k-mers of an encoded read as packed ``uint64``.
+def _cumsum0(a: np.ndarray) -> np.ndarray:
+    """``[0, a0, a0+a1, ...]`` — offsets of variable-length records."""
+    out = np.zeros(a.size + 1, dtype=np.int64)
+    np.cumsum(a, out=out[1:])
+    return out
 
-    Vectorised: performs ``k`` shifted ORs over the windowed view
-    rather than one Python-level loop per window.  A read of ``m``
-    bases yields ``m - k + 1`` k-mers (empty array if ``m < k``).
 
-    Windows containing an invalid code (ambiguous base) are dropped,
-    matching the standard treatment of ``N`` bases.
+def flatten_reads(reads: np.ndarray | list) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate encoded reads into ``(flat codes, offsets)``.
+
+    Accepts a 2-D ``uint8`` matrix (rows = equal-length reads) or a
+    list of 1-D code arrays; ``offsets`` has ``n_reads + 1`` entries.
+    """
+    if isinstance(reads, np.ndarray) and reads.ndim == 2:
+        n, m = reads.shape
+        flat = np.ascontiguousarray(reads, dtype=np.uint8).reshape(-1)
+        return flat, np.arange(n + 1, dtype=np.int64) * m
+    rows = [np.asarray(r, dtype=np.uint8).reshape(-1) for r in reads]
+    lengths = np.array([r.size for r in rows], dtype=np.int64)
+    flat = (np.concatenate(rows) if rows
+            else np.empty(0, dtype=np.uint8))
+    return flat, _cumsum0(lengths)
+
+
+def pack_windows(codes: np.ndarray, k: int) -> np.ndarray:
+    """Every length-*k* window of a flat code array, packed ``uint64``.
+
+    ``out[i]`` packs ``codes[i : i + k]``, first base in the high bits:
+    ``k`` shifted ORs over the whole array.  Windows covering a read
+    boundary or an ambiguous base hold garbage — select with
+    :func:`valid_windows`.
+    """
+    codes = np.asarray(codes, dtype=np.uint8)
+    n_win = max(0, codes.size - k + 1)
+    out = np.zeros(n_win, dtype=np.uint64)
+    for j in range(k):
+        np.left_shift(out, np.uint64(2), out=out)
+        np.bitwise_or(out, codes[j:j + n_win], out=out)
+    return out
+
+
+def valid_windows(codes: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
+    """Which windows of :func:`pack_windows` are real k-mers.
+
+    Window ``i`` is valid iff it stays inside one read (*offsets*
+    delimits the reads of the flat *codes*) and covers no ambiguous
+    base (prefix sum of the :data:`INVALID_CODE` mask).
+    """
+    codes = np.asarray(codes, dtype=np.uint8)
+    n_win = max(0, codes.size - k + 1)
+    read_lengths = np.diff(np.asarray(offsets, dtype=np.int64))
+    # A read of n bases starts max(n - k + 1, 0) valid windows; the
+    # windows starting in its remaining bases run into the next read.
+    n_inside = np.maximum(read_lengths - k + 1, 0)
+    valid = np.repeat(
+        np.tile([True, False], read_lengths.size),
+        np.stack([n_inside, read_lengths - n_inside], axis=1).reshape(-1),
+    )[:n_win]
+    ambiguous = codes == INVALID_CODE
+    if ambiguous.any():
+        cum = _cumsum0(ambiguous)
+        valid &= cum[k:k + n_win] == cum[:n_win]
+    return valid
+
+
+def extract_kmers_flat(codes: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
+    """All k-mers of a flattened read batch, in read then window order.
+
+    The flat window kernel: one :func:`pack_windows` pass over the
+    whole batch, masked by :func:`valid_windows` — zero per-read
+    Python.  Windows containing an ambiguous base are dropped, matching
+    the standard treatment of ``N`` bases.
     """
     _check_k(k)
-    codes = np.asarray(codes, dtype=np.uint8)
-    m = codes.size
-    if m < k:
-        return np.empty(0, dtype=np.uint64)
-    n_win = m - k + 1
-    kmers = np.zeros(n_win, dtype=np.uint64)
-    for j in range(k):
-        np.left_shift(kmers, np.uint64(2), out=kmers)
-        np.bitwise_or(kmers, codes[j : j + n_win].astype(np.uint64), out=kmers)
-    invalid = codes == INVALID_CODE
-    if invalid.any():
-        # A window [i, i+k) is valid iff no invalid code falls in it.
-        bad = np.convolve(invalid.astype(np.int64), np.ones(k, dtype=np.int64))
-        kmers = kmers[bad[k - 1 : k - 1 + n_win] == 0]
-    return kmers
+    return pack_windows(codes, k)[valid_windows(codes, offsets, k)]
+
+
+def extract_kmers(codes: np.ndarray, k: int) -> np.ndarray:
+    """Extract all k-mers of one encoded read as packed ``uint64``.
+
+    A read of ``m`` bases yields ``m - k + 1`` k-mers (empty array if
+    ``m < k``), minus the windows containing an ambiguous base.
+    """
+    codes = np.asarray(codes, dtype=np.uint8).reshape(-1)
+    return extract_kmers_flat(codes, np.array([0, codes.size]), k)
 
 
 def extract_kmers_from_reads(reads: list[np.ndarray] | np.ndarray, k: int) -> np.ndarray:
     """Extract and concatenate k-mers from a batch of encoded reads.
 
     Accepts either a list of per-read code arrays or a 2-D ``uint8``
-    array of equal-length reads (rows are reads).  The 2-D form is the
-    fast path for simulated short-read data where every read has the
-    same length, and extracts all k-mers with ``k`` vectorised passes
-    over the whole matrix.
+    array of equal-length reads (rows are reads).  An ambiguity-free
+    2-D matrix takes the dense path — ``k`` vectorised passes over the
+    matrix with no boundary mask to apply; everything else (lists,
+    matrices holding an ambiguous base) is flattened through
+    :func:`extract_kmers_flat`.
     """
     _check_k(k)
-    if isinstance(reads, np.ndarray) and reads.ndim == 2:
+    if (isinstance(reads, np.ndarray) and reads.ndim == 2
+            and not (reads.size and reads.max() > 3)):
         n, m = reads.shape
         if m < k:
             return np.empty(0, dtype=np.uint64)
-        if reads.size and reads.max() > 3:
-            # Ambiguous bases present: the dense path would fold the
-            # sentinel codes into garbage k-mers.  Fall back to the
-            # per-read extractor, which drops windows spanning them.
-            return extract_kmers_from_reads([row for row in reads], k)
         n_win = m - k + 1
         kmers = np.zeros((n, n_win), dtype=np.uint64)
         for j in range(k):
@@ -120,10 +188,24 @@ def extract_kmers_from_reads(reads: list[np.ndarray] | np.ndarray, k: int) -> np
                 kmers, reads[:, j : j + n_win].astype(np.uint64), out=kmers
             )
         return kmers.ravel()
-    parts = [extract_kmers(r, k) for r in reads]
-    if not parts:
-        return np.empty(0, dtype=np.uint64)
-    return np.concatenate(parts)
+    return extract_kmers_flat(*flatten_reads(reads), k)
+
+
+def count_packed_kmers(
+    kmers: np.ndarray, k: int, *, canonical: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed k-mers -> sorted ``(unique_kmers, counts)``.
+
+    The (canonical) -> ``Sort`` -> ``Accumulate`` tail of Algorithm 1
+    for every wall-clock counter.  ``np.sort`` rather than
+    :func:`repro.sort.hybrid.hybrid_sort`: the in-tree radix is
+    simulation-grade Python whose pass statistics feed the model
+    (:func:`repro.core.serial.serial_count` keeps it), and
+    ``accumulate_sorted`` only needs *a* sorted array.
+    """
+    if canonical:
+        kmers = canonical_kmers(kmers, k)
+    return accumulate_sorted(np.sort(kmers))
 
 
 def iter_kmers(seq: str, k: int) -> Iterator[int]:

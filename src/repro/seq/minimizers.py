@@ -12,7 +12,8 @@ runs of k-mers with one minimizer, stored as a single substring of
 * **communication compression**: shipping super-k-mers instead of
   k-mers cuts the bytes of Phase 1 by up to ``k/4``x on top of DAKC's
   L2/L3 layers — the kmerind-style optimisation
-  (:func:`superkmer_compression_ratio` quantifies it per workload).
+  (:meth:`repro.seq.superkmers.SuperKmerBatch.wire_bytes` quantifies
+  it per workload).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "read_minimizers",
     "SuperKmer",
     "split_superkmers",
-    "superkmer_compression_ratio",
 ]
 
 
@@ -143,23 +143,3 @@ def split_superkmers(codes: np.ndarray, k: int, w: int) -> list[SuperKmer]:
             out.extend(_split_valid_segment(codes[seg_start:b], k, w, seg_start))
         seg_start = int(b) + 1
     return out
-
-
-def superkmer_compression_ratio(
-    reads: np.ndarray | list, k: int, w: int, *, header_bytes: int = 8
-) -> float:
-    """Wire-volume ratio of raw k-mers vs 2-bit-packed super-k-mers.
-
-    Raw k-mers cost 8 bytes each; a super-k-mer costs its packed bases
-    (1/4 byte per base) plus a fixed header.  Ratios well above 1 mean
-    super-k-mer shipping would compress Phase-1 traffic further.
-    """
-    rows = reads if not isinstance(reads, np.ndarray) else list(reads)
-    kmer_bytes = 0
-    sk_bytes = 0
-    for row in rows:
-        codes = np.asarray(row, dtype=np.uint8)
-        sks = split_superkmers(codes, k, w)
-        kmer_bytes += 8 * sum(sk.n_kmers(k) for sk in sks)
-        sk_bytes += sum(-(-sk.n_bases // 4) + header_bytes for sk in sks)
-    return kmer_bytes / sk_bytes if sk_bytes else 1.0

@@ -1,46 +1,56 @@
-"""Vectorised super-k-mer batch kernels: the counting fast path.
+"""Vectorised super-k-mer batch kernels: the partitioners' splitter.
 
-:mod:`repro.seq.minimizers` defines super-k-mers and provides the
+A super-k-mer exists for one reason: fewer bytes to a disk bin or over
+a wire.  :mod:`repro.seq.minimizers` defines them and provides the
 readable per-read splitter (:func:`~repro.seq.minimizers.split_superkmers`,
-kept as the test oracle).  This module is the production path: a whole
-*batch* of encoded reads is flattened into one code array and split
-into super-k-mer runs with a fixed number of NumPy passes — zero
-per-k-mer (and zero per-read) Python in the hot loop.  The same kernel
-feeds every consumer of super-k-mers in the codebase:
+kept as the test oracle).  This module is the production splitter: a
+whole *batch* of encoded reads is flattened into one code array and
+split into super-k-mer runs with a fixed number of NumPy passes — zero
+per-k-mer (and zero per-read) Python in the hot loop.  It is called
+only where its output is consumed:
 
-* **streaming counting** (:mod:`repro.apps.streaming`): fused
-  extract -> encode -> accumulate via :func:`count_superkmer_batch`;
 * **spill binning** (:mod:`repro.ooc.spill`): batch split + the
   splitmix64 owner hash via :func:`partition_superkmers`;
 * **distributed routing** (:mod:`repro.core.minipart`): packed wire
   accounting via :func:`superkmer_wire_bytes` / :func:`pack_spans`.
 
+In-memory counters never split — they count the window array of
+:mod:`repro.seq.kmers` directly.  :func:`span_kmers` and
+:func:`count_superkmer_batch` turn spans back into k-mers and counts
+on the receiving side of a bin or a wire.
+
 The split kernel works on *window* arrays: a batch of ``m`` total
 bases has ``m - k + 1`` candidate k-mer windows, of which a window is
 **valid** iff it does not cross a read boundary and contains no
-ambiguous base.  Maximal runs of valid windows sharing one minimizer
-are the super-k-mers; the whole decomposition is boolean algebra over
-three window-aligned arrays (validity, minimizer equality, read id),
-identical in result to running the per-read splitter on every read.
+ambiguous base (:func:`repro.seq.kmers.valid_windows`).  Maximal runs
+of valid windows sharing one minimizer are the super-k-mers; the whole
+decomposition is boolean algebra over window-aligned arrays, identical
+in result to running the per-read splitter on every read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.owner import owner_pe, splitmix64, splitmix64_inverse
-from .alphabet import INVALID_CODE
-from .kmers import MAX_K
+from .kmers import (
+    MAX_K,
+    _cumsum0,
+    count_packed_kmers,
+    flatten_reads,
+    pack_windows,
+    valid_windows,
+)
 
 __all__ = [
     "DEFAULT_MINIMIZER_LEN",
     "SuperKmerBatch",
-    "flatten_reads",
     "split_superkmers_flat",
     "split_superkmers_batch",
     "pack_spans",
+    "span_kmers",
     "partition_superkmers",
     "count_superkmer_batch",
     "superkmer_wire_bytes",
@@ -58,13 +68,6 @@ def _check_kw(k: int, w: int) -> None:
         raise ValueError("minimizer length must be <= k")
     if w < 1:
         raise ValueError("minimizer length must be >= 1")
-
-
-def _cumsum0(a: np.ndarray) -> np.ndarray:
-    """``[0, a0, a0+a1, ...]`` — offsets of variable-length records."""
-    out = np.zeros(a.size + 1, dtype=np.int64)
-    np.cumsum(a, out=out[1:])
-    return out
 
 
 def _span_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -117,9 +120,6 @@ class SuperKmerBatch:
     read_ids: np.ndarray    # int64, source read per super-k-mer
     k: int
     w: int
-    # Split-kernel byproducts reused by kmers(); dropped by take().
-    _window_kmers: np.ndarray | None = field(default=None, repr=False)
-    _window_valid: np.ndarray | None = field(default=None, repr=False)
 
     # -- shape ---------------------------------------------------------
 
@@ -147,19 +147,9 @@ class SuperKmerBatch:
 
         Within a read this is exactly the valid-window order of
         :func:`repro.seq.kmers.extract_kmers`; across reads it is
-        batch order.  Uses the split kernel's window array when still
-        attached, else ``k`` vectorised gathers over the spans.
+        batch order.
         """
-        if self._window_kmers is not None:
-            return self._window_kmers[self._window_valid]
-        if self.n_superkmers == 0:
-            return np.empty(0, dtype=np.uint64)
-        pos = _span_positions(self.starts, self.n_kmers_per)
-        out = np.zeros(pos.size, dtype=np.uint64)
-        for j in range(self.k):
-            np.left_shift(out, np.uint64(2), out=out)
-            np.bitwise_or(out, self.codes[pos + j].astype(np.uint64), out=out)
-        return out
+        return span_kmers(self.codes, self.starts, self.n_kmers_per, self.k)
 
     def gather_spans(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Contiguous ``(codes, lengths)`` of the selected super-k-mers.
@@ -186,37 +176,12 @@ class SuperKmerBatch:
         """Total packed bytes on the wire, *header_bytes* per record."""
         return superkmer_wire_bytes(self.lengths, header_bytes=header_bytes)
 
-    def take(self, indices: np.ndarray) -> "SuperKmerBatch":
-        """Sub-batch of the selected super-k-mers (shares ``codes``)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return SuperKmerBatch(
-            codes=self.codes, starts=self.starts[idx],
-            lengths=self.lengths[idx], minimizers=self.minimizers[idx],
-            read_ids=self.read_ids[idx], k=self.k, w=self.w)
-
 
 def _empty_batch(codes: np.ndarray, k: int, w: int) -> SuperKmerBatch:
     i64 = np.empty(0, dtype=np.int64)
     return SuperKmerBatch(codes=codes, starts=i64, lengths=i64.copy(),
                           minimizers=np.empty(0, dtype=np.uint64),
                           read_ids=i64.copy(), k=k, w=w)
-
-
-def flatten_reads(reads: np.ndarray | list) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate encoded reads into ``(flat codes, offsets)``.
-
-    Accepts a 2-D ``uint8`` matrix (rows = equal-length reads) or a
-    list of 1-D code arrays; ``offsets`` has ``n_reads + 1`` entries.
-    """
-    if isinstance(reads, np.ndarray) and reads.ndim == 2:
-        n, m = reads.shape
-        flat = np.ascontiguousarray(reads, dtype=np.uint8).reshape(-1)
-        return flat, np.arange(n + 1, dtype=np.int64) * m
-    rows = [np.asarray(r, dtype=np.uint8).reshape(-1) for r in reads]
-    lengths = np.array([r.size for r in rows], dtype=np.int64)
-    flat = (np.concatenate(rows) if rows
-            else np.empty(0, dtype=np.uint8))
-    return flat, _cumsum0(lengths)
 
 
 def split_superkmers_flat(
@@ -229,9 +194,9 @@ def split_superkmers_flat(
     reads.  Equivalent to per-read
     :func:`~repro.seq.minimizers.split_superkmers` — same spans, same
     minimizers, same order — in a fixed number of vectorised passes:
-    one boundary/ambiguity mask, ``k`` shifted ORs for the window
-    k-mers, ``k - w + 1`` reductions for the minimizers, and boolean
-    run detection.
+    one boundary/ambiguity mask, ``w`` shifted ORs for the w-mers, one
+    hash + sliding minimum for the minimizers, and boolean run
+    detection.  The k-mers themselves are never materialised here.
     """
     _check_kw(k, w)
     codes = np.asarray(codes, dtype=np.uint8)
@@ -239,27 +204,12 @@ def split_superkmers_flat(
     m = codes.size
     if offsets.size < 1 or offsets[0] != 0 or offsets[-1] != m:
         raise ValueError("offsets must run from 0 to codes.size")
-    if m < k:
-        return _empty_batch(codes, k, w)
-    n_win = m - k + 1
-    read_lengths = np.diff(offsets)
-    if read_lengths.size and read_lengths.min() < 0:
+    if offsets.size > 1 and np.diff(offsets).min() < 0:
         raise ValueError("offsets must be non-decreasing")
-    read_id = np.repeat(np.arange(read_lengths.size, dtype=np.int64),
-                        read_lengths)
-    # Window i covers codes[i : i+k]: valid iff it stays inside one
-    # read and covers no ambiguous base.
-    valid = read_id[:n_win] == read_id[k - 1:]
-    invalid = codes == INVALID_CODE
-    if invalid.any():
-        cum = _cumsum0(invalid)
-        valid &= (cum[k:k + n_win] - cum[:n_win]) == 0
+    valid = valid_windows(codes, offsets, k)
     if not valid.any():
         return _empty_batch(codes, k, w)
-    kmers = np.zeros(n_win, dtype=np.uint64)
-    for j in range(k):
-        np.left_shift(kmers, np.uint64(2), out=kmers)
-        np.bitwise_or(kmers, codes[j:j + n_win].astype(np.uint64), out=kmers)
+    n_win = valid.size
     # Minimizer hashes: hash every w-mer ONCE, then slide a length
     # ``k - w + 1`` window minimum over the hashes with the two-pass
     # block trick (prefix + suffix minima per block).  This replaces
@@ -270,12 +220,7 @@ def split_superkmers_flat(
     # equality) match value equality.  The w-mer *values* are
     # recovered from the winning hashes via the mixer's inverse, but
     # only where they are needed (at run starts).
-    wmers = np.zeros(m - w + 1, dtype=np.uint64)
-    for j in range(w):
-        np.left_shift(wmers, np.uint64(2), out=wmers)
-        np.bitwise_or(wmers, codes[j:j + wmers.size].astype(np.uint64),
-                      out=wmers)
-    hashes = splitmix64(wmers)
+    hashes = splitmix64(pack_windows(codes, w))
     mins = _sliding_min(hashes, k - w + 1)[:n_win]
     # Run boundaries: a valid window starts a super-k-mer when its
     # predecessor window is invalid (segment/read boundary) or carries
@@ -283,10 +228,11 @@ def split_superkmers_flat(
     # "same run" needs equal minimizers AND the same source read; the
     # read check only matters for k == 1, where adjacent windows in
     # different reads are both valid.
-    win_read = read_id[:n_win]
     same = np.empty(n_win, dtype=bool)
     same[0] = False
-    same[1:] = (mins[1:] == mins[:-1]) & (win_read[1:] == win_read[:-1])
+    same[1:] = mins[1:] == mins[:-1]
+    read_starts = offsets[:-1]
+    same[read_starts[read_starts < n_win]] = False
     prev_valid = np.empty(n_win, dtype=bool)
     prev_valid[0] = False
     prev_valid[1:] = valid[:-1]
@@ -301,8 +247,8 @@ def split_superkmers_flat(
     return SuperKmerBatch(
         codes=codes, starts=starts, lengths=ends - starts + k,
         minimizers=splitmix64_inverse(mins[starts]),
-        read_ids=read_id[starts], k=k, w=w,
-        _window_kmers=kmers, _window_valid=valid)
+        read_ids=np.searchsorted(offsets, starts, side="right") - 1,
+        k=k, w=w)
 
 
 def split_superkmers_batch(
@@ -349,6 +295,20 @@ def pack_spans(
     return lengths32, blob
 
 
+def span_kmers(
+    codes: np.ndarray, starts: np.ndarray, n_kmers_per: np.ndarray, k: int
+) -> np.ndarray:
+    """Packed k-mers of arbitrary spans of a code array, span-major.
+
+    Span ``i`` contributes the ``n_kmers_per[i]`` windows starting at
+    ``codes[starts[i]]``: one :func:`repro.seq.kmers.pack_windows`
+    pass over *codes* and one gather — zero per-record Python.  The
+    receiving side of :func:`pack_spans`: batches in memory and spill
+    chunks read back from disk expand through this one function.
+    """
+    return pack_windows(codes, k)[_span_positions(starts, n_kmers_per)]
+
+
 def superkmer_wire_bytes(lengths: np.ndarray, *, header_bytes: int = 8) -> int:
     """Packed wire bytes of super-k-mer spans: ``ceil(len/4) + header``."""
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -379,43 +339,7 @@ def partition_superkmers(
 
 
 def count_superkmer_batch(
-    batch: SuperKmerBatch, *, canonical: bool = False, n_bins: int = 1
+    batch: SuperKmerBatch, *, canonical: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fused route -> extract -> sort -> accumulate of one batch.
-
-    Returns sorted ``(unique_kmers, counts)``.  With ``n_bins == 1``
-    (the in-process default) the whole batch feeds one hybrid sort;
-    with more bins the batch is partitioned by minimizer owner first
-    and each closed bin is counted independently — the shape the
-    distributed/out-of-core layers run, exposed here so tests can pin
-    bin-count invariance.
-    """
-    from ..sort.accumulate import accumulate_sorted, merge_count_arrays
-    from .kmers import canonical_kmers
-
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    k = batch.k
-
-    def _count(kmers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if canonical:
-            kmers = canonical_kmers(kmers, k)
-        # numpy's introsort beats the simulation-grade python-level
-        # radix (hybrid_sort) by an order of magnitude at batch sizes;
-        # accumulate_sorted only needs *a* sorted array.
-        return accumulate_sorted(np.sort(kmers))
-
-    if n_bins == 1:
-        return _count(batch.kmers())
-    _, order, boundaries = partition_superkmers(batch, n_bins)
-    kmers = batch.kmers()
-    nk_per = batch.n_kmers_per
-    kmer_offsets = _cumsum0(nk_per)[:-1]
-    parts = []
-    for b in range(n_bins):
-        idx = order[boundaries[b]:boundaries[b + 1]]
-        if idx.size == 0:
-            continue
-        pos = _span_positions(kmer_offsets[idx], nk_per[idx])
-        parts.append(_count(kmers[pos]))
-    return merge_count_arrays(parts)
+    """Expand -> sort -> accumulate one batch: sorted ``(kmers, counts)``."""
+    return count_packed_kmers(batch.kmers(), batch.k, canonical=canonical)

@@ -255,7 +255,7 @@ def _ooc_bench(params: dict) -> TargetOutcome:
 # ---------------------------------------------------------------------------
 
 _COUNT_DEFAULTS = {
-    "dataset": "synthetic-24", "k": 21, "w": 7, "budget": 120_000,
+    "dataset": "synthetic-24", "k": 21, "budget": 120_000,
     "batch_records": 100_000, "canonical": 0,
 }
 
@@ -275,32 +275,30 @@ def _count_records(dataset: str, k: int, budget: int):
 def _count_bench(params: dict) -> TargetOutcome:
     from ..apps.streaming import count_records_streaming
     from ..core.serial import serial_count
-    from ..seq.superkmers import split_superkmers_batch
+    from ..seq.encoding import encode_seq
+    from ..seq.superkmers import DEFAULT_MINIMIZER_LEN, split_superkmers_batch
 
     p = _params(params, _COUNT_DEFAULTS)
     k, canonical = p["k"], bool(p["canonical"])
     records, oracle = _count_records(p["dataset"], k, p["budget"])
+    reads = _counted(p["dataset"], k, p["budget"])[0].reads
     if canonical:
-        from ..bench.workloads import build_workload
-        oracle = serial_count(
-            build_workload(p["dataset"], k, budget_kmers=p["budget"]).reads,
-            k, canonical=True)
+        oracle = serial_count(reads, k, canonical=True)
 
+    # Baseline: the per-read scalar path — encode one read at a time,
+    # then Algorithm 1 with the in-tree hybrid sort.
     t0 = time.perf_counter()
-    scalar = count_records_streaming(
-        records, k, batch_records=p["batch_records"],
-        canonical=canonical, fast=False)
+    scalar = serial_count(
+        [encode_seq(r.seq, validate=False) for r in records], k,
+        canonical=canonical)
     t_scalar = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     fast = count_records_streaming(
-        records, k, batch_records=p["batch_records"],
-        canonical=canonical, fast=True, w=p["w"])
+        records, k, batch_records=p["batch_records"], canonical=canonical)
     t_fast = time.perf_counter() - t0
 
-    batch = split_superkmers_batch(
-        [r for r in _counted(p["dataset"], k, p["budget"])[0].reads],
-        k, min(k, p["w"]))
+    batch = split_superkmers_batch(reads, k, min(k, DEFAULT_MINIMIZER_LEN))
     wire = batch.wire_bytes()
     compression = (8.0 * batch.n_kmers / wire) if wire else 0.0
 

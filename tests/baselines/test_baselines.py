@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.baselines.hysortk import hysortk_cost_model, hysortk_count
-from repro.baselines.kmc3 import Kmc3Config, kmc3_count, minimizers
+from repro.baselines.kmc3 import Kmc3Config, kmc3_count
 from repro.baselines.pakman import pakman_count, pakman_star_count
 from repro.core.serial import serial_count
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import laptop, phoenix_intel
 from repro.seq.kmers import extract_kmers_from_reads
+from repro.seq.minimizers import minimizers_of_kmers as minimizers
 
 
 def cost_model(p=8, nodes=2):

@@ -58,6 +58,28 @@ class TestCorrectness:
             MinimizerPartitionConfig(header_bytes=-1)
 
 
+class TestPinnedRun:
+    """`small_reads`, k=21, 8 PEs: the routed run is a fixed function
+    of the seed.  The literals are the values of the commit before the
+    non-canonical path stopped recomputing per-k-mer minimizers (it
+    now repeats the batch's); the canonical path still recomputes."""
+
+    @pytest.mark.parametrize("canonical,sim_time,bytes_sent,memcpy_bytes", [
+        (False, 3.293602666666666e-05, 16749, 17283),
+        (True, 3.518248000000001e-05, 48825, 50629),
+    ])
+    def test_counts_clock_puts_and_wire_bytes(
+            self, small_reads, canonical, sim_time, bytes_sent, memcpy_bytes):
+        got, stats = minimizer_partitioned_count(
+            small_reads, 21, cost_model(), canonical=canonical)
+        assert got == serial_count(small_reads, 21, canonical=canonical)
+        assert (got.n_distinct, got.total) == (4740, 16000)
+        assert stats.sim_time == sim_time
+        assert stats.total_puts == 32
+        assert stats.total_bytes_sent == bytes_sent
+        assert stats.total("local_memcpy_bytes") == memcpy_bytes
+
+
 class TestTradeoff:
     def test_wire_volume_beats_hash_partitioning(self, small_reads):
         """The point of super-k-mers: much less data on the wire."""

@@ -167,6 +167,32 @@ class TestAmbiguousBases:
         # count check: read1 contributes 4 valid windows of 7.
         assert got.size == 4 + 7
 
+    def test_matrix_with_one_n_stays_vectorised(self, small_reads, monkeypatch):
+        """One ambiguous base in a matrix must not drop the whole batch
+        to a per-row Python loop: it takes the flat window kernel and
+        still equals the list path and the Counter oracle."""
+        import repro.seq.kmers as kmers_mod
+        from repro.core.serial import serial_count_oracle
+        from repro.seq.alphabet import INVALID_CODE
+        from repro.seq.encoding import decode_codes
+
+        matrix = small_reads.copy()
+        matrix[17, 40] = INVALID_CODE
+        rows = [row for row in matrix]
+
+        def per_row(*args, **kwargs):
+            raise AssertionError("per-row extract_kmers called")
+
+        monkeypatch.setattr(kmers_mod, "extract_kmers", per_row)
+        got = extract_kmers_from_reads(matrix, 21)
+        assert np.array_equal(got, extract_kmers_from_reads(rows, 21))
+        assert got.size == small_reads.shape[0] * 80 - 21
+        frags = [decode_codes(piece) for i, row in enumerate(rows)
+                 for piece in ((row[:40], row[41:]) if i == 17 else (row,))]
+        want = serial_count_oracle(frags, 21).to_counter()
+        uniq, counts = np.unique(got, return_counts=True)
+        assert dict(zip(uniq.tolist(), counts.tolist())) == want
+
     def test_all_n_read(self):
         from repro.seq.encoding import encode_seq
 

@@ -14,7 +14,6 @@ from repro.seq.minimizers import (
     minimizers_of_kmers,
     read_minimizers,
     split_superkmers,
-    superkmer_compression_ratio,
 )
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=200)
@@ -104,12 +103,14 @@ class TestSuperKmers:
         assert total_sks < total_kmers / 3
 
     def test_compression_ratio_above_one(self, small_reads):
-        ratio = superkmer_compression_ratio(small_reads[:40], 31, 9)
+        from repro.seq.superkmers import split_superkmers_batch
+
+        batch = split_superkmers_batch(small_reads[:40], 31, 9)
+        ratio = 8 * batch.n_kmers / batch.wire_bytes()
         assert ratio > 2.0  # packed super-k-mers beat raw 8B k-mers
 
     def test_empty_read(self):
         assert split_superkmers(encode_seq(""), 11, 5) == []
-        assert superkmer_compression_ratio([encode_seq("")], 11, 5) == 1.0
 
 
 class TestSuperKmerEdgeCases:

@@ -4,8 +4,8 @@ The batch kernel (`repro.seq.superkmers`) must agree *exactly* with the
 per-read reference splitter (`repro.seq.minimizers.split_superkmers`)
 and reconstruct the same k-mer multiset as the plain extractor, for any
 reads — including homopolymers, reads shorter than k, and ambiguous
-bases.  These properties are what let the fast counting path claim
-bit-identical results.
+bases.  These properties are what let the partitioners (spill bins,
+minimizer routing) claim bit-identical results.
 """
 
 from __future__ import annotations
@@ -101,20 +101,17 @@ def test_batch_reconstructs_kmer_stream(reads, kw):
     )
     assert np.array_equal(batch.kmers(), reference)
     assert batch.n_kmers == reference.size
-    # The gather path (post-`take`, caches dropped) must agree too.
-    taken = batch.take(np.arange(batch.n_superkmers))
-    assert np.array_equal(taken.kmers(), reference)
 
 
 @given(general_reads, st.integers(1, 31).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(1, k))),
-    st.booleans(), st.integers(1, 5))
+    st.booleans())
 @settings(max_examples=50)
-def test_count_superkmer_batch_equals_counter_oracle(reads, kw, canonical, bins):
+def test_count_superkmer_batch_equals_counter_oracle(reads, kw, canonical):
     k, w = kw
     encoded = _encode(reads)
     batch = split_superkmers_batch(encoded, k, w)
-    keys, vals = count_superkmer_batch(batch, canonical=canonical, n_bins=bins)
+    keys, vals = count_superkmer_batch(batch, canonical=canonical)
     kmers = (
         np.concatenate([extract_kmers(r, k) for r in encoded])
         if encoded
