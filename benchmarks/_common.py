@@ -13,16 +13,14 @@ figures through :mod:`repro.bench.experiments` and
   metadata — so the paper-vs-measured record in EXPERIMENTS.md can be
   refreshed from artefacts with provenance attached.
 
-Extension benches that emit a machine-readable ``BENCH_<name>.json``
-should write it through :func:`write_bench_doc`, which stamps the same
-fingerprint and mirrors the document into the versioned cross-PR
-ledger (``benchmarks/results/ledger/``) via
-:func:`repro.xp.ledger.legacy_envelope`.
+Only the paper's figures and tables (and the ablations/extensions
+that regenerate through the same registry) live here.  Product
+scenarios are recorded by ``dakc xp run benchmarks/xp/<name>.json``
+into ``benchmarks/results/ledger/``; see docs/XP.md.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
@@ -69,33 +67,6 @@ def run_and_record(
     (RESULTS_DIR / f"{exp_id}.txt").write_text(
         result.render() + _metadata_footer(policy))
     return result
-
-
-def write_bench_doc(name: str, doc: dict, *, ledger: bool = True) -> Path:
-    """Write ``BENCH_<name>.json`` and mirror it into the xp ledger.
-
-    The document gains an ``xp_env`` fingerprint; if its shape is one
-    the legacy importer knows, the same run also lands in
-    ``benchmarks/results/ledger/`` as a validated envelope so the
-    cross-PR trajectory keeps growing without a separate import step.
-    Ledger mirroring is best-effort: an unrecognised shape still gets
-    its ``BENCH_*.json`` written.  Pass ``ledger=False`` for quick-mode
-    artifacts whose tiny-workload numbers must not enter the trajectory.
-    """
-    from repro.xp.ledger import Ledger, legacy_envelope
-
-    doc = {**doc, "xp_env": fingerprint()}
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / f"BENCH_{name}.json"
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    if not ledger:
-        return out
-    try:
-        envelope = legacy_envelope(doc, source=out.name)
-    except ValueError:
-        return out
-    Ledger(RESULTS_DIR / "ledger").append(envelope)
-    return out
 
 
 def rows_of(result: ExperimentResult, table_index: int = 0):

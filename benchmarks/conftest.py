@@ -1,20 +1,6 @@
-"""Benchmark-tree configuration: make ``_common`` importable, add --quick."""
+"""Benchmark-tree configuration: make ``_common`` importable."""
 
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--quick", action="store_true", default=False,
-        help="benchmark smoke mode: smaller workloads, relaxed thresholds",
-    )
-
-
-@pytest.fixture
-def quick(request) -> bool:
-    return request.config.getoption("--quick")

@@ -30,8 +30,7 @@ Subcommands:
 * ``xp``       — declarative experiments (repro.xp): ``run`` a spec's
   sweep under its warmup/repetition policy, ``gate`` it against the
   ledger baseline with Mann-Whitney + minimum-effect thresholds,
-  ``report`` the cross-PR trajectory, ``import-legacy`` the historical
-  ``BENCH_*.json`` files into the versioned ledger.
+  ``report`` the cross-PR trajectory in the versioned ledger.
 """
 
 from __future__ import annotations
@@ -524,14 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_xp_list.add_argument("--specs", default="benchmarks/xp",
                            help="directory holding declarative specs")
 
-    p_xp_imp = xp_sub.add_parser(
-        "import-legacy",
-        help="one-shot migration of the historical BENCH_*.json files "
-             "into the versioned ledger (originals stay in place)")
-    p_xp_imp.add_argument("--results", default="benchmarks/results",
-                          help="directory holding BENCH_*.json")
-    p_xp_imp.add_argument("--ledger", default=None)
-
     p_tl = sub.add_parser("timeline", help="ASCII Gantt of a simulated run")
     p_tl.add_argument("--dataset", default="synthetic-20")
     p_tl.add_argument("-k", type=int, default=31)
@@ -1007,18 +998,8 @@ def _cmd_serve_bench(args) -> int:
         kc = lsm.snapshot()
         lsm_view = lsm.read_view(args.shards)
         source = f"{args.lsm_store} (live LSM store, {lsm.n_runs} runs)"
-    elif args.database:
-        from .apps.store import load_counts
-
-        kc, _ = load_counts(args.database)
-        source = args.database
     else:
-        from .bench.workloads import build_workload
-        from .core.serial import serial_count
-
-        w = build_workload(args.dataset, args.k, budget_kmers=args.budget)
-        kc = serial_count(w.reads, args.k)
-        source = f"{w.spec.display} (replica)"
+        kc, source = _database_or_replica(args)
 
     config = EngineConfig(
         batch_size=args.batch_size,
@@ -1087,18 +1068,7 @@ def _cmd_serve_bench(args) -> int:
 def _cmd_tenant_bench(args) -> int:
     from .tenant import run_tenant_bench
 
-    if args.database:
-        from .apps.store import load_counts
-
-        kc, _ = load_counts(args.database)
-        source = args.database
-    else:
-        from .bench.workloads import build_workload
-        from .core.serial import serial_count
-
-        w = build_workload(args.dataset, args.k, budget_kmers=args.budget)
-        kc = serial_count(w.reads, args.k)
-        source = f"{w.spec.display} (replica)"
+    kc, source = _database_or_replica(args)
 
     kwargs = dict(
         n_victim_groups=args.victim_groups,
@@ -1167,18 +1137,7 @@ def _cmd_tenant_bench(args) -> int:
 def _cmd_cluster_bench(args) -> int:
     from .cluster import run_cluster_bench
 
-    if args.database:
-        from .apps.store import load_counts
-
-        kc, _ = load_counts(args.database)
-        source = args.database
-    else:
-        from .bench.workloads import build_workload
-        from .core.serial import serial_count
-
-        w = build_workload(args.dataset, args.k, budget_kmers=args.budget)
-        kc = serial_count(w.reads, args.k)
-        source = f"{w.spec.display} (replica)"
+    kc, source = _database_or_replica(args)
 
     recorder = None
     if args.trace_out:
@@ -1360,8 +1319,8 @@ def _cmd_dst(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _trace_counts(args):
-    """Load/build the count database a trace command serves against."""
+def _database_or_replica(args):
+    """Load ``--database``, else count the ``--dataset`` replica."""
     if getattr(args, "database", None):
         from .apps.store import load_counts
 
@@ -1385,7 +1344,7 @@ def _cmd_trace(args) -> int:
         from .serve import run_serve_bench
         from .trace import TraceRecorder
 
-        kc, source = _trace_counts(args)
+        kc, source = _database_or_replica(args)
         recorder = TraceRecorder(k=kc.k, seed=args.seed,
                                  source=f"trace record seed={args.seed}")
         result = run_serve_bench(
@@ -1451,7 +1410,7 @@ def _cmd_trace(args) -> int:
         from .trace import replay_trace
 
         trace = load_trace(args.trace)
-        kc, source = _trace_counts(args)
+        kc, source = _database_or_replica(args)
         store = ShardedStore.from_counts(kc, args.shards)
         result = replay_trace(
             trace, store, cache_capacity=args.cache_capacity,
@@ -1559,7 +1518,6 @@ def _cmd_xp(args) -> int:
         format_gate,
         format_trajectory,
         gate_envelopes,
-        import_legacy,
         run_spec,
     )
     from .xp.ledger import DEFAULT_LEDGER_DIR
@@ -1628,32 +1586,24 @@ def _cmd_xp(args) -> int:
             print(f"{exp}  ({len(ledger.entries(exp))} entries)")
         return 0
 
-    if args.xp_command == "list":
-        print("# targets:")
-        for target in list_targets():
-            print(f"  {target.name:<20} {target.description}")
-        from pathlib import Path
+    # list
+    print("# targets:")
+    for target in list_targets():
+        print(f"  {target.name:<20} {target.description}")
+    from pathlib import Path
 
-        specs_dir = Path(args.specs)
-        specs = (sorted(specs_dir.glob("*.json"))
-                 + sorted(specs_dir.glob("*.toml"))
-                 if specs_dir.is_dir() else [])
-        print(f"# specs in {specs_dir}:")
-        for path in specs:
-            print(f"  {path}")
-        if not specs:
-            print("  (none)")
-        print(f"# ledger experiments in {ledger.root}:")
-        for exp in ledger.experiments() or ["  (none)"]:
-            print(f"  {exp}" if not exp.startswith("  ") else exp)
-        return 0
-
-    # import-legacy
-    imported = import_legacy(args.results, ledger)
-    for name, path in imported:
-        print(f"{name} -> {path if path else 'skipped (already imported)'}")
-    if not imported:
-        print(f"# no BENCH_*.json under {args.results}")
+    specs_dir = Path(args.specs)
+    specs = (sorted(specs_dir.glob("*.json"))
+             + sorted(specs_dir.glob("*.toml"))
+             if specs_dir.is_dir() else [])
+    print(f"# specs in {specs_dir}:")
+    for path in specs:
+        print(f"  {path}")
+    if not specs:
+        print("  (none)")
+    print(f"# ledger experiments in {ledger.root}:")
+    for exp in ledger.experiments() or ["  (none)"]:
+        print(f"  {exp}" if not exp.startswith("  ") else exp)
     return 0
 
 

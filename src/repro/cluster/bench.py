@@ -1,7 +1,8 @@
 """The cluster-bench experiment: overhead, hedging, and chaos proofs.
 
 One deterministic, seeded campaign used by both ``dakc cluster-bench``
-and ``benchmarks/bench_extension_cluster.py``.  Three claims:
+and the ``cluster-bench`` xp target (``benchmarks/xp/cluster.json`` →
+ledger ``cluster-bench``).  Three claims:
 
 * **overhead** — fault-free, the replica-aware router costs < 15% of
   throughput vs. the direct single-copy

@@ -1,7 +1,8 @@
 """The serve-bench experiment: naive vs. batched+cached serving.
 
 One deterministic, seeded comparison used by both the ``dakc
-serve-bench`` CLI and ``benchmarks/bench_extension_serve.py``:
+serve-bench`` CLI and the ``serve-bench`` xp target
+(``benchmarks/xp/serve.json`` → ledger ``serve-bench``):
 
 1. count a dataset replica into a database,
 2. shard it, generate a Zipf query stream from its spectrum,
@@ -53,7 +54,7 @@ class ServeBenchResult:
         return self.served.throughput_qps / self.naive.throughput_qps
 
     def to_doc(self) -> dict:
-        """Machine-readable record (``BENCH_serve.json``)."""
+        """Machine-readable record (``dakc serve-bench --json``)."""
         return {
             "experiment": "serve-bench",
             "seed": self.seed,

@@ -5,8 +5,8 @@ sustained throughput, how deep the admission queue ran, and how much
 traffic the hot-key cache absorbed.  :class:`LatencyHistogram` uses
 geometric buckets so the tail quantiles of millions of samples cost a
 few hundred int64 counters, and :class:`ServeMetrics` aggregates one
-run into a JSON-serialisable snapshot (``BENCH_serve.json`` and the
-``dakc serve-bench`` report are both rendered from it).
+run into a JSON-serialisable snapshot (the ``dakc serve-bench``
+report and its ``--json`` document are both rendered from it).
 """
 
 from __future__ import annotations

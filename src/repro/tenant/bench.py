@@ -1,7 +1,8 @@
 """The tenant-bench experiment: antagonist vs. victim isolation.
 
 One deterministic, seeded experiment used by both the ``dakc
-tenant-bench`` CLI and ``benchmarks/bench_extension_tenant.py``:
+tenant-bench`` CLI and the ``tenant-bench`` xp target
+(``benchmarks/xp/tenant.json`` → ledger ``tenant-bench``):
 
 1. count a dataset into a database and shard it;
 2. drive a well-behaved *victim* tenant open-loop (small paced query
@@ -71,7 +72,7 @@ class TenantBenchResult:
         return self.unprotected["p99_ms"] / self.solo["p99_ms"] - 1.0
 
     def to_doc(self) -> dict:
-        """Machine-readable record (``BENCH_tenant.json``)."""
+        """Machine-readable record (``dakc tenant-bench --json``)."""
         return {
             "experiment": "tenant-bench",
             "params": self.params,

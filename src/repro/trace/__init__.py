@@ -16,7 +16,7 @@ can model and re-run:
 * :mod:`repro.trace.replay` — deterministic replay: cache simulation
   for model checking, full engine replay for bit-identical answers;
 * :mod:`repro.trace.bench` — the record→profile→sample→replay
-  experiment behind ``BENCH_trace.json``.
+  experiment behind the ``trace-bench`` xp target and ledger.
 
 See ``docs/TRACING.md`` for the design and the capacity-planning
 workflow it enables.

@@ -1,8 +1,8 @@
 """The trace experiment: record, model, sample, replay — one harness.
 
-Shared by ``dakc trace`` / ``dakc trace-bench`` and
-``benchmarks/bench_extension_trace.py`` (→ ``BENCH_trace.json``), one
-seeded end-to-end run with four claims under test:
+Run by the ``trace-bench`` xp target (``benchmarks/xp/trace.json`` →
+ledger ``trace-bench``): one seeded end-to-end run with four claims
+under test:
 
 1. **Model exactness** (the Fig.-3-style curve): the Mattson
    reuse-distance profile's predicted LRU miss-ratio curve matches a
@@ -21,7 +21,7 @@ seeded end-to-end run with four claims under test:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .format import QueryTrace
 from .profiler import profile_trace
 from .recorder import TraceRecorder
 from .replay import measured_miss_ratio_curve, replay_trace, simulate_cache
-from .sampling import pooled_miss_ratio_curve, spatial_sample
+from .sampling import pooled_miss_ratio_curve
 
 __all__ = ["TraceBenchResult", "run_trace_bench"]
 
@@ -53,7 +53,6 @@ class TraceBenchResult:
     single_tier: dict              # simulate_cache ledger, HotKeyCache
     two_tier: dict                 # simulate_cache ledger, TieredCache
     seed: int
-    extras: dict = field(default_factory=dict)
 
     @property
     def model_error_pp(self) -> float:
@@ -73,35 +72,6 @@ class TraceBenchResult:
     def tiering_gain(self) -> float:
         """Two-tier hit rate minus single-tier hit rate (same t1 RAM)."""
         return self.two_tier["hit_rate"] - self.single_tier["hit_rate"]
-
-    def to_doc(self) -> dict:
-        """Machine-readable record (``BENCH_trace.json``)."""
-        return {
-            "experiment": "trace-bench",
-            "seed": self.seed,
-            "trace": self.trace_summary,
-            "miss_ratio_curve": {
-                "capacities": self.capacities.tolist(),
-                "predicted": self.predicted_miss.tolist(),
-                "measured": self.measured_miss.tolist(),
-                "sampled": self.sampled_miss.tolist(),
-                "sample_rate": self.sample_rate,
-                "model_error_pp": self.model_error_pp,
-                "sample_error_pp": self.sample_error_pp,
-            },
-            "replay": {"answers_match": self.replay_answers_match},
-            "tiering": {
-                "single_tier": self.single_tier,
-                "two_tier": self.two_tier,
-                "gain": self.tiering_gain,
-            },
-            "ok": {
-                "model_error_le_2pp": self.model_error_pp <= 2.0,
-                "replay_bit_identical": self.replay_answers_match,
-                "two_tier_beats_single": self.tiering_gain > 0.0,
-            },
-            **self.extras,
-        }
 
 
 def _capacity_grid(n_distinct: int, requested) -> np.ndarray:
@@ -157,7 +127,6 @@ def run_trace_bench(
     measured = measured_miss_ratio_curve(trace.keys, caps)
 
     # -- sampling: SHARDS spatial samples, pooled + capacity-rescaled --
-    sampled_trace = spatial_sample(trace, sample_rate)
     sampled = pooled_miss_ratio_curve(trace, sample_rate, caps,
                                       salts=sample_salts)
 
@@ -185,10 +154,4 @@ def run_trace_bench(
         single_tier=single,
         two_tier=tiered,
         seed=seed,
-        extras={
-            "burst": burst.to_doc(),
-            "t1_capacity": t1_capacity,
-            "t2_capacity": t2_capacity,
-            "sampled_records": sampled_trace.n_records,
-        },
     )

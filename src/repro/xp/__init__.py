@@ -2,16 +2,17 @@
 
 The paper's claims are comparative ("asynchronous beats BSP", "comm
 overlap cuts runtime"), and so is every extension claim this repo has
-accumulated — yet until now each ``BENCH_*.json`` was a hand-rolled,
-single-shot measurement with its own shape.  This subsystem makes the
-"measurably faster" discipline systematic:
+accumulated.  This subsystem is the one recorded pathway for the
+product scenarios and makes the "measurably faster" discipline
+systematic:
 
 * :mod:`repro.xp.spec`    — sweeps as *data*: a versioned
   :class:`ExperimentSpec` names a target callable, its parameter grid,
   seeds, and an explicit warmup/repetition policy (JSON/TOML).
-* :mod:`repro.xp.targets` — the registry of runnable targets (the
-  serve/LSM/out-of-core benches, the paper-figure registry, synthetic
-  calibration targets).
+* :mod:`repro.xp.targets` — the registry of runnable targets (one per
+  product scenario: serve, LSM, out-of-core, cluster, tenant, trace,
+  chaos, DST, count; plus the paper-figure registry and a synthetic
+  calibration target).
 * :mod:`repro.xp.runner`  — expands the grid, spawns collision-free
   child seeds via :mod:`repro.core.seeds`, runs warmups + repetitions,
   and stamps an environment fingerprint into the result envelope.
@@ -20,25 +21,18 @@ single-shot measurement with its own shape.  This subsystem makes the
   threshold so noise cannot flip a verdict.
 * :mod:`repro.xp.ledger`  — the append-only, versioned result ledger
   under ``benchmarks/results/ledger/``, keyed by experiment id + git
-  SHA; also the one validated loader the six legacy ``BENCH_*.json``
-  shapes funnel into.
+  SHA, and its one validated loader.
 * :mod:`repro.xp.gate`    — compares a fresh run against the ledger
   baseline and fails CI on a statistically significant regression.
 
-CLI: ``dakc xp run|gate|report|list|import-legacy``.
+CLI: ``dakc xp run|gate|report|list``.
 """
 
 from __future__ import annotations
 
 from .env import fingerprint
 from .gate import GateResult, gate_envelopes
-from .ledger import (
-    LEDGER_VERSION,
-    Ledger,
-    import_legacy,
-    legacy_envelope,
-    validate_envelope,
-)
+from .ledger import LEDGER_VERSION, Ledger, validate_envelope
 from .report import format_envelope, format_gate, format_trajectory
 from .runner import run_spec
 from .spec import (
@@ -81,8 +75,6 @@ __all__ = [
     "relative_shift",
     "Ledger",
     "validate_envelope",
-    "legacy_envelope",
-    "import_legacy",
     "GateResult",
     "gate_envelopes",
     "format_envelope",

@@ -10,10 +10,10 @@ Layout (default root ``benchmarks/results/ledger/``)::
 Entries are never rewritten; the sequence number gives a total order
 within one experiment and the SHA ties each entry to the code that
 produced it.  :func:`validate_envelope` is the single loader every
-consumer (gate, report, trajectory) goes through, and
-:func:`legacy_envelope` funnels the six historical, mutually
-incompatible ``BENCH_*.json`` shapes into that same schema (as
-single-sample entries), so the pre-ledger record stays comparable.
+consumer (gate, report, trajectory) goes through.  Two kinds of entry
+exist: ``xp-run`` (written by :func:`repro.xp.runner.run_spec`) and the
+six ``legacy-import`` n=1 entries, one per product scenario, kept as
+the pre-ledger start of each trajectory.
 """
 
 from __future__ import annotations
@@ -22,15 +22,11 @@ import json
 import re
 from pathlib import Path
 
-from .env import fingerprint
-
 __all__ = [
     "LEDGER_VERSION",
     "DEFAULT_LEDGER_DIR",
     "Ledger",
     "validate_envelope",
-    "legacy_envelope",
-    "import_legacy",
 ]
 
 #: Bump when the envelope schema changes incompatibly.
@@ -141,158 +137,3 @@ class Ledger:
             if doc.get("ok", True):
                 return doc
         return None
-
-
-# ---------------------------------------------------------------------------
-# Legacy import: the six historical BENCH_*.json shapes
-# ---------------------------------------------------------------------------
-
-
-def _dig(doc: dict, path: str):
-    cur = doc
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            raise ValueError(f"missing key {path!r}")
-        cur = cur[part]
-    return cur
-
-#: Per-experiment extraction table: dotted path -> (metric, direction)
-#: for numbers, or metric -> dotted path for boolean checks.
-_LEGACY = {
-    "serve-bench": {
-        "metrics": {
-            "speedup": ("speedup", "higher"),
-            "served.throughput_qps": ("served_qps", "higher"),
-            "naive.throughput_qps": ("naive_qps", "higher"),
-            "served.cache.hit_rate": ("cache_hit_rate", "higher"),
-            "served.latency_ms.p99": ("served_p99_ms", "lower"),
-        },
-        "checks": {"answers_match": "answers_match"},
-    },
-    "lsm-store": {
-        "metrics": {
-            "ingest.records_per_s": ("ingest_records_per_s", "higher"),
-            "incremental.speedup": ("incremental_speedup", "higher"),
-            "incremental.incremental_seconds":
-                ("incremental_seconds", "lower"),
-            "read_amplification.amp_after_compaction":
-                ("amp_after_compaction", "lower"),
-        },
-        "checks": {},
-    },
-    "ooc-count": {
-        "metrics": {
-            "ooc_seconds": ("ooc_seconds", "lower"),
-            "in_memory_seconds": ("in_memory_seconds", "lower"),
-            "overcommit": ("overcommit", "higher"),
-            "spill.bytes_spilled": ("bytes_spilled", "lower"),
-        },
-        "checks": {"counts_exact": "counts_exact",
-                   "store_exact": "store_exact"},
-    },
-    "cluster-bench": {
-        "metrics": {
-            "overhead.overhead_frac": ("router_overhead_frac", "lower"),
-            "hedging.p99_reduction": ("hedged_p99_reduction", "higher"),
-            "hedging.hedged.throughput_qps": ("hedged_qps", "higher"),
-        },
-        "checks": {"answers_match": "overhead.answers_match"},
-    },
-    "tenant-bench": {
-        "metrics": {
-            "isolated_degradation": ("isolated_degradation", "lower"),
-            "unprotected_degradation": ("unprotected_degradation",
-                                        "higher"),
-            "fairness.max_share_error": ("fairness_share_error", "lower"),
-        },
-        "checks": {"answers_match": "answers_match"},
-    },
-    "trace-bench": {
-        "metrics": {
-            "miss_ratio_curve.model_error_pp": ("model_error_pp", "lower"),
-            "tiering.gain": ("two_tier_gain", "higher"),
-        },
-        "checks": {"replay_bit_identical": "ok.replay_bit_identical",
-                   "model_error_le_2pp": "ok.model_error_le_2pp"},
-    },
-}
-
-
-def legacy_envelope(doc: dict, *, source: str = "") -> dict:
-    """Convert one historical ``BENCH_*.json`` document to an envelope.
-
-    The result is a single-cell, single-sample entry under the
-    experiment id the document itself declares; the gate treats
-    single-sample baselines with its wide small-sample threshold.
-    """
-    exp = doc.get("experiment")
-    if exp not in _LEGACY:
-        raise ValueError(
-            f"unknown legacy experiment {exp!r} "
-            f"(known: {', '.join(sorted(_LEGACY))})")
-    table = _LEGACY[exp]
-    metrics, directions = {}, {}
-    for path, (name, direction) in table["metrics"].items():
-        value = _dig(doc, path)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"{exp}: {path} is not numeric: {value!r}")
-        metrics[name] = [float(value)]
-        directions[name] = direction
-    checks = {}
-    for name, path in table["checks"].items():
-        checks[name] = bool(_dig(doc, path))
-    env = doc.get("xp_env") or fingerprint()
-    return {
-        "version": LEDGER_VERSION,
-        "kind": "legacy-import",
-        "experiment": exp,
-        "target": f"legacy:{exp}",
-        "spec": {"source": source or "BENCH json"},
-        "env": env,
-        "directions": directions,
-        "cells": [{
-            "cell_id": "",
-            "params": {},
-            "seeds": [],
-            "metrics": metrics,
-            "checks": checks,
-            "summary": {
-                name: {"n": 1, "mean": vals[0], "median": vals[0],
-                       "min": vals[0], "max": vals[0],
-                       "ci95": [vals[0], vals[0]]}
-                for name, vals in metrics.items()
-            },
-        }],
-        "ok": all(checks.values()),
-    }
-
-
-def import_legacy(
-    results_dir: str | Path,
-    ledger: Ledger,
-    *,
-    skip_existing: bool = True,
-) -> list[tuple[str, Path | None]]:
-    """One-shot migration of every ``BENCH_*.json`` under *results_dir*.
-
-    The originals stay in place; each becomes one ledger entry.  With
-    *skip_existing* (default), experiments that already have a
-    ``legacy-import`` entry are skipped, so reruns are idempotent.
-    Returns ``(source name, entry path | None if skipped)`` pairs.
-    """
-    results_dir = Path(results_dir)
-    out: list[tuple[str, Path | None]] = []
-    for path in sorted(results_dir.glob("BENCH_*.json")):
-        if path.stem.endswith("_quick"):
-            continue  # quick-mode artifacts never enter the trajectory
-        doc = json.loads(path.read_text())
-        envelope = legacy_envelope(doc, source=path.name)
-        exp = envelope["experiment"]
-        if skip_existing and any(
-            self_doc.get("kind") == "legacy-import"
-            for self_doc in map(ledger.load, ledger.entries(exp))
-        ):
-            out.append((path.name, None))
-            continue
-        out.append((path.name, ledger.append(envelope)))
-    return out

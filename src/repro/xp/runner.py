@@ -5,7 +5,7 @@ the spec's root seed (:func:`repro.core.seeds.spawn_seeds` — never
 ``seed + i``), spawns one child seed per warmup/repetition, runs the
 target, and keeps per-repetition samples of every metric (plus the
 runner's own wall-clock ``elapsed_s``).  Warmup repetitions execute
-identically but their samples are discarded.
+identically; their samples are discarded, their checks are not.
 
 The envelope is self-describing: it embeds the spec, the environment
 fingerprint, metric directions, raw samples, and bootstrap CIs — the
@@ -66,14 +66,16 @@ def run_spec(spec: ExperimentSpec, *, progress=None) -> dict:
             t0 = time.perf_counter()
             outcome = target.run({**params, "seed": rep_seed})
             elapsed = time.perf_counter() - t0
+            # A wrong answer in a warmup is still a wrong answer: its
+            # checks count, only its timings are discarded.
+            for name, value in outcome.checks.items():
+                checks[name] = checks.get(name, True) and bool(value)
             if warm:
                 continue
             kept_seeds.append(rep_seed)
             samples = {"elapsed_s": elapsed, **outcome.metrics}
             for name, value in samples.items():
                 metrics.setdefault(name, []).append(float(value))
-            for name, value in outcome.checks.items():
-                checks[name] = checks.get(name, True) and bool(value)
         cell_ok = all(checks.values())
         ok = ok and cell_ok
         summary = {name: _summarize(vals, cell_seed)

@@ -1,10 +1,8 @@
 """Tests for benchmarks/_common.py: the repetition-policy plumbing,
-artifact provenance stamping, ledger write-through, and the hardened
-speedup-cell parser."""
+artifact provenance stamping, and the hardened speedup-cell parser."""
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from pathlib import Path
@@ -15,7 +13,7 @@ REPO = Path(__file__).parents[2]
 sys.path.insert(0, str(REPO / "benchmarks"))
 
 import _common  # noqa: E402
-from _common import parse_speedup, run_and_record, write_bench_doc  # noqa: E402
+from _common import parse_speedup, run_and_record  # noqa: E402
 
 
 class FakeBenchmark:
@@ -94,50 +92,3 @@ class TestRunAndRecord:
         assert "# --- provenance ---" in text
         assert "rounds=2" in text and "warmup_rounds=0" in text
         assert "# git:" in text and "# timestamp:" in text
-
-
-def serve_shaped_doc() -> dict:
-    """The minimal document the serve legacy importer can extract."""
-    return {
-        "experiment": "serve-bench",
-        "speedup": 10.0,
-        "answers_match": True,
-        "served": {
-            "throughput_qps": 1e5,
-            "cache": {"hit_rate": 0.7},
-            "latency_ms": {"p99": 5.0},
-        },
-        "naive": {"throughput_qps": 1e4},
-    }
-
-
-class TestWriteBenchDoc:
-    @pytest.fixture
-    def results(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
-        return tmp_path
-
-    def test_stamps_fingerprint_and_mirrors_to_ledger(self, results):
-        out = write_bench_doc("serve", serve_shaped_doc())
-        doc = json.loads(out.read_text())
-        assert "xp_env" in doc and "git_sha" in doc["xp_env"]
-
-        from repro.xp.ledger import Ledger
-
-        ledger = Ledger(results / "ledger")
-        assert ledger.experiments() == ["serve-bench"]
-        env = ledger.latest("serve-bench")
-        assert env["kind"] == "legacy-import"
-        assert env["cells"][0]["metrics"]["speedup"] == [10.0]
-        # The envelope's fingerprint is the one stamped into the json.
-        assert env["env"]["timestamp"] == doc["xp_env"]["timestamp"]
-
-    def test_ledger_false_skips_the_mirror(self, results):
-        write_bench_doc("serve_quick", serve_shaped_doc(), ledger=False)
-        assert (results / "BENCH_serve_quick.json").is_file()
-        assert not (results / "ledger").exists()
-
-    def test_unknown_shape_still_writes_json(self, results):
-        out = write_bench_doc("mystery", {"experiment": "mystery-bench"})
-        assert out.is_file()
-        assert not (results / "ledger").exists()

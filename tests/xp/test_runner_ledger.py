@@ -3,21 +3,13 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.xp.ledger import (
-    LEDGER_VERSION,
-    Ledger,
-    import_legacy,
-    legacy_envelope,
-    validate_envelope,
-)
+from repro.xp.ledger import LEDGER_VERSION, Ledger, validate_envelope
 from repro.xp.runner import run_spec
 from repro.xp.spec import ExperimentSpec, RepetitionPolicy, SweepSpec
-
-RESULTS_DIR = Path(__file__).parents[2] / "benchmarks" / "results"
+from repro.xp.targets import TARGETS, TargetOutcome, XpTarget
 
 
 def synth_spec(**overrides) -> ExperimentSpec:
@@ -61,6 +53,25 @@ class TestRunner:
             assert len(cell["seeds"]) == 3
             for samples in cell["metrics"].values():
                 assert len(samples) == 3
+
+    def test_failed_check_in_a_warmup_fails_the_envelope(self, monkeypatch):
+        calls = []
+
+        def wrong_only_on_first_call(params):
+            calls.append(params["seed"])
+            return TargetOutcome(metrics={"value": 1.0},
+                                 checks={"exact": len(calls) > 1})
+
+        monkeypatch.setitem(TARGETS, "flaky-first", XpTarget(
+            "flaky-first", wrong_only_on_first_call, {"value": "lower"},
+            "wrong answer on its first call only"))
+        env = run_spec(synth_spec(
+            target="flaky-first", fixed={}, sweep=SweepSpec(),
+            policy=RepetitionPolicy(warmup=1, repetitions=3)))
+        (cell,) = env["cells"]
+        assert len(calls) == 4 and len(cell["metrics"]["value"]) == 3
+        assert cell["checks"] == {"exact": False}
+        assert env["ok"] is False  # never baseline-eligible
 
     def test_seeds_distinct_across_reps_and_cells(self):
         env = run_spec(synth_spec())
@@ -178,44 +189,3 @@ class TestLedger:
         assert ledger.entries("x") == []
         assert ledger.latest("x") is None
         assert ledger.baseline("x") is None
-
-
-class TestLegacyImport:
-    """The six historical BENCH_*.json shapes all funnel into envelopes."""
-
-    LEGACY_FILES = ["BENCH_serve.json", "BENCH_lsm.json", "BENCH_ooc.json",
-                    "BENCH_cluster.json", "BENCH_tenant.json",
-                    "BENCH_trace.json"]
-
-    @pytest.mark.parametrize("name", LEGACY_FILES)
-    def test_each_recorded_shape_converts(self, name):
-        path = RESULTS_DIR / name
-        if not path.is_file():
-            pytest.skip(f"{name} not recorded in this checkout")
-        env = legacy_envelope(json.loads(path.read_text()), source=name)
-        validate_envelope(env)
-        assert env["kind"] == "legacy-import"
-        cell = env["cells"][0]
-        assert cell["metrics"], "legacy import extracted no metrics"
-        for samples in cell["metrics"].values():
-            assert len(samples) == 1  # single-shot history
-
-    def test_unknown_shape_is_loud(self):
-        with pytest.raises(ValueError, match="unknown legacy experiment"):
-            legacy_envelope({"experiment": "mystery-bench"})
-
-    def test_import_is_idempotent_and_skips_quick(self, tmp_path):
-        results = tmp_path / "results"
-        results.mkdir()
-        src = RESULTS_DIR / "BENCH_serve.json"
-        if not src.is_file():
-            pytest.skip("BENCH_serve.json not recorded in this checkout")
-        (results / "BENCH_serve.json").write_text(src.read_text())
-        (results / "BENCH_serve_quick.json").write_text(src.read_text())
-        ledger = Ledger(tmp_path / "ledger")
-
-        first = import_legacy(results, ledger)
-        assert [n for n, p in first if p is not None] == ["BENCH_serve.json"]
-        again = import_legacy(results, ledger)
-        assert again == [("BENCH_serve.json", None)]
-        assert len(ledger.entries("serve-bench")) == 1

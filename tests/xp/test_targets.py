@@ -1,0 +1,95 @@
+"""Every product-scenario target, run once at a small size.
+
+The shipped specs run these targets at the size their claims are stated
+at (``benchmarks/xp/``, recorded in the ledger, smoke-run by CI).  Here
+each runs once, small, so tier-1 pins what does not depend on the
+host: which checks a target reports, that every exactness /
+conservation / structural check holds, and that every metric has a
+declared direction for the gate.  Checks whose threshold is a timing
+ratio or a sampling estimate are named but not asserted at this size.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.xp.targets import TARGETS
+
+#: target -> (small params, host-independent checks, size-dependent checks)
+CASES = {
+    "serve-bench": (
+        {"budget": 20_000, "n_queries": 4_000},
+        {"answers_match", "cache_absorbed_head", "batching_coalesced",
+         "nothing_shed"},
+        {"speedup_ge_5x"},
+    ),
+    "lsm-bench": (
+        {"budget": 20_000, "batch_records": 25, "memtable_kib": 4},
+        {"snapshot_exact", "incremental_exact", "amp_equals_runs_before",
+         "runs_exceeded_fan_in", "amp_bounded"},
+        {"incremental_ge_3x"},
+    ),
+    "ooc-bench": (
+        {"budget": 30_000},
+        {"counts_exact", "store_exact", "dataset_ge_10x_ceiling",
+         "ceiling_hit_twice", "spilled", "reread_matches_spill",
+         "disk_writes_charged", "store_flushed"},
+        set(),
+    ),
+    "count-bench": (
+        {"budget": 20_000},
+        {"fast_equals_scalar", "fast_equals_serial_oracle"},
+        set(),
+    ),
+    "chaos-sweep": (
+        {"dataset": "synthetic-20", "k": 15, "budget": 20_000,
+         "n_plans": 2},
+        {"benign_exact", "protected_clean_exact",
+         "clean_needed_no_recovery", "overhead_lt_10pct",
+         "hostile_all_exact", "hostile_recovered", "hostile_time_bounded"},
+        set(),
+    ),
+    "dst-sweep": (
+        {"budget": 10, "n_seeds": 1},
+        {"no_violations", "deterministic", "all_schedules_ran",
+         "determinism_sampled", "digests_distinct"},
+        {"throughput_gt_10_per_s"},
+    ),
+    "cluster-bench": (
+        {"budget": 20_000, "n_queries": 3_000, "repeats": 1,
+         "service_time": 1e-4, "straggler_delay": 1e-2},
+        {"answers_match", "hedging_answers_match", "hedges_fired",
+         "chaos_answers_exact", "no_failovers", "final_rf_ok",
+         "rebalance_moved"},
+        {"overhead_lt_15pct", "hedged_p99_lt_70pct"},
+    ),
+    "tenant-bench": (
+        {"budget": 20_000, "n_victim_groups": 40, "victim_interval": 4e-3,
+         "flooders": 4, "batch_window": 1e-3, "flush_service_time": 5e-3},
+        {"answers_match", "no_starvation", "share_error_lt_5pct",
+         "autoscale_exact", "autoscale_split_and_merged"},
+        {"isolated_lt_10pct", "unprotected_gt_50pct"},
+    ),
+    "trace-bench": (
+        {"budget": 20_000, "n_queries": 4_000},
+        {"model_error_le_2pp", "replay_bit_identical",
+         "two_tier_beats_single"},
+        {"sample_error_le_10pp"},
+    ),
+    "synthetic-latency": ({}, set(), set()),
+}
+
+
+def test_every_non_paper_target_has_a_case():
+    assert set(CASES) == set(TARGETS) - {"paper-experiment"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_target_checks_and_metric_directions(name):
+    params, exact, size_dependent = CASES[name]
+    target = TARGETS[name]
+    outcome = target.run({**params, "seed": 3})
+    assert set(outcome.checks) == exact | size_dependent
+    failed = sorted(c for c in exact if not outcome.checks[c])
+    assert not failed, f"{name}: {failed} (metrics {outcome.metrics})"
+    assert outcome.metrics and set(outcome.metrics) <= set(target.directions)
