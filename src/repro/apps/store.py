@@ -4,7 +4,8 @@ Two formats:
 
 * **binary** (``.npz``) — the native format: the ordered key/count
   arrays compressed with NumPy, plus metadata (k, canonical flag).
-  Loads back bit-exact.
+  Loads back bit-exact, also with plain ``np.load``; published and
+  validated through :mod:`repro.fileio` (``docs/FORMATS.md``).
 * **text** (``.tsv`` / ``.tsv.gz``) — interoperable dump, one
   ``KMER<TAB>count`` row per distinct k-mer (what ``jellyfish dump``
   / ``kmc_tools dump`` produce), for feeding external tools.  Paths
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.result import KmerCounts
+from ..fileio import FormatError, load_npz, save_npz
 from ..seq.kmers import str_to_kmer
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "merge_sorted_counts",
 ]
 
+_KIND = "count database"
 _FORMAT_VERSION = 1
 _REQUIRED_FIELDS = ("version", "k", "canonical", "kmers", "counts")
 
@@ -45,8 +48,8 @@ def _open_text(path: Path, mode: str):
 def save_counts(path: str | os.PathLike, counts: KmerCounts,
                 *, canonical: bool = False) -> None:
     """Write a :class:`KmerCounts` to a compressed ``.npz`` database."""
-    np.savez_compressed(
-        Path(path),
+    save_npz(
+        path,
         version=np.int64(_FORMAT_VERSION),
         k=np.int64(counts.k),
         canonical=np.bool_(canonical),
@@ -60,29 +63,18 @@ def load_counts(
 ) -> tuple[KmerCounts, bool]:
     """Load a database written by :func:`save_counts`.
 
-    Returns ``(counts, canonical_flag)``.  Raises :class:`ValueError`
-    if the file is not a count database (missing fields), was written
-    by an unknown format version, or — when *expect_k* is given — was
-    counted at a different k than the caller expects (mixing k's
-    silently corrupts any downstream merge).
+    Returns ``(counts, canonical_flag)``.  Raises
+    :class:`~repro.fileio.FormatError` if the file is not a readable
+    count database of this format version, or — when *expect_k* is
+    given — was counted at a different k than the caller expects
+    (mixing k's silently corrupts any downstream merge).
     """
-    with np.load(Path(path)) as data:
-        missing = [f for f in _REQUIRED_FIELDS if f not in data.files]
-        if missing:
-            raise ValueError(
-                f"{path}: not a k-mer count database (missing {', '.join(missing)})"
-            )
-        version = int(data["version"])
-        if version != _FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported database version {version} "
-                f"(this build reads version {_FORMAT_VERSION})"
-            )
-        k = int(data["k"])
-        if expect_k is not None and k != expect_k:
-            raise ValueError(f"{path}: database has k={k}, expected k={expect_k}")
-        kc = KmerCounts(k, data["kmers"], data["counts"])
-        return kc, bool(data["canonical"])
+    data = load_npz(path, _KIND, _REQUIRED_FIELDS, version=_FORMAT_VERSION)
+    k = int(data["k"])
+    if expect_k is not None and k != expect_k:
+        raise FormatError(path, _KIND, "mismatch",
+                          f"database has k={k}, expected k={expect_k}")
+    return KmerCounts(k, data["kmers"], data["counts"]), bool(data["canonical"])
 
 
 def merge_sorted_counts(

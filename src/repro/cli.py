@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_xp_run_args(parser) -> None:
     """Flags shared by ``xp run`` and ``xp gate``."""
-    parser.add_argument("spec", help="experiment spec (.json or .toml)")
+    parser.add_argument("spec", help="experiment spec (.json)")
     parser.add_argument("--ledger", default=None,
                         help="ledger directory (default "
                              "benchmarks/results/ledger)")
@@ -1593,9 +1593,7 @@ def _cmd_xp(args) -> int:
     from pathlib import Path
 
     specs_dir = Path(args.specs)
-    specs = (sorted(specs_dir.glob("*.json"))
-             + sorted(specs_dir.glob("*.toml"))
-             if specs_dir.is_dir() else [])
+    specs = sorted(specs_dir.glob("*.json")) if specs_dir.is_dir() else []
     print(f"# specs in {specs_dir}:")
     for path in specs:
         print(f"  {path}")

@@ -9,9 +9,9 @@ while continuing to serve exact counts — no full recount, no downtime.
   batches with torn-tail repair and replay-on-open;
 * :mod:`repro.lsm.memtable` — in-memory sorted count delta under a
   byte budget (built on ``sort.accumulate`` products);
-* :mod:`repro.lsm.run` — immutable sorted runs on disk: the
-  ``apps.store`` ``.npz`` key/count format plus min/max fences and a
-  sparse index block for point lookups without loading the run;
+* :mod:`repro.lsm.run` — immutable sorted runs on disk: raw key and
+  count sections behind a framed header with min/max fences and a
+  sparse index block, for point lookups without loading the run;
 * :mod:`repro.lsm.compaction` — size-tiered, bounded-memory streaming
   k-way merge with atomic publication;
 * :mod:`repro.lsm.store` — the :class:`LsmStore` façade

@@ -1,109 +1,65 @@
 """Immutable sorted runs: the on-disk level of the LSM store.
 
 A run is a flushed memtable (or a compaction product): strictly
-increasing ``uint64`` keys with aligned ``int64`` counts, stored in the
-same ``.npz`` key/count layout as :mod:`repro.apps.store` databases
-plus three extras that make it servable without loading it whole:
+increasing ``uint64`` keys with aligned ``int64`` counts, laid out so
+it is servable without loading it whole (framing in
+``docs/FORMATS.md``)::
+
+    framed header   k, n, index_stride, fence_min, fence_max
+    one record      index_keys: every index_stride-th key (uint64)
+    keys section    n raw uint64, at a computed offset
+    counts section  n raw int64, right behind the keys
 
 * **fences** — the min and max key, so a point lookup skips the run
   (no I/O at all) when the key is out of range;
-* a **sparse index block** — every ``index_stride``-th key.  A lookup
-  binary-searches the (tiny, resident) index to find its block, then
-  reads just that ``index_stride``-sized slice of the key/count arrays
-  from disk;
-* an explicit element count ``n``.
+* the **sparse index** is tiny and resident.  A lookup binary-searches
+  it to find its block, then reads just that ``index_stride``-sized
+  slice of each section: one ``seek`` + ``read``.
 
-Partial reads work because runs are written with ``np.savez``
-*uncompressed*: the ``.npy`` members sit as contiguous ``ZIP_STORED``
-bytes inside the zip, so after parsing the member's local header once
-(:func:`_member_layout`) the element at index ``i`` lives at a fixed
-file offset and a block is one ``seek`` + ``read``.  If a run was
-(re)written compressed by some external tool, :class:`Run` degrades
-gracefully to loading the arrays fully.
+Header and index are checksummed; the two data sections are not (block
+reads never covered them) — their extent is checked against the file
+size on open.
 
-Runs are immutable and published atomically: :func:`write_run` writes
-``<name>.tmp`` and ``os.replace``\\ s it into place, so a crash leaves
-either no file or a complete one — never a half-written run.
+Runs are immutable and published atomically and durably
+(:func:`repro.fileio.publish` with fsync), so a crash leaves either no
+file or a complete one — never a half-written run.
 """
 
 from __future__ import annotations
 
 import os
-import struct
-import zipfile
 from pathlib import Path
 
 import numpy as np
-from numpy.lib import format as npformat
 
-__all__ = ["RUN_VERSION", "write_run", "Run"]
+from ..fileio import FormatError, Framing, publish, record
 
-RUN_VERSION = 1
+__all__ = ["RUN", "write_run", "Run"]
+
+RUN = Framing("LSM run", b"dakcrun\x00", 2, "<QQQQQ")
+"""Header fields: k, n, index_stride, fence_min, fence_max."""
 
 
 def write_run(path: str | os.PathLike, k: int, keys: np.ndarray, vals: np.ndarray,
               *, index_stride: int = 4096) -> None:
     """Atomically write a sorted run (keys strictly increasing).
 
-    *keys*/*vals* may be memmaps — ``np.savez`` streams them in bounded
-    buffers, which is what keeps compaction's peak memory flat.
+    *keys*/*vals* may be memmaps — their buffers go to the file without
+    a copy, which is what keeps compaction's peak memory flat.
     """
     if index_stride < 1:
         raise ValueError("index_stride must be >= 1")
-    path = Path(path)
     n = int(keys.shape[0])
-    if n:
-        index_keys = np.ascontiguousarray(keys[::index_stride], dtype=np.uint64)
-        fence_min, fence_max = np.uint64(keys[0]), np.uint64(keys[-1])
-    else:
-        index_keys = np.empty(0, dtype=np.uint64)
-        fence_min = fence_max = np.uint64(0)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(
-            fh,
-            version=np.int64(RUN_VERSION),
-            k=np.int64(k),
-            n=np.int64(n),
-            index_stride=np.int64(index_stride),
-            fence_min=fence_min,
-            fence_max=fence_max,
-            index_keys=index_keys,
-            kmers=keys,
-            counts=vals,
-        )
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    index_keys = np.ascontiguousarray(keys[::index_stride], dtype="<u8")
+    fence_min, fence_max = (int(keys[0]), int(keys[-1])) if n else (0, 0)
 
+    def write(fh) -> None:
+        fh.write(RUN.header(k, n, index_stride, fence_min, fence_max))
+        fh.write(record(index_keys.tobytes()))
+        fh.write(np.ascontiguousarray(keys, dtype="<u8"))
+        fh.write(np.ascontiguousarray(vals, dtype="<i8"))
 
-def _member_layout(fh, zf: zipfile.ZipFile, member: str):
-    """Data offset and dtype of an uncompressed ``.npy`` zip member.
-
-    Returns ``None`` when the member is compressed (fallback to a full
-    load).  Parses the *local* file header — its name/extra lengths can
-    differ from the central directory's — then the npy header behind
-    it.
-    """
-    info = zf.getinfo(member)
-    if info.compress_type != zipfile.ZIP_STORED:
-        return None
-    fh.seek(info.header_offset)
-    local = fh.read(30)
-    if len(local) != 30 or local[:4] != b"PK\x03\x04":
-        raise ValueError(f"bad zip local header for {member}")
-    name_len, extra_len = struct.unpack_from("<HH", local, 26)
-    fh.seek(info.header_offset + 30 + name_len + extra_len)
-    version = npformat.read_magic(fh)
-    if version == (1, 0):
-        shape, fortran, dtype = npformat.read_array_header_1_0(fh)
-    elif version == (2, 0):
-        shape, fortran, dtype = npformat.read_array_header_2_0(fh)
-    else:  # pragma: no cover - future npy versions
-        return None
-    if fortran or len(shape) != 1:
-        raise ValueError(f"{member}: expected a C-order 1-D array")
-    return fh.tell(), np.dtype(dtype), int(shape[0])
+    publish(path, write, fsync=True)
 
 
 class Run:
@@ -111,19 +67,25 @@ class Run:
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
-        with np.load(self.path) as data:
-            version = int(data["version"])
-            if version != RUN_VERSION:
-                raise ValueError(f"{self.path}: unsupported run version {version}")
-            self.k = int(data["k"])
-            self.n_keys = int(data["n"])
-            self.index_stride = int(data["index_stride"])
-            self.fence_min = int(data["fence_min"])
-            self.fence_max = int(data["fence_max"])
-            self.index_keys = data["index_keys"]
+        with open(self.path, "rb") as fh:
+            (self.k, self.n_keys, self.index_stride,
+             self.fence_min, self.fence_max) = RUN.read_header(fh, self.path)
+            index = next(RUN.records(fh, self.path), None)
+        if index is None:
+            raise FormatError(self.path, RUN.kind, "truncated", "no index record")
+        payload, self._keys_at = index
+        self.index_keys = np.frombuffer(payload, dtype="<u8")
+        if (self.index_stride < 1
+                or self.index_keys.size != -(-self.n_keys // self.index_stride)):
+            raise FormatError(self.path, RUN.kind, "corrupt",
+                              f"{self.index_keys.size} index keys for "
+                              f"{self.n_keys} keys at stride {self.index_stride}")
+        size, want = os.path.getsize(self.path), self._keys_at + 16 * self.n_keys
+        if size != want:
+            raise FormatError(self.path, RUN.kind,
+                              "truncated" if size < want else "corrupt",
+                              f"{size} bytes on disk, header implies {want}")
         self._fh = None
-        self._layout: dict[str, tuple[int, np.dtype, int]] | None = None
-        self._resident: dict[str, np.ndarray] | None = None  # compressed fallback
         # read-amplification accounting
         self.point_queries = 0
         self.blocks_read = 0
@@ -131,41 +93,18 @@ class Run:
 
     # -- raw access ----------------------------------------------------
 
-    def _ensure_open(self) -> None:
-        if self._fh is not None or self._resident is not None:
-            return
-        fh = open(self.path, "rb")
-        layout = {}
-        with zipfile.ZipFile(fh) as zf:
-            for member in ("kmers", "counts"):
-                lay = _member_layout(fh, zf, member + ".npy")
-                if lay is None:
-                    layout = None
-                    break
-                if lay[2] != self.n_keys:
-                    raise ValueError(f"{self.path}: {member} length != n")
-                layout[member] = lay
-        if layout is None:
-            fh.close()
-            with np.load(self.path) as data:
-                self._resident = {"kmers": data["kmers"], "counts": data["counts"]}
-        else:
-            self._fh = fh
-            self._layout = layout
-
     def read_slice(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Read ``keys[lo:hi], counts[lo:hi]`` (one seek+read each)."""
         lo, hi = max(lo, 0), min(hi, self.n_keys)
         if hi <= lo:
             return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        self._ensure_open()
-        if self._resident is not None:
-            return self._resident["kmers"][lo:hi], self._resident["counts"][lo:hi]
+        if self._fh is None:
+            self._fh = open(self.path, "rb")
         out = []
-        for member in ("kmers", "counts"):
-            offset, dtype, _n = self._layout[member]
-            self._fh.seek(offset + lo * dtype.itemsize)
-            buf = self._fh.read((hi - lo) * dtype.itemsize)
+        for section_at, dtype in ((self._keys_at, "<u8"),
+                                  (self._keys_at + 8 * self.n_keys, "<i8")):
+            self._fh.seek(section_at + 8 * lo)
+            buf = self._fh.read(8 * (hi - lo))
             out.append(np.frombuffer(buf, dtype=dtype))
         return out[0], out[1]
 
@@ -177,7 +116,6 @@ class Run:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-            self._layout = None
 
     # -- point lookups -------------------------------------------------
 

@@ -41,6 +41,7 @@ from ..apps.store import merge_sorted_counts
 from ..core.owner import owner_pe
 from ..core.result import KmerCounts
 from ..core.serial import serial_count
+from ..fileio import check_version, parse_json, publish
 from .compaction import CompactionConfig, merge_runs, pick_compaction
 from .crash import CrashPoints
 from .memtable import Memtable
@@ -50,7 +51,9 @@ from .wal import WriteAheadLog, as_read_list
 __all__ = ["LsmConfig", "LsmStats", "LsmStore", "LsmReadView"]
 
 MANIFEST_NAME = "MANIFEST.json"
-MANIFEST_FORMAT = 1
+MANIFEST_KIND = "LSM manifest"
+MANIFEST_FORMAT = 2
+MANIFEST_KEYS = ("format", "k", "canonical", "runs", "next_run_id", "wal_applied_seq")
 WAL_NAME = "wal.log"
 
 
@@ -129,9 +132,9 @@ class LsmStore:
 
         manifest_path = self.dir / MANIFEST_NAME
         if manifest_path.exists():
-            man = json.loads(manifest_path.read_text())
-            if man.get("format") != MANIFEST_FORMAT:
-                raise ValueError(f"{manifest_path}: unsupported manifest format")
+            man = parse_json(manifest_path, MANIFEST_KIND,
+                             manifest_path.read_bytes(), MANIFEST_KEYS)
+            check_version(manifest_path, MANIFEST_KIND, man["format"], MANIFEST_FORMAT)
             if k is not None and man["k"] != k:
                 raise ValueError(
                     f"{self.dir}: store has k={man['k']}, requested k={k}")
@@ -159,6 +162,11 @@ class LsmStore:
         self._listeners: list = []
         self.wal = WriteAheadLog(self.dir / WAL_NAME, sync=self.config.wal_sync,
                                  crash=self.crash)
+        if self.wal.last_seq < man["wal_applied_seq"]:
+            # The log lost its header (zero-length after a crash): new
+            # records must still number above what the runs contain,
+            # or the next replay would skip them.
+            self.wal.reset(man["wal_applied_seq"])
         for _seq, batch in self.wal.replay(after_seq=man["wal_applied_seq"]):
             self._absorb(batch)
             self.stats.replayed_batches += 1
@@ -166,9 +174,8 @@ class LsmStore:
     # -- manifest / recovery -------------------------------------------
 
     def _write_manifest(self, man: dict) -> None:
-        tmp = self.dir / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(json.dumps(man, indent=2) + "\n")
-        os.replace(tmp, self.dir / MANIFEST_NAME)
+        blob = (json.dumps(man, indent=2) + "\n").encode()
+        publish(self.dir / MANIFEST_NAME, lambda fh: fh.write(blob))
 
     def _sweep_orphans(self) -> None:
         """Delete files the MANIFEST does not acknowledge.
@@ -178,7 +185,7 @@ class LsmStore:
         files; they are dead weight, never wrong data.
         """
         known = set(self._man["runs"])
-        for p in self.dir.glob("run-*.npz"):
+        for p in self.dir.glob("run-*.run"):
             if p.name not in known:
                 p.unlink()
         for p in self.dir.glob("*.tmp"):
@@ -268,7 +275,7 @@ class LsmStore:
             return None
         applied = self.wal.last_seq
         run_id = self._man["next_run_id"]
-        name = f"run-{run_id:06d}.npz"
+        name = f"run-{run_id:06d}.run"
         write_run(self.dir / name, self.k, self.memtable.keys, self.memtable.vals,
                   index_stride=self.config.index_stride)
         self.crash.hit("flush.post_run_write")
@@ -300,7 +307,7 @@ class LsmStore:
     def _compact_once(self, sel: list[int]) -> None:
         victims = [self.runs[i] for i in sel]
         run_id = self._man["next_run_id"]
-        name = f"run-{run_id:06d}.npz"
+        name = f"run-{run_id:06d}.run"
         merge_runs(victims, self.dir / name, self.k,
                    chunk_keys=self.config.chunk_keys,
                    index_stride=self.config.index_stride)

@@ -6,39 +6,32 @@ loses nothing that was acknowledged.  On reopen the store replays the
 records newer than the ``MANIFEST``'s ``wal_applied_seq`` watermark and
 rebuilds the memtable exactly.
 
-File layout (little-endian)::
-
-    header:  magic "DWAL" | u32 version | u64 base_seq
-    record:  u64 seq | u32 payload_len | u32 crc32(payload) | payload
-
-The payload is one encoded read batch (``u32 n_reads``, then the read
-lengths, then the concatenated 2-bit-code bytes).  Records carry their
-own length and CRC so a torn tail — the half-written record a crash
-mid-append leaves behind — is detected and truncated on open instead of
-being replayed as garbage.  ``base_seq`` in the header keeps sequence
-numbers monotone across :meth:`WriteAheadLog.reset` (after a flush the
-log is emptied but numbering must not restart below the manifest's
-applied watermark, or replay would double-count).
+The file is a :mod:`repro.fileio` framed header (one field,
+``base_seq``) followed by one checksummed record per batch; the record
+payload is ``u64 seq | u32 n_reads | u32 lengths[n_reads] | 2-bit-code
+bytes`` (``docs/FORMATS.md`` has the framing).  A torn tail — the
+half-written record a crash mid-append leaves behind — fails the
+record iterator and is truncated on open instead of being replayed as
+garbage.  ``base_seq`` keeps sequence numbers monotone across
+:meth:`WriteAheadLog.reset` (after a flush the log is emptied but
+numbering must not restart below the manifest's applied watermark, or
+replay would double-count).
 """
 
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
+from ..fileio import FormatError, Framing, record
 from .crash import CrashPoints, SimulatedCrash
 
-__all__ = ["WriteAheadLog", "as_read_list"]
+__all__ = ["WAL", "WriteAheadLog", "as_read_list"]
 
-_MAGIC = b"DWAL"
-_WAL_VERSION = 1
-_HEADER = struct.Struct("<4sIQ")      # magic, version, base_seq
-_REC_HEADER = struct.Struct("<QII")   # seq, payload_len, crc32
+WAL = Framing("write-ahead log", b"dakcwal\x00", 2, "<Q")   # field: base_seq
 
 
 def as_read_list(reads: np.ndarray | list) -> list[np.ndarray]:
@@ -58,22 +51,24 @@ def as_read_list(reads: np.ndarray | list) -> list[np.ndarray]:
     return [np.ascontiguousarray(r, dtype=np.uint8).reshape(-1) for r in reads]
 
 
-def _encode_batch(batch: list[np.ndarray]) -> bytes:
-    lens = np.array([r.size for r in batch], dtype=np.uint32)
-    parts = [struct.pack("<I", len(batch)), lens.tobytes()]
-    parts.extend(r.tobytes() for r in batch)
-    return b"".join(parts)
+def _encode_record(seq: int, batch: list[np.ndarray]) -> bytes:
+    lens = np.array([r.size for r in batch], dtype="<u4")
+    return record(b"".join((seq.to_bytes(8, "little"),
+                            len(batch).to_bytes(4, "little"), lens.tobytes(),
+                            *(r.tobytes() for r in batch))))
+
+
+def _seq(payload: bytes) -> int:
+    return int.from_bytes(payload[:8], "little")
 
 
 def _decode_batch(payload: bytes) -> list[np.ndarray]:
-    (n,) = struct.unpack_from("<I", payload, 0)
-    lens = np.frombuffer(payload, dtype=np.uint32, count=n, offset=4)
-    out: list[np.ndarray] = []
-    off = 4 + 4 * n
-    for ln in lens.tolist():
-        out.append(np.frombuffer(payload, dtype=np.uint8, count=ln, offset=off).copy())
-        off += ln
-    return out
+    n = int.from_bytes(payload[8:12], "little")
+    if not n:
+        return []
+    lens = np.frombuffer(payload, dtype="<u4", count=n, offset=12)
+    codes = np.frombuffer(payload, dtype=np.uint8, offset=12 + 4 * n)
+    return np.split(codes, np.cumsum(lens)[:-1])
 
 
 class WriteAheadLog:
@@ -96,7 +91,7 @@ class WriteAheadLog:
 
     def _write_header(self, base_seq: int) -> None:
         self._fh.seek(0)
-        self._fh.write(_HEADER.pack(_MAGIC, _WAL_VERSION, base_seq))
+        self._fh.write(WAL.header(base_seq))
         self._fh.truncate()
         self._flush()
         self.last_seq = base_seq
@@ -105,21 +100,22 @@ class WriteAheadLog:
     def _open_and_repair(self) -> None:
         """Open an existing log; truncate any torn record at the tail."""
         self._fh = open(self.path, "r+b")
-        header = self._fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
+        try:
+            (self.last_seq,) = WAL.read_header(self._fh, self.path)
+        except FormatError as exc:
+            if exc.reason != "truncated":
+                self._fh.close()
+                raise
             # Crash before the header finished: an empty log.
             self._write_header(0)
             return
-        magic, version, base_seq = _HEADER.unpack(header)
-        if magic != _MAGIC or version != _WAL_VERSION:
-            raise ValueError(f"{self.path}: not a DAKC write-ahead log")
-        self.last_seq = base_seq
-        valid_end = _HEADER.size
-        for seq, _payload, end in self._scan(self._fh, _HEADER.size):
-            self.last_seq = max(self.last_seq, seq)
-            self.records += 1
-            valid_end = end
-        if os.path.getsize(self.path) != valid_end:
+        valid_end = self._fh.tell()
+        try:
+            for payload, valid_end in WAL.records(self._fh, self.path):
+                self.last_seq = max(self.last_seq, _seq(payload))
+                self.records += 1
+        except FormatError:
+            # Everything after a torn write is unreachable garbage.
             self._fh.seek(valid_end)
             self._fh.truncate()
             self._flush()
@@ -129,27 +125,6 @@ class WriteAheadLog:
         if not self._fh.closed:
             self._fh.close()
 
-    # -- record framing ------------------------------------------------
-
-    @staticmethod
-    def _scan(fh, start: int) -> Iterator[tuple[int, bytes, int]]:
-        """Yield ``(seq, payload, end_offset)`` for every valid record.
-
-        Stops (without raising) at the first truncated or corrupt
-        record — everything after a torn write is unreachable garbage.
-        """
-        fh.seek(start)
-        while True:
-            pos = fh.tell()
-            header = fh.read(_REC_HEADER.size)
-            if len(header) < _REC_HEADER.size:
-                return
-            seq, length, crc = _REC_HEADER.unpack(header)
-            payload = fh.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                return
-            yield seq, payload, pos + _REC_HEADER.size + length
-
     # -- operations ----------------------------------------------------
 
     def append(self, reads: np.ndarray | list) -> int:
@@ -157,17 +132,16 @@ class WriteAheadLog:
         batch = as_read_list(reads)
         self.crash.hit("wal.pre_append")
         seq = self.last_seq + 1
-        payload = _encode_batch(batch)
-        record = _REC_HEADER.pack(seq, len(payload), zlib.crc32(payload)) + payload
-        mid = len(record) // 2
+        rec = _encode_record(seq, batch)
+        mid = len(rec) // 2
         self._fh.seek(0, os.SEEK_END)
-        self._fh.write(record[:mid])
+        self._fh.write(rec[:mid])
         try:
             self.crash.hit("wal.mid_append")
         except SimulatedCrash:
             self._flush()  # leave the torn half on disk, like a real crash
             raise
-        self._fh.write(record[mid:])
+        self._fh.write(rec[mid:])
         self._flush()
         self.last_seq = seq
         self.records += 1
@@ -178,9 +152,10 @@ class WriteAheadLog:
         """Yield ``(seq, batch)`` for every record with ``seq > after_seq``."""
         self._fh.flush()
         with open(self.path, "rb") as fh:
-            for seq, payload, _end in self._scan(fh, _HEADER.size):
-                if seq > after_seq:
-                    yield seq, _decode_batch(payload)
+            WAL.read_header(fh, self.path)
+            for payload, _end in WAL.records(fh, self.path):
+                if _seq(payload) > after_seq:
+                    yield _seq(payload), _decode_batch(payload)
         self._fh.seek(0, os.SEEK_END)
 
     def reset(self, base_seq: int) -> None:

@@ -11,15 +11,14 @@ KMC 2's two-pass design under a hard memory ceiling:
   (:func:`repro.seq.kmers.count_packed_kmers`) and optionally
   bulk-loads results into a :class:`repro.lsm.LsmStore` as it goes.
 
-The bin file format (:mod:`.format`) is versioned, checksummed and
-defensively loaded, mirroring :mod:`repro.trace.format`.
+The bin file (:mod:`.format`) is framed, versioned and checksummed by
+:mod:`repro.fileio` like every other file of the package
+(``docs/FORMATS.md``).
 """
 
 from .count import count_bin, ooc_count
 from .format import (
-    BIN_MAGIC,
-    BIN_VERSION,
-    BinFormatError,
+    BIN,
     BinHeader,
     pack_superkmers,
     read_bin_records,
@@ -29,9 +28,7 @@ from .format import (
 from .spill import BinWriter, OocStats, largest_first, seeded_order
 
 __all__ = [
-    "BIN_MAGIC",
-    "BIN_VERSION",
-    "BinFormatError",
+    "BIN",
     "BinHeader",
     "BinWriter",
     "OocStats",

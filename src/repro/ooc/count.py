@@ -26,9 +26,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.result import KmerCounts
+from ..fileio import FormatError
 from ..seq.kmers import count_packed_kmers
 from ..sort.accumulate import merge_count_arrays
-from .format import BinFormatError, read_bin_records, superkmer_kmers
+from .format import BIN, read_bin_records, superkmer_kmers
 from .spill import BinWriter, FlushOrder, OocStats
 
 __all__ = ["count_bin", "ooc_count"]
@@ -49,8 +50,8 @@ def count_bin(path: str | os.PathLike, *, k: int | None = None,
     """
     header, chunks = read_bin_records(path)
     if k is not None and header.k != k:
-        raise BinFormatError(
-            f"{path}: bin was written at k={header.k}, requested k={k}")
+        raise FormatError(path, BIN.kind, "mismatch",
+                          f"bin was written at k={header.k}, requested k={k}")
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     for lengths, blob in chunks:
         parts.append(count_packed_kmers(

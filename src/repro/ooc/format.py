@@ -3,47 +3,35 @@
 A *bin* holds the super-k-mers whose minimizer hashes to one
 partition — the unit of independent pass-2 counting (KMC 2's design:
 bins are written sequentially in pass 1 and each is small enough to
-count in memory).  The format is append-friendly, versioned and
-checksummed, because a bin file is written incrementally by a
-bounded-memory writer and a crash (or a foreign file) must be detected
-on load, never misread:
-
-* a fixed 28-byte **header** — magic, format version, ``k``, ``w``,
-  the bin id, and a CRC32 of the preceding fields;
-* a sequence of **chunks**, one per spill flush.  Each chunk is a
-  16-byte header (super-k-mer count, lengths payload bytes, bases
-  payload bytes, CRC32 of both payloads) followed by a ``uint32``
-  per-super-k-mer base-length array and the 2-bit-packed bases.
+count in memory).  A bin file is written incrementally by a
+bounded-memory writer, so it is a :mod:`repro.fileio` framed header
+(fields ``k``, ``w``, the bin id) followed by one checksummed record
+per spill flush; framing, versioning and what a load refuses are in
+``docs/FORMATS.md``.  This module owns only what goes *inside* a
+record — a **chunk**: ``u32 n`` super-k-mers, their ``u32`` base
+lengths, then the 2-bit-packed bases.
 
 Super-k-mers are packed 4 bases/byte, each record padded to a byte
-boundary, so a chunk's wire size is ``16 + 4·n + Σ ceil(len_i / 4)``
+boundary, so a chunk's wire size is ``12 + 4·n + Σ ceil(len_i / 4)``
 bytes — the ``k/4``-ish compression over shipping raw 8-byte k-mers
 that makes disk spill cheaper than it looks (the same arithmetic as
 :func:`repro.seq.superkmers.superkmer_wire_bytes`).
-
-Loads are defensive, mirroring :class:`repro.trace.format.TraceFormatError`:
-any truncation, bad magic, future version, or checksum mismatch raises
-:class:`BinFormatError` instead of a bare ``struct``/``zlib`` error or
-— worse — silently wrong counts.
 """
 
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
 import numpy as np
 
+from ..fileio import FormatError, Framing, record
 from ..seq.superkmers import pack_spans, span_kmers
 
 __all__ = [
-    "BIN_MAGIC",
-    "BIN_VERSION",
-    "BinFormatError",
+    "BIN",
     "BinHeader",
     "pack_superkmers",
     "unpack_superkmers",
@@ -55,16 +43,7 @@ __all__ = [
     "read_bin_records",
 ]
 
-BIN_MAGIC = b"dakcbin\x00"
-BIN_VERSION = 1
-
-_HEADER_STRUCT = struct.Struct("<8sIIII")          # magic, version, k, w, bin_id
-_HEADER_SIZE = _HEADER_STRUCT.size + 4             # + crc32 of the packed fields
-_CHUNK_STRUCT = struct.Struct("<IIII")             # n_sk, lengths_nbytes, bases_nbytes, crc
-
-
-class BinFormatError(ValueError):
-    """The file is not a readable dakc spill bin."""
+BIN = Framing("spill bin", b"dakcbin\x00", 2, "<III")   # fields: k, w, bin_id
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +100,7 @@ def _blob_codes(lengths: np.ndarray, blob: np.ndarray) -> np.ndarray:
     """All 2-bit codes of a packed blob (including pad positions)."""
     expected = int(_byte_offsets(lengths)[-1])
     if blob.size != expected:
-        raise BinFormatError(
+        raise ValueError(
             f"packed payload holds {blob.size} bytes, lengths require {expected}")
     codes = np.empty(blob.size * 4, dtype=np.uint8)
     codes[0::4] = (blob >> 6) & 0x3
@@ -143,7 +122,7 @@ def superkmer_kmers(lengths: np.ndarray, blob: np.ndarray, k: int) -> np.ndarray
     if lengths.size == 0:
         return np.empty(0, dtype=np.uint64)
     if int(lengths.min()) < k:
-        raise BinFormatError(
+        raise ValueError(
             f"super-k-mer of {int(lengths.min())} bases cannot hold a {k}-mer")
     return span_kmers(_blob_codes(lengths, blob),
                       _byte_offsets(lengths)[:-1] * 4,
@@ -154,80 +133,45 @@ def superkmer_kmers(lengths: np.ndarray, blob: np.ndarray, k: int) -> np.ndarray
 
 
 def write_bin_header(fh: BinaryIO, header: BinHeader) -> int:
-    """Write the fixed bin header; returns bytes written."""
-    fields = _HEADER_STRUCT.pack(BIN_MAGIC, BIN_VERSION, header.k,
-                                 header.w, header.bin_id)
-    fh.write(fields)
-    fh.write(struct.pack("<I", zlib.crc32(fields)))
-    return _HEADER_SIZE
+    """Write the framed bin header; returns bytes written."""
+    return fh.write(BIN.header(header.k, header.w, header.bin_id))
 
 
 def read_bin_header(fh: BinaryIO, path: str | os.PathLike = "<bin>") -> BinHeader:
-    """Read and validate the fixed header (defensive)."""
-    blob = fh.read(_HEADER_SIZE)
-    if len(blob) < _HEADER_SIZE:
-        raise BinFormatError(f"{path}: truncated bin header "
-                             f"({len(blob)} of {_HEADER_SIZE} bytes)")
-    fields, (crc,) = blob[:_HEADER_STRUCT.size], struct.unpack("<I", blob[_HEADER_STRUCT.size:])
-    magic, version, k, w, bin_id = _HEADER_STRUCT.unpack(fields)
-    if magic != BIN_MAGIC:
-        raise BinFormatError(f"{path}: bad magic {magic!r} (not a dakc spill bin)")
-    if zlib.crc32(fields) != crc:
-        raise BinFormatError(f"{path}: bin header checksum mismatch")
-    if version != BIN_VERSION:
-        raise BinFormatError(
-            f"{path}: bin format version {version} "
-            f"(this build reads version {BIN_VERSION})")
-    return BinHeader(k=int(k), w=int(w), bin_id=int(bin_id))
+    """Read and validate the framed header."""
+    return BinHeader(*BIN.read_header(fh, path))
 
 
 # -- chunks ------------------------------------------------------------
 
 
 def append_chunk(fh: BinaryIO, lengths: np.ndarray, blob: np.ndarray) -> int:
-    """Append one checksummed chunk; returns bytes written."""
-    lengths = np.ascontiguousarray(lengths, dtype=np.uint32)
+    """Append one chunk as a checksummed record; returns bytes written."""
+    lengths = np.ascontiguousarray(lengths, dtype="<u4")
     blob = np.ascontiguousarray(blob, dtype=np.uint8)
-    lb, bb = lengths.tobytes(), blob.tobytes()
-    crc = zlib.crc32(bb, zlib.crc32(lb))
-    fh.write(_CHUNK_STRUCT.pack(lengths.size, len(lb), len(bb), crc))
-    fh.write(lb)
-    fh.write(bb)
-    return _CHUNK_STRUCT.size + len(lb) + len(bb)
+    return fh.write(record(lengths.size.to_bytes(4, "little"),
+                           lengths.tobytes(), blob.tobytes()))
 
 
 def iter_chunks(fh: BinaryIO, path: str | os.PathLike = "<bin>"
                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(lengths, blob)`` per chunk, validating as it goes.
 
-    Raises :class:`BinFormatError` on a torn tail (partial chunk
-    header or payload — the signature of a crash mid-flush) or a
-    checksum mismatch (bit rot, concurrent writers).
+    Raises :class:`~repro.fileio.FormatError` on a torn tail (the
+    signature of a crash mid-flush), a checksum mismatch, or a payload
+    whose blob size disagrees with its lengths.
     """
-    while True:
-        head = fh.read(_CHUNK_STRUCT.size)
-        if not head:
-            return
-        if len(head) < _CHUNK_STRUCT.size:
-            raise BinFormatError(f"{path}: truncated chunk header "
-                                 f"({len(head)} of {_CHUNK_STRUCT.size} bytes)")
-        n_sk, lengths_nbytes, bases_nbytes, crc = _CHUNK_STRUCT.unpack(head)
-        if lengths_nbytes != 4 * n_sk:
-            raise BinFormatError(
-                f"{path}: chunk declares {n_sk} super-k-mers but "
-                f"{lengths_nbytes} length bytes")
-        payload = fh.read(lengths_nbytes + bases_nbytes)
-        if len(payload) < lengths_nbytes + bases_nbytes:
-            raise BinFormatError(
-                f"{path}: truncated chunk payload "
-                f"({len(payload)} of {lengths_nbytes + bases_nbytes} bytes)")
-        if zlib.crc32(payload) != crc:
-            raise BinFormatError(f"{path}: chunk checksum mismatch")
-        lengths = np.frombuffer(payload[:lengths_nbytes], dtype=np.uint32)
-        blob = np.frombuffer(payload[lengths_nbytes:], dtype=np.uint8)
+    for payload, _end in BIN.records(fh, path):
+        n_sk = int.from_bytes(payload[:4], "little")
+        if len(payload) < 4 + 4 * n_sk:
+            raise FormatError(path, BIN.kind, "corrupt",
+                              f"chunk declares {n_sk} super-k-mers "
+                              f"in {len(payload)} payload bytes")
+        lengths = np.frombuffer(payload, dtype="<u4", count=n_sk, offset=4)
+        blob = np.frombuffer(payload, dtype=np.uint8, offset=4 + 4 * n_sk)
         if blob.size != int(_byte_offsets(lengths)[-1]):
-            raise BinFormatError(
-                f"{path}: chunk payload size disagrees with its lengths")
+            raise FormatError(path, BIN.kind, "corrupt",
+                              "chunk payload size disagrees with its lengths")
         yield lengths, blob
 
 

@@ -30,7 +30,6 @@ from .format import (
     TRACE_MAGIC,
     TRACE_VERSION,
     QueryTrace,
-    TraceFormatError,
     load_trace,
     save_trace,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "TIER_T1",
     "TIER_T2",
     "TIER_STORE",
-    "TraceFormatError",
     "QueryTrace",
     "save_trace",
     "load_trace",

@@ -9,23 +9,23 @@ engine (:mod:`repro.trace.replay`) also uses the timestamps to rebuild
 arrival groups, and the tier column lets recorded and replayed cache
 behaviour be diffed.
 
-On disk a trace is a compressed ``.npz`` with the four column arrays
-plus a JSON header carrying a magic string, a format version, and the
-provenance fields (k, seed, source).  Loads are defensive: a truncated
-or non-trace file raises :class:`TraceFormatError` instead of a bare
-``zipfile``/``KeyError``, and a version from the future is refused
-rather than misread.
+On disk a trace is a compressed ``.npz`` (plain ``np.load`` reads it)
+with the four column arrays plus a JSON header carrying a magic string,
+a format version, and the provenance fields (k, seed, source).  It is
+published and loaded through :mod:`repro.fileio`: anything but a
+complete, current-version trace raises
+:class:`~repro.fileio.FormatError` (``docs/FORMATS.md``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..fileio import FormatError, check_version, load_npz, parse_json, save_npz
 from ..serve.cache import TIER_STORE, TIER_T1, TIER_T2
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "TIER_T1",
     "TIER_T2",
     "TIER_STORE",
-    "TraceFormatError",
     "QueryTrace",
     "save_trace",
     "load_trace",
@@ -42,10 +41,8 @@ __all__ = [
 
 TRACE_MAGIC = "dakc-query-trace"
 TRACE_VERSION = 1
-
-
-class TraceFormatError(ValueError):
-    """The file is not a readable dakc query trace."""
+_KIND = "query trace"
+_COLUMNS = ("ts", "streams", "keys", "tiers")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,52 +148,30 @@ def save_trace(path: str | os.PathLike, trace: QueryTrace) -> None:
     header_blob = np.frombuffer(
         json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
-    np.savez_compressed(
-        path, header=header_blob, ts=trace.ts, streams=trace.streams,
-        keys=trace.keys, tiers=trace.tiers,
-    )
+    save_npz(path, header=header_blob, ts=trace.ts, streams=trace.streams,
+             keys=trace.keys, tiers=trace.tiers)
 
 
 def load_trace(path: str | os.PathLike) -> QueryTrace:
     """Read a trace written by :func:`save_trace`.
 
-    Raises :class:`TraceFormatError` on anything that is not a
+    Raises :class:`~repro.fileio.FormatError` on anything that is not a
     complete, current-version trace file: truncated archives, foreign
     ``.npz`` files, versions from the future.
     """
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            try:
-                header_blob = archive["header"]
-            except KeyError as exc:
-                raise TraceFormatError(
-                    f"{path}: no trace header (not a dakc trace)") from exc
-            try:
-                header = json.loads(bytes(header_blob.tobytes()).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise TraceFormatError(f"{path}: unreadable trace header") from exc
-            if header.get("magic") != TRACE_MAGIC:
-                raise TraceFormatError(
-                    f"{path}: bad magic {header.get('magic')!r}")
-            version = header.get("version")
-            if version != TRACE_VERSION:
-                raise TraceFormatError(
-                    f"{path}: trace format version {version!r} "
-                    f"(this build reads version {TRACE_VERSION})")
-            try:
-                columns = {name: archive[name]
-                           for name in ("ts", "streams", "keys", "tiers")}
-            except KeyError as exc:
-                raise TraceFormatError(
-                    f"{path}: missing trace column {exc}") from exc
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-        # numpy reports a non-archive file as a pickle ValueError; our
-        # own diagnostics (TraceFormatError is a ValueError) pass through.
-        if isinstance(exc, (FileNotFoundError, TraceFormatError)):
-            raise
-        raise TraceFormatError(f"{path}: truncated or corrupt trace file "
-                               f"({type(exc).__name__}: {exc})") from exc
-    trace = QueryTrace(
+    columns = load_npz(path, _KIND, ("header", *_COLUMNS))
+    header = parse_json(path, _KIND, columns.pop("header").tobytes(),
+                        ("magic", "version"))
+    if header["magic"] != TRACE_MAGIC:
+        raise FormatError(path, _KIND, "foreign", f"bad magic {header['magic']!r}")
+    check_version(path, _KIND, header["version"], TRACE_VERSION)
+    n_records = header.get("n_records", columns["ts"].size)
+    if any(col.size != n_records for col in columns.values()):
+        raise FormatError(
+            path, _KIND, "mismatch",
+            f"header says {n_records} records, columns hold "
+            + "/".join(str(col.size) for col in columns.values()))
+    return QueryTrace(
         ts=columns["ts"].astype(np.float64, copy=False),
         streams=columns["streams"].astype(np.int32, copy=False),
         keys=columns["keys"].astype(np.uint64, copy=False),
@@ -206,8 +181,3 @@ def load_trace(path: str | os.PathLike) -> QueryTrace:
         source=str(header.get("source", "")),
         meta=dict(header.get("meta", {})),
     )
-    if trace.n_records != int(header.get("n_records", trace.n_records)):
-        raise TraceFormatError(
-            f"{path}: header says {header['n_records']} records, "
-            f"columns hold {trace.n_records}")
-    return trace

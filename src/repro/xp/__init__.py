@@ -8,11 +8,10 @@ systematic:
 
 * :mod:`repro.xp.spec`    — sweeps as *data*: a versioned
   :class:`ExperimentSpec` names a target callable, its parameter grid,
-  seeds, and an explicit warmup/repetition policy (JSON/TOML).
+  seeds, and an explicit warmup/repetition policy (JSON).
 * :mod:`repro.xp.targets` — the registry of runnable targets (one per
   product scenario: serve, LSM, out-of-core, cluster, tenant, trace,
-  chaos, DST, count; plus the paper-figure registry and a synthetic
-  calibration target).
+  chaos, DST, count; plus a synthetic calibration target).
 * :mod:`repro.xp.runner`  — expands the grid, spawns collision-free
   child seeds via :mod:`repro.core.seeds`, runs warmups + repetitions,
   and stamps an environment fingerprint into the result envelope.

@@ -5,9 +5,7 @@ measurement campaign: the *target* (a name in
 :data:`repro.xp.targets.TARGETS`), fixed parameters, a
 :class:`SweepSpec` parameter grid, a root seed, and an explicit
 :class:`RepetitionPolicy` (warmups discarded, repetitions kept).  The
-on-disk form is versioned JSON (always) or TOML (read requires
-:mod:`tomllib`, Python >= 3.11; writing works everywhere via a small
-emitter for this flat schema).
+on-disk form is versioned JSON.
 
 Design follows Cydonia's ``MTExperiments`` generator: configs are
 plain data expanded into a cell list, so a sweep is diffable, and the
@@ -191,56 +189,24 @@ class ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# I/O: JSON always; TOML read via tomllib, write via a minimal emitter
+# I/O: versioned JSON
 # ---------------------------------------------------------------------------
 
 
-def _toml_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
-        return json.dumps(value)  # valid TOML basic string
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_toml_scalar(v) for v in value) + "]"
-    raise ValueError(f"cannot express {value!r} in TOML")
-
-
-def _toml_dumps(doc: dict) -> str:
-    """Emit the spec schema (scalars + one level of tables) as TOML."""
-    top, tables = [], []
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            body = "".join(f"{k} = {_toml_scalar(v)}\n"
-                           for k, v in value.items())
-            tables.append(f"[{key}]\n{body}")
-        else:
-            top.append(f"{key} = {_toml_scalar(value)}\n")
-    return "".join(top) + "\n" + "\n".join(tables)
+def _require_json(path: Path) -> None:
+    if path.suffix != ".json":
+        raise ValueError(
+            f"{path}: unknown spec extension {path.suffix!r} (expected .json)")
 
 
 def load_spec(path: str | Path) -> ExperimentSpec:
-    """Load a spec from ``.json`` or ``.toml`` (validated, versioned)."""
+    """Load a spec from ``.json`` (validated, versioned)."""
     path = Path(path)
-    text = path.read_text()
-    if path.suffix == ".toml":
-        try:
-            import tomllib
-        except ImportError as exc:  # Python 3.10
-            raise ValueError(
-                f"{path}: reading TOML specs needs Python >= 3.11 "
-                f"(tomllib); use the JSON form instead") from exc
-        doc = tomllib.loads(text)
-    elif path.suffix == ".json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    else:
-        raise ValueError(
-            f"{path}: unknown spec extension {path.suffix!r} "
-            f"(expected .json or .toml)")
+    _require_json(path)
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return ExperimentSpec.from_doc(doc)
     except ValueError as exc:
@@ -248,15 +214,8 @@ def load_spec(path: str | Path) -> ExperimentSpec:
 
 
 def save_spec(spec: ExperimentSpec, path: str | Path) -> Path:
-    """Write a spec as ``.json`` or ``.toml`` (by extension)."""
+    """Write a spec as ``.json``."""
     path = Path(path)
-    doc = spec.to_doc()
-    if path.suffix == ".toml":
-        path.write_text(_toml_dumps(doc))
-    elif path.suffix == ".json":
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-    else:
-        raise ValueError(
-            f"{path}: unknown spec extension {path.suffix!r} "
-            f"(expected .json or .toml)")
+    _require_json(path)
+    path.write_text(json.dumps(spec.to_doc(), indent=2) + "\n")
     return path

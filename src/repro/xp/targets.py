@@ -624,27 +624,6 @@ def _trace_bench(params: dict) -> TargetOutcome:
 
 
 # ---------------------------------------------------------------------------
-# paper: any experiment of the fig/table registry, timed end to end
-# ---------------------------------------------------------------------------
-
-_PAPER_DEFAULTS = {"exp_id": "table2", "budget": 0, "exp_seed": 0}
-
-
-def _paper_experiment(params: dict) -> TargetOutcome:
-    from ..bench.experiments import run_experiment
-
-    p = _params(params, _PAPER_DEFAULTS)
-    kwargs = {"seed": p["exp_seed"]}
-    if p["budget"]:
-        kwargs["budget"] = p["budget"]
-    result = run_experiment(p["exp_id"], **kwargs)
-    return TargetOutcome(
-        metrics={"n_tables": float(len(result.tables))},
-        checks={"completed": bool(result.tables)},
-    )
-
-
-# ---------------------------------------------------------------------------
 # synthetic: a free, deterministic target for smoke tests and CI
 # ---------------------------------------------------------------------------
 
@@ -743,11 +722,6 @@ TARGETS: dict[str, XpTarget] = {
              "two_tier_hit_rate": "higher"},
             "query trace: Mattson miss-ratio model vs brute-force LRU, "
             "bit-identical replay, two-tier vs single-tier cache",
-        ),
-        XpTarget(
-            "paper-experiment", _paper_experiment,
-            {"n_tables": "higher"},
-            "any fig/table of the paper registry, timed end to end",
         ),
         XpTarget(
             "synthetic-latency", _synthetic_latency,

@@ -3,11 +3,12 @@
 Each test monkeypatches one real bug into a different layer — a
 conveyor that silently discards a PE's flushes, a ring whose
 replica rows lose a distinct owner, a WAL that acknowledges appends
-without writing the record — and asserts the default invariant
-registry flags it within a small schedule budget.  The companion
-test pins the other direction: on unmutated code the same budget is
-violation-free.  Together they are the evidence the harness has
-teeth and the invariants are not change detectors.
+without writing the record, a record iterator that hands out torn
+payloads — and asserts the default invariant registry flags it within
+a small schedule budget.  The companion test pins the other direction:
+on unmutated code the same budget is violation-free.  Together they
+are the evidence the harness has teeth and the invariants are not
+change detectors.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from unittest.mock import patch
 from repro.cluster.ring import HashRing
 from repro.dst.schedule import ScheduleFuzzer
 from repro.dst.sim import Simulation
+from repro.fileio import Framing
 from repro.lsm.wal import WriteAheadLog, as_read_list
 from repro.runtime.conveyors import Conveyor, _HopBuffer
 
@@ -92,4 +94,30 @@ def test_canary_wal_skipped_record_is_caught():
     with patch.object(WriteAheadLog, "append", buggy_append):
         index, trajectory = _hunt(8)
     assert index is not None
+    assert any(v.invariant == "wal-recovery" for v in trajectory.violations)
+
+
+def test_canary_torn_record_handed_out_is_caught():
+    """Bug: ``fileio``'s record iterator yields a short payload unchecked.
+
+    Every framed file relies on that iterator to stop at a torn tail;
+    the WAL is where a torn tail is routine.  The armed
+    ``wal.mid_append`` crash leaves half a record, the lenient iterator
+    lets recovery replay it, and a batch nobody acknowledged resurfaces.
+    """
+
+    def lenient_records(self, fh, path):
+        pos = fh.tell()
+        while True:
+            head = fh.read(8)
+            if len(head) < 8:
+                return
+            payload = fh.read(int.from_bytes(head[:4], "little"))
+            pos += 8 + len(payload)
+            yield payload, pos  # no length check, no CRC check
+
+    with patch.object(Framing, "records", lenient_records):
+        index, trajectory = _hunt(4)
+    assert index is not None
+    assert trajectory.schedule.crash_point == "wal.mid_append"
     assert any(v.invariant == "wal-recovery" for v in trajectory.violations)

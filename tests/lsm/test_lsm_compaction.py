@@ -20,7 +20,7 @@ def _make_run(tmp_path, name, rng, n, k=17):
 
 class TestPolicy:
     def _runs_with_sizes(self, tmp_path, rng, sizes):
-        return [_make_run(tmp_path, f"r{i}.npz", rng, n)[0]
+        return [_make_run(tmp_path, f"r{i}.run", rng, n)[0]
                 for i, n in enumerate(sizes)]
 
     def test_within_bound_is_none(self, tmp_path, rng):
@@ -51,10 +51,10 @@ class TestMergeRuns:
     @pytest.mark.parametrize("chunk_keys", [1, 7, 1000, 1 << 16])
     def test_chunk_size_invariance(self, tmp_path, rng, chunk_keys):
         """Any chunking must yield the exact full-materialise merge."""
-        parts = [_make_run(tmp_path, f"in{i}.npz", rng, n)
+        parts = [_make_run(tmp_path, f"in{i}.run", rng, n)
                  for i, n in enumerate([900, 50, 1700])]
         runs = [p[0] for p in parts]
-        out = tmp_path / "out.npz"
+        out = tmp_path / "out.run"
         merge_runs(runs, out, 17, chunk_keys=chunk_keys)
         got_k, got_v = Run(out).load()
         want_k, want_v = accumulate_weighted(
@@ -64,25 +64,25 @@ class TestMergeRuns:
         assert np.array_equal(got_v, want_v)
 
     def test_spill_files_cleaned_up(self, tmp_path, rng):
-        run, _, _ = _make_run(tmp_path, "in.npz", rng, 500)
-        merge_runs([run], tmp_path / "out.npz", 17, chunk_keys=64)
+        run, _, _ = _make_run(tmp_path, "in.run", rng, 500)
+        merge_runs([run], tmp_path / "out.run", 17, chunk_keys=64)
         assert not list(tmp_path.glob("*.spill"))
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_empty_inputs(self, tmp_path):
-        empty = tmp_path / "e.npz"
+        empty = tmp_path / "e.run"
         write_run(empty, 17, np.empty(0, dtype=np.uint64),
                   np.empty(0, dtype=np.int64))
-        out = tmp_path / "out.npz"
+        out = tmp_path / "out.run"
         merge_runs([Run(empty), Run(empty)], out, 17)
         assert Run(out).n_keys == 0
 
     def test_k_mismatch_rejected(self, tmp_path, rng):
-        a, _, _ = _make_run(tmp_path, "a.npz", rng, 100, k=17)
-        b, _, _ = _make_run(tmp_path, "b.npz", rng, 100, k=19)
+        a, _, _ = _make_run(tmp_path, "a.run", rng, 100, k=17)
+        b, _, _ = _make_run(tmp_path, "b.run", rng, 100, k=19)
         with pytest.raises(ValueError, match="disagree on k"):
-            merge_runs([a, b], tmp_path / "out.npz", 17)
+            merge_runs([a, b], tmp_path / "out.run", 17)
 
     def test_nothing_to_merge_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to merge"):
-            merge_runs([], tmp_path / "out.npz", 17)
+            merge_runs([], tmp_path / "out.run", 17)

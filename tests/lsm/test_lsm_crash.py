@@ -82,3 +82,26 @@ def test_crash_points_are_one_shot(tmp_path, small_reads):
 def test_unknown_point_rejected():
     with pytest.raises(ValueError):
         CrashPoints().arm("flush.nonsense")
+
+
+def test_wal_that_lost_its_header_still_numbers_above_the_manifest(
+        tmp_path, small_reads):
+    """A zero-length ``wal.log`` (crash on a delayed-allocation
+    filesystem; ``wal_sync`` is off by default) reopens as an empty log.
+    Its numbering must resume above the MANIFEST's ``wal_applied_seq``,
+    or the next acknowledged batch is skipped by the replay after it."""
+    path = tmp_path / "db"
+    batches = [small_reads[i:i + BATCH] for i in range(0, 4 * BATCH, BATCH)]
+    with LsmStore(path, K, config=LsmConfig(memtable_bytes=1)) as store:
+        for batch in batches[:3]:
+            store.ingest(batch)      # flushed at once: applied seq = 3
+    (path / "wal.log").write_bytes(b"")
+
+    store = LsmStore(path)           # default budget: no flush from here on
+    store.ingest(batches[3])         # acknowledged, lives only in the WAL
+    assert store.wal.last_seq == 4
+    store.wal.close()                # killed: no close(), no flush
+
+    with LsmStore(path) as recovered:
+        assert recovered.stats.replayed_batches == 1
+        assert recovered.snapshot() == serial_count(small_reads[:4 * BATCH], K)

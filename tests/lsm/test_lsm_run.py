@@ -18,7 +18,7 @@ def keys_vals(rng):
 @pytest.fixture
 def run(tmp_path, keys_vals):
     keys, vals = keys_vals
-    path = tmp_path / "run-000001.npz"
+    path = tmp_path / "run-000001.run"
     write_run(path, 21, keys, vals, index_stride=256)
     return Run(path)
 
@@ -34,7 +34,7 @@ class TestWriteOpen:
 
     def test_atomic_publication(self, tmp_path, keys_vals):
         keys, vals = keys_vals
-        path = tmp_path / "run-000002.npz"
+        path = tmp_path / "run-000002.run"
         write_run(path, 21, keys, vals)
         assert path.exists()
         assert not path.with_name(path.name + ".tmp").exists()
@@ -46,7 +46,7 @@ class TestWriteOpen:
         assert np.array_equal(rv, vals)
 
     def test_empty_run(self, tmp_path):
-        path = tmp_path / "empty.npz"
+        path = tmp_path / "empty.run"
         write_run(path, 21, np.empty(0, dtype=np.uint64),
                   np.empty(0, dtype=np.int64))
         r = Run(path)
@@ -69,7 +69,6 @@ class TestPointLookups:
     def test_partial_reads_bounded_by_index(self, run, keys_vals):
         keys, _ = keys_vals
         run.get(keys[:3])  # three keys, at most three index blocks
-        assert run._layout is not None  # seek path, not the full-load fallback
         assert run.blocks_read <= 3
 
     def test_fence_skip_does_no_io(self, run):
@@ -81,7 +80,7 @@ class TestPointLookups:
     def test_block_edges(self, tmp_path):
         keys = np.arange(0, 1000, dtype=np.uint64) * 7
         vals = np.arange(1, 1001, dtype=np.int64)
-        path = tmp_path / "edges.npz"
+        path = tmp_path / "edges.run"
         write_run(path, 15, keys, vals, index_stride=64)
         r = Run(path)
         # First/last key of every block, plus both fences.
@@ -91,38 +90,9 @@ class TestPointLookups:
         assert np.array_equal(got, want)
 
 
-class TestCompressedFallback:
-    def test_compressed_run_still_serves(self, tmp_path, keys_vals):
-        """A run rewritten compressed loads resident but answers exactly."""
-        keys, vals = keys_vals
-        plain = tmp_path / "plain.npz"
-        write_run(plain, 21, keys, vals, index_stride=256)
-        packed = tmp_path / "packed.npz"
-        with np.load(plain) as data:
-            np.savez_compressed(packed, **{name: data[name]
-                                           for name in data.files})
-        r = Run(packed)
-        q = keys[::97]
-        lookup = dict(zip(keys.tolist(), vals.tolist()))
-        want = np.array([lookup[int(x)] for x in q], dtype=np.int64)
-        assert np.array_equal(r.get(q), want)
-        assert r._resident is not None and r._layout is None
-
-
 class TestValidation:
-    def test_version_rejected(self, tmp_path):
-        path = tmp_path / "future.npz"
-        np.savez(path, version=np.int64(99), k=np.int64(5), n=np.int64(0),
-                 index_stride=np.int64(1), fence_min=np.uint64(0),
-                 fence_max=np.uint64(0),
-                 index_keys=np.empty(0, dtype=np.uint64),
-                 kmers=np.empty(0, dtype=np.uint64),
-                 counts=np.empty(0, dtype=np.int64))
-        with pytest.raises(ValueError, match="unsupported run version"):
-            Run(path)
-
     def test_bad_index_stride_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="index_stride"):
-            write_run(tmp_path / "x.npz", 5,
+            write_run(tmp_path / "x.run", 5,
                       np.empty(0, dtype=np.uint64),
                       np.empty(0, dtype=np.int64), index_stride=0)

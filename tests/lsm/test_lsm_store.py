@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.serial import serial_count
+from repro.fileio import FormatError
 from repro.lsm.store import MANIFEST_NAME, LsmConfig, LsmStore
 from repro.serve.engine import EngineConfig, QueryEngine
 
@@ -137,10 +138,10 @@ class TestReopen:
             for batch in _batches(small_reads, 30):
                 store.ingest(batch)
             want = store.snapshot()
-        orphan = path / "run-999999.npz"
+        orphan = path / "run-999999.run"
         orphan.write_bytes(b"leftover from a crashed flush")
         (path / "junk.tmp").write_bytes(b"x")
-        (path / "out.npz.keys.spill").write_bytes(b"x")
+        (path / "out.run.keys.spill").write_bytes(b"x")
         with LsmStore(path) as store2:
             assert store2.snapshot() == want
         assert not orphan.exists()
@@ -153,7 +154,7 @@ class TestReopen:
         man = json.loads((path / MANIFEST_NAME).read_text())
         man["format"] = 99
         (path / MANIFEST_NAME).write_text(json.dumps(man))
-        with pytest.raises(ValueError, match="manifest format"):
+        with pytest.raises(FormatError, match="MANIFEST.json.*version 99"):
             LsmStore(path)
 
     def test_new_store_requires_k(self, tmp_path):

@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.fileio import FormatError
 from repro.lsm.crash import CrashPoints, SimulatedCrash
-from repro.lsm.wal import WriteAheadLog, as_read_list
+from repro.lsm.wal import WAL, WriteAheadLog, as_read_list
 
 
 def _batch(rng, n=5, lo=20, hi=60):
@@ -120,16 +121,24 @@ class TestDurabilityEdges:
         assert WriteAheadLog(path).last_seq == 0
         # Crash before the header finished: opens as an empty log.
         path2 = tmp_path / "torn-header.log"
-        path2.write_bytes(b"DW")
+        path2.write_bytes(WAL.header(0)[:11])
         wal = WriteAheadLog(path2)
         assert wal.last_seq == 0 and wal.records == 0
         wal.close()
 
-    def test_not_a_wal_rejected(self, tmp_path):
-        path = tmp_path / "bogus.log"
-        path.write_bytes(b"definitely not a wal file at all")
-        with pytest.raises(ValueError, match="not a DAKC write-ahead log"):
+    def test_flipped_header_is_not_repaired_away(self, tmp_path, rng):
+        """Only a *short* header means "crashed at creation"; a damaged
+        one must not silently become an empty log."""
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path)
+        wal.append(_batch(rng))
+        wal.close()
+        data = bytearray(path.read_bytes())
+        data[17] ^= 0x01   # a byte of base_seq
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="checksum"):
             WriteAheadLog(path)
+        assert path.read_bytes() == bytes(data)
 
 
 class TestReset:

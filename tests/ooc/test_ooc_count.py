@@ -8,7 +8,7 @@ import pytest
 from repro.core.serial import serial_count
 from repro.lsm import LsmConfig, LsmStore
 from repro.ooc.count import count_bin, ooc_count
-from repro.ooc.format import BinFormatError
+from repro.fileio import FormatError
 from repro.ooc.spill import BinWriter, OocStats, seeded_order
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import laptop
@@ -141,5 +141,5 @@ class TestHousekeeping:
         with BinWriter(tmp_path, 9, 4, 1, ceiling_bytes=1 << 20) as bw:
             bw.add_reads(make_reads(n=5))
         (path,) = bw.close()
-        with pytest.raises(BinFormatError, match="written at k=9"):
+        with pytest.raises(FormatError, match="written at k=9"):
             count_bin(path, k=11)

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
-import struct
-import zlib
 
 import numpy as np
 import pytest
 
+from repro.fileio import FormatError
 from repro.ooc.format import (
-    BIN_MAGIC,
-    BIN_VERSION,
-    BinFormatError,
+    BIN,
     BinHeader,
     append_chunk,
     iter_chunks,
@@ -70,7 +68,7 @@ class TestPacking:
 
     def test_kmer_expansion_rejects_short_record(self):
         lengths, blob = pack_superkmers([np.array([0, 1, 2], dtype=np.uint8)])
-        with pytest.raises(BinFormatError, match="cannot hold"):
+        with pytest.raises(ValueError, match="cannot hold"):
             superkmer_kmers(lengths, blob, 5)
 
 
@@ -108,53 +106,63 @@ class TestFileRoundTrip:
             read_bin_records(tmp_path / "absent.skb")
 
 
-class TestDefensiveLoads:
-    """Truncated, foreign, corrupt and future-version files all raise
-    BinFormatError (mirroring TraceFormatError), never garbage."""
+HEADER_SIZE = len(BIN.header(9, 4, 3))
 
-    def test_is_value_error(self):
-        assert issubclass(BinFormatError, ValueError)
+
+class TestDefensiveLoads:
+    """Where exactly a bin stream is cut or flipped decides the reason.
+
+    The cross-format cases (empty, random bytes, another format's file,
+    missing) are rows of ``tests/test_fileio_corruption.py``.
+    """
 
     def test_truncated_header(self):
         raw, _ = make_bin()
-        with pytest.raises(BinFormatError, match="truncated bin header"):
+        with pytest.raises(FormatError, match="header ends after 10") as exc:
             read_bin_header(io.BytesIO(raw[:10]))
-
-    def test_empty_file(self):
-        with pytest.raises(BinFormatError, match="truncated bin header"):
-            read_bin_header(io.BytesIO(b""))
+        assert exc.value.reason == "truncated"
 
     def test_foreign_magic(self):
         raw, _ = make_bin()
-        with pytest.raises(BinFormatError, match="bad magic"):
+        with pytest.raises(FormatError, match="bad magic") as exc:
             read_bin_header(io.BytesIO(b"PK\x03\x04....." + raw[9:]))
+        assert exc.value.reason == "foreign"
 
     def test_header_crc_mismatch(self):
         raw, _ = make_bin()
         bad = bytearray(raw)
-        bad[9] ^= 0xFF  # flip a version byte; crc now disagrees
-        with pytest.raises(BinFormatError):
+        bad[17] ^= 0xFF  # flip a byte of k; crc now disagrees
+        with pytest.raises(FormatError, match="checksum") as exc:
             read_bin_header(io.BytesIO(bytes(bad)))
+        assert exc.value.reason == "corrupt"
 
     def test_future_version(self):
-        fields = struct.pack("<8sIIII", BIN_MAGIC, BIN_VERSION + 1, 9, 4, 0)
-        raw = fields + struct.pack("<I", zlib.crc32(fields))
-        with pytest.raises(BinFormatError, match="version"):
+        raw = dataclasses.replace(BIN, version=BIN.version + 1).header(9, 4, 0)
+        with pytest.raises(FormatError, match="version") as exc:
             read_bin_header(io.BytesIO(raw))
+        assert exc.value.reason == "version"
+
+    def test_parent_commit_version_is_refused_not_misread(self):
+        """A version-1 bin: same magic, ``k`` where the field length now sits."""
+        raw = BIN.magic + (1).to_bytes(4, "little") + bytes(16)
+        with pytest.raises(FormatError) as exc:
+            read_bin_header(io.BytesIO(raw))
+        assert exc.value.reason == "version"
 
     def test_torn_chunk_header(self):
         raw, _ = make_bin(n_chunks=1)
-        fh = io.BytesIO(raw[:-(len(raw) - 28) + 7])  # header + 7 bytes
+        fh = io.BytesIO(raw[:HEADER_SIZE + 7])
         read_bin_header(fh)
-        with pytest.raises(BinFormatError, match="truncated chunk header"):
+        with pytest.raises(FormatError, match="record header at byte 32 ends early"):
             list(iter_chunks(fh))
 
     def test_torn_chunk_payload(self):
         raw, _ = make_bin(n_chunks=1)
         fh = io.BytesIO(raw[:-3])
         read_bin_header(fh)
-        with pytest.raises(BinFormatError, match="truncated chunk payload"):
+        with pytest.raises(FormatError, match="holds .* of .* bytes") as exc:
             list(iter_chunks(fh))
+        assert exc.value.reason == "truncated"
 
     def test_payload_corruption(self):
         raw, _ = make_bin(n_chunks=1)
@@ -162,11 +170,15 @@ class TestDefensiveLoads:
         bad[-1] ^= 0x55
         fh = io.BytesIO(bytes(bad))
         read_bin_header(fh)
-        with pytest.raises(BinFormatError, match="checksum"):
+        with pytest.raises(FormatError, match="checksum") as exc:
             list(iter_chunks(fh))
+        assert exc.value.reason == "corrupt"
 
-    def test_random_bytes(self, tmp_path):
-        path = tmp_path / "junk.skb"
-        path.write_bytes(rng.integers(0, 256, size=256).astype(np.uint8).tobytes())
-        with pytest.raises(BinFormatError):
-            read_bin_records(path)
+    def test_lengths_disagreeing_with_blob(self):
+        """A checksummed chunk can still be wrong about itself."""
+        buf = io.BytesIO()
+        append_chunk(buf, np.array([8], dtype=np.uint32),
+                     np.zeros(5, dtype=np.uint8))   # 8 bases need 2 bytes
+        buf.seek(0)
+        with pytest.raises(FormatError, match="disagrees with its lengths"):
+            list(iter_chunks(buf))

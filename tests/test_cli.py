@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from repro.apps.store import save_counts
 from repro.cli import build_parser, main
+from repro.core.serial import serial_count
+from repro.lsm import LsmStore
 from repro.seq.fastx import write_fastq
 from repro.seq.readsim import reads_to_records
+from repro.trace import QueryTrace, save_trace
 
 
 @pytest.fixture
@@ -102,3 +109,59 @@ class TestOtherCommands:
         assert rc == 0
         text = out_path.read_text()
         assert text.startswith("@read0")
+
+
+class TestUnreadableFiles:
+    """A damaged file is `error: <path>: …` and exit 2, never a traceback."""
+
+    DAMAGE = {
+        "truncated": lambda blob: blob[: len(blob) // 2],
+        "garbage": lambda blob: np.random.default_rng(0).bytes(len(blob)),
+        "empty": lambda blob: b"",
+    }
+    # verb -> (which good file to damage, argv given the paths)
+    VERBS = {
+        "analyze": ("db", lambda p: ["analyze", p["db"]]),
+        "compare": ("db", lambda p: ["compare", p["db"], p["db"]]),
+        "serve-bench": ("db", lambda p: [
+            "serve-bench", "--database", p["db"], "--queries", "100"]),
+        "tenant-bench": ("db", lambda p: ["tenant-bench", "--database", p["db"]]),
+        "cluster-bench": ("db", lambda p: ["cluster-bench", "--database", p["db"]]),
+        "trace-replay-db": ("db", lambda p: [
+            "trace", "replay", p["trace"], "--database", p["db"]]),
+        "trace-replay-trace": ("trace", lambda p: [
+            "trace", "replay", p["trace"], "--database", p["db"]]),
+        "compact-run": ("run", lambda p: ["compact", "--store", p["store"]]),
+        "compact-manifest": ("manifest", lambda p: [
+            "compact", "--store", p["store"]]),
+        "ingest-manifest": ("manifest", lambda p: [
+            "ingest", "--store", p["store"], "--dataset", "synthetic-20",
+            "-k", "9", "--budget", "1000"]),
+    }
+
+    @pytest.fixture
+    def paths(self, tmp_path, tiny_reads):
+        counts = serial_count(tiny_reads, 9)
+        save_counts(tmp_path / "db.npz", counts)
+        save_trace(tmp_path / "trace.npz", QueryTrace(
+            ts=np.arange(4.0), streams=np.zeros(4, np.int32),
+            keys=counts.kmers[:4], tiers=np.zeros(4, np.int8), k=9))
+        with LsmStore(tmp_path / "store", 9) as store:
+            store.ingest(tiny_reads)
+            run = store.flush()
+        return {"db": str(tmp_path / "db.npz"),
+                "trace": str(tmp_path / "trace.npz"),
+                "store": str(tmp_path / "store"),
+                "run": str(run.path),
+                "manifest": str(tmp_path / "store" / "MANIFEST.json")}
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_exit_2_naming_the_file(self, paths, verb, damage, capsys):
+        target, argv = self.VERBS[verb]
+        victim = Path(paths[target])
+        victim.write_bytes(self.DAMAGE[damage](victim.read_bytes()))
+        assert main(argv(paths)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: "), err
+        assert "Traceback" not in err

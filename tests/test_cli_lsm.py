@@ -47,8 +47,8 @@ class TestIngest:
                    "-k", "17", "--flush"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "run-000001.npz" in out
-        assert (store_dir / "run-000001.npz").exists()
+        assert "run-000001.run" in out
+        assert (store_dir / "run-000001.run").exists()
 
     def test_ingest_dataset_replica(self, tmp_path, capsys):
         rc = main(["ingest", "--store", str(tmp_path / "db"),

@@ -1,0 +1,364 @@
+"""Corruption matrix: six on-disk formats x every way a file goes bad.
+
+One row per (format, damage).  The contract, identical for all six
+because all six load through :mod:`repro.fileio`: a damaged file raises
+:class:`~repro.fileio.FormatError` naming the path (a missing one stays
+``FileNotFoundError``) — never another exception type, never different
+content.  The deliberate exceptions are spelled out in ``WAL_REPAIRS_TO``:
+the WAL *repairs* a damaged tail (that is what a crash mid-append
+leaves) and reopens as an empty log when not even its header was
+written; WAL and MANIFEST are open-or-create, so "missing" is not an
+error for them.
+
+The second half is the same contract as a property: flip any single
+byte of a valid file; the load returns the original content or raises
+``FormatError``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.store import load_counts, save_counts
+from repro.core.result import KmerCounts
+from repro.fileio import REASONS, FormatError, record
+from repro.lsm.run import RUN, Run, write_run
+from repro.lsm.store import MANIFEST_NAME, LsmStore
+from repro.lsm.wal import WAL, WriteAheadLog
+from repro.ooc.format import BIN, append_chunk, pack_superkmers, read_bin_records
+from repro.trace.format import TRACE_MAGIC, QueryTrace, load_trace, save_trace
+
+K = 9
+RNG_SEED = 11
+
+
+def _reads(rng, n=6):
+    return [rng.integers(0, 4, int(rng.integers(20, 40))).astype(np.uint8)
+            for _ in range(n)]
+
+
+# -- one writer / loader / future-version forger per format -------------
+
+
+def make_bin(dir: Path, framing=BIN) -> Path:
+    rng = np.random.default_rng(RNG_SEED)
+    path = dir / "bin-00003.skb"
+    with open(path, "wb") as fh:
+        fh.write(framing.header(K, 4, 3))
+        for _ in range(3):
+            append_chunk(fh, *pack_superkmers(_reads(rng)))
+    return path
+
+
+def load_bin(path: Path):
+    header, chunks = read_bin_records(path)
+    return header, [(lengths.tolist(), blob.tobytes()) for lengths, blob in chunks]
+
+
+def make_wal(dir: Path, framing=WAL) -> Path:
+    rng = np.random.default_rng(RNG_SEED)
+    path = dir / "wal.log"
+    wal = WriteAheadLog(path)
+    for _ in range(3):
+        wal.append(_reads(rng))
+    wal.close()
+    if framing is not WAL:
+        blob = path.read_bytes()
+        path.write_bytes(framing.header(0) + blob[len(WAL.header(0)):])
+    return path
+
+
+def load_wal(path: Path):
+    wal = WriteAheadLog(path)
+    try:
+        return [(seq, [r.tobytes() for r in batch]) for seq, batch in wal.replay()]
+    finally:
+        wal.close()
+
+
+def _run_arrays():
+    rng = np.random.default_rng(RNG_SEED)
+    keys = np.unique(rng.integers(0, 1 << 18, 600).astype(np.uint64))
+    return keys, rng.integers(1, 50, keys.size).astype(np.int64)
+
+
+def make_run(dir: Path, framing=RUN) -> Path:
+    path = dir / "run-000001.run"
+    keys, vals = _run_arrays()
+    write_run(path, K, keys, vals, index_stride=64)
+    if framing is not RUN:
+        blob = path.read_bytes()
+        head = RUN.header(K, keys.size, 64, int(keys[0]), int(keys[-1]))
+        path.write_bytes(framing.header(K, keys.size, 64, int(keys[0]),
+                                        int(keys[-1])) + blob[len(head):])
+    return path
+
+
+def load_run(path: Path):
+    run = Run(path)
+    try:
+        keys, vals = run.load()
+        return (run.k, run.index_stride, run.fence_min, run.fence_max,
+                run.index_keys.tolist(), keys.tolist(), vals.tolist())
+    finally:
+        run.close()
+
+
+def make_manifest(dir: Path, version: int | None = None) -> Path:
+    rng = np.random.default_rng(RNG_SEED)
+    with LsmStore(dir / "store", K) as store:
+        store.ingest(_reads(rng))
+        store.flush()
+    path = dir / "store" / MANIFEST_NAME
+    if version is not None:
+        path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                        format=version)))
+    return path
+
+
+def load_manifest(path: Path):
+    with LsmStore(path.parent) as store:
+        return store.k, [r["name"] for r in store.describe()["runs"]], store.total
+
+
+def _counts() -> KmerCounts:
+    keys, vals = _run_arrays()
+    return KmerCounts(K, keys, vals)
+
+
+def make_database(dir: Path, version: int | None = None) -> Path:
+    path = dir / "counts.npz"
+    kc = _counts()
+    if version is None:
+        save_counts(path, kc, canonical=True)
+    else:
+        np.savez_compressed(path, version=np.int64(version), k=np.int64(K),
+                            canonical=np.bool_(True), kmers=kc.kmers,
+                            counts=kc.counts)
+    return path
+
+
+def load_database(path: Path):
+    kc, canonical = load_counts(path)
+    return kc.k, kc.kmers.tolist(), kc.counts.tolist(), canonical
+
+
+def make_trace(dir: Path, version: int | None = None) -> Path:
+    rng = np.random.default_rng(RNG_SEED)
+    n = 400
+    path = dir / "trace.npz"
+    trace = QueryTrace(
+        ts=np.sort(rng.uniform(0.0, 1.0, n)),
+        streams=rng.integers(0, 3, n).astype(np.int32),
+        keys=rng.integers(0, 1 << 30, n).astype(np.uint64),
+        tiers=rng.integers(0, 3, n).astype(np.int8),
+        k=K, seed=RNG_SEED, source="matrix", meta={"note": "fixture"})
+    save_trace(path, trace)
+    if version is not None:
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        header = dict(json.loads(arrays["header"].tobytes()), version=version)
+        assert header["magic"] == TRACE_MAGIC
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+        np.savez_compressed(path, **arrays)
+    return path
+
+
+def load_trace_content(path: Path):
+    t = load_trace(path)
+    return (t.ts.tolist(), t.streams.tolist(), t.keys.tolist(), t.tiers.tolist(),
+            t.k, t.seed, t.source, t.meta)
+
+
+@dataclass(frozen=True)
+class Format:
+    make: Callable[[Path], Path]
+    load: Callable[[Path], object]
+    future: Callable[[Path], Path]       # a sound file claiming the next version
+    header_cut: int                       # bytes kept by "truncated inside the header"
+    flip_at: Callable[[bytes], int] | None   # offset of a checksummed payload byte
+
+
+def _framed(make, framing):
+    return lambda dir: make(dir, dataclasses.replace(framing, version=framing.version + 1))
+
+
+FORMATS = {
+    "bin": Format(make_bin, load_bin, _framed(make_bin, BIN), 10,
+                  lambda blob: len(blob) - 1),
+    "wal": Format(make_wal, load_wal, _framed(make_wal, WAL), 10,
+                  lambda blob: len(blob) - 1),
+    "run": Format(make_run, load_run, _framed(make_run, RUN), 10,
+                  # first byte of the index record's payload
+                  lambda blob: len(RUN.header(0, 0, 0, 0, 0)) + len(record()) + 1),
+    "manifest": Format(make_manifest, load_manifest,
+                       lambda dir: make_manifest(dir, 3), 5, None),
+    "database": Format(make_database, load_database,
+                       lambda dir: make_database(dir, 2), 10,
+                       lambda blob: len(blob) // 2),
+    "trace": Format(make_trace, load_trace_content,
+                    lambda dir: make_trace(dir, 2), 10,
+                    lambda blob: len(blob) // 2),
+}
+
+DAMAGE = {
+    "empty": lambda fmt, blob: b"",
+    "truncated-half": lambda fmt, blob: blob[: len(blob) // 2],
+    "truncated-in-header": lambda fmt, blob: blob[: fmt.header_cut],
+    "random-bytes": lambda fmt, blob: np.random.default_rng(5).bytes(len(blob)),
+    "flipped-payload-byte": lambda fmt, blob: _flip(blob, fmt.flip_at(blob)),
+}
+
+
+def _flip(blob: bytes, at: int) -> bytes:
+    return blob[:at] + bytes([blob[at] ^ 0x40]) + blob[at + 1:]
+
+
+# What the WAL does instead of raising: the surviving prefix of its
+# three batches.  Every other (format, damage) cell raises FormatError.
+WAL_REPAIRS_TO = {
+    "empty": 0,                  # not even a header: crashed at creation
+    "truncated-in-header": 0,
+    "truncated-half": 1,         # the cut falls inside the second record
+    "flipped-payload-byte": 2,   # the last byte belongs to the tail record
+}
+
+
+def _assert_refused(fmt: Format, path: Path, reason: str | None = None):
+    with pytest.raises(FormatError) as exc:
+        fmt.load(path)
+    assert str(path) in str(exc.value)
+    assert exc.value.path == path and exc.value.reason in REASONS
+    if reason is not None:
+        assert exc.value.reason == reason, str(exc.value)
+
+
+def test_format_error_is_the_one_typed_error():
+    assert issubclass(FormatError, ValueError)
+    assert not issubclass(FormatError, OSError)   # FileNotFoundError stays apart
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+@pytest.mark.parametrize("name", FORMATS)
+def test_damaged_file(name, damage, tmp_path):
+    fmt = FORMATS[name]
+    if damage == "flipped-payload-byte" and fmt.flip_at is None:
+        pytest.skip("the MANIFEST carries no checksum (docs/FORMATS.md)")
+    path = fmt.make(tmp_path)
+    original = fmt.load(path)
+    path.write_bytes(DAMAGE[damage](fmt, path.read_bytes()))
+    if name == "wal" and damage in WAL_REPAIRS_TO:
+        assert fmt.load(path) == original[:WAL_REPAIRS_TO[damage]]
+        assert fmt.load(path) == original[:WAL_REPAIRS_TO[damage]]  # and stays so
+    else:
+        _assert_refused(fmt, path)
+
+
+@pytest.mark.parametrize("at", [4, 9, 13, 17, 27], ids=[
+    "magic", "version", "field-length", "base-seq", "crc"])
+def test_wal_flipped_header_raises_instead_of_repairing(at, tmp_path):
+    fmt = FORMATS["wal"]
+    path = fmt.make(tmp_path)
+    blob = _flip(path.read_bytes(), at)
+    path.write_bytes(blob)
+    _assert_refused(fmt, path)
+    assert path.read_bytes() == blob
+
+
+@pytest.mark.parametrize("other", FORMATS)
+@pytest.mark.parametrize("name", FORMATS)
+def test_another_formats_valid_file(name, other, tmp_path):
+    if name == other:
+        pytest.skip("same format")
+    fmt = FORMATS[name]
+    path = fmt.make(tmp_path)
+    (tmp_path / "other").mkdir()
+    path.write_bytes(FORMATS[other].make(tmp_path / "other").read_bytes())
+    _assert_refused(fmt, path, "foreign")
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_future_version(name, tmp_path):
+    fmt = FORMATS[name]
+    _assert_refused(fmt, fmt.future(tmp_path), "version")
+
+
+@pytest.mark.parametrize("name", ["bin", "run", "database", "trace"])
+def test_missing_file(name, tmp_path):
+    fmt = FORMATS[name]
+    path = fmt.make(tmp_path)
+    path.unlink()
+    with pytest.raises(FileNotFoundError):
+        fmt.load(path)
+
+
+def test_run_data_sections_are_sized_not_checksummed(tmp_path):
+    """What docs/FORMATS.md states: a short data section is refused on
+    open, a flipped data byte is not detected."""
+    fmt = FORMATS["run"]
+    path = fmt.make(tmp_path)
+    original = fmt.load(path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8])
+    _assert_refused(fmt, path, "truncated")
+    path.write_bytes(blob + b"\0")
+    _assert_refused(fmt, path, "corrupt")
+    path.write_bytes(_flip(blob, len(blob) - 1))
+    assert fmt.load(path) != original
+
+
+# -- the same contract as a property -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def sound(tmp_path_factory):
+    """name -> (path, valid bytes, content) for the checksummed formats."""
+    out = {}
+    for name in ("bin", "wal", "database", "trace"):
+        path = FORMATS[name].make(tmp_path_factory.mktemp(name))
+        out[name] = (path, path.read_bytes(), FORMATS[name].load(path))
+    return out
+
+
+@pytest.mark.parametrize("name", ["bin", "wal", "database", "trace"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_single_byte_mutation_is_detected_or_harmless(name, sound, data):
+    path, blob, original = sound[name]
+    at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    mask = data.draw(st.integers(1, 255), label="xor")
+    path.write_bytes(blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:])
+    try:
+        got = FORMATS[name].load(path)
+    except FormatError as exc:
+        assert str(path) in str(exc) and exc.reason in REASONS
+        return
+    if name == "wal":   # torn-tail repair: a prefix, never an altered batch
+        assert got == original[:len(got)]
+    else:
+        assert got == original
+
+
+def test_npz_member_crc_is_checked_even_when_the_damaged_header_parses(tmp_path):
+    """``np.load`` stops at an array's last byte, so zipfile never reaches
+    the CRC comparison: a flipped dtype in a member's npy header loads as
+    different numbers.  ``load_npz`` reads the member to its end first."""
+    path = tmp_path / "counts.npz"
+    kc = _counts()
+    np.savez(path, version=np.int64(1), k=np.int64(K), canonical=np.bool_(False),
+             kmers=kc.kmers, counts=kc.counts)   # stored, so the header is in the clear
+    blob = path.read_bytes()
+    at = blob.index(b"'<u8'") + 3
+    path.write_bytes(blob[:at] + b"4" + blob[at + 1:])
+    with np.load(path) as plain:
+        assert plain["kmers"].dtype == np.uint32   # silently wrong
+    _assert_refused(FORMATS["database"], path, "corrupt")

@@ -17,13 +17,6 @@ from repro.xp.spec import (
     save_spec,
 )
 
-try:
-    import tomllib  # noqa: F401
-    HAVE_TOMLLIB = True
-except ImportError:  # Python 3.10
-    HAVE_TOMLLIB = False
-
-
 def make_spec(**overrides) -> ExperimentSpec:
     base = dict(
         experiment="xp-test",
@@ -140,29 +133,8 @@ class TestSpecIO:
         # The on-disk form is versioned.
         assert json.loads(path.read_text())["version"] == SPEC_VERSION
 
-    @pytest.mark.skipif(not HAVE_TOMLLIB, reason="tomllib needs 3.11+")
-    def test_toml_round_trip(self, tmp_path):
-        spec = make_spec()
-        path = save_spec(spec, tmp_path / "spec.toml")
-        assert load_spec(path) == spec
-
-    def test_toml_read_without_tomllib_is_a_clear_error(
-            self, tmp_path, monkeypatch):
-        path = save_spec(make_spec(), tmp_path / "spec.toml")
-        import builtins
-        real_import = builtins.__import__
-
-        def no_tomllib(name, *args, **kwargs):
-            if name == "tomllib":
-                raise ImportError("mocked 3.10")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_tomllib)
-        with pytest.raises(ValueError, match="JSON form"):
-            load_spec(path)
-
     def test_unknown_extension_rejected(self, tmp_path):
-        path = tmp_path / "spec.yaml"
+        path = tmp_path / "spec.toml"   # a form this repo once wrote
         path.write_text("{}")
         with pytest.raises(ValueError, match="unknown spec extension"):
             load_spec(path)

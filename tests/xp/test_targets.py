@@ -81,7 +81,7 @@ CASES = {
 
 
 def test_every_non_paper_target_has_a_case():
-    assert set(CASES) == set(TARGETS) - {"paper-experiment"}
+    assert set(CASES) == set(TARGETS)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
