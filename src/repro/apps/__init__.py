@@ -14,7 +14,6 @@ from .assembly import (
     assembly_stats,
     genome_recovery,
 )
-from .kselect import KCandidate, choose_k, evaluate_k
 from .setops import containment, intersect, jaccard, subtract, symmetric_difference, union
 from .spectrum import (
     SpectrumFeatures,
@@ -51,7 +50,4 @@ __all__ = [
     "count_file_streaming",
     "count_files_streaming",
     "count_records_streaming",
-    "KCandidate",
-    "choose_k",
-    "evaluate_k",
 ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.result import KmerCounts
+from ..core.result import KmerCounts, probe_sorted
 from ..seq.kmers import kmer_to_str
 
 __all__ = [
@@ -68,11 +68,7 @@ class DeBruijnGraph:
         return int(self.kmers.size)
 
     def _contains(self, queries: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.kmers, queries)
-        idx_c = np.minimum(idx, max(0, self.n_nodes - 1))
-        if self.n_nodes == 0:
-            return np.zeros(queries.size, dtype=bool)
-        return self.kmers[idx_c] == queries
+        return probe_sorted(self.kmers, self.counts, queries) > 0
 
     def successors_mask(self, kmers: np.ndarray) -> np.ndarray:
         """(n, 4) boolean: which base-extensions of each k-mer exist."""
@@ -100,10 +96,7 @@ class DeBruijnGraph:
         return self.predecessors_mask(self.kmers).sum(axis=1)
 
     def count_of(self, kmer: int) -> int:
-        i = int(np.searchsorted(self.kmers, np.uint64(kmer)))
-        if i < self.n_nodes and self.kmers[i] == np.uint64(kmer):
-            return int(self.counts[i])
-        return 0
+        return int(probe_sorted(self.kmers, self.counts, [kmer])[0])
 
 
 def assemble_unitigs(counts: KmerCounts, *, min_length: int = 0) -> list[Unitig]:

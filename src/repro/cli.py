@@ -988,49 +988,50 @@ def _cmd_compact(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
+    from contextlib import ExitStack
+
     from .serve import EngineConfig, run_serve_bench
 
-    lsm_view = None
-    if args.lsm_store:
-        from .lsm import LsmStore
+    with ExitStack() as opened:  # the LSM store must close even if the bench raises
+        lsm_view = None
+        if args.lsm_store:
+            from .lsm import LsmStore
 
-        lsm = LsmStore(args.lsm_store)
-        kc = lsm.snapshot()
-        lsm_view = lsm.read_view(args.shards)
-        source = f"{args.lsm_store} (live LSM store, {lsm.n_runs} runs)"
-    else:
-        kc, source = _database_or_replica(args)
+            lsm = opened.enter_context(LsmStore(args.lsm_store))
+            kc = lsm.snapshot()
+            lsm_view = lsm.read_view(args.shards)
+            source = f"{args.lsm_store} (live LSM store, {lsm.n_runs} runs)"
+        else:
+            kc, source = _database_or_replica(args)
 
-    config = EngineConfig(
-        batch_size=args.batch_size,
-        batch_window=args.batch_window,
-        max_inflight=args.max_inflight,
-    )
-    recorder = None
-    if args.trace_out:
-        from .trace import TraceRecorder
+        config = EngineConfig(
+            batch_size=args.batch_size,
+            batch_window=args.batch_window,
+            max_inflight=args.max_inflight,
+        )
+        recorder = None
+        if args.trace_out:
+            from .trace import TraceRecorder
 
-        recorder = TraceRecorder(k=kc.k, seed=args.seed,
-                                 source=f"serve-bench seed={args.seed}")
-    result = run_serve_bench(
-        kc,
-        n_queries=args.queries,
-        n_shards=args.shards,
-        zipf_s=args.zipf,
-        seed=args.seed,
-        miss_fraction=args.miss_fraction,
-        config=config,
-        cache_capacity=args.cache_capacity,
-        cache_threshold=args.cache_threshold,
-        t2_capacity=args.t2_capacity,
-        group_size=args.group_size,
-        concurrency=args.concurrency,
-        store=lsm_view,
-        burst=_burst_from_args(args),
-        recorder=recorder,
-    )
-    if lsm_view is not None:
-        lsm_view.store.close()
+            recorder = TraceRecorder(k=kc.k, seed=args.seed,
+                                     source=f"serve-bench seed={args.seed}")
+        result = run_serve_bench(
+            kc,
+            n_queries=args.queries,
+            n_shards=args.shards,
+            zipf_s=args.zipf,
+            seed=args.seed,
+            miss_fraction=args.miss_fraction,
+            config=config,
+            cache_capacity=args.cache_capacity,
+            cache_threshold=args.cache_threshold,
+            t2_capacity=args.t2_capacity,
+            group_size=args.group_size,
+            concurrency=args.concurrency,
+            store=lsm_view,
+            burst=_burst_from_args(args),
+            recorder=recorder,
+        )
     naive, served = result.naive.snapshot(), result.served.snapshot()
     print(f"# database:   {source}  ({kc.n_distinct:,} distinct, k={kc.k})")
     print(f"# workload:   {args.queries:,} queries, Zipf({args.zipf}), "

@@ -18,7 +18,7 @@ service *self-healing*:
   observability rollups and the ``dakc cluster-bench`` campaign.
 """
 
-from .bench import expected_counts, route_replay, run_cluster_bench
+from .bench import run_cluster_bench
 from .metrics import ClusterMetrics, rollup_nodes
 from .node import ClusterNode, NodeDown, NodeState, RangeStore, build_cluster
 from .rebalance import (
@@ -53,8 +53,6 @@ __all__ = [
     "RebalanceReport",
     "plan_rebalance",
     "rebalance",
-    "route_replay",
-    "expected_counts",
     "run_cluster_bench",
     "MembershipEvent",
     "sample_script",

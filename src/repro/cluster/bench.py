@@ -18,63 +18,28 @@ ledger ``cluster-bench``).  Three claims:
   count, before, during, and after the data movement.
 
 Workloads come from :func:`repro.serve.workload.zipf_workload` so the
-popularity skew matches the serving benchmarks, and every section is a
-pure function of the seed.
+popularity skew matches the serving benchmarks, streams are submitted
+by the same :func:`~repro.serve.workload.drive_load` client, the oracle
+is :func:`~repro.core.result.probe_sorted` over the counted database,
+and every section is a pure function of the seed.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 import numpy as np
 
-from ..core.result import KmerCounts
+from ..core.result import KmerCounts, probe_sorted
 from ..core.seeds import spawn_seeds
-from ..serve.engine import EngineConfig, QueryEngine, replay
+from ..serve.engine import EngineConfig, QueryEngine
 from ..serve.shards import ShardedStore
-from ..serve.workload import BurstSpec, zipf_workload
+from ..serve.workload import BurstSpec, drive_load, key_groups, zipf_workload
 from .node import ClusterNode, RangeStore, build_cluster
 from .rebalance import rebalance
 from .router import ClusterRouter, RouterConfig
 
-__all__ = ["route_replay", "expected_counts", "run_cluster_bench"]
-
-
-def expected_counts(counts: KmerCounts, keys: np.ndarray) -> np.ndarray:
-    """The serial oracle: exact counts for a key stream (0 = absent)."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    if counts.kmers.size == 0:
-        return np.zeros(keys.size, dtype=np.int64)
-    idx = np.searchsorted(counts.kmers, keys)
-    idx_c = np.minimum(idx, counts.kmers.size - 1)
-    hit = counts.kmers[idx_c] == keys
-    return np.where(hit, counts.counts[idx_c], 0).astype(np.int64)
-
-
-async def route_replay(
-    router: ClusterRouter,
-    keys: np.ndarray,
-    *,
-    group_size: int = 256,
-    concurrency: int = 8,
-) -> np.ndarray:
-    """Drive a key stream through a router and time it (cf. ``replay``)."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    groups = [keys[i:i + group_size] for i in range(0, keys.size, group_size)]
-    results: list[np.ndarray | None] = [None] * len(groups)
-    gate = asyncio.Semaphore(concurrency)
-
-    async def one(i: int, group: np.ndarray) -> None:
-        async with gate:
-            results[i] = await router.query_many(group)
-
-    t0 = time.perf_counter()
-    await asyncio.gather(*(one(i, g) for i, g in enumerate(groups)))
-    router.metrics.router.elapsed = time.perf_counter() - t0
-    if not results:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(results)
+__all__ = ["run_cluster_bench"]
 
 
 def _best_of(runs: int, fn):
@@ -87,38 +52,31 @@ def _best_of(runs: int, fn):
     return best, result
 
 
-def _bench_overhead(counts: KmerCounts, stream_keys: np.ndarray, *,
+def _bench_overhead(counts: KmerCounts, groups: list[np.ndarray],
+                    oracle: np.ndarray, *,
                     n_nodes: int, rf: int, vnodes: int, seed: int,
-                    group_size: int, concurrency: int, repeats: int) -> dict:
+                    concurrency: int, repeats: int) -> dict:
     """Fault-free: replica-aware router vs. direct QueryEngine."""
-    oracle = expected_counts(counts, stream_keys)
     store = ShardedStore.from_counts(counts, n_nodes)
-    engine_cfg = EngineConfig()
 
     def engine_run():
         async def drive():
-            async with QueryEngine(store, engine_cfg) as engine:
-                out = await replay(engine, stream_keys,
-                                   group_size=group_size,
-                                   concurrency=concurrency)
-                return engine.metrics.elapsed, out
+            async with QueryEngine(store, EngineConfig()) as engine:
+                out, elapsed = await drive_load(engine, groups,
+                                                concurrency=concurrency)
+                return elapsed, out
         return asyncio.run(drive())
 
     def router_run():
         ring, nodes = build_cluster(counts, n_nodes, rf=rf, vnodes=vnodes,
                                     seed=seed)
-        router = ClusterRouter(ring, nodes)
-
-        async def drive():
-            out = await route_replay(router, stream_keys,
-                                     group_size=group_size,
-                                     concurrency=concurrency)
-            return router.metrics.router.elapsed, out
-        return asyncio.run(drive())
+        out, elapsed = asyncio.run(drive_load(
+            ClusterRouter(ring, nodes), groups, concurrency=concurrency))
+        return elapsed, out
 
     t_engine, engine_out = _best_of(repeats, engine_run)
     t_router, router_out = _best_of(repeats, router_run)
-    n = int(stream_keys.size)
+    n = int(oracle.size)
     return {
         "n_queries": n,
         "answers_match": bool(np.array_equal(engine_out, oracle)
@@ -131,12 +89,12 @@ def _bench_overhead(counts: KmerCounts, stream_keys: np.ndarray, *,
     }
 
 
-def _bench_hedging(counts: KmerCounts, stream_keys: np.ndarray, *,
+def _bench_hedging(counts: KmerCounts, groups: list[np.ndarray],
+                   oracle: np.ndarray, *,
                    n_nodes: int, rf: int, vnodes: int, seed: int,
-                   group_size: int, concurrency: int,
-                   service_time: float, straggler_delay: float) -> dict:
+                   concurrency: int, service_time: float,
+                   straggler_delay: float) -> dict:
     """One straggler node: p99 with hedging on vs. off."""
-    oracle = expected_counts(counts, stream_keys)
     straggler = 0
     dilation = straggler_delay / service_time
 
@@ -145,9 +103,8 @@ def _bench_hedging(counts: KmerCounts, stream_keys: np.ndarray, *,
                                     seed=seed, service_time=service_time)
         nodes[straggler].degrade(dilation)
         router = ClusterRouter(ring, nodes, RouterConfig(hedging=hedging))
-        out = asyncio.run(route_replay(router, stream_keys,
-                                       group_size=group_size,
-                                       concurrency=concurrency))
+        out, router.metrics.router.elapsed = asyncio.run(
+            drive_load(router, groups, concurrency=concurrency))
         hist = router.metrics.router.latency
         return {
             "answers_match": bool(np.array_equal(out, oracle)),
@@ -173,9 +130,10 @@ def _bench_hedging(counts: KmerCounts, stream_keys: np.ndarray, *,
     }
 
 
-def _bench_chaos(counts: KmerCounts, stream_keys: np.ndarray, *,
+def _bench_chaos(counts: KmerCounts, groups: list[np.ndarray],
+                 oracle: np.ndarray, *,
                  n_nodes: int, rf: int, vnodes: int, seed: int,
-                 group_size: int, service_time: float,
+                 service_time: float,
                  chunk_keys: int) -> dict:
     """RF=2 node kill mid-load + join/leave rebalance: zero lost answers."""
     ring, nodes = build_cluster(counts, n_nodes, rf=rf, vnodes=vnodes,
@@ -183,10 +141,6 @@ def _bench_chaos(counts: KmerCounts, stream_keys: np.ndarray, *,
     router = ClusterRouter(ring, nodes)
     victim = n_nodes - 1
     joiner = n_nodes  # fresh node id
-    oracle_stream = expected_counts(counts, stream_keys)
-
-    groups = [stream_keys[i:i + group_size]
-              for i in range(0, stream_keys.size, group_size)]
     kill_at = max(1, len(groups) // 3)
     rebalance_at = max(kill_at + 1, (2 * len(groups)) // 3)
 
@@ -217,14 +171,14 @@ def _bench_chaos(counts: KmerCounts, stream_keys: np.ndarray, *,
                 during_exact = bool(
                     np.array_equal(await sweep(), counts.counts))
             answers.append(await router.query_many(group))
-        exact["after_kill"] = bool(
-            np.array_equal(np.concatenate(answers), oracle_stream))
+        lost = int((np.concatenate(answers) != oracle).sum())
+        exact["after_kill"] = lost == 0
         report = await reb_task if reb_task is not None else None
         exact["during_rebalance"] = during_exact
         exact["after_rebalance"] = bool(
             np.array_equal(await sweep(), counts.counts))
         router.remove_node(victim)
-        return {"exact": exact,
+        return {"exact": exact, "lost_answers": lost,
                 "rebalance": report.snapshot() if report else None}
 
     doc = asyncio.run(drive())
@@ -235,7 +189,6 @@ def _bench_chaos(counts: KmerCounts, stream_keys: np.ndarray, *,
         "joined_node": joiner,
         "rf": rf,
         "answers_exact": all(doc["exact"].values()),
-        "lost_answers": 0 if all(doc["exact"].values()) else -1,
         "retries": m.retries,
         "failovers": m.failovers,
         "hedges_fired": m.hedges_fired,
@@ -277,12 +230,13 @@ def run_cluster_bench(
     workload_seed, overhead_seed, hedging_seed, chaos_seed = spawn_seeds(seed, 4)
     stream = zipf_workload(counts, n_queries, s=zipf_s, seed=workload_seed,
                            miss_fraction=miss_fraction, burst=burst)
+    groups = key_groups(stream.keys, group_size)
+    oracle = probe_sorted(counts.kmers, counts.counts, stream.keys)
     if recorder is not None:
         ring, nodes = build_cluster(counts, n_nodes, rf=rf, vnodes=vnodes,
                                     seed=overhead_seed)
         tap = ClusterRouter(ring, nodes, recorder=recorder)
-        asyncio.run(route_replay(tap, stream.keys, group_size=group_size,
-                                 concurrency=concurrency))
+        asyncio.run(drive_load(tap, groups, concurrency=concurrency))
     doc = {
         "experiment": "cluster-bench",
         "config": {
@@ -296,15 +250,13 @@ def run_cluster_bench(
         },
     }
     doc["overhead"] = _bench_overhead(
-        counts, stream.keys, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
-        seed=overhead_seed, group_size=group_size, concurrency=concurrency,
-        repeats=repeats)
+        counts, groups, oracle, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
+        seed=overhead_seed, concurrency=concurrency, repeats=repeats)
     doc["hedging"] = _bench_hedging(
-        counts, stream.keys, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
-        seed=hedging_seed, group_size=group_size, concurrency=concurrency,
+        counts, groups, oracle, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
+        seed=hedging_seed, concurrency=concurrency,
         service_time=service_time, straggler_delay=straggler_delay)
     doc["chaos"] = _bench_chaos(
-        counts, stream.keys, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
-        seed=chaos_seed, group_size=group_size, service_time=service_time,
-        chunk_keys=chunk_keys)
+        counts, groups, oracle, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
+        seed=chaos_seed, service_time=service_time, chunk_keys=chunk_keys)
     return doc

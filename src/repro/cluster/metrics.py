@@ -4,9 +4,9 @@ Every :class:`~repro.cluster.node.ClusterNode` keeps its own
 :class:`~repro.serve.metrics.ServeMetrics` (latency histogram, query
 counters); :class:`ClusterMetrics` adds the router-side story — the
 latency *clients* actually see (including retries, hedges, and
-failovers) and the counters that explain it — and can roll the
-per-node histograms up into one cluster-wide view with
-:meth:`LatencyHistogram.merge <repro.serve.metrics.LatencyHistogram.merge>`,
+failovers) and the counters that explain it.  The cluster-wide view is
+a loop of :meth:`ServeMetrics.merge <repro.serve.metrics.ServeMetrics.merge>`
+over the nodes — every counter a node carries, the rollup carries —
 the same way a metrics pipeline folds per-host histograms into a
 service dashboard.
 """
@@ -28,13 +28,7 @@ def rollup_nodes(nodes: Mapping[int, "ClusterNode"]) -> ServeMetrics:
     """Fold every node's metrics into one cluster-wide ServeMetrics."""
     total = ServeMetrics()
     for node in nodes.values():
-        total.latency.merge(node.metrics.latency)
-        total.n_queries += node.metrics.n_queries
-        total.n_found += node.metrics.n_found
-        total.n_batches += node.metrics.n_batches
-        total.batched_keys += node.metrics.batched_keys
-        total.rejected += node.metrics.rejected
-        total.elapsed = max(total.elapsed, node.metrics.elapsed)
+        total.merge(node.metrics)
     return total
 
 
@@ -60,7 +54,7 @@ class ClusterMetrics:
         """JSON-serialisable cluster summary.
 
         With *nodes* given, includes per-node snapshots and the merged
-        cluster rollup (histograms folded via ``LatencyHistogram.merge``).
+        cluster rollup (:func:`rollup_nodes`).
         """
         doc = {
             "router": self.router.snapshot(),

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.result import KmerCounts
+from ..serve.workload import key_groups
 from .node import ClusterNode, RangeStore, build_cluster
 from .rebalance import rebalance
 from .router import ClusterRouter, RouterConfig
@@ -166,8 +167,7 @@ def run_membership_script(
         if sum(int(b.size) for b in batches) != int(keys.size):
             raise ValueError("groups do not cover the key stream")
     else:
-        batches = [keys[i:i + group_size]
-                   for i in range(0, keys.size, group_size)]
+        batches = key_groups(keys, group_size)
 
     async def drive() -> np.ndarray:
         pending = list(script)

@@ -15,7 +15,26 @@ import numpy as np
 
 from ..sort.accumulate import counts_to_histogram
 
-__all__ = ["KmerCounts"]
+__all__ = ["KmerCounts", "probe_sorted"]
+
+
+def probe_sorted(keys: np.ndarray, vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Look *queries* up in a sorted ``(keys, vals)`` table; absent -> 0.
+
+    The one vectorised point-lookup of the read side: shards, the LSM
+    memtable and run blocks, cluster slices and every oracle hold the
+    paper's ordered ``{k-mer, count}`` array and read it through here.
+    *keys* must be strictly increasing ``uint64``; the answer is a
+    fresh ``int64`` array in query order (duplicates allowed).
+    """
+    queries = np.asarray(queries, dtype=np.uint64)
+    if keys.size == 0 or queries.size == 0:
+        return np.zeros(queries.size, dtype=np.int64)
+    idx = np.searchsorted(keys, queries)
+    np.minimum(idx, keys.size - 1, out=idx)
+    out = vals[idx].astype(np.int64, copy=False)
+    out[keys[idx] != queries] = 0
+    return out
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ import numpy as np
 from ..cluster.router import RouterConfig
 from ..cluster.script import run_membership_script
 from ..core.dakc import DakcConfig, DeliveryIntegrityError, dakc_count
+from ..core.result import probe_sorted
 from ..core.seeds import spawn_seeds
 from ..core.serial import serial_count
 from ..fault.injector import FaultyConveyor
@@ -478,9 +479,7 @@ class Simulation:
             events["burst"] = burst.to_doc()
             events["n_groups"] = len(groups)
         if error is None:
-            from ..cluster.bench import expected_counts
-
-            oracle = expected_counts(reference, keys)
+            oracle = probe_sorted(reference.kmers, reference.counts, keys)
             mismatches = int((answers != oracle).sum())
             table = router.ring.table()
             live = set(router.ring.node_ids)

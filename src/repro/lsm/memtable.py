@@ -6,7 +6,8 @@ the same representation as every other layer — two aligned arrays,
 keys strictly increasing — so batch absorption is one
 :func:`~repro.apps.store.merge_sorted_counts` merge of the batch's
 accumulated counts (``sort.accumulate`` products) into the resident
-arrays, and a point lookup is one ``np.searchsorted``.
+arrays, and a point lookup is one
+:func:`~repro.core.result.probe_sorted`.
 
 The byte budget is the knob that turns this into an out-of-core
 structure: when ``nbytes`` crosses the store's configured budget the
@@ -19,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..apps.store import merge_sorted_counts
+from ..core.result import probe_sorted
 from ..sort.accumulate import accumulate_weighted
 
 __all__ = ["Memtable"]
@@ -51,13 +53,7 @@ class Memtable:
 
     def get(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised batch lookup; absent keys answer 0."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        if self.keys.size == 0 or keys.size == 0:
-            return np.zeros(keys.size, dtype=np.int64)
-        idx = np.searchsorted(self.keys, keys)
-        idx_clipped = np.minimum(idx, self.keys.size - 1)
-        hit = self.keys[idx_clipped] == keys
-        return np.where(hit, self.vals[idx_clipped], 0).astype(np.int64)
+        return probe_sorted(self.keys, self.vals, keys)
 
     # -- accounting ----------------------------------------------------
 

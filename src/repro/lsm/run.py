@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.result import probe_sorted
 from ..fileio import FormatError, Framing, publish, record
 
 __all__ = ["RUN", "write_run", "Run"]
@@ -140,11 +141,7 @@ class Run:
             bk, bc = self.read_slice(lo, lo + self.index_stride)
             self.blocks_read += 1
             sel = blocks == b
-            q = cand[sel]
-            idx = np.searchsorted(bk, q)
-            idx_c = np.minimum(idx, bk.size - 1)
-            hit = bk[idx_c] == q
-            out[cand_pos[sel]] = np.where(hit, bc[idx_c], 0)
+            out[cand_pos[sel]] = probe_sorted(bk, bc, cand[sel])
         return out
 
     # -- accounting ----------------------------------------------------

@@ -79,7 +79,6 @@ from .quality import (
     trim_record,
 )
 from .readsim import ReadSimConfig, reads_to_records, simulate_reads
-from .sharding import Shard, compute_shards, read_shard, shard_fastq
 from .superkmers import (
     DEFAULT_MINIMIZER_LEN,
     SuperKmerBatch,
@@ -159,10 +158,6 @@ __all__ = [
     "partition_superkmers",
     "count_superkmer_batch",
     "superkmer_wire_bytes",
-    "Shard",
-    "compute_shards",
-    "read_shard",
-    "shard_fastq",
     "base_composition",
     "gc_content",
     "per_position_composition",

@@ -9,28 +9,39 @@ database; this package answers queries against it at service scale:
   (:class:`Overloaded` backpressure), per-shard micro-batching, and a
   naive one-at-a-time baseline to measure against;
 * :mod:`repro.serve.cache` — hot-key LRU with L3-style heavy-hitter
-  admission;
-* :mod:`repro.serve.workload` — seeded Zipf open-loop load generation
-  from a real counted spectrum;
+  admission, its two-tier extension, and the one ``make_cache``
+  factory that picks between them;
+* :mod:`repro.serve.workload` — seeded Zipf load generation from a
+  real counted spectrum, and ``drive_load``, the one client driver
+  (closed-loop or paced) every bench and replay submits through;
 * :mod:`repro.serve.metrics` — throughput, queue depth, cache hit
-  rate, and latency-percentile accounting with JSON snapshots.
+  rate, and latency-percentile accounting; ``ServeMetrics.merge`` is
+  the one fold cluster rollups and tenant merges are loops over.
 
 See ``docs/SERVING.md`` for the design and its mapping onto the
 paper's heavy-hitter (L3) argument.
 """
 
 from .bench import ServeBenchResult, run_serve_bench
-from .cache import TIER_STORE, TIER_T1, TIER_T2, HotKeyCache, TieredCache
-from .engine import EngineConfig, Overloaded, QueryEngine, naive_serve, replay
+from .cache import TIER_STORE, TIER_T1, TIER_T2, HotKeyCache, TieredCache, make_cache
+from .engine import EngineConfig, Overloaded, QueryEngine, naive_serve
 from .metrics import LatencyHistogram, ServeMetrics
 from .shards import Shard, ShardedStore
-from .workload import BurstSpec, QueryWorkload, arrival_groups, zipf_workload
+from .workload import (
+    BurstSpec,
+    QueryWorkload,
+    arrival_groups,
+    drive_load,
+    key_groups,
+    zipf_workload,
+)
 
 __all__ = [
     "Shard",
     "ShardedStore",
     "HotKeyCache",
     "TieredCache",
+    "make_cache",
     "TIER_T1",
     "TIER_T2",
     "TIER_STORE",
@@ -39,12 +50,13 @@ __all__ = [
     "Overloaded",
     "QueryEngine",
     "naive_serve",
-    "replay",
     "LatencyHistogram",
     "ServeMetrics",
     "QueryWorkload",
     "zipf_workload",
     "arrival_groups",
+    "key_groups",
+    "drive_load",
     "ServeBenchResult",
     "run_serve_bench",
 ]

@@ -7,7 +7,8 @@ serve-bench`` CLI and the ``serve-bench`` xp target
 1. count a dataset replica into a database,
 2. shard it, generate a Zipf query stream from its spectrum,
 3. answer the stream twice — once with the naive one-at-a-time scalar
-   loop, once through the micro-batching + hot-key-cache engine,
+   loop, once through the micro-batching + hot-key-cache engine (driven
+   by :func:`~repro.serve.workload.drive_load`),
 4. check both answer vectors agree, and report throughput, latency
    percentiles, cache hit rate, and the measured speedup.
 
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.result import KmerCounts
-from .cache import HotKeyCache, TieredCache
-from .engine import EngineConfig, QueryEngine, naive_serve, replay
+from .cache import make_cache
+from .engine import EngineConfig, QueryEngine, naive_serve
 from .metrics import ServeMetrics
 from .shards import ShardedStore
-from .workload import BurstSpec, zipf_workload
+from .workload import BurstSpec, drive_load, key_groups, zipf_workload
 
 __all__ = ["ServeBenchResult", "run_serve_bench"]
 
@@ -92,9 +93,9 @@ def run_serve_bench(
     :class:`ShardedStore` (``n_shards``/``shard_of``/``lookup_batch``/
     ``get``) works — e.g. a live :class:`repro.lsm.LsmReadView` — while
     *counts* still seeds the workload's popularity ranking.
-    A non-zero *t2_capacity* upgrades the hot-key cache to a
-    :class:`TieredCache` (t1 = *cache_capacity* RAM slots over a
-    *t2_capacity* second tier); *recorder* (a
+    The cache triple goes to :func:`~repro.serve.cache.make_cache`
+    (a non-zero *t2_capacity* puts a second tier under the
+    *cache_capacity* RAM slots); *recorder* (a
     :class:`repro.trace.TraceRecorder`) logs the engine's query trace,
     which is how any serve bench doubles as a trace producer.
     """
@@ -109,18 +110,12 @@ def run_serve_bench(
     naive_out, naive_metrics = naive_serve(store, stream.keys)
 
     async def drive() -> tuple[np.ndarray, ServeMetrics]:
-        if cache_capacity > 0 and t2_capacity > 0:
-            cache = TieredCache(cache_capacity, t2_capacity,
-                                admit_threshold=cache_threshold)
-        elif cache_capacity > 0:
-            cache = HotKeyCache(cache_capacity, admit_threshold=cache_threshold)
-        else:
-            cache = None
+        cache = make_cache(cache_capacity, t2_capacity, cache_threshold)
         async with QueryEngine(store, config, cache=cache,
                                recorder=recorder) as engine:
-            out = await replay(
-                engine, stream.keys, group_size=group_size, concurrency=concurrency
-            )
+            out, engine.metrics.elapsed = await drive_load(
+                engine, key_groups(stream.keys, group_size),
+                concurrency=concurrency)
             return out, engine.metrics
 
     served_out, served_metrics = asyncio.run(drive())

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-__all__ = ["HotKeyCache", "TieredCache", "base_key",
+__all__ = ["HotKeyCache", "TieredCache", "make_cache", "base_key",
            "TIER_T1", "TIER_T2", "TIER_STORE"]
 
 #: Tier labels shared by the caches, the engine, and the trace
@@ -369,3 +369,17 @@ class TieredCache:
             "candidate_capacity": self.candidate_capacity,
             "admit_threshold": self.admit_threshold,
         }
+
+
+def make_cache(capacity: int, t2_capacity: int = 0, admit_threshold: int = 1):
+    """The cache a capacity triple asks for — the one place that decides.
+
+    No *capacity* means uncached (``None``); a non-zero *t2_capacity*
+    puts a second tier under the *capacity* RAM slots
+    (:class:`TieredCache`), otherwise a single :class:`HotKeyCache`.
+    """
+    if capacity <= 0:
+        return None
+    if t2_capacity > 0:
+        return TieredCache(capacity, t2_capacity, admit_threshold=admit_threshold)
+    return HotKeyCache(capacity, admit_threshold=admit_threshold)

@@ -7,7 +7,7 @@ The serving pipeline for one query is::
                                                    micro-batcher
                                                  (size/window coalesce)
                                                         |
-                                              one np.searchsorted per flush
+                                               one probe_sorted per flush
 
 Three mechanisms carry the performance argument:
 
@@ -49,7 +49,7 @@ from ..tenant.metrics import TenantMetricsSet          # noqa: E402
 from ..tenant.registry import QuotaExceeded, TenantRegistry  # noqa: E402
 from ..tenant.scheduler import DRRQueue                # noqa: E402
 
-__all__ = ["Overloaded", "EngineConfig", "QueryEngine", "naive_serve", "replay"]
+__all__ = ["Overloaded", "EngineConfig", "QueryEngine", "naive_serve"]
 
 
 class Overloaded(RuntimeError):
@@ -444,38 +444,3 @@ def naive_serve(
     metrics.n_found += int((out > 0).sum())
     return out, metrics
 
-
-async def replay(
-    engine: QueryEngine,
-    keys: np.ndarray,
-    *,
-    group_size: int = 256,
-    concurrency: int = 8,
-    tenant: str | None = None,
-) -> np.ndarray:
-    """Drive a key stream through the engine and time it.
-
-    Splits *keys* into arrival groups of *group_size* (one group ~ one
-    open-loop tick of concurrent single-key clients) and keeps up to
-    *concurrency* groups in flight.  Rejected groups resolve to zeros
-    and are counted in ``metrics.rejected``.  Sets ``metrics.elapsed``
-    to the wall-clock span of the whole replay.
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    groups = [keys[i : i + group_size] for i in range(0, keys.size, group_size)]
-    results: list[np.ndarray | None] = [None] * len(groups)
-    gate = asyncio.Semaphore(concurrency)
-
-    async def one(i: int, group: np.ndarray) -> None:
-        async with gate:
-            try:
-                results[i] = await engine.query_many(group, tenant=tenant)
-            except (Overloaded, QuotaExceeded):
-                results[i] = np.zeros(group.size, dtype=np.int64)
-
-    t_start = time.perf_counter()
-    await asyncio.gather(*(one(i, g) for i, g in enumerate(groups)))
-    engine.metrics.elapsed = time.perf_counter() - t_start
-    if not results:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(results)

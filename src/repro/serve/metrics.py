@@ -7,6 +7,9 @@ geometric buckets so the tail quantiles of millions of samples cost a
 few hundred int64 counters, and :class:`ServeMetrics` aggregates one
 run into a JSON-serialisable snapshot (the ``dakc serve-bench``
 report and its ``--json`` document are both rendered from it).
+:meth:`ServeMetrics.merge` is the one fold — per-node rollups,
+per-tenant merges and the windowed ``snapshot_delta`` all go through
+it — and one private builder renders both snapshot shapes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,13 +77,18 @@ class LatencyHistogram:
         if latency > self.max_seen:
             self.max_seen = latency
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (same geometry) into this one."""
+    def merge(self, other: "LatencyHistogram", sign: int = 1) -> None:
+        """Fold another histogram (same geometry) into this one.
+
+        ``sign=-1`` takes *other*'s samples back out — what is left of a
+        lifetime histogram minus an earlier copy of itself is the window
+        between the two (``max_seen`` stays the lifetime bound).
+        """
         if other.n_buckets != self.n_buckets or other.lo != self.lo:
             raise ValueError("histogram geometries differ")
-        self.counts += other.counts
-        self.n += other.n
-        self.total += other.total
+        self.counts += sign * other.counts
+        self.n += sign * other.n
+        self.total += sign * other.total
         self.max_seen = max(self.max_seen, other.max_seen)
 
     def quantile(self, q: float) -> float:
@@ -127,7 +135,14 @@ class LatencyHistogram:
 
 @dataclass
 class ServeMetrics:
-    """Aggregated counters for one serving run."""
+    """Aggregated counters for one serving run.
+
+    Every field is a counter that :meth:`merge` folds by its type —
+    numbers add, the histogram and the cause table merge — unless its
+    metadata says ``"fold": max`` (high-water marks) or ``None`` (not a
+    counter), so a field added here is folded without touching
+    :meth:`merge`.
+    """
 
     latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     n_queries: int = 0          # answered queries (cache hits + store lookups)
@@ -142,16 +157,21 @@ class ServeMetrics:
     rejected_by_cause: dict = field(default_factory=dict)
     n_batches: int = 0          # vector lookups flushed by the engine
     batched_keys: int = 0       # keys answered by those flushes
-    queue_depth_max: int = 0
+    queue_depth_max: int = field(default=0, metadata={"fold": max})
     _queue_depth_sum: int = 0
     _queue_depth_samples: int = 0
-    elapsed: float = 0.0        # wall-clock seconds of the measured run
+    #: Wall-clock seconds of the measured run; parts that ran side by
+    #: side (nodes, tenants) fold to the longest.
+    elapsed: float = field(default=0.0, metadata={"fold": max})
     #: The live cache object (anything with ``stats()``), attached by
     #: the engine so snapshots carry the full counter table —
     #: occupancy, evictions, per-tier hits — instead of only the
     #: scalar hit rate.
-    cache_source: object | None = field(default=None, repr=False, compare=False)
-    _delta_base: dict | None = field(default=None, repr=False)
+    cache_source: object | None = field(
+        default=None, repr=False, compare=False, metadata={"fold": None})
+    #: ``snapshot_delta``'s previous call: (its clock, a copy of self).
+    _delta_base: tuple | None = field(
+        default=None, repr=False, metadata={"fold": None})
 
     # -- recording -----------------------------------------------------
 
@@ -164,6 +184,27 @@ class ServeMetrics:
         """Count *n* rejected keys under a named rejection cause."""
         self.rejected += n
         self.rejected_by_cause[cause] = self.rejected_by_cause.get(cause, 0) + n
+
+    def merge(self, other: "ServeMetrics", sign: int = 1) -> None:
+        """Fold every counter of *other* into this one.
+
+        ``sign=-1`` subtracts instead (high-water marks keep their
+        lifetime value): lifetime minus an earlier copy is a window.
+        """
+        for f in fields(self):
+            fold = f.metadata.get("fold", "sum")
+            if fold is None:
+                continue
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, LatencyHistogram):
+                mine.merge(theirs, sign)
+            elif isinstance(mine, dict):
+                for cause, n in theirs.items():
+                    mine[cause] = mine.get(cause, 0) + sign * n
+            elif fold is max:
+                setattr(self, f.name, max(mine, theirs))
+            else:
+                setattr(self, f.name, mine + sign * theirs)
 
     # -- derived -------------------------------------------------------
 
@@ -193,21 +234,23 @@ class ServeMetrics:
 
     # -- export --------------------------------------------------------
 
-    def _cache_doc(self) -> dict:
-        doc = {
+    def _document(self, lifetime: "ServeMetrics") -> dict:
+        """The snapshot document; both public shapes are cut from it.
+
+        *lifetime* is the metrics this view belongs to (itself, or the
+        whole run a window was cut from): it owns the live cache and
+        decides whether the t2 keys appear at all.
+        """
+        cache = {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "hit_rate": self.cache_hit_rate,
         }
-        if self.cache_t2_hits:
-            doc["t2_hits"] = self.cache_t2_hits
-            doc["t2_time_charged_s"] = self.t2_time_charged
-        if self.cache_source is not None:
-            doc["stats"] = self.cache_source.stats()
-        return doc
-
-    def snapshot(self) -> dict:
-        """JSON-serialisable summary of the run."""
+        if lifetime.cache_t2_hits:
+            cache["t2_hits"] = self.cache_t2_hits
+            cache["t2_time_charged_s"] = self.t2_time_charged
+        if lifetime.cache_source is not None:
+            cache["stats"] = lifetime.cache_source.stats()
         return {
             "n_queries": self.n_queries,
             "n_found": self.n_found,
@@ -220,7 +263,7 @@ class ServeMetrics:
                 "max": self.latency.max_seen * 1e3,
                 "mean": self.latency.mean * 1e3,
             },
-            "cache": self._cache_doc(),
+            "cache": cache,
             "batching": {
                 "batches": self.n_batches,
                 "batched_keys": self.batched_keys,
@@ -239,88 +282,53 @@ class ServeMetrics:
             },
         }
 
+    def snapshot(self) -> dict:
+        """JSON-serialisable summary of the run."""
+        return self._document(self)
+
+    def _copy(self) -> "ServeMetrics":
+        copy = ServeMetrics(latency=LatencyHistogram.like(self.latency))
+        copy.merge(self)
+        return copy
+
     def snapshot_delta(self, *, now: float | None = None) -> dict:
         """Windowed summary: rates and quantiles since the *last* call.
 
         Lifetime-averaged numbers hide regressions in a long-running
         serve session — an hour of fast answers swamps a slow last
-        minute.  ``snapshot_delta`` diffs the histogram buckets and
-        counters against the previous call (the first call covers
-        everything so far) and derives p50/p95/p99 and throughput for
-        just that window.  *now* overrides the wall clock in tests.
+        minute.  ``snapshot_delta`` subtracts a copy of itself kept at
+        the previous call (the first call covers everything so far)
+        and renders that window — p50/p95/p99 from the bucket
+        difference, throughput over the window's span — through the
+        same builder as :meth:`snapshot`.  The per-window maximum is
+        not tracked and the cache's occupancy table is instantaneous,
+        not a rate: it is reported live.  *now* overrides the wall
+        clock in tests.
         """
         t = time.perf_counter() if now is None else now
-        base = self._delta_base
-        if base is None:
-            base = {
-                "t": t - self.elapsed if self.elapsed > 0 else t,
-                "counts": np.zeros_like(self.latency.counts),
-                "lat_n": 0,
-                "lat_total": 0.0,
-                "n_queries": 0,
-                "n_found": 0,
-                "cache_hits": 0,
-                "cache_misses": 0,
-                "rejected": 0,
-            }
-        window = max(t - base["t"], 0.0)
+        t_base, base = self._delta_base or (
+            t - self.elapsed if self.elapsed > 0 else t,
+            ServeMetrics(latency=LatencyHistogram.like(self.latency)))
+        window = self._copy()
+        window.merge(base, sign=-1)
+        window.elapsed = max(t - t_base, 0.0)
+        self._delta_base = (t, self._copy())
 
-        # A throwaway histogram holding only this window's samples: the
-        # bucket geometry is shared, so quantiles fall out directly.
-        win = LatencyHistogram.like(self.latency)
-        win.counts = self.latency.counts - base["counts"]
-        win.n = self.latency.n - base["lat_n"]
-        win.total = self.latency.total - base["lat_total"]
-        win.max_seen = self.latency.max_seen  # lifetime bound (per-window max not tracked)
-
-        n_queries = self.n_queries - base["n_queries"]
-        hits = self.cache_hits - base["cache_hits"]
-        misses = self.cache_misses - base["cache_misses"]
-        cache_doc = {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        doc = window._document(self)
+        del doc["latency_ms"]["max"]
+        doc["cache"].pop("t2_time_charged_s", None)
+        queue = doc["queue"]
+        return {
+            "window_s": doc["elapsed_s"],
+            "n_queries": doc["n_queries"],
+            "n_found": doc["n_found"],
+            "throughput_qps": doc["throughput_qps"],
+            "latency_ms": doc["latency_ms"],
+            "cache": doc["cache"],
+            "rejected": queue["rejected"],
+            "rejected_qps": queue["rejected_qps"],
+            "rejected_by_cause": queue["rejected_by_cause"],
         }
-        if self.cache_t2_hits:
-            cache_doc["t2_hits"] = self.cache_t2_hits - base.get("cache_t2_hits", 0)
-        if self.cache_source is not None:
-            # Occupancy/eviction state is instantaneous, not a rate:
-            # report the live table alongside the windowed counters.
-            cache_doc["stats"] = self.cache_source.stats()
-        doc = {
-            "window_s": window,
-            "n_queries": n_queries,
-            "n_found": self.n_found - base["n_found"],
-            "throughput_qps": n_queries / window if window > 0 else 0.0,
-            "latency_ms": {
-                "p50": win.quantile(0.50) * 1e3,
-                "p95": win.quantile(0.95) * 1e3,
-                "p99": win.quantile(0.99) * 1e3,
-                "mean": win.mean * 1e3,
-            },
-            "cache": cache_doc,
-            "rejected": self.rejected - base["rejected"],
-            "rejected_qps": (self.rejected - base["rejected"]) / window
-            if window > 0 else 0.0,
-            "rejected_by_cause": {
-                cause: n - base.get("rejected_by_cause", {}).get(cause, 0)
-                for cause, n in self.rejected_by_cause.items()
-            },
-        }
-        self._delta_base = {
-            "t": t,
-            "counts": self.latency.counts.copy(),
-            "lat_n": self.latency.n,
-            "lat_total": self.latency.total,
-            "n_queries": self.n_queries,
-            "n_found": self.n_found,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_t2_hits": self.cache_t2_hits,
-            "rejected": self.rejected,
-            "rejected_by_cause": dict(self.rejected_by_cause),
-        }
-        return doc
 
     def to_json(self, path: str | os.PathLike | None = None, **extra) -> str:
         """Render the snapshot (plus *extra* top-level keys) as JSON."""

@@ -11,8 +11,8 @@ k-mer land on one shard, which is exactly the skew the hot-key cache in
 
 Each shard is a sorted-array store: the global key array is strictly
 increasing, so masking out one owner's keys preserves order and a batch
-of lookups is one vectorised ``np.searchsorted`` instead of per-key
-binary searches in Python.
+of lookups is one :func:`~repro.core.result.probe_sorted` call instead
+of per-key binary searches in Python.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.owner import owner_pe
-from ..core.result import KmerCounts
+from ..core.result import KmerCounts, probe_sorted
 
 __all__ = ["Shard", "ShardedStore"]
 
@@ -48,15 +48,7 @@ class Shard:
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised batch lookup; absent keys answer 0."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if self.kmers.size == 0:
-            return np.zeros(keys.size, dtype=np.int64)
-        idx = np.searchsorted(self.kmers, keys)
-        idx_clipped = np.minimum(idx, self.kmers.size - 1)
-        hit = self.kmers[idx_clipped] == keys
-        return np.where(hit, self.counts[idx_clipped], 0).astype(np.int64)
+        return probe_sorted(self.kmers, self.counts, keys)
 
 
 class ShardedStore:

@@ -1,4 +1,4 @@
-"""Seeded open-loop query workloads over a counted spectrum.
+"""Seeded query workloads over a counted spectrum, and their driver.
 
 Serving benchmarks live or die by their key-popularity model.  Real
 k-mer query traffic is doubly skewed: the *database* counts follow the
@@ -13,17 +13,24 @@ on one PE during counting (the L3 heavy hitters).
 Everything is derived from a single ``numpy`` seed: the same seed
 yields the same key sequence and the same Poisson arrival times, so
 benchmark runs are replayable and regression-comparable.
+
+:func:`drive_load` is the one client every bench and replay submits a
+stream through — an engine, a cluster router, anything with
+``query_many``.
 """
 
 from __future__ import annotations
 
+import asyncio
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.result import KmerCounts
+from ..core.result import KmerCounts, probe_sorted
 
-__all__ = ["BurstSpec", "QueryWorkload", "zipf_workload", "arrival_groups"]
+__all__ = ["BurstSpec", "QueryWorkload", "zipf_workload", "arrival_groups",
+           "key_groups", "drive_load"]
 
 
 @dataclass(frozen=True)
@@ -194,10 +201,7 @@ def _absent_keys(counts: KmerCounts, n: int, rng: np.random.Generator) -> np.nda
     space = 1 << (2 * counts.k)
     out = rng.integers(0, space, size=n, dtype=np.uint64)
     for _ in range(64):  # each round fixes all residual collisions
-        idx = np.searchsorted(counts.kmers, out)
-        idx_c = np.minimum(idx, max(counts.kmers.size - 1, 0))
-        present = counts.kmers.size > 0
-        colliding = (counts.kmers[idx_c] == out) if present else np.zeros(n, bool)
+        colliding = probe_sorted(counts.kmers, counts.counts, out) > 0
         if not colliding.any():
             return out
         out[colliding] = rng.integers(0, space, size=int(colliding.sum()), dtype=np.uint64)
@@ -220,3 +224,65 @@ def arrival_groups(
     slot = (workload.arrivals // tick).astype(np.int64)
     bounds = np.flatnonzero(np.diff(slot)) + 1
     return np.split(workload.keys, bounds)
+
+
+def key_groups(keys: np.ndarray, group_size: int) -> list[np.ndarray]:
+    """Cut a key stream into client batches of *group_size* keys."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    return [keys[i:i + group_size] for i in range(0, keys.size, group_size)]
+
+
+async def drive_load(
+    target,
+    groups: list[np.ndarray],
+    *,
+    concurrency: int = 8,
+    interval: float | None = None,
+    resubmit: bool = False,
+    tenant: str | None = None,
+    latencies: np.ndarray | None = None,
+) -> tuple[np.ndarray, float]:
+    """Submit *groups* to ``target.query_many``; ``(answers, elapsed_s)``.
+
+    Closed loop by default: at most *concurrency* groups are in flight
+    and the next is submitted as one completes.  With *interval* the
+    client is paced instead — group ``i`` becomes due ``i * interval``
+    seconds after the start whether or not earlier ones were answered
+    (open loop; pass a *concurrency* as large as the stream to leave it
+    unbounded).  Answers come back in stream order.
+
+    A group the target rejects (``Overloaded``, ``QuotaExceeded``)
+    answers zeros, or with *resubmit* is sent again after the
+    rejection's ``retry_after`` until it is admitted.  *tenant* is
+    forwarded to ``query_many`` when given; *latencies*, an array with
+    one slot per group, receives each group's submit-to-answer seconds.
+    """
+    from ..tenant.registry import QuotaExceeded  # lazy: engine -> tenant -> here
+    from .engine import Overloaded
+
+    kwargs = {} if tenant is None else {"tenant": tenant}
+    results: list[np.ndarray | None] = [None] * len(groups)
+    gate = asyncio.Semaphore(concurrency)
+    clock = time.perf_counter
+    t_start = clock()
+
+    async def one(i: int, group: np.ndarray) -> None:
+        if interval is not None and (wait := t_start + i * interval - clock()) > 0:
+            await asyncio.sleep(wait)
+        async with gate:
+            t0 = clock()
+            while results[i] is None:
+                try:
+                    results[i] = await target.query_many(group, **kwargs)
+                except (Overloaded, QuotaExceeded) as exc:
+                    if resubmit:
+                        await asyncio.sleep(exc.retry_after)
+                    else:
+                        results[i] = np.zeros(group.size, dtype=np.int64)
+            if latencies is not None:
+                latencies[i] = clock() - t0
+
+    await asyncio.gather(*(one(i, g) for i, g in enumerate(groups)))
+    elapsed = clock() - t_start
+    answers = np.concatenate(results) if results else np.empty(0, dtype=np.int64)
+    return answers, elapsed

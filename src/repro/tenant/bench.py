@@ -39,11 +39,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core.result import KmerCounts
+from ..core.result import KmerCounts, probe_sorted
+from ..serve.shards import ShardedStore
+from ..serve.workload import drive_load, key_groups, zipf_workload
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .registry import QuotaExceeded, TenantRegistry, TenantSpec
 
-__all__ = ["TenantBenchResult", "run_tenant_bench", "autoscale_demo"]
+__all__ = ["TenantBenchResult", "run_tenant_bench", "autoscale_demo",
+           "bench_engine_config"]
 
 VICTIM = "victim"
 ANTAGONIST = "antagonist"
@@ -106,42 +109,23 @@ def _registry(isolation: bool, *, victim_weight: float, antag_rate: float,
 
 async def _drive_victim(engine, groups: list[np.ndarray], *,
                         interval: float,
-                        warmup: int = 16) -> tuple[np.ndarray, np.ndarray, int]:
+                        warmup: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Open-loop victim: one group every *interval* seconds, all timed.
 
-    Returns (latencies_s, answers, n_rejected_groups).  Rejected
-    groups answer zero (they are the isolation failure being measured;
-    the bench asserts there are none in the accepted scenarios).
-    *warmup* untimed rounds run first so cold-start costs (allocator,
-    asyncio scheduling, NumPy dispatch) don't land in the first
-    scenario's tail percentiles.
+    Returns (latencies_s, answers).  Rejected groups answer zero (they
+    are the isolation failure being measured; the bench asserts there
+    are none in the accepted scenarios).  *warmup* untimed rounds run
+    first so cold-start costs (allocator, asyncio scheduling, NumPy
+    dispatch) don't land in the first scenario's tail percentiles.
     """
-    from ..serve.engine import Overloaded  # lazy: serve <-> tenant cycle
-
-    loop = asyncio.get_running_loop()
     for g in groups[:warmup]:
         await engine.query_many(g, tenant=VICTIM)
         await asyncio.sleep(interval / 4)
     lat = np.zeros(len(groups))
-    answers: list[np.ndarray | None] = [None] * len(groups)
-    rejected = 0
-    t0 = loop.time()
-
-    async def one(i: int, group: np.ndarray) -> None:
-        nonlocal rejected
-        delay = t0 + i * interval - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        ts = loop.time()
-        try:
-            answers[i] = await engine.query_many(group, tenant=VICTIM)
-        except (Overloaded, QuotaExceeded):
-            answers[i] = np.zeros(group.size, dtype=np.int64)
-            rejected += 1
-        lat[i] = loop.time() - ts
-
-    await asyncio.gather(*(one(i, g) for i, g in enumerate(groups)))
-    return lat, np.concatenate(answers), rejected
+    answers, _ = await drive_load(engine, groups, concurrency=len(groups),
+                                  interval=interval, tenant=VICTIM,
+                                  latencies=lat)
+    return lat, answers
 
 
 async def _flood(engine, batches: list[np.ndarray], stop: asyncio.Event,
@@ -184,14 +168,17 @@ def _scenario(store, victim_groups: list[np.ndarray],
             stop = asyncio.Event()
             floods = [asyncio.create_task(_flood(engine, antag_batches, stop, j))
                       for j in range(flooders)]
-            lat, answers, rejected = await _drive_victim(
+            lat, answers = await _drive_victim(
                 engine, victim_groups, interval=interval)
             stop.set()
             antag_served = sum(await asyncio.gather(*floods))
             engine.tenant_metrics.set_elapsed(len(victim_groups) * interval)
-            return lat, answers, rejected, antag_served, engine
+            return lat, answers, antag_served, engine
 
-    lat, answers, rejected, antag_served, engine = asyncio.run(drive())
+    lat, answers, antag_served, engine = asyncio.run(drive())
+    # Victim groups are equal-sized, so rejected keys count whole groups.
+    rejected = (engine.tenant_metrics.get(VICTIM).rejected
+                // victim_groups[0].size)
     return {
         "isolation": isolation,
         "flooders": flooders,
@@ -203,6 +190,14 @@ def _scenario(store, victim_groups: list[np.ndarray],
         "tenants": engine.tenant_metrics.snapshot(),
         "_answers": answers,  # stripped before the JSON doc
     }
+
+
+def bench_engine_config():
+    """The engine the experiment is sized for (see :func:`run_tenant_bench`)."""
+    from ..serve.engine import EngineConfig  # lazy: serve <-> tenant cycle
+
+    return EngineConfig(batch_size=256, batch_window=2e-3, max_inflight=8192,
+                        flush_service_time=30e-3, flush_service_per_key=1e-5)
 
 
 def run_tenant_bench(
@@ -233,31 +228,18 @@ def run_tenant_bench(
     closed-loop flooders stack multi-flush walls in front of every
     victim group.
     """
-    from ..cluster.bench import expected_counts   # lazy: import cycles
-    from ..serve.engine import EngineConfig
-    from ..serve.shards import ShardedStore
-    from ..serve.workload import zipf_workload
-
-    config = config or EngineConfig(
-        batch_size=256,
-        batch_window=2e-3,
-        max_inflight=8192,
-        flush_service_time=30e-3,
-        flush_service_per_key=1e-5,
-    )
+    config = config or bench_engine_config()
     store = ShardedStore.from_counts(counts, n_shards)
 
     victim_stream = zipf_workload(
         counts, n_victim_groups * victim_group, s=zipf_s, seed=seed,
         miss_fraction=0.02)
-    victim_groups = [victim_stream.keys[i:i + victim_group]
-                     for i in range(0, victim_stream.keys.size, victim_group)]
+    victim_groups = key_groups(victim_stream.keys, victim_group)
     antag_stream = zipf_workload(
         counts, 16 * antag_batch, s=zipf_s, seed=seed + 1)
-    antag_batches = [antag_stream.keys[i:i + antag_batch]
-                     for i in range(0, antag_stream.keys.size, antag_batch)]
+    antag_batches = key_groups(antag_stream.keys, antag_batch)
 
-    oracle = expected_counts(counts, victim_stream.keys)
+    oracle = probe_sorted(counts.kmers, counts.counts, victim_stream.keys)
 
     common = dict(interval=victim_interval, antag_rate=antag_rate,
                   antag_burst=antag_batch, victim_slo_ms=victim_slo_ms,

@@ -1,12 +1,13 @@
 """Per-tenant serving metrics: latency, hit rate, rejections, SLOs.
 
 One :class:`~repro.serve.metrics.ServeMetrics` per tenant, all sharing
-one histogram geometry so they merge exactly (the engine's global
-histogram is always the bucket-wise sum of the per-tenant ones — a
-property the test suite pins).  On top of the stock serving counters
-each tenant gets an *SLO attainment* gauge: the fraction of its
-latency samples at or under the spec's ``slo_ms`` target, read
-straight off the histogram via
+one histogram geometry so :meth:`ServeMetrics.merge
+<repro.serve.metrics.ServeMetrics.merge>` folds them exactly (the
+engine's global histogram is always the bucket-wise sum of the
+per-tenant ones — a property the test suite pins).  On top of the
+stock serving counters each tenant gets an *SLO attainment* gauge: the
+fraction of its latency samples at or under the spec's ``slo_ms``
+target, read straight off the histogram via
 :meth:`~repro.serve.metrics.LatencyHistogram.fraction_below`.
 """
 
@@ -59,16 +60,7 @@ class TenantMetricsSet:
         """Bucket-exact fold of every tenant's metrics into one."""
         total = ServeMetrics(latency=LatencyHistogram.like(self._proto))
         for m in self._metrics.values():
-            total.latency.merge(m.latency)
-            total.n_queries += m.n_queries
-            total.n_found += m.n_found
-            total.cache_hits += m.cache_hits
-            total.cache_misses += m.cache_misses
-            total.rejected += m.rejected
-            for cause, n in m.rejected_by_cause.items():
-                total.rejected_by_cause[cause] = (
-                    total.rejected_by_cause.get(cause, 0) + n)
-            total.elapsed = max(total.elapsed, m.elapsed)
+            total.merge(m)
         return total
 
     def snapshot(self) -> dict:

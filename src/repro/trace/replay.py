@@ -25,14 +25,14 @@ wall-clock latencies vary run to run.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..serve.cache import HotKeyCache, TieredCache
-from ..serve.engine import EngineConfig, Overloaded, QueryEngine, naive_serve
+from ..serve.cache import HotKeyCache, make_cache
+from ..serve.engine import EngineConfig, QueryEngine, naive_serve
 from ..serve.metrics import ServeMetrics
+from ..serve.workload import drive_load
 from .format import QueryTrace
 
 __all__ = [
@@ -141,8 +141,8 @@ def replay_trace(
     The trace's timestamps set the batching (arrival-tick groups of
     *tick* seconds); up to *concurrency* groups are in flight at once.
     *cache* overrides the default cache construction (pass ``None``
-    explicitly via ``cache_capacity=0`` for uncached replay); a
-    non-zero *t2_capacity* selects a :class:`TieredCache`.  With
+    explicitly via ``cache_capacity=0`` for uncached replay); the
+    capacity triple goes to :func:`~repro.serve.cache.make_cache`.  With
     *check* the answers are verified bit-identical against the scalar
     baseline.  *recorder* re-records the replayed stream, which is how
     a replay round-trips a trace.
@@ -161,36 +161,16 @@ def replay_trace(
     groups = [part for g in groups
               for part in np.array_split(g, max(1, -(-g.size // cap)))]
 
-    if cache is None and cache_capacity > 0:
-        if t2_capacity > 0:
-            cache = TieredCache(cache_capacity, t2_capacity,
-                                admit_threshold=cache_threshold)
-        else:
-            cache = HotKeyCache(cache_capacity, admit_threshold=cache_threshold)
+    if cache is None:
+        cache = make_cache(cache_capacity, t2_capacity, cache_threshold)
 
     async def drive() -> tuple[np.ndarray, ServeMetrics]:
         async with QueryEngine(store, config, cache=cache,
                                recorder=recorder) as engine:
-            results: list[np.ndarray | None] = [None] * len(groups)
-            gate = asyncio.Semaphore(concurrency)
-
-            async def one(i: int, group: np.ndarray) -> None:
-                async with gate:
-                    while True:
-                        try:
-                            results[i] = await engine.query_many(group)
-                            return
-                        except Overloaded:
-                            # Open-loop replay must answer every
-                            # record (bit-identical check); back off
-                            # one batch window and resubmit.
-                            await asyncio.sleep(config.batch_window or 1e-4)
-
-            t_start = time.perf_counter()
-            await asyncio.gather(*(one(i, g) for i, g in enumerate(groups)))
-            engine.metrics.elapsed = time.perf_counter() - t_start
-            out = (np.concatenate(results) if results
-                   else np.empty(0, dtype=np.int64))
+            # Replay must answer every record (bit-identical check), so
+            # a rejected group backs off and is resubmitted.
+            out, engine.metrics.elapsed = await drive_load(
+                engine, groups, concurrency=concurrency, resubmit=True)
             return out, engine.metrics
 
     answers, metrics = asyncio.run(drive())

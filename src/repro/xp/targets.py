@@ -17,9 +17,10 @@ it; the spec carries the one size the claim is stated at.
 from __future__ import annotations
 
 import functools
+import inspect
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -60,6 +61,17 @@ def _params(params: dict, defaults: dict) -> dict:
     return merged
 
 
+def _kwdefaults(fn, prefix: str = "") -> dict:
+    """*fn*'s scalar keyword defaults as ``prefix + name`` spec keys.
+
+    How a target that forwards spec params to *fn* learns which keys
+    *fn* takes and what they default to, without restating either.
+    """
+    return {prefix + name: p.default
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty and p.default is not None}
+
+
 @functools.lru_cache(maxsize=8)
 def _counted(dataset: str, k: int, budget: int):
     """Workload + oracle counts, cached across repetitions."""
@@ -74,34 +86,18 @@ def _counted(dataset: str, k: int, budget: int):
 # serve: the sharded/batched/cached read path vs the naive scalar loop
 # ---------------------------------------------------------------------------
 
-_SERVE_DEFAULTS = {
-    "dataset": "synthetic-24", "k": 21, "budget": 150_000,
-    "n_queries": 40_000, "n_shards": 8, "zipf_s": 1.1,
-    "miss_fraction": 0.02, "cache_capacity": 4096, "cache_threshold": 2,
-    "batch_size": 256, "batch_window": 5e-4, "group_size": 256,
-    "concurrency": 8,
-}
+_SERVE_DATA = {"dataset": "synthetic-24", "k": 21, "budget": 150_000}
 
 
 def _serve_bench(params: dict) -> TargetOutcome:
     from ..serve import EngineConfig, run_serve_bench
 
-    p = _params(params, _SERVE_DEFAULTS)
+    bench, engine = _kwdefaults(run_serve_bench), _kwdefaults(EngineConfig)
+    p = _params(params, {**_SERVE_DATA, **bench, **engine})
     _, counts = _counted(p["dataset"], p["k"], p["budget"])
     result = run_serve_bench(
-        counts,
-        n_queries=p["n_queries"],
-        n_shards=p["n_shards"],
-        zipf_s=p["zipf_s"],
-        seed=p.get("seed", 0),
-        miss_fraction=p["miss_fraction"],
-        config=EngineConfig(batch_size=p["batch_size"],
-                            batch_window=p["batch_window"]),
-        cache_capacity=p["cache_capacity"],
-        cache_threshold=p["cache_threshold"],
-        group_size=p["group_size"],
-        concurrency=p["concurrency"],
-    )
+        counts, config=EngineConfig(**{key: p[key] for key in engine}),
+        **{key: p[key] for key in bench})
     return TargetOutcome(
         metrics={
             "speedup": result.speedup,
@@ -475,19 +471,13 @@ def _dst_sweep(params: dict) -> TargetOutcome:
 # cluster: replica-aware routing overhead, hedged tails, RF=2 chaos
 # ---------------------------------------------------------------------------
 
-_CLUSTER_DEFAULTS = {
-    "dataset": "synthetic-24", "k": 21, "budget": 120_000,
-    "n_queries": 30_000, "n_nodes": 6, "rf": 2, "vnodes": 16,
-    "zipf_s": 1.1, "miss_fraction": 0.02, "group_size": 256,
-    "concurrency": 8, "service_time": 2e-4, "straggler_delay": 2e-2,
-    "chunk_keys": 2048, "repeats": 3,
-}
+_CLUSTER_DATA = {"dataset": "synthetic-24", "k": 21, "budget": 120_000}
 
 
 def _cluster_bench(params: dict) -> TargetOutcome:
     from ..cluster import run_cluster_bench
 
-    p = _params(params, _CLUSTER_DEFAULTS)
+    p = _params(params, {**_CLUSTER_DATA, **_kwdefaults(run_cluster_bench)})
     _, counts = _counted(p.pop("dataset"), p.pop("k"), p.pop("budget"))
     doc = run_cluster_bench(counts, **p)
     ov, hd, ch = doc["overhead"], doc["hedging"], doc["chaos"]
@@ -527,31 +517,19 @@ def _cluster_bench(params: dict) -> TargetOutcome:
 # tenant: a flooding antagonist vs a paced victim, isolation on and off
 # ---------------------------------------------------------------------------
 
-_TENANT_DEFAULTS = {
-    "dataset": "synthetic-20", "k": 15, "budget": 100_000,
-    "n_victim_groups": 400, "victim_interval": 15e-3, "flooders": 16,
-    "batch_window": 2e-3, "flush_service_time": 30e-3,
-}
+_TENANT_DATA = {"dataset": "synthetic-20", "k": 15, "budget": 100_000}
 
 
 def _tenant_bench(params: dict) -> TargetOutcome:
     from ..serve import EngineConfig
-    from ..tenant import run_tenant_bench
+    from ..tenant.bench import bench_engine_config, run_tenant_bench
 
-    p = _params(params, _TENANT_DEFAULTS)
+    bench, engine = _kwdefaults(run_tenant_bench), asdict(bench_engine_config())
+    p = _params(params, {**_TENANT_DATA, **bench, **engine})
     _, counts = _counted(p["dataset"], p["k"], p["budget"])
     res = run_tenant_bench(
-        counts,
-        seed=p.get("seed", 0),
-        n_victim_groups=p["n_victim_groups"],
-        victim_interval=p["victim_interval"],
-        flooders=p["flooders"],
-        config=EngineConfig(
-            batch_size=256, batch_window=p["batch_window"],
-            max_inflight=8192,
-            flush_service_time=p["flush_service_time"],
-            flush_service_per_key=1e-5),
-    )
+        counts, config=EngineConfig(**{key: p[key] for key in engine}),
+        **{key: p[key] for key in bench})
     actions = [d["action"] for d in res.autoscale["decisions"]]
     return TargetOutcome(
         metrics={
@@ -584,25 +562,20 @@ def _tenant_bench(params: dict) -> TargetOutcome:
 # trace: record -> Mattson model -> SHARDS sample -> replay -> tiering
 # ---------------------------------------------------------------------------
 
-_TRACE_DEFAULTS = {
-    "dataset": "synthetic-24", "k": 21, "budget": 120_000,
-    "n_queries": 30_000, "n_shards": 8, "zipf_s": 1.1,
-    "sample_rate": 0.5, "sample_salts": 4, "t1_capacity": 128,
-    "t2_capacity": 4096, "cache_threshold": 2,
-    "burst_amplitude": 4.0, "burst_duration": 0.05, "burst_period": 0.5,
-}
+_TRACE_DATA = {"dataset": "synthetic-24", "k": 21, "budget": 120_000}
 
 
 def _trace_bench(params: dict) -> TargetOutcome:
     from ..serve import BurstSpec
     from ..trace import run_trace_bench
 
-    p = _params(params, _TRACE_DEFAULTS)
+    burst = _kwdefaults(BurstSpec, "burst_")
+    p = _params(params, {**_TRACE_DATA, **_kwdefaults(run_trace_bench), **burst})
     _, counts = _counted(p.pop("dataset"), p.pop("k"), p.pop("budget"))
-    burst = BurstSpec(amplitude=p.pop("burst_amplitude"),
-                      duration=p.pop("burst_duration"),
-                      period=p.pop("burst_period"))
-    res = run_trace_bench(counts, burst=burst, **p)
+    res = run_trace_bench(
+        counts,
+        burst=BurstSpec(**{key[len("burst_"):]: p.pop(key) for key in burst}),
+        **p)
     return TargetOutcome(
         metrics={
             "model_error_pp": res.model_error_pp,

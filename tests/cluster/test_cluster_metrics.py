@@ -33,6 +33,26 @@ def test_rollup_merges_histograms(db):
     assert total.n_found == 200
 
 
+def test_rollup_carries_every_counter_a_node_carries(db):
+    """The rollup used to drop cache and per-cause counters, so a
+    snapshot could read ``rejected: 40, rejected_by_cause: {}``."""
+    ring, nodes = build_cluster(db, 3, rf=2, seed=0)
+    for nid, node in nodes.items():
+        node.metrics.reject(10 + nid, "overload")
+        node.metrics.reject(3, "quota")
+        node.metrics.cache_hits += 5
+        node.metrics.cache_misses += 2
+        node.metrics.observe_queue_depth(nid)
+    total = rollup_nodes(nodes)
+    assert total.rejected == 33 + 9
+    assert total.rejected_by_cause == {"overload": 33, "quota": 9}
+    assert sum(total.rejected_by_cause.values()) == total.rejected
+    assert (total.cache_hits, total.cache_misses) == (15, 6)
+    assert total.queue_depth_max == 2
+    queue = ClusterMetrics().snapshot(nodes)["rollup"]["queue"]
+    assert sum(queue["rejected_by_cause"].values()) == queue["rejected"] == 42
+
+
 def test_hedge_win_rate():
     m = ClusterMetrics()
     assert m.hedge_win_rate == 0.0

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import HashRing, build_cluster
-from repro.cluster.bench import expected_counts
 from repro.cluster.router import ClusterRouter, RouterConfig
+from repro.core.result import probe_sorted
 from repro.core.serial import serial_count
 
 node_id_sets = st.sets(st.integers(0, 40), min_size=1, max_size=8)
@@ -87,7 +87,7 @@ def test_router_failover_answers_identical(victim, seed):
         rng.choice(counts.kmers, size=96).astype(np.uint64),
         rng.integers(0, 1 << 63, size=8, dtype=np.uint64),  # misses
     ])
-    oracle = expected_counts(counts, keys)
+    oracle = probe_sorted(counts.kmers, counts.counts, keys)
 
     def serve(kill: int | None) -> np.ndarray:
         ring, nodes = build_cluster(counts, 4, rf=2, vnodes=4, seed=seed)

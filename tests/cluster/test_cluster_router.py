@@ -7,10 +7,11 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.cluster.bench import expected_counts, route_replay
 from repro.cluster.node import ClusterNode, RangeStore, build_cluster
 from repro.cluster.router import ClusterRouter, RangeUnavailable, RouterConfig
+from repro.core.result import probe_sorted
 from repro.core.serial import serial_count
+from repro.serve.workload import drive_load, key_groups
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +53,8 @@ class TestFaultFree:
         keys = rng.choice(db.kmers, size=1000)
         miss = rng.integers(0, 2**63, size=50, dtype=np.uint64)
         stream = np.concatenate([keys.astype(np.uint64), miss])
-        out = run(route_replay(router, stream, group_size=128))
-        assert np.array_equal(out, expected_counts(db, stream))
+        out, _ = run(drive_load(router, key_groups(stream, 128)))
+        assert np.array_equal(out, probe_sorted(db.kmers, db.counts, stream))
         assert router.metrics.retries == 0
         assert router.metrics.failovers == 0
 
@@ -87,7 +88,7 @@ class TestFailures:
         ring, nodes = make_cluster(db, rf=2)
         router = ClusterRouter(ring, nodes)
         nodes[1].kill()
-        out = run(route_replay(router, db.kmers, group_size=256))
+        out, _ = run(drive_load(router, key_groups(db.kmers, 256)))
         assert np.array_equal(out, db.counts)
         assert nodes[1].metrics.n_queries == 0  # never consulted
 
@@ -145,7 +146,7 @@ class TestHedging:
         nodes[straggler].degrade(200.0)  # 20 ms vs 0.1 ms healthy
         cfg = RouterConfig(hedge_initial_delay=1e-3, hedge_warmup=10**9)
         router = ClusterRouter(ring, nodes, cfg)
-        out = run(route_replay(router, db.kmers[:2048], group_size=256))
+        out, _ = run(drive_load(router, key_groups(db.kmers[:2048], 256)))
         assert np.array_equal(out, db.counts[:2048])
         assert router.metrics.hedges_fired > 0
         assert router.metrics.hedges_won > 0
@@ -156,7 +157,7 @@ class TestHedging:
         ring, nodes = make_cluster(db, rf=2, service_time=1e-4)
         nodes[0].degrade(50.0)
         router = ClusterRouter(ring, nodes, RouterConfig(hedging=False))
-        out = run(route_replay(router, db.kmers[:512], group_size=256))
+        out, _ = run(drive_load(router, key_groups(db.kmers[:512], 256)))
         assert np.array_equal(out, db.counts[:512])
         assert router.metrics.hedges_fired == 0
 
@@ -166,7 +167,7 @@ class TestHedging:
                            hedge_min_delay=1e-4, hedge_max_delay=1.0)
         router = ClusterRouter(ring, nodes, cfg)
         assert router.hedge_delay() == cfg.hedge_initial_delay
-        run(route_replay(router, db.kmers[:1024], group_size=128))
+        run(drive_load(router, key_groups(db.kmers[:1024], 128)))
         # After warmup the delay tracks ~2x the 1 ms node service time,
         # not the much larger whole-batch client latency.
         delay = router.hedge_delay()

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.owner import owner_pe, owner_pe_scalar, partition_by_owner, splitmix64
-from repro.core.result import KmerCounts
+from repro.core.result import KmerCounts, probe_sorted
 
 kmer_arrays = st.lists(
     st.integers(min_value=0, max_value=2**64 - 1), min_size=0, max_size=300
@@ -139,3 +139,36 @@ class TestKmerCounts:
     def test_empty(self):
         kc = KmerCounts.empty(31)
         assert kc.total == 0 and kc.n_distinct == 0 and kc.max_count == 0
+
+
+class TestProbeSorted:
+    """The one sorted-table point lookup, against a ``dict`` oracle."""
+
+    @given(table=st.dictionaries(st.integers(0, 2**64 - 1),
+                                 st.integers(1, 2**40), max_size=40),
+           extra=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+           picks=st.lists(st.integers(0, 10**6), max_size=40))
+    def test_matches_dict_oracle(self, table, extra, picks):
+        keys = np.array(sorted(table), dtype=np.uint64)
+        vals = np.array([table[k] for k in sorted(table)], dtype=np.int64)
+        # Present keys (repeats allowed), arbitrary keys, and both ends
+        # of the key space so probes land below the first entry and
+        # above the last one.
+        present = [int(keys[i % keys.size]) for i in picks] if keys.size else []
+        queries = present + extra + [0, 2**64 - 1] + present[:3]
+        got = probe_sorted(keys, vals, np.array(queries, dtype=np.uint64))
+        assert got.dtype == np.int64 and got.flags.writeable
+        assert got.tolist() == [table.get(q, 0) for q in queries]
+
+    def test_empty_table_and_empty_query(self):
+        none = np.empty(0, dtype=np.uint64)
+        keys, vals = np.array([5, 9], np.uint64), np.array([2, 3], np.int64)
+        assert probe_sorted(none, none.astype(np.int64), keys).tolist() == [0, 0]
+        empty = probe_sorted(keys, vals, none)
+        assert empty.size == 0 and empty.dtype == np.int64
+
+    def test_read_only_values_are_not_written_through(self):
+        keys = np.array([1, 4, 7], dtype=np.uint64)
+        vals = np.frombuffer(np.array([3, 5, 8], dtype="<i8").tobytes(), "<i8")
+        assert probe_sorted(keys, vals, [4, 5, 7]).tolist() == [5, 0, 8]
+        assert vals.tolist() == [3, 5, 8]

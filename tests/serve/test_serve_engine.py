@@ -9,8 +9,9 @@ import pytest
 
 from repro.core.serial import serial_count
 from repro.serve.cache import HotKeyCache
-from repro.serve.engine import EngineConfig, Overloaded, QueryEngine, naive_serve, replay
+from repro.serve.engine import EngineConfig, Overloaded, QueryEngine, naive_serve
 from repro.serve.shards import ShardedStore
+from repro.serve.workload import drive_load, key_groups
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,8 @@ class TestCorrectness:
             cfg = EngineConfig(batch_size=128, batch_window=2e-4)
             cache = HotKeyCache(512, admit_threshold=2)
             async with QueryEngine(store, cfg, cache=cache) as engine:
-                return await replay(engine, keys, group_size=100, concurrency=4)
+                return (await drive_load(engine, key_groups(keys, 100),
+                                         concurrency=4))[0]
 
         assert np.array_equal(run(go()), naive_out)
 
@@ -110,7 +112,7 @@ class TestBatching:
         async def go():
             cfg = EngineConfig(batch_size=16, batch_window=1e-4, workers_per_shard=3)
             async with QueryEngine(store, cfg) as engine:
-                out = await replay(engine, db.kmers[:500], group_size=50)
+                out, _ = await drive_load(engine, key_groups(db.kmers[:500], 50))
                 return out, engine.metrics
 
         out, metrics = run(go())
@@ -158,7 +160,8 @@ class TestBackpressure:
         async def go():
             cfg = EngineConfig(batch_size=8, batch_window=2e-2, max_inflight=8)
             async with QueryEngine(store, cfg) as engine:
-                await replay(engine, db.kmers[:256], group_size=8, concurrency=16)
+                await drive_load(engine, key_groups(db.kmers[:256], 8),
+                                 concurrency=16)
                 return engine.metrics
 
         metrics = run(go())
@@ -176,7 +179,7 @@ class TestCacheIntegration:
             async with QueryEngine(store, cfg, cache=cache) as engine:
                 # Sequential groups: the cache warms on the first group
                 # and every later group must hit it.
-                await replay(engine, hot, group_size=40, concurrency=1)
+                await drive_load(engine, key_groups(hot, 40), concurrency=1)
                 return engine.metrics
 
         metrics = run(go())
@@ -193,7 +196,7 @@ class TestCacheIntegration:
             cache = HotKeyCache(128, admit_threshold=1)
             cfg = EngineConfig(batch_size=64, batch_window=1e-4)
             async with QueryEngine(store, cfg, cache=cache) as engine:
-                return await replay(engine, keys, group_size=64)
+                return (await drive_load(engine, key_groups(keys, 64)))[0]
 
         assert np.array_equal(run(go()), expect)
 
@@ -212,7 +215,8 @@ class TestLifecycle:
     def test_metrics_elapsed_set_by_replay(self, db, store):
         async def go():
             async with QueryEngine(store, EngineConfig(batch_window=0.0)) as engine:
-                await replay(engine, db.kmers[:100], group_size=25)
+                _, engine.metrics.elapsed = await drive_load(
+                    engine, key_groups(db.kmers[:100], 25))
                 return engine.metrics
 
         metrics = run(go())

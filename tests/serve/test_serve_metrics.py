@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.serve.cache import HotKeyCache, TieredCache, make_cache
 from repro.serve.metrics import LatencyHistogram, ServeMetrics
 
 
@@ -180,3 +182,168 @@ class TestSnapshotDelta:
         m.latency.record(2e-3)
         m.n_queries += 1
         json.dumps(m.snapshot_delta(now=1.0))
+
+
+class TestMerge:
+    """One fold: every dataclass counter, by its declared rule."""
+
+    #: Fields that are not counters (declared ``"fold": None``).
+    NOT_FOLDED = {"cache_source", "_delta_base"}
+    #: High-water marks (declared ``"fold": max``).
+    MAXED = {"queue_depth_max", "elapsed"}
+
+    @staticmethod
+    def _distinct(offset: int) -> ServeMetrics:
+        """Every counter set to a value no other field or instance has."""
+        m = ServeMetrics()
+        for i, f in enumerate(fields(m), start=1):
+            value = getattr(m, f.name)
+            if isinstance(value, LatencyHistogram):
+                value.record(offset * 1e-3, weight=offset)
+            elif isinstance(value, dict):
+                value.update({"overload": offset + i, f"only-{offset}": i})
+            elif isinstance(value, (int, float)):
+                setattr(m, f.name, type(value)(offset * 100 + i))
+        m.cache_source = HotKeyCache(4)
+        return m
+
+    def test_every_field_is_folded_field_by_field(self):
+        a, b, total = self._distinct(1), self._distinct(2), self._distinct(1)
+        own_cache = total.cache_source
+        total.merge(b)
+        seen = set()
+        for f in fields(ServeMetrics):
+            x, y, z = (getattr(m, f.name) for m in (a, b, total))
+            seen.add(f.name)
+            if f.name in self.NOT_FOLDED:
+                assert f.metadata["fold"] is None
+            elif f.name in self.MAXED:
+                assert z == max(x, y) and z != x + y
+            elif f.name == "latency":
+                assert np.array_equal(z.counts, x.counts + y.counts)
+                assert (z.n, z.max_seen) == (3, 2e-3)
+                assert z.total == pytest.approx(x.total + y.total)
+            elif f.name == "rejected_by_cause":
+                assert z == {"overload": x["overload"] + y["overload"],
+                             "only-1": x["only-1"], "only-2": y["only-2"]}
+            else:
+                assert z == x + y and z not in (x, y), f.name
+        # A field added to the dataclass lands in the last branch (it
+        # is summed) unless it is declared otherwise - never skipped.
+        assert seen == {f.name for f in fields(ServeMetrics)}
+        assert total.cache_source is own_cache
+
+    def test_subtracting_a_copy_leaves_the_window(self):
+        m = self._distinct(3)
+        before = ServeMetrics()
+        before.merge(m)
+        m.latency.record(5e-3, weight=4)
+        m.n_queries += 4
+        m.reject(2, "shed")
+        m.observe_queue_depth(1)
+        m.merge(before, sign=-1)
+        assert (m.n_queries, m.latency.n, m.rejected) == (4, 4, 2)
+        assert m.rejected_by_cause == {"overload": 0, "only-3": 0, "shed": 2}
+        assert m.latency.quantile(0.5) == pytest.approx(5e-3, rel=0.15)
+        assert m.queue_depth_max == before.queue_depth_max  # lifetime mark
+
+
+def _key_tree(doc: dict) -> dict:
+    return {k: _key_tree(v) if isinstance(v, dict) else None
+            for k, v in doc.items()}
+
+
+def _keys(*names: str, **subtrees: dict) -> dict:
+    return {**dict.fromkeys(names), **subtrees}
+
+
+class TestGoldenShapes:
+    """The key trees ``benchmarks/e2e`` and ``repro.xp`` read, pinned.
+
+    Written out from the documents the commit before the shared
+    builder produced; a key that moves, appears or disappears here is
+    a schema change, not a refactor.
+    """
+
+    CAUSES = _keys("overload", "quota")
+    LRU_STATS = _keys("tiers", "hits", "misses", "hit_rate", "evictions",
+                      "resident", "capacity", "candidates",
+                      "candidate_capacity", "admit_threshold")
+    TIERED_STATS = _keys(
+        "tiers", "hits", "misses", "hit_rate", "evictions", "promotions",
+        "demotions", "candidates", "candidate_capacity", "admit_threshold",
+        t1=_keys("hits", "resident", "capacity"),
+        t2=_keys("hits", "resident", "capacity", "latency_s",
+                 "time_charged_s"))
+
+    @staticmethod
+    def snapshot_tree(cache: dict, causes: dict) -> dict:
+        return _keys(
+            "n_queries", "n_found", "elapsed_s", "throughput_qps",
+            latency_ms=_keys("p50", "p95", "p99", "max", "mean"),
+            cache=cache,
+            batching=_keys("batches", "batched_keys", "mean_batch_size"),
+            queue=_keys("depth_max", "depth_mean", "rejected", "rejected_qps",
+                        rejected_by_cause=causes,
+                        rejected_qps_by_cause=causes))
+
+    @staticmethod
+    def delta_tree(cache: dict, causes: dict) -> dict:
+        return _keys(
+            "window_s", "n_queries", "n_found", "throughput_qps", "rejected",
+            "rejected_qps",
+            latency_ms=_keys("p50", "p95", "p99", "mean"),
+            cache=cache, rejected_by_cause=causes)
+
+    @staticmethod
+    def metrics(cache=None, *, rejecting: bool = True) -> ServeMetrics:
+        m = ServeMetrics(cache_source=cache)
+        m.latency.record(1e-3, weight=9)
+        m.n_queries, m.n_found, m.cache_hits, m.cache_misses = 9, 7, 5, 4
+        m.n_batches, m.batched_keys, m.elapsed = 2, 4, 0.5
+        m.observe_queue_depth(3)
+        if rejecting:
+            m.reject(4, "overload")
+            m.reject(2, "quota")
+        if isinstance(cache, TieredCache):
+            m.cache_t2_hits, m.t2_time_charged = 5, 1.25e-4
+        return m
+
+    def check(self, m, snap_cache, delta_cache, causes):
+        assert _key_tree(m.snapshot()) == self.snapshot_tree(snap_cache, causes)
+        for now in (10.0, 12.0):  # the first window and a later one
+            assert (_key_tree(m.snapshot_delta(now=now))
+                    == self.delta_tree(delta_cache, causes))
+
+    def test_bare(self):
+        rates = _keys("hits", "misses", "hit_rate")
+        self.check(self.metrics(rejecting=False), rates, rates, {})
+
+    def test_rejecting(self):
+        rates = _keys("hits", "misses", "hit_rate")
+        self.check(self.metrics(), rates, rates, self.CAUSES)
+
+    def test_single_tier_cache_attached(self):
+        cache = _keys("hits", "misses", "hit_rate", stats=self.LRU_STATS)
+        self.check(self.metrics(make_cache(8)), cache, cache, self.CAUSES)
+
+    def test_two_tier_cache_attached(self):
+        stats = self.TIERED_STATS
+        self.check(
+            self.metrics(make_cache(4, 8)),
+            _keys("hits", "misses", "hit_rate", "t2_hits",
+                  "t2_time_charged_s", stats=stats),
+            _keys("hits", "misses", "hit_rate", "t2_hits", stats=stats),
+            self.CAUSES)
+
+
+class TestMakeCache:
+    def test_capacity_triple_picks_the_cache(self):
+        assert make_cache(0) is None and make_cache(0, 64) is None
+        single = make_cache(16, 0, 3)
+        assert type(single) is HotKeyCache
+        assert (single.capacity, single.admit_threshold) == (16, 3)
+        tiered = make_cache(16, 64, 2)
+        assert type(tiered) is TieredCache
+        assert (tiered.t1_capacity, tiered.t2_capacity,
+                tiered.admit_threshold) == (16, 64, 2)

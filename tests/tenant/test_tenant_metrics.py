@@ -66,6 +66,19 @@ class TestMergedMetrics:
         for q in (0.5, 0.95, 0.99):
             assert merged.latency.quantile(q) == oracle.latency.quantile(q)
 
+    def test_merge_carries_every_counter_a_tenant_carries(self):
+        """``merged`` used to drop the batching counters."""
+        tms = TenantMetricsSet()
+        for i, t in enumerate(("a", "b"), start=1):
+            m = tms.get(t)
+            m.n_batches, m.batched_keys = i, 10 * i
+            m.cache_t2_hits = i
+            m.observe_queue_depth(4 * i)
+        merged = tms.merged()
+        assert (merged.n_batches, merged.batched_keys) == (3, 30)
+        assert merged.cache_t2_hits == 3
+        assert merged.queue_depth_max == 8 and merged.queue_depth_mean == 6.0
+
     def test_snapshot_delta_windows_are_merge_consistent(self):
         """Deltas over the merged view track the per-tenant sums."""
         tms = TenantMetricsSet()

@@ -117,3 +117,21 @@ class TestServeBenchLsm:
         rc = main(["serve-bench", "--lsm-store", str(tmp_path / "nope"),
                    "--queries", "100"])
         assert rc == 2
+
+    def test_store_is_closed_when_the_bench_raises(self, tmp_path, fastq,
+                                                   capsys, monkeypatch):
+        store_dir = str(tmp_path / "db")
+        assert main(["ingest", "--store", store_dir, "--input", fastq,
+                     "-k", "17", "--flush"]) == 0
+        opened = []
+
+        def boom(counts, *, store, **kwargs):
+            opened.append(store.store)
+            raise RuntimeError("bench failed mid-run")
+
+        monkeypatch.setattr("repro.serve.run_serve_bench", boom)
+        with pytest.raises(RuntimeError, match="mid-run"):
+            main(["serve-bench", "--lsm-store", store_dir, "--queries", "100"])
+        (lsm,) = opened
+        assert lsm.wal._fh.closed
+        assert all(run._fh is None for run in lsm.runs)

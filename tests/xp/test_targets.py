@@ -80,7 +80,7 @@ CASES = {
 }
 
 
-def test_every_non_paper_target_has_a_case():
+def test_cases_cover_exactly_the_registered_targets():
     assert set(CASES) == set(TARGETS)
 
 
@@ -93,3 +93,16 @@ def test_target_checks_and_metric_directions(name):
     failed = sorted(c for c in exact if not outcome.checks[c])
     assert not failed, f"{name}: {failed} (metrics {outcome.metrics})"
     assert outcome.metrics and set(outcome.metrics) <= set(target.directions)
+
+
+@pytest.mark.parametrize("name", ["serve-bench", "cluster-bench",
+                                  "tenant-bench", "trace-bench"])
+def test_serving_targets_reject_unknown_keys_naming_the_accepted_ones(name):
+    """Their keyword defaults live at ``run_*_bench``; the accepted keys
+    are read from its signature, and a typo is still an error."""
+    with pytest.raises(ValueError, match="unknown parameters") as exc:
+        TARGETS[name].run({"n_querys": 10})
+    message = str(exc.value)
+    assert "'n_querys'" in message
+    for accepted in ("dataset", "budget", "zipf_s"):
+        assert f"'{accepted}'" in message
