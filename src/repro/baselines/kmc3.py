@@ -23,29 +23,26 @@ mode but reports KMC3's time *including I/O* (Section VI).  We model
 both: the bin write+read round trip is charged at memory bandwidth
 (in-memory mode) and the FASTQ scan is charged at ``disk_bw`` to
 mirror the included input I/O.
+
+Same skeleton as the distributed counters (:mod:`repro.core.phases`)
+with bins as the owners (:func:`repro.core.owner.by_owner`) on one PE.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.owner import by_owner, splitmix64
+from ..core.phases import SimRun, n_bases, parse_kmers
+from ..core.result import KmerCounts
 from ..runtime.cache import CacheAccounting
 from ..runtime.cost import CostModel
 from ..runtime.machine import MachineConfig
 from ..runtime.stats import RunStats
-from ..seq.kmers import (
-    canonical_kmers,
-    count_packed_kmers,
-    extract_kmers_from_reads,
-    kmer_width_bits,
-)
+from ..seq.kmers import count_packed_kmers, kmer_width_bits
 from ..seq.minimizers import minimizers_of_kmers
-from ..sort.accumulate import merge_count_arrays
-from ..core.owner import splitmix64
-from ..core.result import KmerCounts
 
 __all__ = ["Kmc3Config", "kmc3_count"]
 
@@ -82,27 +79,21 @@ def kmc3_count(
     represents the whole node (KMC3 is a shared-memory tool).
     """
     config = config or Kmc3Config()
-    host_t0 = time.perf_counter()
-    cost = CostModel(machine.with_nodes(1), cores_per_pe=machine.cores_per_node,
-                     threaded=True)
-    stats = RunStats(n_pes=1)
+    run = SimRun(CostModel(machine.with_nodes(1), cores_per_pe=machine.cores_per_node,
+                           threaded=True))
+    cost, stats = run.cost, run.stats
     pe = stats.pe[0]
     cache = CacheAccounting(machine.cache_bytes, machine.line_bytes)
+    total_bases = n_bases(reads)
 
-    if isinstance(reads, np.ndarray) and reads.ndim == 2:
-        total_bases = int(reads.size)
-    else:
-        total_bases = sum(int(np.asarray(r).size) for r in reads)
-
-    # Input I/O (KMC3's reported time includes it).
+    # Input I/O (KMC3's reported time includes it); the model books it
+    # as the run's phase 1.
     fastq_bytes = int(total_bases * config.fastq_bytes_per_base)
-    pe.advance(fastq_bytes / config.disk_bw)
-    stats.extra["io_time"] = fastq_bytes / config.disk_bw
+    stats.phase1_time = fastq_bytes / config.disk_bw
+    pe.advance(stats.phase1_time)
 
     # Stage 1: parse + minimizer binning + bin write.
-    kmers = extract_kmers_from_reads(reads, k)
-    if config.canonical and kmers.size:
-        kmers = canonical_kmers(kmers, k)
+    kmers = parse_kmers(reads, k, config.canonical)
     pe.kmers_generated = int(kmers.size)
     w = min(config.minimizer_len, k)
     mins = minimizers_of_kmers(kmers, k, w) if kmers.size else kmers
@@ -115,25 +106,15 @@ def kmc3_count(
     pe.cache_misses_p1 += cache.reset()
 
     # Stage 2: per-bin radix sort + accumulate.
-    order = np.argsort(bins, kind="stable")
-    sorted_by_bin = kmers[order]
-    bin_counts = np.bincount(bins, minlength=config.n_bins)
-    bounds = np.zeros(config.n_bins + 1, dtype=np.int64)
-    np.cumsum(bin_counts, out=bounds[1:])
     passes = max(1, kmer_width_bits(k) // 8)
     results = []
-    for bi in np.flatnonzero(bin_counts):
-        chunk = sorted_by_bin[bounds[bi] : bounds[bi + 1]]
+    for _, chunk in by_owner(bins, config.n_bins, kmers):
         cost.charge_compute(pe, chunk.size * passes)
         cost.charge_mem(pe, 2 * chunk.nbytes * passes)
         cache.stream(2 * chunk.nbytes * passes)
         results.append(count_packed_kmers(chunk, k))
     pe.cache_misses_p2 += cache.reset()
 
-    uniq, counts = merge_count_arrays(results)
-    stats.sim_time = pe.clock
-    stats.phase1_time = stats.extra["io_time"]
-    stats.phase2_time = stats.sim_time - stats.phase1_time
-    stats.host_seconds = time.perf_counter() - host_t0
-    stats.extra["n_bins_used"] = int(np.count_nonzero(bin_counts))
-    return KmerCounts(k, uniq, counts), stats
+    # One shared-memory node: no exit barrier to pay.
+    return run.finish(k, results, sync=False, io_time=stats.phase1_time,
+                      n_bins_used=len(results))

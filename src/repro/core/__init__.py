@@ -1,5 +1,9 @@
 """Core algorithms: serial (Alg. 1), BSP (Alg. 2), DAKC (Algs. 3-4).
 
+What every simulated counter shares — opening, read split, parse and
+closing of a run — is :mod:`repro.core.phases`; the one bucket split by
+owner is :func:`repro.core.owner.by_owner`.
+
 Extensions beyond the paper's evaluation (its Section VII future work):
 128-bit k-mers (:mod:`repro.core.bigcount`) and the barrier-free
 sorted-set variant (:mod:`repro.core.sortedset`).
@@ -10,7 +14,8 @@ from .bsp import BspConfig, bsp_count
 from .dakc import DakcConfig, DeliveryIntegrityError, dakc_count
 from .minipart import MinimizerPartitionConfig, minimizer_partitioned_count
 from .l2l3 import AggregationConfig, BulkAggregator, ExactAggregator, receive_service_time
-from .owner import owner_pe, owner_pe_scalar, partition_by_owner, splitmix64
+from .owner import by_owner, owner_pe, owner_pe_scalar, splitmix64
+from .phases import SimRun, n_bases, parse_kmers, split_reads
 from .result import KmerCounts
 from .serial import SerialRunInfo, serial_count, serial_count_oracle
 from .sortedset import SortedRunSet, dakc_overlap_count
@@ -31,7 +36,11 @@ __all__ = [
     "receive_service_time",
     "owner_pe",
     "owner_pe_scalar",
-    "partition_by_owner",
+    "by_owner",
+    "SimRun",
+    "split_reads",
+    "n_bases",
+    "parse_kmers",
     "splitmix64",
     "BigKmerCounts",
     "serial_count_big",

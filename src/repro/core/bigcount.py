@@ -4,7 +4,9 @@ Builds the serial and owner-partitioned distributed counting paths on
 top of :mod:`repro.seq.bigkmers`.  The distributed path mirrors DAKC's
 structure (partition by a deterministic owner hash, count locally, no
 cross-PE duplicates) and runs on the same simulated machine so long-
-read-sized k-mers can be costed like everything else.
+read-sized k-mers can be costed like everything else.  It shares the
+run skeleton (:mod:`repro.core.phases`) and the owner split
+(:func:`repro.core.owner.by_owner`, over the ``hi`` and ``lo`` columns).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..runtime.collectives import barrier
 from ..runtime.cost import CostModel
 from ..runtime.machine import MachineConfig
 from ..runtime.stats import RunStats
@@ -25,7 +26,8 @@ from ..seq.bigkmers import (
     extract_big_kmers_from_reads,
     lexsort_big,
 )
-from .owner import splitmix64
+from .owner import by_owner, splitmix64
+from .phases import SimRun, n_bases, split_reads
 
 __all__ = ["BigKmerCounts", "serial_count_big", "owner_pe_big", "dakc_count_big"]
 
@@ -63,15 +65,13 @@ class BigKmerCounts:
         return int(self.counts.sum()) if self.counts.size else 0
 
     def get(self, hi: int, lo: int) -> int:
-        """Count of one (hi, lo) k-mer via binary search."""
-        i = int(np.searchsorted(self.kmers.hi, np.uint64(hi)))
-        while i < self.n_distinct and self.kmers.hi[i] == np.uint64(hi):
-            if self.kmers.lo[i] == np.uint64(lo):
-                return int(self.counts[i])
-            if self.kmers.lo[i] > np.uint64(lo):
-                break
-            i += 1
-        return 0
+        """Count of one (hi, lo) k-mer: binary-search the run of equal
+        ``hi`` words, then ``lo`` inside it."""
+        hi, lo = np.uint64(hi), np.uint64(lo)
+        start = int(np.searchsorted(self.kmers.hi, hi, side="left"))
+        end = int(np.searchsorted(self.kmers.hi, hi, side="right"))
+        i = start + int(np.searchsorted(self.kmers.lo[start:end], lo))
+        return int(self.counts[i]) if i < end and self.kmers.lo[i] == lo else 0
 
     def get_str(self, kmer: str) -> int:
         from ..seq.bigkmers import str_to_big_kmer
@@ -135,43 +135,27 @@ def dakc_count_big(
     elements; the full L2/L3 aggregation stack is exercised by the
     64-bit path and is not duplicated here.
     """
-    if isinstance(cost, MachineConfig):
-        cost = CostModel(cost)
-    n_pes = cost.n_pes
-    stats = RunStats(n_pes=n_pes)
-    barrier(cost, stats)  # sync 1
+    run = SimRun(cost)
+    cost, stats, n_pes = run.cost, run.stats, run.n_pes
+    run.barrier()  # sync 1
 
-    per_pe = np.array_split(
-        reads if isinstance(reads, np.ndarray) else np.asarray(reads, dtype=np.uint8),
-        n_pes,
-    )
     inbox_hi: list[list[np.ndarray]] = [[] for _ in range(n_pes)]
     inbox_lo: list[list[np.ndarray]] = [[] for _ in range(n_pes)]
-    for src, rows in enumerate(per_pe):
+    for src, rows in enumerate(split_reads(reads, n_pes)):
         pe = stats.pe[src]
         kmers = extract_big_kmers_from_reads(rows, k)
         if canonical and len(kmers):
             kmers = canonical_big(kmers)
         pe.kmers_generated += len(kmers)
         cost.charge_compute(pe, 2 * len(kmers))  # two-word rolling update
-        cost.charge_mem(pe, int(np.asarray(rows).size))
-        if not len(kmers):
-            continue
-        owners = owner_pe_big(kmers, n_pes)
-        order = np.argsort(owners, kind="stable")
-        bounds = np.zeros(n_pes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owners, minlength=n_pes), out=bounds[1:])
-        hi_sorted, lo_sorted = kmers.hi[order], kmers.lo[order]
-        for dst in range(n_pes):
-            lo_i, hi_i = bounds[dst], bounds[dst + 1]
-            if hi_i == lo_i:
-                continue
-            nbytes = int(hi_i - lo_i) * 16
-            cost.charge_put(pe, dst, nbytes)
-            inbox_hi[dst].append(hi_sorted[lo_i:hi_i])
-            inbox_lo[dst].append(lo_sorted[lo_i:hi_i])
+        cost.charge_mem(pe, n_bases(rows))
+        for dst, hi, lo in by_owner(owner_pe_big(kmers, n_pes), n_pes,
+                                    kmers.hi, kmers.lo):
+            cost.charge_put(pe, dst, int(hi.size) * 16)
+            inbox_hi[dst].append(hi)
+            inbox_lo[dst].append(lo)
 
-    barrier(cost, stats)  # sync 2: inter-phase
+    run.barrier()  # sync 2: inter-phase
     stats.phase1_time = stats.max_clock
 
     parts: list[tuple[BigKmerArray, np.ndarray]] = []
@@ -190,9 +174,7 @@ def dakc_count_big(
         uniq, counts = accumulate_sorted_big(lexsort_big(merged))
         parts.append((uniq, counts))
 
-    barrier(cost, stats)  # sync 3
-    stats.sim_time = stats.max_clock
-    stats.phase2_time = stats.sim_time - stats.phase1_time
+    run.close()  # sync 3 is the run's exit barrier
 
     if not parts:
         return BigKmerCounts(BigKmerArray.empty(k), np.empty(0, dtype=np.int64)), stats

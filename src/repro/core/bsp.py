@@ -26,26 +26,29 @@ Variants (all measured in the paper's evaluation):
   ``{kmer, count}`` pairs before the exchange (the literal
   ``Accumulate(T_s[i])`` of Algorithm 2's ``FlushBuffer``), trading
   compute for communication volume on skewed inputs.
+
+Run open/split/parse/close are :mod:`repro.core.phases` and the send
+buckets are :func:`repro.core.owner.by_owner`; what is here is the
+superstep loop, the collective and the Phase-2 sort charge.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..runtime.cache import CacheAccounting
-from ..runtime.collectives import alltoallv, barrier
+from ..runtime.collectives import alltoallv
 from ..runtime.cost import OPS_PER_ELEMENT_BUFFER, CostModel
 from ..runtime.machine import MachineConfig
-from ..runtime.memory import MemoryTracker
 from ..runtime.stats import RunStats
-from ..seq.kmers import canonical_kmers, extract_kmers_from_reads, kmer_width_bits
-from ..sort.accumulate import accumulate_sorted, accumulate_weighted, merge_count_arrays
-from ..sort.radix import effective_msd_passes, radix_sort
-from .owner import owner_pe
+from ..seq.kmers import count_packed_kmers, kmer_width_bits
+from ..sort.accumulate import accumulate_weighted
+from ..sort.radix import effective_msd_passes
+from .owner import by_owner, owner_pe
+from .phases import SimRun, n_bases, parse_kmers, split_reads
 from .result import KmerCounts
 
 __all__ = ["BspConfig", "bsp_count"]
@@ -66,7 +69,6 @@ class BspConfig:
     sort: str = "radix"  # "radix" | "quicksort"
     preaccumulate: bool = False
     canonical: bool = False
-    use_real_radix: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size is not None and self.batch_size < 1:
@@ -117,39 +119,21 @@ def bsp_count(
     consumed; :mod:`repro.fault.checkpoint` uses it to snapshot the
     accumulated per-PE receive state at BSP's natural phase boundaries.
     """
-    if isinstance(cost, MachineConfig):
-        cost = CostModel(cost)
     config = config or BspConfig()
-    host_t0 = time.perf_counter()
-    n_pes = cost.n_pes
-    stats = RunStats(n_pes=n_pes)
-    memory = MemoryTracker(n_pes)
+    run = SimRun(cost)
+    cost, stats, memory, n_pes = run.cost, run.stats, run.memory, run.n_pes
 
     # Local k-mer streams (parse is interleaved with supersteps below;
     # extraction is hoisted for vectorisation but *charged* per batch).
-    if isinstance(reads, np.ndarray) and reads.ndim == 2:
-        per_pe_rows = np.array_split(reads, n_pes)
-    else:
-        per_pe_rows = [[] for _ in range(n_pes)]
-        for i, r in enumerate(reads):
-            per_pe_rows[i * n_pes // max(1, len(reads))].append(r)
-    streams: list[np.ndarray] = []
-    read_bytes: list[int] = []
-    for rows in per_pe_rows:
-        kmers = extract_kmers_from_reads(rows, k)
-        if config.canonical and kmers.size:
-            kmers = canonical_kmers(kmers, k)
-        streams.append(kmers)
-        if isinstance(rows, np.ndarray):
-            read_bytes.append(int(rows.size))
-        else:
-            read_bytes.append(sum(int(np.asarray(r).size) for r in rows))
+    per_pe_rows = split_reads(reads, n_pes)
+    streams = [parse_kmers(rows, k, config.canonical) for rows in per_pe_rows]
+    read_bytes = [n_bases(rows) for rows in per_pe_rows]
 
     local_total = max((s.size for s in streams), default=0)
     b = config.batch_size if config.batch_size is not None else max(1, local_total)
     n_supersteps = max(1, -(-local_total // b)) if local_total else 1
 
-    barrier(cost, stats)  # everyone enters the kernel
+    run.barrier()  # everyone enters the kernel
 
     # Received data per PE, accumulated across supersteps.
     recv_plain: list[list[np.ndarray]] = [[] for _ in range(n_pes)]
@@ -184,16 +168,9 @@ def bsp_count(
             cache.stream(batch.nbytes)
             pe_stats.cache_misses_p1 += cache.misses
             pe_stats.kmers_generated += int(batch.size)
-            owners = owner_pe(batch, n_pes)
-            order = np.argsort(owners, kind="stable")
-            sorted_batch = batch[order]
-            counts = np.bincount(owners, minlength=n_pes)
-            bounds = np.zeros(n_pes + 1, dtype=np.int64)
-            np.cumsum(counts, out=bounds[1:])
-            for dst in np.flatnonzero(counts):
-                bucket = sorted_batch[bounds[dst] : bounds[dst + 1]]
+            for dst, bucket in by_owner(owner_pe(batch, n_pes), n_pes, batch):
                 if config.preaccumulate:
-                    u, c = accumulate_sorted(np.sort(bucket))
+                    u, c = count_packed_kmers(bucket, k)
                     cost.charge_compute(pe_stats, bucket.size * 2)
                     outgoing[src][dst] = (u, c)
                     send_bytes[src, dst] = u.size * elem_bytes
@@ -242,7 +219,7 @@ def bsp_count(
             if deferred_recv_bytes[dst]:
                 cost.charge_mem(pe_stats, int(deferred_recv_bytes[dst]))
 
-    stats.phase1_time = max(p.clock for p in stats.pe)
+    stats.phase1_time = stats.max_clock
 
     # Phase 2: sort + accumulate the received arrays.
     results = []
@@ -259,22 +236,10 @@ def bsp_count(
                 np.concatenate(recv_plain[dst]) if recv_plain[dst] else np.empty(0, np.uint64)
             )
             _charge_sort(cost, pe_stats, int(t_arr.size), k, config.sort, cache)
-            if config.use_real_radix and config.sort == "radix":
-                sorted_t = radix_sort(t_arr, key_bits=2 * k)
-            else:
-                sorted_t = np.sort(t_arr)
-            uniq, counts = accumulate_sorted(sorted_t)
+            uniq, counts = count_packed_kmers(t_arr, k)
         pe_stats.cache_misses_p2 += cache.misses
         results.append((uniq, counts))
 
-    barrier(cost, stats)  # final sync
-    stats.sim_time = stats.max_clock
-    stats.phase2_time = stats.sim_time - stats.phase1_time
-    stats.peak_buffer_bytes_per_pe = memory.peak_any_pe()
-    stats.extra["supersteps"] = n_supersteps
-    stats.extra["blocking"] = config.blocking
-    stats.extra["sort"] = config.sort
-
-    uniq, counts = merge_count_arrays(results)
-    stats.host_seconds = time.perf_counter() - host_t0
-    return KmerCounts(k, uniq, counts), stats
+    # The final sync is the run's exit barrier.
+    return run.finish(k, results, supersteps=n_supersteps,
+                      blocking=config.blocking, sort=config.sort)

@@ -20,36 +20,39 @@ Two execution modes share all routing/aggregation semantics:
 Both return identical :class:`~repro.core.result.KmerCounts` (property-
 tested) and populate a :class:`~repro.runtime.stats.RunStats` with the
 measured communication behaviour and the simulated time.
+
+The run's opening, read split, parse and close are the shared skeleton
+of :mod:`repro.core.phases`; this module holds what DAKC adds — the
+conveyor (:func:`open_conveyor`), ``AsyncAdd`` through the aggregation
+stack, the lazy receive charge, the delivery conservation check and
+the Phase-2 sort charge.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..runtime.actor import Actor, ActorRuntime
 from ..runtime.cache import CacheAccounting
-from ..runtime.collectives import barrier
 from ..runtime.conveyors import Conveyor, PacketGroup
 from ..runtime.cost import CostModel
 from ..runtime.machine import MachineConfig
-from ..runtime.memory import L0_BUFFER_BYTES, MemoryTracker
+from ..runtime.memory import L0_BUFFER_BYTES
 from ..runtime.stats import RunStats
 from ..runtime.topology import make_topology
-from ..seq.kmers import (
-    canonical_kmers,
-    extract_kmers,
-    extract_kmers_from_reads,
-    kmer_width_bits,
-)
-from ..sort.accumulate import accumulate_sorted, accumulate_weighted, merge_count_arrays
-from ..sort.radix import effective_msd_passes, radix_sort
+from ..seq.kmers import count_packed_kmers, kmer_width_bits
+from ..sort.accumulate import accumulate_weighted
+from ..sort.radix import effective_msd_passes
 from .l2l3 import AggregationConfig, BulkAggregator, ExactAggregator, receive_service_time
+from .phases import SimRun, n_bases, parse_kmers, split_reads
 from .result import KmerCounts
 
-__all__ = ["DakcConfig", "dakc_count", "DeliveryIntegrityError"]
+__all__ = ["DakcConfig", "dakc_count", "open_conveyor", "DeliveryIntegrityError"]
+
+#: k-mers fed to the aggregator per cooperative step (fast mode).
+PARSE_CHUNK: int = 65_536
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,12 +65,6 @@ class DakcConfig:
     agg: AggregationConfig = field(default_factory=AggregationConfig)
     mode: str = "fast"  # "fast" | "exact"
     canonical: bool = False
-    #: k-mers fed to the aggregator per cooperative step (fast mode).
-    parse_chunk: int = 65_536
-    #: Run the real LSD radix sorter in Phase 2 (slow; tests only).
-    #: When False, NumPy's sort produces the identical permutation and
-    #: the cost model still charges worst-case radix passes.
-    use_real_radix: bool = False
     #: Verify at the inter-phase barrier that every generated k-mer
     #: occurrence was delivered exactly once (conservation check over
     #: the aggregation stack and conveyor) — the integrity handshake a
@@ -77,19 +74,15 @@ class DakcConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("fast", "exact"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.parse_chunk < 1:
-            raise ValueError("parse_chunk must be >= 1")
 
 
-def _split_reads(reads: np.ndarray | list, n_pes: int) -> list:
-    """Block-partition reads across PEs (paper assumption 1: balanced
-    input)."""
-    if isinstance(reads, np.ndarray) and reads.ndim == 2:
-        return [part for part in np.array_split(reads, n_pes)]
-    out: list[list] = [[] for _ in range(n_pes)]
-    for i, r in enumerate(reads):
-        out[i * n_pes // max(1, len(reads))].append(r)
-    return out
+def open_conveyor(run: SimRun, config: DakcConfig, factory=None) -> Conveyor:
+    """The conveyor of *run* over *config*'s virtual topology; *factory*
+    replaces the stock :class:`Conveyor` (same arguments)."""
+    return (factory or Conveyor)(
+        run.cost, run.stats, make_topology(config.protocol, run.n_pes), run.memory,
+        c0_bytes=config.c0_bytes, c1_packets=config.c1_packets,
+    )
 
 
 class _DakcActor(Actor):
@@ -126,9 +119,7 @@ class _DakcActor(Actor):
         row = self.reads[self._next]
         self._next += 1
         codes = np.asarray(row, dtype=np.uint8)
-        kmers = extract_kmers(codes, self.k)
-        if self.canonical:
-            kmers = canonical_kmers(kmers, self.k)
+        kmers = parse_kmers([codes], self.k, self.canonical)
         pe_stats = self.stats.pe[self.pe]
         pe_stats.kmers_generated += int(kmers.size)
         self.cost.charge_compute(pe_stats, int(kmers.size))
@@ -145,17 +136,11 @@ class _DakcActor(Actor):
 
 
 def _phase2(
-    dst: int,
-    groups: list[PacketGroup],
-    k: int,
-    cost: CostModel,
-    stats: RunStats,
-    memory: MemoryTracker,
-    *,
-    use_real_radix: bool,
+    dst: int, groups: list[PacketGroup], k: int, run: SimRun
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sort + accumulate one PE's received k-mers (Phase 2)."""
-    pe_stats = stats.pe[dst]
+    cost, memory = run.cost, run.memory
+    pe_stats = run.stats.pe[dst]
     normals = [g.kmers for g in groups if g.kind == "NORMAL"]
     heavy_k = [g.kmers for g in groups if g.kind == "HEAVY"]
     heavy_c = [g.counts for g in groups if g.kind == "HEAVY"]
@@ -181,11 +166,7 @@ def _phase2(
     cache.stream(t_arr.nbytes)
     pe_stats.cache_misses_p2 += cache.misses
 
-    if use_real_radix:
-        sorted_t = radix_sort(t_arr, key_bits=2 * k)
-    else:
-        sorted_t = np.sort(t_arr)
-    uniq, counts = accumulate_sorted(sorted_t)
+    uniq, counts = count_packed_kmers(t_arr, k)
     if heavy_k:
         hk = np.concatenate(heavy_k)
         hc = np.concatenate(heavy_c)
@@ -245,21 +226,13 @@ def dakc_count(
         The global ordered counts and the measured run statistics
         (simulated time, messages, bytes, per-PE clocks).
     """
-    if isinstance(cost, MachineConfig):
-        cost = CostModel(cost)
     config = config or DakcConfig()
-    host_t0 = time.perf_counter()
-    n_pes = cost.n_pes
-    stats = RunStats(n_pes=n_pes)
-    memory = MemoryTracker(n_pes)
-    topo = make_topology(config.protocol, n_pes)
-    make_conveyor = conveyor_factory if conveyor_factory is not None else Conveyor
-    conveyor = make_conveyor(
-        cost, stats, topo, memory, c0_bytes=config.c0_bytes, c1_packets=config.c1_packets
-    )
-    per_pe_reads = _split_reads(reads, n_pes)
+    run = SimRun(cost)
+    cost, stats, n_pes = run.cost, run.stats, run.n_pes
+    conveyor = open_conveyor(run, config, conveyor_factory)
+    per_pe_reads = split_reads(reads, n_pes)
 
-    barrier(cost, stats)  # sync 1: all PEs enter the counting kernel
+    run.barrier()  # sync 1: all PEs enter the counting kernel
 
     if config.mode == "exact":
         aggs = [
@@ -276,7 +249,7 @@ def dakc_count(
     else:
         _run_phase1_fast(per_pe_reads, k, cost, stats, conveyor, config)
         _charge_receives(cost, stats, conveyor)
-        barrier(cost, stats)  # sync 2: inter-phase barrier
+        run.barrier()  # sync 2: inter-phase barrier
 
     stats.phase1_time = stats.max_clock
 
@@ -286,24 +259,12 @@ def dakc_count(
     if config.verify_delivery:
         _verify_conservation(stats, conveyor)
 
-    results = []
-    for dst in range(n_pes):
-        groups = [g for _, g in conveyor.delivered[dst]]
-        results.append(
-            _phase2(dst, groups, k, cost, stats, memory,
-                    use_real_radix=config.use_real_radix)
-        )
-    barrier(cost, stats)  # sync 3: end of the kernel
-
-    stats.sim_time = stats.max_clock
-    stats.phase2_time = stats.sim_time - stats.phase1_time
-    stats.peak_buffer_bytes_per_pe = memory.peak_any_pe()
-    stats.extra["protocol"] = config.protocol
-    stats.extra["mode"] = config.mode
-
-    uniq, counts = merge_count_arrays(results)
-    stats.host_seconds = time.perf_counter() - host_t0
-    return KmerCounts(k, uniq, counts), stats
+    results = [
+        _phase2(dst, [g for _, g in conveyor.delivered[dst]], k, run)
+        for dst in range(n_pes)
+    ]
+    # sync 3 (end of the kernel) is the run's exit barrier.
+    return run.finish(k, results, protocol=config.protocol, mode=config.mode)
 
 
 def _run_phase1_fast(
@@ -318,13 +279,8 @@ def _run_phase1_fast(
     cache_tpl = (cost.machine.cache_bytes, cost.machine.line_bytes)
     for src, rows in enumerate(per_pe_reads):
         pe_stats = stats.pe[src]
-        kmers = extract_kmers_from_reads(rows, k)
-        if config.canonical and kmers.size:
-            kmers = canonical_kmers(kmers, k)
-        if isinstance(rows, np.ndarray):
-            read_bytes = int(rows.size)
-        else:
-            read_bytes = sum(int(np.asarray(r).size) for r in rows)
+        kmers = parse_kmers(rows, k, config.canonical)
+        read_bytes = n_bases(rows)
         pe_stats.kmers_generated += int(kmers.size)
         cost.charge_compute(pe_stats, int(kmers.size))
         cost.charge_mem(pe_stats, read_bytes)
@@ -338,8 +294,8 @@ def _run_phase1_fast(
         cache.stream(read_bytes)
         pe_stats.cache_misses_p1 += cache.misses
         agg = BulkAggregator(src, config.agg, conveyor, cost, k=k)
-        for lo in range(0, kmers.size, config.parse_chunk):
-            agg.add_kmers(kmers[lo : lo + config.parse_chunk])
+        for lo in range(0, kmers.size, PARSE_CHUNK):
+            agg.add_kmers(kmers[lo : lo + PARSE_CHUNK])
         agg.flush()
         conveyor.flush_pe(src)
     conveyor.finalize()

@@ -41,7 +41,7 @@ from ..runtime.cost import (
     CostModel,
 )
 from ..sort.radix import effective_msd_passes, radix_passes_for_bits
-from .owner import owner_pe, owner_pe_scalar
+from .owner import by_owner, owner_pe, owner_pe_scalar
 
 __all__ = [
     "AggregationConfig",
@@ -216,27 +216,9 @@ class BulkAggregator:
 
     # -- routing ----------------------------------------------------------
 
-    def _by_owner(self, kmers: np.ndarray, payload: np.ndarray | None = None):
-        """Yield (dst, kmer_slice[, payload_slice]) per active owner."""
-        owners = owner_pe(kmers, self.n_pes)
-        order = np.argsort(owners, kind="stable")
-        kmers = kmers[order]
-        owners = owners[order]
-        if payload is not None:
-            payload = payload[order]
-        counts = np.bincount(owners, minlength=self.n_pes)
-        bounds = np.zeros(self.n_pes + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        for dst in np.flatnonzero(counts):
-            lo, hi = bounds[dst], bounds[dst + 1]
-            if payload is None:
-                yield int(dst), kmers[lo:hi]
-            else:
-                yield int(dst), kmers[lo:hi], payload[lo:hi]
-
     def _route_normal(self, kmers: np.ndarray) -> None:
         cfg = self.config
-        for dst, chunk in self._by_owner(kmers):
+        for dst, chunk in by_owner(owner_pe(kmers, self.n_pes), self.n_pes, kmers):
             self._stats.normal_elements_sent += chunk.size
             if not cfg.enable_l2:
                 # No L2: every element is its own packet (the header
@@ -252,7 +234,8 @@ class BulkAggregator:
 
     def _route_heavy(self, kmers: np.ndarray, counts: np.ndarray) -> None:
         cfg = self.config
-        for dst, ch_k, ch_c in self._by_owner(kmers, counts):
+        for dst, ch_k, ch_c in by_owner(
+                owner_pe(kmers, self.n_pes), self.n_pes, kmers, counts):
             self._stats.heavy_pairs_sent += ch_k.size
             self._l2h.setdefault(dst, []).append((ch_k, ch_c))
             self._l2h_fill[dst] += ch_k.size

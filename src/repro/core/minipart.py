@@ -17,24 +17,26 @@ The trade-off this module lets you measure (see
   scrambling hash over k-mers, so hot owners appear even on uniform
   genomes (the reason DAKC sticks to per-k-mer hashing + L3 rather
   than minimizer routing).
+
+The run skeleton is :mod:`repro.core.phases` and the owner split
+:func:`repro.core.owner.by_owner`; this module adds minimizer routing
+and the super-k-mer wire accounting.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..runtime.collectives import barrier
 from ..runtime.cost import OPS_PER_SUPERKMER, CostModel
 from ..runtime.machine import MachineConfig
 from ..runtime.stats import RunStats
 from ..seq.kmers import canonical_kmers, count_packed_kmers
 from ..seq.minimizers import minimizers_of_kmers
 from ..seq.superkmers import split_superkmers_batch
-from ..sort.accumulate import merge_count_arrays
-from .owner import splitmix64
+from .owner import by_owner, splitmix64
+from .phases import SimRun, split_reads
 from .result import KmerCounts
 
 __all__ = ["MinimizerPartitionConfig", "minimizer_partitioned_count"]
@@ -79,26 +81,16 @@ def minimizer_partitioned_count(
     super-k-mer decomposition, exactly as a canonical splitter would
     emit them.
     """
-    if isinstance(cost, MachineConfig):
-        cost = CostModel(cost)
     config = config or MinimizerPartitionConfig()
-    host_t0 = time.perf_counter()
-    n_pes = cost.n_pes
+    run = SimRun(cost)
+    cost, stats, n_pes = run.cost, run.stats, run.n_pes
     w = min(config.minimizer_len, k)
-    stats = RunStats(n_pes=n_pes)
-    barrier(cost, stats)  # sync 1
-
-    if isinstance(reads, np.ndarray) and reads.ndim == 2:
-        per_pe = np.array_split(reads, n_pes)
-    else:
-        per_pe = [[] for _ in range(n_pes)]
-        for i, r in enumerate(reads):
-            per_pe[i * n_pes // max(1, len(reads))].append(r)
+    run.barrier()  # sync 1
 
     # inbox[dst] collects k-mer arrays; wire accounting uses the
     # packed super-k-mer sizes.
     inbox: list[list[np.ndarray]] = [[] for _ in range(n_pes)]
-    for src, rows in enumerate(per_pe):
+    for src, rows in enumerate(split_reads(reads, n_pes)):
         pe = stats.pe[src]
         batch = split_superkmers_batch(rows, k, w)
         kmers = batch.kmers()
@@ -129,17 +121,12 @@ def minimizer_partitioned_count(
             owners[starts], weights=-(-n_bases // 4) + config.header_bytes,
             minlength=n_pes).astype(np.int64)
         cost.charge_compute(pe, int(starts.size) * OPS_PER_SUPERKMER)
-        order = np.argsort(owners, kind="stable")
-        routed = kmers[order]
-        dst_counts = np.bincount(owners, minlength=n_pes)
-        bounds = np.zeros(n_pes + 1, dtype=np.int64)
-        np.cumsum(dst_counts, out=bounds[1:])
-        for dst in np.flatnonzero(dst_counts):
-            inbox[int(dst)].append(routed[bounds[dst]:bounds[dst + 1]])
+        for dst, routed in by_owner(owners, n_pes, kmers):
+            inbox[dst].append(routed)
         for dst in np.flatnonzero(pending_bytes):
             cost.charge_put(pe, int(dst), int(pending_bytes[dst]))
 
-    barrier(cost, stats)  # sync 2
+    run.barrier()  # sync 2
     stats.phase1_time = stats.max_clock
 
     results = []
@@ -156,11 +143,5 @@ def minimizer_partitioned_count(
         cost.charge_mem(pe, 4 * int(merged.nbytes))
         results.append(count_packed_kmers(merged, k))
 
-    barrier(cost, stats)  # sync 3
-    stats.sim_time = stats.max_clock
-    stats.phase2_time = stats.sim_time - stats.phase1_time
-    stats.extra["mode"] = "minimizer-partitioned"
-
-    uniq, counts = merge_count_arrays(results)
-    stats.host_seconds = time.perf_counter() - host_t0
-    return KmerCounts(k, uniq, counts), stats
+    # sync 3 is the run's exit barrier.
+    return run.finish(k, results, mode="minimizer-partitioned")

@@ -13,6 +13,9 @@ Note that hashing spreads *distinct* k-mers but cannot spread the
 *occurrences* of a single heavy-hitter k-mer: all of them land on one
 owner.  That residual imbalance is precisely what the L3 protocol
 attacks.
+
+:func:`by_owner` is the bucket split every counter routes through once
+owners (PEs, bins) are known.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["splitmix64", "splitmix64_inverse", "owner_pe", "owner_pe_scalar",
-           "partition_by_owner"]
+           "by_owner"]
 
 _C1 = np.uint64(0x9E3779B97F4A7C15)
 _C2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -85,21 +88,19 @@ def owner_pe_scalar(kmer: int, p: int) -> int:
     return int(splitmix64(int(kmer)) % p)
 
 
-def partition_by_owner(
-    kmers: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group a k-mer array by owner PE (vectorised bucket split).
+def by_owner(owners: np.ndarray, n: int, *columns: np.ndarray):
+    """The one bucket split: iterate ``(owner, *column_slices)`` over
+    the owners (of *n*) that hold anything, in owner order.
 
-    Returns ``(sorted_kmers, owners_sorted, boundaries)`` where
-    ``sorted_kmers`` is the input permuted so owners are contiguous and
-    ``boundaries`` has ``p + 1`` entries such that PE ``q`` owns slice
-    ``sorted_kmers[boundaries[q]:boundaries[q+1]]``.
+    *owners* is an ``int64`` array (PE, bin, shard ...) parallel to
+    every array in *columns*; the split is stable, so each slice keeps
+    its elements in input order.
     """
-    kmers = np.asarray(kmers, dtype=np.uint64)
-    owners = owner_pe(kmers, p)
     order = np.argsort(owners, kind="stable")
-    owners_sorted = owners[order]
-    counts = np.bincount(owners_sorted, minlength=p)
-    boundaries = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(counts, out=boundaries[1:])
-    return kmers[order], owners_sorted, boundaries
+    counts = np.bincount(owners, minlength=n)
+    owned = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[owned]
+    # A BSP superstep cuts P^2 buckets, so the cutting stays in C:
+    # slice objects from Python ints, mapped over each column.
+    slices = list(map(slice, (ends - counts[owned]).tolist(), ends.tolist()))
+    return zip(owned.tolist(), *(map(c[order].__getitem__, slices) for c in columns))

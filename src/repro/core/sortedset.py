@@ -22,28 +22,25 @@ This module implements that future-work design:
 The trade-off mirrors the paper's discussion: per-element insertion
 into the sorted set costs more than appending to a flat array, but the
 inter-phase barrier (and the idle time it creates under skew)
-disappears.
+disappears.  Run open/split/close come from :mod:`repro.core.phases`,
+the send side from :mod:`repro.core.dakc`; only the receive side is new.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..runtime.cache import CacheAccounting
-from ..runtime.collectives import barrier
-from ..runtime.conveyors import Conveyor
 from ..runtime.cost import CostModel
 from ..runtime.machine import MachineConfig
-from ..runtime.memory import MemoryTracker
 from ..runtime.stats import RunStats
-from ..runtime.topology import make_topology
-from ..sort.accumulate import accumulate_weighted, merge_count_arrays
-from .dakc import DakcConfig, _run_phase1_fast, _split_reads
+from ..sort.accumulate import accumulate_weighted
+from .dakc import DakcConfig, DeliveryIntegrityError, _run_phase1_fast, open_conveyor
 from .l2l3 import receive_service_time
+from .phases import SimRun, split_reads
 from .result import KmerCounts
 
 __all__ = ["SortedRunSet", "dakc_overlap_count"]
@@ -126,24 +123,16 @@ def dakc_overlap_count(
     delivery's lazy service time, so no inter-phase barrier exists and
     Phase-2 "sorting" reduces to the final run merge.
     """
-    if isinstance(cost, MachineConfig):
-        cost = CostModel(cost)
     config = config or DakcConfig()
     if config.mode != "fast":
         raise ValueError("dakc_overlap_count supports fast mode only")
-    host_t0 = time.perf_counter()
-    n_pes = cost.n_pes
-    stats = RunStats(n_pes=n_pes)
-    memory = MemoryTracker(n_pes)
-    topo = make_topology(config.protocol, n_pes)
-    conveyor = Conveyor(
-        cost, stats, topo, memory, c0_bytes=config.c0_bytes, c1_packets=config.c1_packets
-    )
-    per_pe_reads = _split_reads(reads, n_pes)
+    run = SimRun(cost)
+    cost, stats, n_pes = run.cost, run.stats, run.n_pes
+    conveyor = open_conveyor(run, config)
 
-    barrier(cost, stats)  # sync 1: entry
+    run.barrier()  # sync 1: entry
 
-    _run_phase1_fast(per_pe_reads, k, cost, stats, conveyor, config)
+    _run_phase1_fast(split_reads(reads, n_pes), k, cost, stats, conveyor, config)
 
     # Fold deliveries into per-owner sorted sets, charging each
     # delivery's insert inside its lazy-queue service time.
@@ -179,26 +168,16 @@ def dakc_overlap_count(
         cache = CacheAccounting(cost.machine.cache_bytes, cost.machine.line_bytes)
         cache.stream(merge_elems * 8)
         pe_stats.cache_misses_p2 += cache.misses
-        memory.set_category(dst, "sorted-set", int(uniq.nbytes + counts.nbytes))
+        run.memory.set_category(dst, "sorted-set", int(uniq.nbytes + counts.nbytes))
         results.append((uniq, counts))
 
     if config.verify_delivery:
         delivered_weight = sum(s.total_weight for s in sets)
         if delivered_weight != stats.total_kmers:
-            from .dakc import DeliveryIntegrityError
-
             raise DeliveryIntegrityError(
                 f"delivery conservation violated: {stats.total_kmers} "
                 f"k-mer occurrences generated but {delivered_weight} inserted"
             )
 
-    barrier(cost, stats)  # sync 2: exit — that's all of them
-    stats.sim_time = stats.max_clock
-    stats.phase2_time = stats.sim_time - stats.phase1_time
-    stats.peak_buffer_bytes_per_pe = memory.peak_any_pe()
-    stats.extra["protocol"] = config.protocol
-    stats.extra["mode"] = "overlap"
-
-    uniq, counts = merge_count_arrays(results)
-    stats.host_seconds = time.perf_counter() - host_t0
-    return KmerCounts(k, uniq, counts), stats
+    # sync 2 is the run's exit barrier — that's all of them.
+    return run.finish(k, results, protocol=config.protocol, mode="overlap")

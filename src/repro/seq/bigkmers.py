@@ -24,7 +24,7 @@ import numpy as np
 
 from .alphabet import BASES
 from .encoding import encode_seq
-from .kmers import reverse_complement_kmers
+from .kmers import flatten_reads, reverse_complement_kmers, valid_windows
 
 __all__ = [
     "MAX_BIG_K",
@@ -42,8 +42,6 @@ __all__ = [
 
 #: Largest supported k with the 128-bit representation.
 MAX_BIG_K: int = 64
-
-_U64_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _check_k(k: int) -> None:
@@ -97,20 +95,20 @@ class BigKmerArray:
         return cls(k, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
 
 
-def extract_big_kmers(codes: np.ndarray, k: int) -> BigKmerArray:
-    """Extract all k-mers (k <= 64) of an encoded read, vectorised.
+def extract_big_kmers_from_reads(reads, k: int) -> BigKmerArray:
+    """All k-mers (k <= 64) of a read matrix or list, in read then
+    window order, vectorised over the whole batch.
 
     The rolling update of Algorithm 1 generalises to 128 bits:
     ``(hi, lo) = (hi << 2 | lo >> 62, lo << 2 | code)``, applied per
-    window offset over the whole read at once.
+    window offset over the flattened reads at once (each window starts
+    from zero, so no bits above ``2k`` are ever set).  Windows crossing
+    a read boundary or an ambiguous base are dropped by the 64-bit
+    kernel's :func:`~repro.seq.kmers.valid_windows` — one policy.
     """
     _check_k(k)
-    codes_u8 = np.asarray(codes, dtype=np.uint8)
-    codes = codes_u8.astype(np.uint64)
-    m = codes.size
-    if m < k:
-        return BigKmerArray.empty(k)
-    n_win = m - k + 1
+    codes, offsets = flatten_reads(reads)
+    n_win = max(0, codes.size - k + 1)
     hi = np.zeros(n_win, dtype=np.uint64)
     lo = np.zeros(n_win, dtype=np.uint64)
     two = np.uint64(2)
@@ -120,37 +118,13 @@ def extract_big_kmers(codes: np.ndarray, k: int) -> BigKmerArray:
         np.bitwise_or(hi, lo >> carry_shift, out=hi)
         np.left_shift(lo, two, out=lo)
         np.bitwise_or(lo, codes[j : j + n_win], out=lo)
-    # Mask away bits above 2k.
-    if k < 32:
-        lo &= np.uint64((1 << (2 * k)) - 1)
-        hi &= np.uint64(0)
-    elif k < 64:
-        hi &= np.uint64((1 << (2 * (k - 32))) - 1)
-    # Drop windows spanning an ambiguous base (same policy as the
-    # 64-bit extractor).
-    invalid = codes_u8 > 3
-    if invalid.any():
-        bad = np.convolve(invalid.astype(np.int64), np.ones(k, dtype=np.int64))
-        keep = bad[k - 1 : k - 1 + n_win] == 0
-        hi, lo = hi[keep], lo[keep]
-    return BigKmerArray(k, hi, lo)
+    keep = valid_windows(codes, offsets, k)
+    return BigKmerArray(k, hi[keep], lo[keep])
 
 
-def extract_big_kmers_from_reads(reads, k: int) -> BigKmerArray:
-    """Extract + concatenate big k-mers from a read matrix or list."""
-    _check_k(k)
-    if isinstance(reads, np.ndarray) and reads.ndim == 2:
-        parts = [extract_big_kmers(row, k) for row in reads]
-    else:
-        parts = [extract_big_kmers(np.asarray(r, dtype=np.uint8), k) for r in reads]
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return BigKmerArray.empty(k)
-    return BigKmerArray(
-        k,
-        np.concatenate([p.hi for p in parts]),
-        np.concatenate([p.lo for p in parts]),
-    )
+def extract_big_kmers(codes: np.ndarray, k: int) -> BigKmerArray:
+    """All k-mers (k <= 64) of one encoded read."""
+    return extract_big_kmers_from_reads([codes], k)
 
 
 def str_to_big_kmer(s: str) -> tuple[int, int]:

@@ -71,6 +71,27 @@ class TestBigSerial:
         assert len(d) == kc.n_distinct
         assert all(len(s) == 50 for s in d)
 
+    @pytest.mark.parametrize("k", [25, 41])
+    def test_get_binary_searches_both_words(self, small_reads, k):
+        """k = 25 is one long `hi == 0` run, k = 41 many short ones:
+        first / last / every present key answer `to_dict()`; a key
+        inside a `hi` run but between its `lo` values, one below a
+        run's first `lo`, and an absent `hi` answer 0."""
+        kc = serial_count_big(small_reads, k)
+        hi, lo = kc.kmers.hi.tolist(), kc.kmers.lo.tolist()
+        want = list(kc.to_dict().values())
+        assert [kc.get(h, l) for h, l in zip(hi, lo)] == want
+        assert kc.get(hi[0], lo[0]) == want[0] and kc.get(hi[-1], lo[-1]) == want[-1]
+        present = set(zip(hi, lo))
+        inside = next((h, l + 1) for h, l in zip(hi, lo) if (h, l + 1) not in present)
+        assert kc.get(*inside) == 0
+        if lo[0]:
+            assert kc.get(hi[0], lo[0] - 1) == 0
+        assert kc.get(hi[-1], 2**64 - 1) == 0
+        assert kc.get(hi[-1] + 1, lo[-1]) == 0
+        empty = serial_count_big([], k)
+        assert empty.get(0, 0) == 0
+
 
 class TestBigDistributed:
     @pytest.mark.parametrize("k", [33, 48, 64])
@@ -78,6 +99,17 @@ class TestBigDistributed:
         ref = serial_count_big(small_reads, k)
         got, stats = dakc_count_big(small_reads, k, cost_model())
         assert got == ref
+        assert stats.global_syncs == 3
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    def test_ragged_list_matches_serial(self, small_reads, canonical):
+        """Variable-length reads — the long-read case big-k exists for
+        — used to die in `np.asarray(reads)` before the split."""
+        rng = np.random.default_rng(3)
+        ragged = [r[: int(rng.integers(30, 101))] for r in small_reads]
+        ref = serial_count_big(ragged, 41, canonical=canonical)
+        got, stats = dakc_count_big(ragged, 41, cost_model(), canonical=canonical)
+        assert got == ref and ref.total > 0
         assert stats.global_syncs == 3
 
     def test_owner_hash_deterministic_and_balanced(self, small_reads):

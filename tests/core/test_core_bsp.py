@@ -50,12 +50,6 @@ class TestCorrectness:
                            BspConfig(canonical=True))
         assert got == ref
 
-    def test_real_radix(self, tiny_reads):
-        ref = serial_count(tiny_reads, 9)
-        got, _ = bsp_count(tiny_reads, 9, cost_model(p=4, nodes=2),
-                           BspConfig(use_real_radix=True))
-        assert got == ref
-
     def test_list_input(self, tiny_reads):
         ref = serial_count(tiny_reads, 9)
         got, _ = bsp_count([r for r in tiny_reads], 9, cost_model(p=4, nodes=2))

@@ -76,12 +76,6 @@ class TestCorrectness:
                             DakcConfig(canonical=True))
         assert got == ref
 
-    def test_real_radix_path(self, tiny_reads):
-        ref = serial_count(tiny_reads, 9)
-        got, _ = dakc_count(tiny_reads, 9, cost_model(p=4, nodes=2),
-                            DakcConfig(use_real_radix=True))
-        assert got == ref
-
     def test_machineconfig_accepted_directly(self, tiny_reads):
         got, stats = dakc_count(tiny_reads, 9, laptop(nodes=1, cores=4))
         assert got == serial_count(tiny_reads, 9)

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.owner import owner_pe, owner_pe_scalar, partition_by_owner, splitmix64
+from repro.core.owner import by_owner, owner_pe, owner_pe_scalar, splitmix64
 from repro.core.result import KmerCounts, probe_sorted
 
 kmer_arrays = st.lists(
@@ -69,15 +67,19 @@ class TestOwnerPe:
         with pytest.raises(ValueError):
             owner_pe_scalar(1, 0)
 
-    @given(kmer_arrays, st.integers(1, 16))
-    def test_partition_complete(self, arr, p):
-        sorted_k, owners, bounds = partition_by_owner(arr, p)
-        assert bounds[0] == 0 and bounds[-1] == arr.size
-        assert Counter(sorted_k.tolist()) == Counter(arr.tolist())
-        for q in range(p):
-            chunk = sorted_k[bounds[q] : bounds[q + 1]]
-            if chunk.size:
-                assert (owner_pe(chunk, p) == q).all()
+    @given(kmer_arrays, st.integers(1, 16), st.integers(1, 3))
+    def test_partition_complete(self, arr, p, n_columns):
+        """`by_owner` is the `owners == q` mask split: every column,
+        input order kept inside an owner, empty owners skipped (so an
+        empty input yields nothing)."""
+        owners = owner_pe(arr, p)
+        columns = [arr, np.arange(arr.size), ~arr][:n_columns]
+        got = list(by_owner(owners, p, *columns))
+        assert [q for q, *_ in got] == np.unique(owners).tolist()
+        for q, *slices in got:
+            assert len(slices) == n_columns
+            for column, chunk in zip(columns, slices):
+                assert np.array_equal(chunk, column[owners == q])
 
 
 class TestKmerCounts:

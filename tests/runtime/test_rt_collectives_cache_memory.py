@@ -263,12 +263,12 @@ class TestMemoryBudget:
     def test_dakc_oom_fault_injection(self, small_reads, monkeypatch):
         """A starved MemoryTracker makes the simulated run die with
         OutOfMemoryError mid-Phase-2, like a real allocation failure."""
-        from repro.core import dakc as dakc_mod
+        from repro.core import phases
         from repro.core.dakc import dakc_count
         from repro.runtime.cost import CostModel
         from repro.runtime.machine import laptop
 
         starved = lambda n_pes: MemoryTracker(n_pes, budget_bytes=64)
-        monkeypatch.setattr(dakc_mod, "MemoryTracker", starved)
+        monkeypatch.setattr(phases, "MemoryTracker", starved)
         with pytest.raises(OutOfMemoryError):
             dakc_count(small_reads, 21, CostModel(laptop(nodes=2, cores=2)))

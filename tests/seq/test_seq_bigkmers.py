@@ -164,3 +164,15 @@ class TestAmbiguousBasesBig:
     def test_all_n(self):
         got = extract_big_kmers(encode_seq("N" * 50, validate=False), 40)
         assert len(got) == 0
+
+    def test_batch_with_n_and_short_read(self):
+        """One flat pass over the batch: windows never cross a read
+        boundary, the read shorter than k and the windows over the `N`
+        contribute nothing, order is read then window."""
+        k = 40
+        seqs = ["ACGT" * 12 + "N" + "TTGCA" * 10, "ACGTACGT", "GATTACA" * 9]
+        batch = [encode_seq(s, validate=False) for s in seqs]
+        got = extract_big_kmers_from_reads(batch, k)
+        want = (oracle_kmers("ACGT" * 12, k) + oracle_kmers("TTGCA" * 10, k)
+                + oracle_kmers("GATTACA" * 9, k))
+        assert got.as_python_ints() == want
