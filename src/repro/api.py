@@ -10,6 +10,7 @@ algorithm and returns the counts plus the run's measurements.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .runtime.machine import MachineConfig, laptop, phoenix_amd, phoenix_intel
 from .runtime.stats import RunStats
 from .seq.datasets import Workload
 from .seq.encoding import encode_seq
-from .seq.fastx import read_fastx
+from .seq.fastx import read_fastx_batches
 from .seq.kmers import count_packed_kmers, extract_kmers_from_reads
 
 __all__ = ["CountRun", "count_kmers", "ALGORITHMS", "resolve_machine", "load_reads"]
@@ -114,7 +115,8 @@ def load_reads(source) -> np.ndarray | list[np.ndarray]:
     if isinstance(source, (str, os.PathLike)):
         if not Path(source).exists():
             raise FileNotFoundError(f"no such read file: {source}")
-        return [encode_seq(rec.seq, validate=False) for rec in read_fastx(source)]
+        ((codes, offsets),) = read_fastx_batches(source, batch_records=sys.maxsize)
+        return np.split(codes, offsets[1:-1])
     if isinstance(source, (list, tuple)):
         out: list[np.ndarray] = []
         for r in source:

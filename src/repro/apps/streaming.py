@@ -9,41 +9,64 @@ running (k-mer, count) database.  Peak memory is one batch of reads
 plus the distinct-k-mer database (the irreducible output), instead of
 the whole read set.
 
-Each batch runs the one counting kernel: a joined encode of the whole
-batch (:func:`repro.seq.encoding.encode_batch`), the flat window
-kernel (:func:`repro.seq.kmers.extract_kmers_flat`) and
+Each batch runs the one counting kernel over a flat ``(codes, offsets)``
+encoding of its reads: the flat window kernel
+(:func:`repro.seq.kmers.extract_kmers_flat`) and
 (canonical) -> sort -> accumulate
 (:func:`repro.seq.kmers.count_packed_kmers`) — zero per-read or
 per-k-mer Python in the hot loop, and no super-k-mer split: nothing
-here crosses a disk or a wire.  The reference it is tested against is
-per-read ``encode_seq`` + :func:`repro.core.serial.serial_count`.
+here crosses a disk or a wire.  Files reach that loop through the block
+parser (:func:`repro.seq.fastx.read_fastx_batches`: binary blocks, one
+newline index, one ``bytes.translate``), record streams through a
+joined encode of each batch (:func:`repro.seq.encoding.encode_batch`).
+The reference it is tested against is per-read ``encode_seq`` +
+:func:`repro.core.serial.serial_count`.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
 
 import numpy as np
 
 from ..core.result import KmerCounts
 from ..seq.encoding import encode_batch
-from ..seq.fastx import SeqRecord, read_fastx
+from ..seq.fastx import SeqRecord, read_fastx_batches
 from ..seq.kmers import count_packed_kmers, extract_kmers_flat
 from .store import merge_sorted_counts
 
 __all__ = ["count_records_streaming", "count_file_streaming", "count_files_streaming"]
 
 
-def _batches(records: Iterable[SeqRecord], size: int) -> Iterator[list[SeqRecord]]:
-    batch: list[SeqRecord] = []
-    for rec in records:
-        batch.append(rec)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+def _count_batches(
+    batches: Iterator[tuple[np.ndarray, np.ndarray]],
+    k: int,
+    batch_records: int,
+    canonical: bool,
+    progress: Callable[[int, KmerCounts], None] | None,
+) -> KmerCounts:
+    """The one batch loop: count each ``(codes, offsets)`` batch, merge.
+
+    *batches* is a generator not yet started, so a bad *batch_records*
+    is refused before anything is read.
+    """
+    if batch_records < 1:
+        raise ValueError("batch_records must be >= 1")
+    merged_keys = np.empty(0, dtype=np.uint64)
+    merged_vals = np.empty(0, dtype=np.int64)
+    seen = 0
+    for flat, offsets in batches:
+        keys, vals = count_packed_kmers(
+            extract_kmers_flat(flat, offsets, k), k, canonical=canonical)
+        merged_keys, merged_vals = merge_sorted_counts(
+            merged_keys, merged_vals, keys, vals
+        )
+        seen += offsets.size - 1
+        if progress is not None:
+            progress(seen, KmerCounts(k, merged_keys, merged_vals))
+    return KmerCounts(k, merged_keys, merged_vals)
 
 
 def count_records_streaming(
@@ -61,22 +84,13 @@ def count_records_streaming(
     early inspection (the running counts are always valid for the
     prefix consumed so far).
     """
-    if batch_records < 1:
-        raise ValueError("batch_records must be >= 1")
-    merged_keys = np.empty(0, dtype=np.uint64)
-    merged_vals = np.empty(0, dtype=np.int64)
-    seen = 0
-    for batch in _batches(records, batch_records):
-        flat, offsets = encode_batch([r.seq for r in batch], validate=False)
-        keys, vals = count_packed_kmers(
-            extract_kmers_flat(flat, offsets, k), k, canonical=canonical)
-        merged_keys, merged_vals = merge_sorted_counts(
-            merged_keys, merged_vals, keys, vals
-        )
-        seen += len(batch)
-        if progress is not None:
-            progress(seen, KmerCounts(k, merged_keys, merged_vals))
-    return KmerCounts(k, merged_keys, merged_vals)
+
+    def batches() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        it = iter(records)
+        while batch := list(islice(it, batch_records)):
+            yield encode_batch([r.seq for r in batch], validate=False)
+
+    return _count_batches(batches(), k, batch_records, canonical, progress)
 
 
 def count_file_streaming(
@@ -88,10 +102,8 @@ def count_file_streaming(
     progress: Callable[[int, KmerCounts], None] | None = None,
 ) -> KmerCounts:
     """Count a FASTA/FASTQ file without loading it whole."""
-    return count_records_streaming(
-        read_fastx(path), k,
-        batch_records=batch_records, canonical=canonical, progress=progress,
-    )
+    return count_files_streaming(
+        [path], k, batch_records=batch_records, canonical=canonical, progress=progress)
 
 
 def count_files_streaming(
@@ -104,16 +116,11 @@ def count_files_streaming(
 ) -> KmerCounts:
     """Count several files into one database (multi-lane sequencing runs).
 
-    *progress* reports **global** records-so-far across the whole file
-    list — the counter never resets at a file boundary, so a caller
-    driving a progress bar sees one monotone stream, not N restarts.
+    Batches run on across file boundaries, so *progress* reports
+    **global** records-so-far across the whole file list — the counter
+    never resets at a file boundary, and a caller driving a progress
+    bar sees one monotone stream, not N restarts.
     """
-
-    def chain() -> Iterator[SeqRecord]:
-        for path in paths:
-            yield from read_fastx(path)
-
-    return count_records_streaming(
-        chain(), k,
-        batch_records=batch_records, canonical=canonical, progress=progress,
-    )
+    return _count_batches(
+        read_fastx_batches(*paths, batch_records=batch_records),
+        k, batch_records, canonical, progress)

@@ -821,17 +821,13 @@ def _iter_ingest_batches(args):
             yield [reads[i] for i in range(lo, min(lo + args.batch_records,
                                                    reads.shape[0]))]
         return
-    from .seq.encoding import encode_seq
-    from .seq.fastx import read_fastx
+    import numpy as np
 
-    batch = []
-    for rec in read_fastx(args.input):
-        batch.append(encode_seq(rec.seq, validate=False))
-        if len(batch) >= args.batch_records:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    from .seq.fastx import read_fastx_batches
+
+    for codes, offsets in read_fastx_batches(args.input,
+                                             batch_records=args.batch_records):
+        yield np.split(codes, offsets[1:-1])
 
 
 def _cmd_ingest(args) -> int:
@@ -877,7 +873,7 @@ def _cmd_ooc_count(args) -> int:
     import json as _json
     from pathlib import Path
 
-    from .api import resolve_machine
+    from .api import load_reads, resolve_machine
     from .ooc import OocStats, ooc_count
     from .runtime.cost import CostModel
     from .runtime.stats import PEStats
@@ -891,11 +887,7 @@ def _cmd_ooc_count(args) -> int:
         reads = [w.reads[i] for i in range(w.reads.shape[0])]
         source = args.dataset
     else:
-        from .seq.encoding import encode_seq
-        from .seq.fastx import read_fastx
-
-        reads = [encode_seq(rec.seq, validate=False)
-                 for rec in read_fastx(args.input)]
+        reads = load_reads(args.input)
         source = args.input
 
     ceiling = int(args.memory_mb * (1 << 20))

@@ -28,7 +28,8 @@ from .datasets import (
     table5_rows,
 )
 from .encoding import decode_codes, encode_batch, encode_seq
-from .fastx import SeqRecord, read_fasta, read_fastq, read_fastx, write_fasta, write_fastq
+from .fastx import SeqRecord, read_fasta, read_fastq, read_fastx, read_fastx_batches
+from .fastx import write_fasta, write_fastq
 from .genomes import RepeatSpec, repeat_genome, uniform_genome
 from .kmers import (
     MAX_K,
@@ -111,6 +112,7 @@ __all__ = [
     "read_fasta",
     "read_fastq",
     "read_fastx",
+    "read_fastx_batches",
     "write_fasta",
     "write_fastq",
     "RepeatSpec",

@@ -6,11 +6,12 @@ plus the rolling ``(kmer << 2) | Encode(base)`` update) in two forms:
 * :func:`iter_kmers` — the faithful per-base rolling loop, used as the
   reference implementation in tests;
 * the **flat window kernel** used by every actual counter:
-  :func:`pack_windows` (``k`` shifted ORs over one flat code array
-  instead of a per-window Python loop) and :func:`valid_windows` (which
+  :func:`pack_windows` (double-and-add over the bits of ``k`` on one
+  flat code array: ``log2 k`` levels, each in the narrowest dtype, a
+  cache-sized block at a time) and :func:`valid_windows` (which
   windows stay inside one read and cover no ambiguous base), composed
-  by :func:`extract_kmers_flat`.  :func:`extract_kmers` and the list
-  form of :func:`extract_kmers_from_reads` are thin wrappers over it.
+  by :func:`extract_kmers_flat`.  :func:`extract_kmers` and
+  :func:`extract_kmers_from_reads` are thin wrappers over it.
 
 :func:`count_packed_kmers` is the rest of Algorithm 1 for wall-clock
 code — (canonical) -> sort -> accumulate — written once.
@@ -101,20 +102,47 @@ def flatten_reads(reads: np.ndarray | list) -> tuple[np.ndarray, np.ndarray]:
     return flat, _cumsum0(lengths)
 
 
+#: Windows built per step of the blocked kernels: every intermediate
+#: array of a block stays in cache, whatever the batch size.
+_BLOCK: int = 1 << 16
+
+
 def pack_windows(codes: np.ndarray, k: int) -> np.ndarray:
     """Every length-*k* window of a flat code array, packed ``uint64``.
 
-    ``out[i]`` packs ``codes[i : i + k]``, first base in the high bits:
-    ``k`` shifted ORs over the whole array.  Windows covering a read
-    boundary or an ambiguous base hold garbage — select with
+    ``out[i]`` packs ``codes[i : i + k]``, first base in the high bits.
+    Built by double-and-add over the bits of *k* below the leading one:
+    a width-``w`` level becomes width ``2w`` by one shift of itself
+    OR-ed with itself ``w`` places on, and ``2w + 1`` by one more base
+    (k=21: 1 -> 2 -> 5 -> 10 -> 21, four levels instead of 21 passes).
+    Each level is stored :func:`kmer_storage_bytes` wide, the last one
+    ``uint64``, and the array is done a block at a time.  Windows
+    covering a read boundary or an ambiguous base hold garbage (every
+    sub-window of a real k-mer is real) — select with
     :func:`valid_windows`.
     """
     codes = np.asarray(codes, dtype=np.uint8)
+    steps = bin(k)[3:]
+    if not steps:
+        return codes.astype(np.uint64)
     n_win = max(0, codes.size - k + 1)
-    out = np.zeros(n_win, dtype=np.uint64)
-    for j in range(k):
-        np.left_shift(out, np.uint64(2), out=out)
-        np.bitwise_or(out, codes[j:j + n_win], out=out)
+    out = np.empty(n_win, dtype=np.uint64)
+    scratch = [np.empty(min(_BLOCK, n_win) + k, dtype=np.uint32) for _ in range(2)]
+    for lo in range(0, n_win, _BLOCK):
+        hi = min(lo + _BLOCK, n_win)
+        block = level = codes[lo:hi + k - 1]
+        width = 1
+        for t, bit in enumerate(steps, 1):
+            new_width = 2 * width + int(bit)
+            size = block.size - new_width + 1
+            new = (out[lo:hi] if t == len(steps) else
+                   scratch[t % 2].view(f"u{kmer_storage_bytes(new_width)}")[:size])
+            np.left_shift(level[:size], 2 * width, out=new, dtype=new.dtype)
+            np.bitwise_or(new, level[width:width + size], out=new)
+            if new_width > 2 * width:
+                np.left_shift(new, 2, out=new)
+                np.bitwise_or(new, block[new_width - 1:], out=new)
+            level, width = new, new_width
     return out
 
 
@@ -168,26 +196,9 @@ def extract_kmers_from_reads(reads: list[np.ndarray] | np.ndarray, k: int) -> np
     """Extract and concatenate k-mers from a batch of encoded reads.
 
     Accepts either a list of per-read code arrays or a 2-D ``uint8``
-    array of equal-length reads (rows are reads).  An ambiguity-free
-    2-D matrix takes the dense path — ``k`` vectorised passes over the
-    matrix with no boundary mask to apply; everything else (lists,
-    matrices holding an ambiguous base) is flattened through
-    :func:`extract_kmers_flat`.
+    array of equal-length reads (rows are reads); both are flattened
+    through :func:`extract_kmers_flat`.
     """
-    _check_k(k)
-    if (isinstance(reads, np.ndarray) and reads.ndim == 2
-            and not (reads.size and reads.max() > 3)):
-        n, m = reads.shape
-        if m < k:
-            return np.empty(0, dtype=np.uint64)
-        n_win = m - k + 1
-        kmers = np.zeros((n, n_win), dtype=np.uint64)
-        for j in range(k):
-            np.left_shift(kmers, np.uint64(2), out=kmers)
-            np.bitwise_or(
-                kmers, reads[:, j : j + n_win].astype(np.uint64), out=kmers
-            )
-        return kmers.ravel()
     return extract_kmers_flat(*flatten_reads(reads), k)
 
 
@@ -267,25 +278,31 @@ def reverse_complement_kmer(kmer: int, k: int) -> int:
 def reverse_complement_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
     """Vectorised reverse complement of packed ``uint64`` k-mers.
 
-    Uses the classic bit-swap ladder: complement all bases (XOR with
-    all-ones over 2k bits), then reverse the order of 2-bit groups by
-    swapping progressively larger blocks.
+    Uses the classic bit-swap ladder: complement all bases (invert the
+    word), then reverse the order of 2-bit groups by swapping
+    progressively larger blocks (pairs in a nibble, nibbles in a byte,
+    bytes in the word) and shift the k-mer back down to the low ``2k``
+    bits.  The ladder runs in place on a copy of *kmers*, a block at a
+    time against one block of scratch.
     """
     _check_k(k)
-    x = np.asarray(kmers, dtype=np.uint64).copy()
-    mask = np.uint64((1 << (2 * k)) - 1) if k < 32 else np.uint64(0xFFFFFFFFFFFFFFFF)
-    # Complement: 3 - c == c ^ 0b11 for each 2-bit group.
-    x = (x ^ np.uint64(0xFFFFFFFFFFFFFFFF)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    # Reverse 2-bit groups within the full 64-bit word.
-    c1 = np.uint64(0x3333333333333333)
-    c2 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    x = ((x >> np.uint64(2)) & c1) | ((x & c1) << np.uint64(2))
-    x = ((x >> np.uint64(4)) & c2) | ((x & c2) << np.uint64(4))
-    x = x.byteswap()
-    # The groups are now reversed across 64 bits; shift down so the
-    # k-mer occupies the low 2k bits again.
-    x = x >> np.uint64(64 - 2 * k)
-    return x & mask
+    out = np.array(kmers, dtype=np.uint64)
+    flat = out.reshape(-1)
+    scratch = np.empty(min(_BLOCK, flat.size), dtype=np.uint64)
+    for lo in range(0, flat.size, _BLOCK):
+        x = flat[lo:lo + _BLOCK]
+        t = scratch[:x.size]
+        np.invert(x, out=x)
+        for shift, mask in ((2, np.uint64(0x3333333333333333)),
+                            (4, np.uint64(0x0F0F0F0F0F0F0F0F))):
+            np.right_shift(x, shift, out=t)
+            np.bitwise_and(t, mask, out=t)
+            np.bitwise_and(x, mask, out=x)
+            np.left_shift(x, shift, out=x)
+            np.bitwise_or(x, t, out=x)
+        x.byteswap(inplace=True)
+        np.right_shift(x, 64 - 2 * k, out=x)
+    return out
 
 
 def canonical_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
@@ -297,7 +314,7 @@ def canonical_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
     this as an option.
     """
     rc = reverse_complement_kmers(kmers, k)
-    return np.minimum(np.asarray(kmers, dtype=np.uint64), rc)
+    return np.minimum(np.asarray(kmers, dtype=np.uint64), rc, out=rc)
 
 
 def count_kmers_in_read(m: int, k: int) -> int:

@@ -194,7 +194,7 @@ def split_superkmers_flat(
     reads.  Equivalent to per-read
     :func:`~repro.seq.minimizers.split_superkmers` — same spans, same
     minimizers, same order — in a fixed number of vectorised passes:
-    one boundary/ambiguity mask, ``w`` shifted ORs for the w-mers, one
+    one boundary/ambiguity mask, one window pass for the w-mers, one
     hash + sliding minimum for the minimizers, and boolean run
     detection.  The k-mers themselves are never materialised here.
     """

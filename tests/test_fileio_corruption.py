@@ -1,14 +1,18 @@
-"""Corruption matrix: six on-disk formats x every way a file goes bad.
+"""Corruption matrix: every file format x every way a file goes bad.
 
-One row per (format, damage).  The contract, identical for all six
-because all six load through :mod:`repro.fileio`: a damaged file raises
-:class:`~repro.fileio.FormatError` naming the path (a missing one stays
-``FileNotFoundError``) — never another exception type, never different
-content.  The deliberate exceptions are spelled out in ``WAL_REPAIRS_TO``:
-the WAL *repairs* a damaged tail (that is what a crash mid-append
-leaves) and reopens as an empty log when not even its header was
-written; WAL and MANIFEST are open-or-create, so "missing" is not an
-error for them.
+One row per (format, damage): the six on-disk formats of
+:mod:`repro.fileio` and the two input formats of
+:mod:`repro.seq.fastx`.  The contract is identical for all eight: a
+damaged file raises :class:`~repro.fileio.FormatError` naming the path
+(a missing one stays ``FileNotFoundError``) — never another exception
+type, never different content.  The deliberate exceptions are spelled
+out in ``WAL_REPAIRS_TO`` and ``FASTA_READS_A_PREFIX``: the WAL
+*repairs* a damaged tail (that is what a crash mid-append leaves) and
+reopens as an empty log when not even its header was written; WAL and
+MANIFEST are open-or-create, so "missing" is not an error for them;
+and a FASTA record states no length, so a FASTA file cut short is a
+shorter FASTA file.  A FASTX row reads the file with both readers (the
+block parser and the reference) and requires one verdict of them.
 
 The second half is the same contract as a property: flip any single
 byte of a valid file; the load returns the original content or raises
@@ -35,6 +39,8 @@ from repro.lsm.run import RUN, Run, write_run
 from repro.lsm.store import MANIFEST_NAME, LsmStore
 from repro.lsm.wal import WAL, WriteAheadLog
 from repro.ooc.format import BIN, append_chunk, pack_superkmers, read_bin_records
+from repro.seq.encoding import decode_codes, encode_batch
+from repro.seq.fastx import SeqRecord, read_fastx, read_fastx_batches, write_fasta, write_fastq
 from repro.trace.format import TRACE_MAGIC, QueryTrace, load_trace, save_trace
 
 K = 9
@@ -179,11 +185,47 @@ def load_trace_content(path: Path):
             t.k, t.seed, t.source, t.meta)
 
 
+def _records():
+    return [SeqRecord(f"r{i}", decode_codes(read)) for i, read in
+            enumerate(_reads(np.random.default_rng(RNG_SEED)))]
+
+
+def make_fastq(dir: Path) -> Path:
+    path = dir / "reads.fastq"
+    write_fastq(path, _records())
+    return path
+
+
+def make_fasta(dir: Path) -> Path:
+    path = dir / "reads.fasta"
+    write_fasta(path, _records(), line_width=16)
+    return path
+
+
+def load_fastx(path: Path):
+    """The reads, as the block parser and the reference reader both see them."""
+    def outcome(fn):
+        try:
+            codes, offsets = fn()
+            return [codes[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
+        except FormatError as exc:
+            return exc
+
+    blocks = outcome(lambda: next(read_fastx_batches(path, batch_records=1 << 30)))
+    reference = outcome(lambda: encode_batch([r.seq for r in read_fastx(path)],
+                                             validate=False))
+    if isinstance(blocks, FormatError):
+        assert str(blocks) == str(reference) and blocks.reason == reference.reason
+        raise blocks
+    assert blocks == reference
+    return blocks
+
+
 @dataclass(frozen=True)
 class Format:
     make: Callable[[Path], Path]
     load: Callable[[Path], object]
-    future: Callable[[Path], Path]       # a sound file claiming the next version
+    future: Callable[[Path], Path] | None   # a sound file claiming the next version
     header_cut: int                       # bytes kept by "truncated inside the header"
     flip_at: Callable[[bytes], int] | None   # offset of a checksummed payload byte
 
@@ -208,7 +250,11 @@ FORMATS = {
     "trace": Format(make_trace, load_trace_content,
                     lambda dir: make_trace(dir, 2), 10,
                     lambda blob: len(blob) // 2),
+    # plain text: no version to outgrow, no checksum to break
+    "fastq": Format(make_fastq, load_fastx, None, 2, None),
+    "fasta": Format(make_fasta, load_fastx, None, 2, None),
 }
+FASTX = {"fastq", "fasta"}
 
 DAMAGE = {
     "empty": lambda fmt, blob: b"",
@@ -233,6 +279,10 @@ WAL_REPAIRS_TO = {
 }
 
 
+# FASTA states no lengths: cut anywhere, what is left is a FASTA file.
+FASTA_READS_A_PREFIX = {"truncated-half", "truncated-in-header"}
+
+
 def _assert_refused(fmt: Format, path: Path, reason: str | None = None):
     with pytest.raises(FormatError) as exc:
         fmt.load(path)
@@ -252,13 +302,17 @@ def test_format_error_is_the_one_typed_error():
 def test_damaged_file(name, damage, tmp_path):
     fmt = FORMATS[name]
     if damage == "flipped-payload-byte" and fmt.flip_at is None:
-        pytest.skip("the MANIFEST carries no checksum (docs/FORMATS.md)")
+        pytest.skip("the format carries no checksum (docs/FORMATS.md)")
     path = fmt.make(tmp_path)
     original = fmt.load(path)
     path.write_bytes(DAMAGE[damage](fmt, path.read_bytes()))
     if name == "wal" and damage in WAL_REPAIRS_TO:
         assert fmt.load(path) == original[:WAL_REPAIRS_TO[damage]]
         assert fmt.load(path) == original[:WAL_REPAIRS_TO[damage]]  # and stays so
+    elif name == "fasta" and damage in FASTA_READS_A_PREFIX:
+        *whole, last = fmt.load(path)
+        assert whole == original[:len(whole)]
+        assert last == original[len(whole)][:len(last)] and len(whole) < len(original) - 1
     else:
         _assert_refused(fmt, path)
 
@@ -277,8 +331,8 @@ def test_wal_flipped_header_raises_instead_of_repairing(at, tmp_path):
 @pytest.mark.parametrize("other", FORMATS)
 @pytest.mark.parametrize("name", FORMATS)
 def test_another_formats_valid_file(name, other, tmp_path):
-    if name == other:
-        pytest.skip("same format")
+    if name == other or {name, other} == FASTX:
+        pytest.skip("same format, or the two the FASTX readers tell apart themselves")
     fmt = FORMATS[name]
     path = fmt.make(tmp_path)
     (tmp_path / "other").mkdir()
@@ -289,10 +343,12 @@ def test_another_formats_valid_file(name, other, tmp_path):
 @pytest.mark.parametrize("name", FORMATS)
 def test_future_version(name, tmp_path):
     fmt = FORMATS[name]
+    if fmt.future is None:
+        pytest.skip("the format carries no version (docs/FORMATS.md)")
     _assert_refused(fmt, fmt.future(tmp_path), "version")
 
 
-@pytest.mark.parametrize("name", ["bin", "run", "database", "trace"])
+@pytest.mark.parametrize("name", ["bin", "run", "database", "trace", "fastq", "fasta"])
 def test_missing_file(name, tmp_path):
     fmt = FORMATS[name]
     path = fmt.make(tmp_path)
