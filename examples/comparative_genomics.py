@@ -61,7 +61,7 @@ def main() -> None:
         for name in ("A", "B"):
             run = count_kmers(reads[name], K, algorithm="dakc", nodes=4)
             solid = run.counts.filter_min_count(solid_threshold(run.counts))
-            path = Path(tmp) / f"strain_{name}.npz"
+            path = Path(tmp) / f"strain_{name}.kdb"
             save_counts(path, solid)
             databases[name], _ = load_counts(path)
             print(f"strain {name}: {solid.n_distinct:,} solid {K}-mers "

@@ -32,7 +32,7 @@ from .runtime.stats import RunStats
 from .seq.datasets import Workload
 from .seq.encoding import encode_seq
 from .seq.fastx import read_fastx_batches
-from .seq.kmers import count_packed_kmers, extract_kmers_from_reads
+from .seq.kmers import count_owned_kmers, extract_kmers_from_reads
 
 __all__ = ["CountRun", "count_kmers", "ALGORITHMS", "resolve_machine", "load_reads"]
 
@@ -192,7 +192,7 @@ def count_kmers(
         else:
             kmers = extract_kmers_from_reads(load_reads(reads), k)
             counts = KmerCounts(
-                k, *count_packed_kmers(kmers, k, canonical=canonical))
+                k, *count_owned_kmers(kmers, k, canonical=canonical))
         return CountRun(counts, RunStats(n_pes=1), algorithm)
 
     data = load_reads(reads)

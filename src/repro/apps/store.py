@@ -2,10 +2,10 @@
 
 Two formats:
 
-* **binary** (``.npz``) — the native format: the ordered key/count
-  arrays compressed with NumPy, plus metadata (k, canonical flag).
-  Loads back bit-exact, also with plain ``np.load``; published and
-  validated through :mod:`repro.fileio` (``docs/FORMATS.md``).
+* **binary** (``.kdb`` by convention; any path is written as given) —
+  the native format: a framed header (k, size, canonical flag) and the
+  ordered key/count arrays as the CRC'd sorted blocks of
+  :mod:`repro.fileio` (``docs/FORMATS.md``).  Loads back bit-exact.
 * **text** (``.tsv`` / ``.tsv.gz``) — interoperable dump, one
   ``KMER<TAB>count`` row per distinct k-mer (what ``jellyfish dump``
   / ``kmc_tools dump`` produce), for feeding external tools.  Paths
@@ -17,13 +17,22 @@ from __future__ import annotations
 
 import gzip
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from ..core.result import KmerCounts
-from ..fileio import FormatError, load_npz, save_npz
-from ..seq.kmers import str_to_kmer
+from ..fileio import (
+    BLOCK_KEYS,
+    FormatError,
+    Framing,
+    load_npz,
+    publish,
+    read_sorted_blocks,
+    sorted_blocks,
+)
+from ..seq.kmers import MAX_K, str_to_kmer
 
 __all__ = [
     "save_counts",
@@ -31,31 +40,31 @@ __all__ = [
     "dump_text",
     "load_text",
     "merge_sorted_counts",
+    "DATABASE",
 ]
 
-_KIND = "count database"
-_FORMAT_VERSION = 1
-_REQUIRED_FIELDS = ("version", "k", "canonical", "kmers", "counts")
+# fields: k, n_distinct, n_blocks, canonical.  Version 1 was a deflated .npz.
+DATABASE = Framing("count database", b"dakckdb\x00", 2, "<IQQ?")
+_TEXT_KIND = "k-mer text dump"
+_GZIP_MAGIC = b"\x1f\x8b"
 
 
 def _open_text(path: Path, mode: str):
-    """Open a text dump, gzip-compressed iff the path ends in .gz."""
+    """Open a text dump (ASCII), gzip-compressed iff the path ends in .gz."""
     if path.suffix == ".gz":
-        return gzip.open(path, mode + "t")
-    return open(path, mode)
+        return gzip.open(path, mode + "t", encoding="ascii")
+    return open(path, mode, encoding="ascii")
 
 
 def save_counts(path: str | os.PathLike, counts: KmerCounts,
                 *, canonical: bool = False) -> None:
-    """Write a :class:`KmerCounts` to a compressed ``.npz`` database."""
-    save_npz(
-        path,
-        version=np.int64(_FORMAT_VERSION),
-        k=np.int64(counts.k),
-        canonical=np.bool_(canonical),
-        kmers=counts.kmers,
-        counts=counts.counts,
-    )
+    """Write a :class:`KmerCounts` to *path* as a count database."""
+    def write(fh) -> None:
+        fh.write(DATABASE.header(counts.k, counts.n_distinct,
+                                 -(-counts.n_distinct // BLOCK_KEYS), canonical))
+        fh.writelines(sorted_blocks(counts.kmers, counts.counts))
+
+    publish(path, write)
 
 
 def load_counts(
@@ -65,16 +74,27 @@ def load_counts(
 
     Returns ``(counts, canonical_flag)``.  Raises
     :class:`~repro.fileio.FormatError` if the file is not a readable
-    count database of this format version, or — when *expect_k* is
-    given — was counted at a different k than the caller expects
-    (mixing k's silently corrupts any downstream merge).
+    count database of this format version (a version-1 ``.npz`` is
+    refused as ``version``: re-count, or carry it over with
+    :func:`dump_text`), or — when *expect_k* is given — was counted at a
+    different k than the caller expects (mixing k's silently corrupts
+    any downstream merge).
     """
-    data = load_npz(path, _KIND, _REQUIRED_FIELDS, version=_FORMAT_VERSION)
-    k = int(data["k"])
-    if expect_k is not None and k != expect_k:
-        raise FormatError(path, _KIND, "mismatch",
-                          f"database has k={k}, expected k={expect_k}")
-    return KmerCounts(k, data["kmers"], data["counts"]), bool(data["canonical"])
+    with open(path, "rb") as fh:
+        if fh.read(2) == b"PK":
+            # the zip container of version 1: say so, or that it is some other .npz
+            load_npz(path, DATABASE.kind, ("version",), version=DATABASE.version)
+            raise FormatError(path, DATABASE.kind, "foreign", "an .npz of another kind")
+        fh.seek(0)
+        k, n, n_blocks, canonical = DATABASE.read_header(fh, path)
+        if not 1 <= k <= MAX_K:
+            raise FormatError(path, DATABASE.kind, "corrupt", f"header says k={k}")
+        if expect_k is not None and k != expect_k:
+            raise FormatError(path, DATABASE.kind, "mismatch",
+                              f"database has k={k}, expected k={expect_k}")
+        kmers, values = read_sorted_blocks(DATABASE, fh, path, n=n, n_blocks=n_blocks,
+                                           key_bits=2 * k)
+    return KmerCounts(k, kmers, values), canonical
 
 
 def merge_sorted_counts(
@@ -154,30 +174,51 @@ def dump_text(path: str | os.PathLike, counts: KmerCounts) -> int:
 
 
 def load_text(path: str | os.PathLike, k: int | None = None) -> KmerCounts:
-    """Load a ``KMER<TAB>count`` text dump (plain or ``.gz``) back."""
+    """Load a ``KMER<TAB>count`` text dump (plain or ``.gz``) back.
+
+    An unreadable dump is a :class:`~repro.fileio.FormatError`:
+    ``corrupt`` naming ``line N`` for a malformed row or a k-mer of
+    another length than *k* (or than the first row's), ``truncated``
+    for a ``.gz`` cut short or a dump with no row to infer k from.
+    """
+    path = Path(path)
+
+    def refused(reason: str, detail: str) -> FormatError:
+        return FormatError(path, _TEXT_KIND, reason, detail)
+
+    if path.suffix == ".gz":
+        with open(path, "rb") as fh:
+            head = fh.read(2)
+        if head != _GZIP_MAGIC:
+            raise refused("truncated" if _GZIP_MAGIC.startswith(head) else "foreign",
+                          f"starts {head!r}, not as a gzip file")
     keys: list[int] = []
     vals: list[int] = []
     inferred_k = k
-    with _open_text(Path(path), "r") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                kmer_s, count_s = line.split("\t")
-                count = int(count_s)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: malformed row") from exc
-            if inferred_k is None:
-                inferred_k = len(kmer_s)
-            elif len(kmer_s) != inferred_k:
-                raise ValueError(
-                    f"{path}:{line_no}: k-mer length {len(kmer_s)} != {inferred_k}"
-                )
-            keys.append(str_to_kmer(kmer_s))
-            vals.append(count)
+    line_no = 0
+    try:
+        with _open_text(path, "r") as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    kmer_s, count_s = line.split("\t")
+                    keys.append(str_to_kmer(kmer_s))
+                    vals.append(int(count_s))
+                except ValueError as exc:
+                    raise refused("corrupt", f"line {line_no}: malformed row") from exc
+                if inferred_k is None:
+                    inferred_k = len(kmer_s)
+                elif len(kmer_s) != inferred_k:
+                    raise refused("corrupt", f"line {line_no}: k-mer length "
+                                             f"{len(kmer_s)} != {inferred_k}")
+    except EOFError as exc:
+        raise refused("truncated", f"gzip stream ends after line {line_no}") from exc
+    except (gzip.BadGzipFile, zlib.error, UnicodeDecodeError) as exc:
+        raise refused("corrupt", f"after line {line_no}: {exc}") from exc
     if inferred_k is None:
-        raise ValueError(f"{path}: empty dump and no k given")
+        raise refused("truncated", "empty dump and no k given")
     return KmerCounts.from_pairs(
         inferred_k,
         np.array(keys, dtype=np.uint64),

@@ -13,7 +13,7 @@ Each batch runs the one counting kernel over a flat ``(codes, offsets)``
 encoding of its reads: the flat window kernel
 (:func:`repro.seq.kmers.extract_kmers_flat`) and
 (canonical) -> sort -> accumulate
-(:func:`repro.seq.kmers.count_packed_kmers`) — zero per-read or
+(:func:`repro.seq.kmers.count_owned_kmers`) — zero per-read or
 per-k-mer Python in the hot loop, and no super-k-mer split: nothing
 here crosses a disk or a wire.  Files reach that loop through the block
 parser (:func:`repro.seq.fastx.read_fastx_batches`: binary blocks, one
@@ -34,7 +34,7 @@ import numpy as np
 from ..core.result import KmerCounts
 from ..seq.encoding import encode_batch
 from ..seq.fastx import SeqRecord, read_fastx_batches
-from ..seq.kmers import count_packed_kmers, extract_kmers_flat
+from ..seq.kmers import count_owned_kmers, extract_kmers_flat
 from .store import merge_sorted_counts
 
 __all__ = ["count_records_streaming", "count_file_streaming", "count_files_streaming"]
@@ -58,7 +58,7 @@ def _count_batches(
     merged_vals = np.empty(0, dtype=np.int64)
     seen = 0
     for flat, offsets in batches:
-        keys, vals = count_packed_kmers(
+        keys, vals = count_owned_kmers(
             extract_kmers_flat(flat, offsets, k), k, canonical=canonical)
         merged_keys, merged_vals = merge_sorted_counts(
             merged_keys, merged_vals, keys, vals

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--spectrum", type=int, default=0,
                          help="print the k-mer spectrum up to this count")
     p_count.add_argument("--output", help="write counts as TSV to this path")
-    p_count.add_argument("--save", help="write counts as a binary .npz database")
+    p_count.add_argument("--save", help="write counts as a binary database (e.g. counts.kdb)")
 
     sub.add_parser("datasets", help="print Table V")
 
@@ -99,12 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output", required=True, help="FASTQ output path")
 
     p_an = sub.add_parser("analyze", help="spectrum analysis of a count database")
-    p_an.add_argument("database", help=".npz written by `count --save` or a .tsv dump")
+    p_an.add_argument("database", help="database written by `count --save` or a .tsv[.gz] dump")
     p_an.add_argument("--max-count", type=int, default=1000)
 
     p_cmp = sub.add_parser("compare", help="compare two count databases")
-    p_cmp.add_argument("a", help="first database (.npz or .tsv)")
-    p_cmp.add_argument("b", help="second database (.npz or .tsv)")
+    p_cmp.add_argument("a", help="first database (binary or .tsv[.gz])")
+    p_cmp.add_argument("b", help="second database (binary or .tsv[.gz])")
 
     p_sw = sub.add_parser("sweep", help="custom strong-scaling sweep")
     p_sw.add_argument("--dataset", default="synthetic-26")
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sharded/batched/cached engine on a Zipf workload",
     )
     serve_src = p_serve.add_mutually_exclusive_group()
-    serve_src.add_argument("--database", help=".npz count database to serve "
+    serve_src.add_argument("--database", help="count database (counts.kdb) to serve "
                            "(written by `count --save`)")
     serve_src.add_argument("--dataset", default="synthetic-20",
                            help="Table V dataset key to count and serve")
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         "measures p99 — quota/DRR isolation on vs. unbounded off",
     )
     ten_src = p_ten.add_mutually_exclusive_group()
-    ten_src.add_argument("--database", help=".npz count database to serve "
+    ten_src.add_argument("--database", help="count database (counts.kdb) to serve "
                          "(written by `count --save`)")
     ten_src.add_argument("--dataset", default="synthetic-20",
                          help="Table V dataset key to count and serve")
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tail latency under a straggler, and the RF=2 chaos proof",
     )
     cl_src = p_cl.add_mutually_exclusive_group()
-    cl_src.add_argument("--database", help=".npz count database to serve "
+    cl_src.add_argument("--database", help="count database (counts.kdb) to serve "
                         "(written by `count --save`)")
     cl_src.add_argument("--dataset", default="synthetic-20",
                         help="Table V dataset key to count and serve")
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr_rec = tr_sub.add_parser(
         "record", help="serve a Zipf(+burst) stream and record its trace")
     tr_src = p_tr_rec.add_mutually_exclusive_group()
-    tr_src.add_argument("--database", help=".npz count database to serve")
+    tr_src.add_argument("--database", help="count database (counts.kdb) to serve")
     tr_src.add_argument("--dataset", default="synthetic-20",
                         help="Table V dataset key to count and serve")
     p_tr_rec.add_argument("-k", type=int, default=15, help="k-mer length")
@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="replay a recorded trace through a fresh engine")
     p_tr_rep.add_argument("trace", help="trace file to replay")
     rep_src = p_tr_rep.add_mutually_exclusive_group()
-    rep_src.add_argument("--database", help=".npz count database to serve")
+    rep_src.add_argument("--database", help="count database (counts.kdb) to serve")
     rep_src.add_argument("--dataset", default="synthetic-20",
                          help="Table V dataset key to count and serve")
     p_tr_rep.add_argument("-k", type=int, default=15, help="k-mer length")
@@ -643,11 +643,15 @@ def _cmd_count(args) -> int:
 
 
 def _load_database(path: str):
+    """A binary database, or — when its magic says it is none — a text dump."""
     from .apps.store import load_counts, load_text
+    from .fileio import FormatError
 
-    if str(path).endswith(".npz"):
-        counts, _ = load_counts(path)
-        return counts
+    try:
+        return load_counts(path)[0]
+    except FormatError as exc:
+        if exc.reason != "foreign":
+            raise
     return load_text(path)
 
 

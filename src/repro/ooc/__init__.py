@@ -8,7 +8,7 @@ KMC 2's two-pass design under a hard memory ceiling:
   ceiling;
 * **pass 2** (:mod:`.count`) counts each bin independently with the
   same sort -> accumulate kernel as the in-memory counters
-  (:func:`repro.seq.kmers.count_packed_kmers`) and optionally
+  (:func:`repro.seq.kmers.count_owned_kmers`) and optionally
   bulk-loads results into a :class:`repro.lsm.LsmStore` as it goes.
 
 The bin file (:mod:`.format`) is framed, versioned and checksummed by

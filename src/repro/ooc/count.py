@@ -4,8 +4,8 @@ Each spill bin is a closed k-mer multiset, so pass 2 is a loop of
 independent in-memory counts: unpack a bin chunk by chunk, expand its
 super-k-mers into packed k-mers (:func:`~.format.superkmer_kmers`),
 count them with the one kernel every in-memory counter uses
-(:func:`repro.seq.kmers.count_packed_kmers`: canonical -> sort ->
-accumulate), and merge chunk results — one bin's worth of data at a
+(:func:`repro.seq.kmers.count_owned_kmers`: canonical -> sort in
+place -> accumulate), and merge chunk results — one bin's worth of data at a
 time instead of the whole dataset.
 
 :func:`ooc_count` glues both passes together under one memory ceiling
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.result import KmerCounts
 from ..fileio import FormatError
-from ..seq.kmers import count_packed_kmers
+from ..seq.kmers import count_owned_kmers
 from ..sort.accumulate import merge_count_arrays
 from .format import BIN, read_bin_records, superkmer_kmers
 from .spill import BinWriter, FlushOrder, OocStats
@@ -54,7 +54,7 @@ def count_bin(path: str | os.PathLike, *, k: int | None = None,
                           f"bin was written at k={header.k}, requested k={k}")
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     for lengths, blob in chunks:
-        parts.append(count_packed_kmers(
+        parts.append(count_owned_kmers(
             superkmer_kmers(lengths, blob, header.k), header.k,
             canonical=canonical))
         if len(parts) > 8:  # keep the accumulator list flat

@@ -34,6 +34,7 @@ from .genomes import RepeatSpec, repeat_genome, uniform_genome
 from .kmers import (
     MAX_K,
     canonical_kmers,
+    count_owned_kmers,
     count_packed_kmers,
     extract_kmers,
     extract_kmers_flat,
@@ -122,6 +123,7 @@ __all__ = [
     "extract_kmers_flat",
     "extract_kmers_from_reads",
     "count_packed_kmers",
+    "count_owned_kmers",
     "iter_kmers",
     "canonical_kmers",
     "kmer_to_str",

@@ -45,6 +45,7 @@ __all__ = [
     "extract_kmers",
     "extract_kmers_from_reads",
     "count_packed_kmers",
+    "count_owned_kmers",
     "iter_kmers",
     "kmer_to_str",
     "str_to_kmer",
@@ -107,6 +108,45 @@ def flatten_reads(reads: np.ndarray | list) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK: int = 1 << 16
 
 
+def _pack_blocks(codes: np.ndarray, k: int, keep: np.ndarray | None = None) -> np.ndarray:
+    """The block loop of :func:`pack_windows`; with *keep*, only those windows.
+
+    *keep* is a boolean mask over the windows.  Each block is compacted
+    through its slice of the mask while it is in cache, into a result
+    of ``count_nonzero(keep)`` elements: the full window array is never
+    allocated.
+    """
+    steps = bin(k)[3:]
+    n_win = max(0, codes.size - k + 1)
+    out = np.empty(n_win if keep is None else np.count_nonzero(keep), dtype=np.uint64)
+    scratch = [np.empty(min(_BLOCK, n_win) + k, dtype=np.uint32) for _ in range(2)]
+    packed = None if keep is None else np.empty(min(_BLOCK, n_win), dtype=np.uint64)
+    filled = 0
+    for lo in range(0, n_win, _BLOCK):
+        hi = min(lo + _BLOCK, n_win)
+        last = out[lo:hi] if keep is None else packed[:hi - lo]
+        block = level = codes[lo:hi + k - 1]
+        width = 1
+        if not steps:
+            last[:] = block
+        for t, bit in enumerate(steps, 1):
+            new_width = 2 * width + int(bit)
+            size = block.size - new_width + 1
+            new = (last if t == len(steps) else
+                   scratch[t % 2].view(f"u{kmer_storage_bytes(new_width)}")[:size])
+            np.left_shift(level[:size], 2 * width, out=new, dtype=new.dtype)
+            np.bitwise_or(new, level[width:width + size], out=new)
+            if new_width > 2 * width:
+                np.left_shift(new, 2, out=new)
+                np.bitwise_or(new, block[new_width - 1:], out=new)
+            level, width = new, new_width
+        if keep is not None:
+            kept = last[keep[lo:hi]]
+            out[filled:filled + kept.size] = kept
+            filled += kept.size
+    return out
+
+
 def pack_windows(codes: np.ndarray, k: int) -> np.ndarray:
     """Every length-*k* window of a flat code array, packed ``uint64``.
 
@@ -121,29 +161,7 @@ def pack_windows(codes: np.ndarray, k: int) -> np.ndarray:
     sub-window of a real k-mer is real) — select with
     :func:`valid_windows`.
     """
-    codes = np.asarray(codes, dtype=np.uint8)
-    steps = bin(k)[3:]
-    if not steps:
-        return codes.astype(np.uint64)
-    n_win = max(0, codes.size - k + 1)
-    out = np.empty(n_win, dtype=np.uint64)
-    scratch = [np.empty(min(_BLOCK, n_win) + k, dtype=np.uint32) for _ in range(2)]
-    for lo in range(0, n_win, _BLOCK):
-        hi = min(lo + _BLOCK, n_win)
-        block = level = codes[lo:hi + k - 1]
-        width = 1
-        for t, bit in enumerate(steps, 1):
-            new_width = 2 * width + int(bit)
-            size = block.size - new_width + 1
-            new = (out[lo:hi] if t == len(steps) else
-                   scratch[t % 2].view(f"u{kmer_storage_bytes(new_width)}")[:size])
-            np.left_shift(level[:size], 2 * width, out=new, dtype=new.dtype)
-            np.bitwise_or(new, level[width:width + size], out=new)
-            if new_width > 2 * width:
-                np.left_shift(new, 2, out=new)
-                np.bitwise_or(new, block[new_width - 1:], out=new)
-            level, width = new, new_width
-    return out
+    return _pack_blocks(np.asarray(codes, dtype=np.uint8), k)
 
 
 def valid_windows(codes: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
@@ -173,13 +191,15 @@ def valid_windows(codes: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
 def extract_kmers_flat(codes: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
     """All k-mers of a flattened read batch, in read then window order.
 
-    The flat window kernel: one :func:`pack_windows` pass over the
-    whole batch, masked by :func:`valid_windows` — zero per-read
-    Python.  Windows containing an ambiguous base are dropped, matching
-    the standard treatment of ``N`` bases.
+    The flat window kernel: ``pack_windows(codes, k)[valid_windows(codes,
+    offsets, k)]`` with the mask applied block by block, so only the
+    k-mers are ever stored — zero per-read Python.  Windows containing
+    an ambiguous base are dropped, matching the standard treatment of
+    ``N`` bases.
     """
     _check_k(k)
-    return pack_windows(codes, k)[valid_windows(codes, offsets, k)]
+    codes = np.asarray(codes, dtype=np.uint8)
+    return _pack_blocks(codes, k, valid_windows(codes, offsets, k))
 
 
 def extract_kmers(codes: np.ndarray, k: int) -> np.ndarray:
@@ -212,11 +232,26 @@ def count_packed_kmers(
     :func:`repro.sort.hybrid.hybrid_sort`: the in-tree radix is
     simulation-grade Python whose pass statistics feed the model
     (:func:`repro.core.serial.serial_count` keeps it), and
-    ``accumulate_sorted`` only needs *a* sorted array.
+    ``accumulate_sorted`` only needs *a* sorted array.  *kmers* is left
+    as it was; a counter that built the array itself hands it to
+    :func:`count_owned_kmers` and saves the copy.
+    """
+    return count_owned_kmers(
+        canonical_kmers(kmers, k) if canonical else np.array(kmers), k)
+
+
+def count_owned_kmers(
+    kmers: np.ndarray, k: int, *, canonical: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`count_packed_kmers` of an array the caller gives up.
+
+    *kmers* is sorted in place (``np.sort`` would copy it first), so its
+    order is gone when this returns.
     """
     if canonical:
         kmers = canonical_kmers(kmers, k)
-    return accumulate_sorted(np.sort(kmers))
+    kmers.sort()
+    return accumulate_sorted(kmers)
 
 
 def iter_kmers(seq: str, k: int) -> Iterator[int]:

@@ -38,7 +38,7 @@ from ..core.owner import owner_pe, splitmix64, splitmix64_inverse
 from .kmers import (
     MAX_K,
     _cumsum0,
-    count_packed_kmers,
+    count_owned_kmers,
     flatten_reads,
     pack_windows,
     valid_windows,
@@ -342,4 +342,4 @@ def count_superkmer_batch(
     batch: SuperKmerBatch, *, canonical: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expand -> sort -> accumulate one batch: sorted ``(kmers, counts)``."""
-    return count_packed_kmers(batch.kmers(), batch.k, canonical=canonical)
+    return count_owned_kmers(batch.kmers(), batch.k, canonical=canonical)

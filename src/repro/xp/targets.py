@@ -308,6 +308,7 @@ def _count_records(dataset: str, k: int, budget: int):
 
 
 def _count_bench(params: dict) -> TargetOutcome:
+    from ..apps.store import load_counts, save_counts
     from ..apps.streaming import count_records_streaming
     from ..core.serial import serial_count
     from ..seq.encoding import encode_seq
@@ -333,6 +334,16 @@ def _count_bench(params: dict) -> TargetOutcome:
         records, k, batch_records=p["batch_records"], canonical=canonical)
     t_fast = time.perf_counter() - t0
 
+    with tempfile.TemporaryDirectory(prefix="xp-count-") as tmp:
+        db = Path(tmp) / "counts.kdb"
+        t0 = time.perf_counter()
+        save_counts(db, fast, canonical=canonical)
+        t_save = time.perf_counter() - t0
+        db_bytes = db.stat().st_size
+        t0 = time.perf_counter()
+        loaded = load_counts(db)
+        t_load = time.perf_counter() - t0
+
     batch = split_superkmers_batch(reads, k, min(k, DEFAULT_MINIMIZER_LEN))
     wire = batch.wire_bytes()
     compression = (8.0 * batch.n_kmers / wire) if wire else 0.0
@@ -344,10 +355,14 @@ def _count_bench(params: dict) -> TargetOutcome:
             "scalar_records_per_s": n / t_scalar,
             "speedup": t_scalar / t_fast,
             "superkmer_compression": compression,
+            "save_s": t_save,
+            "load_s": t_load,
+            "db_bytes_per_kmer": db_bytes / max(1, fast.n_distinct),
         },
         checks={
             "fast_equals_scalar": fast == scalar,
             "fast_equals_serial_oracle": fast == oracle,
+            "database_round_trips": loaded == (oracle, canonical),
         },
     )
 
@@ -652,9 +667,12 @@ TARGETS: dict[str, XpTarget] = {
             {"fast_records_per_s": "higher",
              "scalar_records_per_s": "higher",
              "speedup": "higher",
-             "superkmer_compression": "higher"},
+             "superkmer_compression": "higher",
+             "save_s": "lower", "load_s": "lower",
+             "db_bytes_per_kmer": "lower"},
             "streaming counter (flat window kernel) vs per-read "
-            "encode_seq + serial_count, bit-identical counts",
+            "encode_seq + serial_count, bit-identical counts, saved and "
+            "loaded back",
         ),
         XpTarget(
             "chaos-sweep", _chaos_sweep,

@@ -27,7 +27,7 @@ def db(small_reads):
 
 class TestBinaryRoundTrip:
     def test_bit_exact(self, db, tmp_path):
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.kdb"
         save_counts(path, db, canonical=True)
         loaded, canonical = load_counts(path)
         assert canonical is True
@@ -36,20 +36,20 @@ class TestBinaryRoundTrip:
         assert loaded.counts.dtype == np.int64
 
     def test_canonical_flag_default_false(self, db, tmp_path):
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.kdb"
         save_counts(path, db)
         _, canonical = load_counts(path)
         assert canonical is False
 
     def test_empty_database(self, tmp_path):
-        path = tmp_path / "empty.npz"
+        path = tmp_path / "empty.kdb"
         save_counts(path, KmerCounts.empty(21))
         loaded, _ = load_counts(path)
         assert loaded.k == 21
         assert loaded.n_distinct == 0
 
     def test_expect_k_mismatch_rejected(self, db, tmp_path):
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.kdb"
         save_counts(path, db)
         loaded, _ = load_counts(path, expect_k=db.k)
         assert loaded == db
@@ -182,8 +182,9 @@ class TestTextErrors:
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("ACGTA\t3\nACGTT\n")
-        with pytest.raises(ValueError, match=":2:"):
+        with pytest.raises(FormatError, match="line 2:") as exc:
             load_text(path)
+        assert exc.value.reason == "corrupt" and exc.value.path == path
 
     def test_inconsistent_k(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -196,6 +197,39 @@ class TestTextErrors:
         path.write_text("")
         with pytest.raises(ValueError, match="empty dump"):
             load_text(path)
+
+    def test_every_refusal_is_a_typed_format_error(self, tmp_path):
+        cases = {"ACGTA 3\n": ("corrupt", "line 1: malformed row"),
+                 "ACGTA\t3\nACGTAA\t2\n": ("corrupt", "line 2: k-mer length 6 != 5"),
+                 "ACGTN\t3\n": ("corrupt", "line 1: malformed row"),
+                 "ACGT\u00c9\t3\n": ("corrupt", "after line 0"),
+                 "": ("truncated", "empty dump")}
+        for text, (reason, detail) in cases.items():
+            path = tmp_path / "bad.tsv"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(FormatError, match=detail) as exc:
+                load_text(path)
+            assert (exc.value.reason, exc.value.kind, exc.value.path) == (
+                reason, "k-mer text dump", path)
+
+    def test_gzip_dump_cut_short_is_truncated(self, db, tmp_path):
+        path = tmp_path / "db.tsv.gz"
+        dump_text(path, db)
+        blob = path.read_bytes()
+        for cut in (len(blob) // 2, len(blob) - 4, 12, 1, 0):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError) as exc:
+                load_text(path, k=db.k)
+            assert exc.value.reason == "truncated", (cut, str(exc.value))
+        path.write_bytes(b"ACGTA\t3\n")            # a plain dump under a .gz name
+        with pytest.raises(FormatError) as exc:
+            load_text(path)
+        assert exc.value.reason == "foreign"
+        at = len(blob) // 2
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ 0x40]) + blob[at + 1:])
+        with pytest.raises(FormatError) as exc:
+            load_text(path)
+        assert exc.value.reason in ("corrupt", "truncated")
 
     def test_empty_dump_with_k(self, tmp_path):
         path = tmp_path / "empty.tsv"

@@ -154,6 +154,27 @@ def test_in_memory_counters_never_split(fastx_corpus, monkeypatch):
         count_kmers(_encoded(records), 15, algorithm="fast").counts)
 
 
+def test_saving_a_database_never_deflates(fastx_corpus, tmp_path, monkeypatch):
+    """The database is delta-coded sorted blocks; an entropy coder was
+    measured and left out (docs/COUNTING.md).  ``zlib.crc32`` stays."""
+    import zlib
+
+    from repro.apps.store import load_counts, save_counts
+
+    def boom(*args, **kwargs):
+        raise AssertionError("save_counts reached a deflater")
+
+    for owner, name in ((zlib, "compress"), (zlib, "compressobj"),
+                        (np, "savez_compressed"), (np, "savez")):
+        monkeypatch.setattr(owner, name, boom)
+    counts = count_file_streaming(fastx_corpus["paths"][0], 15)
+    save_counts(tmp_path / "db.kdb", counts, canonical=True)
+    monkeypatch.undo()
+    loaded, canonical = load_counts(tmp_path / "db.kdb")
+    _assert_identical(loaded, counts)
+    assert canonical is True
+
+
 @pytest.mark.parametrize("canonical", [False, True])
 def test_spilled_bins_count_like_memory(fastx_corpus, tmp_path, canonical):
     """One read set, three routes to counts: count_bin over spilled

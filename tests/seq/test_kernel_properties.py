@@ -1,13 +1,18 @@
 """Properties of the window kernel against its scalar references.
 
 ``pack_windows`` builds windows by double-and-add in narrow dtypes, a
-block at a time, and ``reverse_complement_kmers`` runs its ladder in
-place on a copy; the scalar ``iter_kmers`` / ``reverse_complement_kmer``
-do neither.  Blocks of 3 and 16 windows put block edges inside every
-generated batch; the real block size is one more case.
+block at a time, ``extract_kmers_flat`` compacts each of those blocks
+through the validity mask, and ``reverse_complement_kmers`` runs its
+ladder in place on a copy; the scalar ``iter_kmers`` /
+``reverse_complement_kmer`` do none of that.  Blocks of 3 and 16
+windows put block edges inside every generated batch; the real block
+size is one more case.  The last two tests guard what the in-place sort
+must not cost: a caller's array, and memory.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +25,8 @@ from repro.seq.encoding import decode_codes
 from repro.seq.kmers import (
     MAX_K,
     canonical_kmers,
+    count_packed_kmers,
+    extract_kmers_flat,
     flatten_reads,
     iter_kmers,
     pack_windows,
@@ -57,8 +64,10 @@ def test_valid_packed_windows_equal_the_scalar_reference(k, reads, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel, "_BLOCK", block)
         packed = pack_windows(codes, k)
+        fused = extract_kmers_flat(codes, offsets, k)
     assert packed.dtype == np.uint64 and packed.size == max(0, codes.size - k + 1)
     assert packed[valid_windows(codes, offsets, k)].tolist() == scalar_kmers(reads, k)
+    assert fused.dtype == np.uint64 and fused.tolist() == scalar_kmers(reads, k)
     assert np.array_equal(codes, before)
 
 
@@ -75,3 +84,45 @@ def test_reverse_complement_equals_scalar_and_is_an_involution(k, values, block)
         assert np.array_equal(reverse_complement_kmers(rc, k), kmers)
         assert np.array_equal(canonical_kmers(kmers, k), np.minimum(kmers, rc))
     assert np.array_equal(kmers, before)
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+@given(values=st.lists(st.integers(0, 2**42 - 1), max_size=40))
+def test_count_packed_kmers_leaves_the_callers_array_alone(canonical, values):
+    """The counters sort arrays they built in place; the public entry
+    point takes arrays it does not own — writable or not."""
+    owned = np.array(values, dtype=np.uint64)
+    frozen = owned.copy()
+    frozen.setflags(write=False)
+    want = np.unique(canonical_kmers(owned, 21) if canonical else owned,
+                     return_counts=True)
+    for kmers in (owned, frozen):
+        keys, counts = count_packed_kmers(kmers, 21, canonical=canonical)
+        assert np.array_equal(keys, want[0]) and np.array_equal(counts, want[1])
+        assert kmers.tolist() == values
+
+
+def test_fast_count_peaks_near_one_kmer_array():
+    """``count_kmers(reads, 21, "fast")`` on 2M windows at 20x coverage.
+
+    One ``uint64`` per window is 8 B x windows.  With the full window
+    array and ``np.sort``'s copy the peak was 2.03 of those; with the
+    block-wise mask and the in-place sort it is 1.17 (the k-mers, the
+    masks, the accumulate of 100k distinct).
+    """
+    from repro.api import count_kmers
+    from repro.seq.genomes import uniform_genome
+    from repro.seq.readsim import ReadSimConfig, simulate_reads
+
+    reads = simulate_reads(uniform_genome(100_000, seed=3), ReadSimConfig(
+        read_len=150, n_reads=13_400, error_rate=0.0, seed=3))
+    windows = reads.size - 21 + 1
+    assert windows > 2_000_000
+    tracemalloc.start()
+    try:
+        run = count_kmers(reads, 21, algorithm="fast")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.counts.total == reads.shape[0] * (150 - 21 + 1)
+    assert peak < 1.5 * 8 * windows, peak / (8 * windows)

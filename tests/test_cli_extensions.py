@@ -32,6 +32,33 @@ class TestSave:
         assert db.exists()
         assert "saved binary database" in capsys.readouterr().out
 
+    def test_save_writes_the_named_path_and_readers_go_by_content(
+            self, tmp_path, monkeypatch, capsys):
+        """`--save counts` used to print "saved ... to counts" beside a
+        file called counts.npz; and a database is one by its magic, so
+        it needs no particular suffix to be analysed or compared."""
+        monkeypatch.chdir(tmp_path)
+        rc = main(["count", "--dataset", "synthetic-20", "-k", "15",
+                   "--budget", "30000", "--algorithm", "serial",
+                   "--save", "counts", "--output", "counts.txt"])
+        assert rc == 0
+        assert "saved binary database to counts\n" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts", "counts.txt"]
+        assert main(["analyze", "counts"]) == 0
+        binary = capsys.readouterr().out.replace("counts ", "counts.txt ")
+        assert main(["analyze", "counts.txt"]) == 0
+        assert capsys.readouterr().out == binary
+        assert main(["compare", "counts", "counts.txt"]) == 0
+        assert "jaccard:            1.0000" in capsys.readouterr().out
+
+    def test_version_1_database_is_named_as_such(self, tmp_path, capsys):
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, version=np.int64(1), k=np.int64(5), canonical=np.bool_(False),
+                            kmers=np.array([1, 2], np.uint64), counts=np.array([1, 1], np.int64))
+        assert main(["analyze", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {old}: not a readable count database (version)"), err
+
     def test_count_output_gzip_tsv(self, tmp_path, capsys):
         """--output with a .gz path must write real gzip (via dump_text)."""
         from repro.apps.store import load_counts, load_text

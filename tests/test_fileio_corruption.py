@@ -32,9 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.store import load_counts, save_counts
+from repro.apps.store import DATABASE, load_counts, save_counts
 from repro.core.result import KmerCounts
-from repro.fileio import REASONS, FormatError, record
+from repro.fileio import BLOCK_KEYS, REASONS, FormatError, record
 from repro.lsm.run import RUN, Run, write_run
 from repro.lsm.store import MANIFEST_NAME, LsmStore
 from repro.lsm.wal import WAL, WriteAheadLog
@@ -141,15 +141,24 @@ def _counts() -> KmerCounts:
     return KmerCounts(K, keys, vals)
 
 
-def make_database(dir: Path, version: int | None = None) -> Path:
+def make_database(dir: Path, framing=DATABASE, kc: KmerCounts | None = None) -> Path:
+    path = dir / "counts.kdb"
+    kc = kc or _counts()
+    save_counts(path, kc, canonical=True)
+    if framing is not DATABASE:
+        blob = path.read_bytes()
+        fields = (K, kc.n_distinct, -(-kc.n_distinct // BLOCK_KEYS), True)
+        assert blob.startswith(DATABASE.header(*fields))
+        path.write_bytes(framing.header(*fields) + blob[len(DATABASE.header(*fields)):])
+    return path
+
+
+def make_database_v1(dir: Path) -> Path:
+    """What ``save_counts`` wrote before version 2: a deflated ``.npz``."""
     path = dir / "counts.npz"
     kc = _counts()
-    if version is None:
-        save_counts(path, kc, canonical=True)
-    else:
-        np.savez_compressed(path, version=np.int64(version), k=np.int64(K),
-                            canonical=np.bool_(True), kmers=kc.kmers,
-                            counts=kc.counts)
+    np.savez_compressed(path, version=np.int64(1), k=np.int64(K),
+                        canonical=np.bool_(True), kmers=kc.kmers, counts=kc.counts)
     return path
 
 
@@ -158,9 +167,8 @@ def load_database(path: Path):
     return kc.k, kc.kmers.tolist(), kc.counts.tolist(), canonical
 
 
-def make_trace(dir: Path, version: int | None = None) -> Path:
+def make_trace(dir: Path, version: int | None = None, n: int = 400) -> Path:
     rng = np.random.default_rng(RNG_SEED)
-    n = 400
     path = dir / "trace.npz"
     trace = QueryTrace(
         ts=np.sort(rng.uniform(0.0, 1.0, n)),
@@ -244,9 +252,8 @@ FORMATS = {
                   lambda blob: len(RUN.header(0, 0, 0, 0, 0)) + len(record()) + 1),
     "manifest": Format(make_manifest, load_manifest,
                        lambda dir: make_manifest(dir, 3), 5, None),
-    "database": Format(make_database, load_database,
-                       lambda dir: make_database(dir, 2), 10,
-                       lambda blob: len(blob) // 2),
+    "database": Format(make_database, load_database, _framed(make_database, DATABASE),
+                       10, lambda blob: len(blob) // 2),
     "trace": Format(make_trace, load_trace_content,
                     lambda dir: make_trace(dir, 2), 10,
                     lambda blob: len(blob) // 2),
@@ -357,6 +364,45 @@ def test_missing_file(name, tmp_path):
         fmt.load(path)
 
 
+def test_version_1_database_is_refused_by_version(tmp_path):
+    """One read path: the deflated ``.npz`` of version 1 is named, not read."""
+    _assert_refused(FORMATS["database"], make_database_v1(tmp_path), "version")
+
+
+def test_database_cut_at_a_block_boundary_is_truncated(tmp_path):
+    """Every record before the cut is whole and checks out; only the
+    header's block count says the file is short."""
+    rng = np.random.default_rng(RNG_SEED)
+    keys = np.unique(rng.integers(0, 1 << (2 * K), 3 * BLOCK_KEYS).astype(np.uint64))
+    assert 2 * BLOCK_KEYS < keys.size
+    path = make_database(tmp_path, kc=KmerCounts(K, keys, np.ones(keys.size, np.int64)))
+    with open(path, "rb") as fh:
+        DATABASE.read_header(fh, path)
+        ends = [end for _payload, end in DATABASE.records(fh, path)]
+    assert len(ends) == 3
+    blob = path.read_bytes()
+    for end in (ends[1], ends[0], len(DATABASE.header(0, 0, 0, False))):
+        path.write_bytes(blob[:end])
+        _assert_refused(FORMATS["database"], path, "truncated")
+
+
+def test_database_every_byte_is_under_a_checksum(tmp_path):
+    """The mutation property below, exhaustively: flip each byte of a
+    version-2 file in turn — the original content or ``FormatError``."""
+    fmt = FORMATS["database"]
+    path = fmt.make(tmp_path)
+    original, blob = fmt.load(path), path.read_bytes()
+    refused = 0
+    for at in range(len(blob)):
+        path.write_bytes(_flip(blob, at))
+        try:
+            assert fmt.load(path) == original
+        except FormatError as exc:
+            assert exc.path == path and exc.reason in REASONS
+            refused += 1
+    assert refused == len(blob)   # no byte of the layout is slack
+
+
 def test_run_data_sections_are_sized_not_checksummed(tmp_path):
     """What docs/FORMATS.md states: a short data section is refused on
     open, a flipped data byte is not detected."""
@@ -408,13 +454,13 @@ def test_npz_member_crc_is_checked_even_when_the_damaged_header_parses(tmp_path)
     """``np.load`` stops at an array's last byte, so zipfile never reaches
     the CRC comparison: a flipped dtype in a member's npy header loads as
     different numbers.  ``load_npz`` reads the member to its end first."""
-    path = tmp_path / "counts.npz"
-    kc = _counts()
-    np.savez(path, version=np.int64(1), k=np.int64(K), canonical=np.bool_(False),
-             kmers=kc.kmers, counts=kc.counts)   # stored, so the header is in the clear
+    path = make_trace(tmp_path, n=2000)   # members longer than zipfile's read-ahead
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    np.savez(path, **arrays)   # stored, so the npy headers are in the clear
     blob = path.read_bytes()
     at = blob.index(b"'<u8'") + 3
     path.write_bytes(blob[:at] + b"4" + blob[at + 1:])
     with np.load(path) as plain:
-        assert plain["kmers"].dtype == np.uint32   # silently wrong
-    _assert_refused(FORMATS["database"], path, "corrupt")
+        assert plain["keys"].dtype == np.uint32   # silently wrong
+    _assert_refused(FORMATS["trace"], path, "corrupt")

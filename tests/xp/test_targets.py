@@ -38,7 +38,8 @@ CASES = {
     ),
     "count-bench": (
         {"budget": 20_000},
-        {"fast_equals_scalar", "fast_equals_serial_oracle"},
+        {"fast_equals_scalar", "fast_equals_serial_oracle",
+         "database_round_trips"},
         set(),
     ),
     "chaos-sweep": (
