@@ -1,40 +1,7 @@
-"""Benchmark harness: workloads, runner, tables, experiment registry."""
+"""Benchmark harness for the paper's record.
 
-from .experiments import EXPERIMENTS, ExperimentResult, list_experiments, run_experiment
-from .harness import RunPoint, best_time, run_point, sweep_nodes
-from .plots import ascii_chart, scaling_chart
-from .report import render_markdown, run_all, write_report
-from .tables import format_bytes, format_speedup, format_table, format_time, print_table
-from .workloads import (
-    DEFAULT_BUDGET_KMERS,
-    PAPER_BATCH,
-    build_workload,
-    fidelity_for_budget,
-    scaled_batch_size,
-)
-
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "run_experiment",
-    "list_experiments",
-    "RunPoint",
-    "run_point",
-    "sweep_nodes",
-    "best_time",
-    "build_workload",
-    "fidelity_for_budget",
-    "scaled_batch_size",
-    "DEFAULT_BUDGET_KMERS",
-    "PAPER_BATCH",
-    "format_table",
-    "print_table",
-    "format_time",
-    "format_bytes",
-    "format_speedup",
-    "render_markdown",
-    "write_report",
-    "run_all",
-    "ascii_chart",
-    "scaling_chart",
-]
+``workloads`` (scaled replicas), ``harness`` (one run point on the
+simulated machine), ``tables``/``plots`` (rendering), ``experiments``
+(one function per table, figure, ablation and extension) and ``claims``
+(what each is expected to show).  Import the submodule you need.
+"""

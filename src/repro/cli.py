@@ -6,8 +6,8 @@ Subcommands:
   dataset replica) with any algorithm and print a summary/spectrum.
 * ``datasets`` — print Table V (the dataset inventory).
 * ``model``    — evaluate the analytical model for a dataset/machine.
-* ``bench``    — regenerate a paper table or figure by id (``fig7``,
-  ``table5``, ...), or ``all``.
+* ``bench``    — regenerate a paper table, figure, ablation or
+  extension by id (``fig7``, ``table5``, ``ablation-sort``, ...), or ``all``.
 * ``simulate`` — generate a synthetic FASTQ replica to disk.
 * ``chaos``    — fault-injection campaign: DAKC on a lossy fabric with
   the reliability/checkpoint layer, validated against the serial oracle.
@@ -86,11 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="regenerate a paper table/figure")
     p_bench.add_argument("experiment", help="experiment id (fig1..fig13, "
-                         "table2..table5) or 'all' or 'list'")
+                         "table2..table5, ablation-*, ext-*) or 'all' or 'list'")
     p_bench.add_argument("--budget", type=int, default=None,
                          help="override the replica k-mer budget")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--report", help="also write a markdown report here")
+    p_bench.add_argument("--seed", type=int, default=None)
 
     p_sim = sub.add_parser("simulate", help="write a synthetic FASTQ replica")
     p_sim.add_argument("--dataset", default="synthetic-20")
@@ -1243,26 +1242,28 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench.experiments import list_experiments, run_experiment
+    from .bench.experiments import (
+        experiment_parameters,
+        list_experiments,
+        run_experiment,
+    )
 
     if args.experiment == "list":
         for exp in list_experiments():
             print(exp)
         return 0
-    exp_ids = list_experiments() if args.experiment == "all" else [args.experiment]
-    kwargs = {"seed": args.seed}
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
-    results = []
-    for exp_id in exp_ids:
-        result = run_experiment(exp_id, **kwargs)
-        results.append(result)
-        print(result.render())
-    if args.report:
-        from .bench.report import write_report
-
-        out = write_report(args.report, results=results)
-        print(f"# wrote markdown report to {out}")
+    given = {name: value for name in ("budget", "seed")
+             if (value := getattr(args, name)) is not None}
+    if args.experiment != "all":
+        # Exactly the body: `dakc bench fig7 > benchmarks/results/fig7.txt`
+        # refreshes a committed record.
+        sys.stdout.write(run_experiment(args.experiment, **given).render())
+        return 0
+    for exp_id in list_experiments():
+        # Not every experiment has a budget or a seed (closed forms).
+        accepted = experiment_parameters(exp_id)
+        kwargs = {name: value for name, value in given.items() if name in accepted}
+        print(run_experiment(exp_id, **kwargs).render())
     return 0
 
 
@@ -1479,8 +1480,8 @@ def _xp_load_spec(args):
     if getattr(args, "quick", False):
         # Quick runs shrink the policy and never reach the ledger; an
         # explicit --repetitions/--warmup still wins below.
-        spec = dataclasses.replace(
-            spec, policy=RepetitionPolicy(warmup=0, repetitions=2))
+        spec = dataclasses.replace(spec, policy=RepetitionPolicy(
+            warmup=0, repetitions=min(spec.policy.repetitions, 2)))
         args.no_ledger = True
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -1511,6 +1512,7 @@ def _cmd_xp(args) -> int:
 
     from .xp import (
         Ledger,
+        format_claims,
         format_envelope,
         format_gate,
         format_trajectory,
@@ -1574,6 +1576,9 @@ def _cmd_xp(args) -> int:
     if args.xp_command == "report":
         if args.experiment:
             print(format_trajectory(ledger, args.experiment))
+            latest = ledger.latest(args.experiment)
+            if latest and latest["target"] == "paper":
+                print(format_claims(latest))
             return 0
         experiments = ledger.experiments()
         if not experiments:

@@ -3,15 +3,16 @@
 The paper's claims are comparative ("asynchronous beats BSP", "comm
 overlap cuts runtime"), and so is every extension claim this repo has
 accumulated.  This subsystem is the one recorded pathway for the
-product scenarios and makes the "measurably faster" discipline
-systematic:
+product scenarios and for the paper's own tables and figures, and
+makes the "measurably faster" discipline systematic:
 
 * :mod:`repro.xp.spec`    — sweeps as *data*: a versioned
   :class:`ExperimentSpec` names a target callable, its parameter grid,
   seeds, and an explicit warmup/repetition policy (JSON).
 * :mod:`repro.xp.targets` — the registry of runnable targets (one per
   product scenario: serve, LSM, out-of-core, cluster, tenant, trace,
-  chaos, DST, count; plus a synthetic calibration target).
+  chaos, DST, count; ``paper`` for the source paper's tables and
+  figures; plus a synthetic calibration target).
 * :mod:`repro.xp.runner`  — expands the grid, spawns collision-free
   child seeds via :mod:`repro.core.seeds`, runs warmups + repetitions,
   and stamps an environment fingerprint into the result envelope.
@@ -32,7 +33,7 @@ from __future__ import annotations
 from .env import fingerprint
 from .gate import GateResult, gate_envelopes
 from .ledger import LEDGER_VERSION, Ledger, validate_envelope
-from .report import format_envelope, format_gate, format_trajectory
+from .report import format_claims, format_envelope, format_gate, format_trajectory
 from .runner import run_spec
 from .spec import (
     SPEC_VERSION,
@@ -76,6 +77,7 @@ __all__ = [
     "validate_envelope",
     "GateResult",
     "gate_envelopes",
+    "format_claims",
     "format_envelope",
     "format_gate",
     "format_trajectory",

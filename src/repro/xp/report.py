@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from ..bench.claims import CLAIMS
 from ..bench.tables import format_table
 from .gate import GateResult
 from .ledger import Ledger
 
-__all__ = ["format_envelope", "format_gate", "format_trajectory"]
+__all__ = ["format_claims", "format_envelope", "format_gate", "format_trajectory"]
 
 
 def _fmt(value: float) -> str:
@@ -101,3 +102,25 @@ def format_trajectory(ledger: Ledger, experiment: str) -> str:
                     "n": s["n"],
                 })
     return format_table(rows, title=f"ledger trajectory: {experiment}")
+
+
+def format_claims(envelope: dict) -> str:
+    """A ``paper`` run joined with the claims table, as the markdown
+    block EXPERIMENTS.md commits: claim | paper | measured | holds."""
+    cells = {cell["params"]["exp_id"]: cell for cell in envelope["cells"]}
+    lines = ["| experiment | claim | paper | measured | holds |",
+             "|---|---|---|---|---|"]
+    for claim in CLAIMS:
+        cell = cells.get(claim.exp_id, {"metrics": {}, "checks": {}})
+        held = cell["checks"].get(claim.name)
+        value = cell["metrics"].get(claim.value, [None])[0]
+        if value is None:
+            measured = "-"
+        elif value == int(value):  # counts, byte sizes and flags print exactly
+            measured = str(int(value))
+        else:
+            measured = _fmt(value)
+        lines.append(
+            f"| {claim.exp_id} | `{claim.name}` | {claim.paper} | {measured} | "
+            f"{'not evaluated' if held is None else 'yes' if held else 'NO'} |")
+    return "\n".join(lines) + "\n"

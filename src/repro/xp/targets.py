@@ -11,7 +11,10 @@ The eight product scenarios (serve, lsm, ooc, cluster, tenant, trace,
 chaos, dst) are recorded only here: one target each, driven by one
 spec under ``benchmarks/xp/`` into the ledger.  Every acceptance claim
 of a scenario is a named check with its threshold as a literal beside
-it; the spec carries the one size the claim is stated at.
+it; the spec carries the one size the claim is stated at.  The paper's
+own tables and figures are the ``paper`` target: one cell per
+experiment id of :mod:`repro.bench.experiments`, checks from the one
+claims table in :mod:`repro.bench.claims`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
+
+from ..bench.claims import CLAIMS, evaluate
 
 __all__ = ["TargetOutcome", "XpTarget", "TARGETS", "get_target",
            "list_targets"]
@@ -612,6 +617,22 @@ def _trace_bench(params: dict) -> TargetOutcome:
 
 
 # ---------------------------------------------------------------------------
+# paper: one table, figure, ablation or extension of the source paper at
+# the size its record is stated at (the experiment's own defaults)
+# ---------------------------------------------------------------------------
+
+
+def _paper(params: dict) -> TargetOutcome:
+    from ..bench.experiments import run_experiment
+
+    # The simulated machine is deterministic and the record is stated at
+    # each experiment's default seed, so the repetition seed is not used.
+    exp_id = _params(params, {"exp_id": None})["exp_id"]
+    values = run_experiment(exp_id).values
+    return TargetOutcome(metrics=values, checks=evaluate(exp_id, values))
+
+
+# ---------------------------------------------------------------------------
 # synthetic: a free, deterministic target for smoke tests and CI
 # ---------------------------------------------------------------------------
 
@@ -713,6 +734,11 @@ TARGETS: dict[str, XpTarget] = {
              "two_tier_hit_rate": "higher"},
             "query trace: Mattson miss-ratio model vs brute-force LRU, "
             "bit-identical replay, two-tier vs single-tier cache",
+        ),
+        XpTarget(
+            "paper", _paper, {claim.value: claim.direction for claim in CLAIMS},
+            "a table, figure, ablation or extension of the source paper "
+            "(exp_id), its claims as checks",
         ),
         XpTarget(
             "synthetic-latency", _synthetic_latency,

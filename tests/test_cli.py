@@ -102,6 +102,44 @@ class TestOtherCommands:
     def test_bench_unknown(self, capsys):
         assert main(["bench", "fig99"]) == 2
 
+    def test_bench_prints_exactly_the_committed_body(self, capsys):
+        assert main(["bench", "fig5"]) == 0
+        body = Path(__file__).parents[1] / "benchmarks" / "results" / "fig5.txt"
+        assert capsys.readouterr().out == body.read_text()
+
+    def test_bench_refuses_a_parameter_the_experiment_lacks(self, capsys):
+        """fig2 is a closed form: `--budget 5` used to run at full size."""
+        assert main(["bench", "fig2", "--budget", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "fig2: unknown parameters ['budget']" in err
+        assert "accepts ['node_counts']" in err
+
+    def test_bench_has_no_report_renderer(self):
+        """The ledger envelope + `xp report` is the artefact."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "all", "--report", "r.md"])
+
+    def test_bench_all_hands_budget_only_to_experiments_that_have_one(
+            self, monkeypatch, capsys):
+        from repro.bench import experiments
+        from repro.bench.experiments import ExperimentResult
+
+        seen = {}
+
+        def sized(*, budget: int = 9, seed: int = 0):
+            seen["sized"] = (budget, seed)
+            return ExperimentResult("sized", "a replica")
+
+        def closed_form():
+            seen["closed-form"] = ()
+            return ExperimentResult("closed-form", "no replica")
+
+        monkeypatch.setattr(experiments, "EXPERIMENTS",
+                            {"sized": sized, "closed-form": closed_form})
+        assert main(["bench", "all", "--budget", "7"]) == 0
+        assert seen == {"sized": (7, 0), "closed-form": ()}
+        assert main(["bench", "closed-form", "--budget", "7"]) == 2
+
     def test_simulate(self, tmp_path, capsys):
         out_path = tmp_path / "sim.fastq"
         rc = main(["simulate", "--dataset", "synthetic-20",

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from repro.cli import main
 from repro.xp.gate import gate_envelopes
 from repro.xp.ledger import Ledger
 from repro.xp.runner import run_spec
-from repro.xp.spec import ExperimentSpec, RepetitionPolicy, SweepSpec
+from repro.xp.spec import ExperimentSpec, RepetitionPolicy, SweepSpec, save_spec
 
 REPO = Path(__file__).parents[2]
 SMOKE_SPEC = str(REPO / "benchmarks" / "xp" / "smoke.json")
@@ -176,6 +177,42 @@ class TestXpCli:
         env = json.loads(out.read_text())
         assert env["spec"]["seed"] == 9
         assert all(len(c["seeds"]) == 2 for c in env["cells"])
+
+    @pytest.mark.parametrize("spec_repetitions, ran", [(5, 2), (1, 1)])
+    def test_quick_caps_repetitions_and_never_raises_them(
+            self, tmp_path, spec_repetitions, ran):
+        """A deterministic one-repetition spec (paper.json) runs once
+        under --quick, not twice."""
+        spec = replace(synth_spec(), policy=RepetitionPolicy(
+            warmup=1, repetitions=spec_repetitions))
+        path = save_spec(spec, tmp_path / "spec.json")
+        out = tmp_path / "envelope.json"
+        assert main(["xp", "run", str(path), "--quick", "--json", str(out),
+                     *self.ledger_args(tmp_path)]) == 0
+        env = json.loads(out.read_text())
+        assert env["spec"]["policy"] == {"warmup": 0, "repetitions": ran}
+        assert all(len(c["seeds"]) == ran for c in env["cells"])
+        assert Ledger(tmp_path / "ledger").experiments() == []  # never appended
+
+    def test_report_of_a_paper_run_ends_with_the_claims_table(
+            self, tmp_path, capsys):
+        spec = ExperimentSpec(
+            experiment="paper", target="paper",
+            sweep=SweepSpec.from_doc({"exp_id": ["table2", "fig5"]}),
+            policy=RepetitionPolicy(warmup=0, repetitions=1))
+        path = save_spec(spec, tmp_path / "paper.json")
+        args = self.ledger_args(tmp_path)
+        assert main(["xp", "run", str(path), *args]) == 0
+        capsys.readouterr()
+        assert main(["xp", "report", "paper", *args]) == 0
+        out = capsys.readouterr().out
+        assert "| experiment | claim | paper | measured | holds |" in out
+        assert ("| table2 | `hops_3d == 3` | Table II: 3D HyperX, 3 hops "
+                "| 3 | yes |") in out
+        assert "| fig5 | `compute_share_pct < 10` |" in out
+        # An experiment the run did not sweep is not evaluated, not passed.
+        assert "| fig8 | `dakc_oom_max == 0` | Fig. 8: DAKC runs everywhere " \
+               "| - | not evaluated |" in out
 
     def test_list_and_report_verbs(self, tmp_path, capsys):
         args = self.ledger_args(tmp_path)

@@ -28,7 +28,7 @@ LEGACY_IDS = ["serve-bench", "lsm-store", "ooc-count", "cluster-bench",
 
 def test_spec_dir_has_the_expected_campaigns():
     assert {p.stem for p in SPEC_PATHS} == {
-        "chaos", "cluster", "count", "dst", "lsm", "ooc", "serve",
+        "chaos", "cluster", "count", "dst", "lsm", "ooc", "paper", "serve",
         "smoke", "tenant", "trace"}
 
 

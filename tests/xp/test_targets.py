@@ -1,4 +1,4 @@
-"""Every product-scenario target, run once at a small size.
+"""Every target, run once at a small size.
 
 The shipped specs run these targets at the size their claims are stated
 at (``benchmarks/xp/``, recorded in the ledger, smoke-run by CI).  Here
@@ -7,6 +7,8 @@ host: which checks a target reports, that every exactness /
 conservation / structural check holds, and that every metric has a
 declared direction for the gate.  Checks whose threshold is a timing
 ratio or a sampling estimate are named but not asserted at this size.
+The ``paper`` target has no small size — an experiment's defaults are
+its record — so it runs on the sub-second experiment ids.
 """
 
 from __future__ import annotations
@@ -14,6 +16,19 @@ from __future__ import annotations
 import pytest
 
 from repro.xp.targets import TARGETS
+
+#: ``paper`` experiment id -> the claims its cell reports as checks.
+PAPER_CHECKS = {
+    "table2": {"hops_1d == 1", "hops_2d == 2", "hops_3d == 3",
+               "buffers_1d_over_2d > 1", "buffers_2d_over_3d > 1"},
+    "table3": {"l0_bytes_1d == 10485760", "l1_bytes_1d == 270336",
+               "l2_bytes_1d == 67584", "l3_bytes_1d == 80000"},
+    "fig2": {"mem_1d_bytes_min < 4194304", "mem_1d_bytes_max > 209715200",
+             "mem_3d_bytes_max < 8388608", "n_node_counts == 8"},
+    "fig5": {"compute_share_pct < 10", "movement_share_pct > 90",
+             "op_to_byte == 0.123", "cpu_balance == 2.6",
+             "h100_balance == 8.3"},
+}
 
 #: target -> (small params, host-independent checks, size-dependent checks)
 CASES = {
@@ -77,6 +92,7 @@ CASES = {
          "two_tier_beats_single"},
         {"sample_error_le_10pp"},
     ),
+    "paper": ({"exp_id": "fig5"}, PAPER_CHECKS["fig5"], set()),
     "synthetic-latency": ({}, set(), set()),
 }
 
@@ -94,6 +110,24 @@ def test_target_checks_and_metric_directions(name):
     failed = sorted(c for c in exact if not outcome.checks[c])
     assert not failed, f"{name}: {failed} (metrics {outcome.metrics})"
     assert outcome.metrics and set(outcome.metrics) <= set(target.directions)
+
+
+@pytest.mark.parametrize("exp_id", sorted(PAPER_CHECKS))
+def test_paper_checks_are_the_claims_and_metrics_their_values(exp_id):
+    target = TARGETS["paper"]
+    outcome = target.run({"exp_id": exp_id, "seed": 3})
+    assert outcome.checks == dict.fromkeys(PAPER_CHECKS[exp_id], True)
+    # Every recorded value is what some claim is about (so it has a
+    # direction), and every claim found its value.
+    assert {name.split()[0] for name in outcome.checks} == set(outcome.metrics)
+    assert set(outcome.metrics) <= set(target.directions)
+
+
+def test_paper_needs_an_exp_id_and_takes_nothing_else():
+    with pytest.raises(KeyError, match="unknown experiment None"):
+        TARGETS["paper"].run({})
+    with pytest.raises(ValueError, match=r"accepts \['exp_id'\]"):
+        TARGETS["paper"].run({"exp_id": "fig5", "budget": 5})
 
 
 @pytest.mark.parametrize("name", ["serve-bench", "cluster-bench",
