@@ -37,6 +37,7 @@ from ..seq.kmers import MAX_K, str_to_kmer
 __all__ = [
     "save_counts",
     "load_counts",
+    "load_database",
     "dump_text",
     "load_text",
     "merge_sorted_counts",
@@ -95,6 +96,16 @@ def load_counts(
         kmers, values = read_sorted_blocks(DATABASE, fh, path, n=n, n_blocks=n_blocks,
                                            key_bits=2 * k)
     return KmerCounts(k, kmers, values), canonical
+
+
+def load_database(path: str | os.PathLike) -> KmerCounts:
+    """A binary database, or — when its magic says it is none — a text dump."""
+    try:
+        return load_counts(path)[0]
+    except FormatError as exc:
+        if exc.reason != "foreign":
+            raise
+    return load_text(path)
 
 
 def merge_sorted_counts(

@@ -1,36 +1,38 @@
 """Command-line interface: ``dakc`` / ``python -m repro``.
 
-Subcommands:
+The verbs are the tools that produce or read an artefact:
 
 * ``count``    — count k-mers in a FASTA/FASTQ file (or a generated
   dataset replica) with any algorithm and print a summary/spectrum.
+* ``analyze`` / ``compare`` — spectrum analysis of one count database,
+  set comparison of two.
 * ``datasets`` — print Table V (the dataset inventory).
 * ``model``    — evaluate the analytical model for a dataset/machine.
 * ``bench``    — regenerate a paper table, figure, ablation or
   extension by id (``fig7``, ``table5``, ``ablation-sort``, ...), or ``all``.
+* ``sweep`` / ``timeline`` / ``calibrate`` — a custom strong-scaling
+  sweep, an ASCII Gantt of one simulated run, this host as a machine.
 * ``simulate`` — generate a synthetic FASTQ replica to disk.
-* ``chaos``    — fault-injection campaign: DAKC on a lossy fabric with
-  the reliability/checkpoint layer, validated against the serial oracle.
-* ``serve-bench`` — query-serving benchmark: the sharded/batched/cached
-  read path vs. naive per-query lookups on a Zipf workload (optionally
-  over a live LSM store).
-* ``cluster-bench`` — replicated serving-cluster benchmark: router
-  overhead, hedged-request tail latency under a straggler, and the
-  RF=2 chaos proof (node kill + live rebalance, bit-exact answers).
-* ``tenant-bench`` — multi-tenant QoS benchmark: an antagonist floods
-  the engine while a paced victim measures p99; quotas + DRR isolation
-  on vs. unbounded off, plus the fairness and autoscaler proofs.
 * ``ingest``   — durably append reads into an updatable LSM k-mer
   store (WAL + memtable + sorted runs).
 * ``compact``  — merge an LSM store's runs down to the configured
   read-amplification bound.
+* ``ooc-count`` — two-pass out-of-core count under a memory ceiling.
+* ``dst``      — deterministic simulation testing: ``run`` a fuzz
+  campaign, ``replay`` a repro bundle.
 * ``trace``    — query-trace tooling (repro.trace): ``record`` a served
   workload, ``profile`` its exact LRU miss-ratio curve, ``sample`` it
   spatially/temporally, ``replay`` it bit-identically.
 * ``xp``       — declarative experiments (repro.xp): ``run`` a spec's
   sweep under its warmup/repetition policy, ``gate`` it against the
   ledger baseline with Mann-Whitney + minimum-effect thresholds,
-  ``report`` the cross-PR trajectory in the versioned ledger.
+  ``report`` the cross-PR trajectory in the versioned ledger, ``list``
+  the targets and their parameters.
+
+A scenario (serve, cluster, tenant, chaos, dst sweep, lsm, ooc, trace,
+count) is not a verb: it is run as ``dakc xp run
+benchmarks/xp/<scenario>.json [--quick] [--no-ledger] [--set key=value]``
+(``docs/XP.md``).
 """
 
 from __future__ import annotations
@@ -52,11 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dakc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", help="count k-mers in a FASTX file or dataset")
-    src = p_count.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="FASTA/FASTQ file path")
-    src.add_argument("--dataset", help="Table V dataset key (e.g. synthetic-24)")
-    p_count.add_argument("-k", type=int, default=31, help="k-mer length (default 31)")
+    def verb(group, name, handler, **kwargs) -> argparse.ArgumentParser:
+        """A sub-parser of *group*, bound to the function that runs it."""
+        p = group.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    p_count = verb(sub, "count", _cmd_count,
+                   help="count k-mers in a FASTX file or dataset")
+    _add_source_args(p_count, "--input", "FASTA/FASTQ file path", budget=400_000)
     p_count.add_argument("--algorithm", default="auto",
                          help="auto|fast|serial|dakc|bsp|pakman|pakman*|hysortk|"
                               "kmc3 (auto = vectorised fast path for --input, "
@@ -67,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--protocol", default="1D", help="Conveyors topology (DAKC)")
     p_count.add_argument("--canonical", action="store_true",
                          help="count canonical (strand-folded) k-mers")
-    p_count.add_argument("--budget", type=int, default=400_000,
-                         help="replica k-mer budget when using --dataset")
     p_count.add_argument("--top", type=int, default=0,
                          help="print the N most frequent k-mers")
     p_count.add_argument("--spectrum", type=int, default=0,
@@ -76,36 +80,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--output", help="write counts as TSV to this path")
     p_count.add_argument("--save", help="write counts as a binary database (e.g. counts.kdb)")
 
-    sub.add_parser("datasets", help="print Table V")
+    verb(sub, "datasets", _cmd_datasets, help="print Table V")
 
-    p_model = sub.add_parser("model", help="evaluate the analytical model (Sec. V)")
+    p_model = verb(sub, "model", _cmd_model,
+                   help="evaluate the analytical model (Sec. V)")
     p_model.add_argument("--dataset", default="synthetic-30")
     p_model.add_argument("-k", type=int, default=31)
     p_model.add_argument("--nodes", type=int, default=32)
     p_model.add_argument("--machine", default="phoenix-intel")
 
-    p_bench = sub.add_parser("bench", help="regenerate a paper table/figure")
+    p_bench = verb(sub, "bench", _cmd_bench, help="regenerate a paper table/figure")
     p_bench.add_argument("experiment", help="experiment id (fig1..fig13, "
                          "table2..table5, ablation-*, ext-*) or 'all' or 'list'")
     p_bench.add_argument("--budget", type=int, default=None,
                          help="override the replica k-mer budget")
     p_bench.add_argument("--seed", type=int, default=None)
 
-    p_sim = sub.add_parser("simulate", help="write a synthetic FASTQ replica")
+    p_sim = verb(sub, "simulate", _cmd_simulate, help="write a synthetic FASTQ replica")
     p_sim.add_argument("--dataset", default="synthetic-20")
     p_sim.add_argument("--fidelity", type=float, default=2**-10)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--output", required=True, help="FASTQ output path")
 
-    p_an = sub.add_parser("analyze", help="spectrum analysis of a count database")
+    p_an = verb(sub, "analyze", _cmd_analyze,
+                help="spectrum analysis of a count database")
     p_an.add_argument("database", help="database written by `count --save` or a .tsv[.gz] dump")
     p_an.add_argument("--max-count", type=int, default=1000)
 
-    p_cmp = sub.add_parser("compare", help="compare two count databases")
+    p_cmp = verb(sub, "compare", _cmd_compare, help="compare two count databases")
     p_cmp.add_argument("a", help="first database (binary or .tsv[.gz])")
     p_cmp.add_argument("b", help="second database (binary or .tsv[.gz])")
 
-    p_sw = sub.add_parser("sweep", help="custom strong-scaling sweep")
+    p_sw = verb(sub, "sweep", _cmd_sweep, help="custom strong-scaling sweep")
     p_sw.add_argument("--dataset", default="synthetic-26")
     p_sw.add_argument("-k", type=int, default=31)
     p_sw.add_argument("--algorithms", default="dakc,pakman*,hysortk",
@@ -115,188 +121,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--budget", type=int, default=200_000)
     p_sw.add_argument("--plot", action="store_true", help="ASCII log-log chart")
 
-    p_cal = sub.add_parser("calibrate",
-                           help="microbenchmark this host into a machine config")
+    p_cal = verb(sub, "calibrate", _cmd_calibrate,
+                 help="microbenchmark this host into a machine config")
     p_cal.add_argument("--cores", type=int, default=8,
                        help="core count to assume for node-level rates")
     p_cal.add_argument("--quick", action="store_true",
                        help="small measurement sizes (noisy, fast)")
 
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="fault-injection campaign: DAKC under a lossy fabric, "
-        "validated against the serial oracle",
-    )
-    p_chaos.add_argument("--dataset", default="synthetic-20",
-                         help="Table V dataset key for the replica workload")
-    p_chaos.add_argument("-k", type=int, default=31)
-    p_chaos.add_argument("--nodes", type=int, default=2)
-    p_chaos.add_argument("--machine", default="laptop",
-                         help="machine preset (phoenix-intel|phoenix-amd|laptop)")
-    p_chaos.add_argument("--protocol", default="1D",
-                         help="Conveyors topology (1D|2D|3D)")
-    p_chaos.add_argument("--budget", type=int, default=100_000,
-                         help="replica k-mer budget")
-    p_chaos.add_argument("--drop", default="0.01,0.05",
-                         help="comma-separated drop probabilities to sweep")
-    p_chaos.add_argument("--duplicate", type=float, default=0.01,
-                         help="duplication probability")
-    p_chaos.add_argument("--corrupt", type=float, default=0.005,
-                         help="payload bit-flip probability")
-    p_chaos.add_argument("--delay", type=float, default=0.0,
-                         help="delivery delay probability")
-    p_chaos.add_argument("--crash", default="",
-                         help="comma-separated PE indices to crash at the "
-                         "phase boundary (checkpoint/restart protects them)")
-    p_chaos.add_argument("--straggler", default="",
-                         help="comma-separated PE indices running slow")
-    p_chaos.add_argument("--straggler-factor", type=float, default=2.0,
-                         help="clock dilation of straggler PEs (>= 1)")
-    p_chaos.add_argument("--seed", type=int, default=0)
-
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="query-serving benchmark: naive scalar lookups vs. the "
-        "sharded/batched/cached engine on a Zipf workload",
-    )
-    serve_src = p_serve.add_mutually_exclusive_group()
-    serve_src.add_argument("--database", help="count database (counts.kdb) to serve "
-                           "(written by `count --save`)")
-    serve_src.add_argument("--dataset", default="synthetic-20",
-                           help="Table V dataset key to count and serve")
-    serve_src.add_argument("--lsm-store", help="serve a live LSM store "
-                           "directory (written by `dakc ingest`)")
-    p_serve.add_argument("-k", type=int, default=15, help="k-mer length")
-    p_serve.add_argument("--budget", type=int, default=100_000,
-                         help="replica k-mer budget when using --dataset")
-    p_serve.add_argument("--queries", type=int, default=40_000,
-                         help="queries in the generated stream")
-    p_serve.add_argument("--shards", type=int, default=8,
-                         help="virtual shards (splitmix64-partitioned)")
-    p_serve.add_argument("--zipf", type=float, default=1.1,
-                         help="Zipf exponent of key popularity")
-    p_serve.add_argument("--miss-fraction", type=float, default=0.02,
-                         help="fraction of queries for absent keys")
-    p_serve.add_argument("--batch-size", type=int, default=256,
-                         help="micro-batch coalescing target (keys)")
-    p_serve.add_argument("--batch-window", type=float, default=5e-4,
-                         help="seconds a partial batch waits for company")
-    p_serve.add_argument("--max-inflight", type=int, default=8192,
-                         help="admission bound in keys (backpressure)")
-    p_serve.add_argument("--cache-capacity", type=int, default=4096,
-                         help="hot-key cache slots (0 disables the cache)")
-    p_serve.add_argument("--cache-threshold", type=int, default=2,
-                         help="sightings before a key earns a cache slot")
-    p_serve.add_argument("--t2-capacity", type=int, default=0,
-                         help="second cache tier slots (0 = single tier; "
-                         "t2 hits charge a simulated device latency)")
-    p_serve.add_argument("--group-size", type=int, default=256,
-                         help="keys per client arrival group")
-    p_serve.add_argument("--concurrency", type=int, default=8,
-                         help="client groups kept in flight")
-    _add_burst_args(p_serve)
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--json", help="write the metrics snapshot here")
-    p_serve.add_argument("--trace-out",
-                         help="record the engine's query trace here (.npz)")
-
-    p_ten = sub.add_parser(
-        "tenant-bench",
-        help="multi-tenant QoS benchmark: antagonist floods, victim "
-        "measures p99 — quota/DRR isolation on vs. unbounded off",
-    )
-    ten_src = p_ten.add_mutually_exclusive_group()
-    ten_src.add_argument("--database", help="count database (counts.kdb) to serve "
-                         "(written by `count --save`)")
-    ten_src.add_argument("--dataset", default="synthetic-20",
-                         help="Table V dataset key to count and serve")
-    p_ten.add_argument("-k", type=int, default=15, help="k-mer length")
-    p_ten.add_argument("--budget", type=int, default=100_000,
-                       help="replica k-mer budget when using --dataset")
-    p_ten.add_argument("--victim-groups", type=int, default=400,
-                       help="timed victim arrival groups")
-    p_ten.add_argument("--victim-group", type=int, default=32,
-                       help="keys per victim group")
-    p_ten.add_argument("--victim-interval", type=float, default=15e-3,
-                       help="seconds between victim arrivals (open loop)")
-    p_ten.add_argument("--victim-slo-ms", type=float, default=100.0,
-                       help="victim latency SLO target (ms)")
-    p_ten.add_argument("--antag-batch", type=int, default=256,
-                       help="keys per antagonist batch")
-    p_ten.add_argument("--flooders", type=int, default=16,
-                       help="concurrent antagonist flooder tasks")
-    p_ten.add_argument("--antag-rate", type=float, default=32.0,
-                       help="antagonist quota refill rate (keys/s) when "
-                       "isolation is on")
-    p_ten.add_argument("--shards", type=int, default=2,
-                       help="engine shards")
-    p_ten.add_argument("--zipf", type=float, default=1.1,
-                       help="Zipf exponent of key popularity")
-    p_ten.add_argument("--autoscale-nodes", type=int, default=3,
-                       help="starting cluster size for the autoscaler demo")
-    p_ten.add_argument("--quick", action="store_true",
-                       help="smoke-test sizes (CI): fewer groups, shorter "
-                       "flushes")
-    p_ten.add_argument("--seed", type=int, default=0)
-    p_ten.add_argument("--json", help="write the full result document here")
-
-    p_cl = sub.add_parser(
-        "cluster-bench",
-        help="replicated serving cluster: router overhead, hedged "
-        "tail latency under a straggler, and the RF=2 chaos proof",
-    )
-    cl_src = p_cl.add_mutually_exclusive_group()
-    cl_src.add_argument("--database", help="count database (counts.kdb) to serve "
-                        "(written by `count --save`)")
-    cl_src.add_argument("--dataset", default="synthetic-20",
-                        help="Table V dataset key to count and serve")
-    p_cl.add_argument("-k", type=int, default=15, help="k-mer length")
-    p_cl.add_argument("--budget", type=int, default=100_000,
-                      help="replica k-mer budget when using --dataset")
-    p_cl.add_argument("--cluster-nodes", type=int, default=6,
-                      help="cluster members (each holds an rf/N slice)")
-    p_cl.add_argument("--rf", type=int, default=2,
-                      help="replication factor (copies of every key)")
-    p_cl.add_argument("--vnodes", type=int, default=16,
-                      help="virtual nodes (ring tokens) per member")
-    p_cl.add_argument("--queries", type=int, default=30_000,
-                      help="queries in the generated Zipf stream")
-    p_cl.add_argument("--zipf", type=float, default=1.1,
-                      help="Zipf exponent of key popularity")
-    p_cl.add_argument("--miss-fraction", type=float, default=0.02,
-                      help="fraction of queries for absent keys")
-    p_cl.add_argument("--group-size", type=int, default=256,
-                      help="keys per client batch")
-    p_cl.add_argument("--concurrency", type=int, default=8,
-                      help="client batches kept in flight")
-    p_cl.add_argument("--service-time", type=float, default=2e-4,
-                      help="simulated seconds per node batch lookup")
-    p_cl.add_argument("--straggler-delay", type=float, default=2e-2,
-                      help="dilated service time of the injected straggler")
-    p_cl.add_argument("--chunk-keys", type=int, default=2048,
-                      help="keys per rebalance copy chunk")
-    p_cl.add_argument("--repeats", type=int, default=3,
-                      help="best-of repeats for the overhead section")
-    _add_burst_args(p_cl)
-    p_cl.add_argument("--seed", type=int, default=0)
-    p_cl.add_argument("--json", help="write the benchmark document here")
-    p_cl.add_argument("--trace-out",
-                      help="record the routed query trace here (.npz)")
-
-    p_ing = sub.add_parser(
-        "ingest",
-        help="durably append reads into an updatable LSM k-mer store",
-    )
+    p_ing = verb(sub, "ingest", _cmd_ingest,
+                 help="durably append reads into an updatable LSM k-mer store")
     p_ing.add_argument("--store", required=True,
                        help="store directory (created on first use)")
-    ing_src = p_ing.add_mutually_exclusive_group(required=True)
-    ing_src.add_argument("--input", help="FASTA/FASTQ file to ingest")
-    ing_src.add_argument("--dataset", help="Table V dataset key to ingest "
-                         "as a generated replica")
-    p_ing.add_argument("-k", type=int, default=31,
-                       help="k-mer length (checked against the store)")
-    p_ing.add_argument("--budget", type=int, default=100_000,
-                       help="replica k-mer budget when using --dataset")
+    _add_source_args(p_ing, "--input", "FASTA/FASTQ file to ingest")
     p_ing.add_argument("--seed", type=int, default=0,
                        help="replica seed when using --dataset")
     p_ing.add_argument("--batch-records", type=int, default=10_000,
@@ -312,10 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument("--flush", action="store_true",
                        help="flush the memtable to a run before exiting")
 
-    p_cpt = sub.add_parser(
-        "compact",
-        help="merge an LSM store's runs down to the configured bound",
-    )
+    p_cpt = verb(sub, "compact", _cmd_compact,
+                 help="merge an LSM store's runs down to the configured bound")
     p_cpt.add_argument("--store", required=True, help="store directory")
     p_cpt.add_argument("--max-runs", type=int, default=8,
                        help="run-count bound to compact down to")
@@ -324,16 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cpt.add_argument("--flush", action="store_true",
                        help="flush the memtable to a run first")
 
-    p_ooc = sub.add_parser(
-        "ooc-count",
-        help="two-pass out-of-core count under a hard memory ceiling "
-             "(repro.ooc)",
-    )
-    ooc_src = p_ooc.add_mutually_exclusive_group(required=True)
-    ooc_src.add_argument("--input", help="FASTA/FASTQ file to count")
-    ooc_src.add_argument("--dataset", help="Table V dataset key to count "
-                         "as a generated replica")
-    p_ooc.add_argument("-k", type=int, default=31, help="k-mer length")
+    p_ooc = verb(sub, "ooc-count", _cmd_ooc_count,
+                 help="two-pass out-of-core count under a hard memory ceiling "
+                      "(repro.ooc)")
+    _add_source_args(p_ooc, "--input", "FASTA/FASTQ file to count")
     p_ooc.add_argument("-w", type=int, default=None,
                        help="minimizer length (default min(k, 7))")
     p_ooc.add_argument("--n-bins", type=int, default=64,
@@ -341,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ooc.add_argument("--memory-mb", type=float, default=1.0,
                        help="hard memory ceiling for pass-1 buffering "
                             "(and the fused store's memtable budget)")
-    p_ooc.add_argument("--budget", type=int, default=100_000,
-                       help="replica k-mer budget when using --dataset")
     p_ooc.add_argument("--seed", type=int, default=0,
                        help="replica seed when using --dataset")
     p_ooc.add_argument("--canonical", action="store_true",
@@ -368,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
              "repro bundles (repro.dst)",
     )
     dst_sub = p_dst.add_subparsers(dest="dst_command", required=True)
-    p_dst_run = dst_sub.add_parser(
-        "run", help="fuzz one campaign of schedules and check invariants")
+    p_dst_run = verb(dst_sub, "run", _cmd_dst_run,
+                     help="fuzz one campaign of schedules and check invariants")
     p_dst_run.add_argument("--budget", type=int, default=200,
                            help="schedules to run")
     p_dst_run.add_argument("--seed", type=int, default=0,
@@ -380,17 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="report failures without minimising them")
     p_dst_run.add_argument("--json", default=None,
                            help="also write the campaign report as JSON here")
-    p_dst_replay = dst_sub.add_parser(
-        "replay", help="re-run a repro bundle and verify the violation")
+    p_dst_replay = verb(dst_sub, "replay", _cmd_dst_replay,
+                        help="re-run a repro bundle and verify the violation")
     p_dst_replay.add_argument("bundle", help="path to a dst repro bundle")
-    p_dst_sweep = dst_sub.add_parser(
-        "sweep", help="one campaign per root seed")
-    p_dst_sweep.add_argument("--seeds", default="0,1,2",
-                             help="comma-separated campaign root seeds")
-    p_dst_sweep.add_argument("--budget", type=int, default=100,
-                             help="schedules per campaign")
-    p_dst_sweep.add_argument("--out", default=None,
-                             help="directory for shrunk repro bundles")
 
     p_tr = sub.add_parser(
         "trace",
@@ -399,15 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tr_sub = p_tr.add_subparsers(dest="trace_command", required=True)
 
-    p_tr_rec = tr_sub.add_parser(
-        "record", help="serve a Zipf(+burst) stream and record its trace")
-    tr_src = p_tr_rec.add_mutually_exclusive_group()
-    tr_src.add_argument("--database", help="count database (counts.kdb) to serve")
-    tr_src.add_argument("--dataset", default="synthetic-20",
-                        help="Table V dataset key to count and serve")
-    p_tr_rec.add_argument("-k", type=int, default=15, help="k-mer length")
-    p_tr_rec.add_argument("--budget", type=int, default=100_000,
-                          help="replica k-mer budget when using --dataset")
+    p_tr_rec = verb(tr_sub, "record", _cmd_trace_record,
+                    help="serve a Zipf(+burst) stream and record its trace")
+    _add_source_args(p_tr_rec, "--database",
+                     "count database (counts.kdb) or .tsv[.gz] dump to serve",
+                     k=15, dataset="synthetic-20")
     p_tr_rec.add_argument("--queries", type=int, default=40_000)
     p_tr_rec.add_argument("--shards", type=int, default=8)
     p_tr_rec.add_argument("--zipf", type=float, default=1.1)
@@ -417,13 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr_rec.add_argument("--cache-threshold", type=int, default=2)
     p_tr_rec.add_argument("--t2-capacity", type=int, default=0,
                           help="second cache tier slots (0 = single tier)")
-    _add_burst_args(p_tr_rec)
+    p_tr_rec.add_argument("--burst-amplitude", type=float, default=1.0,
+                          help="rate multiplier inside bursts (1 = no bursts)")
+    p_tr_rec.add_argument("--burst-duration", type=float, default=0.05,
+                          help="seconds of burst per period")
+    p_tr_rec.add_argument("--burst-period", type=float, default=0.5,
+                          help="seconds from burst start to burst start")
     p_tr_rec.add_argument("--seed", type=int, default=0)
     p_tr_rec.add_argument("--out", required=True,
                           help="trace output path (.npz)")
 
-    p_tr_prof = tr_sub.add_parser(
-        "profile", help="reuse-distance profile: exact LRU miss-ratio curve")
+    p_tr_prof = verb(tr_sub, "profile", _cmd_trace_profile,
+                     help="reuse-distance profile: exact LRU miss-ratio curve")
     p_tr_prof.add_argument("trace", help="trace file written by `trace record`")
     p_tr_prof.add_argument("--capacities",
                            help="comma-separated cache capacities "
@@ -433,16 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "capacity and report the model error")
     p_tr_prof.add_argument("--json", help="write the profile document here")
 
-    p_tr_rep = tr_sub.add_parser(
-        "replay", help="replay a recorded trace through a fresh engine")
+    p_tr_rep = verb(tr_sub, "replay", _cmd_trace_replay,
+                    help="replay a recorded trace through a fresh engine")
     p_tr_rep.add_argument("trace", help="trace file to replay")
-    rep_src = p_tr_rep.add_mutually_exclusive_group()
-    rep_src.add_argument("--database", help="count database (counts.kdb) to serve")
-    rep_src.add_argument("--dataset", default="synthetic-20",
-                         help="Table V dataset key to count and serve")
-    p_tr_rep.add_argument("-k", type=int, default=15, help="k-mer length")
-    p_tr_rep.add_argument("--budget", type=int, default=100_000,
-                          help="replica k-mer budget when using --dataset")
+    _add_source_args(p_tr_rep, "--database",
+                     "count database (counts.kdb) or .tsv[.gz] dump to serve",
+                     k=15, dataset="synthetic-20")
     p_tr_rep.add_argument("--shards", type=int, default=8)
     p_tr_rep.add_argument("--cache-capacity", type=int, default=4096)
     p_tr_rep.add_argument("--cache-threshold", type=int, default=2)
@@ -454,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr_rep.add_argument("--concurrency", type=int, default=8)
     p_tr_rep.add_argument("--json", help="write the replay document here")
 
-    p_tr_smp = tr_sub.add_parser(
-        "sample", help="spatially (SHARDS) or temporally sample a trace")
+    p_tr_smp = verb(tr_sub, "sample", _cmd_trace_sample,
+                    help="spatially (SHARDS) or temporally sample a trace")
     p_tr_smp.add_argument("trace", help="trace file to sample")
     p_tr_smp.add_argument("--out", required=True,
                           help="sampled trace output path (.npz)")
@@ -475,22 +290,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_xp = sub.add_parser(
         "xp",
         help="declarative experiments: seeded sweeps with repetition "
-             "policy, bootstrap CIs, and statistical perf gating "
-             "(repro.xp)",
+             "policy, bootstrap CIs, and statistical perf gating; how "
+             "every scenario is run (repro.xp)",
     )
     xp_sub = p_xp.add_subparsers(dest="xp_command", required=True)
 
-    p_xp_run = xp_sub.add_parser(
-        "run", help="run one spec's sweep and append the envelope to "
-                    "the ledger")
+    p_xp_run = verb(xp_sub, "run", _cmd_xp_run,
+                    help="run one spec's sweep and append the envelope to "
+                         "the ledger")
     _add_xp_run_args(p_xp_run)
     p_xp_run.add_argument("--json", default=None,
                           help="also write the result envelope here")
 
-    p_xp_gate = xp_sub.add_parser(
-        "gate", help="run a spec (or load --current) and compare it "
-                     "against the ledger baseline; exit 1 on a "
-                     "significant regression")
+    p_xp_gate = verb(xp_sub, "gate", _cmd_xp_gate,
+                     help="run a spec (or load --current) and compare it "
+                          "against the ledger baseline; exit 1 on a "
+                          "significant regression")
     _add_xp_run_args(p_xp_gate)
     p_xp_gate.add_argument("--current", default=None,
                            help="gate this saved envelope instead of "
@@ -508,21 +323,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_xp_gate.add_argument("--json", default=None,
                            help="write the gate verdict document here")
 
-    p_xp_rep = xp_sub.add_parser(
-        "report", help="print an experiment's cross-PR ledger trajectory")
+    p_xp_rep = verb(xp_sub, "report", _cmd_xp_report,
+                    help="print an experiment's cross-PR ledger trajectory")
     p_xp_rep.add_argument("experiment", nargs="?", default=None,
                           help="experiment id (default: list all)")
     p_xp_rep.add_argument("--ledger", default=None,
                           help="ledger directory (default "
                                "benchmarks/results/ledger)")
 
-    p_xp_list = xp_sub.add_parser(
-        "list", help="list targets, spec files, and ledger experiments")
+    p_xp_list = verb(xp_sub, "list", _cmd_xp_list,
+                     help="list targets with their parameters and defaults, "
+                          "spec files, and ledger experiments")
     p_xp_list.add_argument("--ledger", default=None)
     p_xp_list.add_argument("--specs", default="benchmarks/xp",
                            help="directory holding declarative specs")
 
-    p_tl = sub.add_parser("timeline", help="ASCII Gantt of a simulated run")
+    p_tl = verb(sub, "timeline", _cmd_timeline, help="ASCII Gantt of a simulated run")
     p_tl.add_argument("--dataset", default="synthetic-20")
     p_tl.add_argument("-k", type=int, default=31)
     p_tl.add_argument("--algorithm", default="dakc")
@@ -533,6 +349,22 @@ def build_parser() -> argparse.ArgumentParser:
                       "here (open in Perfetto / chrome://tracing)")
 
     return parser
+
+
+def _add_source_args(parser, file_flag: str, file_help: str, *, k: int = 31,
+                     budget: int = 100_000, dataset: str | None = None) -> None:
+    """The ``<file> | --dataset``, ``-k``, ``--budget`` group of every verb
+    that takes reads or a table; one of the two is required unless
+    *dataset* names the replica used when neither is given."""
+    src = parser.add_mutually_exclusive_group(required=dataset is None)
+    src.add_argument(file_flag, help=file_help)
+    src.add_argument("--dataset", default=dataset,
+                     help="Table V dataset key (e.g. synthetic-24) to "
+                          "generate as a replica instead")
+    parser.add_argument("-k", type=int, default=k,
+                        help=f"k-mer length (default {k})")
+    parser.add_argument("--budget", type=int, default=budget,
+                        help="replica k-mer budget when using --dataset")
 
 
 def _add_xp_run_args(parser) -> None:
@@ -551,33 +383,23 @@ def _add_xp_run_args(parser) -> None:
                         help="override the spec's warmup count")
     parser.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", dest="overrides",
-                        help="override a fixed parameter (JSON value; "
-                             "repeatable)")
+                        help="override one parameter of the target (a JSON "
+                             "value, or a bare word for a string or path; "
+                             "repeatable; `xp list` shows the keys)")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: shrink to 0 warmups / 2 "
                              "repetitions and skip the ledger append "
                              "(quick numbers never become baselines)")
 
 
-def _add_burst_args(parser) -> None:
-    """Burst-overlay flags shared by the workload-driving commands."""
-    parser.add_argument("--burst-amplitude", type=float, default=1.0,
-                        help="rate multiplier inside bursts (1 = no bursts)")
-    parser.add_argument("--burst-duration", type=float, default=0.05,
-                        help="seconds of burst per period")
-    parser.add_argument("--burst-period", type=float, default=0.5,
-                        help="seconds from burst start to burst start")
+def _write_json(path: str, doc, what: str, **dump) -> None:
+    """Write *doc* to *path* (parent directories created) and say so."""
+    import json
+    from pathlib import Path
 
-
-def _burst_from_args(args):
-    """A BurstSpec from the shared flags, or None when amplitude <= 1."""
-    if getattr(args, "burst_amplitude", 1.0) <= 1.0:
-        return None
-    from .serve import BurstSpec
-
-    return BurstSpec(amplitude=args.burst_amplitude,
-                     duration=args.burst_duration,
-                     period=args.burst_period)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(json.dumps(doc, indent=2, **dump) + "\n")
+    print(f"# wrote {what} to {path}")
 
 
 def _cmd_count(args) -> int:
@@ -641,19 +463,6 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _load_database(path: str):
-    """A binary database, or — when its magic says it is none — a text dump."""
-    from .apps.store import load_counts, load_text
-    from .fileio import FormatError
-
-    try:
-        return load_counts(path)[0]
-    except FormatError as exc:
-        if exc.reason != "foreign":
-            raise
-    return load_text(path)
-
-
 def _cmd_analyze(args) -> int:
     from .apps.spectrum import (
         estimate_error_rate,
@@ -661,8 +470,9 @@ def _cmd_analyze(args) -> int:
         solid_threshold,
         spectrum_features,
     )
+    from .apps.store import load_database
 
-    kc = _load_database(args.database)
+    kc = load_database(args.database)
     feats = spectrum_features(kc, max_count=args.max_count)
     print(f"# database:           {args.database} (k={kc.k})")
     print(f"# distinct k-mers:    {kc.n_distinct:,}")
@@ -679,9 +489,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .apps.setops import containment, intersect, jaccard, symmetric_difference
+    from .apps.store import load_database
 
-    a = _load_database(args.a)
-    b = _load_database(args.b)
+    a = load_database(args.a)
+    b = load_database(args.b)
     shared = intersect(a, b)
     print(f"# A: {args.a}  ({a.n_distinct:,} distinct, k={a.k})")
     print(f"# B: {args.b}  ({b.n_distinct:,} distinct, k={b.k})")
@@ -774,45 +585,6 @@ def _cmd_timeline(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from .api import resolve_machine
-    from .bench.workloads import build_workload
-    from .core.dakc import DakcConfig
-    from .fault import FaultPlan, chaos_sweep, format_report
-    from .fault.chaos import derive_plan_seeds
-    from .runtime.cost import CostModel
-
-    drops = [float(d) for d in args.drop.split(",") if d.strip()]
-    crash = tuple(int(p) for p in args.crash.split(",") if p.strip())
-    stragglers = tuple(int(p) for p in args.straggler.split(",") if p.strip())
-    w = build_workload(args.dataset, args.k, budget_kmers=args.budget)
-    m = resolve_machine(args.machine, args.nodes)
-    cost = CostModel(m, cores_per_pe=m.cores_per_node)
-    config = DakcConfig(protocol=args.protocol)
-    plan_seeds = derive_plan_seeds(args.seed, len(drops) + 1)
-    plans = [FaultPlan(seed=plan_seeds[0])]  # fault-free baseline first
-    plans += [
-        FaultPlan(
-            seed=plan_seeds[i],
-            drop_prob=drop,
-            duplicate_prob=args.duplicate,
-            corrupt_prob=args.corrupt,
-            delay_prob=args.delay,
-            crash_pes=crash,
-            straggler_pes=stragglers,
-            straggler_factor=args.straggler_factor if stragglers else 1.0,
-        )
-        for i, drop in enumerate(drops, start=1)
-    ]
-    print(f"# chaos: {w.spec.display} replica ({w.n_kmers(args.k):,} k-mers), "
-          f"k={args.k}, {args.protocol} protocol, {cost.n_pes} PEs")
-    print("# every plan runs with the reliability layer (and checkpointing "
-          "when PEs crash), then bare for fault-detection")
-    outcomes = chaos_sweep(w.reads, args.k, cost, plans, config=config)
-    print(format_report(outcomes))
-    return 0 if all(o.passed for o in outcomes) else 1
-
-
 def _iter_ingest_batches(args):
     """Yield read batches (lists of 1-D code arrays) for `dakc ingest`."""
     if args.dataset:
@@ -873,9 +645,6 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_ooc_count(args) -> int:
-    import json as _json
-    from pathlib import Path
-
     from .api import load_reads, resolve_machine
     from .ooc import OocStats, ooc_count
     from .runtime.cost import CostModel
@@ -958,8 +727,7 @@ def _cmd_ooc_count(args) -> int:
             "n_distinct": counts.n_distinct, "total": counts.total,
             "store": store_doc, "verified": verified,
         }
-        Path(args.json).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.json).write_text(_json.dumps(doc, indent=2) + "\n")
+        _write_json(args.json, doc, "run report")
     return 0 if verified in (None, True) else 1
 
 
@@ -979,222 +747,6 @@ def _cmd_compact(args) -> int:
         for run in store.runs:
             print(f"#   {run.path.name}: {run.n_keys:,} keys, "
                   f"{run.nbytes:,} bytes")
-    return 0
-
-
-def _cmd_serve_bench(args) -> int:
-    from contextlib import ExitStack
-
-    from .serve import EngineConfig, run_serve_bench
-
-    with ExitStack() as opened:  # the LSM store must close even if the bench raises
-        lsm_view = None
-        if args.lsm_store:
-            from .lsm import LsmStore
-
-            lsm = opened.enter_context(LsmStore(args.lsm_store))
-            kc = lsm.snapshot()
-            lsm_view = lsm.read_view(args.shards)
-            source = f"{args.lsm_store} (live LSM store, {lsm.n_runs} runs)"
-        else:
-            kc, source = _database_or_replica(args)
-
-        config = EngineConfig(
-            batch_size=args.batch_size,
-            batch_window=args.batch_window,
-            max_inflight=args.max_inflight,
-        )
-        recorder = None
-        if args.trace_out:
-            from .trace import TraceRecorder
-
-            recorder = TraceRecorder(k=kc.k, seed=args.seed,
-                                     source=f"serve-bench seed={args.seed}")
-        result = run_serve_bench(
-            kc,
-            n_queries=args.queries,
-            n_shards=args.shards,
-            zipf_s=args.zipf,
-            seed=args.seed,
-            miss_fraction=args.miss_fraction,
-            config=config,
-            cache_capacity=args.cache_capacity,
-            cache_threshold=args.cache_threshold,
-            t2_capacity=args.t2_capacity,
-            group_size=args.group_size,
-            concurrency=args.concurrency,
-            store=lsm_view,
-            burst=_burst_from_args(args),
-            recorder=recorder,
-        )
-    naive, served = result.naive.snapshot(), result.served.snapshot()
-    print(f"# database:   {source}  ({kc.n_distinct:,} distinct, k={kc.k})")
-    print(f"# workload:   {args.queries:,} queries, Zipf({args.zipf}), "
-          f"seed {args.seed}, {args.miss_fraction:.0%} misses")
-    print(f"# engine:     {args.shards} shards, batch<={args.batch_size}, "
-          f"window {args.batch_window * 1e3:.2f} ms, "
-          f"cache {args.cache_capacity} slots (admit>={args.cache_threshold})")
-    print(f"# answers match: {result.answers_match}")
-    for label, snap in (("naive", naive), ("served", served)):
-        lat = snap["latency_ms"]
-        print(f"# {label:>6}: {snap['throughput_qps']:>12,.0f} qps   "
-              f"p50 {lat['p50']:.3f} ms   p99 {lat['p99']:.3f} ms")
-    print(f"# cache hit rate: {served['cache']['hit_rate']:.1%}   "
-          f"mean batch: {served['batching']['mean_batch_size']:.1f} keys   "
-          f"rejected: {served['queue']['rejected']}")
-    print(f"# speedup (served/naive): {result.speedup:.2f}x")
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(result.to_doc(), fh, indent=2)
-            fh.write("\n")
-        print(f"# wrote metrics snapshot to {args.json}")
-    if recorder is not None:
-        trace = recorder.save(args.trace_out)
-        print(f"# recorded {trace.n_records:,} trace records to "
-              f"{args.trace_out}")
-    if not result.answers_match:
-        print("error: served answers diverged from the naive oracle",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_tenant_bench(args) -> int:
-    from .tenant import run_tenant_bench
-
-    kc, source = _database_or_replica(args)
-
-    kwargs = dict(
-        n_victim_groups=args.victim_groups,
-        victim_group=args.victim_group,
-        victim_interval=args.victim_interval,
-        antag_batch=args.antag_batch,
-        flooders=args.flooders,
-        antag_rate=args.antag_rate,
-        n_shards=args.shards,
-        zipf_s=args.zipf,
-        seed=args.seed,
-        victim_slo_ms=args.victim_slo_ms,
-        autoscale_nodes=args.autoscale_nodes,
-    )
-    if args.quick:
-        from .serve import EngineConfig
-
-        kwargs.update(
-            n_victim_groups=min(args.victim_groups, 120),
-            victim_interval=min(args.victim_interval, 8e-3),
-            flooders=min(args.flooders, 8),
-            config=EngineConfig(
-                batch_size=256, batch_window=1e-3, max_inflight=8192,
-                flush_service_time=10e-3, flush_service_per_key=1e-5),
-        )
-    res = run_tenant_bench(kc, **kwargs)
-
-    print(f"# database:   {source}  ({kc.n_distinct:,} distinct, k={kc.k})")
-    print(f"# victim:     {kwargs['n_victim_groups']} groups x "
-          f"{args.victim_group} keys @ {kwargs['victim_interval'] * 1e3:.1f} ms "
-          f"(SLO {args.victim_slo_ms:.0f} ms)")
-    print(f"# antagonist: {kwargs['flooders']} flooders x {args.antag_batch} "
-          f"keys, quota {args.antag_rate:g} keys/s when isolated")
-    for label in ("solo", "isolated", "unprotected"):
-        sc = getattr(res, label)
-        print(f"# {label:>11}: p50 {sc['p50_ms']:8.2f} ms   "
-              f"p99 {sc['p99_ms']:8.2f} ms   "
-              f"rejected groups {sc['victim_rejected_groups']}")
-    print(f"# victim p99 degradation: isolated "
-          f"{res.isolated_degradation:+.1%}, unprotected "
-          f"{res.unprotected_degradation:+.1%}")
-    fair = res.fairness
-    print(f"# DRR fairness: max share error {fair['max_share_error']:.4f}, "
-          f"starvation violations {fair['starvation_violations']}")
-    scale = res.autoscale
-    actions = [d["action"] for d in scale["decisions"]
-               if d["action"] != "hold"]
-    print(f"# autoscaler: {' -> '.join(actions) or 'no action'}   "
-          f"exact after split/merge: "
-          f"{scale['exact_after_split']}/{scale['exact_after_merge']}")
-    print(f"# answers match oracle: {res.answers_match}")
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(res.to_doc(), fh, indent=2)
-            fh.write("\n")
-        print(f"# wrote result document to {args.json}")
-    if not res.answers_match:
-        print("error: served answers diverged from the scalar oracle",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_cluster_bench(args) -> int:
-    from .cluster import run_cluster_bench
-
-    kc, source = _database_or_replica(args)
-
-    recorder = None
-    if args.trace_out:
-        from .trace import TraceRecorder
-
-        recorder = TraceRecorder(k=kc.k, seed=args.seed,
-                                 source=f"cluster-bench seed={args.seed}")
-    doc = run_cluster_bench(
-        kc,
-        n_nodes=args.cluster_nodes,
-        rf=args.rf,
-        vnodes=args.vnodes,
-        n_queries=args.queries,
-        zipf_s=args.zipf,
-        seed=args.seed,
-        miss_fraction=args.miss_fraction,
-        group_size=args.group_size,
-        concurrency=args.concurrency,
-        service_time=args.service_time,
-        straggler_delay=args.straggler_delay,
-        chunk_keys=args.chunk_keys,
-        repeats=args.repeats,
-        burst=_burst_from_args(args),
-        recorder=recorder,
-    )
-    if recorder is not None:
-        trace = recorder.save(args.trace_out)
-        print(f"# recorded {trace.n_records:,} trace records to "
-              f"{args.trace_out}")
-    ov, hd, ch = doc["overhead"], doc["hedging"], doc["chaos"]
-    print(f"# database:  {source}  ({kc.n_distinct:,} distinct, k={kc.k})")
-    print(f"# cluster:   {args.cluster_nodes} nodes, rf={args.rf}, "
-          f"{args.vnodes} vnodes, seed {args.seed}")
-    print(f"# workload:  {args.queries:,} queries, Zipf({args.zipf}), "
-          f"{args.miss_fraction:.0%} misses")
-    print(f"# overhead:  engine {ov['engine_qps']:,.0f} qps vs "
-          f"router {ov['router_qps']:,.0f} qps "
-          f"({ov['overhead_frac']:+.1%}; answers match: "
-          f"{ov['answers_match']})")
-    print(f"# hedging:   p99 {hd['unhedged']['p99_ms']:.2f} ms unhedged -> "
-          f"{hd['hedged']['p99_ms']:.2f} ms hedged "
-          f"({hd['p99_reduction']:.1%} cut; "
-          f"{hd['hedged']['hedges_fired']} fired, "
-          f"{hd['hedged']['hedges_won']} won)")
-    reb = ch["rebalance"] or {}
-    print(f"# chaos:     killed node {ch['killed_node']}, joined "
-          f"{ch['joined_node']}, moved {reb.get('moved_keys', 0):,} keys "
-          f"in {reb.get('chunks', 0)} chunks")
-    print(f"# exactness: {ch['exact']}  (retries {ch['retries']}, "
-          f"failovers {ch['failovers']})")
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"# wrote benchmark document to {args.json}")
-    if not (ov["answers_match"] and ch["answers_exact"]):
-        print("error: cluster answers diverged from the serial oracle",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1278,52 +830,43 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_dst(args) -> int:
-    from .dst import dst_run, dst_sweep, format_dst_report, load_bundle, replay_bundle
+def _cmd_dst_run(args) -> int:
+    from .dst import dst_run, format_dst_report
 
-    if args.dst_command == "run":
-        report = dst_run(budget=args.budget, seed=args.seed,
-                         shrink=not args.no_shrink, out_dir=args.out)
-        print(format_dst_report(report))
-        if args.json:
-            import json
+    report = dst_run(budget=args.budget, seed=args.seed,
+                     shrink=not args.no_shrink, out_dir=args.out)
+    print(format_dst_report(report))
+    if args.json:
+        _write_json(args.json, report.to_doc(), "campaign report", sort_keys=True)
+    return 0 if report.ok else 1
 
-            with open(args.json, "w") as fh:
-                json.dump(report.to_doc(), fh, indent=2, sort_keys=True)
-            print(f"# wrote campaign report to {args.json}")
-        return 0 if report.ok else 1
-    if args.dst_command == "replay":
-        bundle = load_bundle(args.bundle)
-        trajectory = replay_bundle(bundle)
-        reproduced = (not bundle.invariant
-                      or any(v.invariant == bundle.invariant
-                             for v in trajectory.violations))
-        same_digest = (not bundle.digest or trajectory.digest == bundle.digest)
-        print(f"# schedule: {bundle.schedule.describe()}")
-        print(f"# digest: {trajectory.digest}"
-              + ("" if same_digest else f" (bundle recorded {bundle.digest})"))
-        for v in trajectory.violations:
-            print(f"[{v.layer}/{v.invariant}] {v.detail}")
-        if not trajectory.violations:
-            print("no violations: the recorded failure no longer reproduces")
-        print(f"verdict: {'REPRODUCED' if reproduced and same_digest else 'CHANGED'}")
-        return 0 if reproduced and same_digest else 1
-    # sweep
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    reports = dst_sweep(seeds, budget=args.budget, out_dir=args.out)
-    for report in reports:
-        print(format_dst_report(report))
-        print()
-    return 0 if all(r.ok for r in reports) else 1
+
+def _cmd_dst_replay(args) -> int:
+    from .dst import load_bundle, replay_bundle
+
+    bundle = load_bundle(args.bundle)
+    trajectory = replay_bundle(bundle)
+    reproduced = (not bundle.invariant
+                  or any(v.invariant == bundle.invariant
+                         for v in trajectory.violations))
+    same_digest = (not bundle.digest or trajectory.digest == bundle.digest)
+    print(f"# schedule: {bundle.schedule.describe()}")
+    print(f"# digest: {trajectory.digest}"
+          + ("" if same_digest else f" (bundle recorded {bundle.digest})"))
+    for v in trajectory.violations:
+        print(f"[{v.layer}/{v.invariant}] {v.detail}")
+    if not trajectory.violations:
+        print("no violations: the recorded failure no longer reproduces")
+    print(f"verdict: {'REPRODUCED' if reproduced and same_digest else 'CHANGED'}")
+    return 0 if reproduced and same_digest else 1
 
 
 def _database_or_replica(args):
     """Load ``--database``, else count the ``--dataset`` replica."""
-    if getattr(args, "database", None):
-        from .apps.store import load_counts
+    if args.database:
+        from .apps.store import load_database
 
-        kc, _ = load_counts(args.database)
-        return kc, args.database
+        return load_database(args.database), args.database
     from .bench.workloads import build_workload
     from .core.serial import serial_count
 
@@ -1331,112 +874,111 @@ def _database_or_replica(args):
     return serial_count(w.reads, args.k), f"{w.spec.display} (replica)"
 
 
-def _cmd_trace(args) -> int:
-    import json
+def _cmd_trace_record(args) -> int:
+    from .serve import BurstSpec, run_serve_bench
+    from .trace import TraceRecorder
 
+    kc, source = _database_or_replica(args)
+    burst = None
+    if args.burst_amplitude > 1.0:
+        burst = BurstSpec(amplitude=args.burst_amplitude,
+                          duration=args.burst_duration,
+                          period=args.burst_period)
+    recorder = TraceRecorder(k=kc.k, seed=args.seed,
+                             source=f"trace record seed={args.seed}")
+    result = run_serve_bench(
+        kc, n_queries=args.queries, n_shards=args.shards,
+        zipf_s=args.zipf, seed=args.seed,
+        miss_fraction=args.miss_fraction,
+        cache_capacity=args.cache_capacity,
+        cache_threshold=args.cache_threshold,
+        t2_capacity=args.t2_capacity,
+        burst=burst, recorder=recorder,
+    )
+    trace = recorder.save(args.out)
+    tiers = trace.tier_counts()
+    print(f"# database:  {source}  ({kc.n_distinct:,} distinct, k={kc.k})")
+    print(f"# recorded:  {trace.n_records:,} records over "
+          f"{trace.duration:.3f} s  (answers match: "
+          f"{result.answers_match})")
+    print(f"# tiers:     t1 {tiers['t1']:,}  t2 {tiers['t2']:,}  "
+          f"store {tiers['store']:,}")
+    print(f"# wrote trace to {args.out}")
+    return 0 if result.answers_match else 1
+
+
+def _cmd_trace_profile(args) -> int:
     import numpy as np
 
-    from .trace import load_trace
+    from .trace import load_trace, profile_trace
+    from .trace.replay import measured_miss_ratio_curve
 
-    if args.trace_command == "record":
-        from .serve import run_serve_bench
-        from .trace import TraceRecorder
-
-        kc, source = _database_or_replica(args)
-        recorder = TraceRecorder(k=kc.k, seed=args.seed,
-                                 source=f"trace record seed={args.seed}")
-        result = run_serve_bench(
-            kc, n_queries=args.queries, n_shards=args.shards,
-            zipf_s=args.zipf, seed=args.seed,
-            miss_fraction=args.miss_fraction,
-            cache_capacity=args.cache_capacity,
-            cache_threshold=args.cache_threshold,
-            t2_capacity=args.t2_capacity,
-            burst=_burst_from_args(args), recorder=recorder,
-        )
-        trace = recorder.save(args.out)
-        tiers = trace.tier_counts()
-        print(f"# database:  {source}  ({kc.n_distinct:,} distinct, k={kc.k})")
-        print(f"# recorded:  {trace.n_records:,} records over "
-              f"{trace.duration:.3f} s  (answers match: "
-              f"{result.answers_match})")
-        print(f"# tiers:     t1 {tiers['t1']:,}  t2 {tiers['t2']:,}  "
-              f"store {tiers['store']:,}")
-        print(f"# wrote trace to {args.out}")
-        return 0 if result.answers_match else 1
-
-    if args.trace_command == "profile":
-        from .trace import profile_trace
-        from .trace.replay import measured_miss_ratio_curve
-
-        trace = load_trace(args.trace)
-        caps = ([int(c) for c in args.capacities.split(",") if c.strip()]
-                if args.capacities else None)
-        profile = profile_trace(trace, caps)
-        doc = {"trace": trace.describe(), **profile.to_doc()}
-        d = doc["trace"]
-        print(f"# trace:     {args.trace}  ({d['n_records']:,} records, "
-              f"{d['n_distinct']:,} distinct keys, k={d['k']})")
-        print(f"# cold miss floor: {d['n_distinct'] / max(d['n_records'], 1):.1%}")
-        measured = None
-        if args.measure:
-            measured = measured_miss_ratio_curve(trace.keys,
-                                                 profile.capacities)
-            doc["measured_miss_ratio"] = measured.tolist()
-            doc["model_error_pp"] = float(
-                np.abs(np.asarray(doc["miss_ratio"]) - measured).max()) * 100
-        header = "# capacity   predicted-miss"
+    trace = load_trace(args.trace)
+    caps = ([int(c) for c in args.capacities.split(",") if c.strip()]
+            if args.capacities else None)
+    profile = profile_trace(trace, caps)
+    doc = {"trace": trace.describe(), **profile.to_doc()}
+    d = doc["trace"]
+    print(f"# trace:     {args.trace}  ({d['n_records']:,} records, "
+          f"{d['n_distinct']:,} distinct keys, k={d['k']})")
+    print(f"# cold miss floor: {d['n_distinct'] / max(d['n_records'], 1):.1%}")
+    measured = None
+    if args.measure:
+        measured = measured_miss_ratio_curve(trace.keys,
+                                             profile.capacities)
+        doc["measured_miss_ratio"] = measured.tolist()
+        doc["model_error_pp"] = float(
+            np.abs(np.asarray(doc["miss_ratio"]) - measured).max()) * 100
+    header = "# capacity   predicted-miss"
+    if measured is not None:
+        header += "   measured-miss"
+    print(header)
+    for j, cap in enumerate(profile.capacities):
+        line = f"  {int(cap):>8}   {doc['miss_ratio'][j]:>14.4f}"
         if measured is not None:
-            header += "   measured-miss"
-        print(header)
-        for j, cap in enumerate(profile.capacities):
-            line = f"  {int(cap):>8}   {doc['miss_ratio'][j]:>14.4f}"
-            if measured is not None:
-                line += f"   {measured[j]:>13.4f}"
-            print(line)
-        if measured is not None:
-            print(f"# max model error: {doc['model_error_pp']:.3f} pp")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-            print(f"# wrote profile document to {args.json}")
-        return 0
+            line += f"   {measured[j]:>13.4f}"
+        print(line)
+    if measured is not None:
+        print(f"# max model error: {doc['model_error_pp']:.3f} pp")
+    if args.json:
+        _write_json(args.json, doc, "profile document")
+    return 0
 
-    if args.trace_command == "replay":
-        from .serve import ShardedStore
-        from .trace import replay_trace
 
-        trace = load_trace(args.trace)
-        kc, source = _database_or_replica(args)
-        store = ShardedStore.from_counts(kc, args.shards)
-        result = replay_trace(
-            trace, store, cache_capacity=args.cache_capacity,
-            cache_threshold=args.cache_threshold,
-            t2_capacity=args.t2_capacity, tick=args.tick,
-            group_size=args.group_size, concurrency=args.concurrency,
-        )
-        snap = result.metrics.snapshot()
-        print(f"# trace:     {args.trace}  ({trace.n_records:,} records)")
-        print(f"# database:  {source}  ({kc.n_distinct:,} distinct, k={kc.k})")
-        print(f"# replayed:  {result.n_groups} arrival groups at "
-              f"{snap['throughput_qps']:,.0f} qps")
-        print(f"# cache hit rate: {snap['cache']['hit_rate']:.1%}")
-        print(f"# answers bit-identical to scalar oracle: "
-              f"{result.answers_match}")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(result.to_doc(), fh, indent=2)
-                fh.write("\n")
-            print(f"# wrote replay document to {args.json}")
-        if not result.answers_match:
-            print("error: replayed answers diverged from the scalar oracle",
-                  file=sys.stderr)
-            return 1
-        return 0
+def _cmd_trace_replay(args) -> int:
+    from .serve import ShardedStore
+    from .trace import load_trace, replay_trace
 
-    # sample
-    from .trace import save_trace, spatial_sample, temporal_sample
+    trace = load_trace(args.trace)
+    kc, source = _database_or_replica(args)
+    store = ShardedStore.from_counts(kc, args.shards)
+    result = replay_trace(
+        trace, store, cache_capacity=args.cache_capacity,
+        cache_threshold=args.cache_threshold,
+        t2_capacity=args.t2_capacity, tick=args.tick,
+        group_size=args.group_size, concurrency=args.concurrency,
+    )
+    snap = result.metrics.snapshot()
+    print(f"# trace:     {args.trace}  ({trace.n_records:,} records)")
+    print(f"# database:  {source}  ({kc.n_distinct:,} distinct, k={kc.k})")
+    print(f"# replayed:  {result.n_groups} arrival groups at "
+          f"{snap['throughput_qps']:,.0f} qps")
+    print(f"# cache hit rate: {snap['cache']['hit_rate']:.1%}")
+    print(f"# answers bit-identical to scalar oracle: "
+          f"{result.answers_match}")
+    if args.json:
+        _write_json(args.json, result.to_doc(), "replay document")
+    if not result.answers_match:
+        print("error: replayed answers diverged from the scalar oracle",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+def _cmd_trace_sample(args) -> int:
+    import numpy as np
+
+    from .trace import load_trace, save_trace, spatial_sample, temporal_sample
 
     trace = load_trace(args.trace)
     if (args.rate is None) == (args.window is None):
@@ -1477,7 +1019,7 @@ def _xp_load_spec(args):
     from .xp import RepetitionPolicy, load_spec
 
     spec = load_spec(args.spec)
-    if getattr(args, "quick", False):
+    if args.quick:
         # Quick runs shrink the policy and never reach the ledger; an
         # explicit --repetitions/--warmup still wins below.
         spec = dataclasses.replace(spec, policy=RepetitionPolicy(
@@ -1502,98 +1044,99 @@ def _xp_load_spec(args):
             try:
                 fixed[key] = json.loads(raw)
             except json.JSONDecodeError:
-                fixed[key] = raw  # bare string
+                fixed[key] = raw  # a bare string (a path); the target checks its type
         spec = dataclasses.replace(spec, fixed=fixed)
     return spec
 
 
-def _cmd_xp(args) -> int:
-    import json
-
-    from .xp import (
-        Ledger,
-        format_claims,
-        format_envelope,
-        format_gate,
-        format_trajectory,
-        gate_envelopes,
-        run_spec,
-    )
+def _xp_ledger(args):
+    from .xp import Ledger
     from .xp.ledger import DEFAULT_LEDGER_DIR
-    from .xp.targets import list_targets
 
-    ledger = Ledger(args.ledger if getattr(args, "ledger", None)
-                    else DEFAULT_LEDGER_DIR)
+    return Ledger(args.ledger or DEFAULT_LEDGER_DIR)
 
-    if args.xp_command == "run":
-        spec = _xp_load_spec(args)
+
+def _cmd_xp_run(args) -> int:
+    from .xp import format_envelope, run_spec
+
+    envelope = run_spec(_xp_load_spec(args), progress=print)
+    print(format_envelope(envelope))
+    if not args.no_ledger:
+        print(f"# ledger entry: {_xp_ledger(args).append(envelope)}")
+    if args.json:
+        _write_json(args.json, envelope, "envelope")
+    if not envelope["ok"]:
+        print("error: correctness checks failed", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _cmd_xp_gate(args) -> int:
+    from .xp import format_gate, gate_envelopes, run_spec
+
+    ledger = _xp_ledger(args)
+    spec = _xp_load_spec(args)
+    if args.current:
+        envelope = ledger.load(args.current)
+    else:
         envelope = run_spec(spec, progress=print)
-        print(format_envelope(envelope))
-        if not args.no_ledger:
+    baseline = (ledger.load(args.baseline) if args.baseline
+                else ledger.baseline(spec.experiment))
+    if baseline is None:
+        print(f"# no ledger baseline for {spec.experiment!r}; "
+              f"recording this run as the first entry")
+        if not args.no_ledger and not args.current:
             print(f"# ledger entry: {ledger.append(envelope)}")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(envelope, fh, indent=2)
-                fh.write("\n")
-            print(f"# wrote envelope to {args.json}")
-        if not envelope["ok"]:
-            print("error: correctness checks failed", file=sys.stderr)
-            return 1
         return 0
+    result = gate_envelopes(baseline, envelope, alpha=args.alpha,
+                            min_effect=args.min_effect)
+    print(format_gate(result))
+    if args.json:
+        _write_json(args.json, result.to_doc(), "gate verdict")
+    # A regressed run never silently becomes the next baseline.
+    if not args.no_ledger and not args.current and (
+            result.ok or args.report_only):
+        print(f"# ledger entry: {ledger.append(envelope)}")
+    if not result.ok and not args.report_only:
+        print("error: statistically significant regression",
+              file=sys.stderr)
+        return 1
+    return 0
 
-    if args.xp_command == "gate":
-        spec = _xp_load_spec(args)
-        if args.current:
-            envelope = ledger.load(args.current)
-        else:
-            envelope = run_spec(spec, progress=print)
-        baseline = (ledger.load(args.baseline) if args.baseline
-                    else ledger.baseline(spec.experiment))
-        if baseline is None:
-            print(f"# no ledger baseline for {spec.experiment!r}; "
-                  f"recording this run as the first entry")
-            if not args.no_ledger and not args.current:
-                print(f"# ledger entry: {ledger.append(envelope)}")
-            return 0
-        result = gate_envelopes(baseline, envelope, alpha=args.alpha,
-                                min_effect=args.min_effect)
-        print(format_gate(result))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(result.to_doc(), fh, indent=2)
-                fh.write("\n")
-            print(f"# wrote gate verdict to {args.json}")
-        # A regressed run never silently becomes the next baseline.
-        if not args.no_ledger and not args.current and (
-                result.ok or args.report_only):
-            print(f"# ledger entry: {ledger.append(envelope)}")
-        if not result.ok and not args.report_only:
-            print("error: statistically significant regression",
-                  file=sys.stderr)
-            return 1
+
+def _cmd_xp_report(args) -> int:
+    from .xp import format_claims, format_trajectory
+
+    ledger = _xp_ledger(args)
+    if args.experiment:
+        print(format_trajectory(ledger, args.experiment))
+        latest = ledger.latest(args.experiment)
+        if latest and latest["target"] == "paper":
+            print(format_claims(latest))
         return 0
-
-    if args.xp_command == "report":
-        if args.experiment:
-            print(format_trajectory(ledger, args.experiment))
-            latest = ledger.latest(args.experiment)
-            if latest and latest["target"] == "paper":
-                print(format_claims(latest))
-            return 0
-        experiments = ledger.experiments()
-        if not experiments:
-            print(f"# empty ledger at {ledger.root}")
-            return 0
-        for exp in experiments:
-            print(f"{exp}  ({len(ledger.entries(exp))} entries)")
+    experiments = ledger.experiments()
+    if not experiments:
+        print(f"# empty ledger at {ledger.root}")
         return 0
+    for exp in experiments:
+        print(f"{exp}  ({len(ledger.entries(exp))} entries)")
+    return 0
 
-    # list
-    print("# targets:")
-    for target in list_targets():
-        print(f"  {target.name:<20} {target.description}")
+
+def _cmd_xp_list(args) -> int:
+    import textwrap
     from pathlib import Path
 
+    from .xp.targets import list_targets
+
+    ledger = _xp_ledger(args)
+    print("# targets, each with the parameters a spec or --set may name "
+          "(and their defaults; every target also takes seed):")
+    for target in list_targets():
+        print(f"  {target.name:<20} {target.description}")
+        print(textwrap.indent(textwrap.fill("  ".join(
+            f"{key}={default!r}" for key, default in target.defaults().items()
+            if key != "seed"), width=72), " " * 6))
     specs_dir = Path(args.specs)
     specs = sorted(specs_dir.glob("*.json")) if specs_dir.is_dir() else []
     print(f"# specs in {specs_dir}:")
@@ -1602,40 +1145,16 @@ def _cmd_xp(args) -> int:
     if not specs:
         print("  (none)")
     print(f"# ledger experiments in {ledger.root}:")
-    for exp in ledger.experiments() or ["  (none)"]:
-        print(f"  {exp}" if not exp.startswith("  ") else exp)
+    for exp in ledger.experiments() or ["(none)"]:
+        print(f"  {exp}")
     return 0
-
-
-_COMMANDS = {
-    "count": _cmd_count,
-    "datasets": _cmd_datasets,
-    "model": _cmd_model,
-    "bench": _cmd_bench,
-    "simulate": _cmd_simulate,
-    "chaos": _cmd_chaos,
-    "serve-bench": _cmd_serve_bench,
-    "tenant-bench": _cmd_tenant_bench,
-    "cluster-bench": _cmd_cluster_bench,
-    "ingest": _cmd_ingest,
-    "ooc-count": _cmd_ooc_count,
-    "compact": _cmd_compact,
-    "dst": _cmd_dst,
-    "trace": _cmd_trace,
-    "xp": _cmd_xp,
-    "analyze": _cmd_analyze,
-    "compare": _cmd_compare,
-    "timeline": _cmd_timeline,
-    "calibrate": _cmd_calibrate,
-    "sweep": _cmd_sweep,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (KeyError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ service *self-healing*:
   key ranges in bounded chunks while the cluster keeps serving exact
   answers;
 * :mod:`~repro.cluster.metrics` / :mod:`~repro.cluster.bench` —
-  observability rollups and the ``dakc cluster-bench`` campaign.
+  observability rollups and the ``cluster-bench`` xp target's campaign.
 """
 
 from .bench import run_cluster_bench

@@ -1,8 +1,8 @@
 """The cluster-bench experiment: overhead, hedging, and chaos proofs.
 
-One deterministic, seeded campaign used by both ``dakc cluster-bench``
-and the ``cluster-bench`` xp target (``benchmarks/xp/cluster.json`` →
-ledger ``cluster-bench``).  Three claims:
+One deterministic, seeded campaign, run by the ``cluster-bench`` xp
+target (``dakc xp run benchmarks/xp/cluster.json`` → ledger
+``cluster-bench``).  Three claims:
 
 * **overhead** — fault-free, the replica-aware router costs < 15% of
   throughput vs. the direct single-copy
@@ -217,7 +217,7 @@ def run_cluster_bench(
     burst: BurstSpec | None = None,
     recorder=None,
 ) -> dict:
-    """Run all three cluster-bench sections; returns the JSON document.
+    """Run all three cluster-bench sections; returns one document each.
 
     *recorder* (a :class:`repro.trace.TraceRecorder`) captures the
     workload through one dedicated router pass — separate from the
@@ -237,26 +237,15 @@ def run_cluster_bench(
                                     seed=overhead_seed)
         tap = ClusterRouter(ring, nodes, recorder=recorder)
         asyncio.run(drive_load(tap, groups, concurrency=concurrency))
-    doc = {
-        "experiment": "cluster-bench",
-        "config": {
-            "n_nodes": n_nodes, "rf": rf, "vnodes": vnodes,
-            "n_queries": n_queries, "zipf_s": zipf_s, "seed": seed,
-            "miss_fraction": miss_fraction, "group_size": group_size,
-            "concurrency": concurrency, "service_time_s": service_time,
-            "straggler_delay_s": straggler_delay, "chunk_keys": chunk_keys,
-            "n_distinct": int(counts.n_distinct), "k": int(counts.k),
-            "burst": burst.to_doc() if burst is not None else None,
-        },
+    return {
+        "overhead": _bench_overhead(
+            counts, groups, oracle, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
+            seed=overhead_seed, concurrency=concurrency, repeats=repeats),
+        "hedging": _bench_hedging(
+            counts, groups, oracle, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
+            seed=hedging_seed, concurrency=concurrency,
+            service_time=service_time, straggler_delay=straggler_delay),
+        "chaos": _bench_chaos(
+            counts, groups, oracle, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
+            seed=chaos_seed, service_time=service_time, chunk_keys=chunk_keys),
     }
-    doc["overhead"] = _bench_overhead(
-        counts, groups, oracle, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
-        seed=overhead_seed, concurrency=concurrency, repeats=repeats)
-    doc["hedging"] = _bench_hedging(
-        counts, groups, oracle, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
-        seed=hedging_seed, concurrency=concurrency,
-        service_time=service_time, straggler_delay=straggler_delay)
-    doc["chaos"] = _bench_chaos(
-        counts, groups, oracle, n_nodes=n_nodes, rf=rf, vnodes=vnodes,
-        seed=chaos_seed, service_time=service_time, chunk_keys=chunk_keys)
-    return doc

@@ -22,7 +22,7 @@ On top of that:
 * :mod:`~repro.dst.bundle` — replayable JSON repro bundles
   (``dakc dst replay <bundle>``);
 * :mod:`~repro.dst.runner` — the fuzz campaign driver behind
-  ``dakc dst run | sweep``.
+  ``dakc dst run`` and the ``dst-sweep`` xp target.
 """
 
 from .bundle import ReproBundle, load_bundle, replay_bundle, save_bundle

@@ -1,4 +1,4 @@
-"""Fuzz-campaign driver behind ``dakc dst run | sweep``.
+"""Fuzz-campaign driver behind ``dakc dst run`` and the ``dst-sweep`` xp target.
 
 :func:`dst_run` executes one campaign: generate ``budget`` schedules
 from a root seed, run each through the :class:`Simulation`, verify the

@@ -9,7 +9,7 @@ adds phase-boundary snapshot/restart for transient PE crashes; and
 :func:`run_chaos` validates the whole stack against the serial oracle.
 """
 
-from .chaos import ChaosOutcome, chaos_sweep, format_report, run_chaos
+from .chaos import ChaosOutcome, run_chaos
 from .checkpoint import CHECKPOINT_BW_FRACTION, CheckpointStore, apply_phase_crashes
 from .injector import FaultStats, FaultyConveyor
 from .models import Fate, FaultPlan
@@ -34,8 +34,6 @@ __all__ = [
     "ReliabilityError",
     "ReliableConveyor",
     "apply_phase_crashes",
-    "chaos_sweep",
-    "format_report",
     "group_checksum",
     "run_chaos",
 ]

@@ -33,15 +33,14 @@ from .injector import FaultyConveyor
 from .models import FaultPlan
 from .reliability import DEFAULT_MAX_ROUNDS, ReliabilityError, ReliableConveyor
 
-__all__ = ["ChaosOutcome", "run_chaos", "chaos_sweep", "derive_plan_seeds",
-           "format_report"]
+__all__ = ["ChaosOutcome", "run_chaos", "derive_plan_seeds"]
 
 
 def derive_plan_seeds(seed: int, n: int) -> list[int]:
     """Independent per-plan fault seeds for a sweep rooted at *seed*.
 
-    Thin wrapper over :func:`repro.core.seeds.spawn_seeds` so sweep
-    callers (the CLI, benchmarks) stop hand-rolling ``seed + i``
+    Thin wrapper over :func:`repro.core.seeds.spawn_seeds` so a sweep
+    (the ``chaos-sweep`` xp target) does not hand-roll ``seed + i``
     offsets, which alias between adjacent root seeds.
     """
     return spawn_seeds(seed, n)
@@ -99,7 +98,7 @@ def run_chaos(
     retransmission); ``checkpoint`` enables phase-boundary snapshots
     (default: on exactly when the plan crashes PEs and ``protect`` is
     set).  ``reference`` short-circuits the serial oracle when the
-    caller already has it (sweeps over one dataset).
+    caller already has it (several plans over one dataset).
     """
     if isinstance(cost, MachineConfig):
         cost = CostModel(cost)
@@ -162,69 +161,3 @@ def run_chaos(
         checksum_failures=getattr(conv, "checksum_failures", 0),
         fault_summary=conv.fault_stats.summary(),
     )
-
-
-def chaos_sweep(
-    reads,
-    k: int,
-    cost: CostModel | MachineConfig,
-    plans: list[FaultPlan],
-    *,
-    config: DakcConfig | None = None,
-    include_unprotected: bool = True,
-    rto: float | None = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> list[ChaosOutcome]:
-    """Run every plan protected (and optionally unprotected) once."""
-    if isinstance(cost, MachineConfig):
-        cost = CostModel(cost)
-    config = config or DakcConfig()
-    reference = serial_count(reads, k, canonical=config.canonical)
-    outcomes: list[ChaosOutcome] = []
-    for plan in plans:
-        outcomes.append(
-            run_chaos(reads, k, cost, plan, config=config, protect=True,
-                      rto=rto, max_rounds=max_rounds, reference=reference)
-        )
-        if include_unprotected and not plan.benign:
-            outcomes.append(
-                run_chaos(reads, k, cost, plan, config=config, protect=False,
-                          reference=reference)
-            )
-    return outcomes
-
-
-def format_report(outcomes: list[ChaosOutcome]) -> str:
-    """Render a chaos sweep as an aligned text table."""
-    header = (
-        "plan", "layer", "result", "exact", "retx", "dups",
-        "acks", "recovery_s", "sim_s",
-    )
-    rows = [header]
-    for o in outcomes:
-        if o.ok:
-            result = "completed"
-        else:
-            result = (o.error or "failed").split(":")[0]
-        rows.append((
-            o.plan.describe(),
-            "reliable" if o.protected else "bare",
-            result,
-            "yes" if o.counts_match else "no",
-            str(o.retransmits),
-            str(o.dup_drops),
-            str(o.acks_sent),
-            f"{o.recovery_time:.3g}",
-            f"{o.sim_time:.3g}",
-        ))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    verdict = all(o.passed for o in outcomes)
-    lines.append("")
-    lines.append(
-        f"{sum(o.passed for o in outcomes)}/{len(outcomes)} runs upheld their "
-        f"contract -> {'PASS' if verdict else 'FAIL'}"
-    )
-    return "\n".join(lines)

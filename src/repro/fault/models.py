@@ -213,7 +213,7 @@ class FaultPlan:
         )
 
     def describe(self) -> str:
-        """Compact human-readable label (chaos report rows)."""
+        """Compact human-readable label (DST schedule descriptions)."""
         parts = []
         if self.drop_prob:
             parts.append(f"drop={self.drop_prob:.2%}")

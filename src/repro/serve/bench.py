@@ -1,8 +1,9 @@
 """The serve-bench experiment: naive vs. batched+cached serving.
 
-One deterministic, seeded comparison used by both the ``dakc
-serve-bench`` CLI and the ``serve-bench`` xp target
-(``benchmarks/xp/serve.json`` → ledger ``serve-bench``):
+One deterministic, seeded comparison, run by the ``serve-bench`` xp
+target (``dakc xp run benchmarks/xp/serve.json`` → ledger
+``serve-bench``; ``dakc trace record`` drives the same function to
+capture a trace):
 
 1. count a dataset replica into a database,
 2. shard it, generate a Zipf query stream from its spectrum,
@@ -43,30 +44,12 @@ class ServeBenchResult:
     naive: ServeMetrics
     served: ServeMetrics
     answers_match: bool
-    n_queries: int
-    n_shards: int
-    zipf_s: float
-    seed: int
 
     @property
     def speedup(self) -> float:
         if self.naive.throughput_qps == 0:
             return float("inf")
         return self.served.throughput_qps / self.naive.throughput_qps
-
-    def to_doc(self) -> dict:
-        """Machine-readable record (``dakc serve-bench --json``)."""
-        return {
-            "experiment": "serve-bench",
-            "seed": self.seed,
-            "n_queries": self.n_queries,
-            "n_shards": self.n_shards,
-            "zipf_s": self.zipf_s,
-            "answers_match": self.answers_match,
-            "speedup": self.speedup,
-            "naive": self.naive.snapshot(),
-            "served": self.served.snapshot(),
-        }
 
 
 def run_serve_bench(
@@ -97,7 +80,7 @@ def run_serve_bench(
     (a non-zero *t2_capacity* puts a second tier under the
     *cache_capacity* RAM slots); *recorder* (a
     :class:`repro.trace.TraceRecorder`) logs the engine's query trace,
-    which is how any serve bench doubles as a trace producer.
+    which is how ``dakc trace record`` produces one.
     """
     config = config or EngineConfig()
     if store is None:
@@ -124,8 +107,4 @@ def run_serve_bench(
         naive=naive_metrics,
         served=served_metrics,
         answers_match=bool(np.array_equal(naive_out, served_out)),
-        n_queries=n_queries,
-        n_shards=n_shards,
-        zipf_s=zipf_s,
-        seed=seed,
     )

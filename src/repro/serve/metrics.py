@@ -5,8 +5,8 @@ sustained throughput, how deep the admission queue ran, and how much
 traffic the hot-key cache absorbed.  :class:`LatencyHistogram` uses
 geometric buckets so the tail quantiles of millions of samples cost a
 few hundred int64 counters, and :class:`ServeMetrics` aggregates one
-run into a JSON-serialisable snapshot (the ``dakc serve-bench``
-report and its ``--json`` document are both rendered from it).
+run into a JSON-serialisable snapshot (the ``serve-bench`` xp target
+and ``dakc trace replay --json`` read it).
 :meth:`ServeMetrics.merge` is the one fold — per-node rollups,
 per-tenant merges and the windowed ``snapshot_delta`` all go through
 it — and one private builder renders both snapshot shapes.

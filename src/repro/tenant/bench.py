@@ -1,8 +1,8 @@
 """The tenant-bench experiment: antagonist vs. victim isolation.
 
-One deterministic, seeded experiment used by both the ``dakc
-tenant-bench`` CLI and the ``tenant-bench`` xp target
-(``benchmarks/xp/tenant.json`` → ledger ``tenant-bench``):
+One deterministic, seeded experiment, run by the ``tenant-bench`` xp
+target (``dakc xp run benchmarks/xp/tenant.json`` → ledger
+``tenant-bench``):
 
 1. count a dataset into a database and shard it;
 2. drive a well-behaved *victim* tenant open-loop (small paced query
@@ -62,7 +62,6 @@ class TenantBenchResult:
     answers_match: bool
     fairness: dict
     autoscale: dict
-    params: dict
 
     @property
     def isolated_degradation(self) -> float:
@@ -73,21 +72,6 @@ class TenantBenchResult:
     def unprotected_degradation(self) -> float:
         """Victim p99 inflation with the antagonist and isolation OFF."""
         return self.unprotected["p99_ms"] / self.solo["p99_ms"] - 1.0
-
-    def to_doc(self) -> dict:
-        """Machine-readable record (``dakc tenant-bench --json``)."""
-        return {
-            "experiment": "tenant-bench",
-            "params": self.params,
-            "answers_match": self.answers_match,
-            "solo": self.solo,
-            "isolated": self.isolated,
-            "unprotected": self.unprotected,
-            "isolated_degradation": self.isolated_degradation,
-            "unprotected_degradation": self.unprotected_degradation,
-            "fairness": self.fairness,
-            "autoscale": self.autoscale,
-        }
 
 
 def _registry(isolation: bool, *, victim_weight: float, antag_rate: float,
@@ -188,7 +172,7 @@ def _scenario(store, victim_groups: list[np.ndarray],
         "victim_rejected_groups": rejected,
         "antagonist_batches_served": antag_served,
         "tenants": engine.tenant_metrics.snapshot(),
-        "_answers": answers,  # stripped before the JSON doc
+        "_answers": answers,  # popped once compared to the oracle
     }
 
 
@@ -264,23 +248,6 @@ def run_tenant_bench(
     return TenantBenchResult(
         solo=solo, isolated=isolated, unprotected=unprotected,
         answers_match=match, fairness=fairness, autoscale=autoscale,
-        params={
-            "n_victim_groups": n_victim_groups,
-            "victim_group": victim_group,
-            "victim_interval_s": victim_interval,
-            "antag_batch": antag_batch,
-            "flooders": flooders,
-            "antag_rate_keys_s": antag_rate,
-            "n_shards": n_shards,
-            "zipf_s": zipf_s,
-            "seed": seed,
-            "victim_slo_ms": victim_slo_ms,
-            "n_distinct": int(counts.n_distinct),
-            "k": int(counts.k),
-            "quantum_keys": config.quantum_keys,
-            "flush_service_time": config.flush_service_time,
-            "flush_service_per_key": config.flush_service_per_key,
-        },
     )
 
 

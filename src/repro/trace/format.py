@@ -55,7 +55,7 @@ class QueryTrace:
     tiers: np.ndarray    # int8 answering tier (TIER_T1/TIER_T2/TIER_STORE)
     k: int = 0           # k-mer length of the keyspace (0 = unknown)
     seed: int = 0        # workload seed, when the trace came from a generator
-    source: str = ""     # free-form provenance ("serve-bench seed=0", a path)
+    source: str = ""     # free-form provenance ("trace record seed=0", a path)
     meta: dict = field(default_factory=dict)  # extra JSON-able provenance
 
     def __post_init__(self) -> None:

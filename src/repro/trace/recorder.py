@@ -37,7 +37,7 @@ class TraceRecorder:
     seed:
         workload seed (provenance only).
     source:
-        free-form provenance string (e.g. ``"serve-bench"``).
+        free-form provenance string (e.g. ``"trace record seed=0"``).
     clock:
         0-arg callable returning seconds; defaults to
         :func:`time.monotonic`.  Tests and replay inject a virtual

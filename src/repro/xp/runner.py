@@ -51,6 +51,8 @@ def run_spec(spec: ExperimentSpec, *, progress=None) -> dict:
     target = get_target(spec.target)
     say = progress or (lambda msg: None)
     cells = spec.cells()
+    for _, params in cells:  # a mistyped parameter is refused before anything runs
+        target.merged(params)
     policy = spec.policy
     cell_seeds = spawn_seeds(spec.seed, len(cells))
 

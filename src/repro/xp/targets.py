@@ -2,14 +2,17 @@
 
 A target is a named callable taking one flat ``params`` dict (the
 spec's fixed params + the cell's swept params + the repetition's
-``seed``) and returning a :class:`TargetOutcome`: numeric *metrics*
-(each with a declared better-direction, so the gate knows which way
-"worse" points) and boolean *checks* (correctness claims — a run whose
-checks fail is recorded but never usable as a baseline).
+``seed``, over the target's declared defaults — an unknown key or a
+value of the wrong type is refused) and returning a
+:class:`TargetOutcome`: numeric *metrics* (each with a declared
+better-direction, so the gate knows which way "worse" points) and
+boolean *checks* (correctness claims — a run whose checks fail is
+recorded but never usable as a baseline).
 
 The eight product scenarios (serve, lsm, ooc, cluster, tenant, trace,
-chaos, dst) are recorded only here: one target each, driven by one
-spec under ``benchmarks/xp/`` into the ledger.  Every acceptance claim
+chaos, dst) are run and recorded only here: one target each, driven by
+one spec under ``benchmarks/xp/`` (``dakc xp run``, ``--set key=value``
+for a one-off) into the ledger.  Every acceptance claim
 of a scenario is a named check with its threshold as a literal beside
 it; the spec carries the one size the claim is stated at.  The paper's
 own tables and figures are the ``paper`` target: one cell per
@@ -23,6 +26,7 @@ import functools
 import inspect
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -46,24 +50,35 @@ class XpTarget:
     """A named, runnable experiment target."""
 
     name: str
-    fn: Callable[[dict], TargetOutcome]
+    fn: Callable[[dict], TargetOutcome]   # takes defaults() merged with the spec's params
     directions: Mapping[str, str]   # metric -> 'lower' | 'higher'
     description: str
+    #: The parameters the target accepts, with their defaults
+    #: (``dakc xp list`` prints them; ``seed`` is always accepted).
+    defaults: Callable[[], dict] = dict
+
+    def merged(self, params: dict) -> dict:
+        """Spec params over the defaults; an unknown key or a value of
+        another type than its default's is a ``ValueError``."""
+        defaults = self.defaults()
+        unknown = set(params) - set(defaults) - {"seed"}
+        if unknown:
+            raise ValueError(
+                f"unknown parameters {sorted(unknown)}; this target "
+                f"accepts {sorted(set(defaults) - {'seed'})} (+ seed)")
+        for key, value in params.items():
+            default = defaults.get(key)
+            if default is None:  # seed, or a key with no typed default
+                continue
+            want = (int, float) if type(default) is float else type(default)
+            if not isinstance(value, want) or (
+                    type(value) is bool) != (type(default) is bool):
+                raise ValueError(f"{key}: expected {type(default).__name__}, "
+                                 f"got {value!r}")
+        return {"seed": 0, **defaults, **params}
 
     def run(self, params: dict) -> TargetOutcome:
-        return self.fn(params)
-
-
-def _params(params: dict, defaults: dict) -> dict:
-    """Merge spec params over target defaults; reject unknown keys."""
-    unknown = set(params) - set(defaults) - {"seed"}
-    if unknown:
-        raise ValueError(
-            f"unknown parameters {sorted(unknown)}; "
-            f"this target accepts {sorted(defaults)} (+ seed)")
-    merged = dict(defaults)
-    merged.update(params)
-    return merged
+        return self.fn(self.merged(params))
 
 
 def _kwdefaults(fn, prefix: str = "") -> dict:
@@ -87,29 +102,67 @@ def _counted(dataset: str, k: int, budget: int):
     return w, serial_count(w.reads, k)
 
 
+@contextmanager
+def _table(p: dict):
+    """The counted table a serving target runs over, taken out of *p*.
+
+    ``database`` names what to serve: an LSM store directory (yielded
+    open as the second value, closed on the way out), or a count
+    database / text dump file; left empty, the ``dataset`` replica is
+    counted at ``k`` and ``budget``.
+    """
+    database, dataset, k, budget = (
+        p.pop(key) for key in ("database", "dataset", "k", "budget"))
+    if not database:
+        yield _counted(dataset, k, budget)[1], None
+    elif Path(database).is_dir():
+        from ..lsm import LsmStore
+
+        with LsmStore(database) as lsm:
+            yield lsm.snapshot(), lsm
+    else:
+        from ..apps.store import load_database
+
+        yield load_database(database), None
+
+
 # ---------------------------------------------------------------------------
 # serve: the sharded/batched/cached read path vs the naive scalar loop
 # ---------------------------------------------------------------------------
 
-_SERVE_DATA = {"dataset": "synthetic-24", "k": 21, "budget": 150_000}
+_SERVE_DATA = {"database": "", "dataset": "synthetic-24", "k": 21,
+               "budget": 150_000}
 
 
-def _serve_bench(params: dict) -> TargetOutcome:
+def _serve_defaults() -> dict:
     from ..serve import EngineConfig, run_serve_bench
 
-    bench, engine = _kwdefaults(run_serve_bench), _kwdefaults(EngineConfig)
-    p = _params(params, {**_SERVE_DATA, **bench, **engine})
-    _, counts = _counted(p["dataset"], p["k"], p["budget"])
-    result = run_serve_bench(
-        counts, config=EngineConfig(**{key: p[key] for key in engine}),
-        **{key: p[key] for key in bench})
+    return {**_SERVE_DATA, **_kwdefaults(run_serve_bench),
+            **_kwdefaults(EngineConfig)}
+
+
+def _serve_bench(p: dict) -> TargetOutcome:
+    from ..serve import EngineConfig, run_serve_bench
+
+    config = EngineConfig(**{key: p.pop(key)
+                             for key in _kwdefaults(EngineConfig)})
+    with _table(p) as (counts, lsm):
+        # A live store is served through its merge-on-read view; its
+        # snapshot still ranks the workload's key popularity.
+        result = run_serve_bench(
+            counts, config=config,
+            store=lsm.read_view(p["n_shards"]) if lsm else None, **p)
+    latency = result.served.snapshot()["latency_ms"]
     return TargetOutcome(
         metrics={
             "speedup": result.speedup,
             "served_qps": result.served.throughput_qps,
             "naive_qps": result.naive.throughput_qps,
             "cache_hit_rate": result.served.cache_hit_rate,
-            "served_p99_ms": result.served.snapshot()["latency_ms"]["p99"],
+            "served_p99_ms": latency["p99"],
+            "served_p50_ms": latency["p50"],
+            "mean_batch_keys": result.served.mean_batch_size,
+            "rejected": float(result.served.rejected),
         },
         checks={
             "answers_match": result.answers_match,
@@ -134,11 +187,10 @@ _LSM_DEFAULTS = {
 }
 
 
-def _lsm_bench(params: dict) -> TargetOutcome:
+def _lsm_bench(p: dict) -> TargetOutcome:
     from ..core.serial import serial_count
     from ..lsm import LsmConfig, LsmStore
 
-    p = _params(params, _LSM_DEFAULTS)
     w, oracle = _counted(p["dataset"], p["k"], p["budget"])
     reads, k = w.reads, p["k"]
     step = p["batch_records"]
@@ -225,7 +277,7 @@ _OOC_DEFAULTS = {
 }
 
 
-def _ooc_bench(params: dict) -> TargetOutcome:
+def _ooc_bench(p: dict) -> TargetOutcome:
     from ..core.serial import serial_count
     from ..lsm import LsmConfig, LsmStore
     from ..ooc import OocStats, ooc_count
@@ -233,7 +285,6 @@ def _ooc_bench(params: dict) -> TargetOutcome:
     from ..runtime.machine import laptop
     from ..runtime.stats import PEStats
 
-    p = _params(params, _OOC_DEFAULTS)
     w, _ = _counted(p["dataset"], p["k"], p["budget"])
     k = p["k"]
     reads = [w.reads[i] for i in range(w.reads.shape[0])]
@@ -312,14 +363,13 @@ def _count_records(dataset: str, k: int, budget: int):
     return records, oracle
 
 
-def _count_bench(params: dict) -> TargetOutcome:
+def _count_bench(p: dict) -> TargetOutcome:
     from ..apps.store import load_counts, save_counts
     from ..apps.streaming import count_records_streaming
     from ..core.serial import serial_count
     from ..seq.encoding import encode_seq
     from ..seq.superkmers import DEFAULT_MINIMIZER_LEN, split_superkmers_batch
 
-    p = _params(params, _COUNT_DEFAULTS)
     k, canonical = p["k"], bool(p["canonical"])
     records, oracle = _count_records(p["dataset"], k, p["budget"])
     reads = _counted(p["dataset"], k, p["budget"])[0].reads
@@ -381,37 +431,40 @@ _CHAOS_DEFAULTS = {
     "dataset": "synthetic-24", "k": 31, "budget": 200_000,
     "nodes": 8, "n_plans": 3, "protocol": "2D",
     "drop_prob": 0.02, "duplicate_prob": 0.02, "corrupt_prob": 0.01,
-    "crash_pe": 3,
+    "delay_prob": 0.0, "crash_pe": 3,
+    "straggler_pe": 0, "straggler_factor": 1.0,  # factor 1 = no straggler
 }
 
 
-def _chaos_sweep(params: dict) -> TargetOutcome:
+def _chaos_sweep(p: dict) -> TargetOutcome:
     from ..core.dakc import DakcConfig
     from ..fault import FaultPlan
     from ..fault.chaos import derive_plan_seeds, run_chaos
     from ..runtime.cost import CostModel
     from ..runtime.machine import phoenix_intel
 
-    p = _params(params, _CHAOS_DEFAULTS)
-    w, _ = _counted(p["dataset"], p["k"], p["budget"])
-    cost = lambda: CostModel(phoenix_intel(p["nodes"]), cores_per_pe=24)  # noqa: E731
+    w, oracle = _counted(p["dataset"], p["k"], p["budget"])
     config = DakcConfig(protocol=p["protocol"])
 
-    benign = run_chaos(w.reads, p["k"], cost(), FaultPlan(seed=p.get("seed", 0)),
-                       config=config, protect=False)
-    protected_clean = run_chaos(w.reads, p["k"], cost(),
-                                FaultPlan(seed=p.get("seed", 0)),
-                                config=config, protect=True)
-    plans = [
-        FaultPlan(seed=s, drop_prob=p["drop_prob"],
-                  duplicate_prob=p["duplicate_prob"],
-                  corrupt_prob=p["corrupt_prob"],
-                  crash_pes=(p["crash_pe"],))
-        for s in derive_plan_seeds(p.get("seed", 0), p["n_plans"])
+    def run(plan: FaultPlan, protect: bool):
+        return run_chaos(
+            w.reads, p["k"],
+            CostModel(phoenix_intel(p["nodes"]), cores_per_pe=24), plan,
+            config=config, protect=protect, reference=oracle)
+
+    benign = run(FaultPlan(seed=p["seed"]), protect=False)
+    protected_clean = run(FaultPlan(seed=p["seed"]), protect=True)
+    hostile = [
+        run(FaultPlan(seed=s, drop_prob=p["drop_prob"],
+                      duplicate_prob=p["duplicate_prob"],
+                      corrupt_prob=p["corrupt_prob"],
+                      delay_prob=p["delay_prob"],
+                      crash_pes=(p["crash_pe"],),
+                      straggler_pes=(p["straggler_pe"],),
+                      straggler_factor=p["straggler_factor"]),
+            protect=True)
+        for s in derive_plan_seeds(p["seed"], p["n_plans"])
     ]
-    hostile = [run_chaos(w.reads, p["k"], cost(), plan,
-                         config=config, protect=True)
-               for plan in plans]
 
     overhead = (protected_clean.sim_time / benign.sim_time
                 if benign.sim_time else float("inf"))
@@ -453,12 +506,11 @@ def _chaos_sweep(params: dict) -> TargetOutcome:
 _DST_DEFAULTS = {"budget": 60, "n_seeds": 2}
 
 
-def _dst_sweep(params: dict) -> TargetOutcome:
+def _dst_sweep(p: dict) -> TargetOutcome:
     from ..core.seeds import spawn_seeds
     from ..dst.runner import dst_sweep
 
-    p = _params(params, _DST_DEFAULTS)
-    seeds = spawn_seeds(p.get("seed", 0), p["n_seeds"])
+    seeds = spawn_seeds(p["seed"], p["n_seeds"])
     replay_every = 10  # schedules 0, 10, 20, ... run twice, digests compared
     t0 = time.perf_counter()
     reports = dst_sweep(seeds, budget=p["budget"], shrink=False,
@@ -491,15 +543,21 @@ def _dst_sweep(params: dict) -> TargetOutcome:
 # cluster: replica-aware routing overhead, hedged tails, RF=2 chaos
 # ---------------------------------------------------------------------------
 
-_CLUSTER_DATA = {"dataset": "synthetic-24", "k": 21, "budget": 120_000}
+_CLUSTER_DATA = {"database": "", "dataset": "synthetic-24", "k": 21,
+                 "budget": 120_000}
 
 
-def _cluster_bench(params: dict) -> TargetOutcome:
+def _cluster_defaults() -> dict:
     from ..cluster import run_cluster_bench
 
-    p = _params(params, {**_CLUSTER_DATA, **_kwdefaults(run_cluster_bench)})
-    _, counts = _counted(p.pop("dataset"), p.pop("k"), p.pop("budget"))
-    doc = run_cluster_bench(counts, **p)
+    return {**_CLUSTER_DATA, **_kwdefaults(run_cluster_bench)}
+
+
+def _cluster_bench(p: dict) -> TargetOutcome:
+    from ..cluster import run_cluster_bench
+
+    with _table(p) as (counts, _):
+        doc = run_cluster_bench(counts, **p)
     ov, hd, ch = doc["overhead"], doc["hedging"], doc["chaos"]
     hedged, unhedged = hd["hedged"], hd["unhedged"]
     return TargetOutcome(
@@ -511,6 +569,9 @@ def _cluster_bench(params: dict) -> TargetOutcome:
             "hedged_p99_ms": hedged["p99_ms"],
             "unhedged_p99_ms": unhedged["p99_ms"],
             "hedged_qps": hedged["throughput_qps"],
+            "retries": float(ch["retries"]),
+            "failovers": float(ch["failovers"]),
+            "moved_keys": float(ch["rebalance"]["moved_keys"]),
         },
         checks={
             "answers_match": ov["answers_match"],
@@ -537,19 +598,25 @@ def _cluster_bench(params: dict) -> TargetOutcome:
 # tenant: a flooding antagonist vs a paced victim, isolation on and off
 # ---------------------------------------------------------------------------
 
-_TENANT_DATA = {"dataset": "synthetic-20", "k": 15, "budget": 100_000}
+_TENANT_DATA = {"database": "", "dataset": "synthetic-20", "k": 15,
+                "budget": 100_000}
 
 
-def _tenant_bench(params: dict) -> TargetOutcome:
+def _tenant_defaults() -> dict:
+    from ..tenant.bench import bench_engine_config, run_tenant_bench
+
+    return {**_TENANT_DATA, **_kwdefaults(run_tenant_bench),
+            **asdict(bench_engine_config())}
+
+
+def _tenant_bench(p: dict) -> TargetOutcome:
     from ..serve import EngineConfig
     from ..tenant.bench import bench_engine_config, run_tenant_bench
 
-    bench, engine = _kwdefaults(run_tenant_bench), asdict(bench_engine_config())
-    p = _params(params, {**_TENANT_DATA, **bench, **engine})
-    _, counts = _counted(p["dataset"], p["k"], p["budget"])
-    res = run_tenant_bench(
-        counts, config=EngineConfig(**{key: p[key] for key in engine}),
-        **{key: p[key] for key in bench})
+    config = EngineConfig(**{key: p.pop(key)
+                             for key in asdict(bench_engine_config())})
+    with _table(p) as (counts, _):
+        res = run_tenant_bench(counts, config=config, **p)
     actions = [d["action"] for d in res.autoscale["decisions"]]
     return TargetOutcome(
         metrics={
@@ -559,6 +626,9 @@ def _tenant_bench(params: dict) -> TargetOutcome:
             "solo_p99_ms": res.solo["p99_ms"],
             "isolated_p99_ms": res.isolated["p99_ms"],
             "unprotected_p99_ms": res.unprotected["p99_ms"],
+            "solo_p50_ms": res.solo["p50_ms"],
+            "isolated_p50_ms": res.isolated["p50_ms"],
+            "unprotected_p50_ms": res.unprotected["p50_ms"],
         },
         checks={
             "answers_match": res.answers_match,
@@ -585,16 +655,23 @@ def _tenant_bench(params: dict) -> TargetOutcome:
 _TRACE_DATA = {"dataset": "synthetic-24", "k": 21, "budget": 120_000}
 
 
-def _trace_bench(params: dict) -> TargetOutcome:
+def _trace_defaults() -> dict:
     from ..serve import BurstSpec
     from ..trace import run_trace_bench
 
-    burst = _kwdefaults(BurstSpec, "burst_")
-    p = _params(params, {**_TRACE_DATA, **_kwdefaults(run_trace_bench), **burst})
+    return {**_TRACE_DATA, **_kwdefaults(run_trace_bench),
+            **_kwdefaults(BurstSpec, "burst_")}
+
+
+def _trace_bench(p: dict) -> TargetOutcome:
+    from ..serve import BurstSpec
+    from ..trace import run_trace_bench
+
     _, counts = _counted(p.pop("dataset"), p.pop("k"), p.pop("budget"))
     res = run_trace_bench(
         counts,
-        burst=BurstSpec(**{key[len("burst_"):]: p.pop(key) for key in burst}),
+        burst=BurstSpec(**{key[len("burst_"):]: p.pop(key)
+                           for key in _kwdefaults(BurstSpec, "burst_")}),
         **p)
     return TargetOutcome(
         metrics={
@@ -622,14 +699,13 @@ def _trace_bench(params: dict) -> TargetOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _paper(params: dict) -> TargetOutcome:
+def _paper(p: dict) -> TargetOutcome:
     from ..bench.experiments import run_experiment
 
     # The simulated machine is deterministic and the record is stated at
     # each experiment's default seed, so the repetition seed is not used.
-    exp_id = _params(params, {"exp_id": None})["exp_id"]
-    values = run_experiment(exp_id).values
-    return TargetOutcome(metrics=values, checks=evaluate(exp_id, values))
+    values = run_experiment(p["exp_id"]).values
+    return TargetOutcome(metrics=values, checks=evaluate(p["exp_id"], values))
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +715,7 @@ def _paper(params: dict) -> TargetOutcome:
 _SYNTH_DEFAULTS = {"base": 1.0, "scale": 1.0, "noise": 0.02}
 
 
-def _synthetic_latency(params: dict) -> TargetOutcome:
+def _synthetic_latency(p: dict) -> TargetOutcome:
     """A pretend latency: base*scale with seeded lognormal-ish noise.
 
     Pure function of (params, seed) — identical spec runs reproduce
@@ -648,8 +724,7 @@ def _synthetic_latency(params: dict) -> TargetOutcome:
     """
     import numpy as np
 
-    p = _params(params, _SYNTH_DEFAULTS)
-    rng = np.random.default_rng(p.get("seed", 0))
+    rng = np.random.default_rng(p["seed"])
     value = p["base"] * p["scale"] * float(
         np.exp(p["noise"] * rng.standard_normal()))
     return TargetOutcome(metrics={"value": value}, checks={})
@@ -662,8 +737,10 @@ TARGETS: dict[str, XpTarget] = {
             "serve-bench", _serve_bench,
             {"speedup": "higher", "served_qps": "higher",
              "naive_qps": "higher", "cache_hit_rate": "higher",
-             "served_p99_ms": "lower"},
+             "served_p99_ms": "lower", "served_p50_ms": "lower",
+             "mean_batch_keys": "higher", "rejected": "lower"},
             "sharded/batched/cached read path vs naive scalar serving",
+            _serve_defaults,
         ),
         XpTarget(
             "lsm-bench", _lsm_bench,
@@ -674,6 +751,7 @@ TARGETS: dict[str, XpTarget] = {
              "incremental_seconds": "lower"},
             "LSM store: durable ingest, read amplification, 10% delta "
             "vs full recount",
+            _LSM_DEFAULTS.copy,
         ),
         XpTarget(
             "ooc-bench", _ooc_bench,
@@ -682,6 +760,7 @@ TARGETS: dict[str, XpTarget] = {
              "overcommit": "higher", "disk_charged_seconds": "lower"},
             "two-pass out-of-core count fused into an LSM store under "
             "a hard memory ceiling",
+            _OOC_DEFAULTS.copy,
         ),
         XpTarget(
             "count-bench", _count_bench,
@@ -694,13 +773,15 @@ TARGETS: dict[str, XpTarget] = {
             "streaming counter (flat window kernel) vs per-read "
             "encode_seq + serial_count, bit-identical counts, saved and "
             "loaded back",
+            _COUNT_DEFAULTS.copy,
         ),
         XpTarget(
             "chaos-sweep", _chaos_sweep,
             {"fault_free_overhead": "lower", "retransmits": "lower",
              "mean_recovery_time": "lower"},
             "fault-injected distributed counting stays exact under "
-            "drop/dup/corrupt/crash plans",
+            "drop/dup/corrupt/delay/crash/straggler plans",
+            _CHAOS_DEFAULTS.copy,
         ),
         XpTarget(
             "dst-sweep", _dst_sweep,
@@ -708,24 +789,30 @@ TARGETS: dict[str, XpTarget] = {
              "violations": "lower"},
             "deterministic-simulation fuzz campaign over the invariant "
             "registry",
+            _DST_DEFAULTS.copy,
         ),
         XpTarget(
             "cluster-bench", _cluster_bench,
             {"router_overhead_frac": "lower", "router_qps": "higher",
              "engine_qps": "higher", "hedged_p99_reduction": "higher",
              "hedged_p99_ms": "lower", "unhedged_p99_ms": "lower",
-             "hedged_qps": "higher"},
+             "hedged_qps": "higher", "retries": "lower",
+             "failovers": "lower", "moved_keys": "lower"},
             "replicated serving cluster: router overhead, hedged tail "
             "under a straggler, RF=2 kill + live rebalance",
+            _cluster_defaults,
         ),
         XpTarget(
             "tenant-bench", _tenant_bench,
             {"isolated_degradation": "lower",
              "unprotected_degradation": "higher",
              "fairness_share_error": "lower", "solo_p99_ms": "lower",
-             "isolated_p99_ms": "lower", "unprotected_p99_ms": "higher"},
+             "isolated_p99_ms": "lower", "unprotected_p99_ms": "higher",
+             "solo_p50_ms": "lower", "isolated_p50_ms": "lower",
+             "unprotected_p50_ms": "higher"},
             "multi-tenant QoS: paced victim p99 under a flooding "
             "antagonist, quotas + DRR on vs off",
+            _tenant_defaults,
         ),
         XpTarget(
             "trace-bench", _trace_bench,
@@ -734,16 +821,19 @@ TARGETS: dict[str, XpTarget] = {
              "two_tier_hit_rate": "higher"},
             "query trace: Mattson miss-ratio model vs brute-force LRU, "
             "bit-identical replay, two-tier vs single-tier cache",
+            _trace_defaults,
         ),
         XpTarget(
             "paper", _paper, {claim.value: claim.direction for claim in CLAIMS},
             "a table, figure, ablation or extension of the source paper "
             "(exp_id), its claims as checks",
+            lambda: {"exp_id": None},
         ),
         XpTarget(
             "synthetic-latency", _synthetic_latency,
             {"value": "lower"},
             "deterministic pseudo-latency for smoke tests and CI",
+            _SYNTH_DEFAULTS.copy,
         ),
     )
 }

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -133,3 +136,35 @@ def phoenix_cost() -> CostModel:
     """Phoenix Intel, 4 nodes, PE = node."""
     m = phoenix_intel(4)
     return CostModel(m, cores_per_pe=m.cores_per_node)
+
+
+SPECS = Path(__file__).resolve().parents[1] / "benchmarks" / "xp"
+
+
+@pytest.fixture
+def run_scenario(tmp_path, capsys):
+    """A shipped scenario through its one front door, once:
+    ``dakc xp run benchmarks/xp/<scenario>.json --quick --set ...``.
+
+    Returns ``rc``, ``out``/``err`` and — when the run got as far as an
+    envelope — its one ``cell`` (``metrics``, ``checks``).
+    """
+    from repro.cli import main
+
+    def run(scenario: str, *overrides: str, seed: int | None = None):
+        envelope = tmp_path / f"{scenario}-envelope.json"
+        envelope.unlink(missing_ok=True)  # never a previous run's cell
+        argv = ["xp", "run", str(SPECS / f"{scenario}.json"), "--quick",
+                "--repetitions", "1", "--json", str(envelope)]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        for item in overrides:
+            argv += ["--set", item]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        cell = (json.loads(envelope.read_text())["cells"][0]
+                if envelope.exists() else None)
+        return SimpleNamespace(rc=rc, out=captured.out, err=captured.err,
+                               cell=cell)
+
+    return run

@@ -1,4 +1,4 @@
-"""CLI smoke tests for ``dakc dst run | replay | sweep``."""
+"""CLI smoke tests for ``dakc dst run | replay`` and the dst sweep scenario."""
 
 from __future__ import annotations
 
@@ -23,11 +23,14 @@ def test_dst_run_smoke(capsys, tmp_path):
     assert doc["schedules_run"] == 3
 
 
-def test_dst_sweep_smoke(capsys):
-    rc = main(["dst", "sweep", "--seeds", "0,1", "--budget", "2"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert out.count("verdict: PASS") == 2
+def test_dst_sweep_smoke(run_scenario):
+    """One campaign per root seed is `dakc xp run benchmarks/xp/dst.json`."""
+    run = run_scenario("dst", "n_seeds=2", "budget=2")
+    assert run.cell["metrics"]["schedules_run"] == [4.0]
+    assert run.cell["metrics"]["violations"] == [0.0]
+    assert all(run.cell["checks"][name] for name in (
+        "no_violations", "deterministic", "all_schedules_ran",
+        "determinism_sampled", "digests_distinct"))
 
 
 def test_dst_replay_reproduces_clean_bundle(capsys, tmp_path):

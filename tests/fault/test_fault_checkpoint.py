@@ -11,8 +11,6 @@ from repro.core.serial import serial_count
 from repro.fault import (
     CheckpointStore,
     FaultPlan,
-    chaos_sweep,
-    format_report,
     run_chaos,
 )
 from repro.runtime.conveyors import Conveyor, PacketGroup
@@ -159,18 +157,17 @@ class TestBspCheckpoint:
             CheckpointStore(cost).restore_bsp([[], []], [[], []], (0,), stats)
 
 
-class TestChaosSweep:
-    def test_sweep_and_report(self, small_reads):
+class TestChaosContract:
+    def test_each_protection_level_upholds_its_contract(self, small_reads):
+        """Fault-free and lossy plans protected, the lossy plan bare:
+        exact, exact, and rejected loudly — never silently wrong."""
         cost = CostModel(laptop(nodes=2, cores=3))
-        plans = [
-            FaultPlan(seed=0),
-            FaultPlan(seed=1, drop_prob=0.02, duplicate_prob=0.01),
-        ]
-        outcomes = chaos_sweep(small_reads, 15, cost, plans)
-        # fault-free protected + faulty protected + faulty bare
-        assert len(outcomes) == 3
-        assert all(o.passed for o in outcomes)
-        report = format_report(outcomes)
-        assert "PASS" in report
-        assert "fault-free" in report
-        assert "DeliveryIntegrityError" in report
+        lossy = FaultPlan(seed=1, drop_prob=0.02, duplicate_prob=0.01)
+        clean, protected, bare = (
+            run_chaos(small_reads, 15, cost, plan, protect=protect)
+            for plan, protect in ((FaultPlan(seed=0), True), (lossy, True),
+                                  (lossy, False)))
+        assert clean.passed and protected.passed and bare.passed
+        assert clean.counts_match and protected.counts_match
+        assert protected.retransmits > 0 and clean.retransmits == 0
+        assert not bare.ok and bare.error.startswith("DeliveryIntegrityError")

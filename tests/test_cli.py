@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from repro.lsm import LsmStore
 from repro.seq.fastx import write_fastq
 from repro.seq.readsim import reads_to_records
 from repro.trace import QueryTrace, save_trace
+
+SPECS = Path(__file__).resolve().parents[1] / "benchmarks" / "xp"
 
 
 @pytest.fixture
@@ -36,6 +39,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--version"])
         assert "dakc" in capsys.readouterr().out
+
+    def test_the_verbs_are_the_artefact_tools_and_xp(self):
+        """A scenario is run as `dakc xp run <spec>`, never as a verb."""
+        def choices(parser):
+            (sub,) = (a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+            return sub.choices
+
+        verbs = choices(build_parser())
+        assert set(verbs) == {
+            "count", "datasets", "model", "bench", "simulate", "analyze",
+            "compare", "sweep", "calibrate", "timeline", "ingest", "compact",
+            "ooc-count", "dst", "trace", "xp"}
+        assert set(choices(verbs["dst"])) == {"run", "replay"}
+        assert set(choices(verbs["trace"])) == {
+            "record", "profile", "replay", "sample"}
+        assert set(choices(verbs["xp"])) == {"run", "gate", "report", "list"}
+
+    @pytest.mark.parametrize("argv", [
+        ["serve-bench"], ["tenant-bench"], ["cluster-bench"], ["chaos"],
+        ["dst", "sweep"]], ids=" ".join)
+    def test_a_scenario_is_not_a_verb(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCount:
@@ -149,6 +178,12 @@ class TestOtherCommands:
         assert text.startswith("@read0")
 
 
+def _scenario(name: str, database: str) -> list[str]:
+    """argv serving *database* through a shipped scenario."""
+    return ["xp", "run", str(SPECS / f"{name}.json"), "--quick",
+            "--set", f"database={database}"]
+
+
 class TestUnreadableFiles:
     """A damaged file is `error: <path>: …` and exit 2, never a traceback."""
 
@@ -161,10 +196,9 @@ class TestUnreadableFiles:
     VERBS = {
         "analyze": ("db", lambda p: ["analyze", p["db"]]),
         "compare": ("db", lambda p: ["compare", p["db"], p["db"]]),
-        "serve-bench": ("db", lambda p: [
-            "serve-bench", "--database", p["db"], "--queries", "100"]),
-        "tenant-bench": ("db", lambda p: ["tenant-bench", "--database", p["db"]]),
-        "cluster-bench": ("db", lambda p: ["cluster-bench", "--database", p["db"]]),
+        "serve-bench": ("db", lambda p: _scenario("serve", p["db"])),
+        "tenant-bench": ("db", lambda p: _scenario("tenant", p["db"])),
+        "cluster-bench": ("db", lambda p: _scenario("cluster", p["db"])),
         "trace-replay-db": ("db", lambda p: [
             "trace", "replay", p["trace"], "--database", p["db"]]),
         "trace-replay-trace": ("trace", lambda p: [

@@ -1,4 +1,5 @@
-"""Tests for the LSM CLI verbs: ingest, compact, serve-bench --lsm-store."""
+"""Tests for the LSM CLI verbs (ingest, compact) and serving a live store
+(`dakc xp run benchmarks/xp/serve.json --set database=<store dir>`)."""
 
 from __future__ import annotations
 
@@ -101,37 +102,52 @@ class TestCompact:
 
 
 class TestServeBenchLsm:
-    def test_serve_bench_over_live_store(self, tmp_path, fastq, capsys):
-        store_dir = str(tmp_path / "db")
-        assert main(["ingest", "--store", store_dir, "--input", fastq,
+    @pytest.fixture
+    def store_dir(self, tmp_path, fastq, capsys):
+        path = str(tmp_path / "db")
+        assert main(["ingest", "--store", path, "--input", fastq,
                      "-k", "17", "--flush"]) == 0
         capsys.readouterr()
-        rc = main(["serve-bench", "--lsm-store", store_dir,
-                   "--queries", "2000", "--shards", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "live LSM store" in out
-        assert "answers match: True" in out
+        return path
 
-    def test_serve_bench_missing_store_fails(self, tmp_path, capsys):
-        rc = main(["serve-bench", "--lsm-store", str(tmp_path / "nope"),
-                   "--queries", "100"])
-        assert rc == 2
+    def test_serve_bench_over_live_store(self, store_dir, run_scenario,
+                                         monkeypatch):
+        """A directory is a live store: served through its read view
+        (merge-on-read lookups), its snapshot ranking the workload."""
+        probes = []
+        real_get = LsmStore.get
+        monkeypatch.setattr(
+            LsmStore, "get",
+            lambda self, keys: probes.append(len(keys)) or real_get(self, keys))
+        run = run_scenario("serve", f"database={store_dir}", "n_queries=2000",
+                           "n_shards=2")
+        assert run.cell["checks"]["answers_match"] is True
+        assert set(run.cell["checks"]) == {
+            "answers_match", "cache_absorbed_head", "batching_coalesced",
+            "nothing_shed", "speedup_ge_5x"}
+        assert sum(probes) >= 2000  # the naive pass alone is one get per query
 
-    def test_store_is_closed_when_the_bench_raises(self, tmp_path, fastq,
-                                                   capsys, monkeypatch):
-        store_dir = str(tmp_path / "db")
-        assert main(["ingest", "--store", store_dir, "--input", fastq,
-                     "-k", "17", "--flush"]) == 0
+    def test_serve_bench_missing_store_fails(self, tmp_path, run_scenario):
+        run = run_scenario("serve", f"database={tmp_path / 'nope'}",
+                           "n_queries=100")
+        assert run.rc == 2 and str(tmp_path / "nope") in run.err
+
+    def test_store_is_closed_when_the_bench_raises(self, store_dir,
+                                                   run_scenario, monkeypatch):
+        import functools
+
+        from repro.serve import run_serve_bench
+
         opened = []
 
+        @functools.wraps(run_serve_bench)  # the target reads its signature
         def boom(counts, *, store, **kwargs):
             opened.append(store.store)
             raise RuntimeError("bench failed mid-run")
 
         monkeypatch.setattr("repro.serve.run_serve_bench", boom)
         with pytest.raises(RuntimeError, match="mid-run"):
-            main(["serve-bench", "--lsm-store", store_dir, "--queries", "100"])
+            run_scenario("serve", f"database={store_dir}", "n_queries=100")
         (lsm,) = opened
         assert lsm.wal._fh.closed
         assert all(run._fh is None for run in lsm.runs)

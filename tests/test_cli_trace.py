@@ -106,23 +106,3 @@ class TestReplay:
         assert doc["answers_match"] is True
         assert doc["n_records"] == 6000
         assert "bit-identical to scalar oracle: True" in capsys.readouterr().out
-
-
-class TestBenchTraceOut:
-    def test_serve_bench_records_a_trace(self, db, tmp_path, capsys):
-        out = tmp_path / "serve.npz"
-        rc = main(["serve-bench", "--database", db, "--queries", "1500",
-                   "--shards", "4", "--trace-out", str(out)])
-        assert rc == 0
-        assert load_trace(out).n_records == 1500
-
-    def test_cluster_bench_records_a_trace(self, db, tmp_path, capsys):
-        out = tmp_path / "cluster.npz"
-        rc = main(["cluster-bench", "--database", db, "--queries", "800",
-                   "--cluster-nodes", "3", "--repeats", "1",
-                   "--trace-out", str(out)])
-        assert rc == 0
-        trace = load_trace(out)
-        assert trace.n_records == 800
-        # The router has no cache: every record charged to the store.
-        assert trace.tier_counts()["store"] == 800

@@ -170,7 +170,7 @@ class TestXpCli:
 
     def test_run_overrides_and_json_dump(self, tmp_path):
         args = self.ledger_args(tmp_path)
-        out = tmp_path / "envelope.json"
+        out = tmp_path / "not-made-yet" / "envelope.json"  # --json makes it
         rc = main(["xp", "run", SMOKE_SPEC, *args, "--repetitions", "2",
                    "--warmup", "0", "--seed", "9", "--json", str(out)])
         assert rc == 0
@@ -222,10 +222,29 @@ class TestXpCli:
                      "--specs", str(REPO / "benchmarks" / "xp")]) == 0
         out = capsys.readouterr().out
         assert "synthetic-latency" in out and "smoke.json" in out
+        # What `--help` on a scenario verb used to be for: each target's
+        # parameters, with the defaults read from `run_*_bench`.
+        assert "n_queries=40000" in out and "database=''" in out
+        assert "base=1.0  scale=1.0  noise=0.02" in out
         assert main(["xp", "report", *args]) == 0
         assert "xp-smoke" in capsys.readouterr().out
         assert main(["xp", "report", "xp-smoke", *args]) == 0
         assert "trajectory" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("override, complaint", [
+        ("n_queries=abc", "n_queries: expected int, got 'abc'"),
+        ("n_queries=1.5", "n_queries: expected int, got 1.5"),
+        ("n_queries=true", "n_queries: expected int, got True"),
+        ("zipf_s=steep", "zipf_s: expected float, got 'steep'"),
+        ("database=7", "database: expected str, got 7"),
+    ])
+    def test_set_refuses_a_value_of_another_type_before_anything_runs(
+            self, tmp_path, capsys, monkeypatch, override, complaint):
+        monkeypatch.setattr("repro.serve.bench.zipf_workload",
+                            lambda *a, **kw: pytest.fail("the bench ran"))
+        rc = main(["xp", "run", SERVE_SPEC, "--quick", "--set", override])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {complaint}\n"
 
     def test_bad_spec_path_is_a_clean_error(self, tmp_path, capsys):
         rc = main(["xp", "run", str(tmp_path / "missing.json"),

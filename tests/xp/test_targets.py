@@ -141,3 +141,10 @@ def test_serving_targets_reject_unknown_keys_naming_the_accepted_ones(name):
     assert "'n_querys'" in message
     for accepted in ("dataset", "budget", "zipf_s"):
         assert f"'{accepted}'" in message
+    assert message.count("seed") == 1  # "(+ seed)", not also in the list
+
+
+def test_a_float_parameter_takes_an_int_and_a_none_default_takes_anything():
+    merged = TARGETS["serve-bench"].merged({"zipf_s": 2, "n_queries": 10})
+    assert merged["zipf_s"] == 2 and merged["seed"] == 0
+    assert TARGETS["paper"].merged({"exp_id": "fig5"})["exp_id"] == "fig5"
