@@ -586,15 +586,13 @@ def _cmd_timeline(args) -> int:
 
 
 def _iter_ingest_batches(args):
-    """Yield read batches (lists of 1-D code arrays) for `dakc ingest`."""
+    """Yield read batches (a code matrix or 1-D code arrays) for `dakc ingest`."""
     if args.dataset:
         from .bench.workloads import build_workload
 
-        w = build_workload(args.dataset, args.k, budget_kmers=args.budget)
-        reads = w.reads
+        reads = build_workload(args.dataset, args.k, budget_kmers=args.budget).reads
         for lo in range(0, reads.shape[0], args.batch_records):
-            yield [reads[i] for i in range(lo, min(lo + args.batch_records,
-                                                   reads.shape[0]))]
+            yield reads[lo:lo + args.batch_records]
         return
     import numpy as np
 

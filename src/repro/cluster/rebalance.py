@@ -72,10 +72,6 @@ class RebalancePlan:
     new_rows: np.ndarray       # (n_refined, rf) replicas after
     moves: tuple[Move, ...]
 
-    @property
-    def n_intervals(self) -> int:
-        return int(self.tokens.size)
-
 
 @dataclass
 class RebalanceReport:

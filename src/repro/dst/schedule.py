@@ -16,7 +16,7 @@ schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,10 +169,6 @@ class Schedule:
             scaler_hot=float(doc.get("scaler_hot", 0.0)),
             scaler_cold=float(doc.get("scaler_cold", 0.0)),
         )
-
-    def simplified(self, **overrides) -> "Schedule":
-        """A copy with fields nulled/overridden (shrinking helper)."""
-        return replace(self, **overrides)
 
     def describe(self) -> str:
         parts = [f"seed={self.seed}", self.mode, self.protocol]

@@ -11,9 +11,10 @@ The merge itself (:func:`merge_runs`) never materialises more than a
 bounded working set:
 
 1. each input run is cursored in ``chunk_keys``-element slices
-   (block-granular :meth:`~repro.lsm.run.Run.read_slice` reads);
-2. per iteration the *boundary* is the smallest last-loaded key across
-   runs — every key ``<= boundary`` is provably present in the loaded
+   (:meth:`~repro.lsm.run.Run.read_slice` views of the mapped
+   sections: nothing is read or copied until the merge below);
+2. per iteration the *boundary* is the smallest last key offered across
+   runs — every key ``<= boundary`` is provably present in the offered
    slices (keys within a run are sorted and unique), so that prefix can
    be merged (:func:`~repro.apps.store.merge_sorted_counts`, counts
    summing) and emitted final;
@@ -81,33 +82,24 @@ def merge_runs(runs: list[Run], out_path: str | os.PathLike, k: int, *,
     spill_vals = out_path.with_name(out_path.name + ".vals.spill")
 
     cursors = [0] * len(runs)
-    loaded: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(runs)
     n_out = 0
     try:
         with open(spill_keys, "wb") as fk, open(spill_vals, "wb") as fv:
             while True:
-                # Refill: every unfinished run keeps one loaded slice.
-                ends = []
-                for i, r in enumerate(runs):
-                    if loaded[i] is None and cursors[i] < r.n_keys:
-                        loaded[i] = r.read_slice(cursors[i], cursors[i] + chunk_keys)
-                    if loaded[i] is not None:
-                        ends.append(int(loaded[i][0][-1]))
-                if not ends:
+                # Every unfinished run offers its next chunk_keys pairs.
+                heads = [(i, *r.read_slice(cursors[i], cursors[i] + chunk_keys))
+                         for i, r in enumerate(runs) if cursors[i] < r.n_keys]
+                if not heads:
                     break
-                boundary = np.uint64(min(ends))
-                # Cut every loaded slice at the boundary; the cut-off
-                # prefixes jointly hold *all* keys <= boundary.
+                # The prefixes up to the smallest last key offered
+                # jointly hold *all* keys <= that boundary.
+                boundary = min(head[1][-1] for head in heads)
                 pieces = []
-                for i in range(len(runs)):
-                    if loaded[i] is None:
-                        continue
-                    bk, bv = loaded[i]
+                for i, bk, bv in heads:
                     cut = int(np.searchsorted(bk, boundary, side="right"))
+                    cursors[i] += cut
                     if cut:
                         pieces.append((bk[:cut], bv[:cut]))
-                    cursors[i] += cut
-                    loaded[i] = None if cut == bk.size else (bk[cut:], bv[cut:])
                 mk, mv = functools.reduce(
                     lambda a, b: merge_sorted_counts(a[0], a[1], b[0], b[1]), pieces
                 )

@@ -31,8 +31,7 @@ class Memtable:
 
     def __init__(self, k: int):
         self.k = k
-        self.keys = np.empty(0, dtype=np.uint64)
-        self.vals = np.empty(0, dtype=np.int64)
+        self.clear()
 
     # -- updates -------------------------------------------------------
 

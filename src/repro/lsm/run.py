@@ -11,14 +11,17 @@ it is servable without loading it whole (framing in
     counts section  n raw int64, right behind the keys
 
 * **fences** — the min and max key, so a point lookup skips the run
-  (no I/O at all) when the key is out of range;
-* the **sparse index** is tiny and resident.  A lookup binary-searches
-  it to find its block, then reads just that ``index_stride``-sized
-  slice of each section: one ``seek`` + ``read``.
+  (no page touched at all) when the key is out of range;
+* the **sparse index** is tiny and resident; the two sections are
+  **mapped** read-only on first use and that mapping is the only way a
+  run is read.  A lookup group is cut to the fences, the index names
+  each key's block, and a lower-bound search over the mapped keys —
+  ``log2(index_stride)`` halvings, one gathered element per key each —
+  finds it in place.  (Not ``np.searchsorted`` on the map: the sections
+  start at 4 mod 8, and numpy copies an unaligned haystack whole.)
 
-Header and index are checksummed; the two data sections are not (block
-reads never covered them) — their extent is checked against the file
-size on open.
+Header and index are checksummed; the two data sections are not — their
+extent is checked against the file size on open.
 
 Runs are immutable and published atomically and durably
 (:func:`repro.fileio.publish` with fsync), so a crash leaves either no
@@ -27,12 +30,12 @@ file or a complete one — never a half-written run.
 
 from __future__ import annotations
 
+import mmap
 import os
 from pathlib import Path
 
 import numpy as np
 
-from ..core.result import probe_sorted
 from ..fileio import FormatError, Framing, publish, record
 
 __all__ = ["RUN", "write_run", "Run"]
@@ -64,7 +67,7 @@ def write_run(path: str | os.PathLike, k: int, keys: np.ndarray, vals: np.ndarra
 
 
 class Run:
-    """One immutable sorted run, served with block-granular reads."""
+    """One immutable sorted run: two mapped sections behind a resident index."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -86,7 +89,8 @@ class Run:
             raise FormatError(self.path, RUN.kind,
                               "truncated" if size < want else "corrupt",
                               f"{size} bytes on disk, header implies {want}")
-        self._fh = None
+        self._sections: tuple[np.ndarray, np.ndarray] | None = None
+        self._closed = False
         # read-amplification accounting
         self.point_queries = 0
         self.blocks_read = 0
@@ -94,54 +98,75 @@ class Run:
 
     # -- raw access ----------------------------------------------------
 
+    def _mapped(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, counts)`` views of the file, mapped on first use; they own
+        the mapping, so one handed out outlives :meth:`close` and an unlink."""
+        if self._closed:
+            raise ValueError(f"{self.path}: run is closed")
+        if self._sections is None:
+            with open(self.path, "rb") as fh:
+                buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            n = self.n_keys
+            self._sections = (np.frombuffer(buf, "<u8", n, self._keys_at),
+                              np.frombuffer(buf, "<i8", n, self._keys_at + 8 * n))
+        return self._sections
+
     def read_slice(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read ``keys[lo:hi], counts[lo:hi]`` (one seek+read each)."""
-        lo, hi = max(lo, 0), min(hi, self.n_keys)
-        if hi <= lo:
-            return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        if self._fh is None:
-            self._fh = open(self.path, "rb")
-        out = []
-        for section_at, dtype in ((self._keys_at, "<u8"),
-                                  (self._keys_at + 8 * self.n_keys, "<i8")):
-            self._fh.seek(section_at + 8 * lo)
-            buf = self._fh.read(8 * (hi - lo))
-            out.append(np.frombuffer(buf, dtype=dtype))
-        return out[0], out[1]
+        """``keys[lo:hi], counts[lo:hi]`` as views of the mapped sections."""
+        keys, counts = self._mapped()
+        return keys[lo:hi], counts[lo:hi]
 
     def load(self) -> tuple[np.ndarray, np.ndarray]:
         """The whole run (compaction / snapshot input)."""
-        return self.read_slice(0, self.n_keys)
+        return self._mapped()
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        """Drop the mapping; every later read raises ``ValueError``."""
+        self._sections = None
+        self._closed = True
 
     # -- point lookups -------------------------------------------------
 
     def get(self, keys: np.ndarray) -> np.ndarray:
-        """Batch point lookup touching only the index blocks it needs."""
+        """Batch point lookup, answers in caller order; absent -> 0."""
         keys = np.asarray(keys, dtype=np.uint64)
+        order = np.argsort(keys)
+        out = np.empty(keys.size, dtype=np.int64)
+        out[order] = self.get_sorted(keys[order])
+        return out
+
+    def get_sorted(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`get` of an ascending ``uint64`` group (duplicates allowed).
+
+        ``blocks_read`` counts the distinct index blocks the in-fence
+        keys fall in, read off ``index_keys`` without touching data.
+        """
+        mapped_keys, mapped_counts = self._mapped()
         out = np.zeros(keys.size, dtype=np.int64)
         if self.n_keys == 0 or keys.size == 0:
             return out
         self.probes += 1
-        in_fence = (keys >= np.uint64(self.fence_min)) & (keys <= np.uint64(self.fence_max))
-        if not in_fence.any():
+        lo = int(keys.searchsorted(np.uint64(self.fence_min), side="left"))
+        hi = int(keys.searchsorted(np.uint64(self.fence_max), side="right"))
+        if hi <= lo:
             return out
         self.point_queries += int(keys.size)
-        cand_pos = np.flatnonzero(in_fence)
-        cand = keys[cand_pos]
+        cand = keys[lo:hi]
         # index_keys[b] is the first key of block b, so 'right' - 1 is
-        # the only block that can contain the key.
-        blocks = np.searchsorted(self.index_keys, cand, side="right") - 1
-        for b in np.unique(blocks):
-            lo = int(b) * self.index_stride
-            bk, bc = self.read_slice(lo, lo + self.index_stride)
-            self.blocks_read += 1
-            sel = blocks == b
-            out[cand_pos[sel]] = probe_sorted(bk, bc, cand[sel])
+        # the only block that can contain the key; cand ascends, so do they.
+        blocks = self.index_keys.searchsorted(cand, side="right") - 1
+        self.blocks_read += 1 + int(np.count_nonzero(blocks[1:] != blocks[:-1]))
+        # pos stays on the largest index whose key is <= the query (the
+        # block's first key is).  Key order keeps it inside the block;
+        # only the end of a partial last block needs the clip.
+        pos = blocks * self.index_stride
+        last = self.n_keys - 1
+        step = 1 << (min(self.index_stride, self.n_keys) - 1).bit_length() >> 1
+        while step:
+            nxt = np.minimum(pos + step, last)
+            np.copyto(pos, nxt, where=mapped_keys[nxt] <= cand)
+            step >>= 1
+        out[lo:hi] = np.where(mapped_keys[pos] == cand, mapped_counts[pos], 0)
         return out
 
     # -- accounting ----------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 from pathlib import Path
 
@@ -40,8 +40,8 @@ import numpy as np
 from ..apps.store import merge_sorted_counts
 from ..core.owner import owner_pe
 from ..core.result import KmerCounts
-from ..core.serial import serial_count
 from ..fileio import check_version, parse_json, publish
+from ..seq.kmers import count_owned_kmers, extract_kmers_from_reads
 from .compaction import CompactionConfig, merge_runs, pick_compaction
 from .crash import CrashPoints
 from .memtable import Memtable
@@ -104,18 +104,7 @@ class LsmStats:
         return self.run_probes / self.point_reads
 
     def snapshot(self) -> dict:
-        return {
-            "records_ingested": self.records_ingested,
-            "batches_ingested": self.batches_ingested,
-            "bulk_loads": self.bulk_loads,
-            "replayed_batches": self.replayed_batches,
-            "flushes": self.flushes,
-            "compactions": self.compactions,
-            "runs_merged": self.runs_merged,
-            "point_reads": self.point_reads,
-            "run_probes": self.run_probes,
-            "read_amplification": self.read_amplification,
-        }
+        return asdict(self) | {"read_amplification": self.read_amplification}
 
 
 class LsmStore:
@@ -125,12 +114,15 @@ class LsmStore:
                  config: LsmConfig | None = None,
                  crash: CrashPoints | None = None):
         self.dir = Path(path)
+        manifest_path = self.dir / MANIFEST_NAME
+        if k is None and not manifest_path.exists():
+            raise ValueError(f"{self.dir}: no LSM store here "
+                             f"(no {MANIFEST_NAME}); pass k to create one")
         self.dir.mkdir(parents=True, exist_ok=True)
         self.config = config or LsmConfig()
         self.crash = crash or CrashPoints()
         self.stats = LsmStats()
 
-        manifest_path = self.dir / MANIFEST_NAME
         if manifest_path.exists():
             man = parse_json(manifest_path, MANIFEST_KIND,
                              manifest_path.read_bytes(), MANIFEST_KEYS)
@@ -144,8 +136,6 @@ class LsmStore:
             if man["canonical"] != self.config.canonical:
                 self.config = replace(self.config, canonical=man["canonical"])
         else:
-            if k is None:
-                raise ValueError("creating a new store requires k")
             self.k = k
             man = {"format": MANIFEST_FORMAT, "k": k,
                    "canonical": self.config.canonical,
@@ -185,22 +175,21 @@ class LsmStore:
         files; they are dead weight, never wrong data.
         """
         known = set(self._man["runs"])
-        for p in self.dir.glob("run-*.run"):
-            if p.name not in known:
-                p.unlink()
-        for p in self.dir.glob("*.tmp"):
-            p.unlink()
-        for p in self.dir.glob("*.spill"):
-            p.unlink()
+        for pattern in ("run-*.run", "*.tmp", "*.spill"):
+            for p in self.dir.glob(pattern):
+                if p.name not in known:
+                    p.unlink()
 
     # -- writes --------------------------------------------------------
 
     def _absorb(self, batch: list[np.ndarray]) -> int:
         """Count one read batch into the memtable (no WAL, no flush)."""
-        kc = serial_count(batch, self.k, canonical=self.config.canonical)
-        self.memtable.add_counts(kc.kmers, kc.counts)
+        kmers, counts = count_owned_kmers(
+            extract_kmers_from_reads(batch, self.k), self.k,
+            canonical=self.config.canonical)
+        self.memtable.add_counts(kmers, counts)
         for listener in self._listeners:
-            listener(kc.kmers)
+            listener(kmers)
         return len(batch)
 
     def subscribe(self, listener: Callable) -> Callable[[], None]:
@@ -256,6 +245,11 @@ class LsmStore:
             raise ValueError("keys and vals must be 1-D arrays of equal length")
         if keys.size == 0:
             return 0
+        top = np.uint64((1 << 2 * self.k) - 1)
+        if vals.min() < 1 or keys.max() > top:
+            bad = int(np.argmax((vals < 1) | (keys > top)))
+            raise ValueError(f"pair {bad} is ({int(keys[bad]):#x}, {int(vals[bad])}): "
+                             f"counts must be >= 1 and keys < 4^{self.k}")
         if keys.size > 1 and not (keys[:-1] < keys[1:]).all():
             self.memtable.add_pairs(keys, vals)   # unsorted/duplicated delta
         else:
@@ -297,12 +291,10 @@ class LsmStore:
     def compact(self) -> int:
         """Merge runs until within the ``max_runs`` bound; returns merges."""
         merges = 0
-        while True:
-            sel = pick_compaction(self.runs, self.config.compaction)
-            if sel is None:
-                return merges
+        while (sel := pick_compaction(self.runs, self.config.compaction)) is not None:
             self._compact_once(sel)
             merges += 1
+        return merges
 
     def _compact_once(self, sel: list[int]) -> None:
         victims = [self.runs[i] for i in sel]
@@ -312,10 +304,9 @@ class LsmStore:
                    chunk_keys=self.config.chunk_keys,
                    index_stride=self.config.index_stride)
         self.crash.hit("compact.post_run_write")
-        new_names = list(self._man["runs"])
         victim_names = {v.path.name for v in victims}
         insert_at = min(sel)  # merged run takes the newest victim's slot
-        new_names = [n for n in new_names if n not in victim_names]
+        new_names = [n for n in self._man["runs"] if n not in victim_names]
         new_names.insert(insert_at, name)
         new_man = dict(self._man, runs=new_names, next_run_id=run_id + 1)
         self.crash.hit("compact.pre_manifest")
@@ -327,8 +318,7 @@ class LsmStore:
         self.runs.insert(insert_at, merged)
         for v in victims:
             v.close()
-            if v.path.exists():
-                v.path.unlink()
+            v.path.unlink(missing_ok=True)
         self.stats.compactions += 1
         self.stats.runs_merged += len(victims)
 
@@ -337,19 +327,24 @@ class LsmStore:
     def get(self, keys: np.ndarray) -> np.ndarray:
         """Merge-on-read batch lookup: memtable + every run, summed."""
         keys = np.asarray(keys, dtype=np.uint64)
-        out = self.memtable.get(keys)
+        if keys.ndim != 1:
+            raise ValueError("keys must be 1-D")
+        order = np.argsort(keys)   # once: every level is probed ascending
+        group = keys[order]
+        found = self.memtable.get(group)
         for run in self.runs:
-            out += run.get(keys)
+            found += run.get_sorted(group)
         self.stats.point_reads += int(keys.size)
         self.stats.run_probes += int(keys.size) * len(self.runs)
+        out = np.empty_like(found)
+        out[order] = found
         return out
 
     def snapshot(self) -> KmerCounts:
         """A frozen, fully merged :class:`KmerCounts` of the live state."""
         keys, vals = self.memtable.keys.copy(), self.memtable.vals.copy()
         for run in self.runs:
-            rk, rv = run.load()
-            keys, vals = merge_sorted_counts(keys, vals, rk, rv)
+            keys, vals = merge_sorted_counts(keys, vals, *run.load())
         return KmerCounts(self.k, keys, vals)
 
     def read_view(self, n_shards: int = 1) -> "LsmReadView":
@@ -370,11 +365,7 @@ class LsmStore:
     @property
     def total(self) -> int:
         """Total k-mer occurrences across memtable and runs (exact)."""
-        total = self.memtable.total
-        for run in self.runs:
-            _rk, rv = run.load()
-            total += int(rv.sum()) if rv.size else 0
-        return total
+        return self.memtable.total + sum(int(r.load()[1].sum()) for r in self.runs)
 
     def describe(self) -> dict:
         """JSON-friendly store summary (the ``dakc ingest`` report)."""

@@ -37,7 +37,7 @@ WAL = Framing("write-ahead log", b"dakcwal\x00", 2, "<Q")   # field: base_seq
 def as_read_list(reads: np.ndarray | list) -> list[np.ndarray]:
     """Normalise a read batch to a list of 1-D ``uint8`` code arrays.
 
-    Accepts the same shapes as :func:`repro.core.serial.serial_count`:
+    Accepts the shapes :func:`repro.seq.kmers.extract_kmers_from_reads` takes:
     a 2-D code matrix (rows = equal-length reads) or a list of 1-D code
     arrays.
     """

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import mmap
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.result import probe_sorted
 from repro.lsm.run import Run, write_run
 
 
@@ -88,6 +95,115 @@ class TestPointLookups:
         got = r.get(probe)
         want = np.concatenate([vals[::64], vals[63::64], vals[:1], vals[-1:]])
         assert np.array_equal(got, want)
+
+
+def block_loop_get(run: Run, keys) -> tuple[np.ndarray, dict]:
+    """``Run.get`` as it was before the sections were mapped: the reference.
+
+    One pass of a Python loop per touched index block, each reading its
+    slice of both sections with a seek + read; returns the answers and
+    what the three counters would have gained.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    out = np.zeros(keys.size, dtype=np.int64)
+    gained = {"probes": 0, "point_queries": 0, "blocks_read": 0}
+    if run.n_keys == 0 or keys.size == 0:
+        return out, gained
+    gained["probes"] = 1
+    in_fence = (keys >= np.uint64(run.fence_min)) & (keys <= np.uint64(run.fence_max))
+    if not in_fence.any():
+        return out, gained
+    gained["point_queries"] = int(keys.size)
+    cand_pos = np.flatnonzero(in_fence)
+    cand = keys[cand_pos]
+    blocks = np.searchsorted(run.index_keys, cand, side="right") - 1
+    with open(run.path, "rb") as fh:
+        for b in np.unique(blocks):
+            lo = int(b) * run.index_stride
+            n = min(lo + run.index_stride, run.n_keys) - lo
+            sections = []
+            for at, dtype in ((run._keys_at, "<u8"),
+                              (run._keys_at + 8 * run.n_keys, "<i8")):
+                fh.seek(at + 8 * lo)
+                sections.append(np.frombuffer(fh.read(8 * n), dtype=dtype))
+            gained["blocks_read"] += 1
+            sel = blocks == b
+            out[cand_pos[sel]] = probe_sorted(*sections, cand[sel])
+    return out, gained
+
+
+UNIVERSE = 1 << 10   # small enough that random queries hit, miss and repeat
+
+
+@st.composite
+def run_and_queries(draw):
+    keys = np.array(sorted(draw(st.sets(st.integers(0, UNIVERSE - 1),
+                                        min_size=1, max_size=120))), dtype=np.uint64)
+    stride = draw(st.sampled_from([1, 2, 7, 16, 64, 4096]))   # 4096 > n always
+    edges = [int(keys[0]), int(keys[-1]), *keys[::stride].tolist(),   # fences, index keys
+             int(keys[0]) - 1, int(keys[-1]) + 1]                      # just outside
+    queries = draw(st.lists(
+        st.one_of(st.sampled_from(edges), st.sampled_from(keys.tolist()),
+                  st.integers(-5, UNIVERSE + 5)),
+        max_size=60))
+    return keys, stride, np.array([q % (1 << 64) for q in queries], dtype=np.uint64)
+
+
+class TestAgainstBlockLoop:
+    """The mapped lookup answers and counts exactly as the block loop did."""
+
+    @given(run_and_queries())
+    def test_answers_and_counters_match_reference(self, case):
+        keys, stride, queries = case
+        vals = (keys.astype(np.int64) * 7) % 13 + 1
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.run"
+            write_run(path, 5, keys, vals, index_stride=stride)
+            run = Run(path)
+            for group in (queries, np.sort(queries), queries[:0],
+                          queries[queries > keys[-1]]):       # all out of fence
+                want, gained = block_loop_get(run, group)
+                before = (run.probes, run.point_queries, run.blocks_read)
+                assert np.array_equal(run.get(group), want)
+                assert (run.probes - before[0], run.point_queries - before[1],
+                        run.blocks_read - before[2]) == (
+                    gained["probes"], gained["point_queries"], gained["blocks_read"])
+            run.close()
+
+    def test_all_miss_group_inside_the_fences(self, tmp_path):
+        keys = np.arange(0, 2000, 2, dtype=np.uint64)            # evens only
+        write_run(tmp_path / "r.run", 9, keys, np.ones(keys.size, dtype=np.int64),
+                  index_stride=64)                               # 1000 = 15 x 64 + 40
+        run = Run(tmp_path / "r.run")
+        odd = np.arange(1, 1999, 2, dtype=np.uint64)
+        want, gained = block_loop_get(run, odd)
+        assert not want.any() and np.array_equal(run.get(odd), want)
+        assert run.blocks_read == gained["blocks_read"] == 16
+
+
+class TestLifetime:
+    def test_closed_run_refuses_every_read(self, run):
+        run.get(np.array([run.fence_min], dtype=np.uint64))
+        run.close()
+        assert run._sections is None
+        for read in (lambda: run.get(np.array([1], dtype=np.uint64)),
+                     run.load, lambda: run.read_slice(0, 1)):
+            with pytest.raises(ValueError, match=r"run-000001\.run: run is closed"):
+                read()
+
+    def test_views_outlive_close_and_unlink(self, run, keys_vals):
+        keys, vals = keys_vals
+        whole, part = run.load(), run.read_slice(100, 200)
+        run.close()
+        run.path.unlink()
+        assert np.array_equal(whole[0], keys) and np.array_equal(whole[1], vals)
+        assert np.array_equal(part[0], keys[100:200])
+
+    def test_sections_are_read_only_views_of_one_mapping(self, run):
+        keys, counts = run.load()
+        assert not keys.flags.writeable and not counts.flags.writeable
+        assert isinstance(keys.base.obj, mmap.mmap)          # no copy,
+        assert keys.base.obj is counts.base.obj              # one map
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -98,7 +99,8 @@ class TestCompact:
     def test_compact_missing_store_fails(self, tmp_path, capsys):
         rc = main(["compact", "--store", str(tmp_path / "nope")])
         assert rc == 2
-        assert "requires k" in capsys.readouterr().err
+        assert f"error: {tmp_path / 'nope'}: no LSM store here" in capsys.readouterr().err
+        assert not (tmp_path / "nope").exists()
 
 
 class TestServeBenchLsm:
@@ -150,4 +152,6 @@ class TestServeBenchLsm:
             run_scenario("serve", f"database={store_dir}", "n_queries=100")
         (lsm,) = opened
         assert lsm.wal._fh.closed
-        assert all(run._fh is None for run in lsm.runs)
+        assert lsm.runs and all(run._sections is None for run in lsm.runs)
+        with pytest.raises(ValueError, match="run is closed"):
+            lsm.get(np.array([1], dtype=np.uint64))
