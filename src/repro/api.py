@@ -152,7 +152,9 @@ def count_kmers(
     reads:
         Any source accepted by :func:`load_reads`.
     k:
-        k-mer length, 1..32.
+        k-mer length, 1..32 (else ``ValueError``).  ``"fast"`` on
+        in-memory reads is the kernel and also counts 33..64 exactly, as
+        ``[hi, lo]`` rows; on a file it streams one word per k-mer.
     algorithm:
         One of :data:`ALGORITHMS`.  ``"bsp"`` is the generic Algorithm 2
         engine; ``"pakman"``/``"pakman*"``/``"hysortk"`` are its

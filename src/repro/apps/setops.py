@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import KmerCounts
+from ..seq.kmers import check_k
 
 __all__ = [
     "intersect",
@@ -25,6 +26,7 @@ __all__ = [
 
 
 def _check_compatible(a: KmerCounts, b: KmerCounts) -> None:
+    check_k(a.k)  # the set operations search one word per k-mer
     if a.k != b.k:
         raise ValueError(f"k mismatch: {a.k} vs {b.k}")
 

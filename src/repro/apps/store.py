@@ -32,7 +32,7 @@ from ..fileio import (
     read_sorted_blocks,
     sorted_blocks,
 )
-from ..seq.kmers import MAX_K, str_to_kmer
+from ..seq.kmers import MAX_K, check_k, str_to_kmer
 
 __all__ = [
     "save_counts",
@@ -59,7 +59,9 @@ def _open_text(path: Path, mode: str):
 
 def save_counts(path: str | os.PathLike, counts: KmerCounts,
                 *, canonical: bool = False) -> None:
-    """Write a :class:`KmerCounts` to *path* as a count database."""
+    """Write a :class:`KmerCounts` (k <= 32) to *path* as a count database."""
+    check_k(counts.k)
+
     def write(fh) -> None:
         fh.write(DATABASE.header(counts.k, counts.n_distinct,
                                  -(-counts.n_distinct // BLOCK_KEYS), canonical))
@@ -174,8 +176,9 @@ def _decode_kmer_strings(kmers: np.ndarray, k: int) -> list[str]:
 def dump_text(path: str | os.PathLike, counts: KmerCounts) -> int:
     """Dump as ``KMER<TAB>count`` text; returns rows written.
 
-    A ``.gz`` path writes a gzip-compressed dump.
+    A ``.gz`` path writes a gzip-compressed dump (k <= 32, as read back).
     """
+    check_k(counts.k)
     strs = _decode_kmer_strings(counts.kmers, counts.k)
     with _open_text(Path(path), "w") as fh:
         fh.writelines(
@@ -215,6 +218,7 @@ def load_text(path: str | os.PathLike, k: int | None = None) -> KmerCounts:
                     continue
                 try:
                     kmer_s, count_s = line.split("\t")
+                    check_k(len(kmer_s))
                     keys.append(str_to_kmer(kmer_s))
                     vals.append(int(count_s))
                 except ValueError as exc:

@@ -34,7 +34,7 @@ import numpy as np
 from ..core.result import KmerCounts
 from ..seq.encoding import encode_batch
 from ..seq.fastx import SeqRecord, read_fastx_batches
-from ..seq.kmers import count_owned_kmers, extract_kmers_flat
+from ..seq.kmers import check_k, count_owned_kmers, extract_kmers_flat
 from .store import merge_sorted_counts
 
 __all__ = ["count_records_streaming", "count_file_streaming", "count_files_streaming"]
@@ -54,6 +54,7 @@ def _count_batches(
     """
     if batch_records < 1:
         raise ValueError("batch_records must be >= 1")
+    check_k(k)  # the running merge keys one word per k-mer
     merged_keys = np.empty(0, dtype=np.uint64)
     merged_vals = np.empty(0, dtype=np.int64)
     seen = 0

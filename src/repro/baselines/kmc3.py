@@ -41,7 +41,7 @@ from ..runtime.cache import CacheAccounting
 from ..runtime.cost import CostModel
 from ..runtime.machine import MachineConfig
 from ..runtime.stats import RunStats
-from ..seq.kmers import count_packed_kmers, kmer_width_bits
+from ..seq.kmers import check_k, count_packed_kmers, kmer_width_bits
 from ..seq.minimizers import minimizers_of_kmers
 
 __all__ = ["Kmc3Config", "kmc3_count"]
@@ -78,6 +78,7 @@ def kmc3_count(
     Returns the counts and a :class:`RunStats` whose single PE
     represents the whole node (KMC3 is a shared-memory tool).
     """
+    check_k(k)
     config = config or Kmc3Config()
     run = SimRun(CostModel(machine.with_nodes(1), cores_per_pe=machine.cores_per_node,
                            threaded=True))

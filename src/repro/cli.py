@@ -406,7 +406,7 @@ def _cmd_count(args) -> int:
     from .api import count_kmers
     from .bench.tables import format_time
     from .bench.workloads import build_workload
-    from .seq.kmers import kmer_to_str
+    from .seq.kmers import kmer_ints, kmer_to_str
 
     if args.dataset:
         workload = build_workload(args.dataset, args.k, budget_kmers=args.budget)
@@ -443,8 +443,8 @@ def _cmd_count(args) -> int:
     if args.top:
         order = kc.counts.argsort()[::-1][: args.top]
         print(f"# top {args.top} k-mers:")
-        for i in order:
-            print(f"{kmer_to_str(int(kc.kmers[i]), args.k)}\t{int(kc.counts[i])}")
+        for kmer, count in zip(kmer_ints(kc.kmers[order]), kc.counts[order].tolist()):
+            print(f"{kmer_to_str(kmer, args.k)}\t{count}")
     if args.spectrum:
         spec = kc.spectrum(max_count=args.spectrum)
         print("# spectrum (count\t#distinct):")

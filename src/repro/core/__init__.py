@@ -5,13 +5,13 @@ closing of a run — is :mod:`repro.core.phases`; the one bucket split by
 owner is :func:`repro.core.owner.by_owner`.
 
 Extensions beyond the paper's evaluation (its Section VII future work):
-128-bit k-mers (:mod:`repro.core.bigcount`) and the barrier-free
-sorted-set variant (:mod:`repro.core.sortedset`).
+128-bit k-mers (:func:`repro.core.dakc.dakc_count_big`, two kernel
+words per k-mer) and the barrier-free sorted-set variant
+(:mod:`repro.core.sortedset`).
 """
 
-from .bigcount import BigKmerCounts, dakc_count_big, owner_pe_big, serial_count_big
 from .bsp import BspConfig, bsp_count
-from .dakc import DakcConfig, DeliveryIntegrityError, dakc_count
+from .dakc import DakcConfig, DeliveryIntegrityError, dakc_count, dakc_count_big
 from .minipart import MinimizerPartitionConfig, minimizer_partitioned_count
 from .l2l3 import AggregationConfig, BulkAggregator, ExactAggregator, receive_service_time
 from .owner import by_owner, owner_pe, owner_pe_scalar, splitmix64
@@ -42,10 +42,7 @@ __all__ = [
     "n_bases",
     "parse_kmers",
     "splitmix64",
-    "BigKmerCounts",
-    "serial_count_big",
     "dakc_count_big",
-    "owner_pe_big",
     "SortedRunSet",
     "dakc_overlap_count",
     "MinimizerPartitionConfig",

@@ -44,7 +44,7 @@ from ..runtime.collectives import alltoallv
 from ..runtime.cost import OPS_PER_ELEMENT_BUFFER, CostModel
 from ..runtime.machine import MachineConfig
 from ..runtime.stats import RunStats
-from ..seq.kmers import count_packed_kmers, kmer_width_bits
+from ..seq.kmers import check_k, count_packed_kmers, kmer_width_bits
 from ..sort.accumulate import accumulate_weighted
 from ..sort.radix import effective_msd_passes
 from .owner import by_owner, owner_pe
@@ -119,6 +119,7 @@ def bsp_count(
     consumed; :mod:`repro.fault.checkpoint` uses it to snapshot the
     accumulated per-PE receive state at BSP's natural phase boundaries.
     """
+    check_k(k)
     config = config or BspConfig()
     run = SimRun(cost)
     cost, stats, memory, n_pes = run.cost, run.stats, run.memory, run.n_pes

@@ -25,7 +25,8 @@ The run's opening, read split, parse and close are the shared skeleton
 of :mod:`repro.core.phases`; this module holds what DAKC adds — the
 conveyor (:func:`open_conveyor`), ``AsyncAdd`` through the aggregation
 stack, the lazy receive charge, the delivery conservation check and
-the Phase-2 sort charge.
+the Phase-2 sort charge.  :func:`dakc_count_big` is the two phases
+for Section VII's 128-bit k-mers (k up to 64).
 """
 
 from __future__ import annotations
@@ -42,14 +43,16 @@ from ..runtime.machine import MachineConfig
 from ..runtime.memory import L0_BUFFER_BYTES
 from ..runtime.stats import RunStats
 from ..runtime.topology import make_topology
-from ..seq.kmers import count_packed_kmers, kmer_width_bits
+from ..seq.kmers import check_k, count_owned_kmers, count_packed_kmers, kmer_width_bits
 from ..sort.accumulate import accumulate_weighted
 from ..sort.radix import effective_msd_passes
 from .l2l3 import AggregationConfig, BulkAggregator, ExactAggregator, receive_service_time
+from .owner import by_owner, owner_pe
 from .phases import SimRun, n_bases, parse_kmers, split_reads
 from .result import KmerCounts
 
-__all__ = ["DakcConfig", "dakc_count", "open_conveyor", "DeliveryIntegrityError"]
+__all__ = ["DakcConfig", "dakc_count", "dakc_count_big", "open_conveyor",
+           "DeliveryIntegrityError"]
 
 #: k-mers fed to the aggregator per cooperative step (fast mode).
 PARSE_CHUNK: int = 65_536
@@ -226,6 +229,7 @@ def dakc_count(
         The global ordered counts and the measured run statistics
         (simulated time, messages, bytes, per-PE clocks).
     """
+    check_k(k)
     config = config or DakcConfig()
     run = SimRun(cost)
     cost, stats, n_pes = run.cost, run.stats, run.n_pes
@@ -265,6 +269,51 @@ def dakc_count(
     ]
     # sync 3 (end of the kernel) is the run's exit barrier.
     return run.finish(k, results, protocol=config.protocol, mode=config.mode)
+
+
+def dakc_count_big(
+    reads: np.ndarray | list,
+    k: int,
+    cost: CostModel | MachineConfig,
+    *,
+    canonical: bool = False,
+) -> tuple[KmerCounts, RunStats]:
+    """DAKC's two phases for k up to 64 (``[hi, lo]`` rows): route by
+    owner, then per owner sort + accumulate; three global syncs, 16-byte
+    wire elements, twice the radix passes of one word.  The L2/L3 stack
+    is :func:`dakc_count`'s and is not repeated here.
+    """
+    run = SimRun(cost)
+    cost, stats, n_pes = run.cost, run.stats, run.n_pes
+    run.barrier()  # sync 1
+
+    inbox: list[list[np.ndarray]] = [[] for _ in range(n_pes)]
+    for src, rows in enumerate(split_reads(reads, n_pes)):
+        pe = stats.pe[src]
+        kmers = parse_kmers(rows, k, canonical)
+        pe.kmers_generated += len(kmers)
+        cost.charge_compute(pe, 2 * len(kmers))  # two-word rolling update
+        cost.charge_mem(pe, n_bases(rows))
+        for dst, routed in by_owner(owner_pe(kmers, n_pes), n_pes, kmers):
+            cost.charge_put(pe, dst, len(routed) * 16)
+            inbox[dst].append(routed)
+
+    run.barrier()  # sync 2: inter-phase
+    stats.phase1_time = stats.max_clock
+
+    results = []
+    for dst in range(n_pes):
+        if not inbox[dst]:
+            continue
+        pe = stats.pe[dst]
+        merged = np.concatenate(inbox[dst])
+        pe.elements_received += len(merged)
+        pe.kmers_received += len(merged)
+        cost.charge_compute(pe, 4 * len(merged))
+        cost.charge_mem(pe, 4 * 16 * len(merged))
+        results.append(count_owned_kmers(merged, k))
+    # sync 3 is the run's exit barrier.
+    return run.finish(k, results)
 
 
 def _run_phase1_fast(

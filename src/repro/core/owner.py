@@ -74,11 +74,15 @@ def splitmix64_inverse(z: np.ndarray | int) -> np.ndarray | int:
 
 
 def owner_pe(kmers: np.ndarray, p: int) -> np.ndarray:
-    """Owner PE of each k-mer: ``splitmix64(kmer) mod P`` (int64)."""
+    """Owner PE of each k-mer: ``splitmix64(kmer) mod P`` (int64); a
+    ``[hi, lo]`` row (k > 32) mixes both words,
+    ``splitmix64(hi ^ splitmix64(lo)) mod P``."""
     if p < 1:
         raise ValueError("P must be >= 1")
-    hashed = splitmix64(np.asarray(kmers, dtype=np.uint64))
-    return (hashed % np.uint64(p)).astype(np.int64)
+    kmers = np.asarray(kmers, dtype=np.uint64)
+    if kmers.ndim == 2:
+        kmers = kmers[:, 0] ^ splitmix64(kmers[:, 1])
+    return (splitmix64(kmers) % np.uint64(p)).astype(np.int64)
 
 
 def owner_pe_scalar(kmer: int, p: int) -> int:

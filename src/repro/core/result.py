@@ -3,7 +3,8 @@
 All four algorithms in the paper return ``C``, an "Ordered array of
 {k-mer, count}".  :class:`KmerCounts` is that array plus the quality-
 of-life surface a downstream pipeline needs (lookups, spectra, count
-filtering, multiset equality for validation).
+filtering, multiset equality for validation), for every k the kernel
+counts (``[hi, lo]`` rows above k = 32, :mod:`repro.seq.kmers`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sort.accumulate import counts_to_histogram
+from ..seq.kmers import MAX_K, kmer_array, kmer_ints
+from ..sort.accumulate import accumulate_weighted, ascending, counts_to_histogram
 
 __all__ = ["KmerCounts", "probe_sorted"]
 
@@ -42,21 +44,25 @@ class KmerCounts:
     """Ordered array of ``{k-mer, count}`` pairs.
 
     Invariants (checked at construction): ``kmers`` strictly
-    increasing; ``counts`` positive; equal lengths.
+    increasing; ``counts`` positive; equal lengths; ``kmers`` 1-D for
+    ``k <= 32``, ``(n, 2)`` rows above.
     """
 
     k: int
-    kmers: np.ndarray  # uint64, strictly increasing
+    kmers: np.ndarray  # uint64 (or [hi, lo] rows), strictly increasing
     counts: np.ndarray  # int64, all >= 1
 
     def __post_init__(self) -> None:
         kmers = np.ascontiguousarray(self.kmers, dtype=np.uint64)
+        if self.k > MAX_K:
+            kmers = kmers.reshape(-1, 2)
         counts = np.ascontiguousarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "kmers", kmers)
         object.__setattr__(self, "counts", counts)
-        if kmers.shape != counts.shape or kmers.ndim != 1:
-            raise ValueError("kmers and counts must be 1-D arrays of equal length")
-        if kmers.size > 1 and not (kmers[:-1] < kmers[1:]).all():
+        if kmers.shape[:1] != counts.shape or kmers.ndim != 1 + (self.k > MAX_K):
+            raise ValueError(f"k={self.k}: kmers and counts must be aligned, "
+                             "one row of two words per k-mer above k=32")
+        if not ascending(kmers, strict=True):
             raise ValueError("kmers must be strictly increasing (ordered, unique)")
         if counts.size and counts.min() < 1:
             raise ValueError("all counts must be >= 1")
@@ -70,27 +76,20 @@ class KmerCounts:
     @classmethod
     def from_pairs(cls, k: int, kmers: np.ndarray, counts: np.ndarray) -> "KmerCounts":
         """Build from unordered, possibly duplicated pairs (summing)."""
-        from ..sort.accumulate import accumulate_weighted
-
-        u, c = accumulate_weighted(np.asarray(kmers), np.asarray(counts))
-        return cls(k, u, c)
+        return cls(k, *accumulate_weighted(np.asarray(kmers), np.asarray(counts)))
 
     @classmethod
     def from_counter(cls, k: int, counter: Counter) -> "KmerCounts":
-        """Build from a ``collections.Counter`` oracle."""
-        if not counter:
-            return cls.empty(k)
-        keys = np.fromiter(counter.keys(), dtype=np.uint64, count=len(counter))
+        """Build from a ``collections.Counter`` oracle (Python-int keys)."""
         vals = np.fromiter(counter.values(), dtype=np.int64, count=len(counter))
-        order = np.argsort(keys)
-        return cls(k, keys[order], vals[order])
+        return cls.from_pairs(k, kmer_array(list(counter), k), vals)
 
     # -- basic queries -------------------------------------------------
 
     @property
     def n_distinct(self) -> int:
         """Number of distinct k-mers."""
-        return int(self.kmers.size)
+        return int(self.counts.size)
 
     @property
     def total(self) -> int:
@@ -102,11 +101,15 @@ class KmerCounts:
         return int(self.counts.max()) if self.counts.size else 0
 
     def get(self, kmer: int, default: int = 0) -> int:
-        """Count of one k-mer (binary search; 0 if absent)."""
-        i = int(np.searchsorted(self.kmers, np.uint64(kmer)))
-        if i < self.kmers.size and self.kmers[i] == np.uint64(kmer):
-            return int(self.counts[i])
-        return default
+        """Count of one k-mer (binary search; *default* if absent).  A
+        ``[hi, lo]`` row searches the run of its ``hi``, then ``lo``."""
+        keys, counts, kmer = self.kmers, self.counts, int(kmer)
+        if keys.ndim == 2:
+            hi, kmer = divmod(kmer, 1 << 64)
+            run = slice(*(np.searchsorted(keys[:, 0], np.uint64(hi), side)
+                          for side in ("left", "right")))
+            keys, counts = keys[run, 1], counts[run]
+        return int(probe_sorted(keys, counts, [kmer])[0]) or default
 
     def __len__(self) -> int:
         return self.n_distinct
@@ -132,7 +135,7 @@ class KmerCounts:
 
     def to_counter(self) -> Counter:
         """Materialise as a ``collections.Counter`` (tests/oracles)."""
-        return Counter(dict(zip(self.kmers.tolist(), self.counts.tolist())))
+        return Counter(dict(zip(kmer_ints(self.kmers), self.counts.tolist())))
 
     # -- comparison ------------------------------------------------------
 

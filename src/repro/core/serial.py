@@ -8,7 +8,8 @@ The reference everything else validates against.  Two paths:
   ``Accumulate(T)``).
 * :func:`serial_count_oracle` — a deliberately naive
   ``collections.Counter`` over the scalar rolling-k-mer iterator;
-  quadratic overheads, used only in tests as an independent oracle.
+  quadratic overheads, used only in tests as an independent oracle —
+  for every k <= 64, since its k-mers are Python ints.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..seq.encoding import decode_codes
-from ..seq.kmers import canonical_kmers, extract_kmers_from_reads, iter_kmers
+from ..seq.kmers import (canonical_kmers, check_k, extract_kmers_from_reads, iter_kmers,
+                         reverse_complement_kmer)
 from ..sort.accumulate import accumulate_sorted
 from ..sort.hybrid import HybridSortStats, hybrid_sort
 from .result import KmerCounts
@@ -50,8 +52,10 @@ def serial_count(
     """Count k-mers serially (Algorithm 1).
 
     *reads* may be a 2-D ``uint8`` code matrix (rows = equal-length
-    reads) or a list of 1-D code arrays.
+    reads) or a list of 1-D code arrays; k <= 32 (the radix sort
+    keys one word).
     """
+    check_k(k)
     kmers = extract_kmers_from_reads(reads, k)
     if canonical:
         kmers = canonical_kmers(kmers, k)
@@ -69,9 +73,9 @@ def serial_count(
 def serial_count_oracle(reads, k: int, *, canonical: bool = False) -> KmerCounts:
     """Independent Counter-based oracle over string reads.
 
-    Accepts the same inputs as :func:`serial_count` plus plain strings;
-    encoded inputs are decoded first so this path shares *no* code with
-    the vectorised extractor.
+    Accepts the same inputs as :func:`serial_count` plus plain strings,
+    at any k up to 64; encoded inputs are decoded first so this path
+    shares *no* code with the vectorised extractor.
     """
     counter: Counter = Counter()
     seqs: list[str] = []
@@ -83,8 +87,6 @@ def serial_count_oracle(reads, k: int, *, canonical: bool = False) -> KmerCounts
     for seq in seqs:
         for kmer in iter_kmers(seq, k):
             if canonical:
-                from ..seq.kmers import reverse_complement_kmer
-
                 kmer = min(kmer, reverse_complement_kmer(kmer, k))
             counter[kmer] += 1
     return KmerCounts.from_counter(k, counter)

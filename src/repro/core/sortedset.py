@@ -37,6 +37,7 @@ from ..runtime.cache import CacheAccounting
 from ..runtime.cost import CostModel
 from ..runtime.machine import MachineConfig
 from ..runtime.stats import RunStats
+from ..seq.kmers import check_k
 from ..sort.accumulate import accumulate_weighted
 from .dakc import DakcConfig, DeliveryIntegrityError, _run_phase1_fast, open_conveyor
 from .l2l3 import receive_service_time
@@ -123,6 +124,7 @@ def dakc_overlap_count(
     delivery's lazy service time, so no inter-phase barrier exists and
     Phase-2 "sorting" reduces to the final run merge.
     """
+    check_k(k)
     config = config or DakcConfig()
     if config.mode != "fast":
         raise ValueError("dakc_overlap_count supports fast mode only")

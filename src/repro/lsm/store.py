@@ -41,7 +41,7 @@ from ..apps.store import merge_sorted_counts
 from ..core.owner import owner_pe
 from ..core.result import KmerCounts
 from ..fileio import check_version, parse_json, publish
-from ..seq.kmers import count_owned_kmers, extract_kmers_from_reads
+from ..seq.kmers import check_k, count_owned_kmers, extract_kmers_from_reads
 from .compaction import CompactionConfig, merge_runs, pick_compaction
 from .crash import CrashPoints
 from .memtable import Memtable
@@ -118,6 +118,8 @@ class LsmStore:
         if k is None and not manifest_path.exists():
             raise ValueError(f"{self.dir}: no LSM store here "
                              f"(no {MANIFEST_NAME}); pass k to create one")
+        if k is not None:
+            check_k(k)  # runs and the WAL key one word per k-mer
         self.dir.mkdir(parents=True, exist_ok=True)
         self.config = config or LsmConfig()
         self.crash = crash or CrashPoints()

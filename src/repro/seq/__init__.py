@@ -5,8 +5,9 @@ k-mer counting algorithms need from the genomics side lives here:
 
 * :mod:`repro.seq.alphabet` — the 2-bit DNA alphabet and lookup tables;
 * :mod:`repro.seq.encoding` — vectorised ASCII <-> 2-bit conversion;
-* :mod:`repro.seq.kmers` — packed ``uint64`` k-mer extraction and the
-  one window -> sort -> accumulate counting kernel;
+* :mod:`repro.seq.kmers` — packed ``uint64`` k-mer extraction (two
+  words per k-mer for 32 < k <= 64) and the one window -> sort ->
+  accumulate counting kernel;
 * :mod:`repro.seq.superkmers` — the batch super-k-mer splitter, used
   only by the partitioners (spill bins, minimizer routing);
 * :mod:`repro.seq.fastx` — FASTA/FASTQ reading and writing;
@@ -33,6 +34,7 @@ from .fastx import write_fasta, write_fastq
 from .genomes import RepeatSpec, repeat_genome, uniform_genome
 from .kmers import (
     MAX_K,
+    MAX_WIDE_K,
     canonical_kmers,
     count_owned_kmers,
     count_packed_kmers,
@@ -47,14 +49,6 @@ from .kmers import (
     reverse_complement_kmer,
     reverse_complement_kmers,
     str_to_kmer,
-)
-from .bigkmers import (
-    MAX_BIG_K,
-    BigKmerArray,
-    canonical_big,
-    extract_big_kmers,
-    extract_big_kmers_from_reads,
-    reverse_complement_big,
 )
 from .composition import (
     ReadSetSummary,
@@ -97,6 +91,7 @@ __all__ = [
     "BASES",
     "SIGMA",
     "MAX_K",
+    "MAX_WIDE_K",
     "DatasetSpec",
     "Workload",
     "ALL_SPECS",
@@ -135,12 +130,6 @@ __all__ = [
     "ReadSimConfig",
     "simulate_reads",
     "reads_to_records",
-    "MAX_BIG_K",
-    "BigKmerArray",
-    "extract_big_kmers",
-    "extract_big_kmers_from_reads",
-    "canonical_big",
-    "reverse_complement_big",
     "decode_phred",
     "encode_phred",
     "mean_quality",

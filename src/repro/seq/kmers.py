@@ -18,9 +18,13 @@ code — (canonical) -> sort -> accumulate — written once.
 
 k-mers of length ``k <= 32`` are stored in unsigned 64-bit integers, as
 in the paper ("k-mers of length <= 32 are stored as 64-bit integers";
-Section IV-C).  The *storage width* follows the model's
-``2 ** ceil(log2(2k))`` bits rule (Section V), e.g. k=31 -> 64 bits,
-k=15 -> 32 bits; this width feeds the analytical model's byte counts.
+Section IV-C); for ``32 < k <= 64`` (Section VII's 128-bit k-mers) a
+k-mer is a ``[hi, lo]`` row of two: the ``(v >> 64, v & (2**64 - 1))``
+split of its Python-int value, so the scalar references serve every k
+(:func:`kmer_ints` converts).  What keeps one word per k-mer refuses
+``k > MAX_K`` (:func:`check_k`).  The *storage width* follows the
+model's ``2 ** ceil(log2(2k))`` bits rule (Section V), e.g. k=31 -> 64
+bits, k=51 -> 128 bits; it feeds the analytical model's byte counts.
 """
 
 from __future__ import annotations
@@ -30,12 +34,16 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ..sort.accumulate import accumulate_sorted
+from ..sort.accumulate import accumulate_sorted, keys_less
 from .alphabet import BASES, INVALID_CODE
 from .encoding import encode_base, encode_seq
 
 __all__ = [
     "MAX_K",
+    "MAX_WIDE_K",
+    "check_k",
+    "kmer_ints",
+    "kmer_array",
     "kmer_width_bits",
     "kmer_storage_bytes",
     "flatten_reads",
@@ -55,22 +63,25 @@ __all__ = [
     "count_kmers_in_read",
 ]
 
-#: Largest supported k (64-bit packed representation, as in the paper).
+#: Largest k held in one ``uint64`` word (the paper's representation).
 MAX_K: int = 32
+#: Largest k of the kernel: a ``[hi, lo]`` row of two words.
+MAX_WIDE_K: int = 64
 
 
-def _check_k(k: int) -> None:
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
+def check_k(k: int, limit: int = MAX_K) -> None:
+    """Refuse a k outside ``[1, limit]`` — by default the one-word range."""
+    if not 1 <= k <= limit:
+        raise ValueError(f"k must be in [1, {limit}], got {k}")
 
 
 def kmer_width_bits(k: int) -> int:
     """Storage width in bits for a k-mer: ``2 ** ceil(log2(2k))``.
 
     This is the paper's storage rule (Section V): a k-mer needs ``2k``
-    bits, rounded up to the next power-of-two machine width.
+    bits, rounded up to the next power-of-two machine width (up to 128).
     """
-    _check_k(k)
+    check_k(k, MAX_WIDE_K)
     return 2 ** math.ceil(math.log2(2 * k))
 
 
@@ -108,8 +119,10 @@ def flatten_reads(reads: np.ndarray | list) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK: int = 1 << 16
 
 
-def _pack_blocks(codes: np.ndarray, k: int, keep: np.ndarray | None = None) -> np.ndarray:
-    """The block loop of :func:`pack_windows`; with *keep*, only those windows.
+def _pack_blocks(codes: np.ndarray, k: int, keep: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The block loop of :func:`pack_windows` (k <= 32) into *out*; with
+    *keep*, only those windows.
 
     *keep* is a boolean mask over the windows.  Each block is compacted
     through its slice of the mask while it is in cache, into a result
@@ -118,7 +131,8 @@ def _pack_blocks(codes: np.ndarray, k: int, keep: np.ndarray | None = None) -> n
     """
     steps = bin(k)[3:]
     n_win = max(0, codes.size - k + 1)
-    out = np.empty(n_win if keep is None else np.count_nonzero(keep), dtype=np.uint64)
+    if out is None:
+        out = np.empty(n_win if keep is None else np.count_nonzero(keep), dtype=np.uint64)
     scratch = [np.empty(min(_BLOCK, n_win) + k, dtype=np.uint32) for _ in range(2)]
     packed = None if keep is None else np.empty(min(_BLOCK, n_win), dtype=np.uint64)
     filled = 0
@@ -147,8 +161,21 @@ def _pack_blocks(codes: np.ndarray, k: int, keep: np.ndarray | None = None) -> n
     return out
 
 
+def _pack(codes: np.ndarray, k: int, keep: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_pack_blocks` for every k: ``hi`` packs a window's first
+    ``k - 32`` bases, ``lo`` the same windows of *codes* shifted by ``k - 32``."""
+    if k <= MAX_K:
+        return _pack_blocks(codes, k, keep)
+    n_win = max(0, codes.size - k + 1)
+    rows = np.empty((n_win if keep is None else np.count_nonzero(keep), 2), dtype=np.uint64)
+    _pack_blocks(codes[:max(0, codes.size - MAX_K)], k - MAX_K, keep, rows[:, 0])
+    _pack_blocks(codes[k - MAX_K:], MAX_K, keep, rows[:, 1])
+    return rows
+
+
 def pack_windows(codes: np.ndarray, k: int) -> np.ndarray:
-    """Every length-*k* window of a flat code array, packed ``uint64``.
+    """Every length-*k* window of a flat code array, packed ``uint64``
+    (``[hi, lo]`` rows for ``k > 32``).
 
     ``out[i]`` packs ``codes[i : i + k]``, first base in the high bits.
     Built by double-and-add over the bits of *k* below the leading one:
@@ -161,7 +188,8 @@ def pack_windows(codes: np.ndarray, k: int) -> np.ndarray:
     sub-window of a real k-mer is real) — select with
     :func:`valid_windows`.
     """
-    return _pack_blocks(np.asarray(codes, dtype=np.uint8), k)
+    check_k(k, MAX_WIDE_K)
+    return _pack(np.asarray(codes, dtype=np.uint8), k)
 
 
 def valid_windows(codes: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
@@ -197,13 +225,13 @@ def extract_kmers_flat(codes: np.ndarray, offsets: np.ndarray, k: int) -> np.nda
     an ambiguous base are dropped, matching the standard treatment of
     ``N`` bases.
     """
-    _check_k(k)
+    check_k(k, MAX_WIDE_K)
     codes = np.asarray(codes, dtype=np.uint8)
-    return _pack_blocks(codes, k, valid_windows(codes, offsets, k))
+    return _pack(codes, k, valid_windows(codes, offsets, k))
 
 
 def extract_kmers(codes: np.ndarray, k: int) -> np.ndarray:
-    """Extract all k-mers of one encoded read as packed ``uint64``.
+    """Extract all k-mers of one encoded read, packed as in :func:`pack_windows`.
 
     A read of ``m`` bases yields ``m - k + 1`` k-mers (empty array if
     ``m < k``), minus the windows containing an ambiguous base.
@@ -246,11 +274,14 @@ def count_owned_kmers(
     """:func:`count_packed_kmers` of an array the caller gives up.
 
     *kmers* is sorted in place (``np.sort`` would copy it first), so its
-    order is gone when this returns.
+    order is gone when this returns; rows take one ``np.lexsort``.
     """
     if canonical:
         kmers = canonical_kmers(kmers, k)
-    kmers.sort()
+    if kmers.ndim == 2:
+        kmers = kmers[np.lexsort((kmers[:, 1], kmers[:, 0]))]
+    else:
+        kmers.sort()
     return accumulate_sorted(kmers)
 
 
@@ -261,7 +292,7 @@ def iter_kmers(seq: str, k: int) -> Iterator[int]:
     with ``kmer = ((kmer << 2) | code) & mask``.  Reference path for
     tests; use :func:`extract_kmers` for real workloads.
     """
-    _check_k(k)
+    check_k(k, MAX_WIDE_K)
     if len(seq) < k:
         return
     codes = encode_seq(seq)
@@ -279,7 +310,7 @@ def iter_kmers(seq: str, k: int) -> Iterator[int]:
 
 def kmer_to_str(kmer: int, k: int) -> str:
     """Decode a packed k-mer integer back to its DNA string."""
-    _check_k(k)
+    check_k(k, MAX_WIDE_K)
     kmer = int(kmer)
     if kmer >> (2 * k):
         raise ValueError(f"kmer value out of range for k={k}")
@@ -291,8 +322,8 @@ def kmer_to_str(kmer: int, k: int) -> str:
 
 
 def str_to_kmer(s: str) -> int:
-    """Encode a DNA string of length <= 32 into a packed k-mer integer."""
-    _check_k(len(s))
+    """Encode a DNA string of length <= 64 into a packed k-mer integer."""
+    check_k(len(s), MAX_WIDE_K)
     kmer = 0
     for ch in s:
         kmer = (kmer << 2) | encode_base(ch)
@@ -301,7 +332,7 @@ def str_to_kmer(s: str) -> int:
 
 def reverse_complement_kmer(kmer: int, k: int) -> int:
     """Reverse complement of a single packed k-mer (scalar reference)."""
-    _check_k(k)
+    check_k(k, MAX_WIDE_K)
     out = 0
     kmer = int(kmer)
     for _ in range(k):
@@ -318,9 +349,18 @@ def reverse_complement_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
     progressively larger blocks (pairs in a nibble, nibbles in a byte,
     bytes in the word) and shift the k-mer back down to the low ``2k``
     bits.  The ladder runs in place on a copy of *kmers*, a block at a
-    time against one block of scratch.
+    time against one block of scratch.  A ``[hi, lo]`` row is two
+    ladders, ``rc(lo)`` then ``rc(hi)``, split back into two words.
     """
-    _check_k(k)
+    check_k(k, MAX_WIDE_K)
+    if k > MAX_K:
+        kmers = np.asarray(kmers, dtype=np.uint64)
+        head = reverse_complement_kmers(kmers[:, 1], MAX_K)
+        tail = reverse_complement_kmers(kmers[:, 0], k - MAX_K)
+        rows = np.empty_like(kmers)
+        np.right_shift(head, 2 * (MAX_WIDE_K - k), out=rows[:, 0])
+        np.bitwise_or(head << np.uint64(2 * (k - MAX_K)), tail, out=rows[:, 1])
+        return rows
     out = np.array(kmers, dtype=np.uint64)
     flat = out.reshape(-1)
     scratch = np.empty(min(_BLOCK, flat.size), dtype=np.uint64)
@@ -346,13 +386,32 @@ def canonical_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
     The paper's algorithms count k-mers as parsed (no canonicalisation
     appears in Algorithms 1-4), but genomics pipelines built on top of
     a counter usually want canonical counts, so the public API exposes
-    this as an option.
+    this as an option.  Rows take the lexicographic row minimum.
     """
     rc = reverse_complement_kmers(kmers, k)
-    return np.minimum(np.asarray(kmers, dtype=np.uint64), rc, out=rc)
+    kmers = np.asarray(kmers, dtype=np.uint64)
+    if rc.ndim == 1:
+        return np.minimum(kmers, rc, out=rc)
+    keep = keys_less(kmers, rc, strict=True)
+    rc[keep] = kmers[keep]
+    return rc
 
 
 def count_kmers_in_read(m: int, k: int) -> int:
     """Number of k-mers in a read of length *m*: ``max(0, m - k + 1)``."""
-    _check_k(k)
+    check_k(k, MAX_WIDE_K)
     return max(0, m - k + 1)
+
+
+def kmer_ints(kmers: np.ndarray) -> list[int]:
+    """Packed k-mers (words or ``[hi, lo]`` rows) as Python ints."""
+    if kmers.ndim == 1:
+        return kmers.tolist()
+    return [(hi << 64) | lo for hi, lo in kmers.tolist()]
+
+
+def kmer_array(values, k: int) -> np.ndarray:
+    """Python-int k-mers as the kernel packs them (inverse of :func:`kmer_ints`)."""
+    if k <= MAX_K:
+        return np.array(values, dtype=np.uint64)
+    return np.array([divmod(v, 1 << 64) for v in values], dtype=np.uint64).reshape(-1, 2)

@@ -25,6 +25,7 @@ import numpy as np
 from ..core.owner import splitmix64
 from .alphabet import INVALID_CODE
 from .kmers import extract_kmers
+from .superkmers import _check_kw
 
 __all__ = [
     "minimizers_of_kmers",
@@ -42,10 +43,7 @@ def minimizers_of_kmers(kmers: np.ndarray, k: int, w: int) -> np.ndarray:
     the minimizer distribution, exactly as KMC3's signature ordering
     does.
     """
-    if w > k:
-        raise ValueError("minimizer length must be <= k")
-    if w < 1:
-        raise ValueError("minimizer length must be >= 1")
+    _check_kw(k, w)
     kmers = np.asarray(kmers, dtype=np.uint64)
     n_windows = k - w + 1
     wmask = np.uint64((1 << (2 * w)) - 1)
@@ -123,10 +121,7 @@ def split_superkmers(codes: np.ndarray, k: int, w: int) -> list[SuperKmer]:
     least one k-mer); together they cover each of the read's valid
     k-mers exactly once.
     """
-    if w > k:
-        raise ValueError("minimizer length must be <= k")
-    if w < 1:
-        raise ValueError("minimizer length must be >= 1")
+    _check_kw(k, w)
     codes = np.asarray(codes, dtype=np.uint8)
     if codes.size < k:
         return []

@@ -36,8 +36,8 @@ import numpy as np
 
 from ..core.owner import owner_pe, splitmix64, splitmix64_inverse
 from .kmers import (
-    MAX_K,
     _cumsum0,
+    check_k,
     count_owned_kmers,
     flatten_reads,
     pack_windows,
@@ -62,8 +62,7 @@ DEFAULT_MINIMIZER_LEN: int = 7
 
 
 def _check_kw(k: int, w: int) -> None:
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
+    check_k(k)  # spans and bins hold one word per k-mer
     if w > k:
         raise ValueError("minimizer length must be <= k")
     if w < 1:

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..core.owner import owner_pe
 from ..core.result import KmerCounts, probe_sorted
+from ..seq.kmers import check_k
 
 __all__ = ["Shard", "ShardedStore"]
 
@@ -71,6 +72,7 @@ class ShardedStore:
     @classmethod
     def from_counts(cls, counts: KmerCounts, n_shards: int) -> "ShardedStore":
         """Partition a counted database into *n_shards* virtual shards."""
+        check_k(counts.k)  # a shard keys one word per k-mer
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         owners = owner_pe(counts.kmers, n_shards)

@@ -11,7 +11,8 @@ counts the frequency of each k-mer".  Two variants are needed:
   ``ProcessReceiveBuffer``).
 
 Both are single vectorised sweeps (``np.diff`` on the sorted keys +
-``np.add.reduceat`` / prefix-sum differences), not Python loops.
+``np.add.reduceat`` / prefix-sum differences), not Python loops.  A key
+is a ``uint64`` or a ``[hi, lo]`` row (k > 32, :mod:`repro.seq.kmers`).
 """
 
 from __future__ import annotations
@@ -19,11 +20,32 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "keys_less",
+    "ascending",
     "accumulate_sorted",
     "accumulate_weighted",
     "counts_to_histogram",
     "merge_count_arrays",
 ]
+
+
+def keys_less(a: np.ndarray, b: np.ndarray, *, strict: bool) -> np.ndarray:
+    """Elementwise ``a < b`` (``<=`` unless *strict*); rows by ``hi``, then ``lo``."""
+    less = np.less if strict else np.less_equal
+    if a.ndim == 1:
+        return less(a, b)
+    return (a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & less(a[:, 1], b[:, 1]))
+
+
+def ascending(keys: np.ndarray, *, strict: bool = False) -> bool:
+    """Whether the keys never decrease (*strict*: always increase)."""
+    return bool(keys_less(keys[:-1], keys[1:], strict=strict).all())
+
+
+def _boundaries(a: np.ndarray) -> np.ndarray:
+    """Where a sorted key array starts a new key (never at 0)."""
+    change = a[1:] != a[:-1]
+    return np.flatnonzero(change.any(axis=1) if a.ndim == 2 else change) + 1
 
 
 def accumulate_sorted(kmers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -35,14 +57,12 @@ def accumulate_sorted(kmers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     would return wrong counts.
     """
     a = np.asarray(kmers, dtype=np.uint64)
-    if a.size == 0:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    if a.size > 1 and (a[:-1] > a[1:]).any():
+    if len(a) == 0:
+        return a.copy(), np.empty(0, dtype=np.int64)
+    if not ascending(a):
         raise ValueError("accumulate_sorted requires a sorted array")
-    boundaries = np.flatnonzero(a[1:] != a[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [a.size]))
-    return a[starts].copy(), (ends - starts).astype(np.int64)
+    starts = np.concatenate(([0], _boundaries(a)))
+    return a[starts].copy(), np.diff(starts, append=len(a)).astype(np.int64)
 
 
 def accumulate_weighted(
@@ -56,15 +76,15 @@ def accumulate_weighted(
     """
     a = np.asarray(kmers, dtype=np.uint64)
     w = np.asarray(weights, dtype=np.int64)
-    if a.shape != w.shape:
-        raise ValueError("kmers and weights must have the same shape")
-    if a.size == 0:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    order = np.argsort(a, kind="stable")
+    if a.shape[:1] != w.shape:
+        raise ValueError("kmers and weights must have the same length")
+    if w.size == 0:
+        return a.copy(), np.empty(0, dtype=np.int64)
+    order = (np.argsort(a, kind="stable") if a.ndim == 1
+             else np.lexsort((a[:, 1], a[:, 0])))
     a = a[order]
     w = w[order]
-    boundaries = np.flatnonzero(a[1:] != a[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
+    starts = np.concatenate(([0], _boundaries(a)))
     uniq = a[starts].copy()
     sums = np.add.reduceat(w, starts)
     return uniq, sums.astype(np.int64)

@@ -15,11 +15,10 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.kmc3 import Kmc3Config, kmc3_count
-from repro.core.bigcount import dakc_count_big, serial_count_big
 from repro.core.bsp import BspConfig, bsp_count
-from repro.core.dakc import DakcConfig, dakc_count
+from repro.core.dakc import DakcConfig, dakc_count, dakc_count_big
 from repro.core.minipart import minimizer_partitioned_count
-from repro.core.serial import serial_count
+from repro.core.serial import serial_count, serial_count_oracle
 from repro.core.sortedset import dakc_overlap_count
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import laptop
@@ -214,7 +213,7 @@ def test_model_outputs_pinned(small_reads, counter, canonical, layout):
     reads = small_reads if layout == "matrix" else [r for r in small_reads]
     counts, stats = COUNTERS[counter](reads, canonical)
     if counter == "big-k":
-        assert counts == serial_count_big(small_reads, BIG_K, canonical=canonical)
+        assert counts == serial_count_oracle(small_reads, BIG_K, canonical=canonical)
     else:
         assert counts == serial_count(small_reads, K, canonical=canonical)
     assert observe(counts, stats) == PINS[counter, canonical, layout]

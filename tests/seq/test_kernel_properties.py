@@ -6,17 +6,21 @@ through the validity mask, and ``reverse_complement_kmers`` runs its
 ladder in place on a copy; the scalar ``iter_kmers`` /
 ``reverse_complement_kmer`` do none of that.  Blocks of 3 and 16
 windows put block edges inside every generated batch; the real block
-size is one more case.  The last two tests guard what the in-place sort
-must not cost: a caller's array, and memory.
+size is one more case.  Above k = 32 a k-mer is a ``[hi, lo]`` row of
+two words; the scalar references are Python ints, compared through
+``kmer_ints``, so one reference covers every k.  The last two tests
+guard what the in-place sort must not cost: a caller's array, and
+memory.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.seq import kmers as kernel
@@ -24,11 +28,14 @@ from repro.seq.alphabet import INVALID_CODE
 from repro.seq.encoding import decode_codes
 from repro.seq.kmers import (
     MAX_K,
+    MAX_WIDE_K,
     canonical_kmers,
     count_packed_kmers,
     extract_kmers_flat,
     flatten_reads,
     iter_kmers,
+    kmer_array,
+    kmer_ints,
     pack_windows,
     reverse_complement_kmer,
     reverse_complement_kmers,
@@ -55,8 +62,14 @@ def scalar_kmers(reads: list[list[int]], k: int) -> list[int]:
     return out
 
 
-@pytest.mark.parametrize("k", range(1, MAX_K + 1))
+@pytest.mark.parametrize("k", range(1, MAX_WIDE_K + 1))
 @given(reads=BATCHES, block=BLOCKS)
+# k = 33 crosses the word boundary on the C; an N mid-read, a read
+# shorter than k and an all-N read drop their windows at every k.
+@example(reads=[[0] * 32 + [1] + [2] * 10], block=3)
+@example(reads=[[0, 1, 2, 3] * 12 + [INVALID_CODE] + [3, 3, 2, 1, 0] * 10,
+                [0, 1, 2, 3] * 2, [INVALID_CODE] * 50, [2, 0, 3, 3, 0, 1, 0] * 9],
+         block=16)
 def test_valid_packed_windows_equal_the_scalar_reference(k, reads, block):
     codes, offsets = flatten_reads([np.array(r, dtype=np.uint8) for r in reads])
     codes.setflags(write=False)
@@ -65,41 +78,50 @@ def test_valid_packed_windows_equal_the_scalar_reference(k, reads, block):
         patch.setattr(kernel, "_BLOCK", block)
         packed = pack_windows(codes, k)
         fused = extract_kmers_flat(codes, offsets, k)
-    assert packed.dtype == np.uint64 and packed.size == max(0, codes.size - k + 1)
-    assert packed[valid_windows(codes, offsets, k)].tolist() == scalar_kmers(reads, k)
-    assert fused.dtype == np.uint64 and fused.tolist() == scalar_kmers(reads, k)
+    shape = (max(0, codes.size - k + 1),) + ((2,) if k > MAX_K else ())
+    assert packed.dtype == np.uint64 and packed.shape == shape
+    assert kmer_ints(packed[valid_windows(codes, offsets, k)]) == scalar_kmers(reads, k)
+    assert fused.dtype == np.uint64 and kmer_ints(fused) == scalar_kmers(reads, k)
     assert np.array_equal(codes, before)
 
 
-@pytest.mark.parametrize("k", [1, 15, 21, 31, 32])
-@given(values=st.lists(st.integers(0, 2**64 - 1), max_size=40), block=BLOCKS)
+@pytest.mark.parametrize("k", [1, 15, 21, 31, 32, 33, 47, 63, 64])
+@given(values=st.lists(st.integers(0, 2**128 - 1), max_size=40), block=BLOCKS)
 def test_reverse_complement_equals_scalar_and_is_an_involution(k, values, block):
-    kmers = np.array(values, dtype=np.uint64) >> np.uint64(64 - 2 * k)
+    values = [v >> (128 - 2 * k) for v in values]
+    kmers = kmer_array(values, k)
     kmers.setflags(write=False)
     before = kmers.copy()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel, "_BLOCK", block)
         rc = reverse_complement_kmers(kmers, k)
-        assert rc.tolist() == [reverse_complement_kmer(x, k) for x in kmers.tolist()]
+        assert kmer_ints(rc) == [reverse_complement_kmer(x, k) for x in values]
         assert np.array_equal(reverse_complement_kmers(rc, k), kmers)
-        assert np.array_equal(canonical_kmers(kmers, k), np.minimum(kmers, rc))
+        canonical = canonical_kmers(kmers, k)
+        assert kmer_ints(canonical) == list(map(min, values, kmer_ints(rc)))
+        assert np.array_equal(canonical_kmers(rc, k), canonical)  # strand-invariant
     assert np.array_equal(kmers, before)
 
 
 @pytest.mark.parametrize("canonical", [False, True])
-@given(values=st.lists(st.integers(0, 2**42 - 1), max_size=40))
+@given(values=st.lists(st.integers(0, 2**102 - 1), max_size=40))
 def test_count_packed_kmers_leaves_the_callers_array_alone(canonical, values):
     """The counters sort arrays they built in place; the public entry
-    point takes arrays it does not own — writable or not."""
-    owned = np.array(values, dtype=np.uint64)
-    frozen = owned.copy()
-    frozen.setflags(write=False)
-    want = np.unique(canonical_kmers(owned, 21) if canonical else owned,
-                     return_counts=True)
-    for kmers in (owned, frozen):
-        keys, counts = count_packed_kmers(kmers, 21, canonical=canonical)
-        assert np.array_equal(keys, want[0]) and np.array_equal(counts, want[1])
-        assert kmers.tolist() == values
+    point takes arrays it does not own — writable or not.  k = 51 rows
+    sort by ``hi`` then ``lo``, which is the order of their values."""
+    for k in (21, 51):
+        ints = [v >> (102 - 2 * k) for v in values]
+        ints += ints[::3]  # repeats to accumulate
+        owned = kmer_array(ints, k)
+        frozen = owned.copy()
+        frozen.setflags(write=False)
+        want = Counter(min(x, reverse_complement_kmer(x, k)) if canonical else x
+                       for x in ints)
+        for kmers in (owned, frozen):
+            keys, counts = count_packed_kmers(kmers, k, canonical=canonical)
+            assert kmer_ints(keys) == sorted(want)
+            assert counts.tolist() == [want[x] for x in sorted(want)]
+            assert kmer_ints(kmers) == ints
 
 
 def test_fast_count_peaks_near_one_kmer_array():

@@ -1,151 +1,101 @@
-"""Tests for 128-bit k-mer support (k <= 64)."""
+"""Fixed cases of k-mers wider than 32 bases (32 < k <= 64).
+
+Such a k-mer is a ``[hi, lo]`` row of two ``uint64`` words from the one
+kernel of ``repro.seq.kmers``; ``kmer_ints`` turns rows back into the
+Python ints the scalar references speak.  The properties over every
+k = 1..64 are in ``test_kernel_properties.py``.
+"""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.result import KmerCounts
 from repro.seq.alphabet import reverse_complement_str
-from repro.seq.bigkmers import (
-    MAX_BIG_K,
-    BigKmerArray,
-    accumulate_sorted_big,
-    big_kmer_to_str,
-    big_kmer_width_bits,
-    canonical_big,
-    extract_big_kmers,
-    extract_big_kmers_from_reads,
-    lexsort_big,
-    reverse_complement_big,
-    str_to_big_kmer,
-)
 from repro.seq.encoding import encode_seq
-from repro.seq.kmers import extract_kmers
+from repro.seq.kmers import (
+    MAX_K,
+    MAX_WIDE_K,
+    count_packed_kmers,
+    extract_kmers,
+    extract_kmers_from_reads,
+    iter_kmers,
+    kmer_array,
+    kmer_ints,
+    kmer_to_str,
+    reverse_complement_kmers,
+    str_to_kmer,
+)
+from repro.sort.accumulate import accumulate_sorted
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=160)
-big_ks = st.integers(min_value=1, max_value=MAX_BIG_K)
+wide_ks = st.integers(min_value=MAX_K + 1, max_value=MAX_WIDE_K)
 
 
 def oracle_kmers(seq: str, k: int) -> list[int]:
-    """Arbitrary-precision rolling k-mer oracle."""
-    if len(seq) < k:
-        return []
-    out = []
-    mask = (1 << (2 * k)) - 1
-    val = 0
-    codes = encode_seq(seq).tolist()
-    for j, code in enumerate(codes):
-        val = ((val << 2) | code) & mask
-        if j >= k - 1:
-            out.append(val)
-    return out
+    """Arbitrary-precision rolling k-mer reference."""
+    return list(iter_kmers(seq, k))
 
 
 class TestExtraction:
-    @given(dna, big_ks)
-    def test_matches_python_int_oracle(self, seq, k):
-        got = extract_big_kmers(encode_seq(seq), k).as_python_ints()
-        assert got == oracle_kmers(seq, k)
-
-    @given(dna, st.integers(1, 32))
+    @given(dna, wide_ks)
     def test_small_k_matches_64bit_path(self, seq, k):
-        big = extract_big_kmers(encode_seq(seq), k)
-        small = extract_kmers(encode_seq(seq), k)
-        assert big.as_python_ints() == [int(x) for x in small]
-        assert not big.hi.any()  # hi word unused for k <= 32
-
-    def test_k33_crosses_word_boundary(self):
-        seq = "A" * 32 + "C" + "G" * 10
-        k = 33
-        got = extract_big_kmers(encode_seq(seq), k)
-        # First window: 32 A's then C -> value = 1 (the C's code).
-        assert got.as_python_ints()[0] == 1
-        # Second window: hi gets the A->shift... verify against oracle.
-        assert got.as_python_ints() == oracle_kmers(seq, k)
-
-    def test_width_rule_extended(self):
-        assert big_kmer_width_bits(33) == 128
-        assert big_kmer_width_bits(64) == 128
-        assert big_kmer_width_bits(31) == 64
-        with pytest.raises(ValueError):
-            big_kmer_width_bits(65)
-
-    def test_from_reads(self, small_reads):
-        k = 45
-        per = []
-        for row in small_reads[:10]:
-            per.extend(extract_big_kmers(row, k).as_python_ints())
-        batch = extract_big_kmers_from_reads(small_reads[:10], k)
-        assert batch.as_python_ints() == per
+        """A row's words are one-word k-mers: ``hi`` is the (k - 32)-mer
+        starting the window, ``lo`` the 32-mer ending it."""
+        codes = encode_seq(seq)
+        rows = extract_kmers(codes, k)
+        n = rows.shape[0]
+        assert rows.shape == (n, 2)
+        assert np.array_equal(rows[:, 0], extract_kmers(codes, k - MAX_K)[:n])
+        assert np.array_equal(rows[:, 1], extract_kmers(codes, MAX_K)[k - MAX_K:])
 
 
 class TestStringConversion:
     @given(dna.filter(lambda s: 1 <= len(s) <= 64))
     def test_roundtrip(self, s):
-        hi, lo = str_to_big_kmer(s)
-        assert big_kmer_to_str(hi, lo, len(s)) == s
+        kmer = str_to_kmer(s)
+        assert kmer_to_str(kmer, len(s)) == s
+        assert kmer_ints(kmer_array([kmer], len(s))) == [kmer]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            big_kmer_to_str(1, 0, 3)
+            kmer_to_str(1 << 64, 3)  # a set hi word at k = 3
 
 
 class TestReverseComplement:
-    @given(dna.filter(lambda s: 1 <= len(s) <= 64))
+    @given(st.text(alphabet="ACGT", min_size=MAX_K + 1, max_size=MAX_WIDE_K))
     def test_matches_string_rc(self, s):
         k = len(s)
-        hi, lo = str_to_big_kmer(s)
-        arr = BigKmerArray(k, np.array([hi], dtype=np.uint64),
-                           np.array([lo], dtype=np.uint64))
-        rc = reverse_complement_big(arr)
-        assert big_kmer_to_str(int(rc.hi[0]), int(rc.lo[0]), k) == reverse_complement_str(s)
-
-    @given(big_ks, st.integers(0, 2**31))
-    def test_involution(self, k, seed):
-        rng = np.random.default_rng(seed)
-        n = 30
-        values = [int(rng.integers(0, 2**62)) << 40 | int(rng.integers(0, 2**40)) for _ in range(n)]
-        values = [v & ((1 << (2 * k)) - 1) for v in values]
-        arr = BigKmerArray.from_python_ints(k, values)
-        rc2 = reverse_complement_big(reverse_complement_big(arr))
-        assert rc2.as_python_ints() == values
-
-    def test_canonical_strand_invariant(self):
-        s = "GATTACAGATTACAGATTACAGATTACAGATTACAGATTAC"  # 41-mer
-        k = len(s)
-        fwd = BigKmerArray.from_python_ints(k, [(str_to_big_kmer(s)[0] << 64) | str_to_big_kmer(s)[1]])
-        rc_s = reverse_complement_str(s)
-        rev = BigKmerArray.from_python_ints(
-            k, [(str_to_big_kmer(rc_s)[0] << 64) | str_to_big_kmer(rc_s)[1]]
-        )
-        assert canonical_big(fwd).as_python_ints() == canonical_big(rev).as_python_ints()
+        rc = reverse_complement_kmers(kmer_array([str_to_kmer(s)], k), k)
+        assert kmer_to_str(kmer_ints(rc)[0], k) == reverse_complement_str(s)
 
 
 class TestSortAccumulate:
     @given(st.lists(st.integers(0, (1 << 90) - 1), min_size=0, max_size=150))
     def test_lexsort_matches_python_sort(self, values):
-        arr = BigKmerArray.from_python_ints(45, values)
-        got = lexsort_big(arr).as_python_ints()
-        assert got == sorted(values)
+        keys, _ = count_packed_kmers(kmer_array(values, 45), 45)
+        assert kmer_ints(keys) == sorted(set(values))
 
     @given(st.lists(st.integers(0, (1 << 70) - 1), min_size=0, max_size=150))
     def test_accumulate_matches_counter(self, values):
-        from collections import Counter
-
-        arr = lexsort_big(BigKmerArray.from_python_ints(40, values))
-        uniq, counts = accumulate_sorted_big(arr)
-        assert dict(zip(uniq.as_python_ints(), counts.tolist())) == Counter(values)
+        uniq, counts = accumulate_sorted(kmer_array(sorted(values), 40))
+        assert dict(zip(kmer_ints(uniq), counts.tolist())) == Counter(values)
 
     def test_accumulate_rejects_unsorted(self):
-        arr = BigKmerArray.from_python_ints(40, [5, 3])
-        with pytest.raises(ValueError):
-            accumulate_sorted_big(arr)
+        for values in ([5, 3], [1 << 64, 5]):
+            with pytest.raises(ValueError):
+                accumulate_sorted(kmer_array(values, 40))
 
     def test_array_validation(self):
-        with pytest.raises(ValueError):
-            BigKmerArray(40, np.zeros(2, dtype=np.uint64), np.zeros(3, dtype=np.uint64))
+        with pytest.raises(ValueError):  # three rows, two counts
+            KmerCounts(40, np.zeros((3, 2), dtype=np.uint64), np.ones(2))
+        with pytest.raises(ValueError):  # half a row
+            KmerCounts(40, np.arange(3, dtype=np.uint64), np.ones(1))
 
 
 class TestAmbiguousBasesBig:
@@ -153,17 +103,15 @@ class TestAmbiguousBasesBig:
         s = "ACGT" * 12 + "N" + "ACGT" * 12  # 97 bases, N at 48
         codes = encode_seq(s, validate=False)
         k = 40
-        got = extract_big_kmers(codes, k)
-        # Valid windows avoid positions 48: starts 0..8 and 49..57.
-        assert len(got) == 9 + 9
-        # And match the per-fragment oracle.
-        left = extract_big_kmers(encode_seq("ACGT" * 12), k)
-        right = extract_big_kmers(encode_seq("ACGT" * 12), k)
-        assert got.as_python_ints() == left.as_python_ints() + right.as_python_ints()
+        got = extract_kmers(codes, k)
+        # Valid windows avoid position 48: starts 0..8 and 49..57.
+        assert got.shape == (9 + 9, 2)
+        # And match the per-fragment reference.
+        assert kmer_ints(got) == 2 * oracle_kmers("ACGT" * 12, k)
 
     def test_all_n(self):
-        got = extract_big_kmers(encode_seq("N" * 50, validate=False), 40)
-        assert len(got) == 0
+        got = extract_kmers(encode_seq("N" * 50, validate=False), 40)
+        assert got.shape == (0, 2)
 
     def test_batch_with_n_and_short_read(self):
         """One flat pass over the batch: windows never cross a read
@@ -172,7 +120,7 @@ class TestAmbiguousBasesBig:
         k = 40
         seqs = ["ACGT" * 12 + "N" + "TTGCA" * 10, "ACGTACGT", "GATTACA" * 9]
         batch = [encode_seq(s, validate=False) for s in seqs]
-        got = extract_big_kmers_from_reads(batch, k)
+        got = extract_kmers_from_reads(batch, k)
         want = (oracle_kmers("ACGT" * 12, k) + oracle_kmers("TTGCA" * 10, k)
                 + oracle_kmers("GATTACA" * 9, k))
-        assert got.as_python_ints() == want
+        assert kmer_ints(got) == want

@@ -29,10 +29,11 @@ ks = st.integers(min_value=1, max_value=MAX_K)
 
 class TestWidth:
     @pytest.mark.parametrize(
-        "k,bits", [(1, 2), (2, 4), (4, 8), (8, 16), (15, 32), (16, 32), (17, 64), (31, 64), (32, 64)]
+        "k,bits", [(1, 2), (2, 4), (4, 8), (8, 16), (15, 32), (16, 32), (17, 64), (31, 64),
+                   (32, 64), (33, 128), (64, 128)]
     )
     def test_width_rule(self, k, bits):
-        """The paper's 2^ceil(log2(2k)) storage rule."""
+        """The paper's 2^ceil(log2(2k)) storage rule, up to two words."""
         assert kmer_width_bits(k) == bits
 
     def test_storage_bytes(self):
@@ -40,7 +41,7 @@ class TestWidth:
         assert kmer_storage_bytes(15) == 4
         assert kmer_storage_bytes(1) == 1
 
-    @pytest.mark.parametrize("k", [0, -1, 33, 100])
+    @pytest.mark.parametrize("k", [0, -1, 65, 100])
     def test_invalid_k(self, k):
         with pytest.raises(ValueError):
             kmer_width_bits(k)
@@ -97,13 +98,15 @@ class TestExtraction:
 
 
 class TestStringConversion:
-    @given(dna.filter(lambda s: 1 <= len(s) <= 32))
+    @given(dna.filter(lambda s: 1 <= len(s) <= 64))
     def test_roundtrip(self, s):
         assert kmer_to_str(str_to_kmer(s), len(s)) == s
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             kmer_to_str(1 << 10, 3)  # value needs >6 bits
+        with pytest.raises(ValueError):
+            kmer_to_str(1 << 64, 3)  # a set hi word
 
 
 class TestReverseComplement:
@@ -116,7 +119,7 @@ class TestReverseComplement:
         for i in (0, 13, 49):
             assert int(rc[i]) == reverse_complement_kmer(int(kmers[i]), k)
 
-    @given(dna.filter(lambda s: 1 <= len(s) <= 32))
+    @given(dna.filter(lambda s: 1 <= len(s) <= 64))
     def test_matches_string_rc(self, s):
         from repro.seq.alphabet import reverse_complement_str
 

@@ -35,6 +35,8 @@ class TestAccumulateSorted:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="sorted"):
             accumulate_sorted(np.array([2, 1], dtype=np.uint64))
+        with pytest.raises(ValueError, match="sorted"):  # [hi, lo] rows: hi, then lo
+            accumulate_sorted(np.array([[0, 5], [0, 3]], dtype=np.uint64))
 
     def test_empty(self):
         uniq, counts = accumulate_sorted(np.empty(0, dtype=np.uint64))
@@ -63,6 +65,10 @@ class TestAccumulateWeighted:
         uniq, counts = accumulate_weighted(k, w)
         assert uniq.tolist() == [3, 5]
         assert counts.tolist() == [2, 12]
+        rows = np.array([[1, 0], [0, 9], [1, 0], [0, 10]], dtype=np.uint64)
+        uniq, counts = accumulate_weighted(rows, w)
+        assert uniq.tolist() == [[0, 9], [0, 10], [1, 0]]
+        assert counts.tolist() == [2, 1, 11]
 
     def test_unsorted_input_ok(self):
         k = np.array([9, 1, 9], dtype=np.uint64)

@@ -13,6 +13,8 @@ MANIFEST are open-or-create, so "missing" is not an error for them;
 and a FASTA record states no length, so a FASTA file cut short is a
 shorter FASTA file.  A FASTX row reads the file with both readers (the
 block parser and the reference) and requires one verdict of them.
+A gzipped file is one more row: no reader inflates, each refuses it as
+``foreign``.  Every refusal is checked for its reason (``REASON``).
 
 The second half is the same contract as a property: flip any single
 byte of a valid file; the load returns the original content or raises
@@ -22,6 +24,7 @@ byte of a valid file; the load returns the original content or raises
 from __future__ import annotations
 
 import dataclasses
+import gzip
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -262,6 +265,7 @@ FORMATS = {
     "fasta": Format(make_fasta, load_fastx, None, 2, None),
 }
 FASTX = {"fastq", "fasta"}
+FRAMED = {"bin", "wal", "run", "database"}   # a repro.fileio.Framing header
 
 DAMAGE = {
     "empty": lambda fmt, blob: b"",
@@ -269,7 +273,16 @@ DAMAGE = {
     "truncated-in-header": lambda fmt, blob: blob[: fmt.header_cut],
     "random-bytes": lambda fmt, blob: np.random.default_rng(5).bytes(len(blob)),
     "flipped-payload-byte": lambda fmt, blob: _flip(blob, fmt.flip_at(blob)),
+    "flipped-header-byte": lambda fmt, blob: _flip(blob, 16),   # first field byte
+    "gzipped": lambda fmt, blob: gzip.compress(blob, mtime=0),
 }
+# The reason each damage is refused as.  A MANIFEST is JSON, which
+# states no length: cut short, it is ``corrupt``.
+REASON = {"empty": "truncated", "truncated-half": "truncated",
+          "truncated-in-header": "truncated", "random-bytes": "foreign",
+          "flipped-payload-byte": "corrupt", "flipped-header-byte": "corrupt",
+          "gzipped": "foreign"}
+MANIFEST_CUT = {"truncated-half", "truncated-in-header"}
 
 
 def _flip(blob: bytes, at: int) -> bytes:
@@ -310,6 +323,8 @@ def test_damaged_file(name, damage, tmp_path):
     fmt = FORMATS[name]
     if damage == "flipped-payload-byte" and fmt.flip_at is None:
         pytest.skip("the format carries no checksum (docs/FORMATS.md)")
+    if damage == "flipped-header-byte" and name not in FRAMED:
+        pytest.skip("the format has no framed header (docs/FORMATS.md)")
     path = fmt.make(tmp_path)
     original = fmt.load(path)
     path.write_bytes(DAMAGE[damage](fmt, path.read_bytes()))
@@ -320,8 +335,10 @@ def test_damaged_file(name, damage, tmp_path):
         *whole, last = fmt.load(path)
         assert whole == original[:len(whole)]
         assert last == original[len(whole)][:len(last)] and len(whole) < len(original) - 1
+    elif name == "manifest" and damage in MANIFEST_CUT:
+        _assert_refused(fmt, path, "corrupt")
     else:
-        _assert_refused(fmt, path)
+        _assert_refused(fmt, path, REASON[damage])
 
 
 @pytest.mark.parametrize("at", [4, 9, 13, 17, 27], ids=[
