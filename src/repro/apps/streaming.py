@@ -4,10 +4,10 @@ KMC3's defining feature — and the reason the paper uses it as the
 shared-memory baseline — is out-of-core operation: the input never has
 to fit in memory at once.  This module provides the analogous batched
 path for this library: records stream off disk in bounded batches,
-each batch is counted in one shot, and partial results merge into a
-running (k-mer, count) database.  Peak memory is one batch of reads
-plus the distinct-k-mer database (the irreducible output), instead of
-the whole read set.
+each batch is counted in one shot into a sorted (k-mer, count) table,
+and the tables merge by size.  Peak memory is one batch of reads plus
+the distinct-k-mer tables (the irreducible output), instead of the
+whole read set.
 
 Each batch runs the one counting kernel over a flat ``(codes, offsets)``
 encoding of its reads: the flat window kernel
@@ -26,7 +26,7 @@ The reference it is tested against is per-read ``encode_seq`` +
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import islice
 
 import numpy as np
@@ -45,29 +45,31 @@ def _count_batches(
     k: int,
     batch_records: int,
     canonical: bool,
-    progress: Callable[[int, KmerCounts], None] | None,
 ) -> KmerCounts:
     """The one batch loop: count each ``(codes, offsets)`` batch, merge.
 
+    Each batch becomes one sorted table on a stack; the top two merge
+    while the newer is at least half the older, so every k-mer is
+    merged O(log batches) times rather than once per later batch.  The
+    stack is folded once at the end; a single batch is never merged.
     *batches* is a generator not yet started, so a bad *batch_records*
     is refused before anything is read.
     """
     if batch_records < 1:
         raise ValueError("batch_records must be >= 1")
-    check_k(k)  # the running merge keys one word per k-mer
-    merged_keys = np.empty(0, dtype=np.uint64)
-    merged_vals = np.empty(0, dtype=np.int64)
-    seen = 0
+    check_k(k)  # the merge keys one word per k-mer
+    stack: list[tuple[np.ndarray, np.ndarray]] = []
     for flat, offsets in batches:
-        keys, vals = count_owned_kmers(
+        table = count_owned_kmers(
             extract_kmers_flat(flat, offsets, k), k, canonical=canonical)
-        merged_keys, merged_vals = merge_sorted_counts(
-            merged_keys, merged_vals, keys, vals
-        )
-        seen += offsets.size - 1
-        if progress is not None:
-            progress(seen, KmerCounts(k, merged_keys, merged_vals))
-    return KmerCounts(k, merged_keys, merged_vals)
+        while stack and 2 * table[0].size >= stack[-1][0].size:
+            table = merge_sorted_counts(*stack.pop(), *table)
+        stack.append(table)
+    keys, vals = (stack.pop() if stack else
+                  (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)))
+    while stack:
+        keys, vals = merge_sorted_counts(*stack.pop(), keys, vals)
+    return KmerCounts(k, keys, vals)
 
 
 def count_records_streaming(
@@ -76,22 +78,15 @@ def count_records_streaming(
     *,
     batch_records: int = 100_000,
     canonical: bool = False,
-    progress: Callable[[int, KmerCounts], None] | None = None,
 ) -> KmerCounts:
-    """Count k-mers of a record stream in bounded batches.
-
-    *progress*, if given, is called after every merged batch with
-    ``(records_so_far, running_counts)`` — usable for live status or
-    early inspection (the running counts are always valid for the
-    prefix consumed so far).
-    """
+    """Count k-mers of a record stream in bounded batches."""
 
     def batches() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         it = iter(records)
         while batch := list(islice(it, batch_records)):
             yield encode_batch([r.seq for r in batch], validate=False)
 
-    return _count_batches(batches(), k, batch_records, canonical, progress)
+    return _count_batches(batches(), k, batch_records, canonical)
 
 
 def count_file_streaming(
@@ -100,11 +95,10 @@ def count_file_streaming(
     *,
     batch_records: int = 100_000,
     canonical: bool = False,
-    progress: Callable[[int, KmerCounts], None] | None = None,
 ) -> KmerCounts:
     """Count a FASTA/FASTQ file without loading it whole."""
     return count_files_streaming(
-        [path], k, batch_records=batch_records, canonical=canonical, progress=progress)
+        [path], k, batch_records=batch_records, canonical=canonical)
 
 
 def count_files_streaming(
@@ -113,15 +107,12 @@ def count_files_streaming(
     *,
     batch_records: int = 100_000,
     canonical: bool = False,
-    progress: Callable[[int, KmerCounts], None] | None = None,
 ) -> KmerCounts:
     """Count several files into one database (multi-lane sequencing runs).
 
-    Batches run on across file boundaries, so *progress* reports
-    **global** records-so-far across the whole file list — the counter
-    never resets at a file boundary, and a caller driving a progress
-    bar sees one monotone stream, not N restarts.
+    Batches run on across file boundaries: a batch can hold the tail
+    of one file and the head of the next.
     """
     return _count_batches(
         read_fastx_batches(*paths, batch_records=batch_records),
-        k, batch_records, canonical, progress)
+        k, batch_records, canonical)

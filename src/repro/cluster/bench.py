@@ -34,7 +34,7 @@ from ..core.result import KmerCounts, probe_sorted
 from ..core.seeds import spawn_seeds
 from ..serve.engine import EngineConfig, QueryEngine
 from ..serve.shards import ShardedStore
-from ..serve.workload import BurstSpec, drive_load, key_groups, zipf_workload
+from ..serve.workload import drive_load, key_groups, zipf_workload
 from .node import ClusterNode, RangeStore, build_cluster
 from .rebalance import rebalance
 from .router import ClusterRouter, RouterConfig
@@ -214,29 +214,16 @@ def run_cluster_bench(
     straggler_delay: float = 2e-2,
     chunk_keys: int = 2048,
     repeats: int = 3,
-    burst: BurstSpec | None = None,
-    recorder=None,
 ) -> dict:
-    """Run all three cluster-bench sections; returns one document each.
-
-    *recorder* (a :class:`repro.trace.TraceRecorder`) captures the
-    workload through one dedicated router pass — separate from the
-    measured sections, so best-of repeats don't record the same stream
-    several times over.
-    """
+    """Run all three cluster-bench sections; returns one document each."""
     # One root seed, independent child streams per section: the workload
     # draw and the three ring constructions must not alias (spawn(), not
     # ``seed + i`` arithmetic — see repro.core.seeds).
     workload_seed, overhead_seed, hedging_seed, chaos_seed = spawn_seeds(seed, 4)
     stream = zipf_workload(counts, n_queries, s=zipf_s, seed=workload_seed,
-                           miss_fraction=miss_fraction, burst=burst)
+                           miss_fraction=miss_fraction)
     groups = key_groups(stream.keys, group_size)
     oracle = probe_sorted(counts.kmers, counts.counts, stream.keys)
-    if recorder is not None:
-        ring, nodes = build_cluster(counts, n_nodes, rf=rf, vnodes=vnodes,
-                                    seed=overhead_seed)
-        tap = ClusterRouter(ring, nodes, recorder=recorder)
-        asyncio.run(drive_load(tap, groups, concurrency=concurrency))
     return {
         "overhead": _bench_overhead(
             counts, groups, oracle, n_nodes=n_nodes, rf=rf, vnodes=vnodes,

@@ -11,17 +11,17 @@ for a virtual machine, so the runtime charges cache misses from the
   estimator that charges sequential streams at ``bytes/L`` and random
   accesses at a working-set-dependent miss ratio, slightly above the
   optimal model, mirroring the paper's observation that measured
-  misses exceed the optimal-replacement prediction in Phase 1;
-* :class:`LRUCacheSim` — an exact set of recently-used lines for tiny
-  traces, used by tests to sanity-check the estimator's asymptotics.
+  misses exceed the optimal-replacement prediction in Phase 1.
+
+Tests check the estimator's asymptotics against an exact LRU — the
+serving :class:`~repro.serve.cache.HotKeyCache` driven over line ids.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
-__all__ = ["scan_misses", "random_access_misses", "CacheAccounting", "LRUCacheSim"]
+__all__ = ["scan_misses", "random_access_misses", "CacheAccounting"]
 
 
 def scan_misses(nbytes: int, line_bytes: int) -> int:
@@ -80,45 +80,3 @@ class CacheAccounting:
     def reset(self) -> int:
         old, self.misses = self.misses, 0
         return old
-
-
-class LRUCacheSim:
-    """Exact LRU cache simulator over line addresses (tests only).
-
-    Tracks which cache lines are resident; every access to an absent
-    line is a miss and evicts the least recently used line when full.
-    Cost is O(1) amortised per access, but per-access Python overhead
-    restricts it to tiny traces.
-    """
-
-    def __init__(self, cache_bytes: int, line_bytes: int) -> None:
-        if cache_bytes <= 0 or line_bytes <= 0:
-            raise ValueError("cache_bytes and line_bytes must be positive")
-        self.line_bytes = line_bytes
-        self.capacity_lines = max(1, cache_bytes // line_bytes)
-        self._resident: OrderedDict[int, None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, byte_addr: int) -> bool:
-        """Access one byte address; returns True on a miss."""
-        line = byte_addr // self.line_bytes
-        if line in self._resident:
-            self._resident.move_to_end(line)
-            self.hits += 1
-            return False
-        self.misses += 1
-        self._resident[line] = None
-        if len(self._resident) > self.capacity_lines:
-            self._resident.popitem(last=False)
-        return True
-
-    def access_range(self, start: int, nbytes: int) -> int:
-        """Access a contiguous byte range; returns misses incurred."""
-        misses = 0
-        first = start // self.line_bytes
-        last = (start + max(0, nbytes - 1)) // self.line_bytes
-        for line in range(first, last + 1):
-            if self.access(line * self.line_bytes):
-                misses += 1
-        return misses

@@ -8,9 +8,8 @@ database; this package answers queries against it at service scale:
 * :mod:`repro.serve.engine` — asyncio front end: bounded admission
   (:class:`Overloaded` backpressure), per-shard micro-batching, and a
   naive one-at-a-time baseline to measure against;
-* :mod:`repro.serve.cache` — hot-key LRU with L3-style heavy-hitter
-  admission, its two-tier extension, and the one ``make_cache``
-  factory that picks between them;
+* :mod:`repro.serve.cache` — ``HotKeyCache``, the one hot-key LRU:
+  L3-style heavy-hitter admission, with an optional second tier;
 * :mod:`repro.serve.workload` — seeded Zipf load generation from a
   real counted spectrum, and ``drive_load``, the one client driver
   (closed-loop or paced) every bench and replay submits through;
@@ -23,7 +22,7 @@ paper's heavy-hitter (L3) argument.
 """
 
 from .bench import ServeBenchResult, run_serve_bench
-from .cache import TIER_STORE, TIER_T1, TIER_T2, HotKeyCache, TieredCache, make_cache
+from .cache import TIER_STORE, TIER_T1, TIER_T2, HotKeyCache
 from .engine import EngineConfig, Overloaded, QueryEngine, naive_serve
 from .metrics import LatencyHistogram, ServeMetrics
 from .shards import Shard, ShardedStore
@@ -40,8 +39,6 @@ __all__ = [
     "Shard",
     "ShardedStore",
     "HotKeyCache",
-    "TieredCache",
-    "make_cache",
     "TIER_T1",
     "TIER_T2",
     "TIER_STORE",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.result import KmerCounts
-from .cache import make_cache
+from .cache import HotKeyCache
 from .engine import EngineConfig, QueryEngine, naive_serve
 from .metrics import ServeMetrics
 from .shards import ShardedStore
@@ -76,9 +76,9 @@ def run_serve_bench(
     :class:`ShardedStore` (``n_shards``/``shard_of``/``lookup_batch``/
     ``get``) works — e.g. a live :class:`repro.lsm.LsmReadView` — while
     *counts* still seeds the workload's popularity ranking.
-    The cache triple goes to :func:`~repro.serve.cache.make_cache`
-    (a non-zero *t2_capacity* puts a second tier under the
-    *cache_capacity* RAM slots); *recorder* (a
+    The cache triple builds one :class:`~repro.serve.cache.HotKeyCache`
+    (a *cache_capacity* of 0 serves uncached; a non-zero *t2_capacity*
+    puts a second tier under the RAM slots); *recorder* (a
     :class:`repro.trace.TraceRecorder`) logs the engine's query trace,
     which is how ``dakc trace record`` produces one.
     """
@@ -93,7 +93,9 @@ def run_serve_bench(
     naive_out, naive_metrics = naive_serve(store, stream.keys)
 
     async def drive() -> tuple[np.ndarray, ServeMetrics]:
-        cache = make_cache(cache_capacity, t2_capacity, cache_threshold)
+        cache = (HotKeyCache(cache_capacity, t2_capacity=t2_capacity,
+                             admit_threshold=cache_threshold)
+                 if cache_capacity > 0 else None)
         async with QueryEngine(store, config, cache=cache,
                                recorder=recorder) as engine:
             out, engine.metrics.elapsed = await drive_load(

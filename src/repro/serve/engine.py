@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import TIER_STORE, TIER_T1, TIER_T2, HotKeyCache, TieredCache
+from .cache import T2_LATENCY, TIER_STORE, HotKeyCache
 from .metrics import ServeMetrics
 from .shards import ShardedStore
 
@@ -124,7 +124,7 @@ class QueryEngine:
         store: ShardedStore,
         config: EngineConfig | None = None,
         *,
-        cache: HotKeyCache | TieredCache | None = None,
+        cache: HotKeyCache | None = None,
         metrics: ServeMetrics | None = None,
         recorder=None,
         tenants: TenantRegistry | None = None,
@@ -143,7 +143,6 @@ class QueryEngine:
         self.tenants = tenants
         self.tenant_metrics = (
             TenantMetricsSet(tenants) if tenants is not None else None)
-        self._tiered = isinstance(cache, TieredCache)
         if cache is not None:
             self.metrics.cache_source = cache
         self._queues: list = []
@@ -271,53 +270,43 @@ class QueryEngine:
         t0 = time.perf_counter()
         out = np.zeros(n, dtype=np.int64)
 
-        # Cache identity: tenant-tagged entries keep one tenant's
-        # traffic from priming hits (and dodging quota) for another.
-        tagged = self.tenants is not None and tenant is not None
-        def ckey(key, _t=tenant):
-            return (_t, key) if tagged else key
-
         # Hot-key cache pass: answer the Zipf head without queueing.
         cache = self.cache
+        recorder = self.recorder
+        tiers = None  # the per-key answering tier, kept for the recorder
         virtual = 0.0
-        if cache is not None and (self._tiered or self.recorder is not None):
-            # Tier-attributed pass: the per-key hit tier feeds the
-            # trace recorder and the t2 latency charge.
-            tiers = np.full(n, TIER_STORE, dtype=np.int8)
+        if cache is None:
+            miss_pos = range(n)
+        else:
+            # Cache identity: tenant-tagged entries keep one tenant's
+            # traffic from priming hits (and dodging quota) for another.
+            ckeys = keys.tolist()
+            if self.tenants is not None and tenant is not None:
+                ckeys = [(tenant, key) for key in ckeys]
+            if recorder is not None:
+                tiers = np.full(n, TIER_STORE, dtype=np.int8)
             cache_get = cache.get
+            t2_before = cache.t2_hits
             miss_pos = []
-            n_t2 = 0
-            for i, key in enumerate(keys.tolist()):
-                value = cache_get(ckey(key))
+            for i, key in enumerate(ckeys):
+                value = cache_get(key)
                 if value is None:
                     miss_pos.append(i)
-                elif self._tiered:
-                    out[i] = value
-                    tier = cache.last_tier
-                    tiers[i] = tier
-                    if tier == TIER_T2:
-                        n_t2 += 1
                 else:
                     out[i] = value
-                    tiers[i] = TIER_T1
+                    if tiers is not None:
+                        tiers[i] = cache.last_tier
+            n_t2 = cache.t2_hits - t2_before
             if n_t2:
                 # A t2 hit is not free: its device latency is charged
                 # as virtual seconds folded into the latency histogram,
                 # the way the cost model charges beta_link for remote
                 # PUTs.
-                virtual = n_t2 * cache.t2_latency
+                virtual = n_t2 * T2_LATENCY
                 self.metrics.cache_t2_hits += n_t2
                 self.metrics.t2_time_charged += virtual
-            if self.recorder is not None:
-                self.recorder.record_batch(keys, tiers)
-        elif cache is not None:
-            cache_get = cache.get
-            miss_pos = [i for i, key in enumerate(keys.tolist())
-                        if self._cached(cache_get, ckey(key), out, i)]
-        else:
-            if self.recorder is not None:
-                self.recorder.record_batch(keys, None)
-            miss_pos = range(n)
+        if recorder is not None:
+            recorder.record_batch(keys, tiers)
         miss_idx = np.fromiter(miss_pos, dtype=np.int64)
         n_miss = int(miss_idx.size)
         self.metrics.cache_hits += n - n_miss
@@ -353,15 +342,6 @@ class QueryEngine:
             tm.cache_hits += n - n_miss
             tm.cache_misses += n_miss
         return out
-
-    @staticmethod
-    def _cached(cache_get, key, out: np.ndarray, i: int) -> bool:
-        """Fill out[i] from cache; True means *miss* (key still needed)."""
-        value = cache_get(key)
-        if value is None:
-            return True
-        out[i] = value
-        return False
 
     # -- micro-batching workers ---------------------------------------
 

@@ -149,7 +149,7 @@ class ServeMetrics:
     n_found: int = 0            # queries whose key existed in the database
     cache_hits: int = 0
     cache_misses: int = 0       # queries that had to touch a shard
-    cache_t2_hits: int = 0      # hits answered by a TieredCache's t2 tier
+    cache_t2_hits: int = 0      # hits answered by the cache's t2 tier
     t2_time_charged: float = 0.0  # simulated seconds charged for t2 hits
     rejected: int = 0           # admission-control rejections (all causes)
     #: Rejections broken down by cause — "overload" (queue depth),

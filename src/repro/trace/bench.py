@@ -27,10 +27,9 @@ import numpy as np
 
 from ..core.result import KmerCounts
 from ..serve.bench import run_serve_bench
-from ..serve.cache import HotKeyCache, TieredCache
+from ..serve.cache import HotKeyCache
 from ..serve.shards import ShardedStore
 from ..serve.workload import BurstSpec
-from .format import QueryTrace
 from .profiler import profile_trace
 from .recorder import TraceRecorder
 from .replay import measured_miss_ratio_curve, replay_trace, simulate_cache
@@ -51,7 +50,7 @@ class TraceBenchResult:
     sample_rate: float
     replay_answers_match: bool
     single_tier: dict              # simulate_cache ledger, HotKeyCache
-    two_tier: dict                 # simulate_cache ledger, TieredCache
+    two_tier: dict                 # simulate_cache ledger, HotKeyCache + t2
     seed: int
 
     @property
@@ -74,14 +73,6 @@ class TraceBenchResult:
         return self.two_tier["hit_rate"] - self.single_tier["hit_rate"]
 
 
-def _capacity_grid(n_distinct: int, requested) -> np.ndarray:
-    if requested is not None:
-        return np.unique(np.asarray(requested, dtype=np.int64))
-    # Sub-working-set capacities: where the curve actually bends.
-    grid = np.geomspace(16, max(n_distinct, 32), num=8)
-    return np.unique(np.round(grid).astype(np.int64))
-
-
 def run_trace_bench(
     counts: KmerCounts,
     *,
@@ -89,40 +80,37 @@ def run_trace_bench(
     n_shards: int = 8,
     zipf_s: float = 1.1,
     seed: int = 0,
-    capacities=None,
     sample_rate: float = 0.5,
     sample_salts: int = 4,
     t1_capacity: int = 128,
     t2_capacity: int = 4096,
     cache_threshold: int = 2,
     burst: BurstSpec | None = None,
-    trace: QueryTrace | None = None,
 ) -> TraceBenchResult:
     """Record a Zipf+burst trace, model it, sample it, replay it.
 
-    Pass a pre-recorded *trace* to skip the capture stage and model /
-    replay an existing file (the ``dakc trace profile`` path reuses
-    this).  Everything downstream of the key sequence is deterministic
-    in the seed.
+    Everything downstream of the key sequence is deterministic in the
+    seed.
     """
     if burst is None:
         burst = BurstSpec()
     store = ShardedStore.from_counts(counts, n_shards)
 
-    if trace is None:
-        recorder = TraceRecorder(k=counts.k, seed=seed,
-                                 source=f"trace-bench seed={seed}")
-        run_serve_bench(
-            counts, n_queries=n_queries, n_shards=n_shards, zipf_s=zipf_s,
-            seed=seed, store=store, burst=burst, recorder=recorder,
-            cache_capacity=t1_capacity, cache_threshold=cache_threshold,
-            t2_capacity=t2_capacity,
-        )
-        trace = recorder.snapshot()
+    recorder = TraceRecorder(k=counts.k, seed=seed,
+                             source=f"trace-bench seed={seed}")
+    run_serve_bench(
+        counts, n_queries=n_queries, n_shards=n_shards, zipf_s=zipf_s,
+        seed=seed, store=store, burst=burst, recorder=recorder,
+        cache_capacity=t1_capacity, cache_threshold=cache_threshold,
+        t2_capacity=t2_capacity,
+    )
+    trace = recorder.snapshot()
 
     # -- model: predicted vs. measured LRU miss-ratio curve ------------
     profile = profile_trace(trace)
-    caps = _capacity_grid(profile.histogram.n_distinct, capacities)
+    # Sub-working-set capacities: where the curve actually bends.
+    grid = np.geomspace(16, max(profile.histogram.n_distinct, 32), num=8)
+    caps = np.unique(np.round(grid).astype(np.int64))
     predicted = profile.histogram.miss_ratio_curve(caps)
     measured = measured_miss_ratio_curve(trace.keys, caps)
 
@@ -140,7 +128,7 @@ def run_trace_bench(
     single = simulate_cache(
         trace.keys, HotKeyCache(t1_capacity, admit_threshold=cache_threshold))
     tiered = simulate_cache(
-        trace.keys, TieredCache(t1_capacity, t2_capacity,
+        trace.keys, HotKeyCache(t1_capacity, t2_capacity=t2_capacity,
                                 admit_threshold=cache_threshold))
 
     return TraceBenchResult(

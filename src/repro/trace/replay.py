@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..serve.cache import HotKeyCache, make_cache
+from ..serve.cache import HotKeyCache
 from ..serve.engine import EngineConfig, QueryEngine, naive_serve
 from ..serve.metrics import ServeMetrics
 from ..serve.workload import drive_load
@@ -50,7 +50,7 @@ def simulate_cache(keys: np.ndarray, cache) -> dict:
     One ``get`` per record; on a miss the key is ``offer``-ed back
     (value = 1, a stand-in count — the simulation cares about
     residency, not answers).  Works for any cache with the
-    ``get``/``offer``/``stats`` trio, including :class:`TieredCache`.
+    ``get``/``offer``/``stats`` trio, one tier or two.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     get = cache.get
@@ -126,7 +126,6 @@ def replay_trace(
     store,
     *,
     config: EngineConfig | None = None,
-    cache=None,
     cache_capacity: int = 4096,
     cache_threshold: int = 2,
     t2_capacity: int = 0,
@@ -140,12 +139,11 @@ def replay_trace(
 
     The trace's timestamps set the batching (arrival-tick groups of
     *tick* seconds); up to *concurrency* groups are in flight at once.
-    *cache* overrides the default cache construction (pass ``None``
-    explicitly via ``cache_capacity=0`` for uncached replay); the
-    capacity triple goes to :func:`~repro.serve.cache.make_cache`.  With
-    *check* the answers are verified bit-identical against the scalar
-    baseline.  *recorder* re-records the replayed stream, which is how
-    a replay round-trips a trace.
+    The capacity triple builds one :class:`~repro.serve.cache.HotKeyCache`
+    (``cache_capacity=0`` replays uncached).  With *check* the answers
+    are verified bit-identical against the scalar baseline.  *recorder*
+    re-records the replayed stream, which is how a replay round-trips a
+    trace.
     """
     config = config or EngineConfig()
     if group_size < 1:
@@ -161,8 +159,9 @@ def replay_trace(
     groups = [part for g in groups
               for part in np.array_split(g, max(1, -(-g.size // cap)))]
 
-    if cache is None:
-        cache = make_cache(cache_capacity, t2_capacity, cache_threshold)
+    cache = (HotKeyCache(cache_capacity, t2_capacity=t2_capacity,
+                         admit_threshold=cache_threshold)
+             if cache_capacity > 0 else None)
 
     async def drive() -> tuple[np.ndarray, ServeMetrics]:
         async with QueryEngine(store, config, cache=cache,

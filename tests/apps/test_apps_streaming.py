@@ -34,57 +34,14 @@ class TestStreaming:
         got = count_file_streaming(fastq, 9, batch_records=23, canonical=True)
         assert got == want
 
-    def test_progress_callback_prefix_valid(self, fastq, small_reads):
-        """Every progress snapshot equals the count of the prefix."""
-        snapshots = []
-        count_file_streaming(
-            fastq, 17, batch_records=60,
-            progress=lambda n, kc: snapshots.append((n, kc)),
-        )
-        assert snapshots[-1][0] == small_reads.shape[0]
-        n, kc = snapshots[0]
-        assert kc == serial_count(small_reads[:n], 17)
-        # Totals grow monotonically across snapshots.
-        totals = [kc.total for _, kc in snapshots]
-        assert totals == sorted(totals)
-
-    def test_multiple_files(self, tmp_path, small_reads):
+    @pytest.mark.parametrize("batch", [30, 80, 100_000])
+    def test_multiple_files(self, tmp_path, small_reads, batch):
+        """30 puts a batch across the file boundary, 80 ends one on it."""
         a, b = tmp_path / "a.fastq", tmp_path / "b.fastq"
         write_fastq(a, reads_to_records(small_reads[:80]))
         write_fastq(b, reads_to_records(small_reads[80:]))
-        got = count_files_streaming([a, b], 17)
+        got = count_files_streaming([a, b], 17, batch_records=batch)
         assert got == serial_count(small_reads, 17)
-
-    def test_multiple_files_progress_is_global(self, tmp_path, small_reads):
-        """Progress across files reports global records, never resetting.
-
-        Regression test: with per-file accounting the second file's
-        snapshots would restart below the first file's total.
-        """
-        a, b = tmp_path / "a.fastq", tmp_path / "b.fastq"
-        write_fastq(a, reads_to_records(small_reads[:80]))
-        write_fastq(b, reads_to_records(small_reads[80:]))
-        seen: list[int] = []
-        count_files_streaming(
-            [a, b], 17, batch_records=30,
-            progress=lambda n, kc: seen.append(n),
-        )
-        # Strictly increasing through the file boundary, ending at the
-        # global total — a per-file reset would re-emit small values.
-        assert seen == sorted(set(seen))
-        assert seen[-1] == small_reads.shape[0]
-        assert any(n > 80 for n in seen)
-        # Snapshots at the boundary still count the *global* prefix.
-        snapshots = []
-        count_files_streaming(
-            [a, b], 17, batch_records=80,
-            progress=lambda n, kc: snapshots.append((n, kc)),
-        )
-        n0, kc0 = snapshots[0]
-        assert kc0 == serial_count(small_reads[:n0], 17)
-        n1, kc1 = snapshots[1]
-        assert n1 == 160
-        assert kc1 == serial_count(small_reads[:160], 17)
 
     def test_empty_stream(self):
         got = count_records_streaming([], 17)

@@ -208,19 +208,3 @@ class TestMembership:
         assert doc["ring"]["rf"] == 2
         assert not doc["rebalancing"]
         assert set(doc["nodes"]) == {"0", "1", "2", "3"}
-
-
-class TestRecorder:
-    def test_bench_recorder_taps_one_routed_pass(self, db):
-        """`run_cluster_bench(recorder=)` records the workload once,
-        whatever the best-of repeats, and the router has no cache:
-        every record is charged to the store tier."""
-        from repro.cluster import run_cluster_bench
-        from repro.trace import TraceRecorder
-
-        recorder = TraceRecorder(k=db.k, seed=0, source="cluster test")
-        run_cluster_bench(db, n_queries=800, n_nodes=3, repeats=2,
-                          recorder=recorder)
-        trace = recorder.snapshot()
-        assert trace.n_records == 800
-        assert trace.tier_counts()["store"] == 800

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.runtime.cache import CacheAccounting, LRUCacheSim, random_access_misses, scan_misses
+from repro.runtime.cache import CacheAccounting, random_access_misses, scan_misses
 from repro.runtime.collectives import (
     ALLTOALL_BW_EFFICIENCY,
     alltoallv,
@@ -21,6 +21,8 @@ from repro.runtime.memory import (
     table3_rows,
 )
 from repro.runtime.stats import RunStats
+from repro.serve.cache import HotKeyCache
+from repro.trace.replay import simulate_cache
 
 
 class TestBarrier:
@@ -140,30 +142,32 @@ class TestCacheModel:
         old = acc.reset()
         assert old > 0 and acc.misses == 0
 
+    @staticmethod
+    def lru(cache_bytes: int, line_bytes: int) -> HotKeyCache:
+        """Exact LRU over line ids (admit on first sight)."""
+        return HotKeyCache(cache_bytes // line_bytes, admit_threshold=1)
+
     def test_lru_sim_sequential(self):
-        sim = LRUCacheSim(cache_bytes=1024, line_bytes=64)
-        misses = sim.access_range(0, 640)
-        assert misses == 10
+        lru = self.lru(cache_bytes=1024, line_bytes=64)
+        lines = np.arange(640 // 64, dtype=np.uint64)
+        assert simulate_cache(lines, lru)["misses"] == 10
         # Re-access while resident: hits.
-        assert sim.access_range(0, 640) == 0
+        assert simulate_cache(lines, lru)["misses"] == 0
 
     def test_lru_sim_eviction(self):
-        sim = LRUCacheSim(cache_bytes=128, line_bytes=64)  # 2 lines
-        sim.access(0)
-        sim.access(64)
-        sim.access(128)  # evicts line 0
-        assert sim.access(0)  # miss again
+        lru = self.lru(cache_bytes=128, line_bytes=64)  # 2 lines
+        sim = simulate_cache(np.array([0, 1, 2, 0], dtype=np.uint64), lru)
+        assert sim["misses"] == 4  # line 2 evicted line 0: a miss again
 
     def test_lru_matches_estimator_asymptotically(self):
         """Exact LRU over a big random working set ~ estimator ratio."""
         rng = np.random.default_rng(0)
         cache, line, ws = 4096, 64, 1 << 16
-        sim = LRUCacheSim(cache, line)
         n = 4000
-        for addr in rng.integers(0, ws, size=n):
-            sim.access(int(addr))
+        lines = (rng.integers(0, ws, size=n) // line).astype(np.uint64)
+        sim = simulate_cache(lines, self.lru(cache, line))
         est = random_access_misses(n, ws, cache, line)
-        assert abs(sim.misses - est) / est < 0.25
+        assert abs(sim["misses"] - est) / est < 0.25
 
 
 class TestMemoryTracker:

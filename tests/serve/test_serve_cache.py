@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve.cache import HotKeyCache
+from repro.serve.cache import CANDIDATES_PER_SLOT, HotKeyCache
 
 
 class TestLRU:
@@ -65,20 +65,23 @@ class TestAdmission:
         assert c.get(5) == 50
 
     def test_candidate_table_is_bounded(self):
-        c = HotKeyCache(2, admit_threshold=2, candidate_capacity=3)
+        c = HotKeyCache(2, admit_threshold=2)
         for key in range(100):
             c.offer(key, 1)
-        assert len(c._seen) <= 3
+        assert len(c._seen) == CANDIDATES_PER_SLOT * 2
 
     def test_candidate_eviction_forgets_sightings(self):
-        c = HotKeyCache(2, admit_threshold=2, candidate_capacity=1)
+        c = HotKeyCache(1, admit_threshold=2)
         c.offer(1, 10)      # candidate: {1}
-        c.offer(2, 20)      # candidate table full -> forgets 1
+        for key in range(2, 2 + CANDIDATES_PER_SLOT):
+            c.offer(key, key)  # candidate table full -> forgets 1
         assert not c.offer(1, 10)  # counts from scratch
         assert 1 not in c
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             HotKeyCache(0)
+        with pytest.raises(ValueError):
+            HotKeyCache(4, t2_capacity=-1)
         with pytest.raises(ValueError):
             HotKeyCache(4, admit_threshold=0)

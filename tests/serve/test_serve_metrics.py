@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.serve.cache import HotKeyCache, TieredCache, make_cache
+from repro.serve.cache import HotKeyCache
 from repro.serve.metrics import LatencyHistogram, ServeMetrics
 
 
@@ -267,14 +267,9 @@ class TestGoldenShapes:
 
     CAUSES = _keys("overload", "quota")
     LRU_STATS = _keys("tiers", "hits", "misses", "hit_rate", "evictions",
-                      "resident", "capacity", "candidates",
-                      "candidate_capacity", "admit_threshold")
-    TIERED_STATS = _keys(
-        "tiers", "hits", "misses", "hit_rate", "evictions", "promotions",
-        "demotions", "candidates", "candidate_capacity", "admit_threshold",
-        t1=_keys("hits", "resident", "capacity"),
-        t2=_keys("hits", "resident", "capacity", "latency_s",
-                 "time_charged_s"))
+                      "resident", "capacity", "candidates", "admit_threshold")
+    TIERED_STATS = {**LRU_STATS, "t2": _keys(
+        "hits", "resident", "capacity", "demotions", "time_charged_s")}
 
     @staticmethod
     def snapshot_tree(cache: dict, causes: dict) -> dict:
@@ -305,7 +300,7 @@ class TestGoldenShapes:
         if rejecting:
             m.reject(4, "overload")
             m.reject(2, "quota")
-        if isinstance(cache, TieredCache):
+        if cache is not None and cache.t2_capacity:
             m.cache_t2_hits, m.t2_time_charged = 5, 1.25e-4
         return m
 
@@ -325,25 +320,13 @@ class TestGoldenShapes:
 
     def test_single_tier_cache_attached(self):
         cache = _keys("hits", "misses", "hit_rate", stats=self.LRU_STATS)
-        self.check(self.metrics(make_cache(8)), cache, cache, self.CAUSES)
+        self.check(self.metrics(HotKeyCache(8)), cache, cache, self.CAUSES)
 
     def test_two_tier_cache_attached(self):
         stats = self.TIERED_STATS
         self.check(
-            self.metrics(make_cache(4, 8)),
+            self.metrics(HotKeyCache(4, t2_capacity=8)),
             _keys("hits", "misses", "hit_rate", "t2_hits",
                   "t2_time_charged_s", stats=stats),
             _keys("hits", "misses", "hit_rate", "t2_hits", stats=stats),
             self.CAUSES)
-
-
-class TestMakeCache:
-    def test_capacity_triple_picks_the_cache(self):
-        assert make_cache(0) is None and make_cache(0, 64) is None
-        single = make_cache(16, 0, 3)
-        assert type(single) is HotKeyCache
-        assert (single.capacity, single.admit_threshold) == (16, 3)
-        tiered = make_cache(16, 64, 2)
-        assert type(tiered) is TieredCache
-        assert (tiered.t1_capacity, tiered.t2_capacity,
-                tiered.admit_threshold) == (16, 64, 2)
