@@ -303,6 +303,7 @@ class Simulation:
         probe_keys = (probe_rng.choice(reference.kmers, size=n_probe,
                                        replace=False)
                       if n_probe else np.empty(0, dtype=np.uint64))
+        probe_list = probe_keys.tolist()
         batches = [reads[i::cfg.n_batches] for i in range(cfg.n_batches)]
         batches = [b for b in batches if b]
 
@@ -322,14 +323,15 @@ class Simulation:
                     acked.extend(batch)
                 break
             acked.extend(batch)
-            # Serve a few hot keys through the subscribed cache: any
-            # hit must reflect every ingest so far.
-            for key in probe_keys:
-                truth = int(store.get(np.asarray([key], dtype=np.uint64))[0])
-                hit = cache.get(int(key))
-                if hit is not None and hit != truth:
-                    stale_serves += 1
-                cache.offer(int(key), truth)
+            # Serve a few hot keys through the subscribed cache the way
+            # the engine does (one bulk get, one bulk offer): any hit
+            # must reflect every ingest so far.
+            if n_probe:
+                truth = store.get(probe_keys)
+                cached = cache.get_many(probe_list)
+                stale_serves += int(np.count_nonzero(
+                    (cached >= 0) & (cached != truth)))
+                cache.offer_many(probe_list, truth.tolist())
 
         if crashed_at is None:
             store.close()  # clean shutdown (memtable survives via WAL)

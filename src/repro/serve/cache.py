@@ -25,7 +25,10 @@ whose t2 is empty.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import compress, repeat
+
+import numpy as np
 
 __all__ = ["HotKeyCache", "base_key", "CANDIDATES_PER_SLOT", "T2_LATENCY",
            "TIER_T1", "TIER_T2", "TIER_STORE"]
@@ -64,6 +67,9 @@ class HotKeyCache:
     * :meth:`offer` — present a key/value seen at the store; it is
       admitted once its observation count reaches *admit_threshold*
       (``1`` = classic LRU, admit on first sight).
+    * :meth:`get_many` / :meth:`offer_many` — the same two operations
+      over a group of keys, leaving exactly the state, counters and
+      answers of the per-key calls in order (which stay the reference).
 
     The candidate counter table is itself LRU-bounded
     (:data:`CANDIDATES_PER_SLOT` per slot) so cold keys cannot grow
@@ -132,6 +138,41 @@ class HotKeyCache:
         self._insert(key, value)
         return value
 
+    def get_many(self, keys, tiers: np.ndarray | None = None) -> np.ndarray:
+        """Cached counts for a group of *keys* as int64, -1 for a miss.
+
+        Equals one :meth:`get` per key in order.  *tiers*, when given
+        (an int8 array as long as *keys*), receives the answering tier
+        of each key (:data:`TIER_STORE` for a miss).
+        """
+        n = len(keys)
+        if self._t2:
+            # A t2 hit promotes one key and may demote another within
+            # the group, so the order of the gets matters: walk them.
+            get = self.get
+            out = np.empty(n, dtype=np.int64)
+            for i, key in enumerate(keys):
+                value = get(key)
+                out[i] = -1 if value is None else value
+                if tiers is not None:
+                    tiers[i] = TIER_STORE if value is None else self.last_tier
+            return out
+        # With t2 empty a get only moves t1 hits to MRU (it never inserts,
+        # evicts or touches t2), so one lookup pass then one recency pass
+        # in key order is the same walk, at C speed.
+        t1 = self._t1
+        out = np.fromiter(map(t1.get, keys, repeat(-1)), dtype=np.int64, count=n)
+        hit = out >= 0
+        n_hit = int(np.count_nonzero(hit))
+        if n_hit:
+            deque(map(t1.move_to_end, compress(keys, hit.tolist())), maxlen=0)
+            self.last_tier = TIER_T1
+        self.hits += n_hit
+        self.misses += n - n_hit
+        if tiers is not None:
+            tiers[:] = np.where(hit, TIER_T1, TIER_STORE)
+        return out
+
     def offer(self, key: int, value: int) -> bool:
         """Record a store-answered key; admit it if it proved hot.
 
@@ -155,6 +196,12 @@ class HotKeyCache:
         self._seen.pop(key, None)
         self._insert(key, value)
         return True
+
+    def offer_many(self, keys, values) -> None:
+        """:meth:`offer` each ``(key, value)`` pair in order."""
+        offer = self.offer
+        for key, value in zip(keys, values):
+            offer(key, value)
 
     def _insert(self, key: int, value: int) -> None:
         """Place a key at t1 MRU, demoting/evicting down the tiers."""

@@ -22,13 +22,17 @@ Three mechanisms carry the performance argument:
 * **Hot-key caching** — a :class:`~repro.serve.cache.HotKeyCache`
   in front of the queues absorbs the Zipf head before it concentrates
   on one shard (the read-path analogue of the paper's L3 heavy-hitter
-  aggregation).
+  aggregation).  The cache is aggregated like the store: one
+  ``get_many`` per client batch and one ``offer_many`` per flush.
 
 Requests enter as key *chunks* (a single key is a chunk of one): the
-batch API :meth:`QueryEngine.query_many` routes a client batch to its
-shards with one vectorised owner computation, which is how a load
-generator standing in for thousands of concurrent single-key clients
-submits an arrival tick's worth of traffic.
+batch API :meth:`QueryEngine.query_many` routes a client batch's
+misses to their shards with one vectorised owner computation and one
+stable split, which is how a load generator standing in for thousands
+of concurrent single-key clients submits an arrival tick's worth of
+traffic.  Each flush writes its answers straight into the request's
+output array; the request's one future resolves when its last chunk
+has been answered.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import T2_LATENCY, TIER_STORE, HotKeyCache
+from ..core.owner import by_owner
+from .cache import T2_LATENCY, HotKeyCache
 from .metrics import ServeMetrics
 from .shards import ShardedStore
 
@@ -104,15 +109,31 @@ class EngineConfig:
             raise ValueError("flush service costs must be >= 0")
 
 
+class _Request:
+    """One client batch awaiting its store-answered keys.
+
+    Each flush writes its chunk's answers straight into :attr:`out` and
+    the one :attr:`future` resolves when no key is pending.
+    """
+
+    __slots__ = ("out", "pending", "future")
+
+    def __init__(self, out: np.ndarray, pending: int, future: asyncio.Future):
+        self.out = out
+        self.pending = pending
+        self.future = future
+
+
 class _Chunk:
-    """Keys of one request bound for one shard, plus their reply slot."""
+    """Keys of one request bound for one shard, and where they answer."""
 
-    __slots__ = ("keys", "future", "tenant")
+    __slots__ = ("keys", "pos", "request", "tenant")
 
-    def __init__(self, keys: np.ndarray, future: asyncio.Future,
+    def __init__(self, keys: np.ndarray, pos: np.ndarray, request: _Request,
                  tenant: str | None = None):
         self.keys = keys
-        self.future = future
+        self.pos = pos            # indices of the keys in request.out
+        self.request = request
         self.tenant = tenant
 
 
@@ -147,6 +168,7 @@ class QueryEngine:
             self.metrics.cache_source = cache
         self._queues: list = []
         self._workers: list[asyncio.Task] = []
+        self._requests: set[_Request] = set()   # store keys still pending
         self._inflight = 0
         self._running = False
         self._unsubscribe = None
@@ -179,6 +201,7 @@ class QueryEngine:
         self._running = True
 
     async def stop(self) -> None:
+        """Cancel the workers; every caller still waiting gets RuntimeError."""
         if not self._running:
             return
         self._running = False
@@ -190,6 +213,14 @@ class QueryEngine:
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
         self._queues = []
+        # Chunks still queued, or held by a cancelled worker, will never
+        # flush: fail their callers instead of leaving them waiting.
+        for request in self._requests:
+            if not request.future.done():
+                request.future.set_exception(RuntimeError(
+                    "engine stopped before the request was answered"))
+        self._requests.clear()
+        self._inflight = 0
 
     async def __aenter__(self) -> "QueryEngine":
         await self.start()
@@ -268,7 +299,6 @@ class QueryEngine:
             raise Overloaded(self._inflight, limit,
                              retry_after=self._retry_hint(n))
         t0 = time.perf_counter()
-        out = np.zeros(n, dtype=np.int64)
 
         # Hot-key cache pass: answer the Zipf head without queueing.
         cache = self.cache
@@ -276,7 +306,8 @@ class QueryEngine:
         tiers = None  # the per-key answering tier, kept for the recorder
         virtual = 0.0
         if cache is None:
-            miss_pos = range(n)
+            out = np.zeros(n, dtype=np.int64)
+            miss_idx = np.arange(n)
         else:
             # Cache identity: tenant-tagged entries keep one tenant's
             # traffic from priming hits (and dodging quota) for another.
@@ -284,18 +315,10 @@ class QueryEngine:
             if self.tenants is not None and tenant is not None:
                 ckeys = [(tenant, key) for key in ckeys]
             if recorder is not None:
-                tiers = np.full(n, TIER_STORE, dtype=np.int8)
-            cache_get = cache.get
+                tiers = np.empty(n, dtype=np.int8)
             t2_before = cache.t2_hits
-            miss_pos = []
-            for i, key in enumerate(ckeys):
-                value = cache_get(key)
-                if value is None:
-                    miss_pos.append(i)
-                else:
-                    out[i] = value
-                    if tiers is not None:
-                        tiers[i] = cache.last_tier
+            out = cache.get_many(ckeys, tiers)
+            miss_idx = np.flatnonzero(out < 0)
             n_t2 = cache.t2_hits - t2_before
             if n_t2:
                 # A t2 hit is not free: its device latency is charged
@@ -307,28 +330,22 @@ class QueryEngine:
                 self.metrics.t2_time_charged += virtual
         if recorder is not None:
             recorder.record_batch(keys, tiers)
-        miss_idx = np.fromiter(miss_pos, dtype=np.int64)
         n_miss = int(miss_idx.size)
         self.metrics.cache_hits += n - n_miss
         self.metrics.cache_misses += n_miss
 
         if n_miss:
+            request = _Request(out, n_miss,
+                               asyncio.get_running_loop().create_future())
             miss_keys = keys[miss_idx]
-            owners = np.asarray(self.store.shard_of(miss_keys))
+            for sid, chunk_keys, chunk_pos in by_owner(
+                    self.store.shard_of(miss_keys), self.store.n_shards,
+                    miss_keys, miss_idx):
+                self._queues[sid].put_nowait(
+                    _Chunk(chunk_keys, chunk_pos, request, tenant))
             self._inflight += n_miss
-            futures = []
-            positions = []
-            for sid in np.unique(owners):
-                mask = owners == sid
-                chunk = _Chunk(miss_keys[mask],
-                               asyncio.get_running_loop().create_future(),
-                               tenant=tenant)
-                self._queues[int(sid)].put_nowait(chunk)
-                futures.append(chunk.future)
-                positions.append(miss_idx[mask])
-            answered = await asyncio.gather(*futures)
-            for pos, vals in zip(positions, answered):
-                out[pos] = vals
+            self._requests.add(request)
+            await request.future
 
         dt = time.perf_counter() - t0 + virtual
         found = int((out > 0).sum())
@@ -383,18 +400,28 @@ class QueryEngine:
                 self._drain_rate = (inst if self._drain_rate == 0
                                     else 0.8 * self._drain_rate + 0.2 * inst)
         self._last_flush_t = now
-        offer = self.cache.offer if self.cache is not None else None
+        cache = self.cache
+        # Tenant-tagged cache keys differ chunk by chunk: one offer call
+        # per chunk then, else one for the whole flush.
+        per_chunk = cache is not None and self.tenants is not None
         offset = 0
         for chunk in batch:
             end = offset + int(chunk.keys.size)
-            if not chunk.future.done():
-                chunk.future.set_result(values[offset:end])
-            if offer is not None:
-                tagged = self.tenants is not None and chunk.tenant is not None
-                for key, value in zip(chunk.keys.tolist(),
-                                      values[offset:end].tolist()):
-                    offer((chunk.tenant, key) if tagged else key, value)
+            request = chunk.request
+            request.out[chunk.pos] = values[offset:end]
+            request.pending -= end - offset
+            if not request.pending:
+                self._requests.discard(request)
+                if not request.future.done():   # done = caller cancelled
+                    request.future.set_result(None)
+            if per_chunk:
+                ckeys = chunk.keys.tolist()
+                if chunk.tenant is not None:
+                    ckeys = [(chunk.tenant, key) for key in ckeys]
+                cache.offer_many(ckeys, values[offset:end].tolist())
             offset = end
+        if cache is not None and not per_chunk:
+            cache.offer_many(all_keys.tolist(), values.tolist())
         self._inflight -= n_keys
         self.metrics.n_batches += 1
         self.metrics.batched_keys += n_keys

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.owner import owner_pe
+from ..core.owner import by_owner, owner_pe
 from ..core.result import KmerCounts, probe_sorted
 from ..seq.kmers import check_k
 
@@ -104,11 +104,10 @@ class ShardedStore:
         """Route-and-lookup a mixed batch across all shards."""
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.zeros(keys.size, dtype=np.int64)
-        owners = owner_pe(keys, self.n_shards)
-        for s in range(self.n_shards):
-            mask = owners == s
-            if mask.any():
-                out[mask] = self.shards[s].lookup(keys[mask])
+        for s, shard_keys, pos in by_owner(owner_pe(keys, self.n_shards),
+                                           self.n_shards, keys,
+                                           np.arange(keys.size)):
+            out[pos] = self.shards[s].lookup(shard_keys)
         return out
 
     def get(self, key: int) -> int:

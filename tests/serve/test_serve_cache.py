@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.serve.cache import CANDIDATES_PER_SLOT, HotKeyCache
+from repro.serve.cache import CANDIDATES_PER_SLOT, TIER_STORE, HotKeyCache
 
 
 class TestLRU:
@@ -85,3 +88,70 @@ class TestAdmission:
             HotKeyCache(4, t2_capacity=-1)
         with pytest.raises(ValueError):
             HotKeyCache(4, admit_threshold=0)
+
+
+def _state(c: HotKeyCache) -> tuple:
+    """Everything a cache call can change, tables in order."""
+    return (list(c._t1.items()), list(c._t2.items()), list(c._seen.items()),
+            c.hits, c.misses, c.t2_hits, c.demotions, c.evictions, c.last_tier)
+
+
+#: Raw and tenant-tagged keys: a hot few that groups repeat, and enough
+#: distinct ones to overflow the candidate table of a small cache.
+_keys = st.one_of(st.integers(0, 7), st.integers(0, 80),
+                  st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 7)))
+
+
+class TestBulkCalls:
+    @given(capacity=st.integers(1, 16), t2_capacity=st.integers(0, 4),
+           admit_threshold=st.integers(1, 3),
+           groups=st.lists(st.tuples(
+               st.booleans(),
+               st.lists(st.tuples(_keys, st.integers(0, 5)), max_size=24)),
+               min_size=8, max_size=40))
+    def test_bulk_calls_match_per_key_calls(self, capacity, t2_capacity,
+                                            admit_threshold, groups):
+        """get_many/offer_many over a group = get/offer per key in order:
+        same answers and tiers, same tables in the same order, same
+        counters."""
+        kw = dict(t2_capacity=t2_capacity, admit_threshold=admit_threshold)
+        bulk, ref = HotKeyCache(capacity, **kw), HotKeyCache(capacity, **kw)
+        for is_get, pairs in groups:
+            keys = [key for key, _ in pairs]
+            if is_get:
+                tiers = np.empty(len(keys), dtype=np.int8)
+                got = bulk.get_many(keys, tiers)
+                want, want_tiers = [], []
+                for key in keys:
+                    value = ref.get(key)
+                    want.append(-1 if value is None else value)
+                    want_tiers.append(
+                        TIER_STORE if value is None else ref.last_tier)
+                assert got.dtype == np.int64
+                assert got.tolist() == want
+                assert tiers.tolist() == want_tiers
+            else:
+                bulk.offer_many(keys, [value for _, value in pairs])
+                for key, value in pairs:
+                    ref.offer(key, value)
+            assert _state(bulk) == _state(ref)
+
+    @pytest.mark.parametrize("capacity,t2_capacity,admit_threshold",
+                             [(1, 0, 2), (4, 0, 2), (4, 0, 3), (2, 0, 1), (4, 3, 2)])
+    def test_long_skewed_stream_matches_per_key_calls(
+            self, capacity, t2_capacity, admit_threshold):
+        """The engine's pattern, long enough to churn every table: get a
+        Zipf group, offer its misses."""
+        kw = dict(t2_capacity=t2_capacity, admit_threshold=admit_threshold)
+        bulk, ref = HotKeyCache(capacity, **kw), HotKeyCache(capacity, **kw)
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            keys = (rng.zipf(1.3, size=rng.integers(0, 24)) % 200).tolist()
+            got = bulk.get_many(keys)
+            assert got.tolist() == [-1 if v is None else v
+                                    for v in map(ref.get, keys)]
+            misses = [key for key, v in zip(keys, got.tolist()) if v < 0]
+            bulk.offer_many(misses, [key % 3 for key in misses])
+            for key in misses:
+                ref.offer(key, key % 3)
+            assert _state(bulk) == _state(ref)

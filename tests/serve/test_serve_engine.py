@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import asyncio
+import copy
 
 import numpy as np
 import pytest
 
 from repro.core.serial import serial_count
-from repro.serve.cache import HotKeyCache
+from repro.serve.cache import TIER_STORE, TIER_T1, TIER_T2, HotKeyCache
 from repro.serve.engine import EngineConfig, Overloaded, QueryEngine, naive_serve
 from repro.serve.shards import ShardedStore
 from repro.serve.workload import drive_load, key_groups
+from repro.trace.recorder import TraceRecorder
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +35,19 @@ class TestCorrectness:
     def test_matches_oracle(self, db, store, rng, batch_size, window):
         keys = rng.choice(db.kmers, size=400)
         expect = np.array([db.get(int(k)) for k in keys])
+        # The group's misses span every shard: one answer assembled
+        # from a chunk per shard, each key flushed exactly once.
+        assert set(store.shard_of(keys).tolist()) == set(range(store.n_shards))
 
         async def go():
             cfg = EngineConfig(batch_size=batch_size, batch_window=window)
             async with QueryEngine(store, cfg) as engine:
-                return await engine.query_many(keys)
+                return await engine.query_many(keys), engine
 
-        assert np.array_equal(run(go()), expect)
+        out, engine = run(go())
+        assert np.array_equal(out, expect)
+        assert engine.metrics.batched_keys == keys.size
+        assert engine.inflight == 0 and not engine._requests
 
     def test_scalar_query_and_absent_key(self, db, store):
         key = int(db.kmers[0])
@@ -200,6 +208,39 @@ class TestCacheIntegration:
 
         assert np.array_equal(run(go()), expect)
 
+    @pytest.mark.parametrize("t2_capacity", [0, 4])
+    def test_recorded_tiers_are_the_per_key_tiers(self, db, store, rng, t2_capacity):
+        keys = rng.choice(db.kmers[:48], size=1200)
+        cache = HotKeyCache(8, t2_capacity=t2_capacity, admit_threshold=1)
+        expected = []
+        bulk = cache.get_many
+
+        def per_key_then_bulk(ckeys, tiers=None):
+            # The reference: per-key gets on a copy of the cache as it
+            # stands when the engine asks.
+            twin = copy.deepcopy(cache)
+            for key in ckeys:
+                expected.append(
+                    TIER_STORE if twin.get(key) is None else twin.last_tier)
+            return bulk(ckeys, tiers)
+
+        cache.get_many = per_key_then_bulk
+        recorder = TraceRecorder()
+
+        async def go():
+            cfg = EngineConfig(batch_size=64, batch_window=1e-4)
+            async with QueryEngine(store, cfg, cache=cache,
+                                   recorder=recorder) as engine:
+                return (await drive_load(engine, key_groups(keys, 40),
+                                         concurrency=2))[0]
+
+        out = run(go())
+        assert np.array_equal(out, [db.get(int(k)) for k in keys])
+        tiers = recorder.snapshot().tiers.tolist()
+        assert tiers == expected
+        want = {TIER_T1, TIER_STORE} | ({TIER_T2} if t2_capacity else set())
+        assert set(tiers) == want
+
 
 class TestLifecycle:
     def test_stop_is_idempotent(self, store):
@@ -211,6 +252,39 @@ class TestLifecycle:
             await engine.stop()   # no-op
 
         run(go())
+
+    @pytest.mark.parametrize("pause", [0.0, 0.01])
+    def test_stop_fails_waiting_callers(self, db, store, pause):
+        # pause 0: the chunks are still queued when stop() comes; 0.01:
+        # each worker holds its chunk in the 0.2 s coalescing window.
+        async def go():
+            engine = QueryEngine(store, EngineConfig(batch_window=0.2))
+            await engine.start()
+            caller = asyncio.create_task(engine.query_many(db.kmers[:49]))
+            await asyncio.sleep(pause)
+            assert engine.inflight == 49
+            await engine.stop()
+            with pytest.raises(RuntimeError, match="stopped"):
+                await asyncio.wait_for(caller, 1.0)
+            return engine.inflight
+
+        assert run(go()) == 0
+
+    def test_cancelled_caller_releases_inflight(self, db, store):
+        async def go():
+            cfg = EngineConfig(batch_size=64, batch_window=5e-3)
+            async with QueryEngine(store, cfg) as engine:
+                caller = asyncio.create_task(engine.query_many(db.kmers[:40]))
+                await asyncio.sleep(0)
+                caller.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await caller
+                assert engine.inflight == 40   # its chunks are still queued
+                await asyncio.sleep(0.05)      # ... until their flush
+                assert engine.inflight == 0
+                return await engine.query_many(db.kmers[40:100])
+
+        assert np.array_equal(run(go()), db.counts[40:100])
 
     def test_metrics_elapsed_set_by_replay(self, db, store):
         async def go():
