@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines.hysortk import hysortk_count
-from .baselines.kmc3 import Kmc3Config, kmc3_count
+from .baselines.kmc3 import kmc3_count
 from .baselines.pakman import pakman_count, pakman_star_count
 from .core.bsp import BspConfig, bsp_count
 from .core.dakc import DakcConfig, dakc_count
@@ -206,7 +206,7 @@ def count_kmers(
         return CountRun(counts, stats, algorithm)
 
     if algorithm == "kmc3":
-        counts, stats = kmc3_count(data, k, m, Kmc3Config(canonical=canonical))
+        counts, stats = kmc3_count(data, k, m, canonical=canonical)
         return CountRun(counts, stats, algorithm)
 
     cores_per_pe = {

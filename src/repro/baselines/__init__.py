@@ -8,12 +8,11 @@
 """
 
 from .hysortk import hysortk_cost_model, hysortk_count
-from .kmc3 import Kmc3Config, kmc3_count
+from .kmc3 import kmc3_count
 from .pakman import pakman_count, pakman_star_count
 
 __all__ = [
     "kmc3_count",
-    "Kmc3Config",
     "pakman_count",
     "pakman_star_count",
     "hysortk_count",

@@ -6,7 +6,7 @@ re-implement its algorithmic structure:
 
 **Stage 1 (binning)** — reads are parsed into k-mers; each k-mer's
 *minimizer* (its lexicographically smallest length-``w`` substring,
-computed on the 2-bit encoding) selects one of ``n_bins`` bins.
+computed on the 2-bit encoding) selects one of :data:`N_BINS` bins.
 Minimizer binning keeps adjacent k-mers of a read together, which is
 why KMC gets away with many small sorts instead of one big one.
 
@@ -21,7 +21,7 @@ The original is a *disk-based out-of-core* tool: stage 1 writes bins
 to storage and stage 2 reads them back.  The paper forces in-memory
 mode but reports KMC3's time *including I/O* (Section VI).  We model
 both: the bin write+read round trip is charged at memory bandwidth
-(in-memory mode) and the FASTQ scan is charged at ``disk_bw`` to
+(in-memory mode) and the FASTQ scan is charged at :data:`DISK_BW` to
 mirror the included input I/O.
 
 Same skeleton as the distributed counters (:mod:`repro.core.phases`)
@@ -29,8 +29,6 @@ with bins as the owners (:func:`repro.core.owner.by_owner`) on one PE.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,34 +42,25 @@ from ..runtime.stats import RunStats
 from ..seq.kmers import check_k, count_packed_kmers, kmer_width_bits
 from ..seq.minimizers import minimizers_of_kmers
 
-__all__ = ["Kmc3Config", "kmc3_count"]
+__all__ = ["kmc3_count"]
 
-
-@dataclass(frozen=True, slots=True)
-class Kmc3Config:
-    """KMC3 reproduction tunables."""
-
-    n_bins: int = 512  # KMC3 default bin count
-    minimizer_len: int = 9  # KMC3 uses 9-mers as signatures
-    canonical: bool = False
-    #: FASTQ input scan bandwidth (bytes/s); the paper's KMC3 numbers
-    #: include I/O, so we charge the raw input at this rate.
-    disk_bw: float = 2.0e9
-    #: Raw FASTQ bytes per DNA base (sequence + quality + headers).
-    fastq_bytes_per_base: float = 2.1
-
-    def __post_init__(self) -> None:
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
-        if self.minimizer_len < 1:
-            raise ValueError("minimizer_len must be >= 1")
+#: KMC3's default bin count.
+N_BINS = 512
+#: KMC3 uses 9-mers as signatures.
+MINIMIZER_LEN = 9
+#: FASTQ input scan bandwidth (bytes/s); the paper's KMC3 numbers
+#: include I/O, so the raw input is charged at this rate.
+DISK_BW = 2.0e9
+#: Raw FASTQ bytes per DNA base (sequence + quality + headers).
+FASTQ_BYTES_PER_BASE = 2.1
 
 
 def kmc3_count(
     reads: np.ndarray | list,
     k: int,
     machine: MachineConfig,
-    config: Kmc3Config | None = None,
+    *,
+    canonical: bool = False,
 ) -> tuple[KmerCounts, RunStats]:
     """Count k-mers KMC3-style on one node of *machine*.
 
@@ -79,7 +68,6 @@ def kmc3_count(
     represents the whole node (KMC3 is a shared-memory tool).
     """
     check_k(k)
-    config = config or Kmc3Config()
     run = SimRun(CostModel(machine.with_nodes(1), cores_per_pe=machine.cores_per_node,
                            threaded=True))
     cost, stats = run.cost, run.stats
@@ -89,16 +77,16 @@ def kmc3_count(
 
     # Input I/O (KMC3's reported time includes it); the model books it
     # as the run's phase 1.
-    fastq_bytes = int(total_bases * config.fastq_bytes_per_base)
-    stats.phase1_time = fastq_bytes / config.disk_bw
+    fastq_bytes = int(total_bases * FASTQ_BYTES_PER_BASE)
+    stats.phase1_time = fastq_bytes / DISK_BW
     pe.advance(stats.phase1_time)
 
     # Stage 1: parse + minimizer binning + bin write.
-    kmers = parse_kmers(reads, k, config.canonical)
+    kmers = parse_kmers(reads, k, canonical)
     pe.kmers_generated = int(kmers.size)
-    w = min(config.minimizer_len, k)
+    w = min(MINIMIZER_LEN, k)
     mins = minimizers_of_kmers(kmers, k, w) if kmers.size else kmers
-    bins = (splitmix64(mins) % np.uint64(config.n_bins)).astype(np.int64)
+    bins = (splitmix64(mins) % np.uint64(N_BINS)).astype(np.int64)
     cost.charge_compute(pe, kmers.size * (k - w + 2))  # rolling minimizer scan
     cost.charge_mem(pe, total_bases)  # read scan
     cost.charge_mem(pe, 2 * int(kmers.nbytes))  # bin write + read-back
@@ -109,7 +97,7 @@ def kmc3_count(
     # Stage 2: per-bin radix sort + accumulate.
     passes = max(1, kmer_width_bits(k) // 8)
     results = []
-    for _, chunk in by_owner(bins, config.n_bins, kmers):
+    for _, chunk in by_owner(bins, N_BINS, kmers):
         cost.charge_compute(pe, chunk.size * passes)
         cost.charge_mem(pe, 2 * chunk.nbytes * passes)
         cache.stream(2 * chunk.nbytes * passes)

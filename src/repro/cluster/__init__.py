@@ -31,7 +31,7 @@ from .rebalance import (
 )
 from .ring import HashRing, RoutingTable, interval_mask
 from .script import MembershipEvent, run_membership_script, sample_script
-from .router import ClusterRouter, RangeUnavailable, RouterConfig
+from .router import ClusterRouter, RangeUnavailable
 
 __all__ = [
     "HashRing",
@@ -42,7 +42,6 @@ __all__ = [
     "RangeStore",
     "ClusterNode",
     "build_cluster",
-    "RouterConfig",
     "RangeUnavailable",
     "ClusterRouter",
     "ClusterMetrics",

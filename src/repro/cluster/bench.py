@@ -37,7 +37,7 @@ from ..serve.shards import ShardedStore
 from ..serve.workload import drive_load, key_groups, zipf_workload
 from .node import ClusterNode, RangeStore, build_cluster
 from .rebalance import rebalance
-from .router import ClusterRouter, RouterConfig
+from .router import ClusterRouter
 
 __all__ = ["run_cluster_bench"]
 
@@ -102,7 +102,7 @@ def _bench_hedging(counts: KmerCounts, groups: list[np.ndarray],
         ring, nodes = build_cluster(counts, n_nodes, rf=rf, vnodes=vnodes,
                                     seed=seed, service_time=service_time)
         nodes[straggler].degrade(dilation)
-        router = ClusterRouter(ring, nodes, RouterConfig(hedging=hedging))
+        router = ClusterRouter(ring, nodes, hedging=hedging)
         out, router.metrics.router.elapsed = asyncio.run(
             drive_load(router, groups[:n_groups], concurrency=concurrency))
         hist = router.metrics.router.latency
@@ -221,6 +221,12 @@ def run_cluster_bench(
     repeats: int = 3,
 ) -> dict:
     """Run all three cluster-bench sections; returns one document each."""
+    # The straggler is degraded by straggler_delay / service_time.
+    if service_time <= 0:
+        raise ValueError(f"service_time must be > 0, got {service_time}")
+    if straggler_delay < service_time:
+        raise ValueError(f"straggler_delay must be >= service_time "
+                         f"({service_time}), got {straggler_delay}")
     # One root seed, independent child streams per section: the workload
     # draw and the three ring constructions must not alias (spawn(), not
     # ``seed + i`` arithmetic — see repro.core.seeds).

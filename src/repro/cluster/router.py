@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,22 @@ from .ring import HashRing
 
 _EMPTY_IDX = np.empty(0, dtype=np.intp)
 
-__all__ = ["RouterConfig", "RangeUnavailable", "ClusterRouter"]
+__all__ = ["RangeUnavailable", "ClusterRouter"]
+
+# Hedge delay: HEDGE_MULTIPLIER x the HEDGE_QUANTILE of per-node
+# sub-request latency, clamped to [HEDGE_MIN_DELAY, HEDGE_MAX_DELAY]
+# seconds; HEDGE_INITIAL_DELAY until HEDGE_WARMUP samples exist.
+HEDGE_QUANTILE = 0.95
+HEDGE_MULTIPLIER = 2.0
+HEDGE_MIN_DELAY = 5e-4
+HEDGE_MAX_DELAY = 5e-2
+HEDGE_INITIAL_DELAY = 2e-3
+HEDGE_WARMUP = 64
+# Retries: MAX_RETRY_ROUNDS routing rounds before RangeUnavailable, with
+# an exponential backoff from BACKOFF_BASE to BACKOFF_MAX seconds.
+MAX_RETRY_ROUNDS = 4
+BACKOFF_BASE = 1e-3
+BACKOFF_MAX = 5e-2
 
 
 class RangeUnavailable(RuntimeError):
@@ -57,46 +71,22 @@ class RangeUnavailable(RuntimeError):
         self.n_keys = n_keys
 
 
-@dataclass(frozen=True)
-class RouterConfig:
-    """Tuning knobs for :class:`ClusterRouter`."""
-
-    hedging: bool = True          # fire a backup replica on slow primaries
-    hedge_quantile: float = 0.95  # latency quantile the hedge delay tracks
-    hedge_multiplier: float = 2.0  # hedge at multiplier x that quantile
-    hedge_min_delay: float = 5e-4  # never hedge earlier than this (seconds)
-    hedge_max_delay: float = 5e-2  # never wait longer than this to hedge
-    hedge_initial_delay: float = 2e-3  # used until warmup samples exist
-    hedge_warmup: int = 64        # latency samples before trusting the p95
-    max_retry_rounds: int = 4     # routing rounds before RangeUnavailable
-    backoff_base: float = 1e-3    # first inter-round backoff (seconds)
-    backoff_max: float = 5e-2     # backoff ceiling (exponential growth)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.hedge_quantile < 1.0:
-            raise ValueError("hedge_quantile must be in (0, 1)")
-        if self.hedge_multiplier <= 0:
-            raise ValueError("hedge_multiplier must be > 0")
-        if not 0 <= self.hedge_min_delay <= self.hedge_max_delay:
-            raise ValueError("need 0 <= hedge_min_delay <= hedge_max_delay")
-        if self.max_retry_rounds < 1:
-            raise ValueError("max_retry_rounds must be >= 1")
-        if self.backoff_base <= 0 or self.backoff_max < self.backoff_base:
-            raise ValueError("need 0 < backoff_base <= backoff_max")
-
-
 class ClusterRouter:
-    """Replica-aware query front end over a ring of cluster nodes."""
+    """Replica-aware query front end over a ring of cluster nodes.
 
-    def __init__(self, ring: HashRing, nodes: dict[int, ClusterNode],
-                 config: RouterConfig | None = None, *,
+    *hedging* fires a backup replica when a primary is slower than the
+    hedge delay; the cluster bench measures the tail with it on and off.
+    """
+
+    def __init__(self, ring: HashRing, nodes: dict[int, ClusterNode], *,
+                 hedging: bool = True,
                  metrics: ClusterMetrics | None = None, recorder=None):
         missing = [n for n in ring.node_ids if n not in nodes]
         if missing:
             raise ValueError(f"ring nodes without a ClusterNode: {missing}")
         self.ring = ring
         self.nodes = dict(nodes)
-        self.config = config or RouterConfig()
+        self.hedging = hedging
         self.metrics = metrics or ClusterMetrics()
         #: Optional :class:`repro.trace.TraceRecorder` (duck-typed:
         #: anything with ``record_batch(keys, tiers)``).  The router
@@ -178,12 +168,11 @@ class ClusterRouter:
 
     def hedge_delay(self) -> float:
         """Adaptive hedge trigger: multiplier x sub-request p95, clamped."""
-        cfg = self.config
         hist = self._hedge_hist
-        if hist.n < cfg.hedge_warmup:
-            return cfg.hedge_initial_delay
-        delay = hist.quantile(cfg.hedge_quantile) * cfg.hedge_multiplier
-        return min(max(delay, cfg.hedge_min_delay), cfg.hedge_max_delay)
+        if hist.n < HEDGE_WARMUP:
+            return HEDGE_INITIAL_DELAY
+        delay = hist.quantile(HEDGE_QUANTILE) * HEDGE_MULTIPLIER
+        return min(max(delay, HEDGE_MIN_DELAY), HEDGE_MAX_DELAY)
 
     async def _timed_lookup(self, node_id: int, keys: np.ndarray) -> np.ndarray:
         """A node lookup that feeds the hedge-delay estimator."""
@@ -237,14 +226,13 @@ class ClusterRouter:
 
     async def _route(self, keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Serve one batch: select, hedge, retry, fail over."""
-        cfg = self.config
         rf = rows.shape[1]
         out = np.zeros(keys.size, dtype=np.int64)
         pending = np.arange(keys.size)
         rot = self._rr
         self._rr += 1
-        backoff = cfg.backoff_base
-        for round_no in range(cfg.max_retry_rounds):
+        backoff = BACKOFF_BASE
+        for round_no in range(MAX_RETRY_ROUNDS):
             # Per-key target: first live replica in rotated preference
             # order (the rotation spreads steady-state load over all RF
             # replicas of each range).
@@ -312,9 +300,9 @@ class ClusterRouter:
                 pending = np.concatenate([stuck, *failed]) if failed else stuck
             else:
                 return out
-            if round_no + 1 < cfg.max_retry_rounds:
+            if round_no + 1 < MAX_RETRY_ROUNDS:
                 await asyncio.sleep(backoff)
-                backoff = min(backoff * 2.0, cfg.backoff_max)
+                backoff = min(backoff * 2.0, BACKOFF_MAX)
         self.metrics.failovers += 1
         tried = tuple(sorted({int(x) for x in rows[pending].ravel()}))
         raise RangeUnavailable(tried, int(pending.size))
@@ -322,9 +310,8 @@ class ClusterRouter:
     async def _hedged(self, node_id: int, keys: np.ndarray,
                       rows: np.ndarray) -> np.ndarray:
         """One node lookup, backed up by a hedge after the hedge delay."""
-        cfg = self.config
         primary = asyncio.ensure_future(self._timed_lookup(node_id, keys))
-        if not cfg.hedging or rows.shape[1] < 2:
+        if not self.hedging or rows.shape[1] < 2:
             return await primary
         done, _ = await asyncio.wait({primary}, timeout=self.hedge_delay())
         if done:

@@ -28,7 +28,7 @@ from ..core.result import KmerCounts
 from ..serve.workload import key_groups
 from .node import ClusterNode, RangeStore, build_cluster
 from .rebalance import rebalance
-from .router import ClusterRouter, RouterConfig
+from .router import ClusterRouter
 
 __all__ = ["MembershipEvent", "sample_script", "script_to_doc",
            "script_from_doc", "run_membership_script"]
@@ -139,16 +139,15 @@ def run_membership_script(
     service_time: float = 0.0,
     group_size: int = 64,
     chunk_keys: int = 2048,
-    router_config: RouterConfig | None = None,
     groups: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ClusterRouter]:
     """Serve *keys* in batches while executing *script* between them.
 
     Returns ``(answers, router)``: the concatenated per-key answers in
     stream order, and the post-script router (its ring and node states
-    are what invariant checkers inspect).  The whole run is a pure
-    function of ``(counts, keys, script, config)`` — no wall-clock
-    dependence as long as ``router_config`` keeps hedging off.
+    are what invariant checkers inspect).  The router runs with hedging
+    off, so the whole run is a pure function of its arguments: no
+    wall-clock dependence.
 
     *groups* overrides the fixed ``group_size`` chunking with explicit
     batches (e.g. :func:`repro.serve.workload.arrival_groups` of a
@@ -159,9 +158,7 @@ def run_membership_script(
     keys = np.asarray(keys, dtype=np.uint64)
     ring, nodes = build_cluster(counts, n_nodes, rf=rf, vnodes=vnodes,
                                 seed=seed, service_time=service_time)
-    config = router_config if router_config is not None else RouterConfig(
-        hedging=False)
-    router = ClusterRouter(ring, nodes, config)
+    router = ClusterRouter(ring, nodes, hedging=False)
     if groups is not None:
         batches = [np.asarray(g, dtype=np.uint64) for g in groups]
         if sum(int(b.size) for b in batches) != int(keys.size):

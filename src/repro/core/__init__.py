@@ -12,7 +12,7 @@ words per k-mer) and the barrier-free sorted-set variant
 
 from .bsp import BspConfig, bsp_count
 from .dakc import DakcConfig, DeliveryIntegrityError, dakc_count, dakc_count_big
-from .minipart import MinimizerPartitionConfig, minimizer_partitioned_count
+from .minipart import minimizer_partitioned_count
 from .l2l3 import AggregationConfig, BulkAggregator, ExactAggregator, receive_service_time
 from .owner import by_owner, owner_pe, owner_pe_scalar, splitmix64
 from .phases import SimRun, n_bases, parse_kmers, split_reads
@@ -45,6 +45,5 @@ __all__ = [
     "dakc_count_big",
     "SortedRunSet",
     "dakc_overlap_count",
-    "MinimizerPartitionConfig",
     "minimizer_partitioned_count",
 ]

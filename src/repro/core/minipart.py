@@ -25,8 +25,6 @@ and the super-k-mer wire accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..runtime.cost import OPS_PER_SUPERKMER, CostModel
@@ -39,29 +37,18 @@ from .owner import by_owner, splitmix64
 from .phases import SimRun, split_reads
 from .result import KmerCounts
 
-__all__ = ["MinimizerPartitionConfig", "minimizer_partitioned_count"]
+__all__ = ["minimizer_partitioned_count"]
 
-
-@dataclass(frozen=True, slots=True)
-class MinimizerPartitionConfig:
-    """Tunables of the minimizer-partitioned counter."""
-
-    minimizer_len: int = 9
-    #: Fixed per-super-k-mer wire header (minimizer id + length).
-    header_bytes: int = 8
-
-    def __post_init__(self) -> None:
-        if self.minimizer_len < 1:
-            raise ValueError("minimizer_len must be >= 1")
-        if self.header_bytes < 0:
-            raise ValueError("header_bytes must be >= 0")
+#: Minimizer length routing super-k-mers (KMC's 9-mer signatures).
+MINIMIZER_LEN = 9
+#: Fixed per-super-k-mer wire header (minimizer id + length).
+HEADER_BYTES = 8
 
 
 def minimizer_partitioned_count(
     reads: np.ndarray | list,
     k: int,
     cost: CostModel | MachineConfig,
-    config: MinimizerPartitionConfig | None = None,
     *,
     canonical: bool = False,
 ) -> tuple[KmerCounts, RunStats]:
@@ -81,10 +68,9 @@ def minimizer_partitioned_count(
     super-k-mer decomposition, exactly as a canonical splitter would
     emit them.
     """
-    config = config or MinimizerPartitionConfig()
     run = SimRun(cost)
     cost, stats, n_pes = run.cost, run.stats, run.n_pes
-    w = min(config.minimizer_len, k)
+    w = min(MINIMIZER_LEN, k)
     run.barrier()  # sync 1
 
     # inbox[dst] collects k-mer arrays; wire accounting uses the
@@ -118,7 +104,7 @@ def minimizer_partitioned_count(
         ends = np.append(starts[1:], owners.size)
         n_bases = (ends - starts) + k - 1
         pending_bytes = np.bincount(
-            owners[starts], weights=-(-n_bases // 4) + config.header_bytes,
+            owners[starts], weights=-(-n_bases // 4) + HEADER_BYTES,
             minlength=n_pes).astype(np.int64)
         cost.charge_compute(pe, int(starts.size) * OPS_PER_SUPERKMER)
         for dst, routed in by_owner(owners, n_pes, kmers):

@@ -36,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cluster.router import RouterConfig
 from ..cluster.script import run_membership_script
 from ..core.dakc import DakcConfig, DeliveryIntegrityError, dakc_count
 from ..core.result import probe_sorted
@@ -448,7 +447,8 @@ class Simulation:
                 burst=burst,
             )
             keys = stream.keys
-            groups = arrival_groups(stream, tick=cfg.group_size / rate)
+            groups = arrival_groups(stream.keys, stream.arrivals,
+                                    tick=cfg.group_size / rate)
         else:
             rng = np.random.default_rng(query_seed)
             n_hits = max(0, cfg.n_queries - cfg.miss_queries)
@@ -465,7 +465,6 @@ class Simulation:
                 reference, keys, schedule.membership,
                 n_nodes=cfg.n_nodes, rf=cfg.rf, vnodes=cfg.vnodes,
                 seed=ring_seed, group_size=cfg.group_size,
-                router_config=RouterConfig(hedging=False),
                 groups=groups,
             )
         except Exception as exc:  # a legal script must never fail

@@ -25,7 +25,7 @@ See ``docs/LSM.md`` for the design, the crash-consistency argument,
 and the memory-budget knobs.
 """
 
-from .compaction import CompactionConfig, merge_runs, pick_compaction
+from .compaction import merge_runs, pick_compaction
 from .crash import CRASH_POINTS, CrashPoints, SimulatedCrash
 from .memtable import Memtable
 from .run import Run, write_run
@@ -42,7 +42,6 @@ __all__ = [
     "write_run",
     "WriteAheadLog",
     "as_read_list",
-    "CompactionConfig",
     "pick_compaction",
     "merge_runs",
     "CrashPoints",

@@ -10,7 +10,7 @@ keeps total write amplification logarithmic.
 The merge itself (:func:`merge_runs`) never materialises more than a
 bounded working set:
 
-1. each input run is cursored in ``chunk_keys``-element slices
+1. each input run is cursored in :data:`CHUNK_KEYS`-element slices
    (:meth:`~repro.lsm.run.Run.read_slice` views of the mapped
    sections: nothing is read or copied until the merge below);
 2. per iteration the *boundary* is the smallest last key offered across
@@ -23,7 +23,7 @@ bounded working set:
    :func:`~repro.lsm.run.write_run` (NumPy copies memmaps in bounded
    buffers).
 
-Peak memory is O(``fan_in`` x ``chunk_keys``) elements regardless of
+Peak memory is O(``fan_in`` x :data:`CHUNK_KEYS`) elements regardless of
 run sizes.  The output run is published with the same atomic
 ``.tmp`` + ``os.replace`` dance as a flush, so a crash mid-compaction
 leaves the old runs authoritative and at worst an orphan file for the
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,36 +41,23 @@ import numpy as np
 from ..apps.store import merge_sorted_counts
 from .run import Run, write_run
 
-__all__ = ["CompactionConfig", "pick_compaction", "merge_runs"]
+__all__ = ["CHUNK_KEYS", "pick_compaction", "merge_runs"]
+
+#: Keys each input run offers per merge step: the merge's working set is
+#: this many keys per run (1 MiB of keys and counts), whatever the run sizes.
+CHUNK_KEYS = 1 << 16
 
 
-@dataclass(frozen=True)
-class CompactionConfig:
-    """Knobs bounding read amplification and merge memory."""
-
-    max_runs: int = 8        # compact when the store holds more runs
-    fan_in: int = 8          # runs merged per compaction
-    chunk_keys: int = 1 << 16  # merge working-set bound, per run
-
-    def __post_init__(self) -> None:
-        if self.max_runs < 1:
-            raise ValueError("max_runs must be >= 1")
-        if self.fan_in < 2:
-            raise ValueError("fan_in must be >= 2")
-        if self.chunk_keys < 1:
-            raise ValueError("chunk_keys must be >= 1")
-
-
-def pick_compaction(runs: list[Run], config: CompactionConfig) -> list[int] | None:
-    """Indices of the runs to merge next, or ``None`` if within bounds."""
-    if len(runs) <= config.max_runs:
+def pick_compaction(runs: list[Run], max_runs: int, fan_in: int) -> list[int] | None:
+    """Indices of the *fan_in* smallest runs to merge next, or ``None``
+    while the store holds no more than *max_runs* runs."""
+    if len(runs) <= max_runs:
         return None
     order = sorted(range(len(runs)), key=lambda i: runs[i].n_keys)
-    return sorted(order[: min(config.fan_in, len(runs))])
+    return sorted(order[: min(fan_in, len(runs))])
 
 
-def merge_runs(runs: list[Run], out_path: str | os.PathLike, k: int, *,
-               chunk_keys: int = 1 << 16, index_stride: int = 4096) -> None:
+def merge_runs(runs: list[Run], out_path: str | os.PathLike, k: int) -> None:
     """Merge *runs* into one new run at *out_path* (counts summed)."""
     if not runs:
         raise ValueError("nothing to merge")
@@ -86,8 +72,8 @@ def merge_runs(runs: list[Run], out_path: str | os.PathLike, k: int, *,
     try:
         with open(spill_keys, "wb") as fk, open(spill_vals, "wb") as fv:
             while True:
-                # Every unfinished run offers its next chunk_keys pairs.
-                heads = [(i, *r.read_slice(cursors[i], cursors[i] + chunk_keys))
+                # Every unfinished run offers its next CHUNK_KEYS pairs.
+                heads = [(i, *r.read_slice(cursors[i], cursors[i] + CHUNK_KEYS))
                          for i, r in enumerate(runs) if cursors[i] < r.n_keys]
                 if not heads:
                     break
@@ -113,7 +99,7 @@ def merge_runs(runs: list[Run], out_path: str | os.PathLike, k: int, *,
         else:
             keys = np.empty(0, dtype=np.uint64)
             vals = np.empty(0, dtype=np.int64)
-        write_run(out_path, k, keys, vals, index_stride=index_stride)
+        write_run(out_path, k, keys, vals)
         del keys, vals
     finally:
         for spill in (spill_keys, spill_vals):

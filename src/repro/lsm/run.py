@@ -10,6 +10,10 @@ it is servable without loading it whole (framing in
     keys section    n raw uint64, at a computed offset
     counts section  n raw int64, right behind the keys
 
+:func:`write_run` indexes every :data:`~repro.fileio.BLOCK_KEYS`-th key,
+the count database's block size; a reader takes the stride from the
+header.
+
 * **fences** — the min and max key, so a point lookup skips the run
   (no page touched at all) when the key is out of range;
 * the **sparse index** is tiny and resident; the two sections are
@@ -36,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..fileio import FormatError, Framing, publish, record
+from ..fileio import BLOCK_KEYS, FormatError, Framing, publish, record
 
 __all__ = ["RUN", "write_run", "Run"]
 
@@ -44,21 +48,19 @@ RUN = Framing("LSM run", b"dakcrun\x00", 2, "<QQQQQ")
 """Header fields: k, n, index_stride, fence_min, fence_max."""
 
 
-def write_run(path: str | os.PathLike, k: int, keys: np.ndarray, vals: np.ndarray,
-              *, index_stride: int = 4096) -> None:
+def write_run(path: str | os.PathLike, k: int, keys: np.ndarray,
+              vals: np.ndarray) -> None:
     """Atomically write a sorted run (keys strictly increasing).
 
     *keys*/*vals* may be memmaps — their buffers go to the file without
     a copy, which is what keeps compaction's peak memory flat.
     """
-    if index_stride < 1:
-        raise ValueError("index_stride must be >= 1")
     n = int(keys.shape[0])
-    index_keys = np.ascontiguousarray(keys[::index_stride], dtype="<u8")
+    index_keys = np.ascontiguousarray(keys[::BLOCK_KEYS], dtype="<u8")
     fence_min, fence_max = (int(keys[0]), int(keys[-1])) if n else (0, 0)
 
     def write(fh) -> None:
-        fh.write(RUN.header(k, n, index_stride, fence_min, fence_max))
+        fh.write(RUN.header(k, n, BLOCK_KEYS, fence_min, fence_max))
         fh.write(record(index_keys.tobytes()))
         fh.write(np.ascontiguousarray(keys, dtype="<u8"))
         fh.write(np.ascontiguousarray(vals, dtype="<i8"))

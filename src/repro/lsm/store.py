@@ -38,11 +38,11 @@ from pathlib import Path
 import numpy as np
 
 from ..apps.store import merge_sorted_counts
-from ..core.owner import owner_pe
 from ..core.result import KmerCounts
 from ..fileio import check_version, parse_json, publish
 from ..seq.kmers import check_k, count_owned_kmers, extract_kmers_from_reads
-from .compaction import CompactionConfig, merge_runs, pick_compaction
+from ..serve.shards import ShardedStore
+from .compaction import merge_runs, pick_compaction
 from .crash import CrashPoints
 from .memtable import Memtable
 from .run import Run, write_run
@@ -64,8 +64,6 @@ class LsmConfig:
     memtable_bytes: int = 8 << 20   # flush trigger (resident delta bytes)
     max_runs: int = 8               # read-amplification bound (fan-in)
     fan_in: int = 8                 # runs merged per compaction
-    chunk_keys: int = 1 << 16       # compaction working-set bound
-    index_stride: int = 4096        # sparse-index block size (keys)
     canonical: bool = False         # strand-folded counting
     wal_sync: bool = False          # fsync every WAL append
     auto_compact: bool = True       # compact inline when runs exceed bound
@@ -73,13 +71,10 @@ class LsmConfig:
     def __post_init__(self) -> None:
         if self.memtable_bytes < 1:
             raise ValueError("memtable_bytes must be >= 1")
-        if self.index_stride < 1:
-            raise ValueError("index_stride must be >= 1")
-        CompactionConfig(self.max_runs, self.fan_in, self.chunk_keys)
-
-    @property
-    def compaction(self) -> CompactionConfig:
-        return CompactionConfig(self.max_runs, self.fan_in, self.chunk_keys)
+        if self.max_runs < 1:
+            raise ValueError("max_runs must be >= 1")
+        if self.fan_in < 2:
+            raise ValueError("fan_in must be >= 2")
 
 
 @dataclass
@@ -272,8 +267,7 @@ class LsmStore:
         applied = self.wal.last_seq
         run_id = self._man["next_run_id"]
         name = f"run-{run_id:06d}.run"
-        write_run(self.dir / name, self.k, self.memtable.keys, self.memtable.vals,
-                  index_stride=self.config.index_stride)
+        write_run(self.dir / name, self.k, self.memtable.keys, self.memtable.vals)
         self.crash.hit("flush.post_run_write")
         new_man = dict(self._man,
                        runs=[name] + list(self._man["runs"]),
@@ -293,7 +287,8 @@ class LsmStore:
     def compact(self) -> int:
         """Merge runs until within the ``max_runs`` bound; returns merges."""
         merges = 0
-        while (sel := pick_compaction(self.runs, self.config.compaction)) is not None:
+        cfg = self.config
+        while (sel := pick_compaction(self.runs, cfg.max_runs, cfg.fan_in)) is not None:
             self._compact_once(sel)
             merges += 1
         return merges
@@ -302,9 +297,7 @@ class LsmStore:
         victims = [self.runs[i] for i in sel]
         run_id = self._man["next_run_id"]
         name = f"run-{run_id:06d}.run"
-        merge_runs(victims, self.dir / name, self.k,
-                   chunk_keys=self.config.chunk_keys,
-                   index_stride=self.config.index_stride)
+        merge_runs(victims, self.dir / name, self.k)
         self.crash.hit("compact.post_run_write")
         victim_names = {v.path.name for v in victims}
         insert_at = min(sel)  # merged run takes the newest victim's slot
@@ -417,11 +410,7 @@ class LsmReadView:
         self.n_shards = n_shards
         self.k = store.k
 
-    def shard_of(self, keys: np.ndarray | int) -> np.ndarray | int:
-        """splitmix64 routing, identical to :class:`ShardedStore`."""
-        scalar = np.isscalar(keys) or isinstance(keys, (int, np.integer))
-        ids = owner_pe(np.atleast_1d(np.asarray(keys, dtype=np.uint64)), self.n_shards)
-        return int(ids[0]) if scalar else ids
+    shard_of = ShardedStore.shard_of
 
     def lookup_batch(self, shard_id: int, keys: np.ndarray) -> np.ndarray:
         """One merge-on-read lookup (shard id is routing-only)."""

@@ -28,6 +28,7 @@ import numpy as np
 from ..core.result import KmerCounts
 from ..fileio import FormatError
 from ..seq.kmers import count_owned_kmers
+from ..seq.superkmers import DEFAULT_MINIMIZER_LEN
 from ..sort.accumulate import merge_count_arrays
 from .format import BIN, read_bin_records, superkmer_kmers
 from .spill import BinWriter, FlushOrder, OocStats
@@ -102,7 +103,7 @@ def ooc_count(
     the honest configuration for data that genuinely exceeds RAM.
     """
     if w is None:
-        w = min(k, 7)
+        w = min(k, DEFAULT_MINIMIZER_LEN)
     own_tmp = workdir is None
     tmp = tempfile.TemporaryDirectory(prefix="dakc-ooc-") if own_tmp else None
     bin_dir = Path(tmp.name) if own_tmp else Path(workdir)

@@ -56,8 +56,8 @@ __all__ = [
     "superkmer_wire_bytes",
 ]
 
-#: Default minimizer length of the fast path (KMC2/KMC3 use 7-9; the
-#: out-of-core spiller has always used ``min(k, 7)``).
+#: Default minimizer length of the fast path and the out-of-core
+#: spiller (KMC2/KMC3 use 7-9); both take ``min(k, 7)``.
 DEFAULT_MINIMIZER_LEN: int = 7
 
 

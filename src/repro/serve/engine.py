@@ -12,11 +12,11 @@ The serving pipeline for one query is::
 Three mechanisms carry the performance argument:
 
 * **Bounded admission** — the engine tracks keys in flight and rejects
-  work past ``max_inflight`` with a typed :class:`Overloaded` error
+  work past :data:`MAX_INFLIGHT` with a typed :class:`Overloaded` error
   instead of queueing unboundedly.  Explicit backpressure: the load
   generator sees rejections, latency stays bounded, memory stays flat.
 * **Micro-batching** — per-shard workers coalesce queued requests up
-  to ``batch_size`` keys or a ``batch_window`` timer and answer each
+  to :data:`BATCH_SIZE` keys or a ``batch_window`` timer and answer each
   flush with *one* vectorised lookup, amortising the per-call Python
   and NumPy overhead that makes one-at-a-time serving slow.
 * **Hot-key caching** — a :class:`~repro.serve.cache.HotKeyCache`
@@ -56,6 +56,18 @@ from ..tenant.scheduler import DRRQueue                # noqa: E402
 
 __all__ = ["Overloaded", "EngineConfig", "QueryEngine", "naive_serve"]
 
+#: Keys per flush, the coalescing target: one 256-key client group, the
+#: group size every serving bench submits, is one flush.
+BATCH_SIZE = 256
+#: Admission bound in keys (priority p gets ``MAX_INFLIGHT >> p``): 32
+#: flushes, 4x what 8 closed-loop clients of 256-key groups hold, so
+#: only open-loop floods are shed.
+MAX_INFLIGHT = 8192
+#: Micro-batchers per shard.  A flush runs synchronously on the event
+#: loop, so a second worker would split the queue into smaller batches,
+#: not look up in parallel.
+WORKERS_PER_SHARD = 1
+
 
 class Overloaded(RuntimeError):
     """Admission queue full: the request was rejected, not queued.
@@ -81,11 +93,7 @@ class Overloaded(RuntimeError):
 class EngineConfig:
     """Tuning knobs for :class:`QueryEngine`."""
 
-    batch_size: int = 256        # keys per flush (coalescing target)
     batch_window: float = 5e-4   # seconds a partial batch waits for company
-    max_inflight: int = 8192     # admission bound, in keys
-    workers_per_shard: int = 1   # concurrent micro-batchers per shard
-    quantum_keys: int = 64       # DRR key-credit per unit tenant weight
     fair_scheduling: bool = True  # DRR queues when tenants are registered
     #: Simulated store service cost per flush (fixed + per-key seconds),
     #: awaited by the worker before the vectorised lookup.  0 = off.
@@ -95,16 +103,8 @@ class EngineConfig:
     flush_service_per_key: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.batch_window < 0:
             raise ValueError("batch_window must be >= 0")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if self.workers_per_shard < 1:
-            raise ValueError("workers_per_shard must be >= 1")
-        if self.quantum_keys < 1:
-            raise ValueError("quantum_keys must be >= 1")
         if self.flush_service_time < 0 or self.flush_service_per_key < 0:
             raise ValueError("flush service costs must be >= 0")
 
@@ -182,16 +182,13 @@ class QueryEngine:
             return
         if self.tenants is not None and self.config.fair_scheduling:
             weights = self.tenants.weights()
-            self._queues = [
-                DRRQueue(weights, quantum=self.config.quantum_keys)
-                for _ in range(self.store.n_shards)
-            ]
+            self._queues = [DRRQueue(weights) for _ in range(self.store.n_shards)]
         else:
             self._queues = [asyncio.Queue() for _ in range(self.store.n_shards)]
         self._workers = [
             asyncio.create_task(self._worker(sid))
             for sid in range(self.store.n_shards)
-            for _ in range(self.config.workers_per_shard)
+            for _ in range(WORKERS_PER_SHARD)
         ]
         # A live store (e.g. LsmReadView) keeps changing answers under
         # us; drop cached entries for every ingested key or the cache
@@ -249,7 +246,7 @@ class QueryEngine:
         drain rate; clamped to [batch_window, 5 s] so clients never
         spin on a zero hint or stall on a cold estimate.
         """
-        excess = max(self._inflight + n - self.config.max_inflight, n)
+        excess = max(self._inflight + n - MAX_INFLIGHT, n)
         if self._drain_rate > 0:
             hint = excess / self._drain_rate
         else:
@@ -267,7 +264,7 @@ class QueryEngine:
         request is first charged against the tenant's token bucket
         (:class:`~repro.tenant.registry.QuotaExceeded` with a
         retry-after hint, **before** any queue depth is consumed),
-        then admitted against ``max_inflight >> priority`` so lower
+        then admitted against ``MAX_INFLIGHT >> priority`` so lower
         classes shed while class 0 still has headroom.
         """
         if not self._running:
@@ -279,7 +276,7 @@ class QueryEngine:
 
         # -- admission: quota first, queue depth second ----------------
         tm = None
-        limit = self.config.max_inflight
+        limit = MAX_INFLIGHT
         if self.tenants is not None and tenant is not None:
             tm = self.tenant_metrics.get(tenant)
             try:
@@ -288,9 +285,9 @@ class QueryEngine:
                 self.metrics.reject(n, "quota")
                 tm.reject(n, "quota")
                 raise
-            limit = max(1, self.config.max_inflight >> spec.priority)
+            limit = max(1, MAX_INFLIGHT >> spec.priority)
         if self._inflight + n > limit:
-            cause = "overload" if limit == self.config.max_inflight else "shed"
+            cause = "overload" if limit == MAX_INFLIGHT else "shed"
             self.metrics.reject(n, cause)
             if tm is not None:
                 tm.reject(n, cause)
@@ -369,10 +366,10 @@ class QueryEngine:
             chunk = await queue.get()
             batch = [chunk]
             n_keys = int(chunk.keys.size)
-            if cfg.batch_window > 0 and n_keys < cfg.batch_size and queue.empty():
+            if cfg.batch_window > 0 and n_keys < BATCH_SIZE and queue.empty():
                 # Lone partial batch: wait one window for company.
                 await asyncio.sleep(cfg.batch_window)
-            while n_keys < cfg.batch_size and not queue.empty():
+            while n_keys < BATCH_SIZE and not queue.empty():
                 more = queue.get_nowait()
                 batch.append(more)
                 n_keys += int(more.keys.size)

@@ -60,14 +60,12 @@ class ShardedStore:
     micro-batcher all agree on routing without coordination.
     """
 
-    def __init__(self, k: int, shards: list[Shard], *, n_shards: int | None = None):
+    def __init__(self, k: int, shards: list[Shard]):
         if not shards:
             raise ValueError("need at least one shard")
         self.k = k
         self.shards = shards
-        self.n_shards = len(shards) if n_shards is None else n_shards
-        if self.n_shards != len(shards):
-            raise ValueError("n_shards must match the shard list")
+        self.n_shards = len(shards)
 
     @classmethod
     def from_counts(cls, counts: KmerCounts, n_shards: int) -> "ShardedStore":

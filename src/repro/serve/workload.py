@@ -208,22 +208,23 @@ def _absent_keys(counts: KmerCounts, n: int, rng: np.random.Generator) -> np.nda
     raise RuntimeError("could not draw absent keys (database saturates key space)")
 
 
-def arrival_groups(
-    workload: QueryWorkload, tick: float = 1e-3
-) -> list[np.ndarray]:
-    """Bucket the stream into arrival ticks of *tick* seconds.
+def arrival_groups(keys: np.ndarray, times: np.ndarray,
+                   tick: float = 1e-3) -> list[np.ndarray]:
+    """Bucket a key stream into arrival ticks of *tick* seconds.
 
-    Each group is the batch of keys whose Poisson arrivals fall in one
-    tick — the unit a load generator submits together, standing in for
-    that many concurrent single-key clients.
+    *times* are the keys' non-decreasing arrival times: a workload's
+    Poisson ``arrivals`` or a recorded trace's ``ts``.  Each group is the
+    batch of keys that arrive in one tick — the unit a load generator
+    submits together, standing in for that many concurrent single-key
+    clients.
     """
     if tick <= 0:
         raise ValueError("tick must be > 0")
-    if not workload.keys.size:
+    if not keys.size:
         return []
-    slot = (workload.arrivals // tick).astype(np.int64)
+    slot = (times // tick).astype(np.int64)
     bounds = np.flatnonzero(np.diff(slot)) + 1
-    return np.split(workload.keys, bounds)
+    return np.split(keys, bounds)
 
 
 def key_groups(keys: np.ndarray, group_size: int) -> list[np.ndarray]:

@@ -44,12 +44,15 @@ from ..serve.shards import ShardedStore
 from ..serve.workload import drive_load, key_groups, zipf_workload
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .registry import QuotaExceeded, TenantRegistry, TenantSpec
+from .scheduler import QUANTUM_KEYS
 
 __all__ = ["TenantBenchResult", "run_tenant_bench", "autoscale_demo",
            "bench_engine_config"]
 
 VICTIM = "victim"
 ANTAGONIST = "antagonist"
+#: DRR weights: the victim is owed 4x the antagonist's share.
+WEIGHTS = {VICTIM: 4.0, ANTAGONIST: 1.0}
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ class TenantBenchResult:
         return self.unprotected["p99_ms"] / self.solo["p99_ms"] - 1.0
 
 
-def _registry(isolation: bool, *, victim_weight: float, antag_rate: float,
-              antag_burst: int, victim_slo_ms: float) -> TenantRegistry:
+def _registry(isolation: bool, *, antag_rate: float, antag_burst: int,
+              victim_slo_ms: float) -> TenantRegistry:
     """Tenant table for one scenario.
 
     With isolation ON the antagonist is rate-limited and deprioritised;
@@ -83,11 +86,11 @@ def _registry(isolation: bool, *, victim_weight: float, antag_rate: float,
     still exists (so the code path is identical) but grants everything.
     """
     if isolation:
-        antag = TenantSpec(ANTAGONIST, weight=1.0, rate=antag_rate,
-                           burst=antag_burst, priority=1)
+        antag = TenantSpec(ANTAGONIST, weight=WEIGHTS[ANTAGONIST],
+                           rate=antag_rate, burst=antag_burst, priority=1)
     else:
-        antag = TenantSpec(ANTAGONIST, weight=1.0)
-    victim = TenantSpec(VICTIM, weight=4.0, slo_ms=victim_slo_ms)
+        antag = TenantSpec(ANTAGONIST, weight=WEIGHTS[ANTAGONIST])
+    victim = TenantSpec(VICTIM, weight=WEIGHTS[VICTIM], slo_ms=victim_slo_ms)
     return TenantRegistry([victim, antag])
 
 
@@ -139,7 +142,7 @@ def _scenario(store, victim_groups: list[np.ndarray],
     """Run one contention scenario; returns the victim's view of it."""
     from ..serve.engine import QueryEngine  # lazy: serve <-> tenant cycle
 
-    registry = _registry(isolation, victim_weight=4.0, antag_rate=antag_rate,
+    registry = _registry(isolation, antag_rate=antag_rate,
                          antag_burst=antag_burst, victim_slo_ms=victim_slo_ms)
     if not isolation:
         # "Unprotected" means every mechanism off: unlimited quota above
@@ -180,8 +183,8 @@ def bench_engine_config():
     """The engine the experiment is sized for (see :func:`run_tenant_bench`)."""
     from ..serve.engine import EngineConfig  # lazy: serve <-> tenant cycle
 
-    return EngineConfig(batch_size=256, batch_window=2e-3, max_inflight=8192,
-                        flush_service_time=30e-3, flush_service_per_key=1e-5)
+    return EngineConfig(batch_window=2e-3, flush_service_time=30e-3,
+                        flush_service_per_key=1e-5)
 
 
 def run_tenant_bench(
@@ -243,7 +246,7 @@ def run_tenant_bench(
     )
 
     autoscale = autoscale_demo(counts, n_nodes=autoscale_nodes, seed=seed)
-    fairness = drr_fairness_demo(quantum=config.quantum_keys)
+    fairness = drr_fairness_demo()
 
     return TenantBenchResult(
         solo=solo, isolated=isolated, unprotected=unprotected,
@@ -261,7 +264,7 @@ class _FakeChunk:
         self.tenant = tenant
 
 
-def drr_fairness_demo(*, quantum: int = 64, weights=None,
+def drr_fairness_demo(*, quantum: int = QUANTUM_KEYS, weights=None,
                       chunk: int = 16, backlog_keys: int = 4000) -> dict:
     """Deterministic DRR evidence: served shares track weights.
 
@@ -273,7 +276,7 @@ def drr_fairness_demo(*, quantum: int = 64, weights=None,
     """
     from .scheduler import DRRQueue
 
-    weights = dict(weights or {VICTIM: 4.0, ANTAGONIST: 1.0})
+    weights = dict(weights or WEIGHTS)
     q = DRRQueue(weights, quantum=quantum)
     for tenant, w in weights.items():
         total = int(backlog_keys * w * 2)  # 2x so nobody drains early

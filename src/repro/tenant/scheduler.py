@@ -28,10 +28,14 @@ import asyncio
 import math
 from collections import OrderedDict, deque
 
-__all__ = ["DRRQueue"]
+__all__ = ["QUANTUM_KEYS", "DRRQueue"]
 
 #: Lane used for untagged chunks (requests without a tenant).
 _ANON = None
+
+#: Key-credits per unit weight per turn at the engine's shard queues: a
+#: quarter of a 256-key flush, so one flush interleaves several tenants.
+QUANTUM_KEYS = 64
 
 
 class DRRQueue:
@@ -51,7 +55,7 @@ class DRRQueue:
     """
 
     def __init__(self, weights: dict[str, float] | None = None, *,
-                 quantum: int = 64, default_weight: float = 1.0):
+                 quantum: int = QUANTUM_KEYS, default_weight: float = 1.0):
         if quantum < 1:
             raise ValueError("quantum must be >= 1 key")
         if default_weight <= 0:

@@ -40,7 +40,6 @@ from .replay import (
     measured_miss_ratio_curve,
     replay_trace,
     simulate_cache,
-    trace_groups,
 )
 from .sampling import scaled_miss_ratio_curve, spatial_sample, temporal_sample
 
@@ -62,7 +61,6 @@ __all__ = [
     "scaled_miss_ratio_curve",
     "simulate_cache",
     "measured_miss_ratio_curve",
-    "trace_groups",
     "ReplayResult",
     "replay_trace",
     "TraceBenchResult",

@@ -10,7 +10,8 @@ Two replay modes, increasing in fidelity:
   predicted-vs-measured miss-ratio comparison.
 
 * :func:`replay_trace` — the *system* mode: rebuild the trace's
-  arrival groups from its timestamps and push them through a real
+  arrival groups from its timestamps
+  (:func:`~repro.serve.workload.arrival_groups`) and push them through a real
   :class:`~repro.serve.engine.QueryEngine` over a sharded store,
   exactly like the live benchmarks do.  Answers are checked
   bit-identical against the scalar baseline, so a recorded workload
@@ -30,15 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..serve.cache import HotKeyCache
-from ..serve.engine import EngineConfig, QueryEngine, naive_serve
+from ..serve.engine import MAX_INFLIGHT, EngineConfig, QueryEngine, naive_serve
 from ..serve.metrics import ServeMetrics
-from ..serve.workload import drive_load
+from ..serve.workload import arrival_groups, drive_load
 from .format import QueryTrace
 
 __all__ = [
     "simulate_cache",
     "measured_miss_ratio_curve",
-    "trace_groups",
     "ReplayResult",
     "replay_trace",
 ]
@@ -87,22 +87,6 @@ def measured_miss_ratio_curve(keys: np.ndarray, capacities) -> np.ndarray:
     return out
 
 
-def trace_groups(trace: QueryTrace, tick: float = 1e-3) -> list[np.ndarray]:
-    """Rebuild arrival groups from the trace's timestamps.
-
-    Mirrors :func:`repro.serve.workload.arrival_groups`: records whose
-    timestamps land in the same *tick*-second slot replay as one
-    concurrent batch.
-    """
-    if tick <= 0:
-        raise ValueError("tick must be > 0")
-    if not trace.keys.size:
-        return []
-    slot = (trace.ts // tick).astype(np.int64)
-    bounds = np.flatnonzero(np.diff(slot)) + 1
-    return np.split(trace.keys, bounds)
-
-
 @dataclass(frozen=True)
 class ReplayResult:
     """Outcome of one engine replay of a recorded trace."""
@@ -148,14 +132,14 @@ def replay_trace(
     config = config or EngineConfig()
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
-    groups = trace_groups(trace, tick=tick)
+    groups = arrival_groups(trace.keys, trace.ts, tick=tick)
     # A fast recording compresses many records into one tick (and a
     # recorded batch shares one timestamp), so a tick group can dwarf
     # both the original client batches and the admission bound.  Cap
     # groups at *group_size* so replay preserves the original batching
     # scale and Overloaded retries can't livelock on an unadmittable
     # group.
-    cap = min(group_size, max(config.max_inflight // 4, 1))
+    cap = min(group_size, MAX_INFLIGHT // 4)
     groups = [part for g in groups
               for part in np.array_split(g, max(1, -(-g.size // cap)))]
 

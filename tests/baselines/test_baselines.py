@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.hysortk import hysortk_cost_model, hysortk_count
-from repro.baselines.kmc3 import Kmc3Config, kmc3_count
+from repro.baselines import kmc3
+from repro.baselines.kmc3 import kmc3_count
 from repro.baselines.pakman import pakman_count, pakman_star_count
 from repro.core.serial import serial_count
 from repro.runtime.cost import CostModel
@@ -61,17 +62,16 @@ class TestKmc3:
         got, stats = kmc3_count(small_reads, 21, phoenix_intel(1))
         assert got == ref
 
-    def test_bin_count_invariance(self, small_reads):
+    def test_bin_count_invariance(self, small_reads, monkeypatch):
         ref = serial_count(small_reads, 21)
         for n_bins in (1, 7, 64, 2048):
-            got, _ = kmc3_count(small_reads, 21, phoenix_intel(1),
-                                Kmc3Config(n_bins=n_bins))
+            monkeypatch.setattr(kmc3, "N_BINS", n_bins)
+            got, _ = kmc3_count(small_reads, 21, phoenix_intel(1))
             assert got == ref
 
     def test_canonical(self, tiny_reads):
         ref = serial_count(tiny_reads, 9, canonical=True)
-        got, _ = kmc3_count(tiny_reads, 9, phoenix_intel(1),
-                            Kmc3Config(canonical=True))
+        got, _ = kmc3_count(tiny_reads, 9, phoenix_intel(1), canonical=True)
         assert got == ref
 
     def test_io_time_included(self, small_reads):
@@ -83,12 +83,6 @@ class TestKmc3:
     def test_small_k_uses_short_minimizer(self, tiny_reads):
         got, _ = kmc3_count(tiny_reads, 5, phoenix_intel(1))
         assert got == serial_count(tiny_reads, 5)
-
-    def test_bad_config(self):
-        with pytest.raises(ValueError):
-            Kmc3Config(n_bins=0)
-        with pytest.raises(ValueError):
-            Kmc3Config(minimizer_len=0)
 
 
 class TestPakman:

@@ -10,7 +10,7 @@ import pytest
 from repro.cluster.node import ClusterNode, NodeState, RangeStore, build_cluster
 from repro.cluster.rebalance import RebalanceError, plan_rebalance, rebalance
 from repro.cluster.ring import HashRing
-from repro.cluster.router import ClusterRouter, RouterConfig
+from repro.cluster.router import ClusterRouter
 from repro.core.serial import serial_count
 
 
@@ -130,8 +130,7 @@ class TestRebalance:
 
     def test_all_sources_down_raises(self, db):
         ring, nodes = build_cluster(db, 2, rf=2, seed=0)
-        router = ClusterRouter(ring, nodes,
-                               RouterConfig(max_retry_rounds=1))
+        router = ClusterRouter(ring, nodes)
         nodes[0].kill()
         nodes[1].kill()
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import HashRing, build_cluster
-from repro.cluster.router import ClusterRouter, RouterConfig
+from repro.cluster.router import ClusterRouter
 from repro.core.result import probe_sorted
 from repro.core.serial import serial_count
 
@@ -91,7 +91,7 @@ def test_router_failover_answers_identical(victim, seed):
 
     def serve(kill: int | None) -> np.ndarray:
         ring, nodes = build_cluster(counts, 4, rf=2, vnodes=4, seed=seed)
-        router = ClusterRouter(ring, nodes, RouterConfig(hedging=False))
+        router = ClusterRouter(ring, nodes, hedging=False)
         if kill is not None:
             router.nodes[kill].kill()
         return asyncio.run(router.query_many(keys))

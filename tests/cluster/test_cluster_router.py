@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.node import ClusterNode, RangeStore, build_cluster
-from repro.cluster.router import ClusterRouter, RangeUnavailable, RouterConfig
+from repro.cluster import router as router_mod
+from repro.cluster.router import ClusterRouter, RangeUnavailable
 from repro.core.result import probe_sorted
 from repro.core.serial import serial_count
 from repro.serve.workload import drive_load, key_groups
@@ -29,16 +30,6 @@ def run(coro):
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RouterConfig(hedge_quantile=1.5)
-        with pytest.raises(ValueError):
-            RouterConfig(hedge_min_delay=1.0, hedge_max_delay=0.5)
-        with pytest.raises(ValueError):
-            RouterConfig(max_retry_rounds=0)
-        with pytest.raises(ValueError):
-            RouterConfig(backoff_base=0.0)
-
     def test_router_rejects_missing_nodes(self, db):
         ring, nodes = make_cluster(db)
         nodes.pop(0)
@@ -73,7 +64,7 @@ class TestFaultFree:
     def test_rotation_spreads_load(self, db):
         """With RF=2 both replicas of a range should serve some traffic."""
         ring, nodes = make_cluster(db, n_nodes=3, rf=2)
-        router = ClusterRouter(ring, nodes, RouterConfig(hedging=False))
+        router = ClusterRouter(ring, nodes, hedging=False)
 
         async def go():
             for _ in range(20):
@@ -94,7 +85,7 @@ class TestFailures:
 
     def test_mid_flight_kill_retries_to_replica(self, db):
         ring, nodes = make_cluster(db, rf=2, service_time=2e-3)
-        router = ClusterRouter(ring, nodes, RouterConfig(hedging=False))
+        router = ClusterRouter(ring, nodes, hedging=False)
 
         async def go():
             task = asyncio.ensure_future(router.query_many(db.kmers[:512]))
@@ -106,11 +97,11 @@ class TestFailures:
         assert np.array_equal(out, db.counts[:512])
         assert router.metrics.retries >= 1
 
-    def test_all_replicas_down_raises_typed_error(self, db):
+    def test_all_replicas_down_raises_typed_error(self, db, monkeypatch):
+        monkeypatch.setattr(router_mod, "MAX_RETRY_ROUNDS", 2)
+        monkeypatch.setattr(router_mod, "BACKOFF_BASE", 1e-4)
         ring, nodes = make_cluster(db, n_nodes=2, rf=2)
-        cfg = RouterConfig(hedging=False, max_retry_rounds=2,
-                           backoff_base=1e-4)
-        router = ClusterRouter(ring, nodes, cfg)
+        router = ClusterRouter(ring, nodes, hedging=False)
         nodes[0].kill()
         nodes[1].kill()
         with pytest.raises(RangeUnavailable) as exc:
@@ -119,11 +110,10 @@ class TestFailures:
         assert set(exc.value.node_ids) == {0, 1}
         assert router.metrics.failovers == 1
 
-    def test_restart_during_backoff_recovers(self, db):
+    def test_restart_during_backoff_recovers(self, db, monkeypatch):
+        monkeypatch.setattr(router_mod, "BACKOFF_BASE", 2e-3)
         ring, nodes = make_cluster(db, n_nodes=2, rf=2)
-        cfg = RouterConfig(hedging=False, max_retry_rounds=4,
-                           backoff_base=2e-3)
-        router = ClusterRouter(ring, nodes, cfg)
+        router = ClusterRouter(ring, nodes, hedging=False)
         nodes[0].kill()
         nodes[1].kill()
 
@@ -139,13 +129,19 @@ class TestFailures:
         assert router.metrics.failovers == 0
 
 
+@pytest.fixture
+def fixed_hedge_delay(monkeypatch):
+    """Hedge after a fixed 1 ms: the estimator never leaves warmup."""
+    monkeypatch.setattr(router_mod, "HEDGE_INITIAL_DELAY", 1e-3)
+    monkeypatch.setattr(router_mod, "HEDGE_WARMUP", 10**9)
+
+
 class TestHedging:
-    def test_hedge_beats_straggler(self, db):
+    def test_hedge_beats_straggler(self, db, fixed_hedge_delay):
         ring, nodes = make_cluster(db, rf=2, service_time=1e-4)
         straggler = 0
         nodes[straggler].degrade(200.0)  # 20 ms vs 0.1 ms healthy
-        cfg = RouterConfig(hedge_initial_delay=1e-3, hedge_warmup=10**9)
-        router = ClusterRouter(ring, nodes, cfg)
+        router = ClusterRouter(ring, nodes)
         out, _ = run(drive_load(router, key_groups(db.kmers[:2048], 256)))
         assert np.array_equal(out, db.counts[:2048])
         assert router.metrics.hedges_fired > 0
@@ -156,28 +152,28 @@ class TestHedging:
     def test_no_hedge_when_disabled(self, db):
         ring, nodes = make_cluster(db, rf=2, service_time=1e-4)
         nodes[0].degrade(50.0)
-        router = ClusterRouter(ring, nodes, RouterConfig(hedging=False))
+        router = ClusterRouter(ring, nodes, hedging=False)
         out, _ = run(drive_load(router, key_groups(db.kmers[:512], 256)))
         assert np.array_equal(out, db.counts[:512])
         assert router.metrics.hedges_fired == 0
 
-    def test_hedge_delay_adapts_from_subrequest_latency(self, db):
+    def test_hedge_delay_adapts_from_subrequest_latency(self, db, monkeypatch):
+        monkeypatch.setattr(router_mod, "HEDGE_WARMUP", 4)
+        monkeypatch.setattr(router_mod, "HEDGE_MIN_DELAY", 1e-4)
+        monkeypatch.setattr(router_mod, "HEDGE_MAX_DELAY", 1.0)
         ring, nodes = make_cluster(db, rf=2, service_time=1e-3)
-        cfg = RouterConfig(hedge_warmup=4, hedge_multiplier=2.0,
-                           hedge_min_delay=1e-4, hedge_max_delay=1.0)
-        router = ClusterRouter(ring, nodes, cfg)
-        assert router.hedge_delay() == cfg.hedge_initial_delay
+        router = ClusterRouter(ring, nodes)
+        assert router.hedge_delay() == router_mod.HEDGE_INITIAL_DELAY
         run(drive_load(router, key_groups(db.kmers[:1024], 128)))
         # After warmup the delay tracks ~2x the 1 ms node service time,
         # not the much larger whole-batch client latency.
         delay = router.hedge_delay()
         assert 1e-3 < delay < 2e-2
 
-    def test_hedged_primary_down_falls_back(self, db):
+    def test_hedged_primary_down_falls_back(self, db, fixed_hedge_delay):
         """Primary dies mid-hedge-wait: the batch must still answer."""
         ring, nodes = make_cluster(db, rf=2, service_time=5e-3)
-        cfg = RouterConfig(hedge_initial_delay=1e-3, hedge_warmup=10**9)
-        router = ClusterRouter(ring, nodes, cfg)
+        router = ClusterRouter(ring, nodes)
 
         async def go():
             task = asyncio.ensure_future(router.query_many(db.kmers[:256]))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.dakc import dakc_count
-from repro.core.minipart import MinimizerPartitionConfig, minimizer_partitioned_count
+from repro.core import minipart
+from repro.core.minipart import minimizer_partitioned_count
 from repro.core.serial import serial_count
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import laptop
@@ -28,14 +29,13 @@ class TestCorrectness:
         assert got == ref
 
     @pytest.mark.parametrize("w", [5, 9, 15])
-    def test_minimizer_length_invariance(self, tiny_reads, w):
+    def test_minimizer_length_invariance(self, tiny_reads, monkeypatch, w):
         """Counting is invariant under the minimizer length (it only
         changes routing, never counts)."""
+        monkeypatch.setattr(minipart, "MINIMIZER_LEN", w)
         ref = serial_count(tiny_reads, 15)
         got, _ = minimizer_partitioned_count(
-            tiny_reads, 15, cost_model(p=4, nodes=2),
-            MinimizerPartitionConfig(minimizer_len=w),
-        )
+            tiny_reads, 15, cost_model(p=4, nodes=2))
         assert got == ref
 
     @pytest.mark.parametrize("p,nodes", [(1, 1), (4, 2), (12, 3)])
@@ -50,12 +50,6 @@ class TestCorrectness:
         got, _ = minimizer_partitioned_count([r for r in tiny_reads], 15,
                                              cost_model(p=4, nodes=2))
         assert got == ref
-
-    def test_bad_config(self):
-        with pytest.raises(ValueError):
-            MinimizerPartitionConfig(minimizer_len=0)
-        with pytest.raises(ValueError):
-            MinimizerPartitionConfig(header_bytes=-1)
 
 
 class TestPinnedRun:

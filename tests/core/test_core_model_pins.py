@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.kmc3 import Kmc3Config, kmc3_count
+from repro.baselines.kmc3 import kmc3_count
 from repro.core.bsp import BspConfig, bsp_count
 from repro.core.dakc import DakcConfig, dakc_count, dakc_count_big
 from repro.core.minipart import minimizer_partitioned_count
@@ -54,7 +54,7 @@ COUNTERS = {
     "minimizer": lambda reads, canonical: minimizer_partitioned_count(
         reads, K, _cost(), canonical=canonical),
     "kmc3": lambda reads, canonical: kmc3_count(
-        reads, K, laptop(nodes=2, cores=4), Kmc3Config(canonical=canonical)),
+        reads, K, laptop(nodes=2, cores=4), canonical=canonical),
     "big-k": lambda reads, canonical: dakc_count_big(
         reads, BIG_K, _cost(), canonical=canonical),
 }

@@ -7,8 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.lsm.compaction import CompactionConfig, merge_runs, pick_compaction
+from repro.lsm import compaction
+from repro.lsm.compaction import merge_runs, pick_compaction
 from repro.lsm.run import Run, write_run
+from repro.lsm.store import LsmConfig
 from repro.sort.accumulate import accumulate_weighted
 
 
@@ -16,7 +18,7 @@ def _make_run(tmp_path, name, rng, n, k=17):
     keys = np.unique(rng.integers(0, 1 << 44, n).astype(np.uint64))
     vals = rng.integers(1, 20, keys.size).astype(np.int64)
     path = tmp_path / name
-    write_run(path, k, keys, vals, index_stride=128)
+    write_run(path, k, keys, vals)
     return Run(path), keys, vals
 
 
@@ -27,37 +29,36 @@ class TestPolicy:
 
     def test_within_bound_is_none(self, tmp_path, rng):
         runs = self._runs_with_sizes(tmp_path, rng, [100, 200, 300])
-        assert pick_compaction(runs, CompactionConfig(max_runs=3)) is None
+        assert pick_compaction(runs, max_runs=3, fan_in=8) is None
 
     def test_picks_smallest_fan_in(self, tmp_path, rng):
         runs = self._runs_with_sizes(
             tmp_path, rng, [5000, 60, 4000, 50, 3000])
-        sel = pick_compaction(runs, CompactionConfig(max_runs=4, fan_in=2))
+        sel = pick_compaction(runs, max_runs=4, fan_in=2)
         assert sel == [1, 3]  # the two smallest, in index order
 
     def test_fan_in_clamped_to_population(self, tmp_path, rng):
         runs = self._runs_with_sizes(tmp_path, rng, [10, 20, 30])
-        sel = pick_compaction(runs, CompactionConfig(max_runs=2, fan_in=8))
+        sel = pick_compaction(runs, max_runs=2, fan_in=8)
         assert sel == [0, 1, 2]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="fan_in"):
-            CompactionConfig(fan_in=1)
+            LsmConfig(fan_in=1)
         with pytest.raises(ValueError, match="max_runs"):
-            CompactionConfig(max_runs=0)
-        with pytest.raises(ValueError, match="chunk_keys"):
-            CompactionConfig(chunk_keys=0)
+            LsmConfig(max_runs=0)
 
 
 class TestMergeRuns:
     @pytest.mark.parametrize("chunk_keys", [1, 7, 1000, 1 << 16])
-    def test_chunk_size_invariance(self, tmp_path, rng, chunk_keys):
+    def test_chunk_size_invariance(self, tmp_path, rng, monkeypatch, chunk_keys):
         """Any chunking must yield the exact full-materialise merge."""
+        monkeypatch.setattr(compaction, "CHUNK_KEYS", chunk_keys)
         parts = [_make_run(tmp_path, f"in{i}.run", rng, n)
                  for i, n in enumerate([900, 50, 1700])]
         runs = [p[0] for p in parts]
         out = tmp_path / "out.run"
-        merge_runs(runs, out, 17, chunk_keys=chunk_keys)
+        merge_runs(runs, out, 17)
         got_k, got_v = Run(out).load()
         want_k, want_v = accumulate_weighted(
             np.concatenate([p[1] for p in parts]),
@@ -65,10 +66,11 @@ class TestMergeRuns:
         assert np.array_equal(got_k, want_k)
         assert np.array_equal(got_v, want_v)
 
-    def test_peak_memory_is_chunks_not_runs(self, tmp_path):
+    def test_peak_memory_is_chunks_not_runs(self, tmp_path, monkeypatch):
         """The merge cursors over views of the mapped runs: its allocation
-        peak at chunk_keys << n stays under what the seek-and-read merge
+        peak at CHUNK_KEYS << n stays under what the seek-and-read merge
         took for this very input (286,508 B traced), 1/25 of the runs."""
+        monkeypatch.setattr(compaction, "CHUNK_KEYS", 1024)
         rng = np.random.default_rng(0)
         runs = []
         for i in range(3):
@@ -78,16 +80,17 @@ class TestMergeRuns:
             runs.append(Run(tmp_path / f"in{i}.run"))
         tracemalloc.start()
         try:
-            merge_runs(runs, tmp_path / "out.run", 17, chunk_keys=1024)
+            merge_runs(runs, tmp_path / "out.run", 17)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 286_508
         assert Run(tmp_path / "out.run").n_keys <= sum(r.n_keys for r in runs)
 
-    def test_spill_files_cleaned_up(self, tmp_path, rng):
+    def test_spill_files_cleaned_up(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(compaction, "CHUNK_KEYS", 64)
         run, _, _ = _make_run(tmp_path, "in.run", rng, 500)
-        merge_runs([run], tmp_path / "out.run", 17, chunk_keys=64)
+        merge_runs([run], tmp_path / "out.run", 17)
         assert not list(tmp_path.glob("*.spill"))
         assert not list(tmp_path.glob("*.tmp"))
 

@@ -24,7 +24,7 @@ BATCH = 10
 
 # Flush on every batch, compact constantly: every armed point is
 # reachable within a few batches of arming.
-CFG = LsmConfig(memtable_bytes=1, max_runs=3, fan_in=2, chunk_keys=256)
+CFG = LsmConfig(memtable_bytes=1, max_runs=3, fan_in=2)
 
 # Points where the in-flight batch was NOT acknowledged (the WAL append
 # itself was interrupted); everywhere else the append completed first.

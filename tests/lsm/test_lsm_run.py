@@ -5,6 +5,7 @@ from __future__ import annotations
 import mmap
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.result import probe_sorted
-from repro.lsm.run import Run, write_run
+from repro.fileio import BLOCK_KEYS, FormatError, record
+from repro.lsm import run as run_module
+from repro.lsm.run import RUN, Run, write_run
 
 
 @pytest.fixture
@@ -26,7 +29,7 @@ def keys_vals(rng):
 def run(tmp_path, keys_vals):
     keys, vals = keys_vals
     path = tmp_path / "run-000001.run"
-    write_run(path, 21, keys, vals, index_stride=256)
+    write_run(path, 21, keys, vals)
     return Run(path)
 
 
@@ -37,7 +40,8 @@ class TestWriteOpen:
         assert run.n_keys == keys.size
         assert run.fence_min == int(keys[0])
         assert run.fence_max == int(keys[-1])
-        assert run.index_keys.size == -(-keys.size // 256)
+        assert run.index_stride == BLOCK_KEYS
+        assert run.index_keys.size == -(-keys.size // BLOCK_KEYS)
 
     def test_atomic_publication(self, tmp_path, keys_vals):
         keys, vals = keys_vals
@@ -84,11 +88,12 @@ class TestPointLookups:
         assert run.blocks_read == 0
         assert run.point_queries == 0
 
-    def test_block_edges(self, tmp_path):
+    def test_block_edges(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(run_module, "BLOCK_KEYS", 64)
         keys = np.arange(0, 1000, dtype=np.uint64) * 7
         vals = np.arange(1, 1001, dtype=np.int64)
         path = tmp_path / "edges.run"
-        write_run(path, 15, keys, vals, index_stride=64)
+        write_run(path, 15, keys, vals)
         r = Run(path)
         # First/last key of every block, plus both fences.
         probe = np.concatenate([keys[::64], keys[63::64], keys[:1], keys[-1:]])
@@ -158,7 +163,8 @@ class TestAgainstBlockLoop:
         vals = (keys.astype(np.int64) * 7) % 13 + 1
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "r.run"
-            write_run(path, 5, keys, vals, index_stride=stride)
+            with mock.patch.object(run_module, "BLOCK_KEYS", stride):
+                write_run(path, 5, keys, vals)
             run = Run(path)
             for group in (queries, np.sort(queries), queries[:0],
                           queries[queries > keys[-1]]):       # all out of fence
@@ -170,10 +176,10 @@ class TestAgainstBlockLoop:
                     gained["probes"], gained["point_queries"], gained["blocks_read"])
             run.close()
 
-    def test_all_miss_group_inside_the_fences(self, tmp_path):
+    def test_all_miss_group_inside_the_fences(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(run_module, "BLOCK_KEYS", 64)        # 1000 = 15 x 64 + 40
         keys = np.arange(0, 2000, 2, dtype=np.uint64)            # evens only
-        write_run(tmp_path / "r.run", 9, keys, np.ones(keys.size, dtype=np.int64),
-                  index_stride=64)                               # 1000 = 15 x 64 + 40
+        write_run(tmp_path / "r.run", 9, keys, np.ones(keys.size, dtype=np.int64))
         run = Run(tmp_path / "r.run")
         odd = np.arange(1, 1999, 2, dtype=np.uint64)
         want, gained = block_loop_get(run, odd)
@@ -208,7 +214,8 @@ class TestLifetime:
 
 class TestValidation:
     def test_bad_index_stride_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="index_stride"):
-            write_run(tmp_path / "x.run", 5,
-                      np.empty(0, dtype=np.uint64),
-                      np.empty(0, dtype=np.int64), index_stride=0)
+        """A header stride of 0 indexes nothing: the run is refused on open."""
+        path = tmp_path / "x.run"
+        path.write_bytes(RUN.header(5, 0, 0, 0, 0) + record(b""))
+        with pytest.raises(FormatError, match="at stride 0"):
+            Run(path)

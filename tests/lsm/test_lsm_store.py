@@ -14,13 +14,14 @@ from repro.lsm.crash import CRASH_POINTS, CrashPoints, SimulatedCrash
 from repro.lsm.store import MANIFEST_NAME, WAL_NAME, LsmConfig, LsmStore
 from repro.lsm.wal import WriteAheadLog
 from repro.seq.alphabet import INVALID_CODE
+from repro.serve import engine as engine_mod
 from repro.serve.engine import EngineConfig, QueryEngine
 
 K = 17
 
 # Tiny budget: every ingest flushes; small run bound: compaction is
 # exercised constantly.  Correctness must be invariant to all of it.
-TINY = LsmConfig(memtable_bytes=1, max_runs=3, fan_in=2, chunk_keys=512)
+TINY = LsmConfig(memtable_bytes=1, max_runs=3, fan_in=2)
 
 
 def _batches(reads, size):
@@ -291,13 +292,14 @@ class TestReadView:
             assert np.array_equal(view.shard_of(keys), sharded.shard_of(keys))
             assert view.shard_of(int(keys[0])) == sharded.shard_of(int(keys[0]))
 
-    def test_serve_while_ingesting(self, tmp_path, small_reads, rng):
+    def test_serve_while_ingesting(self, tmp_path, small_reads, rng, monkeypatch):
         """QueryEngine answers exactly while the store mutates underneath."""
+        monkeypatch.setattr(engine_mod, "BATCH_SIZE", 16)
 
         async def go():
             with LsmStore(tmp_path / "db", K, config=TINY) as store:
                 view = store.read_view(n_shards=2)
-                cfg = EngineConfig(batch_size=16, batch_window=0.0)
+                cfg = EngineConfig(batch_window=0.0)
                 n = 0
                 async with QueryEngine(view, cfg) as engine:
                     for batch in _batches(small_reads, 50):

@@ -114,7 +114,7 @@ class TestBurstyWorkload:
         spec = BurstSpec(amplitude=8.0, duration=0.01, period=0.05)
         w = zipf_workload(counts, 5_000, seed=3, rate_qps=10_000.0,
                           burst=spec)
-        groups = arrival_groups(w, tick=1e-3)
+        groups = arrival_groups(w.keys, w.arrivals, tick=1e-3)
         assert sum(g.size for g in groups) == w.n_queries
         assert np.array_equal(np.concatenate(groups), w.keys)
         # Burst windows produce visibly fatter ticks than the base rate.

@@ -12,6 +12,7 @@ from repro.cluster.node import build_cluster
 from repro.cluster.router import ClusterRouter
 from repro.core.result import probe_sorted
 from repro.core.serial import serial_count
+from repro.serve import engine as engine_mod
 from repro.serve.engine import EngineConfig, Overloaded, QueryEngine
 from repro.serve.shards import ShardedStore
 from repro.serve.workload import drive_load, key_groups
@@ -25,7 +26,7 @@ def db(small_reads):
 
 @asynccontextmanager
 async def engine_target(db):
-    cfg = EngineConfig(batch_size=64, batch_window=1e-4)
+    cfg = EngineConfig(batch_window=1e-4)
     async with QueryEngine(ShardedStore.from_counts(db, 4), cfg) as engine:
         yield engine
 
@@ -126,11 +127,13 @@ def test_resubmit_backs_off_until_admitted(db, open_target):
     assert (lat >= 1e-4).all()               # the back-off is inside the latency
 
 
-def test_real_overload_resubmits_to_a_complete_answer(db):
+def test_real_overload_resubmits_to_a_complete_answer(db, monkeypatch):
+    monkeypatch.setattr(engine_mod, "BATCH_SIZE", 8)
+    monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 8)
     keys = db.kmers[:256]
 
     async def go():
-        cfg = EngineConfig(batch_size=8, batch_window=2e-3, max_inflight=8)
+        cfg = EngineConfig(batch_window=2e-3)
         async with QueryEngine(ShardedStore.from_counts(db, 4), cfg) as engine:
             answers, _ = await drive_load(engine, key_groups(keys, 8),
                                           concurrency=16, resubmit=True)
@@ -146,8 +149,7 @@ def test_paced_groups_are_submitted_on_schedule(db):
     interval = 5e-3
 
     async def go():
-        cfg = EngineConfig(batch_size=64, batch_window=1e-4,
-                           flush_service_time=3 * interval)
+        cfg = EngineConfig(batch_window=1e-4, flush_service_time=3 * interval)
         store = ShardedStore.from_counts(db, 1)
         async with QueryEngine(store, cfg) as engine:
             groups = key_groups(db.kmers[:80], 8)

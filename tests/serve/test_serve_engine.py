@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.serial import serial_count
+from repro.serve import engine as engine_mod
 from repro.serve.cache import TIER_STORE, TIER_T1, TIER_T2, HotKeyCache
 from repro.serve.engine import EngineConfig, Overloaded, QueryEngine, naive_serve
 from repro.serve.shards import ShardedStore
@@ -32,7 +33,8 @@ def run(coro):
 
 class TestCorrectness:
     @pytest.mark.parametrize("batch_size,window", [(1, 0.0), (16, 0.0), (64, 1e-3)])
-    def test_matches_oracle(self, db, store, rng, batch_size, window):
+    def test_matches_oracle(self, db, store, rng, monkeypatch, batch_size, window):
+        monkeypatch.setattr(engine_mod, "BATCH_SIZE", batch_size)
         keys = rng.choice(db.kmers, size=400)
         expect = np.array([db.get(int(k)) for k in keys])
         # The group's misses span every shard: one answer assembled
@@ -40,7 +42,7 @@ class TestCorrectness:
         assert set(store.shard_of(keys).tolist()) == set(range(store.n_shards))
 
         async def go():
-            cfg = EngineConfig(batch_size=batch_size, batch_window=window)
+            cfg = EngineConfig(batch_window=window)
             async with QueryEngine(store, cfg) as engine:
                 return await engine.query_many(keys), engine
 
@@ -75,7 +77,7 @@ class TestCorrectness:
         naive_out, _ = naive_serve(store, keys)
 
         async def go():
-            cfg = EngineConfig(batch_size=128, batch_window=2e-4)
+            cfg = EngineConfig(batch_window=2e-4)
             cache = HotKeyCache(512, admit_threshold=2)
             async with QueryEngine(store, cfg, cache=cache) as engine:
                 return (await drive_load(engine, key_groups(keys, 100),
@@ -94,7 +96,7 @@ class TestBatching:
         keys = db.kmers[:300]
 
         async def go():
-            cfg = EngineConfig(batch_size=1000, batch_window=5e-3)
+            cfg = EngineConfig(batch_window=5e-3)
             async with QueryEngine(store, cfg) as engine:
                 groups = [keys[i : i + 10] for i in range(0, 300, 10)]
                 await asyncio.gather(*(engine.query_many(g) for g in groups))
@@ -108,17 +110,22 @@ class TestBatching:
         assert metrics.mean_batch_size > 2.0
         assert metrics.batched_keys == 300
 
-    def test_no_window_still_answers(self, db, store):
+    def test_no_window_still_answers(self, db, store, monkeypatch):
+        monkeypatch.setattr(engine_mod, "BATCH_SIZE", 8)
+
         async def go():
-            cfg = EngineConfig(batch_size=8, batch_window=0.0)
+            cfg = EngineConfig(batch_window=0.0)
             async with QueryEngine(store, cfg) as engine:
                 return await engine.query_many(db.kmers[:64])
 
         assert (run(go()) > 0).all()
 
-    def test_workers_per_shard(self, db, store):
+    def test_workers_per_shard(self, db, store, monkeypatch):
+        monkeypatch.setattr(engine_mod, "BATCH_SIZE", 16)
+        monkeypatch.setattr(engine_mod, "WORKERS_PER_SHARD", 3)
+
         async def go():
-            cfg = EngineConfig(batch_size=16, batch_window=1e-4, workers_per_shard=3)
+            cfg = EngineConfig(batch_window=1e-4)
             async with QueryEngine(store, cfg) as engine:
                 out, _ = await drive_load(engine, key_groups(db.kmers[:500], 50))
                 return out, engine.metrics
@@ -129,12 +136,14 @@ class TestBatching:
 
 
 class TestBackpressure:
-    def test_overloaded_raised_and_counted(self, db, store):
+    def test_overloaded_raised_and_counted(self, db, store, monkeypatch):
+        # Bound so small that the second in-flight batch must bounce; the
+        # large BATCH_SIZE keeps workers in their coalescing window so the
+        # first batch stays in flight while we probe.
+        monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 4)
+
         async def go():
-            # Bound so small that the second in-flight batch must bounce;
-            # the large batch_size keeps workers in their coalescing
-            # window so the first batch stays in flight while we probe.
-            cfg = EngineConfig(batch_size=64, batch_window=5e-2, max_inflight=4)
+            cfg = EngineConfig(batch_window=5e-2)
             async with QueryEngine(store, cfg) as engine:
                 first = asyncio.create_task(engine.query_many(db.kmers[:4]))
                 await asyncio.sleep(0)  # let it enter the queues
@@ -147,9 +156,11 @@ class TestBackpressure:
         assert metrics.rejected == 4
         assert err.limit == 4 and err.inflight == 4
 
-    def test_rejection_does_not_leak_inflight(self, db, store):
+    def test_rejection_does_not_leak_inflight(self, db, store, monkeypatch):
+        monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 4)
+
         async def go():
-            cfg = EngineConfig(batch_size=64, batch_window=5e-2, max_inflight=4)
+            cfg = EngineConfig(batch_window=5e-2)
             async with QueryEngine(store, cfg) as engine:
                 first = asyncio.create_task(engine.query_many(db.kmers[:4]))
                 await asyncio.sleep(0)
@@ -164,9 +175,12 @@ class TestBackpressure:
 
         assert (run(go()) > 0).all()
 
-    def test_replay_counts_rejections_instead_of_raising(self, db, store):
+    def test_replay_counts_rejections_instead_of_raising(self, db, store, monkeypatch):
+        monkeypatch.setattr(engine_mod, "BATCH_SIZE", 8)
+        monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 8)
+
         async def go():
-            cfg = EngineConfig(batch_size=8, batch_window=2e-2, max_inflight=8)
+            cfg = EngineConfig(batch_window=2e-2)
             async with QueryEngine(store, cfg) as engine:
                 await drive_load(engine, key_groups(db.kmers[:256], 8),
                                  concurrency=16)
@@ -182,7 +196,7 @@ class TestCacheIntegration:
         hot = np.repeat(db.kmers[:2], 200)
 
         async def go():
-            cfg = EngineConfig(batch_size=64, batch_window=1e-4)
+            cfg = EngineConfig(batch_window=1e-4)
             cache = HotKeyCache(64, admit_threshold=2)
             async with QueryEngine(store, cfg, cache=cache) as engine:
                 # Sequential groups: the cache warms on the first group
@@ -202,7 +216,7 @@ class TestCacheIntegration:
 
         async def go():
             cache = HotKeyCache(128, admit_threshold=1)
-            cfg = EngineConfig(batch_size=64, batch_window=1e-4)
+            cfg = EngineConfig(batch_window=1e-4)
             async with QueryEngine(store, cfg, cache=cache) as engine:
                 return (await drive_load(engine, key_groups(keys, 64)))[0]
 
@@ -228,7 +242,7 @@ class TestCacheIntegration:
         recorder = TraceRecorder()
 
         async def go():
-            cfg = EngineConfig(batch_size=64, batch_window=1e-4)
+            cfg = EngineConfig(batch_window=1e-4)
             async with QueryEngine(store, cfg, cache=cache,
                                    recorder=recorder) as engine:
                 return (await drive_load(engine, key_groups(keys, 40),
@@ -272,7 +286,7 @@ class TestLifecycle:
 
     def test_cancelled_caller_releases_inflight(self, db, store):
         async def go():
-            cfg = EngineConfig(batch_size=64, batch_window=5e-3)
+            cfg = EngineConfig(batch_window=5e-3)
             async with QueryEngine(store, cfg) as engine:
                 caller = asyncio.create_task(engine.query_many(db.kmers[:40]))
                 await asyncio.sleep(0)

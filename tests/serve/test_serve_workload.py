@@ -8,11 +8,41 @@ import pytest
 from repro.core.result import KmerCounts
 from repro.core.serial import serial_count
 from repro.serve.workload import arrival_groups, zipf_workload
+from repro.trace.format import QueryTrace
+from repro.trace.recorder import TraceRecorder
 
 
 @pytest.fixture(scope="module")
 def db(small_reads):
     return serial_count(small_reads, 15)
+
+
+def _trace(ts, keys) -> QueryTrace:
+    return QueryTrace(ts=np.asarray(ts, dtype=np.float64),
+                      streams=np.zeros(len(keys), np.int32),
+                      keys=np.asarray(keys, dtype=np.uint64),
+                      tiers=np.zeros(len(keys), np.int8))
+
+
+@pytest.fixture(scope="module")
+def group_table(db):
+    """``arrival_groups``'s inputs from both its callers, one row each:
+    ``(name, keys, times, tick, want)``.  A generated workload is grouped
+    on its Poisson ``arrivals``, a recorded trace on its ``ts``; *want*
+    is the exact grouping where a row pins one."""
+    w = zipf_workload(db, 3000, seed=0, rate_qps=1e6)
+    rec = TraceRecorder(k=db.k, seed=0, source="unit")
+    rec.record_batch(w.keys, ts=w.arrivals)
+    trace = rec.snapshot()
+    ticks = _trace([0.0, 0.0001, 0.0015, 0.0016, 0.005], np.arange(5))
+    empty_w, empty_t = zipf_workload(db, 0, seed=0), _trace([], [])
+    return [
+        ("workload", w.keys, w.arrivals, 1e-4, None),
+        ("recorded trace", trace.keys, trace.ts, 1e-4, None),
+        ("trace ticks", ticks.keys, ticks.ts, 1e-3, [[0, 1], [2, 3], [4]]),
+        ("empty workload", empty_w.keys, empty_w.arrivals, 1e-3, []),
+        ("empty trace", empty_t.keys, empty_t.ts, 1e-3, []),
+    ]
 
 
 class TestDeterminism:
@@ -75,18 +105,24 @@ class TestArrivals:
         assert mean_gap == pytest.approx(1.0 / rate, rel=0.05)
         assert w.duration == pytest.approx(w.arrivals[-1])
 
-    def test_arrival_groups_partition_stream(self, db):
-        w = zipf_workload(db, 3000, seed=0, rate_qps=1e6)
-        groups = arrival_groups(w, tick=1e-4)
-        assert sum(g.size for g in groups) == w.n_queries
-        assert np.array_equal(np.concatenate(groups), w.keys)
-        assert len(groups) > 1
+    def test_arrival_groups_partition_stream(self, group_table):
+        for name, keys, times, tick, want in group_table:
+            got = [g.tolist() for g in arrival_groups(keys, times, tick)]
+            slot = times // tick   # reference: one group per occupied slot
+            assert got == [keys[slot == s].tolist()
+                           for s in np.unique(slot)], name
+            if want is not None:
+                assert got == want, name
+            if keys.size > 100:
+                assert len(got) > 1, name
 
-    def test_arrival_groups_empty_and_validation(self, db):
-        w = zipf_workload(db, 0, seed=0)
-        assert arrival_groups(w) == []
-        with pytest.raises(ValueError):
-            arrival_groups(zipf_workload(db, 10, seed=0), tick=0.0)
+    def test_arrival_groups_empty_and_validation(self, group_table):
+        for name, keys, times, _, want in group_table:
+            if want == []:
+                assert arrival_groups(keys, times) == [], name
+            for tick in (0.0, -1e-3):
+                with pytest.raises(ValueError, match="tick"):
+                    arrival_groups(keys, times, tick)
 
 
 class TestValidation:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.serial import serial_count
+from repro.serve import engine as engine_mod
 from repro.serve.cache import HotKeyCache
 from repro.serve.engine import EngineConfig, Overloaded, QueryEngine
 from repro.serve.shards import ShardedStore
@@ -58,12 +59,14 @@ class TestAdmission:
         assert tm.rejected_by_cause == {"quota": 50}
         assert tm.n_queries == 200
 
-    def test_priority_class_sheds_early_and_refunds_quota(self, db, store):
+    def test_priority_class_sheds_early_and_refunds_quota(self, db, store,
+                                                          monkeypatch):
+        # bronze (priority 1) sees MAX_INFLIGHT >> 1 = 64 while the engine
+        # still has headroom for gold at 128.
+        monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 128)
+
         async def go():
-            # bronze (priority 1) sees max_inflight >> 1 = 64 while the
-            # engine still has headroom for gold at 128.
-            cfg = EngineConfig(batch_size=256, batch_window=5e-2,
-                               max_inflight=128)
+            cfg = EngineConfig(batch_window=5e-2)
             engine = QueryEngine(store, cfg, tenants=registry())
             async with engine:
                 first = asyncio.create_task(
@@ -85,10 +88,11 @@ class TestAdmission:
         bucket = engine.tenants.bucket("bronze")
         assert bucket.tokens >= 130.0
 
-    def test_overload_cause_for_class_zero(self, db, store):
+    def test_overload_cause_for_class_zero(self, db, store, monkeypatch):
+        monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 32)
+
         async def go():
-            cfg = EngineConfig(batch_size=256, batch_window=5e-2,
-                               max_inflight=32)
+            cfg = EngineConfig(batch_window=5e-2)
             engine = QueryEngine(store, cfg, tenants=registry())
             async with engine:
                 first = asyncio.create_task(
@@ -127,8 +131,7 @@ class TestAdmission:
 class TestFairQueues:
     def test_drr_queues_installed_with_tenants(self, store):
         async def go():
-            engine = QueryEngine(store, EngineConfig(quantum_keys=32),
-                                 tenants=registry())
+            engine = QueryEngine(store, tenants=registry())
             async with engine:
                 return [type(q) for q in engine._queues]
 
@@ -151,8 +154,7 @@ class TestFairQueues:
                                     TenantSpec("silver", weight=1.0)])
 
         async def go():
-            cfg = EngineConfig(batch_size=64, batch_window=1e-3,
-                               quantum_keys=16)
+            cfg = EngineConfig(batch_window=1e-3)
             engine = QueryEngine(store, cfg, tenants=unlimited)
             async with engine:
                 groups = [keys[i:i + 50] for i in range(0, 600, 50)]
@@ -170,7 +172,7 @@ class TestTenantTaggedCache:
 
         async def go():
             cache = HotKeyCache(64, admit_threshold=1)
-            cfg = EngineConfig(batch_size=32, batch_window=1e-4)
+            cfg = EngineConfig(batch_window=1e-4)
             engine = QueryEngine(store, cfg, cache=cache,
                                  tenants=registry())
             async with engine:
@@ -202,7 +204,7 @@ class TestTenantMetricsMirroring:
     def test_single_tenant_run_mirrors_globals(self, db, store):
         async def go():
             cache = HotKeyCache(64, admit_threshold=1)
-            cfg = EngineConfig(batch_size=32, batch_window=1e-4)
+            cfg = EngineConfig(batch_window=1e-4)
             engine = QueryEngine(store, cfg, cache=cache,
                                  tenants=registry())
             async with engine:
@@ -234,10 +236,12 @@ class TestTenantMetricsMirroring:
 
 
 class TestRetryHints:
-    def test_overloaded_hint_clamped_to_config_floor(self, db, store):
+    def test_overloaded_hint_clamped_to_config_floor(self, db, store,
+                                                     monkeypatch):
+        monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 16)
+
         async def go():
-            cfg = EngineConfig(batch_size=256, batch_window=5e-2,
-                               max_inflight=16)
+            cfg = EngineConfig(batch_window=5e-2)
             engine = QueryEngine(store, cfg, tenants=registry())
             async with engine:
                 first = asyncio.create_task(

@@ -54,3 +54,16 @@ class TestClusterBench:
                            "n_queries=100", "repeats=1")
         assert run.rc == 2
         assert "error:" in run.err
+
+    @pytest.mark.parametrize("override,param", [
+        ("service_time=0", "service_time"),
+        ("straggler_delay=1e-5", "straggler_delay"),
+    ])
+    def test_straggler_timing_refused(self, run_scenario, override, param):
+        """The straggler's slowdown is straggler_delay / service_time: a
+        zero service time or a delay below it is refused up front."""
+        run = run_scenario("cluster", "dataset=synthetic-20", "k=15",
+                           "budget=20000", "n_queries=100", "repeats=1",
+                           override)
+        assert run.rc == 2 and run.cell is None
+        assert run.err.startswith(f"error: {param} must be")

@@ -167,6 +167,16 @@ class TestServeBench:
         run = run_scenario("serve", "database=/no/such.npz", "n_queries=100")
         assert run.rc == 2 and "/no/such.npz" in run.err
 
+    @pytest.mark.parametrize("removed", ["batch_size", "max_inflight",
+                                         "workers_per_shard", "quantum_keys"])
+    def test_removed_engine_setting_is_refused(self, run_scenario, removed):
+        """A former engine knob is a constant now: setting it is an
+        unknown parameter, refused before anything runs."""
+        run = run_scenario("serve", f"{removed}=1")
+        assert run.rc == 2 and run.cell is None
+        assert f"unknown parameters ['{removed}']" in run.err
+        assert "accepts [" in run.err and "'batch_window'" in run.err
+
 
 class TestTenantBench:
     """The tenant scenario, run as `dakc xp run benchmarks/xp/tenant.json`."""

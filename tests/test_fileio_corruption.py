@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from hypothesis import strategies as st
 from repro.apps.store import DATABASE, load_counts, save_counts
 from repro.core.result import KmerCounts
 from repro.fileio import BLOCK_KEYS, REASONS, FormatError, record
+from repro.lsm import run as run_module
 from repro.lsm.run import RUN, Run, write_run
 from repro.lsm.store import MANIFEST_NAME, LsmStore
 from repro.lsm.wal import WAL, WriteAheadLog
@@ -103,7 +105,8 @@ def _run_arrays():
 def make_run(dir: Path, framing=RUN) -> Path:
     path = dir / "run-000001.run"
     keys, vals = _run_arrays()
-    write_run(path, K, keys, vals, index_stride=64)
+    with mock.patch.object(run_module, "BLOCK_KEYS", 64):   # a 10-key index
+        write_run(path, K, keys, vals)
     if framing is not RUN:
         blob = path.read_bytes()
         head = RUN.header(K, keys.size, 64, int(keys[0]), int(keys[-1]))

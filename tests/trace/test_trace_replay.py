@@ -16,7 +16,6 @@ from repro.trace.replay import (
     measured_miss_ratio_curve,
     replay_trace,
     simulate_cache,
-    trace_groups,
 )
 
 
@@ -55,23 +54,29 @@ class TestSimulateCache:
 
 
 class TestTraceGroups:
-    def test_groups_partition_by_arrival_tick(self):
+    """Replay groups a trace by its timestamps (the grouping itself is
+    tested with the workload's in tests/serve/test_serve_workload.py)."""
+
+    def test_groups_partition_by_arrival_tick(self, counts):
         ts = np.array([0.0, 0.0001, 0.0015, 0.0016, 0.005])
         trace = QueryTrace(ts=ts, streams=np.zeros(5, np.int32),
-                           keys=np.arange(5, dtype=np.uint64),
+                           keys=counts.kmers[:5].copy(),
                            tiers=np.zeros(5, np.int8))
-        groups = trace_groups(trace, tick=1e-3)
-        assert [g.tolist() for g in groups] == [[0, 1], [2, 3], [4]]
+        result = replay_trace(trace, ShardedStore.from_counts(counts, 4),
+                              tick=1e-3)
+        assert result.n_groups == 3      # [0, 1], [2, 3], [4]
+        assert np.array_equal(result.answers, counts.counts[:5])
 
-    def test_empty_trace_has_no_groups(self):
+    def test_empty_trace_has_no_groups(self, counts):
         trace = QueryTrace(ts=np.empty(0), streams=np.empty(0, np.int32),
                            keys=np.empty(0, np.uint64),
                            tiers=np.empty(0, np.int8))
-        assert trace_groups(trace) == []
+        result = replay_trace(trace, ShardedStore.from_counts(counts, 4))
+        assert result.n_groups == 0 and result.answers.size == 0
 
-    def test_bad_tick_rejected(self, recorded):
-        with pytest.raises(ValueError):
-            trace_groups(recorded, tick=0.0)
+    def test_bad_tick_rejected(self, counts, recorded):
+        with pytest.raises(ValueError, match="tick"):
+            replay_trace(recorded, ShardedStore.from_counts(counts, 4), tick=0.0)
 
 
 class TestReplayTrace:
