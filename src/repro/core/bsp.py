@@ -28,8 +28,9 @@ Variants (all measured in the paper's evaluation):
   compute for communication volume on skewed inputs.
 
 Run open/split/parse/close are :mod:`repro.core.phases` and the send
-buckets are :func:`repro.core.owner.by_owner`; what is here is the
-superstep loop, the collective and the Phase-2 sort charge.
+buckets are :func:`repro.core.owner.owner_split`; what is here is the
+superstep loop, the exchange that lands the buckets, the collective
+and the Phase-2 sort charge.
 """
 
 from __future__ import annotations
@@ -44,10 +45,16 @@ from ..runtime.collectives import alltoallv
 from ..runtime.cost import OPS_PER_ELEMENT_BUFFER, CostModel
 from ..runtime.machine import MachineConfig
 from ..runtime.stats import RunStats
-from ..seq.kmers import check_k, count_packed_kmers, kmer_width_bits
+from ..seq.kmers import (
+    _cumsum0,
+    check_k,
+    count_owned_kmers,
+    count_packed_kmers,
+    kmer_width_bits,
+)
 from ..sort.accumulate import accumulate_weighted
 from ..sort.radix import effective_msd_passes
-from .owner import by_owner, owner_pe
+from .owner import owner_pe, owner_split
 from .phases import SimRun, n_bases, parse_kmers, split_reads
 from .result import KmerCounts
 
@@ -102,6 +109,38 @@ def _charge_sort(
             cache.stream(2 * n * 8)
 
 
+def _exchange(
+    sent: list, n_elems: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
+    """Land one superstep's Many-To-Many in one receive array.
+
+    ``sent[src]`` is a source's ``(keys, counts or None)`` in owner
+    order (``None``: nothing sent) and ``n_elems[src, dst]`` its bucket
+    sizes.  The array is laid out destination-major, so owner *d* reads
+    ``[bounds[d], bounds[d + 1])``: every source's bucket for *d*, in
+    source order, with no step per (source, owner) pair.
+    """
+    n = n_elems.shape[0]
+    starts = _cumsum0(n_elems.T.ravel())  # block (dst, src) at dst * n + src
+    at = starts[:-1].reshape(n, n).T  # at[src, dst]: where a bucket lands
+    keys = np.empty(starts[-1], dtype=np.uint64)
+    vals = None
+    for src, part in enumerate(sent):
+        if part is None:
+            continue
+        src_keys, src_vals = part
+        row = n_elems[src]
+        # Bucket d starts at first[d] of the source's batch; its j-th
+        # element lands at at[src, d] + j - first[d].
+        land = np.repeat(at[src] - _cumsum0(row)[:-1], row) + np.arange(src_keys.size)
+        keys[land] = src_keys
+        if src_vals is not None:
+            if vals is None:
+                vals = np.empty(keys.size, dtype=np.int64)
+            vals[land] = src_vals
+    return keys, vals, starts[::n].tolist()
+
+
 def bsp_count(
     reads: np.ndarray | list,
     k: int,
@@ -149,8 +188,8 @@ def bsp_count(
     deferred_recv_bytes = np.zeros(n_pes, dtype=np.int64)
 
     for step in range(n_supersteps):
-        send_bytes = np.zeros((n_pes, n_pes), dtype=np.int64)
-        outgoing: list[list] = [[None] * n_pes for _ in range(n_pes)]
+        n_elems = np.zeros((n_pes, n_pes), dtype=np.int64)  # src -> dst
+        sent: list = [None] * n_pes  # per source: (keys, counts) by owner
         for src in range(n_pes):
             pe_stats = stats.pe[src]
             lo = min(step * b, streams[src].size)
@@ -169,33 +208,37 @@ def bsp_count(
             cache.stream(batch.nbytes)
             pe_stats.cache_misses_p1 += cache.misses
             pe_stats.kmers_generated += int(batch.size)
-            for dst, bucket in by_owner(owner_pe(batch, n_pes), n_pes, batch):
-                if config.preaccumulate:
-                    u, c = count_packed_kmers(bucket, k)
-                    cost.charge_compute(pe_stats, bucket.size * 2)
-                    outgoing[src][dst] = (u, c)
-                    send_bytes[src, dst] = u.size * elem_bytes
-                else:
-                    outgoing[src][dst] = bucket
-                    send_bytes[src, dst] = bucket.size * elem_bytes
-            memory.set_category(src, "send-batch", int(send_bytes[src].sum()))
+            if config.preaccumulate:
+                # Accumulate(T_s[i]) of every bucket in one pass: all of
+                # a k-mer's occurrences share its owner, so the batch's
+                # pairs split by owner are each bucket's own.  The charge
+                # stays per bucket, in owner order (float association).
+                keys, vals = count_packed_kmers(batch, k)
+                owners = owner_pe(keys, n_pes)
+                bucket_sizes = np.bincount(owners, weights=vals, minlength=n_pes)
+                for size in bucket_sizes[bucket_sizes > 0].astype(np.int64).tolist():
+                    cost.charge_compute(pe_stats, size * 2)
+            else:
+                keys, vals = batch, None
+                owners = owner_pe(batch, n_pes)
+            order, n_elems[src] = owner_split(owners, n_pes)
+            sent[src] = (keys[order], None if vals is None else vals[order])
+            memory.set_category(src, "send-batch", int(n_elems[src].sum()) * elem_bytes)
 
+        send_bytes = n_elems * elem_bytes
         completion = alltoallv(cost, stats, send_bytes, blocking=config.blocking)
         np.maximum(pending_completion, completion, out=pending_completion)
 
-        for dst in range(n_pes):
+        recv_keys, recv_vals, bounds = _exchange(sent, n_elems)
+        del sent  # the send buffers are free once the exchange has landed
+        for dst, got in enumerate(send_bytes.sum(axis=0).tolist()):
             pe_stats = stats.pe[dst]
-            got = 0
-            for src in range(n_pes):
-                payload = outgoing[src][dst]
-                if payload is None:
-                    continue
+            start, end = bounds[dst], bounds[dst + 1]
+            if end > start:
                 if config.preaccumulate:
-                    recv_pairs[dst].append(payload)
-                    got += payload[0].size * elem_bytes
+                    recv_pairs[dst].append((recv_keys[start:end], recv_vals[start:end]))
                 else:
-                    recv_plain[dst].append(payload)
-                    got += payload.size * elem_bytes
+                    recv_plain[dst].append(recv_keys[start:end])
             if got:
                 pe_stats.elements_received += got // elem_bytes
                 pe_stats.kmers_received += got // elem_bytes
@@ -237,7 +280,7 @@ def bsp_count(
                 np.concatenate(recv_plain[dst]) if recv_plain[dst] else np.empty(0, np.uint64)
             )
             _charge_sort(cost, pe_stats, int(t_arr.size), k, config.sort, cache)
-            uniq, counts = count_packed_kmers(t_arr, k)
+            uniq, counts = count_owned_kmers(t_arr, k)
         pe_stats.cache_misses_p2 += cache.misses
         results.append((uniq, counts))
 

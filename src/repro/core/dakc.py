@@ -43,7 +43,7 @@ from ..runtime.machine import MachineConfig
 from ..runtime.memory import L0_BUFFER_BYTES
 from ..runtime.stats import RunStats
 from ..runtime.topology import make_topology
-from ..seq.kmers import check_k, count_owned_kmers, count_packed_kmers, kmer_width_bits
+from ..seq.kmers import check_k, count_owned_kmers, kmer_width_bits
 from ..sort.accumulate import accumulate_weighted
 from ..sort.radix import effective_msd_passes
 from .l2l3 import AggregationConfig, BulkAggregator, ExactAggregator, receive_service_time
@@ -169,7 +169,7 @@ def _phase2(
     cache.stream(t_arr.nbytes)
     pe_stats.cache_misses_p2 += cache.misses
 
-    uniq, counts = count_packed_kmers(t_arr, k)
+    uniq, counts = count_owned_kmers(t_arr, k)
     if heavy_k:
         hk = np.concatenate(heavy_k)
         hc = np.concatenate(heavy_c)

@@ -197,8 +197,7 @@ class BulkAggregator:
                 self._stats, chunk.size * self._sort_passes + OPS_PER_L3_FLUSH
             )
             self.cost.charge_mem(self._stats, 2 * chunk_bytes * sweeps)
-        order = np.argsort(chunk, kind="stable")
-        s = chunk[order]
+        s = np.sort(chunk)
         boundaries = np.flatnonzero(s[1:] != s[:-1]) + 1
         starts = np.concatenate(([0], boundaries))
         ends = np.concatenate((boundaries, [s.size]))

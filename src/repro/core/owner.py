@@ -15,7 +15,7 @@ owner.  That residual imbalance is precisely what the L3 protocol
 attacks.
 
 :func:`by_owner` is the bucket split every counter routes through once
-owners (PEs, bins) are known.
+owners (PEs, bins) are known; :func:`owner_split` is its permutation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["splitmix64", "splitmix64_inverse", "owner_pe", "owner_pe_scalar",
-           "by_owner"]
+           "owner_split", "by_owner"]
 
 _C1 = np.uint64(0x9E3779B97F4A7C15)
 _C2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -92,19 +92,46 @@ def owner_pe_scalar(kmer: int, p: int) -> int:
     return int(splitmix64(int(kmer)) % p)
 
 
+def owner_split(owners: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, counts)`` of the stable split of *owners* over
+    ``[0, n)``: ``order`` makes each owner's elements contiguous, in
+    owner order and input order inside an owner; ``counts[q]`` is how
+    many owner *q* holds.
+
+    The key is sorted at its narrowest unsigned width (``uint8`` for
+    n <= 256, ``uint16`` for n <= 65,536), where NumPy's stable sort is
+    one counting radix pass — a bin distribution, not a comparison
+    sort — and yields the same permutation as a stable ``int64`` sort.
+    An owner outside ``[0, n)`` is a ``ValueError``: narrowed, it would
+    wrap into a wrong bucket.
+    """
+    owners = np.asarray(owners)
+    if owners.dtype.kind not in "iu":
+        raise ValueError(f"owners must be integers, got {owners.dtype}")
+    # bincount takes intp; a negative owner (or a uint64 one past
+    # 2**63, which wraps negative) raises there.
+    counts = np.bincount(owners.astype(np.intp, copy=False), minlength=n)
+    if counts.size != n:
+        raise ValueError(f"owner {counts.size - 1} is outside [0, {n})")
+    if n <= 1 << 8:
+        owners = owners.astype(np.uint8)
+    elif n <= 1 << 16:
+        owners = owners.astype(np.uint16)
+    return np.argsort(owners, kind="stable"), counts
+
+
 def by_owner(owners: np.ndarray, n: int, *columns: np.ndarray):
     """The one bucket split: iterate ``(owner, *column_slices)`` over
     the owners (of *n*) that hold anything, in owner order.
 
-    *owners* is an ``int64`` array (PE, bin, shard ...) parallel to
-    every array in *columns*; the split is stable, so each slice keeps
-    its elements in input order.
+    *owners* is an integer array (PE, bin, shard ...) parallel to every
+    array in *columns*; the split is :func:`owner_split`, so each slice
+    keeps its elements in input order.
     """
-    order = np.argsort(owners, kind="stable")
-    counts = np.bincount(owners, minlength=n)
+    order, counts = owner_split(owners, n)
     owned = np.flatnonzero(counts)
     ends = np.cumsum(counts)[owned]
-    # A BSP superstep cuts P^2 buckets, so the cutting stays in C:
-    # slice objects from Python ints, mapped over each column.
+    # Every L3 flush and serve group is cut here, so the cutting stays
+    # in C: slice objects from Python ints, mapped over each column.
     slices = list(map(slice, (ends - counts[owned]).tolist(), ends.tolist()))
     return zip(owned.tolist(), *(map(c[order].__getitem__, slices) for c in columns))

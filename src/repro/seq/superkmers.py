@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.owner import owner_pe, splitmix64, splitmix64_inverse
+from ..core.owner import owner_pe, owner_split, splitmix64, splitmix64_inverse
 from .kmers import (
     _cumsum0,
     check_k,
@@ -332,9 +332,8 @@ def partition_superkmers(
     counted independently.
     """
     owners = owner_pe(batch.minimizers, n_bins)
-    order = np.argsort(owners, kind="stable")
-    boundaries = _cumsum0(np.bincount(owners, minlength=n_bins))
-    return owners, order, boundaries
+    order, counts = owner_split(owners, n_bins)
+    return owners, order, _cumsum0(counts)
 
 
 def count_superkmer_batch(

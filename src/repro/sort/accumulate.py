@@ -70,9 +70,9 @@ def accumulate_weighted(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate ``(kmer, count)`` pairs; input need not be sorted.
 
-    Sorts by k-mer (stable) and sums weights per key.  This is the
-    receive-side accumulate DAKC runs when HEAVY packets carry
-    pre-aggregated ``{kmer, count}`` pairs.
+    Sorts by k-mer and sums weights per key.  This is the receive-side
+    accumulate DAKC runs when HEAVY packets carry pre-aggregated
+    ``{kmer, count}`` pairs.
     """
     a = np.asarray(kmers, dtype=np.uint64)
     w = np.asarray(weights, dtype=np.int64)
@@ -80,8 +80,9 @@ def accumulate_weighted(
         raise ValueError("kmers and weights must have the same length")
     if w.size == 0:
         return a.copy(), np.empty(0, dtype=np.int64)
-    order = (np.argsort(a, kind="stable") if a.ndim == 1
-             else np.lexsort((a[:, 1], a[:, 0])))
+    # An integer sum does not depend on the order equal keys meet in,
+    # so the sort need not be stable.
+    order = np.argsort(a) if a.ndim == 1 else np.lexsort((a[:, 1], a[:, 0]))
     a = a[order]
     w = w[order]
     starts = np.concatenate(([0], _boundaries(a)))

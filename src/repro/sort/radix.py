@@ -7,9 +7,10 @@ sort with ``2**ceil(log2(2k)) / 8`` passes (Eq. 12).
 
 This module implements a least-significant-digit counting radix sort
 with a configurable digit width.  Each pass is fully vectorised:
-extract the digit, histogram it (``np.bincount``), prefix-sum, scatter
-(stable, via ``argsort(kind="stable")`` on the digit — NumPy's stable
-counting path — or an explicit cumulative scatter).  The pass count,
+extract the digit as a ``uint8``/``uint16``, histogram it
+(``np.bincount``), and scatter by ``argsort(kind="stable")`` of the
+digit, which NumPy runs as a counting radix pass at those widths.  The
+pass count,
 bytes touched and histogram sizes are reported so the runtime layer can
 charge the machine model for them.
 """
@@ -123,11 +124,14 @@ def radix_sort(
         return a.copy()
     mask = np.uint64((1 << digit_bits) - 1)
     radix = 1 << digit_bits
+    # A digit held at its narrowest width is a key NumPy's stable sort
+    # takes one counting pass over.
+    digit_dtype = np.uint8 if digit_bits <= 8 else np.uint16
     src = a.copy()
     dst = np.empty_like(src)
     for p in range(n_passes):
         shift = np.uint64(p * digit_bits)
-        digits = ((src >> shift) & mask).astype(np.int64)
+        digits = ((src >> shift) & mask).astype(digit_dtype)
         counts = np.bincount(digits, minlength=radix)
         if stats is not None:
             stats.bytes_moved += 2 * n * 8  # read src + write dst

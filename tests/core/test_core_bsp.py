@@ -2,16 +2,51 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.bsp import BspConfig, bsp_count
+from repro.core.owner import owner_pe
+from repro.core.phases import parse_kmers, split_reads
 from repro.core.serial import serial_count
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import laptop
+from repro.seq.kmers import count_packed_kmers
 
 
 def cost_model(p=8, nodes=2):
     return CostModel(laptop(nodes=nodes, cores=p // nodes))
+
+
+def per_source_reference(reads, k, p, config):
+    """Per superstep and owner, what Algorithm 2's per-source loop hands
+    the owner: each source's bucket (its own ``Accumulate`` with
+    ``preaccumulate``), in source order, as ``(keys, counts)`` lists."""
+    streams = [parse_kmers(rows, k, config.canonical) for rows in split_reads(reads, p)]
+    local = max(s.size for s in streams)
+    b = config.batch_size or local
+    steps = []
+    for lo in range(0, local, b):
+        keys, counts = [[] for _ in range(p)], [[] for _ in range(p)]
+        for stream in streams:
+            batch = stream[lo:lo + b]
+            owners = owner_pe(batch, p)
+            for dst in range(p):
+                bucket = batch[owners == dst]
+                if not bucket.size:
+                    continue
+                if config.preaccumulate:
+                    u, c = count_packed_kmers(bucket, k)
+                    keys[dst].append(u)
+                    counts[dst].append(c)
+                else:
+                    keys[dst].append(bucket)
+        steps.append((keys, counts))
+    return steps
+
+
+def cat(parts, dtype):
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
 class TestCorrectness:
@@ -60,6 +95,42 @@ class TestCorrectness:
             BspConfig(batch_size=0)
         with pytest.raises(ValueError):
             BspConfig(sort="bogo")
+
+
+class TestExchange:
+    """The destination-major receive array is the per-source
+    concatenation, element for element, at every superstep."""
+
+    @pytest.mark.parametrize("config", [
+        BspConfig(batch_size=700),
+        BspConfig(batch_size=700, blocking=False),
+        BspConfig(batch_size=700, preaccumulate=True),
+    ], ids=["blocking", "nonblocking", "preaccumulate"])
+    def test_hook_sees_the_per_source_arrays(self, heavy_reads, config):
+        p, k = 8, 15
+        ref = per_source_reference(heavy_reads, k, p, config)
+        seen = []
+
+        def hook(step, recv_plain, recv_pairs, stats):
+            for dst in range(p):
+                want_keys = cat([a for keys, _ in ref[:step + 1] for a in keys[dst]],
+                                np.uint64)
+                if config.preaccumulate:
+                    assert recv_plain[dst] == []
+                    got_keys = cat([u for u, _ in recv_pairs[dst]], np.uint64)
+                    got_counts = cat([c for _, c in recv_pairs[dst]], np.int64)
+                    want_counts = cat(
+                        [c for _, counts in ref[:step + 1] for c in counts[dst]], np.int64)
+                    assert np.array_equal(got_counts, want_counts)
+                else:
+                    assert recv_pairs[dst] == []
+                    got_keys = cat(recv_plain[dst], np.uint64)
+                assert np.array_equal(got_keys, want_keys)
+            seen.append(step)
+
+        got, _ = bsp_count(heavy_reads, k, cost_model(p=p), config, superstep_hook=hook)
+        assert seen == list(range(len(ref))) and len(ref) > 1
+        assert got == serial_count(heavy_reads, k)
 
 
 class TestSuperstepStructure:

@@ -7,12 +7,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.owner import by_owner, owner_pe, owner_pe_scalar, splitmix64
+from repro.core.owner import by_owner, owner_pe, owner_pe_scalar, owner_split, splitmix64
 from repro.core.result import KmerCounts, probe_sorted
+from repro.seq.superkmers import partition_superkmers, split_superkmers_batch
 
 kmer_arrays = st.lists(
     st.integers(min_value=0, max_value=2**64 - 1), min_size=0, max_size=300
 ).map(lambda xs: np.array(xs, dtype=np.uint64))
+
+#: Both sides of each width the owner key narrows to (uint8, uint16).
+WIDTH_EDGES = (1, 2, 255, 256, 257, 65_536, 65_537)
+
+
+def wide_split(owners: np.ndarray) -> np.ndarray:
+    """The reference permutation: a stable sort of the owners as int64."""
+    return np.argsort(owners.astype(np.int64), kind="stable")
 
 
 class TestSplitmix:
@@ -80,6 +89,55 @@ class TestOwnerPe:
             assert len(slices) == n_columns
             for column, chunk in zip(columns, slices):
                 assert np.array_equal(chunk, column[owners == q])
+
+
+class TestOwnerSplit:
+    """The narrow-key split is the wide stable split, permutation for
+    permutation, on both sides of each key-width edge."""
+
+    @given(st.sampled_from(WIDTH_EDGES),
+           st.lists(st.tuples(st.booleans(),
+                              st.one_of(st.integers(0, 3), st.integers(0, 2**20))),
+                    max_size=300))
+    def test_same_permutation_as_the_wide_stable_sort(self, n, draws):
+        # Owners crowd both ends of [0, n): the top ids are the ones a
+        # too-narrow key would wrap.
+        owners = np.array([n - 1 - d % n if top else d % n for top, d in draws],
+                          dtype=np.int64)
+        order, counts = owner_split(owners, n)
+        assert np.array_equal(order, wide_split(owners))
+        assert np.array_equal(counts, np.bincount(owners, minlength=n))
+        column = np.arange(owners.size)
+        chunks = [chunk for _, chunk in by_owner(owners, n, column)]
+        assert np.array_equal(np.concatenate([column[:0], *chunks]), wide_split(owners))
+
+    @given(st.sampled_from(WIDTH_EDGES), st.integers(0, 2**32 - 1))
+    def test_partition_superkmers_is_the_same_split(self, n, seed):
+        reads = np.random.default_rng(seed).integers(0, 4, size=(12, 70), dtype=np.uint8)
+        batch = split_superkmers_batch(reads, 15, 7)
+        owners, order, boundaries = partition_superkmers(batch, n)
+        assert np.array_equal(owners, owner_pe(batch.minimizers, n))
+        assert np.array_equal(order, wide_split(owners))
+        assert boundaries.tolist() == [
+            0, *np.cumsum(np.bincount(owners, minlength=n)).tolist()]
+
+    @pytest.mark.parametrize("n", WIDTH_EDGES)
+    def test_owner_outside_the_range_is_refused(self, n):
+        """``n - 1`` is the last owner; ``n`` (which a narrow key wraps
+        to 0 at n = 256 and 65,536) and -1 are refused, by the split
+        and by `by_owner`."""
+        last = np.array([0, n - 1], dtype=np.int64)
+        assert owner_split(last, n)[1].tolist() == np.bincount(last, minlength=n).tolist()
+        for bad in (n, -1):
+            owners = np.array([0, bad], dtype=np.int64)
+            with pytest.raises(ValueError):
+                owner_split(owners, n)
+            with pytest.raises(ValueError):
+                by_owner(owners, n, np.arange(2))
+
+    def test_non_integer_owners_are_refused(self):
+        with pytest.raises(ValueError, match="integers"):
+            owner_split(np.array([0.0, 1.0]), 2)
 
 
 class TestKmerCounts:

@@ -70,6 +70,21 @@ class TestAccumulateWeighted:
         assert uniq.tolist() == [[0, 9], [0, 10], [1, 0]]
         assert counts.tolist() == [2, 1, 11]
 
+    @given(st.lists(st.tuples(st.integers(0, 15), st.integers(-3, 1000)), max_size=400),
+           st.sampled_from([0, 2**63 - 8, 2**64 - 16]), st.integers(0, 2**32 - 1))
+    def test_matches_dict_oracle_on_shuffled_duplicates(self, pairs, base, seed):
+        """Few keys, many repeats, shuffled: the sums are the oracle's
+        whatever order equal keys meet in."""
+        oracle: dict[int, int] = {}
+        for key, weight in pairs:
+            oracle[base + key] = oracle.get(base + key, 0) + weight
+        perm = np.random.default_rng(seed).permutation(len(pairs))
+        keys = np.array([base + pairs[i][0] for i in perm], dtype=np.uint64)
+        weights = np.array([pairs[i][1] for i in perm], dtype=np.int64)
+        uniq, sums = accumulate_weighted(keys, weights)
+        assert uniq.tolist() == sorted(oracle)
+        assert sums.tolist() == [oracle[key] for key in sorted(oracle)]
+
     def test_unsorted_input_ok(self):
         k = np.array([9, 1, 9], dtype=np.uint64)
         uniq, counts = accumulate_weighted(k, np.array([1, 1, 1]))

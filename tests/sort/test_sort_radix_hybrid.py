@@ -31,6 +31,17 @@ class TestRadixSort:
     def test_digit_width_invariance(self, arr, digit_bits):
         assert np.array_equal(radix_sort(arr, digit_bits=digit_bits), np.sort(arr))
 
+    @pytest.mark.parametrize("digit_bits", [1, 8, 9, 16])
+    def test_matches_npsort_at_each_digit_width(self, digit_bits):
+        """A digit is a uint8 (<= 8 bits) or uint16 key: every pass must
+        still be the stable counting permutation."""
+        rng = np.random.default_rng(digit_bits)
+        arr = np.concatenate([
+            rng.integers(0, 2**64 - 1, size=20_000, dtype=np.uint64, endpoint=True),
+            rng.integers(0, 64, size=5_000).astype(np.uint64)])
+        rng.shuffle(arr)
+        assert np.array_equal(radix_sort(arr, digit_bits=digit_bits), np.sort(arr))
+
     def test_key_bits_limits_passes(self):
         stats = RadixSortStats()
         arr = np.arange(1000, dtype=np.uint64)
