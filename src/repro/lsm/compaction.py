@@ -15,9 +15,10 @@ bounded working set:
    sections: nothing is read or copied until the merge below);
 2. per iteration the *boundary* is the smallest last key offered across
    runs — every key ``<= boundary`` is provably present in the offered
-   slices (keys within a run are sorted and unique), so that prefix can
-   be merged (:func:`~repro.apps.store.merge_sorted_counts`, counts
-   summing) and emitted final;
+   slices (keys within a run are sorted and unique), so those prefixes
+   merge in one pass and are emitted final: concatenated, ordered by one
+   stable ``argsort`` (timsort over at most ``fan_in`` sorted runs) and
+   summed per key by one ``np.add.reduceat``;
 3. merged chunks append to raw spill files, which are then memmapped
    and streamed into the final run file by
    :func:`~repro.lsm.run.write_run` (NumPy copies memmaps in bounded
@@ -32,13 +33,11 @@ store's reopen sweep.
 
 from __future__ import annotations
 
-import functools
 import os
 from pathlib import Path
 
 import numpy as np
 
-from ..apps.store import merge_sorted_counts
 from .run import Run, write_run
 
 __all__ = ["CHUNK_KEYS", "pick_compaction", "merge_runs"]
@@ -55,6 +54,18 @@ def pick_compaction(runs: list[Run], max_runs: int, fan_in: int) -> list[int] | 
         return None
     order = sorted(range(len(runs)), key=lambda i: runs[i].n_keys)
     return sorted(order[: min(fan_in, len(runs))])
+
+
+def _merge_pieces(keys: list[np.ndarray], vals: list[np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted, unique-keyed pieces in one sort, counts summed."""
+    all_keys = np.concatenate(keys).astype(np.uint64, copy=False)
+    order = np.argsort(all_keys, kind="stable")
+    all_keys = all_keys[order]
+    starts = np.concatenate(
+        ([0], np.flatnonzero(all_keys[1:] != all_keys[:-1]) + 1))
+    return (all_keys[starts],
+            np.add.reduceat(np.concatenate(vals)[order], starts).astype(np.int64))
 
 
 def merge_runs(runs: list[Run], out_path: str | os.PathLike, k: int) -> None:
@@ -80,17 +91,16 @@ def merge_runs(runs: list[Run], out_path: str | os.PathLike, k: int) -> None:
                 # The prefixes up to the smallest last key offered
                 # jointly hold *all* keys <= that boundary.
                 boundary = min(head[1][-1] for head in heads)
-                pieces = []
+                piece_keys, piece_vals = [], []
                 for i, bk, bv in heads:
                     cut = int(np.searchsorted(bk, boundary, side="right"))
                     cursors[i] += cut
                     if cut:
-                        pieces.append((bk[:cut], bv[:cut]))
-                mk, mv = functools.reduce(
-                    lambda a, b: merge_sorted_counts(a[0], a[1], b[0], b[1]), pieces
-                )
-                fk.write(np.ascontiguousarray(mk).tobytes())
-                fv.write(np.ascontiguousarray(mv).tobytes())
+                        piece_keys.append(bk[:cut])
+                        piece_vals.append(bv[:cut])
+                mk, mv = _merge_pieces(piece_keys, piece_vals)
+                fk.write(mk.tobytes())
+                fv.write(mv.tobytes())
                 n_out += int(mk.size)
 
         if n_out:

@@ -1,12 +1,13 @@
 """Pass 2 of out-of-core counting, and the two-pass orchestrator.
 
 Each spill bin is a closed k-mer multiset, so pass 2 is a loop of
-independent in-memory counts: unpack a bin chunk by chunk, expand its
+independent in-memory counts: read a bin in groups of consecutive
+chunks of at most the memory ceiling in bases, expand each group's
 super-k-mers into packed k-mers (:func:`~.format.superkmer_kmers`),
 count them with the one kernel every in-memory counter uses
 (:func:`repro.seq.kmers.count_owned_kmers`: canonical -> sort in
-place -> accumulate), and merge chunk results — one bin's worth of data at a
-time instead of the whole dataset.
+place -> accumulate), and merge group results — one bin's worth of
+data at a time instead of the whole dataset.
 
 :func:`ooc_count` glues both passes together under one memory ceiling
 and optionally *fuses* the results into a :class:`repro.lsm.LsmStore`:
@@ -21,7 +22,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,22 +40,49 @@ BinOrder = Callable[[Sequence[int]], list[int]]
 """Pass-2 policy: bin ids -> processing order (identity by default)."""
 
 
+def _chunk_groups(chunks: Iterator[tuple[np.ndarray, np.ndarray]],
+                  memory_bytes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Consecutive chunks joined while their bases stay <= *memory_bytes*.
+
+    Records are byte-aligned, so joined chunks are one valid chunk; a
+    chunk that alone exceeds the ceiling is a group of its own.
+    """
+    def join(group):
+        lengths, blobs = zip(*group)
+        return np.concatenate(lengths), np.concatenate(blobs)
+
+    group: list[tuple[np.ndarray, np.ndarray]] = []
+    bases = 0
+    for lengths, blob in chunks:
+        n = int(lengths.sum(dtype=np.int64))
+        if group and bases + n > memory_bytes:
+            yield join(group)
+            group, bases = [], 0
+        group.append((lengths, blob))
+        bases += n
+    if group:
+        yield join(group)
+
+
 def count_bin(path: str | os.PathLike, *, k: int | None = None,
-              canonical: bool = False,
+              canonical: bool = False, memory_bytes: int = 1 << 20,
               stats: OocStats | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Count one spill bin in memory; returns ``(unique_kmers, counts)``.
 
     Validates the bin header against *k* when given (a bin written at
     a different k would silently produce garbage k-mers otherwise).
-    Memory is bounded by the largest single chunk, not the bin: each
-    chunk is counted as it streams and merged into the accumulator.
+    Memory is bounded by the ceiling, not the bin: consecutive chunks
+    are joined while their bases stay within *memory_bytes* (the
+    ceiling of :func:`ooc_count`), each group is expanded, sorted and
+    accumulated in one pass, and group results merge into the
+    accumulator.
     """
     header, chunks = read_bin_records(path)
     if k is not None and header.k != k:
         raise FormatError(path, BIN.kind, "mismatch",
                           f"bin was written at k={header.k}, requested k={k}")
     parts: list[tuple[np.ndarray, np.ndarray]] = []
-    for lengths, blob in chunks:
+    for lengths, blob in _chunk_groups(chunks, memory_bytes):
         parts.append(count_owned_kmers(
             superkmer_kmers(lengths, blob, header.k), header.k,
             canonical=canonical))
@@ -135,7 +163,7 @@ def ooc_count(
         for b in order:
             before = stats.bytes_reread
             uniq, counts = count_bin(by_id[b], k=k, canonical=canonical,
-                                     stats=stats)
+                                     memory_bytes=memory_bytes, stats=stats)
             if cost is not None:
                 cost.charge_disk_read(pe_stats, stats.bytes_reread - before)
             if store is not None:

@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..seq.kmers import _cumsum0
 from ..seq.superkmers import (
     pack_spans,
     partition_superkmers,
@@ -35,8 +36,10 @@ from .format import BinHeader, append_chunk, write_bin_header
 
 __all__ = ["OocStats", "BinWriter", "largest_first", "seeded_order"]
 
-# Buffered-memory estimate per pending super-k-mer: its unpacked codes
-# (1 byte/base) plus list/length bookkeeping.
+# Buffered-memory charge per pending super-k-mer: its unpacked size
+# (1 byte/base) plus list/length bookkeeping.  A bin buffers the packed
+# bytes (4 bases/byte) but is charged as if unpacked, so flush waves
+# fire where they did when bins buffered unpacked codes.
 _RECORD_OVERHEAD = 8
 
 FlushOrder = Callable[[Sequence[tuple[int, int]]], list[int]]
@@ -108,7 +111,7 @@ class BinWriter:
         self.ceiling_bytes = ceiling_bytes
         self.flush_order = flush_order or largest_first
         self.stats = stats if stats is not None else OocStats()
-        # Per bin: list of (flat codes, per-record lengths) batches.
+        # Per bin: list of (packed bytes, uint32 lengths) slices.
         self._pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._pending_bytes: dict[int, int] = {}
         self._buffered = 0
@@ -153,18 +156,28 @@ class BinWriter:
         return n_kmers
 
     def _add_batch(self, rows: list[np.ndarray]) -> int:
-        """Split, route, and buffer one bounded sub-batch of reads."""
+        """Split, route, pack and buffer one bounded sub-batch of reads.
+
+        The sub-batch is packed once, in bin order; each bin keeps a
+        copy of its slice of the blob and of the lengths, so a buffered
+        bin does not pin the whole sub-batch.
+        """
         batch = split_superkmers_batch(rows, self.k, self.w)
         self.stats.n_reads += len(rows)
         if batch.n_superkmers == 0:
             return 0
-        owners, order, boundaries = partition_superkmers(batch, self.n_bins)
-        for b in np.unique(owners):
-            b = int(b)
-            idx = order[boundaries[b]:boundaries[b + 1]]
-            flat, lengths = batch.gather_spans(idx)
-            self._pending.setdefault(b, []).append((flat, lengths))
-            nbytes = int(flat.size) + _RECORD_OVERHEAD * int(lengths.size)
+        _owners, order, boundaries = partition_superkmers(batch, self.n_bins)
+        lengths = batch.lengths[order]
+        lengths32, blob = pack_spans(batch.codes, batch.starts[order], lengths)
+        byte_offs = _cumsum0(-(-lengths // 4)).tolist()
+        base_offs = _cumsum0(lengths).tolist()
+        bounds = boundaries.tolist()
+        for b in np.flatnonzero(np.diff(boundaries)).tolist():
+            lo, hi = bounds[b], bounds[b + 1]
+            self._pending.setdefault(b, []).append(
+                (blob[byte_offs[lo]:byte_offs[hi]].copy(),
+                 lengths32[lo:hi].copy()))
+            nbytes = base_offs[hi] - base_offs[lo] + _RECORD_OVERHEAD * (hi - lo)
             self._pending_bytes[b] = self._pending_bytes.get(b, 0) + nbytes
             self._buffered += nbytes
         self.stats.n_superkmers += batch.n_superkmers
@@ -186,13 +199,10 @@ class BinWriter:
         entries = self._pending.pop(bin_id, [])
         if not entries:
             return 0
-        flat = (entries[0][0] if len(entries) == 1
+        blob = (entries[0][0] if len(entries) == 1
                 else np.concatenate([e[0] for e in entries]))
-        lens = (entries[0][1] if len(entries) == 1
-                else np.concatenate([e[1] for e in entries]))
-        starts = np.zeros(lens.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        lengths, blob = pack_spans(flat, starts, lens)
+        lengths = (entries[0][1] if len(entries) == 1
+                   else np.concatenate([e[1] for e in entries]))
         path = self.bin_path(bin_id)
         written = 0
         if bin_id not in self._headers_written:

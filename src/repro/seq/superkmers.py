@@ -150,18 +150,6 @@ class SuperKmerBatch:
         """
         return span_kmers(self.codes, self.starts, self.n_kmers_per, self.k)
 
-    def gather_spans(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Contiguous ``(codes, lengths)`` of the selected super-k-mers.
-
-        The returned code array owns its memory (one gather), so a
-        caller buffering a subset — the spill writer — does not pin
-        the whole batch.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        lengths = self.lengths[idx]
-        flat = self.codes[_span_positions(self.starts[idx], lengths)]
-        return flat, lengths
-
     def pack(self) -> tuple[np.ndarray, np.ndarray]:
         """2-bit packed wire form: ``(uint32 lengths, byte blob)``.
 
@@ -278,19 +266,26 @@ def pack_spans(
         return lengths32, np.empty(0, dtype=np.uint8)
     if lengths.min() <= 0:
         raise ValueError("cannot pack an empty super-k-mer")
-    padded = -(-lengths // 4) * 4
-    offs = _cumsum0(padded)
-    staging = np.zeros(int(offs[-1]), dtype=np.uint8)
-    flat = codes[_span_positions(starts, lengths)]
-    if flat.size and flat.max() > 3:
+    # One pass per output byte, not per base: byte ``j`` of a record
+    # packs ``codes[src + t]`` for ``t < 4``, ``src = start + 4 j``, and
+    # a ``t`` at or past the record's end is a zero pad.  The 3 zeros
+    # appended to the codes keep every pad gather in bounds.
+    n_bytes = -(-lengths // 4)
+    offs = _cumsum0(n_bytes)
+    within = 4 * (np.arange(int(offs[-1]), dtype=np.int64)
+                  - np.repeat(offs[:-1], n_bytes))
+    src = np.repeat(starts, n_bytes) + within
+    left = np.repeat(lengths, n_bytes) - within
+    codes = np.concatenate([codes, np.zeros(3, dtype=np.uint8)])
+    blob = np.zeros(src.size, dtype=np.uint8)
+    seen = np.zeros(src.size, dtype=np.uint8)   # OR of every packed code
+    for t in range(4):
+        base = codes[t:][src]
+        base[left <= t] = 0
+        seen |= base
+        blob |= base << (6 - 2 * t)
+    if (seen > 3).any():
         raise ValueError("super-k-mer codes must be 2-bit (no ambiguity)")
-    within = np.arange(flat.size, dtype=np.int64) - np.repeat(
-        _cumsum0(lengths)[:-1], lengths)
-    staging[np.repeat(offs[:-1], lengths) + within] = flat
-    blob = (
-        (staging[0::4] << 6) | (staging[1::4] << 4)
-        | (staging[2::4] << 2) | staging[3::4]
-    ).astype(np.uint8)
     return lengths32, blob
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.apps.store import merge_sorted_counts
 from repro.lsm import compaction
 from repro.lsm.compaction import merge_runs, pick_compaction
 from repro.lsm.run import Run, write_run
@@ -111,3 +113,52 @@ class TestMergeRuns:
     def test_nothing_to_merge_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to merge"):
             merge_runs([], tmp_path / "out.run", 17)
+
+
+def _fold_reference(runs, path, k):
+    """The merge as a pairwise ``merge_sorted_counts`` fold of whole runs."""
+    keys, vals = functools.reduce(
+        lambda a, b: merge_sorted_counts(*a, *b), [r.load() for r in runs])
+    write_run(path, k, keys, vals)
+
+
+class TestOneSortMerge:
+    """One stable argsort + reduceat per merge step writes the same run
+    file, byte for byte, as folding the runs pairwise."""
+
+    @pytest.mark.parametrize("fan_in", range(2, 9))
+    def test_matches_pairwise_fold(self, tmp_path, monkeypatch, fan_in):
+        monkeypatch.setattr(compaction, "CHUNK_KEYS", 64)
+        rng = np.random.default_rng(fan_in)
+        runs = []
+        for i in range(fan_in):
+            # Keys from a small universe overlap across runs; run 0 holds
+            # only low keys, so it is exhausted after the first steps.
+            hi = 500 if i == 0 else 5000
+            keys = np.unique(rng.integers(0, hi, int(rng.integers(40, 700))))
+            path = tmp_path / f"in{i}.run"
+            write_run(path, 17, keys.astype(np.uint64),
+                      rng.integers(1, 1 << 40, keys.size).astype(np.int64))
+            runs.append(Run(path))
+        merge_runs(runs, tmp_path / "out.run", 17)
+        _fold_reference(runs, tmp_path / "ref.run", 17)
+        assert ((tmp_path / "out.run").read_bytes()
+                == (tmp_path / "ref.run").read_bytes())
+
+    def test_keys_straddling_a_chunk_boundary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(compaction, "CHUNK_KEYS", 64)
+        a = np.arange(0, 256, 2, dtype=np.uint64)   # two slices of 64
+        b = a[62:66].copy()                          # across a's slice edge
+        c = np.arange(1, 200, 2, dtype=np.uint64)   # odd: no shared key
+        runs = []
+        for name, keys in (("a", a), ("b", b), ("c", c)):
+            write_run(tmp_path / f"{name}.run", 17, keys,
+                      np.full(keys.size, 1, dtype=np.int64))
+            runs.append(Run(tmp_path / f"{name}.run"))
+        merge_runs(runs, tmp_path / "out.run", 17)
+        _fold_reference(runs, tmp_path / "ref.run", 17)
+        assert ((tmp_path / "out.run").read_bytes()
+                == (tmp_path / "ref.run").read_bytes())
+        keys, vals = Run(tmp_path / "out.run").load()
+        at = np.searchsorted(keys, a[62:66])
+        assert vals[at].tolist() == [2, 2, 2, 2]

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.serial import serial_count
 from repro.lsm import LsmConfig, LsmStore
-from repro.ooc.count import count_bin, ooc_count
+from repro.ooc.count import _chunk_groups, count_bin, ooc_count
+from repro.ooc.format import read_bin_records
 from repro.fileio import FormatError
 from repro.ooc.spill import BinWriter, OocStats, seeded_order
 from repro.runtime.cost import CostModel
@@ -143,3 +144,46 @@ class TestHousekeeping:
         (path,) = bw.close()
         with pytest.raises(FormatError, match="written at k=9"):
             count_bin(path, k=11)
+
+
+class TestChunkGrouping:
+    """count_bin joins consecutive chunks up to the ceiling in bases;
+    any grouping must give the same table as counting chunk by chunk."""
+
+    def _bin(self, tmp_path):
+        with BinWriter(tmp_path, 9, 4, 1, ceiling_bytes=300) as bw:
+            bw.add_reads(make_reads(n=60))
+        (path,) = bw.close()
+        _header, chunks = read_bin_records(path)
+        bases = [int(lengths.sum()) for lengths, _blob in chunks]
+        assert len(bases) >= 4  # several chunks to group
+        return path, bases
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    def test_grouping_does_not_change_the_table(self, tmp_path, canonical):
+        path, bases = self._bin(tmp_path)
+        oracle = serial_count(make_reads(n=60), 9, canonical=canonical)
+        for ceiling in (1, max(bases), sum(bases), 1 << 30):
+            keys, counts = count_bin(path, k=9, canonical=canonical,
+                                     memory_bytes=ceiling)
+            assert np.array_equal(keys, oracle.kmers), ceiling
+            assert np.array_equal(counts, oracle.counts), ceiling
+
+    def test_groups_stay_within_the_ceiling(self, tmp_path):
+        path, bases = self._bin(tmp_path)
+        _header, chunks = read_bin_records(path)
+        ceiling = 2 * max(bases)
+        groups = [int(lengths.sum())
+                  for lengths, _blob in _chunk_groups(chunks, ceiling)]
+        assert sum(groups) == sum(bases)
+        assert max(groups) <= ceiling
+        assert len(groups) < len(bases)  # some chunks were joined
+        _header, chunks = read_bin_records(path)
+        assert len(list(_chunk_groups(chunks, 1))) == len(bases)
+
+    def test_bin_written_at_another_k_is_refused(self, tmp_path):
+        path, bases = self._bin(tmp_path)
+        for ceiling in (1, sum(bases)):
+            with pytest.raises(FormatError) as err:
+                count_bin(path, k=11, memory_bytes=ceiling)
+            assert err.value.reason == "mismatch"
