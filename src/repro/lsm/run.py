@@ -7,6 +7,7 @@ it is servable without loading it whole (framing in
 
     framed header   k, n, index_stride, fence_min, fence_max
     one record      index_keys: every index_stride-th key (uint64)
+    zero pad        to the next multiple of 8 bytes
     keys section    n raw uint64, at a computed offset
     counts section  n raw int64, right behind the keys
 
@@ -19,13 +20,14 @@ header.
 * the **sparse index** is tiny and resident; the two sections are
   **mapped** read-only on first use and that mapping is the only way a
   run is read.  A lookup group is cut to the fences, the index names
-  each key's block, and a lower-bound search over the mapped keys —
-  ``log2(index_stride)`` halvings, one gathered element per key each —
-  finds it in place.  (Not ``np.searchsorted`` on the map: the sections
-  start at 4 mod 8, and numpy copies an unaligned haystack whole.)
+  the blocks it touches (read accounting only), and one
+  :func:`~repro.core.result.probe_sorted` over the mapped sections
+  answers it in place: both start 8-byte aligned, so numpy searches
+  them without a copy.
 
-Header and index are checksummed; the two data sections are not — their
-extent is checked against the file size on open.
+Header and index are checksummed, and the pad must read zero; the two
+data sections are not checksummed — their extent is checked against
+the file size on open.
 
 Runs are immutable and published atomically and durably
 (:func:`repro.fileio.publish` with fsync), so a crash leaves either no
@@ -40,11 +42,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.result import probe_sorted
 from ..fileio import BLOCK_KEYS, FormatError, Framing, publish, record
 
 __all__ = ["RUN", "write_run", "Run"]
 
-RUN = Framing("LSM run", b"dakcrun\x00", 2, "<QQQQQ")
+RUN = Framing("LSM run", b"dakcrun\x00", 3, "<QQQQQ")
 """Header fields: k, n, index_stride, fence_min, fence_max."""
 
 
@@ -59,9 +62,11 @@ def write_run(path: str | os.PathLike, k: int, keys: np.ndarray,
     index_keys = np.ascontiguousarray(keys[::BLOCK_KEYS], dtype="<u8")
     fence_min, fence_max = (int(keys[0]), int(keys[-1])) if n else (0, 0)
 
+    head = (RUN.header(k, n, BLOCK_KEYS, fence_min, fence_max)
+            + record(index_keys.tobytes()))
+
     def write(fh) -> None:
-        fh.write(RUN.header(k, n, BLOCK_KEYS, fence_min, fence_max))
-        fh.write(record(index_keys.tobytes()))
+        fh.write(head + bytes(-len(head) % 8))   # sections start 8-aligned
         fh.write(np.ascontiguousarray(keys, dtype="<u8"))
         fh.write(np.ascontiguousarray(vals, dtype="<i8"))
 
@@ -77,9 +82,11 @@ class Run:
             (self.k, self.n_keys, self.index_stride,
              self.fence_min, self.fence_max) = RUN.read_header(fh, self.path)
             index = next(RUN.records(fh, self.path), None)
-        if index is None:
-            raise FormatError(self.path, RUN.kind, "truncated", "no index record")
-        payload, self._keys_at = index
+            if index is None:
+                raise FormatError(self.path, RUN.kind, "truncated", "no index record")
+            payload, index_end = index
+            self._keys_at = index_end + -index_end % 8
+            pad = fh.read(self._keys_at - index_end)
         self.index_keys = np.frombuffer(payload, dtype="<u8")
         if (self.index_stride < 1
                 or self.index_keys.size != -(-self.n_keys // self.index_stride)):
@@ -91,6 +98,9 @@ class Run:
             raise FormatError(self.path, RUN.kind,
                               "truncated" if size < want else "corrupt",
                               f"{size} bytes on disk, header implies {want}")
+        if any(pad):
+            raise FormatError(self.path, RUN.kind, "corrupt",
+                              f"nonzero pad at byte {index_end}")
         self._sections: tuple[np.ndarray, np.ndarray] | None = None
         self._closed = False
         # read-amplification accounting
@@ -158,17 +168,7 @@ class Run:
         # the only block that can contain the key; cand ascends, so do they.
         blocks = self.index_keys.searchsorted(cand, side="right") - 1
         self.blocks_read += 1 + int(np.count_nonzero(blocks[1:] != blocks[:-1]))
-        # pos stays on the largest index whose key is <= the query (the
-        # block's first key is).  Key order keeps it inside the block;
-        # only the end of a partial last block needs the clip.
-        pos = blocks * self.index_stride
-        last = self.n_keys - 1
-        step = 1 << (min(self.index_stride, self.n_keys) - 1).bit_length() >> 1
-        while step:
-            nxt = np.minimum(pos + step, last)
-            np.copyto(pos, nxt, where=mapped_keys[nxt] <= cand)
-            step >>= 1
-        out[lo:hi] = np.where(mapped_keys[pos] == cand, mapped_counts[pos], 0)
+        out[lo:hi] = probe_sorted(mapped_keys, mapped_counts, cand)
         return out
 
     # -- accounting ----------------------------------------------------

@@ -52,7 +52,7 @@ __all__ = ["LsmConfig", "LsmStats", "LsmStore", "LsmReadView"]
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_KIND = "LSM manifest"
-MANIFEST_FORMAT = 2
+MANIFEST_FORMAT = 3   # 3: runs of RUN version 3 (8-byte aligned sections)
 MANIFEST_KEYS = ("format", "k", "canonical", "runs", "next_run_id", "wal_applied_seq")
 WAL_NAME = "wal.log"
 

@@ -78,26 +78,20 @@ def _span_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _sliding_min(a: np.ndarray, length: int) -> np.ndarray:
-    """Minimum of every length-``length`` window of *a* (block trick).
+    """Minimum of every length-``length`` window of *a* (doubling ladder).
 
     ``out[i] = min(a[i : i + length])`` for all ``a.size - length + 1``
-    windows, in two :func:`numpy.minimum.accumulate` passes: split *a*
-    into blocks of ``length``, take prefix minima and suffix minima
-    per block, then every window is ``min(suffix[i],
-    prefix[i + length - 1])`` — O(n) total regardless of window size.
+    windows (``a.size >= length``).  With ``m_p[i] = min(a[i : i + p])``,
+    ``m_2p[i] = min(m_p[i], m_p[i + p])`` climbs to the largest power
+    of two ``p <= length``, and two overlapping length-``p`` windows
+    cover each answer: ``min(m_p[i], m_p[i + length - p])`` —
+    ``log2(length)`` contiguous :func:`numpy.minimum` passes.
     """
-    if length == 1:
-        return a
-    pad = (-a.size) % length
-    if pad:
-        a = np.concatenate(
-            [a, np.full(pad, np.iinfo(a.dtype).max, dtype=a.dtype)])
-    blocks = a.reshape(-1, length)
-    prefix = np.minimum.accumulate(blocks, axis=1).reshape(-1)
-    suffix = np.minimum.accumulate(
-        blocks[:, ::-1], axis=1)[:, ::-1].reshape(-1)
-    n_out = a.size - pad - length + 1
-    return np.minimum(suffix[:n_out], prefix[length - 1:length - 1 + n_out])
+    m, p = a, 1
+    while 2 * p <= length:
+        m = np.minimum(m[:-p], m[p:])
+        p *= 2
+    return np.minimum(m[:a.size - length + 1], m[length - p:])
 
 
 @dataclass(slots=True)
@@ -198,15 +192,15 @@ def split_superkmers_flat(
         return _empty_batch(codes, k, w)
     n_win = valid.size
     # Minimizer hashes: hash every w-mer ONCE, then slide a length
-    # ``k - w + 1`` window minimum over the hashes with the two-pass
-    # block trick (prefix + suffix minima per block).  This replaces
-    # the per-window ``k - w + 1`` hash reductions of
-    # :func:`repro.seq.minimizers.minimizers_of_kmers` with O(1)
-    # passes, and is exactly equivalent: splitmix64 is injective, so
-    # the hash-minimal w-mer is unique and run boundaries (hash
-    # equality) match value equality.  The w-mer *values* are
-    # recovered from the winning hashes via the mixer's inverse, but
-    # only where they are needed (at run starts).
+    # ``k - w + 1`` window minimum over the hashes with a doubling
+    # ladder.  This replaces the per-window ``k - w + 1`` hash
+    # reductions of :func:`repro.seq.minimizers.minimizers_of_kmers`
+    # with ``log2(k - w + 1)`` contiguous passes, and is exactly
+    # equivalent: splitmix64 is injective, so the hash-minimal w-mer
+    # is unique and run boundaries (hash equality) match value
+    # equality.  The w-mer *values* are recovered from the winning
+    # hashes via the mixer's inverse, but only where they are needed
+    # (at run starts).
     hashes = splitmix64(pack_windows(codes, w))
     mins = _sliding_min(hashes, k - w + 1)[:n_win]
     # Run boundaries: a valid window starts a super-k-mer when its

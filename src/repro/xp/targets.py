@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import statistics
 import tempfile
 import time
 from contextlib import contextmanager
@@ -187,7 +188,19 @@ _LSM_DEFAULTS = {
 }
 
 
+def _median_get_us(store, groups) -> float:
+    """Median microseconds of one ``store.get`` per row of *groups*."""
+    times = []
+    for keys in groups:
+        t0 = time.perf_counter()
+        store.get(keys)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e6
+
+
 def _lsm_bench(p: dict) -> TargetOutcome:
+    import numpy as np
+
     from ..api import count_kmers
     from ..lsm import LsmConfig, LsmStore
 
@@ -212,14 +225,17 @@ def _lsm_bench(p: dict) -> TargetOutcome:
         store.flush()
         t_ingest = time.perf_counter() - t0
         sample = store.snapshot().kmers[:2048]
+        groups = np.random.default_rng(p["seed"]).choice(sample, (64, 256))
         runs_before = store.n_runs
         store.stats.point_reads = store.stats.run_probes = 0
         store.get(sample)
         amp_before = store.stats.read_amplification
+        get_us_before = _median_get_us(store, groups)
         store.compact()
         store.stats.point_reads = store.stats.run_probes = 0
         store.get(sample)
         amp_after = store.stats.read_amplification
+        get_us_after = _median_get_us(store, groups)
         snapshot_exact = store.snapshot() == oracle
         store.close()
 
@@ -251,6 +267,8 @@ def _lsm_bench(p: dict) -> TargetOutcome:
             "amp_after_compaction": amp_after,
             "incremental_speedup": t_rebuild / t_incremental,
             "incremental_seconds": t_incremental,
+            "get_p50_us_before_compaction": get_us_before,
+            "get_p50_us_after_compaction": get_us_after,
         },
         checks={
             "snapshot_exact": bool(snapshot_exact),
@@ -746,7 +764,9 @@ TARGETS: dict[str, XpTarget] = {
              "amp_before_compaction": "lower",
              "amp_after_compaction": "lower",
              "incremental_speedup": "higher",
-             "incremental_seconds": "lower"},
+             "incremental_seconds": "lower",
+             "get_p50_us_before_compaction": "lower",
+             "get_p50_us_after_compaction": "lower"},
             "LSM store: durable ingest, read amplification, 10% delta "
             "vs full recount",
             _LSM_DEFAULTS.copy,

@@ -187,6 +187,35 @@ class TestAgainstBlockLoop:
         assert run.blocks_read == gained["blocks_read"] == 16
 
 
+class TestAlignedLayout:
+    """Version 3: a zero pad puts both sections on an 8-byte boundary,
+    so a lookup is one ``probe_sorted`` over the mapping, copy-free."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 12_293])
+    def test_sections_start_8_aligned(self, tmp_path, n):
+        keys = np.arange(n, dtype=np.uint64) * 3 + 1
+        vals = np.arange(1, n + 1, dtype=np.int64)
+        write_run(tmp_path / "r.run", 21, keys, vals)
+        run = Run(tmp_path / "r.run")
+        assert run._keys_at % 8 == 0
+        mapped_keys, mapped_counts = run.load()
+        assert mapped_keys.flags.aligned and mapped_counts.flags.aligned
+        assert np.array_equal(mapped_keys, keys) and np.array_equal(mapped_counts, vals)
+
+    def test_get_sorted_is_probe_sorted_over_copies(self, run, keys_vals, rng):
+        keys, _ = keys_vals
+        copies = tuple(np.array(section) for section in run.load())
+        present = rng.choice(keys, 200)
+        absent = np.setdiff1d(rng.integers(keys[0], keys[-1], 200, dtype=np.uint64), keys)
+        below = np.arange(3, dtype=np.uint64) + keys[0] - np.uint64(3)
+        above = np.arange(3, dtype=np.uint64) + keys[-1] + np.uint64(1)
+        mixed = np.sort(np.concatenate([below, present, present[:50], absent,   # 50 dups
+                                        keys[:1], keys[-1:], above]))
+        for group in (mixed, np.repeat(np.sort(present[:20]), 3), np.sort(absent),
+                      below, above, keys[-1:], absent[:1], mixed[:0]):
+            assert np.array_equal(run.get_sorted(group), probe_sorted(*copies, group))
+
+
 class TestLifetime:
     def test_closed_run_refuses_every_read(self, run):
         run.get(np.array([run.fence_min], dtype=np.uint64))
@@ -219,3 +248,14 @@ class TestValidation:
         path.write_bytes(RUN.header(5, 0, 0, 0, 0) + record(b""))
         with pytest.raises(FormatError, match="at stride 0"):
             Run(path)
+
+    def test_nonzero_pad_is_corrupt(self, run):
+        blob = bytearray(run.path.read_bytes())
+        pad_at = run._keys_at - 1
+        assert run._keys_at - len(RUN.header(0, 0, 0, 0, 0)) - len(
+            record(run.index_keys.tobytes())) == 4 and blob[pad_at] == 0
+        blob[pad_at] = 1
+        run.path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="nonzero pad") as exc:
+            Run(run.path)
+        assert exc.value.reason == "corrupt"

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from repro.seq.kmers import canonical_kmers, extract_kmers
 from repro.seq.minimizers import split_superkmers
 from repro.seq.superkmers import (
     SuperKmerBatch,
+    _sliding_min,
     count_superkmer_batch,
     split_superkmers_batch,
 )
@@ -154,3 +156,19 @@ def test_encode_batch_matches_per_read_encoding(reads):
     for i, r in enumerate(reads):
         expected = encode_seq(r, validate=False)
         assert np.array_equal(flat[offsets[i]:offsets[i + 1]], expected)
+
+
+@pytest.mark.parametrize("length", range(1, 41))
+def test_sliding_min_equals_brute_force(length):
+    """Every window length 1..40, at sizes on and around the ladder's edges;
+    ties and the dtype's extremes included."""
+    rng = np.random.default_rng(length)
+    top = np.iinfo(np.uint64).max
+    for size in (length, length + 1, 2 * length - 1, 3 * length + 5):
+        for a in (rng.integers(0, 1 << 64, size, dtype=np.uint64),
+                  rng.integers(0, 4, size, dtype=np.uint64),
+                  np.full(size, top, dtype=np.uint64)):
+            want = np.array([a[i:i + length].min()
+                             for i in range(size - length + 1)], dtype=np.uint64)
+            got = _sliding_min(a, length)
+            assert got.dtype == np.uint64 and np.array_equal(got, want)

@@ -41,7 +41,7 @@ from repro.core.result import KmerCounts
 from repro.fileio import BLOCK_KEYS, REASONS, FormatError, record
 from repro.lsm import run as run_module
 from repro.lsm.run import RUN, Run, write_run
-from repro.lsm.store import MANIFEST_NAME, LsmStore
+from repro.lsm.store import MANIFEST_FORMAT, MANIFEST_NAME, LsmStore
 from repro.lsm.wal import WAL, WriteAheadLog
 from repro.ooc.format import BIN, append_chunk, pack_superkmers, read_bin_records
 from repro.seq.encoding import decode_codes, encode_batch
@@ -112,6 +112,16 @@ def make_run(dir: Path, framing=RUN) -> Path:
         head = RUN.header(K, keys.size, 64, int(keys[0]), int(keys[-1]))
         path.write_bytes(framing.header(K, keys.size, 64, int(keys[0]),
                                         int(keys[-1])) + blob[len(head):])
+    return path
+
+
+def make_run_v2(dir: Path) -> Path:
+    """What ``write_run`` wrote before version 3: no pad behind the index."""
+    path = dir / "run-000001.run"
+    keys, vals = _run_arrays()
+    path.write_bytes(dataclasses.replace(RUN, version=2).header(
+        K, keys.size, BLOCK_KEYS, int(keys[0]), int(keys[-1]))
+        + record(keys[::BLOCK_KEYS].tobytes()) + keys.tobytes() + vals.tobytes())
     return path
 
 
@@ -257,7 +267,7 @@ FORMATS = {
                   # first byte of the index record's payload
                   lambda blob: len(RUN.header(0, 0, 0, 0, 0)) + len(record()) + 1),
     "manifest": Format(make_manifest, load_manifest,
-                       lambda dir: make_manifest(dir, 3), 5, None),
+                       lambda dir: make_manifest(dir, MANIFEST_FORMAT + 1), 5, None),
     "database": Format(make_database, load_database, _framed(make_database, DATABASE),
                        10, lambda blob: len(blob) // 2),
     "trace": Format(make_trace, load_trace_content,
@@ -387,6 +397,21 @@ def test_missing_file(name, tmp_path):
 def test_version_1_database_is_refused_by_version(tmp_path):
     """One read path: the deflated ``.npz`` of version 1 is named, not read."""
     _assert_refused(FORMATS["database"], make_database_v1(tmp_path), "version")
+
+
+def test_version_2_run_is_refused_by_version(tmp_path):
+    """A run whose sections sit at 4 mod 8 is named, not read unaligned."""
+    _assert_refused(FORMATS["run"], make_run_v2(tmp_path), "version")
+
+
+def test_format_2_store_is_refused_before_anything_is_swept(tmp_path):
+    """MANIFEST ``format`` 2 means version-2 runs: the store is refused
+    on open, and not one file of the directory is touched."""
+    path = make_manifest(tmp_path, 2)
+    (path.parent / "run-000099.run").write_bytes(b"an orphan the sweep would delete")
+    listing = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    _assert_refused(FORMATS["manifest"], path, "version")
+    assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == listing
 
 
 def test_database_cut_at_a_block_boundary_is_truncated(tmp_path):
