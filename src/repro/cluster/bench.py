@@ -1,27 +1,30 @@
 """The cluster-bench experiment: overhead, hedging, and chaos proofs.
 
-One deterministic, seeded campaign, run by the ``cluster-bench`` xp
-target (``dakc xp run benchmarks/xp/cluster.json`` → ledger
-``cluster-bench``).  Three claims:
+One seeded campaign, run by the ``cluster-bench`` xp target (``dakc
+xp run benchmarks/xp/cluster.json`` → ledger ``cluster-bench``).
+Three claims, each on the clock its kind needs (:mod:`repro.serve.clock`):
 
-* **overhead** — fault-free, the replica-aware router costs < 15% of
-  throughput vs. the direct single-copy
+* **overhead** (cost, wall clock) — fault-free, the replica-aware
+  router costs < 15% of throughput vs. the direct single-copy
   :class:`~repro.serve.engine.QueryEngine` on the same Zipf stream
   (redundancy is close to free when nothing is wrong);
-* **hedging** — with one straggler node injected
-  (:class:`~repro.fault.FaultPlan`-style clock dilation), hedged
-  requests cut p99 latency vs. the same cluster with hedging off
-  (the "tail at scale" claim, reproduced);
-* **chaos exactness** — with RF=2, killing a node mid-load and then
-  rebalancing (one join + one leave, evicting the corpse) loses zero
-  answers: every issued query returns the bit-exact serial-oracle
-  count, before, during, and after the data movement.
+* **hedging** (queueing, virtual time) — with one straggler node
+  injected (:class:`~repro.fault.FaultPlan`-style clock dilation),
+  hedged requests cut p99 latency vs. the same cluster with hedging
+  off (the "tail at scale" claim, reproduced); node service times are
+  the only time that passes, so both p99s are exact for a seed;
+* **chaos exactness** (queueing, virtual time) — with RF=2, killing a
+  node mid-load and then rebalancing (one join + one leave, evicting
+  the corpse) loses zero answers: every issued query returns the
+  bit-exact serial-oracle count, before, during, and after the data
+  movement.
 
 Workloads come from :func:`repro.serve.workload.zipf_workload` so the
 popularity skew matches the serving benchmarks, streams are submitted
-by the same :func:`~repro.serve.workload.drive_load` client, the oracle
-is :func:`~repro.core.result.probe_sorted` over the counted database,
-and every section is a pure function of the seed.
+by the same :func:`~repro.serve.workload.drive_load` client, and the
+oracle is :func:`~repro.core.result.probe_sorted` over the counted
+database.  Answers are a pure function of the seed in every section,
+and so are the hedging and chaos documents.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 
 from ..core.result import KmerCounts, probe_sorted
 from ..core.seeds import spawn_seeds
+from ..serve.clock import run_virtual
 from ..serve.engine import EngineConfig, QueryEngine
 from ..serve.shards import ShardedStore
 from ..serve.workload import drive_load, key_groups, zipf_workload
@@ -98,13 +102,13 @@ def _bench_hedging(counts: KmerCounts, groups: list[np.ndarray],
     straggler = 0
     dilation = straggler_delay / service_time
 
-    def run(hedging: bool, n_groups: int | None = None) -> dict:
+    def run(hedging: bool) -> dict:
         ring, nodes = build_cluster(counts, n_nodes, rf=rf, vnodes=vnodes,
                                     seed=seed, service_time=service_time)
         nodes[straggler].degrade(dilation)
         router = ClusterRouter(ring, nodes, hedging=hedging)
-        out, router.metrics.router.elapsed = asyncio.run(
-            drive_load(router, groups[:n_groups], concurrency=concurrency))
+        out, router.metrics.router.elapsed = run_virtual(
+            drive_load(router, groups, concurrency=concurrency))
         hist = router.metrics.router.latency
         return {
             "answers_match": bool(np.array_equal(out, oracle)),
@@ -117,11 +121,6 @@ def _bench_hedging(counts: KmerCounts, groups: list[np.ndarray],
             "retries": router.metrics.retries,
         }
 
-    # One untimed hedged pass over the first few groups (its result is
-    # dropped): a one-time cost of the process, such as numpy's first
-    # ``np.unique`` (~9 ms), must not land in whichever timed run
-    # reaches it first.
-    run(hedging=True, n_groups=2 * concurrency)
     unhedged = run(hedging=False)
     hedged = run(hedging=True)
     return {
@@ -186,7 +185,7 @@ def _bench_chaos(counts: KmerCounts, groups: list[np.ndarray],
         return {"exact": exact, "lost_answers": lost,
                 "rebalance": report.snapshot() if report else None}
 
-    doc = asyncio.run(drive())
+    doc = run_virtual(drive())
     m = router.metrics
     replicas = router.ring.replicas_batch(counts.kmers)
     doc.update({

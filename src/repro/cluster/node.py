@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import asyncio
 import enum
-import time
 
 import numpy as np
 
 from ..apps.store import merge_sorted_counts
 from ..core.result import KmerCounts
 from ..fault.models import FaultPlan
+from ..serve.clock import now
 from ..serve.metrics import ServeMetrics
 from ..serve.shards import Shard
 from .ring import HashRing, interval_mask
@@ -157,7 +157,7 @@ class ClusterNode:
         """
         if self.state is NodeState.DOWN:
             raise NodeDown(self.node_id)
-        t0 = time.perf_counter()
+        t0 = now()
         delay = self.delay
         if delay > 0:
             await asyncio.sleep(delay)
@@ -165,7 +165,7 @@ class ClusterNode:
                 raise NodeDown(self.node_id)
         out = self.store.lookup(keys)
         n = int(keys.size)
-        self.metrics.latency.record(time.perf_counter() - t0, weight=n)
+        self.metrics.latency.record(now() - t0, weight=n)
         self.metrics.n_queries += n
         self.metrics.n_found += int(np.count_nonzero(out))
         return out

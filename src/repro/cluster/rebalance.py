@@ -34,11 +34,11 @@ even while one node of every range is down.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..serve.clock import now
 from .node import NodeState
 from .ring import HashRing, RoutingTable
 from .router import ClusterRouter
@@ -151,7 +151,7 @@ async def rebalance(router: ClusterRouter, new_ring: HashRing, *,
                    if n not in new_ring.node_ids),
     )
     plan = plan_rebalance(router.ring.table(), new_ring.table())
-    t0 = time.perf_counter()
+    t0 = now()
     router.begin_rebalance(plan.tokens, plan.old_rows, plan.new_rows)
     deferred_drops: list[Move] = []
     for move in plan.moves:
@@ -182,7 +182,7 @@ async def rebalance(router: ClusterRouter, new_ring: HashRing, *,
             if hasattr(store, "drop"):
                 report.dropped_keys += store.drop(move.lo, move.hi)
     router.finish_rebalance(new_ring)
-    report.duration = time.perf_counter() - t0
+    report.duration = now() - t0
     router.metrics.rebalances += 1
     router.metrics.moved_keys += report.moved_keys
     return report

@@ -28,10 +28,10 @@ getting exact answers while key ranges stream between nodes.
 from __future__ import annotations
 
 import asyncio
-import time
 
 import numpy as np
 
+from ..serve.clock import now
 from ..serve.metrics import LatencyHistogram
 from .metrics import ClusterMetrics
 from .node import ClusterNode, NodeDown, NodeState
@@ -176,9 +176,9 @@ class ClusterRouter:
 
     async def _timed_lookup(self, node_id: int, keys: np.ndarray) -> np.ndarray:
         """A node lookup that feeds the hedge-delay estimator."""
-        t0 = time.perf_counter()
+        t0 = now()
         out = await self.nodes[node_id].lookup(keys)
-        self._hedge_hist.record(time.perf_counter() - t0)
+        self._hedge_hist.record(now() - t0)
         return out
 
     # -- query path ----------------------------------------------------
@@ -199,7 +199,7 @@ class ClusterRouter:
             return np.empty(0, dtype=np.int64)
         if self.recorder is not None:
             self.recorder.record_batch(keys, None)
-        t0 = time.perf_counter()
+        t0 = now()
         positions = HashRing.positions(keys)
         idx = np.searchsorted(self._tokens, positions, side="left") \
             % self._tokens.size
@@ -214,7 +214,7 @@ class ClusterRouter:
         finally:
             self._inflight.discard(batch_id)
         m = self.metrics.router
-        m.latency.record(time.perf_counter() - t0, weight=n)
+        m.latency.record(now() - t0, weight=n)
         m.n_queries += n
         m.n_found += int(np.count_nonzero(out))
         return out

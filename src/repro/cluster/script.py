@@ -19,12 +19,12 @@ seed and replayable from a JSON document.  This module is that grammar:
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.result import KmerCounts
+from ..serve.clock import run_virtual
 from ..serve.workload import key_groups
 from .node import ClusterNode, RangeStore, build_cluster
 from .rebalance import rebalance
@@ -145,9 +145,9 @@ def run_membership_script(
 
     Returns ``(answers, router)``: the concatenated per-key answers in
     stream order, and the post-script router (its ring and node states
-    are what invariant checkers inspect).  The router runs with hedging
-    off, so the whole run is a pure function of its arguments: no
-    wall-clock dependence.
+    are what invariant checkers inspect).  The run is on virtual time
+    (:func:`~repro.serve.clock.run_virtual`), hedging included, so it
+    is a pure function of its arguments.
 
     *groups* overrides the fixed ``group_size`` chunking with explicit
     batches (e.g. :func:`repro.serve.workload.arrival_groups` of a
@@ -158,7 +158,7 @@ def run_membership_script(
     keys = np.asarray(keys, dtype=np.uint64)
     ring, nodes = build_cluster(counts, n_nodes, rf=rf, vnodes=vnodes,
                                 seed=seed, service_time=service_time)
-    router = ClusterRouter(ring, nodes, hedging=False)
+    router = ClusterRouter(ring, nodes)
     if groups is not None:
         batches = [np.asarray(g, dtype=np.uint64) for g in groups]
         if sum(int(b.size) for b in batches) != int(keys.size):
@@ -181,4 +181,4 @@ def run_membership_script(
             return np.empty(0, dtype=np.int64)
         return np.concatenate(answers)
 
-    return asyncio.run(drive()), router
+    return run_virtual(drive()), router

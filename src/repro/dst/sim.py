@@ -10,17 +10,18 @@ Runs a schedule through the five stateful layers of the stack —
 * **ooc**: the same reads counted out-of-core under the schedule's
   spill interleaving, fused into a second LSM store;
 * **cluster**: the counted database served through a replicated
-  router while the schedule's membership script churns nodes;
-* **tenant**: the multi-tenant QoS machinery — DRR weighted-fair
-  scheduling, token-bucket quotas, and the autoscaler decision
-  machine — driven on a virtual clock under the schedule's tenant
-  weights, rates, quantum, and scaler thresholds —
+  router, hedging on, while the schedule's membership script churns
+  nodes — on the virtual-time loop of :mod:`repro.serve.clock`;
+* **tenant**: the multi-tenant QoS machinery — the DRR fairness audit,
+  token-bucket quotas, and the autoscaler decision machine — stepped
+  on explicit timestamps under the schedule's tenant weights, rates,
+  quantum, and scaler thresholds —
 
 and checks the invariant registry against what each layer observed.
 Everything a layer does is a pure function of ``(reads, SimConfig,
-Schedule)``: RNG streams spawn from the schedule seed, wall-clock
-features (router hedging) are disabled, and the trajectory digest
-covers only logical outcomes (no timestamps, no paths).  Running the
+Schedule)``: RNG streams spawn from the schedule seed, nothing reads
+the wall clock, and the trajectory digest covers only logical
+outcomes (no timestamps, no paths).  Running the
 same schedule twice must produce byte-identical digests — the
 determinism contract ``dakc dst run`` verifies before trusting a
 campaign.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -508,62 +509,50 @@ class Simulation:
         return ctx, events
 
     def _run_tenant(self, schedule: Schedule) -> tuple[dict, dict]:
-        """Drive the multi-tenant QoS machinery on a virtual clock.
+        """Drive the multi-tenant QoS machinery on explicit timestamps.
 
-        Pure and synchronous — no asyncio, no wall time: the DRR
-        scheduler is drained chunk by chunk over a saturated backlog,
-        the token buckets are stepped on explicit virtual timestamps,
-        and the autoscaler decision machine is fed seeded synthetic
-        load samples.  The `no-starvation` and `fair-share` invariants
-        check the drained window; bucket admissions must never exceed
-        ``burst + rate * elapsed`` (`quota-conservation`).
+        Pure and synchronous: :func:`~repro.tenant.scheduler.drr_audit`
+        drains one saturated DRR window, the token buckets are stepped
+        on drawn timestamps, and the autoscaler decision machine is fed
+        seeded synthetic load samples.  The `no-starvation` and
+        `fair-share` invariants check the drained window; bucket
+        admissions must never exceed ``burst + rate * elapsed``
+        (`quota-conservation`).
         """
         from ..tenant.registry import TokenBucket
-        from ..tenant.scheduler import DRRQueue
+        from ..tenant.scheduler import drr_audit
 
         rng = np.random.default_rng(spawn_seeds(schedule.seed, 5)[4])
         weights = tuple(schedule.tenant_weights) or (1.0, 2.0)
         quantum = schedule.tenant_quantum or 16
         names = [f"t{i}" for i in range(len(weights))]
         wmap = dict(zip(names, weights))
-        queue = DRRQueue(wmap, quantum=quantum)
-
-        class _Chunk:
-            __slots__ = ("keys", "tenant")
-
-            def __init__(self, n: int, tenant: str):
-                self.keys = np.empty(n, dtype=np.uint64)
-                self.tenant = tenant
 
         # Saturated window: backlog each tenant with 2x the keys it
         # could possibly be served before the lightest tenant reaches
         # its measurement target, so every tenant stays backlogged.
         cmax = 16
         per_unit = max(600, 40 * quantum)
+        chunk_sizes = {}
         for name, w in wmap.items():
+            sizes = chunk_sizes[name] = []
             remaining = int(2 * per_unit * w)
             while remaining > 0:
                 n = min(int(rng.integers(1, cmax + 1)), remaining)
-                queue.put_nowait(_Chunk(n, name))
+                sizes.append(n)
                 remaining -= n
         lightest = min(wmap, key=wmap.get)
-        target = int(per_unit * wmap[lightest])
-        while queue.served_keys.get(lightest, 0) < target:
-            queue.get_nowait()
-
-        total_served = sum(queue.served_keys.values())
-        total_weight = sum(wmap.values())
-        shares = {t: queue.served_keys.get(t, 0) / total_served
-                  for t in wmap}
-        share_error = max(abs(shares[t] - wmap[t] / total_weight)
-                          for t in wmap)
+        audit = drr_audit(wmap, quantum, chunk_sizes,
+                          int(per_unit * wmap[lightest]))
+        served = audit["served_keys"]
+        share_error = audit["max_share_error"]
         # DRR's additive service bound per tenant over the window is
         # one quantum grant plus one maximum chunk.
-        epsilon = (len(wmap) * (quantum * max(weights) + cmax) / total_served
-                   + 0.03)
+        epsilon = (len(wmap) * (quantum * max(weights) + cmax)
+                   / sum(served.values()) + 0.03)
 
-        # Token buckets on a virtual clock: admissions can never exceed
-        # the burst plus the refill earned by the elapsed virtual time.
+        # Token buckets on drawn timestamps: admissions can never exceed
+        # the burst plus the refill earned by the elapsed time.
         rates = tuple(schedule.tenant_rates) or (0.0,) * len(weights)
         overdraft = 0
         quota_events = []
@@ -614,18 +603,16 @@ class Simulation:
         ctx = {
             "share_error": share_error,
             "epsilon": epsilon,
-            "starvation_violations": queue.starvation_violations,
-            "all_progressed": all(queue.served_keys.get(t, 0) > 0
-                                  for t in wmap),
+            "starvation_violations": audit["starvation_violations"],
+            "all_progressed": all(n > 0 for n in served.values()),
             "quota_overdraft": overdraft,
         }
         events = {
             "weights": list(weights),
             "quantum": quantum,
-            "served_keys": {t: int(queue.served_keys.get(t, 0))
-                            for t in wmap},
+            "served_keys": served,
             "share_error": share_error,
-            "starvation_violations": queue.starvation_violations,
+            "starvation_violations": audit["starvation_violations"],
             "quota": quota_events,
             "scaler": decisions,
             "n_nodes_final": n_nodes,

@@ -15,7 +15,10 @@ database; this package answers queries against it at service scale:
   (closed-loop or paced) every bench and replay submits through;
 * :mod:`repro.serve.metrics` — throughput, queue depth, cache hit
   rate, and latency-percentile accounting; ``ServeMetrics.merge`` is
-  the one fold cluster rollups and tenant merges are loops over.
+  the one fold cluster rollups and tenant merges are loops over;
+* :mod:`repro.serve.clock` — the one clock (``now``, the running
+  loop's time) and ``run_virtual``, the virtual-time loop queueing
+  checks run on.
 
 See ``docs/SERVING.md`` for the design and its mapping onto the
 paper's heavy-hitter (L3) argument.

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..core.owner import by_owner
 from .cache import T2_LATENCY, HotKeyCache
+from .clock import now
 from .metrics import ServeMetrics
 from .shards import ShardedStore
 
@@ -97,8 +98,9 @@ class EngineConfig:
     fair_scheduling: bool = True  # DRR queues when tenants are registered
     #: Simulated store service cost per flush (fixed + per-key seconds),
     #: awaited by the worker before the vectorised lookup.  0 = off.
-    #: Benchmarks use it to model a real backend so queueing effects
-    #: (and tenant isolation) are measurable above Python overhead.
+    #: Benchmarks use it to model a real backend; on virtual time
+    #: (:func:`repro.serve.clock.run_virtual`) it is what queueing
+    #: effects such as tenant isolation are measured in.
     flush_service_time: float = 0.0
     flush_service_per_key: float = 0.0
 
@@ -295,7 +297,7 @@ class QueryEngine:
                 self.tenants.refund(tenant, n)
             raise Overloaded(self._inflight, limit,
                              retry_after=self._retry_hint(n))
-        t0 = time.perf_counter()
+        t0 = now()
 
         # Hot-key cache pass: answer the Zipf head without queueing.
         cache = self.cache
@@ -344,7 +346,7 @@ class QueryEngine:
             self._requests.add(request)
             await request.future
 
-        dt = time.perf_counter() - t0 + virtual
+        dt = now() - t0 + virtual
         found = int((out > 0).sum())
         self.metrics.latency.record(dt, weight=n)
         self.metrics.n_queries += n
@@ -388,15 +390,15 @@ class QueryEngine:
         else:
             all_keys = np.concatenate([c.keys for c in batch])
         values = self.store.lookup_batch(sid, all_keys)
-        now = time.perf_counter()
+        t = now()
         if self._last_flush_t is not None:
-            dt = now - self._last_flush_t
+            dt = t - self._last_flush_t
             if dt > 0:
                 inst = n_keys / dt
                 # EWMA of the drain rate feeds Overloaded retry hints.
                 self._drain_rate = (inst if self._drain_rate == 0
                                     else 0.8 * self._drain_rate + 0.2 * inst)
-        self._last_flush_t = now
+        self._last_flush_t = t
         cache = self.cache
         # Tenant-tagged cache keys differ chunk by chunk: one offer call
         # per chunk then, else one for the whole flush.

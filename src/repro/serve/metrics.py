@@ -7,9 +7,8 @@ geometric buckets so the tail quantiles of millions of samples cost a
 few hundred int64 counters, and :class:`ServeMetrics` aggregates one
 run into a JSON-serialisable snapshot (the ``serve-bench`` xp target
 and ``dakc trace replay --json`` read it).
-:meth:`ServeMetrics.merge` is the one fold — per-node rollups,
-per-tenant merges and the windowed ``snapshot_delta`` all go through
-it — and one private builder renders both snapshot shapes.
+:meth:`ServeMetrics.merge` is the one fold — per-node rollups and
+per-tenant merges go through it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -77,18 +75,13 @@ class LatencyHistogram:
         if latency > self.max_seen:
             self.max_seen = latency
 
-    def merge(self, other: "LatencyHistogram", sign: int = 1) -> None:
-        """Fold another histogram (same geometry) into this one.
-
-        ``sign=-1`` takes *other*'s samples back out — what is left of a
-        lifetime histogram minus an earlier copy of itself is the window
-        between the two (``max_seen`` stays the lifetime bound).
-        """
+    def merge(self, other: "LatencyHistogram") -> None:
+        """Fold another histogram (same geometry) into this one."""
         if other.n_buckets != self.n_buckets or other.lo != self.lo:
             raise ValueError("histogram geometries differ")
-        self.counts += sign * other.counts
-        self.n += sign * other.n
-        self.total += sign * other.total
+        self.counts += other.counts
+        self.n += other.n
+        self.total += other.total
         self.max_seen = max(self.max_seen, other.max_seen)
 
     def quantile(self, q: float) -> float:
@@ -160,8 +153,9 @@ class ServeMetrics:
     queue_depth_max: int = field(default=0, metadata={"fold": max})
     _queue_depth_sum: int = 0
     _queue_depth_samples: int = 0
-    #: Wall-clock seconds of the measured run; parts that ran side by
-    #: side (nodes, tenants) fold to the longest.
+    #: Seconds of the measured run on the event loop's clock (see
+    #: :mod:`repro.serve.clock`); parts that ran side by side (nodes,
+    #: tenants) fold to the longest.
     elapsed: float = field(default=0.0, metadata={"fold": max})
     #: The live cache object (anything with ``stats()``), attached by
     #: the engine so snapshots carry the full counter table —
@@ -169,9 +163,6 @@ class ServeMetrics:
     #: scalar hit rate.
     cache_source: object | None = field(
         default=None, repr=False, compare=False, metadata={"fold": None})
-    #: ``snapshot_delta``'s previous call: (its clock, a copy of self).
-    _delta_base: tuple | None = field(
-        default=None, repr=False, metadata={"fold": None})
 
     # -- recording -----------------------------------------------------
 
@@ -185,26 +176,22 @@ class ServeMetrics:
         self.rejected += n
         self.rejected_by_cause[cause] = self.rejected_by_cause.get(cause, 0) + n
 
-    def merge(self, other: "ServeMetrics", sign: int = 1) -> None:
-        """Fold every counter of *other* into this one.
-
-        ``sign=-1`` subtracts instead (high-water marks keep their
-        lifetime value): lifetime minus an earlier copy is a window.
-        """
+    def merge(self, other: "ServeMetrics") -> None:
+        """Fold every counter of *other* into this one."""
         for f in fields(self):
             fold = f.metadata.get("fold", "sum")
             if fold is None:
                 continue
             mine, theirs = getattr(self, f.name), getattr(other, f.name)
             if isinstance(mine, LatencyHistogram):
-                mine.merge(theirs, sign)
+                mine.merge(theirs)
             elif isinstance(mine, dict):
                 for cause, n in theirs.items():
-                    mine[cause] = mine.get(cause, 0) + sign * n
+                    mine[cause] = mine.get(cause, 0) + n
             elif fold is max:
                 setattr(self, f.name, max(mine, theirs))
             else:
-                setattr(self, f.name, mine + sign * theirs)
+                setattr(self, f.name, mine + theirs)
 
     # -- derived -------------------------------------------------------
 
@@ -234,23 +221,18 @@ class ServeMetrics:
 
     # -- export --------------------------------------------------------
 
-    def _document(self, lifetime: "ServeMetrics") -> dict:
-        """The snapshot document; both public shapes are cut from it.
-
-        *lifetime* is the metrics this view belongs to (itself, or the
-        whole run a window was cut from): it owns the live cache and
-        decides whether the t2 keys appear at all.
-        """
+    def snapshot(self) -> dict:
+        """JSON-serialisable summary of the run."""
         cache = {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "hit_rate": self.cache_hit_rate,
         }
-        if lifetime.cache_t2_hits:
+        if self.cache_t2_hits:
             cache["t2_hits"] = self.cache_t2_hits
             cache["t2_time_charged_s"] = self.t2_time_charged
-        if lifetime.cache_source is not None:
-            cache["stats"] = lifetime.cache_source.stats()
+        if self.cache_source is not None:
+            cache["stats"] = self.cache_source.stats()
         return {
             "n_queries": self.n_queries,
             "n_found": self.n_found,
@@ -280,54 +262,6 @@ class ServeMetrics:
                     for cause, n in self.rejected_by_cause.items()
                 },
             },
-        }
-
-    def snapshot(self) -> dict:
-        """JSON-serialisable summary of the run."""
-        return self._document(self)
-
-    def _copy(self) -> "ServeMetrics":
-        copy = ServeMetrics(latency=LatencyHistogram.like(self.latency))
-        copy.merge(self)
-        return copy
-
-    def snapshot_delta(self, *, now: float | None = None) -> dict:
-        """Windowed summary: rates and quantiles since the *last* call.
-
-        Lifetime-averaged numbers hide regressions in a long-running
-        serve session — an hour of fast answers swamps a slow last
-        minute.  ``snapshot_delta`` subtracts a copy of itself kept at
-        the previous call (the first call covers everything so far)
-        and renders that window — p50/p95/p99 from the bucket
-        difference, throughput over the window's span — through the
-        same builder as :meth:`snapshot`.  The per-window maximum is
-        not tracked and the cache's occupancy table is instantaneous,
-        not a rate: it is reported live.  *now* overrides the wall
-        clock in tests.
-        """
-        t = time.perf_counter() if now is None else now
-        t_base, base = self._delta_base or (
-            t - self.elapsed if self.elapsed > 0 else t,
-            ServeMetrics(latency=LatencyHistogram.like(self.latency)))
-        window = self._copy()
-        window.merge(base, sign=-1)
-        window.elapsed = max(t - t_base, 0.0)
-        self._delta_base = (t, self._copy())
-
-        doc = window._document(self)
-        del doc["latency_ms"]["max"]
-        doc["cache"].pop("t2_time_charged_s", None)
-        queue = doc["queue"]
-        return {
-            "window_s": doc["elapsed_s"],
-            "n_queries": doc["n_queries"],
-            "n_found": doc["n_found"],
-            "throughput_qps": doc["throughput_qps"],
-            "latency_ms": doc["latency_ms"],
-            "cache": doc["cache"],
-            "rejected": queue["rejected"],
-            "rejected_qps": queue["rejected_qps"],
-            "rejected_by_cause": queue["rejected_by_cause"],
         }
 
     def to_json(self, path: str | os.PathLike | None = None, **extra) -> str:

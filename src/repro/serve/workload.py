@@ -22,12 +22,12 @@ stream through — an engine, a cluster router, anything with
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.result import KmerCounts, probe_sorted
+from .clock import now
 
 __all__ = ["BurstSpec", "QueryWorkload", "zipf_workload", "arrival_groups",
            "key_groups", "drive_load"]
@@ -264,14 +264,13 @@ async def drive_load(
     kwargs = {} if tenant is None else {"tenant": tenant}
     results: list[np.ndarray | None] = [None] * len(groups)
     gate = asyncio.Semaphore(concurrency)
-    clock = time.perf_counter
-    t_start = clock()
+    t_start = now()
 
     async def one(i: int, group: np.ndarray) -> None:
-        if interval is not None and (wait := t_start + i * interval - clock()) > 0:
+        if interval is not None and (wait := t_start + i * interval - now()) > 0:
             await asyncio.sleep(wait)
         async with gate:
-            t0 = clock()
+            t0 = now()
             while results[i] is None:
                 try:
                     results[i] = await target.query_many(group, **kwargs)
@@ -281,9 +280,9 @@ async def drive_load(
                     else:
                         results[i] = np.zeros(group.size, dtype=np.int64)
             if latencies is not None:
-                latencies[i] = clock() - t0
+                latencies[i] = now() - t0
 
     await asyncio.gather(*(one(i, g) for i, g in enumerate(groups)))
-    elapsed = clock() - t_start
+    elapsed = now() - t_start
     answers = np.concatenate(results) if results else np.empty(0, dtype=np.int64)
     return answers, elapsed

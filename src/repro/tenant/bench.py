@@ -22,12 +22,15 @@ target (``dakc xp run benchmarks/xp/tenant.json`` → ledger
    ``unprotected`` degrades by an order more — and the victim's
    answers stay bit-identical to the scalar oracle throughout.
 
-Latency is dominated by *simulated* store service cost
-(``flush_service_time`` / ``flush_service_per_key``) plus the batching
-window, so the p99s measure queueing — which isolation controls — and
-not host-dependent Python overhead.  A final section demonstrates the
-:class:`~repro.tenant.autoscaler.Autoscaler` driving live cluster
-topology changes: a synthetic hot spell splits the ring, a cold spell
+Isolation is a queueing claim, so every scenario runs on the virtual
+clock of :func:`~repro.serve.clock.run_virtual`: the only time that
+passes is the simulated store service cost (``flush_service_time`` /
+``flush_service_per_key``), the batching window, the victim's pacing
+and the flooders' back-off sleeps, and each p99 is an exact function
+of the seed.  Two more sections: :func:`~repro.tenant.scheduler.drr_audit`
+measures DRR shares over one saturated window, and the
+:class:`~repro.tenant.autoscaler.Autoscaler` drives live cluster
+topology changes — a synthetic hot spell splits the ring, a cold spell
 merges it back, and every count answers exactly before, during, and
 after the moves.
 """
@@ -40,11 +43,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core.result import KmerCounts, probe_sorted
+from ..serve.clock import run_virtual
 from ..serve.shards import ShardedStore
 from ..serve.workload import drive_load, key_groups, zipf_workload
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .registry import QuotaExceeded, TenantRegistry, TenantSpec
-from .scheduler import QUANTUM_KEYS
+from .scheduler import QUANTUM_KEYS, drr_audit
 
 __all__ = ["TenantBenchResult", "run_tenant_bench", "autoscale_demo",
            "bench_engine_config"]
@@ -94,27 +98,6 @@ def _registry(isolation: bool, *, antag_rate: float, antag_burst: int,
     return TenantRegistry([victim, antag])
 
 
-async def _drive_victim(engine, groups: list[np.ndarray], *,
-                        interval: float,
-                        warmup: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Open-loop victim: one group every *interval* seconds, all timed.
-
-    Returns (latencies_s, answers).  Rejected groups answer zero (they
-    are the isolation failure being measured; the bench asserts there
-    are none in the accepted scenarios).  *warmup* untimed rounds run
-    first so cold-start costs (allocator, asyncio scheduling, NumPy
-    dispatch) don't land in the first scenario's tail percentiles.
-    """
-    for g in groups[:warmup]:
-        await engine.query_many(g, tenant=VICTIM)
-        await asyncio.sleep(interval / 4)
-    lat = np.zeros(len(groups))
-    answers, _ = await drive_load(engine, groups, concurrency=len(groups),
-                                  interval=interval, tenant=VICTIM,
-                                  latencies=lat)
-    return lat, answers
-
-
 async def _flood(engine, batches: list[np.ndarray], stop: asyncio.Event,
                  offset: int) -> int:
     """One closed-loop antagonist worker; returns batches answered."""
@@ -155,14 +138,17 @@ def _scenario(store, victim_groups: list[np.ndarray],
             stop = asyncio.Event()
             floods = [asyncio.create_task(_flood(engine, antag_batches, stop, j))
                       for j in range(flooders)]
-            lat, answers = await _drive_victim(
-                engine, victim_groups, interval=interval)
+            # Open-loop victim: one group every *interval*, all timed.
+            lat = np.zeros(len(victim_groups))
+            answers, _ = await drive_load(
+                engine, victim_groups, concurrency=len(victim_groups),
+                interval=interval, tenant=VICTIM, latencies=lat)
             stop.set()
             antag_served = sum(await asyncio.gather(*floods))
             engine.tenant_metrics.set_elapsed(len(victim_groups) * interval)
             return lat, answers, antag_served, engine
 
-    lat, answers, antag_served, engine = asyncio.run(drive())
+    lat, answers, antag_served, engine = run_virtual(drive())
     # Victim groups are equal-sized, so rejected keys count whole groups.
     rejected = (engine.tenant_metrics.get(VICTIM).rejected
                 // victim_groups[0].size)
@@ -205,15 +191,12 @@ def run_tenant_bench(
 ) -> TenantBenchResult:
     """Antagonist-vs-victim isolation experiment; see the module doc.
 
-    Default sizing rationale: the simulated flush service cost (30 ms
-    fixed) dwarfs host scheduling jitter (a few ms at p99), so the
-    solo-vs-isolated p99 ratio measures isolation, not the OS.  The
-    antagonist's token bucket (32 keys/s against 256-key batches)
-    admits its initial burst during warmup and then starves it for the
-    whole timed window — the quota doing its job — while the
-    unprotected run (quota unlimited, FIFO queues) lets the same 16
-    closed-loop flooders stack multi-flush walls in front of every
-    victim group.
+    Default sizing rationale: the antagonist's token bucket (32 keys/s
+    against 256-key batches) admits its initial burst and then starves
+    it for the rest of the window — the quota doing its job — while
+    the unprotected run (quota unlimited, FIFO queues) lets the same
+    16 closed-loop flooders stack multi-flush walls of 30 ms each in
+    front of every victim group.
     """
     config = config or bench_engine_config()
     store = ShardedStore.from_counts(counts, n_shards)
@@ -246,59 +229,17 @@ def run_tenant_bench(
     )
 
     autoscale = autoscale_demo(counts, n_nodes=autoscale_nodes, seed=seed)
-    fairness = drr_fairness_demo()
+    # Backlog each tenant in 16-key chunks with twice the keys it can
+    # be served while the lightest one receives its 4000.
+    fairness = drr_audit(
+        WEIGHTS, QUANTUM_KEYS,
+        {t: [16] * (int(4000 * w * 2) // 16) for t, w in WEIGHTS.items()},
+        4000)
 
     return TenantBenchResult(
         solo=solo, isolated=isolated, unprotected=unprotected,
         answers_match=match, fairness=fairness, autoscale=autoscale,
     )
-
-
-class _FakeChunk:
-    """Minimal schedulable: anything with sized .keys and a .tenant."""
-
-    __slots__ = ("keys", "tenant")
-
-    def __init__(self, n: int, tenant: str):
-        self.keys = np.empty(n, dtype=np.uint64)
-        self.tenant = tenant
-
-
-def drr_fairness_demo(*, quantum: int = QUANTUM_KEYS, weights=None,
-                      chunk: int = 16, backlog_keys: int = 4000) -> dict:
-    """Deterministic DRR evidence: served shares track weights.
-
-    Backlogs every tenant, drains the queue until the lightest tenant
-    has received *backlog_keys* keys, and reports each tenant's served
-    fraction against its weight share over that saturated window.  No
-    clocks, no asyncio — this is the same measurement the DST
-    `fair-share` invariant fuzzes, surfaced in the bench record.
-    """
-    from .scheduler import DRRQueue
-
-    weights = dict(weights or WEIGHTS)
-    q = DRRQueue(weights, quantum=quantum)
-    for tenant, w in weights.items():
-        total = int(backlog_keys * w * 2)  # 2x so nobody drains early
-        for _ in range(total // chunk):
-            q.put_nowait(_FakeChunk(chunk, tenant))
-    target = min(weights, key=weights.get)
-    while q.served_keys.get(target, 0) < backlog_keys:
-        q.get_nowait()
-    total_served = sum(q.served_keys.values())
-    total_weight = sum(weights.values())
-    shares = {t: q.served_keys.get(t, 0) / total_served for t in weights}
-    return {
-        "quantum": quantum,
-        "chunk_keys": chunk,
-        "weights": weights,
-        "served_keys": {t: int(q.served_keys.get(t, 0)) for t in weights},
-        "served_share": shares,
-        "weight_share": {t: w / total_weight for t, w in weights.items()},
-        "max_share_error": max(
-            abs(shares[t] - weights[t] / total_weight) for t in weights),
-        "starvation_violations": q.starvation_violations,
-    }
 
 
 def autoscale_demo(counts: KmerCounts, *, n_nodes: int = 3,
@@ -356,4 +297,4 @@ def autoscale_demo(counts: KmerCounts, *, n_nodes: int = 3,
         doc["cold_sample_qps"] = cold
         return doc
 
-    return asyncio.run(drive())
+    return run_virtual(drive())

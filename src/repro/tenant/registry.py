@@ -12,16 +12,16 @@ with a typed :class:`QuotaExceeded` carrying a *retry-after* hint —
 before the request consumes any queue depth, so an abusive tenant
 cannot convert its rejected traffic into latency for everyone else.
 
-Token buckets take an explicit clock (``now``), which keeps admission
-a pure function of ``(spec, traffic, clock)`` — the property that lets
-:mod:`repro.dst` drive the same admission decisions from a virtual
-clock and fuzz them deterministically.
+A :class:`TokenBucket` takes its clock reading as an argument, so it
+is a pure function of ``(spec, traffic, times)`` that :mod:`repro.dst`
+steps directly; :meth:`TenantRegistry.admit` passes it the running
+loop's clock (:func:`repro.serve.clock.now`), which under
+:func:`~repro.serve.clock.run_virtual` is virtual time.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 __all__ = ["QuotaExceeded", "UnknownTenant", "TenantSpec", "TokenBucket",
@@ -124,8 +124,8 @@ class TokenBucket:
     Holds up to *burst* tokens, refilling at *rate* tokens/second.
     ``try_take(n, now)`` either debits *n* tokens or reports the
     seconds until they will exist — callers surface that as the
-    retry-after hint.  Passing ``now`` explicitly (monotonic seconds)
-    keeps the bucket deterministic under a virtual clock.
+    retry-after hint.  The caller passes the time, so the bucket is
+    deterministic under any clock.
     """
 
     __slots__ = ("rate", "burst", "tokens", "_t")
@@ -219,19 +219,20 @@ class TenantRegistry:
         """Tenant -> DRR weight, in registration order."""
         return {name: spec.weight for name, spec in self._specs.items()}
 
-    def admit(self, tenant: str, n: int, now: float | None = None) -> TenantSpec:
-        """Charge *n* keys to the tenant's quota or raise.
+    def admit(self, tenant: str, n: int) -> TenantSpec:
+        """Charge *n* keys to the tenant's quota at the loop's time, or raise.
 
         Raises :class:`UnknownTenant` for unregistered names and
         :class:`QuotaExceeded` (with the retry-after hint) when the
         bucket cannot cover the request.  Returns the spec so callers
         get priority/weight without a second lookup.
         """
+        from ..serve.clock import now  # lazy: serve -> engine -> tenant -> here
+
         spec = self.spec(tenant)
         bucket = self._buckets.get(tenant)
         if bucket is not None:
-            t = time.monotonic() if now is None else now
-            hint = bucket.try_take(float(n), t)
+            hint = bucket.try_take(float(n), now())
             if hint is not None:
                 raise QuotaExceeded(tenant, int(n), hint)
         return spec

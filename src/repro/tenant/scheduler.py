@@ -19,7 +19,9 @@ workers already use on :class:`asyncio.Queue` — ``put_nowait`` /
 fairness drops in without touching the coalescing loop.  Anything
 with ``.keys`` (sized) and ``.tenant`` attributes schedules; a
 ``tenant`` of ``None`` rides in a shared best-effort lane at the
-default weight.
+default weight.  :func:`drr_audit` is the one saturated-window
+measurement of that fairness; the tenant bench reports it and the DST
+`fair-share` and `no-starvation` invariants fuzz it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ from __future__ import annotations
 import asyncio
 import math
 from collections import OrderedDict, deque
+from types import SimpleNamespace
 
-__all__ = ["QUANTUM_KEYS", "DRRQueue"]
+import numpy as np
+
+__all__ = ["QUANTUM_KEYS", "DRRQueue", "drr_audit"]
 
 #: Lane used for untagged chunks (requests without a tenant).
 _ANON = None
@@ -177,3 +182,32 @@ class DRRQueue:
             "starvation_violations": self.starvation_violations,
             "backlog": {str(t): n for t, n in self.backlog().items()},
         }
+
+
+def drr_audit(weights: dict, quantum: int, chunk_sizes: dict,
+              target: int) -> dict:
+    """Serve each tenant's backlog (*chunk_sizes*: tenant -> chunk key
+    counts, long enough to outlast the window) until the lightest
+    tenant has *target* keys; report each tenant's served keys and
+    share, the largest share error against the weights, and the
+    queue's starvation violations.
+    """
+    queue = DRRQueue(weights, quantum=quantum)
+    for tenant, sizes in chunk_sizes.items():
+        for n in sizes:
+            queue.put_nowait(SimpleNamespace(
+                keys=np.empty(n, dtype=np.uint64), tenant=tenant))
+    lightest = min(weights, key=weights.get)
+    while queue.served_keys.get(lightest, 0) < target:
+        queue.get_nowait()
+    served = {t: int(queue.served_keys.get(t, 0)) for t in weights}
+    total_served = sum(served.values())
+    total_weight = sum(weights.values())
+    shares = {t: served[t] / total_served for t in weights}
+    return {
+        "served_keys": served,
+        "served_share": shares,
+        "max_share_error": max(abs(shares[t] - weights[t] / total_weight)
+                               for t in weights),
+        "starvation_violations": queue.starvation_violations,
+    }

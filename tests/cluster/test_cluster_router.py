@@ -9,10 +9,10 @@ import pytest
 
 from repro.cluster.node import ClusterNode, RangeStore, build_cluster
 from repro.cluster import router as router_mod
-from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.router import ClusterRouter, RangeUnavailable
 from repro.core.result import probe_sorted
 from repro.core.serial import serial_count
+from repro.serve.clock import run_virtual
 from repro.serve.workload import drive_load, key_groups
 
 
@@ -138,17 +138,15 @@ def fixed_hedge_delay(monkeypatch):
 
 
 class TestHedging:
+    """Queueing claims: these run on virtual time, exact for a seed."""
+
     def test_hedge_beats_straggler(self, db, fixed_hedge_delay):
         ring, nodes = make_cluster(db, rf=2, service_time=1e-4)
         straggler = 0
         nodes[straggler].degrade(200.0)  # 20 ms vs 0.1 ms healthy
         router = ClusterRouter(ring, nodes)
-        # One untimed pass through the router first: with 8 timed groups
-        # the p99 is the slowest group, so a one-time cost of the process
-        # (numpy's first np.unique, ~9 ms) must not land in it.
-        run(drive_load(router, key_groups(db.kmers[:256], 256)))
-        router.metrics = ClusterMetrics()
-        out, _ = run(drive_load(router, key_groups(db.kmers[:2048], 256)))
+        out, _ = run_virtual(
+            drive_load(router, key_groups(db.kmers[:2048], 256)))
         assert np.array_equal(out, db.counts[:2048])
         assert router.metrics.hedges_fired > 0
         assert router.metrics.hedges_won > 0
@@ -170,7 +168,7 @@ class TestHedging:
         ring, nodes = make_cluster(db, rf=2, service_time=1e-3)
         router = ClusterRouter(ring, nodes)
         assert router.hedge_delay() == router_mod.HEDGE_INITIAL_DELAY
-        run(drive_load(router, key_groups(db.kmers[:1024], 128)))
+        run_virtual(drive_load(router, key_groups(db.kmers[:1024], 128)))
         # After warmup the delay tracks ~2x the 1 ms node service time,
         # not the much larger whole-batch client latency.
         delay = router.hedge_delay()
@@ -187,7 +185,7 @@ class TestHedging:
             nodes[0].kill()
             return await task
 
-        out = run(go())
+        out = run_virtual(go())
         assert np.array_equal(out, db.counts[:256])
 
 

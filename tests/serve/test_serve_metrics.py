@@ -112,14 +112,6 @@ class TestServeMetrics:
         m.rejected = 5
         assert m.rejected_qps == 0.0
 
-    def test_snapshot_delta_rejected_qps(self):
-        m = self._loaded()
-        m.snapshot_delta(now=10.0)
-        m.rejected += 20
-        d = m.snapshot_delta(now=14.0)
-        assert d["rejected"] == 20
-        assert d["rejected_qps"] == pytest.approx(5.0)
-
     def test_to_json_roundtrip(self, tmp_path):
         path = tmp_path / "snap.json"
         text = self._loaded().to_json(path, label="unit", seed=0)
@@ -137,58 +129,11 @@ class TestServeMetrics:
         assert m.queue_depth_mean == 0.0
 
 
-class TestSnapshotDelta:
-    def test_windowed_quantiles_and_rates(self):
-        m = ServeMetrics()
-        # Window 1: 100 fast queries at ~1 ms.
-        for _ in range(100):
-            m.latency.record(1e-3)
-        m.n_queries += 100
-        m.cache_hits += 60
-        m.cache_misses += 40
-        d1 = m.snapshot_delta(now=10.0)
-        assert d1["n_queries"] == 100
-        assert d1["latency_ms"]["p50"] == pytest.approx(1.0, rel=0.25)
-        assert d1["cache"]["hit_rate"] == pytest.approx(0.6)
-
-        # Window 2: 50 slow queries at ~100 ms.  The lifetime snapshot
-        # still reports a fast p50 (2/3 of samples are the old fast
-        # ones); the delta must report the slow window.
-        for _ in range(50):
-            m.latency.record(0.1)
-        m.n_queries += 50
-        m.cache_misses += 50
-        d2 = m.snapshot_delta(now=15.0)
-        assert d2["window_s"] == pytest.approx(5.0)
-        assert d2["n_queries"] == 50
-        assert d2["throughput_qps"] == pytest.approx(10.0)
-        assert d2["latency_ms"]["p50"] == pytest.approx(100.0, rel=0.25)
-        assert d2["cache"]["hit_rate"] == 0.0
-        lifetime_p50 = m.snapshot()["latency_ms"]["p50"]
-        assert lifetime_p50 < 10.0  # lifetime average hides the regression
-
-    def test_empty_window(self):
-        m = ServeMetrics()
-        m.latency.record(1e-3)
-        m.n_queries += 1
-        m.snapshot_delta(now=1.0)
-        d = m.snapshot_delta(now=2.0)
-        assert d["n_queries"] == 0
-        assert d["throughput_qps"] == 0.0
-        assert d["latency_ms"]["p50"] == 0.0
-
-    def test_json_serialisable(self):
-        m = ServeMetrics()
-        m.latency.record(2e-3)
-        m.n_queries += 1
-        json.dumps(m.snapshot_delta(now=1.0))
-
-
 class TestMerge:
     """One fold: every dataclass counter, by its declared rule."""
 
     #: Fields that are not counters (declared ``"fold": None``).
-    NOT_FOLDED = {"cache_source", "_delta_base"}
+    NOT_FOLDED = {"cache_source"}
     #: High-water marks (declared ``"fold": max``).
     MAXED = {"queue_depth_max", "elapsed"}
 
@@ -233,21 +178,6 @@ class TestMerge:
         assert seen == {f.name for f in fields(ServeMetrics)}
         assert total.cache_source is own_cache
 
-    def test_subtracting_a_copy_leaves_the_window(self):
-        m = self._distinct(3)
-        before = ServeMetrics()
-        before.merge(m)
-        m.latency.record(5e-3, weight=4)
-        m.n_queries += 4
-        m.reject(2, "shed")
-        m.observe_queue_depth(1)
-        m.merge(before, sign=-1)
-        assert (m.n_queries, m.latency.n, m.rejected) == (4, 4, 2)
-        assert m.rejected_by_cause == {"overload": 0, "only-3": 0, "shed": 2}
-        assert m.latency.quantile(0.5) == pytest.approx(5e-3, rel=0.15)
-        assert m.queue_depth_max == before.queue_depth_max  # lifetime mark
-
-
 def _key_tree(doc: dict) -> dict:
     return {k: _key_tree(v) if isinstance(v, dict) else None
             for k, v in doc.items()}
@@ -283,14 +213,6 @@ class TestGoldenShapes:
                         rejected_qps_by_cause=causes))
 
     @staticmethod
-    def delta_tree(cache: dict, causes: dict) -> dict:
-        return _keys(
-            "window_s", "n_queries", "n_found", "throughput_qps", "rejected",
-            "rejected_qps",
-            latency_ms=_keys("p50", "p95", "p99", "mean"),
-            cache=cache, rejected_by_cause=causes)
-
-    @staticmethod
     def metrics(cache=None, *, rejecting: bool = True) -> ServeMetrics:
         m = ServeMetrics(cache_source=cache)
         m.latency.record(1e-3, weight=9)
@@ -304,23 +226,20 @@ class TestGoldenShapes:
             m.cache_t2_hits, m.t2_time_charged = 5, 1.25e-4
         return m
 
-    def check(self, m, snap_cache, delta_cache, causes):
+    def check(self, m, snap_cache, causes):
         assert _key_tree(m.snapshot()) == self.snapshot_tree(snap_cache, causes)
-        for now in (10.0, 12.0):  # the first window and a later one
-            assert (_key_tree(m.snapshot_delta(now=now))
-                    == self.delta_tree(delta_cache, causes))
 
     def test_bare(self):
         rates = _keys("hits", "misses", "hit_rate")
-        self.check(self.metrics(rejecting=False), rates, rates, {})
+        self.check(self.metrics(rejecting=False), rates, {})
 
     def test_rejecting(self):
         rates = _keys("hits", "misses", "hit_rate")
-        self.check(self.metrics(), rates, rates, self.CAUSES)
+        self.check(self.metrics(), rates, self.CAUSES)
 
     def test_single_tier_cache_attached(self):
         cache = _keys("hits", "misses", "hit_rate", stats=self.LRU_STATS)
-        self.check(self.metrics(HotKeyCache(8)), cache, cache, self.CAUSES)
+        self.check(self.metrics(HotKeyCache(8)), cache, self.CAUSES)
 
     def test_two_tier_cache_attached(self):
         stats = self.TIERED_STATS
@@ -328,5 +247,4 @@ class TestGoldenShapes:
             self.metrics(HotKeyCache(4, t2_capacity=8)),
             _keys("hits", "misses", "hit_rate", "t2_hits",
                   "t2_time_charged_s", stats=stats),
-            _keys("hits", "misses", "hit_rate", "t2_hits", stats=stats),
             self.CAUSES)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
+from repro.serve.clock import run_virtual
 from repro.tenant.registry import (
     QuotaExceeded,
     TenantRegistry,
@@ -115,27 +118,40 @@ class TestTenantRegistry:
 
     def test_admit_charges_and_raises_with_hint(self):
         reg = self.make()
-        assert reg.admit("bronze", 200, now=0.0).priority == 1
-        with pytest.raises(QuotaExceeded) as exc:
-            reg.admit("bronze", 50, now=0.0)
-        assert exc.value.tenant == "bronze"
-        assert exc.value.requested == 50
-        assert exc.value.retry_after == pytest.approx(0.5)  # 50 at 100/s
-        # After the hinted interval the same request is admitted.
-        assert reg.admit("bronze", 50, now=0.5) is not None
+
+        async def go():
+            assert reg.admit("bronze", 200).priority == 1
+            with pytest.raises(QuotaExceeded) as exc:
+                reg.admit("bronze", 50)
+            assert exc.value.tenant == "bronze"
+            assert exc.value.requested == 50
+            assert exc.value.retry_after == pytest.approx(0.5)  # 50 at 100/s
+            # After the hinted interval the same request is admitted.
+            await asyncio.sleep(exc.value.retry_after)
+            assert reg.admit("bronze", 50) is not None
+
+        run_virtual(go())
 
     def test_refund_restores_quota(self):
         reg = self.make()
-        reg.admit("bronze", 200, now=0.0)
-        reg.refund("bronze", 200)
-        assert reg.admit("bronze", 200, now=0.0) is not None
-        reg.refund("gold", 10)  # no-op for unlimited tenants
+
+        async def go():
+            reg.admit("bronze", 200)
+            reg.refund("bronze", 200)
+            assert reg.admit("bronze", 200) is not None
+            reg.refund("gold", 10)  # no-op for unlimited tenants
+
+        run_virtual(go())
 
     def test_reregister_resets_bucket(self):
         reg = self.make()
-        reg.admit("bronze", 200, now=0.0)
-        reg.register(TenantSpec("bronze", rate=100.0, burst=200.0))
-        assert reg.admit("bronze", 200, now=0.0) is not None
+
+        async def go():
+            reg.admit("bronze", 200)
+            reg.register(TenantSpec("bronze", rate=100.0, burst=200.0))
+            assert reg.admit("bronze", 200) is not None
+
+        run_virtual(go())
 
     def test_doc_roundtrip(self):
         reg = self.make()
