@@ -32,6 +32,8 @@ for Section VII's 128-bit k-mers (k up to 64).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -46,7 +48,8 @@ from ..runtime.topology import make_topology
 from ..seq.kmers import check_k, count_owned_kmers, kmer_width_bits
 from ..sort.accumulate import accumulate_weighted
 from ..sort.radix import effective_msd_passes
-from .l2l3 import AggregationConfig, BulkAggregator, ExactAggregator, receive_service_time
+from .l2l3 import (AggregationConfig, BulkAggregator, ExactAggregator, receive_service_time,
+                   receive_service_times)
 from .owner import by_owner, owner_pe
 from .phases import SimRun, n_bases, parse_kmers, split_reads
 from .result import KmerCounts
@@ -56,6 +59,8 @@ __all__ = ["DakcConfig", "dakc_count", "dakc_count_big", "open_conveyor",
 
 #: k-mers fed to the aggregator per cooperative step (fast mode).
 PARSE_CHUNK: int = 65_536
+
+_n_elements = attrgetter("kmers.size")
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,12 +180,23 @@ def _phase2(
         hc = np.concatenate(heavy_c)
         cost.charge_compute(pe_stats, hk.size)
         cost.charge_mem(pe_stats, hk.nbytes * 2)
-        uniq, counts = accumulate_weighted(
-            np.concatenate((uniq, hk)), np.concatenate((counts, hc))
-        )
+        uniq, counts = _add_pairs(uniq, counts, *accumulate_weighted(hk, hc))
     memory.set_category(dst, "phase2-T", 0)
     memory.set_category(dst, "phase2-out", int(uniq.nbytes + counts.nbytes))
     return uniq, counts
+
+
+def _add_pairs(uniq, counts, keys, weights):
+    """Add sorted distinct ``(keys, weights)`` into sorted distinct
+    ``(uniq, counts)``: what ``accumulate_weighted`` of the two makes,
+    without sorting the owner's whole table again for a few pairs."""
+    at = uniq.searchsorted(keys)
+    found = at < uniq.size  # then: and the key is there
+    found[found] = uniq[at[found]] == keys[found]
+    counts = counts.copy()
+    counts[at[found]] += weights[found]
+    new = ~found
+    return np.insert(uniq, at[new], keys[new]), np.insert(counts, at[new], weights[new])
 
 
 def dakc_count(
@@ -366,11 +382,13 @@ def _verify_conservation(stats: RunStats, conveyor: Conveyor) -> None:
     generated = stats.total_kmers
     delivered = 0
     for queue in conveyor.delivered:
-        for _, group in queue:
-            if group.kind == "HEAVY":
-                delivered += int(group.counts.sum())
-            else:
-                delivered += group.n_elements
+        groups = list(map(itemgetter(1), queue))
+        delivered += sum(map(_n_elements, groups))
+        heavy = list(compress(map(attrgetter("counts"), groups),
+                              map("HEAVY".__eq__, map(attrgetter("kind"), groups))))
+        if heavy:
+            counts = np.concatenate(heavy)
+            delivered += int(counts.sum()) - counts.size
     if delivered != generated:
         raise DeliveryIntegrityError(
             f"delivery conservation violated: {generated} k-mer occurrences "
@@ -382,14 +400,17 @@ def _charge_receives(cost: CostModel, stats: RunStats, conveyor: Conveyor) -> No
     """Charge lazy receive processing per destination (Phase 1 tail)."""
     for dst in range(cost.n_pes):
         pe_stats = stats.pe[dst]
-        jobs = []
-        recv_bytes = 0
-        for arrival, group in conveyor.delivered[dst]:
-            jobs.append((arrival, receive_service_time(cost, group)))
-            pe_stats.kmers_received += group.n_elements
-            pe_stats.elements_received += group.n_elements
-            recv_bytes += group.payload_bytes
-        pe_stats.clock = cost.busy_period(pe_stats.clock, jobs)
+        queue = conveyor.delivered[dst]
+        groups = list(map(itemgetter(1), queue))
+        src, n_elements, n_packets, payload = (
+            np.fromiter(map(attrgetter(name), groups), np.int64, len(groups))
+            for name in ("src", "kmers.size", "n_packets", "payload_bytes"))
+        service = receive_service_times(cost, src, dst, n_elements, n_packets, payload)
+        received = int(n_elements.sum())
+        pe_stats.kmers_received += received
+        pe_stats.elements_received += received
+        pe_stats.clock = cost.busy_period(
+            pe_stats.clock, list(zip(map(itemgetter(0), queue), service.tolist())))
         cache = CacheAccounting(cost.machine.cache_bytes, cost.machine.line_bytes)
-        cache.stream(recv_bytes)
+        cache.stream(int(payload.sum()))
         pe_stats.cache_misses_p1 += cache.misses

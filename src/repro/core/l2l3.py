@@ -30,6 +30,8 @@ the same packet/flush counts on identical streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import getitem
 
 import numpy as np
 
@@ -38,16 +40,18 @@ from ..runtime.cost import (
     OPS_PER_ELEMENT_BUFFER,
     OPS_PER_ELEMENT_RECV,
     OPS_PER_PACKET,
+    ClockLedger,
     CostModel,
 )
 from ..sort.radix import effective_msd_passes, radix_passes_for_bits
-from .owner import by_owner, owner_pe, owner_pe_scalar
+from .owner import owner_pe, owner_pe_scalar, owner_split
 
 __all__ = [
     "AggregationConfig",
     "BulkAggregator",
     "ExactAggregator",
     "receive_service_time",
+    "receive_service_times",
 ]
 
 #: Working set below which an L3 sort stays in the LLC (a slice of any
@@ -100,15 +104,117 @@ def receive_service_time(cost: CostModel, group: PacketGroup) -> float:
     incast at a heavy-hitter's owner PE, which is precisely the load
     imbalance the L3 protocol removes (Section IV-D).
     """
-    ops = group.n_elements * OPS_PER_ELEMENT_RECV + group.n_packets * OPS_PER_PACKET
-    t = group.payload_bytes / cost.pe_mem_bw + ops / cost.pe_ops
-    if not cost.colocated(group.src, group.dst):
-        t += group.payload_bytes / cost.pe_link_bw
-    return t
+    return float(receive_service_times(cost, group.src, group.dst, group.n_elements,
+                                       group.n_packets, group.payload_bytes))
+
+
+def receive_service_times(cost: CostModel, src, dst, n_elements, n_packets, payload_bytes):
+    """:func:`receive_service_time` of many groups, element by element
+    (the same operations in the same order, so the same bits)."""
+    ops = n_elements * OPS_PER_ELEMENT_RECV + n_packets * OPS_PER_PACKET
+    t = payload_bytes / cost.pe_mem_bw + ops / cost.pe_ops
+    remote = np.not_equal(cost.node_of(src), cost.node_of(dst))
+    return np.where(remote, t + payload_bytes / cost.pe_link_bw, t)
+
+
+#: Group kinds by L2 row: a chunk sends row 0 (HEAVY) before row 1.
+_KIND = ("HEAVY", "NORMAL")
+
+
+class _L2Buffers:
+    """The L2 buffers of both kinds for every destination: row 0 holds
+    HEAVY pairs (``C2/2`` a packet), row 1 NORMAL elements (``C2``).
+
+    A batch lays each (kind, destination) stream out as its residual
+    (column 0 of ``sizes``), then its share of each chunk.  The fill
+    after column *c* is the cumsum ``S`` of the shares, nothing sent
+    subtracted, so the packets chunk *c* flushes are the difference of
+    ``S // capacity``, and each flushed group is a slice of the stream.
+    ``stamp`` keeps the order of the per-destination dict the
+    one-group-at-a-time code kept: a destination was (re)inserted when
+    an append found it empty and when a partial flush left a remainder.
+    """
+
+    def __init__(self, n_pes: int, config: AggregationConfig) -> None:
+        self.capacity = np.array([[config.l2h_capacity_pairs], [config.c2]])
+        self.fill = np.zeros((2, n_pes), dtype=np.int64)
+        self.stamp = np.zeros((2, n_pes), dtype=np.int64)
+        # Residuals (< capacity each), destination-major.
+        self.heavy = np.empty(0, dtype=np.uint64)
+        self.counts = np.empty(0, dtype=np.int64)
+        self.normal = np.empty(0, dtype=np.uint64)
+
+    def cut(self, sizes, first_stamp, heavy, counts, normal):
+        """Fill from one batch's streams and keep what is left over.
+
+        *sizes* is ``(2, P, 1 + n_chunks)``.  Returns the packets per
+        (kind, destination, chunk) and each one's group bounds.
+        """
+        cap = self.capacity[..., None]
+        cum = sizes.cumsum(axis=2)
+        sent = cum // cap * cap
+        packets = (sent[..., 1:] - sent[..., :-1]) // cap
+        length = cum[..., -1]
+        starts = (length.cumsum(axis=1) - length)[..., None] + sent
+        touched = (sizes[..., 1:] > 0) & ((cum[..., :-1] % cap == 0) | (packets > 0))
+        hit = touched.any(axis=2)
+        last = touched.shape[2] - 1 - touched[..., ::-1].argmax(axis=2)
+        self.stamp[hit] = first_stamp + last[hit]
+        self.fill = length % self.capacity
+        keep = _ranges(starts[0, :, -1], self.fill[0])
+        self.heavy, self.counts = heavy[keep], counts[keep]
+        self.normal = normal[_ranges(starts[1, :, -1], self.fill[1])]
+        return packets, starts[..., :-1], starts[..., 1:]
+
+    def drain(self):
+        """Empty every buffer: ``(kind, dst, lo, hi)`` of the non-empty
+        ones, NORMAL first, each kind in its dict order, as slices of
+        the residual streams, and those streams."""
+        dsts = []
+        for row in (1, 0):
+            dst = self.fill[row].nonzero()[0]
+            dsts.append(dst[self.stamp[row, dst].argsort(kind="stable")])
+        kind = np.repeat([1, 0], list(map(len, dsts)))
+        dst = np.concatenate(dsts)
+        hi = self.fill.cumsum(axis=1)
+        lo = hi - self.fill
+        streams = self.heavy, self.counts, self.normal
+        self.fill = np.zeros_like(self.fill)
+        self.heavy, self.counts, self.normal = self.heavy[:0], self.counts[:0], self.normal[:0]
+        return kind, dst, lo[kind, dst], hi[kind, dst], streams
+
+
+def _split(keys, n):
+    """:func:`~repro.core.owner.owner_split` of a batch's bucket keys.
+
+    Sorting each (key, position) pair packed into one ``uint32`` yields
+    the same stable permutation, about twice as fast as the radix
+    argsort at the sizes one ``add_kmers`` call splits."""
+    if n >= 1 << 8 or keys.size >= 1 << 24:  # n << 24 must fit a uint32
+        return owner_split(keys, n)
+    packed = keys.astype(np.uint32)
+    packed <<= 24
+    packed |= np.arange(keys.size, dtype=np.uint32)
+    packed.sort()
+    bounds = packed.searchsorted(np.arange(n + 1, dtype=np.uint32) << 24)
+    return packed & 0xFFFFFF, bounds[1:] - bounds[:-1]
+
+
+def _ranges(starts, lengths):
+    """Concatenated ``range(start, start + length)``s."""
+    ends = lengths.cumsum()
+    return (starts - ends + lengths).repeat(lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
 class BulkAggregator:
-    """Vectorised L3 + L2 pipeline for one source PE."""
+    """Vectorised L3 + L2 pipeline for one source PE.
+
+    One :meth:`add_kmers` call is one array pass over its complete C3
+    chunks (sort, heavy runs, owners, one stable split by owner and
+    chunk), one L2 fill by cumsum per kind, and one
+    :meth:`~repro.runtime.conveyors.Conveyor.inject_many` whose ledger
+    carries this layer's charges in their per-group order.
+    """
 
     def __init__(
         self,
@@ -129,14 +235,12 @@ class BulkAggregator:
         self.charge_costs = charge_costs
         self._stats = conveyor.stats.pe[src]
         self._sort_passes = radix_passes_for_bits(2 * k, 8)
-        # L3 state: pending chunks awaiting a full C3 buffer.
+        # L3 state: pending k-mers short of a full C3 buffer.
         self._l3_pending: list[np.ndarray] = []
         self._l3_fill = 0
-        # L2 state, per destination: pending element arrays + fills.
-        self._l2n: dict[int, list[np.ndarray]] = {}
-        self._l2n_fill = np.zeros(self.n_pes, dtype=np.int64)
-        self._l2h: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        self._l2h_fill = np.zeros(self.n_pes, dtype=np.int64)
+        # L2 state, per destination; chunks are numbered as they arrive.
+        self._l2 = _L2Buffers(self.n_pes, config)
+        self._chunks = 0
 
     # -- public API -----------------------------------------------------
 
@@ -145,42 +249,114 @@ class BulkAggregator:
         kmers = np.asarray(kmers, dtype=np.uint64)
         if kmers.size == 0:
             return
+        ledger = self.cost.ledger(self._stats)
         if self.charge_costs:
-            self.cost.charge_compute(
-                self._stats, kmers.size * OPS_PER_ELEMENT_BUFFER
-            )
+            ledger.add_one(ledger.COMPUTE, 0, kmers.size * OPS_PER_ELEMENT_BUFFER)
         if not self.config.enable_l3:
-            self._route_normal(kmers)
+            none = np.empty(0, dtype=np.int64)
+            self._inject(ledger, *self._route(ledger, kmers, none, none, 1, 0))
             return
         self._l3_pending.append(kmers)
         self._l3_fill += kmers.size
-        while self._l3_fill >= self.config.c3:
-            chunk = self._take_l3_chunk(self.config.c3)
-            self._process_l3_chunk(chunk)
+        c3 = self.config.c3
+        n_chunks = self._l3_fill // c3
+        if not n_chunks:
+            ledger.apply()
+            return
+        buf = np.concatenate(self._l3_pending) if len(self._l3_pending) > 1 else kmers
+        rest = buf[n_chunks * c3:]
+        self._l3_pending = [rest] if rest.size else []
+        self._l3_fill = int(rest.size)
+        self._inject(ledger, *self._send_chunks(ledger, buf[:n_chunks * c3].reshape(n_chunks, c3)))
 
     def flush(self) -> None:
         """End of stream: drain L3 remainder, then all L2 buffers."""
+        ledger = self.cost.ledger(self._stats)
+        parts = []
         if self.config.enable_l3 and self._l3_fill:
-            chunk = self._take_l3_chunk(self._l3_fill)
-            self._process_l3_chunk(chunk)
-        for dst in list(self._l2n.keys()):
-            self._flush_l2n(dst)
-        for dst in list(self._l2h.keys()):
-            self._flush_l2h(dst)
+            rest = np.concatenate(self._l3_pending)
+            self._l3_pending, self._l3_fill = [], 0
+            parts.append(self._send_chunks(ledger, rest.reshape(1, -1)))
+        # NORMAL buffers, then HEAVY, each in its dict order; the final
+        # flush sends the partial packet too.
+        kind, dst, lo, hi, streams = self._l2.drain()
+        n_packets = -(-(hi - lo) // self._l2.capacity[kind, 0])
+        self._stats.l2_flushes += int(n_packets.sum())
+        parts.append(self._groups(kind, dst, lo, hi, n_packets, streams))
+        self._inject(ledger, *_concat(*parts))
 
     # -- L3 ---------------------------------------------------------------
 
-    def _take_l3_chunk(self, size: int) -> np.ndarray:
-        buf = np.concatenate(self._l3_pending) if len(self._l3_pending) > 1 else self._l3_pending[0]
-        chunk, rest = buf[:size], buf[size:]
-        self._l3_pending = [rest] if rest.size else []
-        self._l3_fill = int(rest.size)
-        return chunk
+    def _send_chunks(self, ledger: ClockLedger, chunks: np.ndarray):
+        """Sort + accumulate L3 buffers (the rows); route their k-mers.
 
-    def _process_l3_chunk(self, chunk: np.ndarray) -> None:
-        """Sort + accumulate one L3 buffer; classify HEAVY vs NORMAL."""
-        self._stats.l3_flushes += 1
-        if self.charge_costs:
+        A run longer than the heavy threshold ``t`` is HEAVY; its first
+        elements are the ``i`` with ``s[i] == s[i + t]`` in one row.
+        Those are few, so only their runs are measured: the rest of a
+        row goes out element by element, a count-2 k-mer twice.
+        """
+        n_chunks, width = chunks.shape
+        self._stats.l3_flushes += n_chunks
+        s = np.sort(chunks, axis=1)
+        t = self.config.heavy_threshold
+        head = np.empty(0, dtype=np.int64)
+        if width > t:
+            head = np.flatnonzero(s[:, :-t] == s[:, t:])
+            head += head // (width - t) * t  # flat index into s
+        new_run = np.ones(head.size, dtype=bool)
+        new_run[1:] = head[1:] - head[:-1] != 1
+        new_run = new_run.nonzero()[0]
+        lengths = np.concatenate((new_run[1:], [head.size])) - new_run + t
+        return self._route(ledger, s.ravel(), head[new_run], lengths, n_chunks, width)
+
+    # -- routing ----------------------------------------------------------
+
+    def _route(self, ledger, kmers, h_starts, h_lengths, n_chunks, width):
+        """Route one batch of sorted chunks (or, with ``width`` 0, the
+        unsorted k-mers of the no-L3 path as one chunk) through L2;
+        return the groups it sends and their packet counts.
+
+        ``h_starts``/``h_lengths`` are the HEAVY runs, sent as pairs;
+        every other element is NORMAL, sent as itself, which is how
+        Algorithm 4 re-appends a k-mer counted 1..threshold times.  One
+        stable split by (owner, chunk) lays out each kind's stream, a
+        destination's L2 residual first as its chunk "-1".  Each chunk
+        sends its HEAVY groups, then its NORMAL groups, each in
+        ascending destination order.
+        """
+        cfg, p = self.config, self.n_pes
+        cols = n_chunks + 1
+        key = owner_pe(kmers, p).astype(np.uint32)
+        key *= cols
+        key.reshape(n_chunks, -1)[:] += np.arange(1, cols, dtype=np.uint32)[:, None]
+        h_key = key[h_starts]
+        key[_ranges(h_starts, h_lengths)] = p * cols  # HEAVY: past every bucket
+        l2 = self._l2
+        buckets = np.arange(p, dtype=np.uint32) * cols
+        order, n_sizes = _split(np.concatenate((buckets.repeat(l2.fill[1]), key)), p * cols + 1)
+        normal = np.concatenate((l2.normal, kmers))[order[:n_sizes[:-1].sum()]]
+        h_order, h_sizes = _split(np.concatenate((buckets.repeat(l2.fill[0]), h_key)), p * cols)
+        heavy = np.concatenate((l2.heavy, kmers[h_starts]))[h_order]
+        h_counts = np.concatenate((l2.counts, h_lengths))[h_order]
+        sizes = np.concatenate((h_sizes, n_sizes[:-1])).reshape(2, p, cols)
+        self._stats.normal_elements_sent += normal.size - int(l2.fill[1].sum())
+        self._stats.heavy_pairs_sent += h_starts.size
+        stamp = self._chunks
+        self._chunks += n_chunks
+        streams = heavy, h_counts, normal
+        if not cfg.enable_l2:
+            # No L2: every element is its own packet (the header
+            # overhead scenario of Section IV-C).
+            dst = sizes[1, :, 1].nonzero()[0]
+            hi = sizes[1, :, 1].cumsum()[dst]
+            lo = hi - sizes[1, dst, 1]
+            return self._groups(np.ones_like(dst), dst, lo, hi, hi - lo, streams)
+        packets, lo, hi = l2.cut(sizes, stamp, *streams)
+        # Emission order: chunk, then HEAVY before NORMAL, then destination.
+        packets, lo, hi = (a.transpose(2, 0, 1).ravel() for a in (packets, lo, hi))
+        sent = packets.nonzero()[0]
+        self._stats.l2_flushes += int(packets.sum())
+        if self.charge_costs and width:
             # L3 sort cost.  The L3 buffer is an absolute design
             # constant (80 KB at the default C3), cache resident on any
             # real LLC: one read+write sweep plus fixed sort setup
@@ -188,137 +364,48 @@ class BulkAggregator:
             # oversized C3 spills to DRAM and pays per-digit sweeps —
             # the "very high C3 values incur additional sorting
             # overheads" of Fig. 13b.
-            chunk_bytes = chunk.size * self.config.elem_bytes
+            chunk_bytes = width * cfg.elem_bytes
+            sweeps = 1
             if chunk_bytes > L3_RESIDENT_BYTES:
-                sweeps = effective_msd_passes(int(chunk.size), self._sort_passes)
-            else:
-                sweeps = 1
-            self.cost.charge_compute(
-                self._stats, chunk.size * self._sort_passes + OPS_PER_L3_FLUSH
-            )
-            self.cost.charge_mem(self._stats, 2 * chunk_bytes * sweeps)
-        s = np.sort(chunk)
-        boundaries = np.flatnonzero(s[1:] != s[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [s.size]))
-        uniq = s[starts]
-        counts = (ends - starts).astype(np.int64)
-        heavy_mask = counts > self.config.heavy_threshold
-        if heavy_mask.any():
-            self._route_heavy(uniq[heavy_mask], counts[heavy_mask])
-        light_u = uniq[~heavy_mask]
-        light_c = counts[~heavy_mask]
-        if light_u.size:
-            # Counts 1..threshold are re-expanded into occurrences,
-            # exactly as Algorithm 4 re-appends a count-2 k-mer twice.
-            self._route_normal(np.repeat(light_u, light_c))
+                sweeps = effective_msd_passes(width, self._sort_passes)
+            # Chunk c's sort runs just before its first group goes out.
+            at = (sent // (2 * p)).searchsorted(np.arange(n_chunks)) * 4
+            ledger.add(np.array([ledger.COMPUTE, ledger.MEMORY] * n_chunks),
+                       at.repeat(2),
+                       np.array([width * self._sort_passes + OPS_PER_L3_FLUSH,
+                                 2 * chunk_bytes * sweeps] * n_chunks))
+        return self._groups(sent // p % 2, sent % p, lo[sent], hi[sent], packets[sent], streams)
 
-    # -- routing ----------------------------------------------------------
+    def _groups(self, kind, dst, lo, hi, n_packets, streams):
+        """Groups over ``[lo, hi)`` slices of their kind's stream (kind 0
+        HEAVY pairs, 1 NORMAL elements), with their packet counts."""
+        heavy, counts, normal = streams
+        payload = (hi - lo) * (2 - kind) * self.config.elem_bytes
+        cuts = list(map(slice, lo.tolist(), hi.tolist()))
+        kind = kind.tolist()
+        is_heavy = list(map(int.__eq__, kind, repeat(0)))
+        # A HEAVY group's counts are a slice; a NORMAL group has none.
+        pairs = dict(zip(compress(range(len(cuts)), is_heavy),
+                         map(counts.__getitem__, compress(cuts, is_heavy))))
+        groups = list(map(
+            PacketGroup, repeat(self.src), dst.tolist(), map(_KIND.__getitem__, kind),
+            map(getitem, map((heavy, normal).__getitem__, kind), cuts),
+            map(pairs.get, range(len(cuts))), n_packets.tolist(), payload.tolist(),
+        ))
+        return groups, n_packets
 
-    def _route_normal(self, kmers: np.ndarray) -> None:
-        cfg = self.config
-        for dst, chunk in by_owner(owner_pe(kmers, self.n_pes), self.n_pes, kmers):
-            self._stats.normal_elements_sent += chunk.size
-            if not cfg.enable_l2:
-                # No L2: every element is its own packet (the header
-                # overhead scenario of Section IV-C).
-                self._emit(dst, "NORMAL", chunk, None,
-                           n_packets=int(chunk.size),
-                           payload_bytes=int(chunk.size) * cfg.elem_bytes)
-                continue
-            self._l2n.setdefault(dst, []).append(chunk)
-            self._l2n_fill[dst] += chunk.size
-            if self._l2n_fill[dst] >= cfg.c2:
-                self._flush_l2n(dst, keep_partial=True)
-
-    def _route_heavy(self, kmers: np.ndarray, counts: np.ndarray) -> None:
-        cfg = self.config
-        for dst, ch_k, ch_c in by_owner(
-                owner_pe(kmers, self.n_pes), self.n_pes, kmers, counts):
-            self._stats.heavy_pairs_sent += ch_k.size
-            self._l2h.setdefault(dst, []).append((ch_k, ch_c))
-            self._l2h_fill[dst] += ch_k.size
-            if self._l2h_fill[dst] >= cfg.l2h_capacity_pairs:
-                self._flush_l2h(dst, keep_partial=True)
-
-    # -- L2 flushes ---------------------------------------------------------
-
-    def _flush_l2n(self, dst: int, *, keep_partial: bool = False) -> None:
-        fill = int(self._l2n_fill[dst])
-        if fill == 0:
-            self._l2n.pop(dst, None)
-            return
-        cfg = self.config
-        chunks = self._l2n.pop(dst)
-        data = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        if keep_partial:
-            n_full = (fill // cfg.c2) * cfg.c2
-            send, keep = data[:n_full], data[n_full:]
-            n_packets = fill // cfg.c2
-        else:
-            send, keep = data, data[:0]
-            n_packets = -(-fill // cfg.c2)  # ceil: final partial packet
-        if keep.size:
-            self._l2n[dst] = [keep]
-        self._l2n_fill[dst] = int(keep.size)
-        if send.size:
-            self._stats.l2_flushes += n_packets
-            self._emit(dst, "NORMAL", send, None,
-                       n_packets=n_packets,
-                       payload_bytes=int(send.size) * cfg.elem_bytes)
-
-    def _flush_l2h(self, dst: int, *, keep_partial: bool = False) -> None:
-        fill = int(self._l2h_fill[dst])
-        if fill == 0:
-            self._l2h.pop(dst, None)
-            return
-        cfg = self.config
-        cap = cfg.l2h_capacity_pairs
-        parts = self._l2h.pop(dst)
-        ks = np.concatenate([p[0] for p in parts])
-        cs = np.concatenate([p[1] for p in parts])
-        if keep_partial:
-            n_full = (fill // cap) * cap
-            send_k, keep_k = ks[:n_full], ks[n_full:]
-            send_c, keep_c = cs[:n_full], cs[n_full:]
-            n_packets = fill // cap
-        else:
-            send_k, keep_k = ks, ks[:0]
-            send_c, keep_c = cs, cs[:0]
-            n_packets = -(-fill // cap)
-        if keep_k.size:
-            self._l2h[dst] = [(keep_k, keep_c)]
-        self._l2h_fill[dst] = int(keep_k.size)
-        if send_k.size:
-            self._stats.l2_flushes += n_packets
-            # A HEAVY pair is two 8-byte words on the wire.
-            self._emit(dst, "HEAVY", send_k, send_c,
-                       n_packets=n_packets,
-                       payload_bytes=int(send_k.size) * 2 * cfg.elem_bytes)
-
-    def _emit(
-        self,
-        dst: int,
-        kind: str,
-        kmers: np.ndarray,
-        counts: np.ndarray | None,
-        *,
-        n_packets: int,
-        payload_bytes: int,
-    ) -> None:
+    def _inject(self, ledger, groups, n_packets) -> None:
+        """Charge each group's packet handling, then hand the batch on."""
         if self.charge_costs:
-            self.cost.charge_compute(self._stats, n_packets * OPS_PER_PACKET)
-        self.conveyor.inject(
-            PacketGroup(
-                src=self.src,
-                dst=dst,
-                kind=kind,
-                kmers=kmers,
-                counts=counts,
-                n_packets=n_packets,
-                payload_bytes=payload_bytes,
-            )
-        )
+            ledger.add(ledger.COMPUTE, np.arange(0, 4 * len(groups), 4),
+                       n_packets * OPS_PER_PACKET)
+        self.conveyor.inject_many(self.src, groups, ledger)
+
+
+def _concat(*parts):
+    """``(groups, n_packets)`` parts, one after the other."""
+    groups, n_packets = zip(*parts)
+    return list(chain.from_iterable(groups)), np.concatenate(n_packets)
 
 
 class ExactAggregator:

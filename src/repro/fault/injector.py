@@ -88,9 +88,8 @@ class FaultyConveyor(Conveyor):
         from_pe: int,
         next_hop: int,
         groups: list[PacketGroup],
-        nbytes: int,
+        arrival: float,
     ) -> None:
-        arrival = self.cost.charge_put(self.stats.pe[from_pe], next_hop, nbytes)
         if not self.plan.has_wire_faults:
             self._in_flight.append((arrival, next_hop, groups))
             return

@@ -118,14 +118,15 @@ class ReliableConveyor(FaultyConveyor):
 
     # -- send side ----------------------------------------------------
 
-    def inject(self, group: PacketGroup) -> None:
-        flow = (group.src, group.dst)
-        seq = self._next_seq.get(flow, 0)
-        self._next_seq[flow] = seq + 1
-        group.seq = seq
-        group.checksum = group_checksum(group)
-        self._outstanding.setdefault(flow, {})[seq] = group
-        super().inject(group)
+    def inject_many(self, src, groups, ledger=None) -> None:
+        for group in groups:
+            flow = (group.src, group.dst)
+            seq = self._next_seq.get(flow, 0)
+            self._next_seq[flow] = seq + 1
+            group.seq = seq
+            group.checksum = group_checksum(group)
+            self._outstanding.setdefault(flow, {})[seq] = group
+        super().inject_many(src, groups, ledger)
 
     # -- receive side -------------------------------------------------
 
@@ -191,9 +192,9 @@ class ReliableConveyor(FaultyConveyor):
                 self.stats.pe[src].advance(backoff)
             self.stats.recovery_time += backoff
             for (src, _), pend in self._outstanding.items():
-                for seq in sorted(pend):
-                    self.stats.pe[src].retransmits += 1
-                    self._enqueue(src, pend[seq])
+                if pend:
+                    self.stats.pe[src].retransmits += len(pend)
+                    self._enqueue(src, [pend[seq] for seq in sorted(pend)])
             # Push the retransmissions through the (still faulty) wire.
             Conveyor.finalize(self)
             self._ack_round()

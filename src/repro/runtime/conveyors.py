@@ -9,6 +9,9 @@ DeVinney) and the HClib-Actor staging layer on the simulated machine:
   represents ``n_packets`` consecutive wire packets to the same final
   destination (the exact path injects single-packet groups; the
   vectorised path injects one group per flushed L2 buffer);
+* a batch of groups is staged in one pass (:meth:`Conveyor.inject_many`):
+  per next hop the L0 fill and L1 count are cumsums, and the sender's
+  clock advances through one :class:`~repro.runtime.cost.ClockLedger`;
 * groups stage through the L1 layer (``C1`` packets per destination,
   charged as a memcpy into the conveyor buffer when it fills — the
   HClib-Actor behaviour of Section IV-B), then into the L0 buffer
@@ -25,11 +28,14 @@ DeVinney) and the HClib-Actor staging layer on the simulated machine:
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby, repeat
+from operator import add, attrgetter, itemgetter, mul
 
 import numpy as np
 
-from .cost import OPS_PER_PACKET, CostModel
+from .cost import OPS_PER_PACKET, ClockLedger, CostModel
 from .memory import L0_BUFFER_BYTES, MemoryTracker
 from .stats import RunStats
 from .topology import HEADER_BYTES, Topology
@@ -63,6 +69,12 @@ class PacketGroup:
     @property
     def n_elements(self) -> int:
         return int(self.kmers.size)
+
+
+_n_elements = attrgetter("kmers.size")
+_dst = attrgetter("dst")
+_n_packets = attrgetter("n_packets")
+_payload_bytes = attrgetter("payload_bytes")
 
 
 @dataclass(slots=True)
@@ -102,6 +114,8 @@ class Conveyor:
         self.memory = memory
         self.c0_bytes = c0_bytes
         self.c1_packets = c1_packets
+        self._next_hop = topology.next_hops.tolist()
+        self._hop_count = topology.hop_counts.tolist()
         self._buffers: list[dict[int, _HopBuffer]] = [dict() for _ in range(cost.n_pes)]
         self._staged_bytes: list[int] = [0] * cost.n_pes
         #: In-flight messages: (arrival_time, hop_pe, [groups]).
@@ -130,47 +144,160 @@ class Conveyor:
         return group.payload_bytes
 
     def inject(self, group: PacketGroup) -> None:
-        """Inject a group at its source PE (application send)."""
-        self.injected_elements += group.n_elements
-        self._enqueue(group.src, group)
+        """Inject one group at its source PE (application send)."""
+        self.inject_many(group.src, [group])
 
-    def _enqueue(self, from_pe: int, group: PacketGroup) -> None:
-        route = self.topology.route(from_pe, group.dst)
+    def inject_many(
+        self,
+        src: int,
+        groups: list[PacketGroup],
+        ledger: ClockLedger | None = None,
+    ) -> None:
+        """Inject *groups*, in order, at PE *src* (application send).
+
+        *ledger* carries the caller's own charges for the batch, keyed
+        ``4 * i`` to run before group *i* is staged.
+        """
+        self.injected_elements += sum(map(_n_elements, groups))
+        self._enqueue(src, groups, ledger)
+
+    def _enqueue(
+        self,
+        from_pe: int,
+        groups: list[PacketGroup],
+        ledger: ClockLedger | None = None,
+    ) -> None:
+        """Stage *groups* at *from_pe*, in order, toward their next hops.
+
+        The same as staging them one at a time, with Python running once
+        per next hop, per L1 copy and per L0 flush (:meth:`_stage`).
+        Group *i*'s charges go into the ledger after the caller's
+        ``4i``: its L1 copy at ``4i + 1``, its L0 flush's pending
+        staging copy at ``4i + 2`` and PUT at ``4i + 3``.  A self-send
+        (Algorithm 4 routes self-owned k-mers through AsyncAdd too) is
+        a local append, delivered at the clock it reaches.
+        """
         pe_stats = self.stats.pe[from_pe]
+        n_packets = list(map(_n_packets, groups))
+        wire = list(map(_payload_bytes, groups))
+        if ledger is None:
+            ledger = self.cost.ledger(pe_stats)
         if self.topology.needs_header:
-            pe_stats.header_bytes += group.n_packets * HEADER_BYTES
-        if not route:
-            # Self-send: Algorithm 4 routes every k-mer through
-            # AsyncAdd, including self-owned ones; locally this is a
-            # buffer append, delivered immediately.
-            self._deliver(from_pe, pe_stats.clock, group)
+            wire = list(map(add, wire, map(mul, n_packets, repeat(HEADER_BYTES))))
+            pe_stats.header_bytes += sum(n_packets) * HEADER_BYTES
+        hop = list(map(self._next_hop[from_pe].__getitem__, map(_dst, groups)))
+        # Each next hop's groups, contiguous and in batch order (-1, the
+        # self-sends, first); cw/cp are running wire bytes and packets.
+        idx = sorted(range(len(hop)), key=hop.__getitem__)
+        cw = list(accumulate(map(wire.__getitem__, idx)))
+        cp = list(accumulate(map(n_packets.__getitem__, idx)))
+        runs = []  # (next hop, first, end) positions in idx
+        end = 0
+        for next_hop, members in groupby(map(hop.__getitem__, idx)):
+            start, end = end, end + len(list(members))
+            runs.append((next_hop, start, end))
+        events = []  # (group, ledger key its clock is read at, hop, payload, local)
+        if runs and runs[0][0] < 0:
+            _, lo, hi = runs.pop(0)
+            events = [(i, 4 * i + 1, -1, groups[i], True) for i in idx[lo:hi]]
+        if runs:
+            # The staged-bytes trajectory: +wire as group i is staged
+            # (step 2i), -bytes as it fills its L0 buffer (step 2i + 1).
+            steps = [0] * (2 * len(hop))
+            steps[0::2] = wire
+            for i, *_ in events:
+                steps[2 * i] = 0
+            # First-staged hop order is the buffers' insertion order,
+            # which flush_pe keeps.
+            for next_hop, lo, hi in sorted(runs, key=lambda run: idx[run[1]]):
+                for i, message, nbytes, local in self._stage(
+                        from_pe, next_hop, idx, groups, cw, cp, lo, hi, ledger):
+                    steps[2 * i + 1] = -nbytes
+                    events.append((i, 4 * i + 4, next_hop, message, local))
+            staged = list(accumulate(steps, initial=self._staged_bytes[from_pe]))
+            if self.memory is not None:
+                self.memory.set_category_path(from_pe, "conveyor", staged[1:])
+            self._staged_bytes[from_pe] = staged[-1]
+        ledger.apply()
+        if not events:
             return
-        next_hop = route[0]
-        buf = self._buffers[from_pe].setdefault(next_hop, _HopBuffer())
-        buf.groups.append(group)
-        wire = self.group_wire_bytes(group)
-        buf.bytes += wire
-        buf.packets_pending_l1 += group.n_packets
-        buf.bytes_pending_l1 += wire
-        self._staged_bytes[from_pe] += wire
-        if self.memory is not None:
-            self.memory.set_category(from_pe, "conveyor", self._staged_bytes[from_pe])
-        # L1 staging: every C1 packets are memcpy'd into the conveyor
-        # send buffer (HClib-Actor's extra buffering layer).
-        if buf.packets_pending_l1 >= self.c1_packets:
-            pending = buf.packets_pending_l1
-            flushed = pending - pending % self.c1_packets
-            # Charge the staging copy at memory bandwidth: the actual
-            # wire bytes (payload + routing headers) of the flushed
-            # packets, pro-rated over the pending run when a group
-            # straddles the C1 boundary.
-            copied = buf.bytes_pending_l1 * flushed // pending
-            buf.packets_pending_l1 = pending % self.c1_packets
-            buf.bytes_pending_l1 -= copied
-            pe_stats.l1_flushes += flushed // self.c1_packets
-            self.cost.charge_mem(pe_stats, copied)
-        if buf.bytes >= self.c0_bytes:
-            self._flush_hop(from_pe, next_hop)
+        events.sort(key=itemgetter(0))
+        # A self-send lands once its own charges ran; a PUT once it ran.
+        clocks = ledger.clock_before(list(map(itemgetter(1), events)))
+        tau = self.cost.machine.tau
+        for (_, _, next_hop, payload, local), clock in zip(events, clocks):
+            if next_hop < 0:
+                self._deliver(from_pe, clock, payload)
+            else:
+                self._launch(from_pe, next_hop, payload, clock if local else clock + tau)
+
+    def _stage(self, from_pe, next_hop, idx, groups, cw, cp, lo, hi, ledger):
+        """Stage one hop's share of a batch; return its L0 flushes.
+
+        The hop's groups are ``idx[lo:hi]``, in batch order; *cw*/*cp*
+        are running sums of wire bytes and packets along *idx*.  From
+        the state taken just before position ``pos``, group ``k``'s L0
+        fill is ``bytes + cw[k] - cw[pos - 1]`` and its L1 count
+        likewise, so the next L1 copy and the next L0 flush are each one
+        bisection.  The L1 copy keeps its pro-rating: ``copied =
+        bytes_pending * flushed // pending``, integer arithmetic, once
+        per copy.
+        """
+        c0, c1 = self.c0_bytes, self.c1_packets
+        local = self.cost.colocated(from_pe, next_hop)
+        buffers = self._buffers[from_pe]
+        buf = buffers.get(next_hop)
+        if buf is None:
+            buf = buffers[next_hop] = _HopBuffer()
+        flushes = []
+        pos = start = lo  # next position; first position in the L0 buffer
+        w0 = cw[lo - 1] if lo else 0  # cw[pos - 1]
+        p0 = cp[lo - 1] if lo else 0  # cp[pos - 1]
+        while pos < hi:
+            j = bisect_left(cw, c0 - buf.bytes + w0, pos, hi)  # next L0 flush
+            k = bisect_left(cp, c1 - buf.packets_pending_l1 + p0, pos, hi)  # next L1 copy
+            if k < hi and k <= j:
+                # L1 staging: every C1 packets are memcpy'd into the
+                # conveyor send buffer (HClib-Actor's extra buffering
+                # layer), charged at memory bandwidth for the actual
+                # wire bytes (payload + routing headers) of the flushed
+                # packets, pro-rated over the pending run when a group
+                # straddles the C1 boundary.
+                pending = buf.packets_pending_l1 + cp[k] - p0
+                bytes_pending = buf.bytes_pending_l1 + cw[k] - w0
+                flushed = pending - pending % c1
+                copied = bytes_pending * flushed // pending
+                self.stats.pe[from_pe].l1_flushes += flushed // c1
+                ledger.add_one(ledger.MEMORY, 4 * idx[k] + 1, copied)
+                buf.bytes += cw[k] - w0
+                buf.packets_pending_l1 = pending % c1
+                buf.bytes_pending_l1 = bytes_pending - copied
+                pos, w0, p0 = k + 1, cw[k], cp[k]
+                if k < j:
+                    continue
+                j = k
+            elif j >= hi:
+                break
+            else:
+                buf.bytes += cw[j] - w0
+                buf.bytes_pending_l1 += cw[j] - w0
+                pos, w0, p0 = j + 1, cw[j], cp[j]
+            # L0 flush at j: packets still short of a full C1 batch are
+            # staging-copied into the L0 buffer, then the PUT.
+            i = idx[j]
+            if buf.bytes_pending_l1:
+                ledger.add_one(ledger.MEMORY, 4 * i + 2, buf.bytes_pending_l1)
+            ledger.add_one(ledger.PUT_LOCAL if local else ledger.PUT, 4 * i + 3, buf.bytes)
+            self.stats.pe[from_pe].l0_flushes += 1
+            flushes.append((i, buf.groups + list(map(groups.__getitem__, idx[start:pos])),
+                            buf.bytes, local))
+            buf = buffers[next_hop] = _HopBuffer()
+            start = pos
+        buf.groups += map(groups.__getitem__, idx[start:hi])
+        buf.bytes += cw[hi - 1] - w0
+        buf.packets_pending_l1 += cp[hi - 1] - p0
+        buf.bytes_pending_l1 += cw[hi - 1] - w0
+        return flushes
 
     # -- flushing -----------------------------------------------------
 
@@ -190,28 +317,30 @@ class Conveyor:
         if self.memory is not None:
             self.memory.set_category(from_pe, "conveyor", self._staged_bytes[from_pe])
         pe_stats.l0_flushes += 1
-        self._launch(from_pe, next_hop, groups, nbytes)
+        arrival = self.cost.charge_put(pe_stats, next_hop, nbytes)
+        self._launch(from_pe, next_hop, groups, arrival)
 
     def _launch(
         self,
         from_pe: int,
         next_hop: int,
         groups: list[PacketGroup],
-        nbytes: int,
+        arrival: float,
     ) -> None:
-        """Put one L0 message on the wire toward *next_hop*.
+        """Put one L0 message, already charged to *from_pe*, on the wire
+        toward *next_hop*, to land at *arrival*.
 
         The single point where a message leaves a PE — overridden by
         :class:`repro.fault.injector.FaultyConveyor` to apply fault
         plans (drop/duplicate/delay/corrupt) per wire traversal.
         """
-        arrival = self.cost.charge_put(self.stats.pe[from_pe], next_hop, nbytes)
         self._in_flight.append((arrival, next_hop, groups))
 
     def flush_pe(self, pe: int) -> None:
         """Flush every non-empty buffer of one PE (end-of-stream)."""
-        for next_hop in list(self._buffers[pe].keys()):
-            self._flush_hop(pe, next_hop)
+        for next_hop, buf in list(self._buffers[pe].items()):
+            if buf.groups:
+                self._flush_hop(pe, next_hop)
 
     def flush_all(self) -> None:
         """Flush all PEs' buffers."""
@@ -251,9 +380,8 @@ class Conveyor:
         # an immediate error instead of a ten-million-iteration hang.
         dup_factor = 2 ** self.topology.max_hops
         budget = len(self._in_flight) + dup_factor * sum(
-            len(self.topology.route(hop, g.dst))
+            sum(map(self._hop_count[hop].__getitem__, map(_dst, groups)))
             for _, hop, groups in self._in_flight
-            for g in groups
         )
         absorb()
         while heap:
@@ -264,22 +392,21 @@ class Conveyor:
                 )
             budget -= 1
             _key, _, arrival, hop, groups = heapq.heappop(heap)
-            hop_stats = self.stats.pe[hop]
-            finals = [g for g in groups if g.dst == hop]
             relays = [g for g in groups if g.dst != hop]
+            finals = [g for g in groups if g.dst == hop] if relays else groups
             for g in finals:
                 self._deliver(hop, arrival, g)
             if relays:
+                hop_stats = self.stats.pe[hop]
                 # Relay handling: the hop PE parses headers and
                 # re-buffers the packets toward their destinations.
-                n_pkts = sum(g.n_packets for g in relays)
-                nbytes = sum(self.group_wire_bytes(g) for g in relays)
+                n_pkts = sum(map(_n_packets, relays))
+                nbytes = sum(map(self.group_wire_bytes, relays))
                 hop_stats.clock = max(hop_stats.clock, arrival)
                 hop_stats.hops_forwarded += n_pkts
                 self.cost.charge_compute(hop_stats, n_pkts * OPS_PER_PACKET)
                 self.cost.charge_mem(hop_stats, nbytes)
-                for g in relays:
-                    self._enqueue(hop, g)
+                self._enqueue(hop, relays)
                 self.flush_pe(hop)
                 absorb()
 
@@ -309,4 +436,4 @@ class Conveyor:
         return self._staged_bytes[pe]
 
     def delivered_elements(self, pe: int) -> int:
-        return sum(g.n_elements for _, g in self.delivered[pe])
+        return sum(map(_n_elements, map(itemgetter(1), self.delivered[pe])))

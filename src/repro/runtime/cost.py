@@ -22,22 +22,23 @@ once (documented in EXPERIMENTS.md), not per-experiment.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
+
+import numpy as np
 
 from .machine import MachineConfig
 from .stats import PEStats
 
 __all__ = [
+    "ClockLedger",
     "CostModel",
-    "OPS_PER_KMER_PARSE",
     "OPS_PER_ELEMENT_BUFFER",
     "OPS_PER_PACKET",
     "OPS_PER_SUPERKMER",
 ]
-
-#: INT64 ops to generate one k-mer (shift, or, mask, store — Eq. 9
-#: charges 1 op per k-mer; we keep the paper's convention).
-OPS_PER_KMER_PARSE: int = 1
 
 #: Ops to append one element to an aggregation buffer (bounds check,
 #: store, counter bump).
@@ -232,16 +233,6 @@ class CostModel:
 
     # -- composite costs ---------------------------------------------
 
-    def parse_cost_time(self, n_kmers: int, read_bytes: int) -> float:
-        """Phase-1 parse time for a PE: Eq. 9 compute + Eq. 10 traffic.
-
-        ``read_bytes`` is the encoded read data scanned; the generated
-        k-mer array write is charged separately when it is routed.
-        """
-        t_comp = n_kmers * OPS_PER_KMER_PARSE / self.pe_ops
-        t_mem = read_bytes / self.pe_mem_bw
-        return t_comp + t_mem
-
     def sort_cost_time(self, n: int, passes: int, elem_bytes: int = 8) -> float:
         """Phase-2 radix sort time: Eq. 12 compute + Eq. 13 traffic."""
         ops = n * passes
@@ -260,6 +251,89 @@ class CostModel:
         model: "goes through its received messages lazily").
         """
         t = start_busy_until
-        for arrival, service in sorted(jobs, key=lambda j: j[0]):
+        for arrival, service in sorted(jobs, key=itemgetter(0)):
             t = max(t, arrival) + service
         return t
+
+    # -- batched charging ----------------------------------------------
+
+    def ledger(self, pe: PEStats) -> "ClockLedger":
+        """An empty :class:`ClockLedger` for one PE's next batch."""
+        return ClockLedger(self, pe)
+
+
+class ClockLedger:
+    """Every dt one batch adds to one PE's clock, applied in one pass.
+
+    The layers of a batch (aggregator, conveyor) add their entries out
+    of order, each under an integer position key; :meth:`apply` orders
+    them by key (stably: entries under one key keep the order they were
+    added in), prices each entry exactly as the matching ``charge_*``
+    method does, and advances the clock by one running sum.
+    ``np.add.accumulate`` adds left to right, so the clock after every
+    entry is bit-identical to the repeated ``+=`` of ``charge_*``.
+    """
+
+    COMPUTE, MEMORY, PUT, PUT_LOCAL = range(4)
+    #: Tracer span name per kind; a co-located PUT records no span.
+    _SPAN = ("compute", "memory", "send", None)
+
+    __slots__ = ("cost", "pe", "_batches", "_singles", "_order_keys", "_clocks")
+
+    def __init__(self, cost: CostModel, pe: PEStats) -> None:
+        self.cost = cost
+        self.pe = pe
+        self._batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._singles: list[tuple[int, int, int]] = []
+
+    def add(self, kind, keys: np.ndarray, amounts: np.ndarray) -> None:
+        """Entries at *keys* of *kind* (one, or one per key): ops for
+        compute, bytes for the rest."""
+        kinds = np.empty(len(keys), dtype=np.int64)
+        kinds[:] = kind
+        self._batches.append((keys, kinds, amounts))
+
+    def add_one(self, kind: int, key: int, amount: int) -> None:
+        """One entry (:meth:`add` for a single key)."""
+        self._singles.append((key, kind, amount))
+
+    def apply(self) -> None:
+        """Charge every entry in key order: counters, then the clock."""
+        cost, pe = self.cost, self.pe
+        if not self._batches and not self._singles:
+            self._order_keys, self._clocks = [], [pe.clock]
+            return
+        single = np.array(self._singles, dtype=np.int64).reshape(-1, 3)
+        keys = np.concatenate([b[0] for b in self._batches] + [single[:, 0]])
+        kinds = np.concatenate([b[1] for b in self._batches] + [single[:, 1]])
+        amounts = np.concatenate([b[2] for b in self._batches] + [single[:, 2]])
+        order = np.argsort(keys, kind="stable")
+        self._order_keys, kinds, amounts = keys[order], kinds[order], amounts[order]
+        # compute: ops / ops rate; memory: bytes / memory bandwidth;
+        # PUT: tau_inject + bytes / link bandwidth; co-located PUT:
+        # local latency + bytes / memory bandwidth (0.0 + x is x).
+        m = cost.machine
+        dt = (np.array([0.0, 0.0, m.tau_inject, m.local_latency])[kinds]
+              + amounts / np.array([cost.pe_ops, cost.pe_mem_bw, cost.pe_link_bw,
+                                    cost.pe_mem_bw])[kinds])
+        if cost.dilation is not None:
+            dt *= cost.dilation[pe.pe]
+        self._clocks = np.add.accumulate(np.concatenate(([pe.clock], dt)))
+        per_kind = np.bincount(kinds, weights=amounts, minlength=4).astype(np.int64).tolist()
+        pe.compute_ops += per_kind[self.COMPUTE]
+        pe.mem_bytes += per_kind[self.MEMORY]
+        pe.bytes_sent += per_kind[self.PUT]
+        pe.local_memcpy_bytes += per_kind[self.PUT_LOCAL]
+        pe.puts_issued += int(np.count_nonzero(kinds == self.PUT))
+        self._order_keys = self._order_keys.tolist()
+        self._clocks = clocks = self._clocks.tolist()
+        pe.clock = clocks[-1]
+        if cost.tracer is not None:
+            for i, kind in enumerate(kinds.tolist()):
+                if self._SPAN[kind] is not None:
+                    cost.tracer.record(pe.pe, clocks[i], clocks[i + 1], self._SPAN[kind])
+
+    def clock_before(self, keys: list[int]) -> list[float]:
+        """Clock once every applied entry keyed below each of *keys* ran."""
+        return list(map(self._clocks.__getitem__,
+                        map(bisect_left, repeat(self._order_keys), keys)))

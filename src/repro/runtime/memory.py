@@ -176,6 +176,21 @@ class MemoryTracker:
         else:
             self.free(pe, category, held - nbytes)
 
+    def set_category_path(self, pe: int, category: str, sizes) -> None:
+        """:meth:`set_category` to each of *sizes* in turn, in one step.
+
+        The peak is the running maximum of the trajectory, and a budget
+        overrun raises the same :class:`OutOfMemoryError` at the same
+        size as the one-at-a-time calls would.
+        """
+        other = self._per_pe[pe] - self.current.get((pe, category), 0)
+        top = max(sizes)
+        if self.budget_bytes is not None and other + top > self.budget_bytes:
+            for n in sizes:  # an overrun: the calls in turn raise where they would
+                self.set_category(pe, category, n)
+        self._peak[pe] = max(self._peak[pe], other + top)
+        self.set_category(pe, category, sizes[-1])
+
     def usage(self, pe: int) -> int:
         return self._per_pe[pe]
 

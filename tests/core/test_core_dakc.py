@@ -156,3 +156,22 @@ class TestStatistics:
     def test_host_seconds_recorded(self, tiny_reads):
         _, stats = dakc_count(tiny_reads, 9, cost_model(p=2, nodes=1))
         assert stats.host_seconds > 0
+
+
+@given(st.lists(st.integers(0, 60), max_size=40), st.lists(st.integers(0, 60), max_size=12),
+       st.integers(0, 2**16))
+def test_phase2_adds_heavy_pairs_like_accumulate(normal, heavy, seed):
+    """Phase 2 adds the HEAVY pairs into the owner's sorted table with
+    ``_add_pairs``; it must equal accumulating everything at once."""
+    from repro.core.dakc import _add_pairs
+    from repro.sort.accumulate import accumulate_weighted
+
+    rng = np.random.default_rng(seed)
+    uniq, counts = accumulate_weighted(np.array(normal, dtype=np.uint64),
+                                       np.ones(len(normal), dtype=np.int64))
+    hk = np.array(heavy, dtype=np.uint64)
+    hc = rng.integers(3, 9, hk.size).astype(np.int64)
+    got = _add_pairs(uniq, counts, *accumulate_weighted(hk, hc))
+    want = accumulate_weighted(np.concatenate((uniq, hk)), np.concatenate((counts, hc)))
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert all((a == b).all() for a, b in zip(got, want))

@@ -21,11 +21,13 @@ class LossyConveyor(Conveyor):
     drop_every = 7
     _seen = 0
 
-    def inject(self, group):
-        LossyConveyor._seen += 1
-        if LossyConveyor._seen % self.drop_every == 0:
-            return  # message silently lost
-        super().inject(group)
+    def inject_many(self, src, groups, ledger=None):
+        kept = []
+        for group in groups:
+            LossyConveyor._seen += 1
+            if LossyConveyor._seen % self.drop_every:
+                kept.append(group)  # else: message silently lost
+        super().inject_many(src, kept, ledger)
 
 
 class DuplicatingConveyor(Conveyor):
@@ -34,11 +36,14 @@ class DuplicatingConveyor(Conveyor):
     dup_every = 11
     _seen = 0
 
-    def inject(self, group):
-        DuplicatingConveyor._seen += 1
-        super().inject(group)
-        if DuplicatingConveyor._seen % self.dup_every == 0:
-            super().inject(group)
+    def inject_many(self, src, groups, ledger=None):
+        sent = []
+        for group in groups:
+            DuplicatingConveyor._seen += 1
+            sent.append(group)
+            if DuplicatingConveyor._seen % self.dup_every == 0:
+                sent.append(group)
+        super().inject_many(src, sent, ledger)
 
 
 class TestConservation:

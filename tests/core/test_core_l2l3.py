@@ -211,3 +211,15 @@ class TestReceiveService:
         remote = PacketGroup(0, 3, "NORMAL", np.arange(8, dtype=np.uint64), None, 1, 64)
         local = PacketGroup(2, 3, "NORMAL", np.arange(8, dtype=np.uint64), None, 1, 64)
         assert receive_service_time(cost, remote) > receive_service_time(cost, local)
+
+
+@given(st.integers(1, 256), st.integers(0, 3_000), st.integers(0, 2**16))
+def test_batch_split_is_the_owner_split(n, size, seed):
+    """The aggregator's packed-sort split is ``owner_split``'s stable
+    permutation and bucket sizes."""
+    from repro.core.l2l3 import _split
+    from repro.core.owner import owner_split
+
+    keys = np.random.default_rng(seed).integers(0, n, size)
+    (order, sizes), (ref_order, ref_sizes) = _split(keys, n), owner_split(keys, n)
+    assert (order == ref_order).all() and (sizes == ref_sizes).all()

@@ -205,6 +205,31 @@ class TestMemoryTracker:
         with pytest.raises(ValueError):
             mt.allocate(0, "x", -1)
 
+    @pytest.mark.parametrize("budget", [None, 900])
+    def test_set_category_path_is_the_calls_in_turn(self, budget):
+        """The conveyor stages a batch's trajectory in one step: same
+        usage and peak, and the same overrun at the same size."""
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            sizes = rng.integers(0, 1_000, int(rng.integers(1, 12))).tolist()
+            one, path = MemoryTracker(2, budget_bytes=budget), MemoryTracker(2, budget_bytes=budget)
+            for mt in (one, path):
+                mt.allocate(0, "other", 50)
+                mt.set_category(0, "conveyor", 20)
+            err_one = err_path = None
+            try:
+                for n in sizes:
+                    one.set_category(0, "conveyor", n)
+            except OutOfMemoryError as exc:
+                err_one = (str(exc), exc.required)
+            try:
+                path.set_category_path(0, "conveyor", sizes)
+            except OutOfMemoryError as exc:
+                err_path = (str(exc), exc.required)
+            assert err_one == err_path
+            assert (one.usage(0), one.peak(0), one.current) == (
+                path.usage(0), path.peak(0), path.current)
+
 
 class TestTable3:
     def test_memory_per_pe_defaults(self):

@@ -320,3 +320,39 @@ def test_conservation_property(p, protocol, seed):
     conv.finalize()
     for d in range(p):
         assert conv.delivered_elements(d) == sent[d]
+
+
+@pytest.mark.parametrize("protocol", ["1D", "2D", "3D"])
+@pytest.mark.parametrize("c0,c1", [(64, 2), (300, 5), (4096, 1024)])
+def test_batch_equals_one_at_a_time(protocol, c0, c1):
+    """``inject_many`` with the caller's per-group charges in its ledger
+    is the one-group ``inject`` after each charge, bit for bit: clocks,
+    counters, the staged-bytes peak, what was delivered when, and the
+    order messages went on the wire."""
+    p = 16
+    rng = np.random.default_rng(c0 + c1)
+    batched = make_conveyor(p=p, protocol=protocol, nodes=4, c0=c0, c1=c1)
+    single = make_conveyor(p=p, protocol=protocol, nodes=4, c0=c0, c1=c1)
+    for src in (0, 5, 9):
+        for _ in range(4):
+            n = int(rng.integers(0, 30))
+            groups = [PacketGroup(src, int(d), "NORMAL", np.arange(m, dtype=np.uint64),
+                                  None, int(k), 8 * int(m))
+                      for d, m, k in zip(rng.integers(0, p, n), rng.integers(1, 40, n),
+                                         rng.integers(1, 9, n))]
+            ops = rng.integers(0, 5_000, n)
+            conv, cost, stats, _ = batched
+            ledger = cost.ledger(stats.pe[src])
+            ledger.add(ledger.COMPUTE, np.arange(0, 4 * n, 4), ops)
+            conv.inject_many(src, groups, ledger)
+            conv, cost, stats, _ = single
+            for g, o in zip(groups, ops):
+                cost.charge_compute(stats.pe[src], int(o))
+                conv.inject(g)
+    for conv, *_ in (batched, single):
+        conv.finalize()
+    (a, _, sa, ma), (b, _, sb, mb) = batched, single
+    assert sa.pe == sb.pe
+    assert [ma.peak(pe) for pe in range(p)] == [mb.peak(pe) for pe in range(p)]
+    assert a.delivered == b.delivered
+    assert a.injected_elements == b.injected_elements

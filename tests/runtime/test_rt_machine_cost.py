@@ -196,3 +196,67 @@ class TestThreadedRanks:
         assert cost.threaded and cost.thread_efficiency < 1.0
         dakc_cost = CostModel(phoenix_intel(1), cores_per_pe=1)
         assert dakc_cost.thread_efficiency == 1.0
+
+
+class TestClockLedger:
+    """One running sum over the ledger equals the ``charge_*`` calls made
+    one at a time in key order: clocks bit for bit, counters, spans."""
+
+    @staticmethod
+    def _charge(cost, pe, kind, amount, local_hop, remote_hop):
+        if kind == 0:
+            cost.charge_compute(pe, amount)
+        elif kind == 1:
+            cost.charge_mem(pe, amount)
+        else:
+            cost.charge_put(pe, remote_hop if kind == 2 else local_hop, amount)
+
+    @pytest.mark.parametrize("dilated", [False, True])
+    def test_matches_sequential_charges(self, dilated):
+        import numpy as np
+
+        from repro.runtime.trace import Tracer
+
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            traced = trial % 4 == 0
+            a = CostModel(laptop(nodes=2, cores=2), tracer=Tracer() if traced else None,
+                          dilation=[1.0, 1.75, 1.0, 1.0] if dilated else None)
+            b = CostModel(laptop(nodes=2, cores=2), tracer=Tracer() if traced else None,
+                          dilation=[1.0, 1.75, 1.0, 1.0] if dilated else None)
+            pa = PEStats(pe=1, clock=float(rng.random()))
+            pb = PEStats(pe=1, clock=pa.clock)
+            n = int(rng.integers(0, 40))
+            keys = rng.integers(0, 12, n)
+            kinds = rng.integers(0, 4, n)
+            amounts = rng.integers(0, 100_000, n)
+            ledger = a.ledger(pa)
+            half = n // 2
+            ledger.add(kinds[:half], keys[:half], amounts[:half])
+            for key, kind, amount in zip(keys[half:], kinds[half:], amounts[half:]):
+                ledger.add_one(int(kind), int(key), int(amount))
+            ledger.apply()
+            for i in np.argsort(keys, kind="stable"):
+                self._charge(b, pb, int(kinds[i]), int(amounts[i]), 0, 3)
+            assert pa == pb
+            if traced:
+                assert a.tracer.spans == b.tracer.spans
+
+    def test_clock_before(self):
+        cost = CostModel(laptop(nodes=1, cores=2))
+        pe = PEStats(pe=0, clock=1.0)
+        ledger = cost.ledger(pe)
+        ledger.add_one(ledger.COMPUTE, 4, 1000)
+        ledger.add_one(ledger.MEMORY, 8, 2000)
+        ledger.apply()
+        after_compute = 1.0 + 1000 / cost.pe_ops
+        assert ledger.clock_before([0, 4, 5, 8, 9]) == [
+            1.0, 1.0, after_compute, after_compute, pe.clock]
+
+    def test_empty_ledger_keeps_the_clock(self):
+        cost = CostModel(laptop(nodes=1, cores=2))
+        pe = PEStats(pe=0, clock=2.5)
+        ledger = cost.ledger(pe)
+        ledger.apply()
+        assert pe.clock == 2.5
+        assert ledger.clock_before([0, 7]) == [2.5, 2.5]
