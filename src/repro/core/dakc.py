@@ -32,8 +32,6 @@ for Section VII's 128-bit k-mers (k up to 64).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -59,8 +57,6 @@ __all__ = ["DakcConfig", "dakc_count", "dakc_count_big", "open_conveyor",
 
 #: k-mers fed to the aggregator per cooperative step (fast mode).
 PARSE_CHUNK: int = 65_536
-
-_n_elements = attrgetter("kmers.size")
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,10 +378,9 @@ def _verify_conservation(stats: RunStats, conveyor: Conveyor) -> None:
     generated = stats.total_kmers
     delivered = 0
     for queue in conveyor.delivered:
-        groups = list(map(itemgetter(1), queue))
-        delivered += sum(map(_n_elements, groups))
-        heavy = list(compress(map(attrgetter("counts"), groups),
-                              map("HEAVY".__eq__, map(attrgetter("kind"), groups))))
+        # A HEAVY pair's element stands for `count` occurrences.
+        heavy = [g.counts for _, g in queue if g.kind == "HEAVY"]
+        delivered += sum(g.kmers.size for _, g in queue)
         if heavy:
             counts = np.concatenate(heavy)
             delivered += int(counts.sum()) - counts.size
@@ -401,16 +396,15 @@ def _charge_receives(cost: CostModel, stats: RunStats, conveyor: Conveyor) -> No
     for dst in range(cost.n_pes):
         pe_stats = stats.pe[dst]
         queue = conveyor.delivered[dst]
-        groups = list(map(itemgetter(1), queue))
-        src, n_elements, n_packets, payload = (
-            np.fromiter(map(attrgetter(name), groups), np.int64, len(groups))
-            for name in ("src", "kmers.size", "n_packets", "payload_bytes"))
+        src, n_elements, n_packets, payload = np.array(
+            [(g.src, g.kmers.size, g.n_packets, g.payload_bytes) for _, g in queue],
+            dtype=np.int64).reshape(-1, 4).T
         service = receive_service_times(cost, src, dst, n_elements, n_packets, payload)
         received = int(n_elements.sum())
         pe_stats.kmers_received += received
         pe_stats.elements_received += received
-        pe_stats.clock = cost.busy_period(
-            pe_stats.clock, list(zip(map(itemgetter(0), queue), service.tolist())))
+        jobs = [(arrival, t) for (arrival, _), t in zip(queue, service.tolist())]
+        pe_stats.clock = cost.busy_period(pe_stats.clock, jobs)
         cache = CacheAccounting(cost.machine.cache_bytes, cost.machine.line_bytes)
         cache.stream(int(payload.sum()))
         pe_stats.cache_misses_p1 += cache.misses

@@ -30,8 +30,7 @@ the same packet/flush counts on identical streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import getitem
+from itertools import chain
 
 import numpy as np
 
@@ -104,21 +103,19 @@ def receive_service_time(cost: CostModel, group: PacketGroup) -> float:
     incast at a heavy-hitter's owner PE, which is precisely the load
     imbalance the L3 protocol removes (Section IV-D).
     """
-    return float(receive_service_times(cost, group.src, group.dst, group.n_elements,
-                                       group.n_packets, group.payload_bytes))
+    return receive_service_times(cost, group.src, group.dst, group.n_elements,
+                                 group.n_packets, group.payload_bytes)
 
 
 def receive_service_times(cost: CostModel, src, dst, n_elements, n_packets, payload_bytes):
-    """:func:`receive_service_time` of many groups, element by element
-    (the same operations in the same order, so the same bits)."""
+    """:func:`receive_service_time` of one group (ints) or of many
+    (arrays, element by element: the same operations in the same order,
+    so the same bits)."""
     ops = n_elements * OPS_PER_ELEMENT_RECV + n_packets * OPS_PER_PACKET
     t = payload_bytes / cost.pe_mem_bw + ops / cost.pe_ops
-    remote = np.not_equal(cost.node_of(src), cost.node_of(dst))
-    return np.where(remote, t + payload_bytes / cost.pe_link_bw, t)
-
-
-#: Group kinds by L2 row: a chunk sends row 0 (HEAVY) before row 1.
-_KIND = ("HEAVY", "NORMAL")
+    # The ingress term is added only for a remote group: t + 0.0 is t.
+    remote = cost.node_of(src) != cost.node_of(dst)
+    return t + remote * (payload_bytes / cost.pe_link_bw)
 
 
 class _L2Buffers:
@@ -174,7 +171,7 @@ class _L2Buffers:
         for row in (1, 0):
             dst = self.fill[row].nonzero()[0]
             dsts.append(dst[self.stamp[row, dst].argsort(kind="stable")])
-        kind = np.repeat([1, 0], list(map(len, dsts)))
+        kind = np.repeat([1, 0], [len(d) for d in dsts])
         dst = np.concatenate(dsts)
         hi = self.fill.cumsum(axis=1)
         lo = hi - self.fill
@@ -182,22 +179,6 @@ class _L2Buffers:
         self.fill = np.zeros_like(self.fill)
         self.heavy, self.counts, self.normal = self.heavy[:0], self.counts[:0], self.normal[:0]
         return kind, dst, lo[kind, dst], hi[kind, dst], streams
-
-
-def _split(keys, n):
-    """:func:`~repro.core.owner.owner_split` of a batch's bucket keys.
-
-    Sorting each (key, position) pair packed into one ``uint32`` yields
-    the same stable permutation, about twice as fast as the radix
-    argsort at the sizes one ``add_kmers`` call splits."""
-    if n >= 1 << 8 or keys.size >= 1 << 24:  # n << 24 must fit a uint32
-        return owner_split(keys, n)
-    packed = keys.astype(np.uint32)
-    packed <<= 24
-    packed |= np.arange(keys.size, dtype=np.uint32)
-    packed.sort()
-    bounds = packed.searchsorted(np.arange(n + 1, dtype=np.uint32) << 24)
-    return packed & 0xFFFFFF, bounds[1:] - bounds[:-1]
 
 
 def _ranges(starts, lengths):
@@ -251,7 +232,8 @@ class BulkAggregator:
             return
         ledger = self.cost.ledger(self._stats)
         if self.charge_costs:
-            ledger.add_one(ledger.COMPUTE, 0, kmers.size * OPS_PER_ELEMENT_BUFFER)
+            ledger.add_one(ledger.COMPUTE, ledger.key(0, ledger.CALLER),
+                           kmers.size * OPS_PER_ELEMENT_BUFFER)
         if not self.config.enable_l3:
             none = np.empty(0, dtype=np.int64)
             self._inject(ledger, *self._route(ledger, kmers, none, none, 1, 0))
@@ -333,9 +315,11 @@ class BulkAggregator:
         key[_ranges(h_starts, h_lengths)] = p * cols  # HEAVY: past every bucket
         l2 = self._l2
         buckets = np.arange(p, dtype=np.uint32) * cols
-        order, n_sizes = _split(np.concatenate((buckets.repeat(l2.fill[1]), key)), p * cols + 1)
+        order, n_sizes = owner_split(
+            np.concatenate((buckets.repeat(l2.fill[1]), key)), p * cols + 1)
         normal = np.concatenate((l2.normal, kmers))[order[:n_sizes[:-1].sum()]]
-        h_order, h_sizes = _split(np.concatenate((buckets.repeat(l2.fill[0]), h_key)), p * cols)
+        h_order, h_sizes = owner_split(
+            np.concatenate((buckets.repeat(l2.fill[0]), h_key)), p * cols)
         heavy = np.concatenate((l2.heavy, kmers[h_starts]))[h_order]
         h_counts = np.concatenate((l2.counts, h_lengths))[h_order]
         sizes = np.concatenate((h_sizes, n_sizes[:-1])).reshape(2, p, cols)
@@ -369,9 +353,9 @@ class BulkAggregator:
             if chunk_bytes > L3_RESIDENT_BYTES:
                 sweeps = effective_msd_passes(width, self._sort_passes)
             # Chunk c's sort runs just before its first group goes out.
-            at = (sent // (2 * p)).searchsorted(np.arange(n_chunks)) * 4
+            at = (sent // (2 * p)).searchsorted(np.arange(n_chunks))
             ledger.add(np.array([ledger.COMPUTE, ledger.MEMORY] * n_chunks),
-                       at.repeat(2),
+                       ledger.key(at, ledger.CALLER).repeat(2),
                        np.array([width * self._sort_passes + OPS_PER_L3_FLUSH,
                                  2 * chunk_bytes * sweeps] * n_chunks))
         return self._groups(sent // p % 2, sent % p, lo[sent], hi[sent], packets[sent], streams)
@@ -381,23 +365,19 @@ class BulkAggregator:
         HEAVY pairs, 1 NORMAL elements), with their packet counts."""
         heavy, counts, normal = streams
         payload = (hi - lo) * (2 - kind) * self.config.elem_bytes
-        cuts = list(map(slice, lo.tolist(), hi.tolist()))
-        kind = kind.tolist()
-        is_heavy = list(map(int.__eq__, kind, repeat(0)))
         # A HEAVY group's counts are a slice; a NORMAL group has none.
-        pairs = dict(zip(compress(range(len(cuts)), is_heavy),
-                         map(counts.__getitem__, compress(cuts, is_heavy))))
-        groups = list(map(
-            PacketGroup, repeat(self.src), dst.tolist(), map(_KIND.__getitem__, kind),
-            map(getitem, map((heavy, normal).__getitem__, kind), cuts),
-            map(pairs.get, range(len(cuts))), n_packets.tolist(), payload.tolist(),
-        ))
+        groups = [
+            PacketGroup(self.src, d, "HEAVY", heavy[a:b], counts[a:b], n, nbytes) if k == 0
+            else PacketGroup(self.src, d, "NORMAL", normal[a:b], None, n, nbytes)
+            for k, d, a, b, n, nbytes in zip(kind.tolist(), dst.tolist(), lo.tolist(),
+                                             hi.tolist(), n_packets.tolist(), payload.tolist())
+        ]
         return groups, n_packets
 
     def _inject(self, ledger, groups, n_packets) -> None:
         """Charge each group's packet handling, then hand the batch on."""
         if self.charge_costs:
-            ledger.add(ledger.COMPUTE, np.arange(0, 4 * len(groups), 4),
+            ledger.add(ledger.COMPUTE, ledger.key(np.arange(len(groups)), ledger.CALLER),
                        n_packets * OPS_PER_PACKET)
         self.conveyor.inject_many(self.src, groups, ledger)
 

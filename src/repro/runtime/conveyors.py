@@ -28,10 +28,10 @@ DeVinney) and the HClib-Actor staging layer on the simulated machine:
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby, repeat
-from operator import add, attrgetter, itemgetter, mul
+from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -71,10 +71,22 @@ class PacketGroup:
         return int(self.kmers.size)
 
 
-_n_elements = attrgetter("kmers.size")
-_dst = attrgetter("dst")
-_n_packets = attrgetter("n_packets")
-_payload_bytes = attrgetter("payload_bytes")
+class _Routes(dict):
+    """``dst -> (next hop, hop count)`` of ``route(src, dst)`` for one
+    source PE, filled the first time *src* sends toward *dst*; a
+    self-send's next hop is -1."""
+
+    __slots__ = ("topology", "src")
+
+    def __init__(self, topology: Topology, src: int) -> None:
+        super().__init__()
+        self.topology = topology
+        self.src = src
+
+    def __missing__(self, dst: int) -> tuple[int, int]:
+        route = self.topology.route(self.src, dst)
+        entry = self[dst] = (route[0] if route else -1, len(route))
+        return entry
 
 
 @dataclass(slots=True)
@@ -114,8 +126,7 @@ class Conveyor:
         self.memory = memory
         self.c0_bytes = c0_bytes
         self.c1_packets = c1_packets
-        self._next_hop = topology.next_hops.tolist()
-        self._hop_count = topology.hop_counts.tolist()
+        self._routes = [_Routes(topology, pe) for pe in range(cost.n_pes)]
         self._buffers: list[dict[int, _HopBuffer]] = [dict() for _ in range(cost.n_pes)]
         self._staged_bytes: list[int] = [0] * cost.n_pes
         #: In-flight messages: (arrival_time, hop_pe, [groups]).
@@ -155,10 +166,10 @@ class Conveyor:
     ) -> None:
         """Inject *groups*, in order, at PE *src* (application send).
 
-        *ledger* carries the caller's own charges for the batch, keyed
-        ``4 * i`` to run before group *i* is staged.
+        *ledger* carries the caller's own charges for the batch, group
+        *i*'s under ``ledger.key(i, ledger.CALLER)``.
         """
-        self.injected_elements += sum(map(_n_elements, groups))
+        self.injected_elements += sum(g.kmers.size for g in groups)
         self._enqueue(src, groups, ledger)
 
     def _enqueue(
@@ -171,49 +182,47 @@ class Conveyor:
 
         The same as staging them one at a time, with Python running once
         per next hop, per L1 copy and per L0 flush (:meth:`_stage`).
-        Group *i*'s charges go into the ledger after the caller's
-        ``4i``: its L1 copy at ``4i + 1``, its L0 flush's pending
-        staging copy at ``4i + 2`` and PUT at ``4i + 3``.  A self-send
-        (Algorithm 4 routes self-owned k-mers through AsyncAdd too) is
-        a local append, delivered at the clock it reaches.
+        Group *i*'s charges go into the ledger after the caller's, under
+        the group's ``L1_COPY``, ``L0_COPY`` and ``L0_PUT`` slots.  A
+        self-send (Algorithm 4 routes self-owned k-mers through AsyncAdd
+        too) is a local append, delivered at the clock it reaches.
         """
         pe_stats = self.stats.pe[from_pe]
-        n_packets = list(map(_n_packets, groups))
-        wire = list(map(_payload_bytes, groups))
         if ledger is None:
             ledger = self.cost.ledger(pe_stats)
+        routes = self._routes[from_pe]
+        hop = [routes[g.dst][0] for g in groups]
+        n_packets = [g.n_packets for g in groups]
+        wire = [g.payload_bytes for g in groups]
         if self.topology.needs_header:
-            wire = list(map(add, wire, map(mul, n_packets, repeat(HEADER_BYTES))))
+            wire = [w + n * HEADER_BYTES for w, n in zip(wire, n_packets)]
             pe_stats.header_bytes += sum(n_packets) * HEADER_BYTES
-        hop = list(map(self._next_hop[from_pe].__getitem__, map(_dst, groups)))
         # Each next hop's groups, contiguous and in batch order (-1, the
         # self-sends, first); cw/cp are running wire bytes and packets.
         idx = sorted(range(len(hop)), key=hop.__getitem__)
-        cw = list(accumulate(map(wire.__getitem__, idx)))
-        cp = list(accumulate(map(n_packets.__getitem__, idx)))
-        runs = []  # (next hop, first, end) positions in idx
-        end = 0
-        for next_hop, members in groupby(map(hop.__getitem__, idx)):
-            start, end = end, end + len(list(members))
-            runs.append((next_hop, start, end))
+        by_hop = sorted(hop)
+        cw = list(accumulate([wire[i] for i in idx]))
+        cp = list(accumulate([n_packets[i] for i in idx]))
+        # The staged-bytes trajectory: +wire as group i is staged (step
+        # 2i), -bytes as it fills its L0 buffer (step 2i + 1).
+        steps = [0] * (2 * len(hop))
+        steps[0::2] = wire
         events = []  # (group, ledger key its clock is read at, hop, payload, local)
-        if runs and runs[0][0] < 0:
-            _, lo, hi = runs.pop(0)
-            events = [(i, 4 * i + 1, -1, groups[i], True) for i in idx[lo:hi]]
-        if runs:
-            # The staged-bytes trajectory: +wire as group i is staged
-            # (step 2i), -bytes as it fills its L0 buffer (step 2i + 1).
-            steps = [0] * (2 * len(hop))
-            steps[0::2] = wire
-            for i, *_ in events:
-                steps[2 * i] = 0
-            # First-staged hop order is the buffers' insertion order,
-            # which flush_pe keeps.
-            for next_hop, lo, hi in sorted(runs, key=lambda run: idx[run[1]]):
-                for i, message, nbytes, local in self._stage(
-                        from_pe, next_hop, idx, groups, cw, cp, lo, hi, ledger):
-                    steps[2 * i + 1] = -nbytes
-                    events.append((i, 4 * i + 4, next_hop, message, local))
+        # In first-staged hop order, the buffers' insertion order, which
+        # flush_pe keeps.
+        for next_hop in dict.fromkeys(hop):
+            lo = bisect_left(by_hop, next_hop)
+            hi = bisect_right(by_hop, next_hop, lo)
+            if next_hop < 0:
+                for i in idx[lo:hi]:
+                    steps[2 * i] = 0
+                    events.append((i, ledger.key(i, ledger.CALLER), -1, groups[i], True))
+                continue
+            for i, message, nbytes, local in self._stage(
+                    from_pe, next_hop, idx, groups, cw, cp, lo, hi, ledger):
+                steps[2 * i + 1] = -nbytes
+                events.append((i, ledger.key(i, ledger.L0_PUT), next_hop, message, local))
+        if steps:
             staged = list(accumulate(steps, initial=self._staged_bytes[from_pe]))
             if self.memory is not None:
                 self.memory.set_category_path(from_pe, "conveyor", staged[1:])
@@ -223,7 +232,7 @@ class Conveyor:
             return
         events.sort(key=itemgetter(0))
         # A self-send lands once its own charges ran; a PUT once it ran.
-        clocks = ledger.clock_before(list(map(itemgetter(1), events)))
+        clocks = ledger.clock_after([event[1] for event in events])
         tau = self.cost.machine.tau
         for (_, _, next_hop, payload, local), clock in zip(events, clocks):
             if next_hop < 0:
@@ -268,7 +277,7 @@ class Conveyor:
                 flushed = pending - pending % c1
                 copied = bytes_pending * flushed // pending
                 self.stats.pe[from_pe].l1_flushes += flushed // c1
-                ledger.add_one(ledger.MEMORY, 4 * idx[k] + 1, copied)
+                ledger.add_one(ledger.MEMORY, ledger.key(idx[k], ledger.L1_COPY), copied)
                 buf.bytes += cw[k] - w0
                 buf.packets_pending_l1 = pending % c1
                 buf.bytes_pending_l1 = bytes_pending - copied
@@ -286,14 +295,15 @@ class Conveyor:
             # staging-copied into the L0 buffer, then the PUT.
             i = idx[j]
             if buf.bytes_pending_l1:
-                ledger.add_one(ledger.MEMORY, 4 * i + 2, buf.bytes_pending_l1)
-            ledger.add_one(ledger.PUT_LOCAL if local else ledger.PUT, 4 * i + 3, buf.bytes)
+                ledger.add_one(ledger.MEMORY, ledger.key(i, ledger.L0_COPY), buf.bytes_pending_l1)
+            ledger.add_one(ledger.PUT_LOCAL if local else ledger.PUT,
+                           ledger.key(i, ledger.L0_PUT), buf.bytes)
             self.stats.pe[from_pe].l0_flushes += 1
-            flushes.append((i, buf.groups + list(map(groups.__getitem__, idx[start:pos])),
+            flushes.append((i, buf.groups + [groups[g] for g in idx[start:pos]],
                             buf.bytes, local))
             buf = buffers[next_hop] = _HopBuffer()
             start = pos
-        buf.groups += map(groups.__getitem__, idx[start:hi])
+        buf.groups += [groups[g] for g in idx[start:hi]]
         buf.bytes += cw[hi - 1] - w0
         buf.packets_pending_l1 += cp[hi - 1] - p0
         buf.bytes_pending_l1 += cw[hi - 1] - w0
@@ -338,9 +348,8 @@ class Conveyor:
 
     def flush_pe(self, pe: int) -> None:
         """Flush every non-empty buffer of one PE (end-of-stream)."""
-        for next_hop, buf in list(self._buffers[pe].items()):
-            if buf.groups:
-                self._flush_hop(pe, next_hop)
+        for next_hop in list(self._buffers[pe].keys()):
+            self._flush_hop(pe, next_hop)
 
     def flush_all(self) -> None:
         """Flush all PEs' buffers."""
@@ -380,8 +389,9 @@ class Conveyor:
         # an immediate error instead of a ten-million-iteration hang.
         dup_factor = 2 ** self.topology.max_hops
         budget = len(self._in_flight) + dup_factor * sum(
-            sum(map(self._hop_count[hop].__getitem__, map(_dst, groups)))
+            self._routes[hop][g.dst][1]
             for _, hop, groups in self._in_flight
+            for g in groups
         )
         absorb()
         while heap:
@@ -400,8 +410,8 @@ class Conveyor:
                 hop_stats = self.stats.pe[hop]
                 # Relay handling: the hop PE parses headers and
                 # re-buffers the packets toward their destinations.
-                n_pkts = sum(map(_n_packets, relays))
-                nbytes = sum(map(self.group_wire_bytes, relays))
+                n_pkts = sum(g.n_packets for g in relays)
+                nbytes = sum(self.group_wire_bytes(g) for g in relays)
                 hop_stats.clock = max(hop_stats.clock, arrival)
                 hop_stats.hops_forwarded += n_pkts
                 self.cost.charge_compute(hop_stats, n_pkts * OPS_PER_PACKET)
@@ -436,4 +446,4 @@ class Conveyor:
         return self._staged_bytes[pe]
 
     def delivered_elements(self, pe: int) -> int:
-        return sum(map(_n_elements, map(itemgetter(1), self.delivered[pe])))
+        return sum(g.n_elements for _, g in self.delivered[pe])

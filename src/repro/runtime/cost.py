@@ -22,9 +22,8 @@ once (documented in EXPERIMENTS.md), not per-experiment.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -115,6 +114,11 @@ class CostModel:
         self.pe_mem_bw = m.beta_mem * frac * eff
         self.pe_link_bw = m.beta_link * frac
         self.pe_disk_bw = m.beta_disk * frac
+        # The price table, by ClockLedger kind (compute, memory, remote
+        # PUT, co-located PUT): a charge of `amount` (ops or bytes)
+        # takes fixed + amount / rate, before dilation.
+        self._fixed = (0.0, 0.0, m.tau_inject, m.local_latency)
+        self._rate = (self.pe_ops, self.pe_mem_bw, self.pe_link_bw, self.pe_mem_bw)
         if self.dilation is not None:
             self.set_dilation(self.dilation)
 
@@ -154,25 +158,27 @@ class CostModel:
 
     # -- charging primitives -----------------------------------------
 
-    def charge_compute(self, pe: PEStats, ops: int | float) -> float:
-        """Charge *ops* INT64 operations; returns the dt applied."""
-        dt = self._dilated(pe, ops / self.pe_ops)
-        pe.compute_ops += int(ops)
+    def _charge(self, pe: PEStats, kind: int, amount: int | float) -> float:
+        """Charge one price-table entry to *pe*: its counter, its clock
+        and its trace span.  Returns the dt applied."""
+        dt = self._dilated(pe, self._fixed[kind] + amount / self._rate[kind])
+        counter = _COUNTER[kind]
+        setattr(pe, counter, getattr(pe, counter) + int(amount))
+        if kind == ClockLedger.PUT:
+            pe.puts_issued += 1
         t0 = pe.clock
         pe.advance(dt)
-        if self.tracer is not None:
-            self.tracer.record(pe.pe, t0, pe.clock, "compute")
+        if self.tracer is not None and _SPAN[kind] is not None:
+            self.tracer.record(pe.pe, t0, pe.clock, _SPAN[kind])
         return dt
+
+    def charge_compute(self, pe: PEStats, ops: int | float) -> float:
+        """Charge *ops* INT64 operations; returns the dt applied."""
+        return self._charge(pe, ClockLedger.COMPUTE, ops)
 
     def charge_mem(self, pe: PEStats, nbytes: int | float) -> float:
         """Charge intranode memory traffic of *nbytes*."""
-        dt = self._dilated(pe, nbytes / self.pe_mem_bw)
-        pe.mem_bytes += int(nbytes)
-        t0 = pe.clock
-        pe.advance(dt)
-        if self.tracer is not None:
-            self.tracer.record(pe.pe, t0, pe.clock, "memory")
-        return dt
+        return self._charge(pe, ClockLedger.MEMORY, nbytes)
 
     def charge_disk_write(self, pe: PEStats, nbytes: int, *, ops: int = 1) -> float:
         """Charge an out-of-core spill write of *nbytes* (β_disk).
@@ -216,20 +222,11 @@ class CostModel:
         memory shortcut.  Returns the message's arrival time at the
         destination.
         """
-        m = self.machine
         if self.colocated(src.pe, dst_pe):
-            dt = self._dilated(src, m.local_latency + nbytes / self.pe_mem_bw)
-            src.local_memcpy_bytes += nbytes
-            src.advance(dt)
+            self._charge(src, ClockLedger.PUT_LOCAL, nbytes)
             return src.clock
-        dt = self._dilated(src, m.tau_inject + nbytes / self.pe_link_bw)
-        src.puts_issued += 1
-        src.bytes_sent += nbytes
-        t0 = src.clock
-        src.advance(dt)
-        if self.tracer is not None:
-            self.tracer.record(src.pe, t0, src.clock, "send")
-        return src.clock + m.tau
+        self._charge(src, ClockLedger.PUT, nbytes)
+        return src.clock + self.machine.tau
 
     # -- composite costs ---------------------------------------------
 
@@ -251,7 +248,7 @@ class CostModel:
         model: "goes through its received messages lazily").
         """
         t = start_busy_until
-        for arrival, service in sorted(jobs, key=itemgetter(0)):
+        for arrival, service in sorted(jobs, key=lambda j: j[0]):
             t = max(t, arrival) + service
         return t
 
@@ -262,21 +259,33 @@ class CostModel:
         return ClockLedger(self, pe)
 
 
+#: The PEStats counter and the trace span of each ClockLedger kind (a
+#: co-located PUT records no span).
+_COUNTER = ("compute_ops", "mem_bytes", "bytes_sent", "local_memcpy_bytes")
+_SPAN = ("compute", "memory", "send", None)
+
+
 class ClockLedger:
     """Every dt one batch adds to one PE's clock, applied in one pass.
 
-    The layers of a batch (aggregator, conveyor) add their entries out
-    of order, each under an integer position key; :meth:`apply` orders
-    them by key (stably: entries under one key keep the order they were
-    added in), prices each entry exactly as the matching ``charge_*``
-    method does, and advances the clock by one running sum.
-    ``np.add.accumulate`` adds left to right, so the clock after every
-    entry is bit-identical to the repeated ``+=`` of ``charge_*``.
+    A batch is a sequence of items (packet groups).  The layers of a
+    batch (aggregator, conveyor) add their entries out of order, each
+    under the position :meth:`key` of an item and one of its slots;
+    :meth:`apply` orders them by key (entries under one key keep the
+    order they were added in), prices each entry from the cost model's
+    price table, as ``charge_*`` does, and advances the clock by one
+    running sum.  ``np.add.accumulate`` adds left to right, so the clock
+    after every entry is bit-identical to the repeated ``+=`` of
+    ``charge_*``.
     """
 
+    #: Entry kinds: ops of compute; bytes of memory traffic, of a remote
+    #: PUT, of a co-located PUT.
     COMPUTE, MEMORY, PUT, PUT_LOCAL = range(4)
-    #: Tracer span name per kind; a co-located PUT records no span.
-    _SPAN = ("compute", "memory", "send", None)
+    #: An item's slots, in the order they run: the caller's own charges
+    #: (sort, packet handling), the L1 copy, the L0 flush's staging copy
+    #: of the packets short of a C1 batch, the L0 PUT.
+    CALLER, L1_COPY, L0_COPY, L0_PUT = range(4)
 
     __slots__ = ("cost", "pe", "_batches", "_singles", "_order_keys", "_clocks")
 
@@ -286,54 +295,63 @@ class ClockLedger:
         self._batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._singles: list[tuple[int, int, int]] = []
 
+    @staticmethod
+    def key(item, slot: int):
+        """The position key of *item*'s *slot* (an int, or an array of
+        items)."""
+        return 4 * item + slot
+
     def add(self, kind, keys: np.ndarray, amounts: np.ndarray) -> None:
         """Entries at *keys* of *kind* (one, or one per key): ops for
         compute, bytes for the rest."""
+        self._batch_singles()
         kinds = np.empty(len(keys), dtype=np.int64)
         kinds[:] = kind
-        self._batches.append((keys, kinds, amounts))
+        self._batches.append((np.asarray(keys), kinds, np.asarray(amounts)))
 
     def add_one(self, kind: int, key: int, amount: int) -> None:
         """One entry (:meth:`add` for a single key)."""
         self._singles.append((key, kind, amount))
 
+    def _batch_singles(self) -> None:
+        # Keeps the entries in the order they were added.
+        if self._singles:
+            single = np.array(self._singles, dtype=np.int64)
+            self._batches.append((single[:, 0], single[:, 1], single[:, 2]))
+            self._singles = []
+
     def apply(self) -> None:
-        """Charge every entry in key order: counters, then the clock."""
+        """Charge every entry in key order: counters, clock, spans."""
         cost, pe = self.cost, self.pe
-        if not self._batches and not self._singles:
-            self._order_keys, self._clocks = [], [pe.clock]
+        if not self._batches:
+            # Entries added one at a time are charged one at a time.
+            self._singles.sort(key=itemgetter(0))
+            self._order_keys = [key for key, _, _ in self._singles]
+            self._clocks = clocks = [pe.clock]
+            for _, kind, amount in self._singles:
+                cost._charge(pe, kind, amount)
+                clocks.append(pe.clock)
             return
-        single = np.array(self._singles, dtype=np.int64).reshape(-1, 3)
-        keys = np.concatenate([b[0] for b in self._batches] + [single[:, 0]])
-        kinds = np.concatenate([b[1] for b in self._batches] + [single[:, 1]])
-        amounts = np.concatenate([b[2] for b in self._batches] + [single[:, 2]])
+        self._batch_singles()
+        keys, kinds, amounts = (np.concatenate(column) for column in zip(*self._batches))
         order = np.argsort(keys, kind="stable")
-        self._order_keys, kinds, amounts = keys[order], kinds[order], amounts[order]
-        # compute: ops / ops rate; memory: bytes / memory bandwidth;
-        # PUT: tau_inject + bytes / link bandwidth; co-located PUT:
-        # local latency + bytes / memory bandwidth (0.0 + x is x).
-        m = cost.machine
-        dt = (np.array([0.0, 0.0, m.tau_inject, m.local_latency])[kinds]
-              + amounts / np.array([cost.pe_ops, cost.pe_mem_bw, cost.pe_link_bw,
-                                    cost.pe_mem_bw])[kinds])
+        keys, kinds, amounts = keys[order], kinds[order], amounts[order]
+        dt = np.array(cost._fixed)[kinds] + amounts / np.array(cost._rate)[kinds]
         if cost.dilation is not None:
             dt *= cost.dilation[pe.pe]
-        self._clocks = np.add.accumulate(np.concatenate(([pe.clock], dt)))
-        per_kind = np.bincount(kinds, weights=amounts, minlength=4).astype(np.int64).tolist()
-        pe.compute_ops += per_kind[self.COMPUTE]
-        pe.mem_bytes += per_kind[self.MEMORY]
-        pe.bytes_sent += per_kind[self.PUT]
-        pe.local_memcpy_bytes += per_kind[self.PUT_LOCAL]
+        clocks = np.add.accumulate(np.concatenate(([pe.clock], dt)))
+        for kind, counter in enumerate(_COUNTER):
+            setattr(pe, counter, getattr(pe, counter) + int(amounts[kinds == kind].sum()))
         pe.puts_issued += int(np.count_nonzero(kinds == self.PUT))
-        self._order_keys = self._order_keys.tolist()
-        self._clocks = clocks = self._clocks.tolist()
-        pe.clock = clocks[-1]
+        self._order_keys = keys.tolist()
+        self._clocks = clocks.tolist()
+        pe.clock = self._clocks[-1]
         if cost.tracer is not None:
             for i, kind in enumerate(kinds.tolist()):
-                if self._SPAN[kind] is not None:
-                    cost.tracer.record(pe.pe, clocks[i], clocks[i + 1], self._SPAN[kind])
+                if _SPAN[kind] is not None:
+                    cost.tracer.record(pe.pe, self._clocks[i], self._clocks[i + 1], _SPAN[kind])
 
-    def clock_before(self, keys: list[int]) -> list[float]:
-        """Clock once every applied entry keyed below each of *keys* ran."""
-        return list(map(self._clocks.__getitem__,
-                        map(bisect_left, repeat(self._order_keys), keys)))
+    def clock_after(self, keys: list[int]) -> list[float]:
+        """Clock once every applied entry keyed at or below each of *keys*
+        ran."""
+        return [self._clocks[bisect_right(self._order_keys, key)] for key in keys]

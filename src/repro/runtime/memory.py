@@ -183,13 +183,16 @@ class MemoryTracker:
         overrun raises the same :class:`OutOfMemoryError` at the same
         size as the one-at-a-time calls would.
         """
-        other = self._per_pe[pe] - self.current.get((pe, category), 0)
-        top = max(sizes)
-        if self.budget_bytes is not None and other + top > self.budget_bytes:
+        key = (pe, category)
+        other = self._per_pe[pe] - self.current.get(key, 0)
+        top = other + max(sizes)
+        if self.budget_bytes is not None and top > self.budget_bytes:
             for n in sizes:  # an overrun: the calls in turn raise where they would
                 self.set_category(pe, category, n)
-        self._peak[pe] = max(self._peak[pe], other + top)
-        self.set_category(pe, category, sizes[-1])
+        if top > self._peak[pe]:
+            self._peak[pe] = top
+        self.current[key] = sizes[-1]
+        self._per_pe[pe] = other + sizes[-1]
 
     def usage(self, pe: int) -> int:
         return self._per_pe[pe]

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-import numpy as np
-
 __all__ = [
     "Topology",
     "Topology1D",
@@ -58,9 +56,6 @@ def _grid_dims(p: int, ndim: int) -> tuple[int, ...]:
             else:
                 break
     return tuple(dims)
-
-
-_TABLES: dict[tuple[type, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 class Topology(ABC):
@@ -100,37 +95,6 @@ class Topology(ABC):
 
     def hop_count(self, src: int, dst: int) -> int:
         return len(self.route(src, dst))
-
-    @property
-    def next_hops(self) -> np.ndarray:
-        """``P x P`` table: ``next_hops[s, d] == route(s, d)[0]``, -1 when
-        ``s == d``.  The conveyor routes a batch of groups with one
-        gather from it; :meth:`route` stays the reference."""
-        return self._tables()[0]
-
-    @property
-    def hop_counts(self) -> np.ndarray:
-        """``P x P`` table: ``hop_counts[s, d] == len(route(s, d))``."""
-        return self._tables()[1]
-
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        # route() is a pure function of the class and P, so one build
-        # serves every run on the same topology.
-        key = (type(self), self.p)
-        tables = _TABLES.get(key)
-        if tables is None:
-            p = self.p
-            nxt = np.full((p, p), -1, dtype=np.int64)
-            hops = np.zeros((p, p), dtype=np.int64)
-            for s in range(p):
-                for d in range(p):
-                    path = self.route(s, d)
-                    if path:
-                        nxt[s, d] = path[0]
-                        hops[s, d] = len(path)
-            nxt.flags.writeable = hops.flags.writeable = False
-            tables = _TABLES[key] = (nxt, hops)
-        return tables
 
     def _check(self, src: int, dst: int) -> None:
         if not (0 <= src < self.p and 0 <= dst < self.p):

@@ -212,14 +212,22 @@ class TestReceiveService:
         local = PacketGroup(2, 3, "NORMAL", np.arange(8, dtype=np.uint64), None, 1, 64)
         assert receive_service_time(cost, remote) > receive_service_time(cost, local)
 
+    def test_many_groups_equal_the_per_group_formula(self):
+        """``receive_service_times`` over arrays gives, bit for bit, the
+        per-group formula: copy + dispatch, plus ingress when remote."""
+        from repro.core.l2l3 import receive_service_times
+        from repro.runtime.cost import OPS_PER_ELEMENT_RECV, OPS_PER_PACKET
 
-@given(st.integers(1, 256), st.integers(0, 3_000), st.integers(0, 2**16))
-def test_batch_split_is_the_owner_split(n, size, seed):
-    """The aggregator's packed-sort split is ``owner_split``'s stable
-    permutation and bucket sizes."""
-    from repro.core.l2l3 import _split
-    from repro.core.owner import owner_split
-
-    keys = np.random.default_rng(seed).integers(0, n, size)
-    (order, sizes), (ref_order, ref_sizes) = _split(keys, n), owner_split(keys, n)
-    assert (order == ref_order).all() and (sizes == ref_sizes).all()
+        cost = CostModel(laptop(nodes=3, cores=2))
+        rng = np.random.default_rng(3)
+        n = 500
+        src, n_elements, n_packets = (rng.integers(0, 6, n), rng.integers(1, 300, n),
+                                      rng.integers(1, 20, n))
+        payload = n_elements * 8 * rng.integers(1, 3, n)
+        got = receive_service_times(cost, src, 4, n_elements, n_packets, payload)
+        for i in range(n):
+            ops = int(n_elements[i]) * OPS_PER_ELEMENT_RECV + int(n_packets[i]) * OPS_PER_PACKET
+            want = int(payload[i]) / cost.pe_mem_bw + ops / cost.pe_ops
+            if not cost.colocated(int(src[i]), 4):
+                want += int(payload[i]) / cost.pe_link_bw
+            assert got[i] == want

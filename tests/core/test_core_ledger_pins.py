@@ -6,8 +6,9 @@ the rest of the aggregation stack and the conveyor — the 3D protocol,
 the L0-L1 and L0-L2 ablations, thresholds small enough that most
 groups cross an L1 or L0 boundary, an odd ``C2`` with every repeat
 heavy, several ``add_kmers`` calls per PE on dilated clocks, the
-faulty and reliable conveyors, and a traced run (pinned by the SHA-256
-of its Chrome trace).  Each pin is the run's ``observe()`` tuple plus
+faulty and reliable conveyors, a call whose buffer ops and first chunk
+sort share a ledger key, and a traced run (pinned by the SHA-256 of its
+Chrome trace).  Each pin is the run's ``observe()`` tuple plus
 every PE's clock and layer counters.  The literals were recorded on
 the commit before the aggregator and conveyor moved from per-group
 Python to per-call arrays; a change of host bookkeeping must leave
@@ -77,6 +78,11 @@ CASES = {
     "reliable": (partial(_reads, 300, 100, 8), _laptop,
                  DakcConfig(protocol="2D", c0_bytes=1_024),
                  partial(ReliableConveyor, plan=PLAN), True),
+    # Entries of one ledger key in the order they were charged: the
+    # call's buffer ops before its first chunk's sort.
+    "call-order": (partial(_reads, 321, 100, 10), lambda: CostModel(laptop(nodes=2, cores=2)),
+                   DakcConfig(protocol="1D", c0_bytes=734, c1_packets=8,
+                              agg=AggregationConfig(c2=9, c3=2_506)), None, True),
     "traced": (partial(_reads, 300, 100, 9),
                lambda: _laptop(tracer=Tracer()),
                DakcConfig(protocol="2D", c0_bytes=2_048, c1_packets=4), None, True),
@@ -274,6 +280,24 @@ PINS = {
             (88, 77, 73, 70, 75, 70, 74, 71),
             (56, 52, 24, 55, 53, 25, 18, 19),
             (632, 588, 392, 536, 544, 428, 412, 428),
+        ),
+        None),
+    'call-order': (
+        (4180, 25680, 5.8554640000000006e-05, 3.9013386666666676e-05, 31, 74504, 3, 2845, 6729,
+         36808),
+        (
+            (5.8554640000000006e-05, 5.8554640000000006e-05, 5.8554640000000006e-05,
+             5.8554640000000006e-05),
+            (1.5683466666666958e-06, 1.2560133333333213e-06, 2.8258666666665746e-07,
+             4.3400000000000296e-07),
+            (166410, 159711, 170798, 173148),
+            (348460, 355488, 361336, 356304),
+            (9816, 7920, 9880, 10120),
+            (12, 11, 12, 12),
+            (45, 40, 46, 49),
+            (519, 476, 544, 562),
+            (0, 0, 0, 0),
+            (0, 0, 0, 0),
         ),
         None),
     'traced': (

@@ -343,7 +343,7 @@ def test_batch_equals_one_at_a_time(protocol, c0, c1):
             ops = rng.integers(0, 5_000, n)
             conv, cost, stats, _ = batched
             ledger = cost.ledger(stats.pe[src])
-            ledger.add(ledger.COMPUTE, np.arange(0, 4 * n, 4), ops)
+            ledger.add(ledger.COMPUTE, ledger.key(np.arange(n), ledger.CALLER), ops)
             conv.inject_many(src, groups, ledger)
             conv, cost, stats, _ = single
             for g, o in zip(groups, ops):
@@ -356,3 +356,30 @@ def test_batch_equals_one_at_a_time(protocol, c0, c1):
     assert [ma.peak(pe) for pe in range(p)] == [mb.peak(pe) for pe in range(p)]
     assert a.delivered == b.delivered
     assert a.injected_elements == b.injected_elements
+
+
+@pytest.mark.parametrize("protocol", ["1D", "2D", "3D"])
+def test_next_hops_are_the_routes(protocol):
+    """The next hop and hop count the conveyor memoises per pair are
+    ``route()``'s (-1 for a self-send), ragged grids included."""
+    for p in range(1, 65):
+        topo = make_topology(protocol, p)
+        conv = Conveyor(CostModel(laptop(nodes=1, cores=p)), RunStats(n_pes=p), topo)
+        for s in range(p):
+            for d in range(p):
+                route = topo.route(s, d)
+                assert conv._routes[s][d] == (route[0] if route else -1, len(route))
+
+
+def test_next_hops_follow_an_overridden_route():
+    class Detour(Topology1D):
+        def route(self, src, dst):
+            return [] if src == dst else [(src + 1) % self.p, dst]
+
+    cost = CostModel(laptop(nodes=1, cores=5))
+    stats = RunStats(n_pes=5)
+    conv = Conveyor(cost, stats, Detour(5))
+    conv.inject(group(0, 3))
+    conv.finalize()
+    assert conv.delivered_elements(3) == 4
+    assert stats.pe[1].hops_forwarded == 1

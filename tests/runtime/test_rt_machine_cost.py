@@ -213,6 +213,11 @@ class TestClockLedger:
 
     @pytest.mark.parametrize("dilated", [False, True])
     def test_matches_sequential_charges(self, dilated):
+        """Entries come in from ``add`` and ``add_one`` calls in any mix;
+        under one key they keep the order they were added in.  A ledger
+        of ``add_one`` entries only is charged entry by entry, one with
+        ``add`` entries in one NumPy pass: both equal the calls made one
+        at a time."""
         import numpy as np
 
         from repro.runtime.trace import Tracer
@@ -231,10 +236,15 @@ class TestClockLedger:
             kinds = rng.integers(0, 4, n)
             amounts = rng.integers(0, 100_000, n)
             ledger = a.ledger(pa)
-            half = n // 2
-            ledger.add(kinds[:half], keys[:half], amounts[:half])
-            for key, kind, amount in zip(keys[half:], kinds[half:], amounts[half:]):
-                ledger.add_one(int(kind), int(key), int(amount))
+            # Cut the entries into runs; each run goes in by one add()
+            # or by add_one() calls.
+            cuts = np.sort(rng.integers(0, n + 1, 4))
+            for lo, hi in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [n]))):
+                if rng.random() < 0.5:
+                    ledger.add(kinds[lo:hi], keys[lo:hi], amounts[lo:hi])
+                else:
+                    for key, kind, amount in zip(keys[lo:hi], kinds[lo:hi], amounts[lo:hi]):
+                        ledger.add_one(int(kind), int(key), int(amount))
             ledger.apply()
             for i in np.argsort(keys, kind="stable"):
                 self._charge(b, pb, int(kinds[i]), int(amounts[i]), 0, 3)
@@ -242,7 +252,7 @@ class TestClockLedger:
             if traced:
                 assert a.tracer.spans == b.tracer.spans
 
-    def test_clock_before(self):
+    def test_clock_after(self):
         cost = CostModel(laptop(nodes=1, cores=2))
         pe = PEStats(pe=0, clock=1.0)
         ledger = cost.ledger(pe)
@@ -250,8 +260,8 @@ class TestClockLedger:
         ledger.add_one(ledger.MEMORY, 8, 2000)
         ledger.apply()
         after_compute = 1.0 + 1000 / cost.pe_ops
-        assert ledger.clock_before([0, 4, 5, 8, 9]) == [
-            1.0, 1.0, after_compute, after_compute, pe.clock]
+        assert ledger.clock_after([0, 3, 4, 7, 8, 9]) == [
+            1.0, 1.0, after_compute, after_compute, pe.clock, pe.clock]
 
     def test_empty_ledger_keeps_the_clock(self):
         cost = CostModel(laptop(nodes=1, cores=2))
@@ -259,4 +269,4 @@ class TestClockLedger:
         ledger = cost.ledger(pe)
         ledger.apply()
         assert pe.clock == 2.5
-        assert ledger.clock_before([0, 7]) == [2.5, 2.5]
+        assert ledger.clock_after([0, 7]) == [2.5, 2.5]

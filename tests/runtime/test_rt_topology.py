@@ -132,33 +132,3 @@ class Test3DRouting:
     def test_single_pe(self):
         t = Topology3D(1)
         assert t.route(0, 0) == []
-
-
-class TestNextHopTable:
-    """The conveyor routes a batch with one gather from ``next_hops``;
-    ``route`` stays the reference it must equal."""
-
-    @pytest.mark.parametrize("proto", ["1D", "2D", "3D"])
-    def test_table_matches_route_for_every_pair(self, proto):
-        for p in range(1, 65):  # ragged grids included (e.g. 2D at P=7, 3D at P=10)
-            topo = make_topology(proto, p)
-            for s in range(p):
-                for d in range(p):
-                    route = topo.route(s, d)
-                    assert topo.next_hops[s, d] == (route[0] if route else -1)
-                    assert topo.hop_counts[s, d] == len(route)
-
-    def test_tables_follow_an_overridden_route(self):
-        class Detour(Topology1D):
-            def route(self, src, dst):
-                return [] if src == dst else [(src + 1) % self.p, dst]
-
-        topo = Detour(5)
-        assert topo.next_hops[0, 3] == 1
-        assert topo.hop_counts[0, 3] == 2
-        assert make_topology("1D", 5).next_hops[0, 3] == 3
-
-    def test_tables_are_read_only(self):
-        topo = make_topology("2D", 9)
-        with pytest.raises(ValueError):
-            topo.next_hops[0, 1] = 5
