@@ -8,7 +8,7 @@ service *self-healing*:
   nodes over the same splitmix64 key space the counting layer's
   ``owner_pe`` uses, placing every key on ``rf`` distinct replicas;
 * :mod:`~repro.cluster.node` — cluster members with health states
-  (up / degraded / down) and :class:`~repro.fault.FaultPlan` hooks;
+  (up / degraded / down);
 * :mod:`~repro.cluster.router` — client-facing routing with retry,
   backoff, and hedged requests (tail-latency insurance);
 * :mod:`~repro.cluster.rebalance` — live node join/leave streaming

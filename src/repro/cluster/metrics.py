@@ -39,8 +39,8 @@ class ClusterMetrics:
     #: Client-visible metrics: one latency sample per routed batch,
     #: weighted by its key count (includes retry/hedge/failover time).
     router: ServeMetrics = field(default_factory=ServeMetrics)
-    hedges_fired: int = 0   # backup requests launched after the hedge delay
-    hedges_won: int = 0     # hedges that answered before the primary
+    hedges_fired: int = 0   # client requests backed up after the hedge delay
+    hedges_won: int = 0     # of those, answered by the hedge first
     retries: int = 0        # re-routes after a NodeDown or no-live-replica round
     failovers: int = 0      # batches that exhausted every replica (RangeUnavailable)
     rebalances: int = 0     # completed join/leave rebalance passes

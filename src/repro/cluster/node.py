@@ -14,11 +14,6 @@ answer every key and the ring only spreads load) — and a health state:
 * ``DOWN``      — raises :class:`NodeDown`, checked both on entry and
   after the simulated service delay so a kill lands on in-flight
   lookups too (the case retries and replicas exist for).
-
-Fault hooks consume the same seeded :class:`~repro.fault.FaultPlan`
-the chaos machinery uses for the write path: ``crash_pes`` kill nodes,
-``straggler_pes``/``straggler_factor`` degrade them — one fault
-vocabulary for counting and serving.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ import numpy as np
 
 from ..apps.store import merge_sorted_counts
 from ..core.result import KmerCounts
-from ..fault.models import FaultPlan
 from ..serve.clock import now
 from ..serve.metrics import ServeMetrics
 from ..serve.shards import Shard
@@ -163,9 +157,18 @@ class ClusterNode:
             await asyncio.sleep(delay)
             if self.state is NodeState.DOWN:
                 raise NodeDown(self.node_id)
+        return self.answer(keys, now() - t0)
+
+    def answer(self, keys: np.ndarray, elapsed: float = 0.0) -> np.ndarray:
+        """Answer a batch now: no health check, no service delay.
+
+        The router calls this directly for a node that is UP with zero
+        delay, which has nothing to wait for; *elapsed* is the latency
+        sample the node's metrics record.
+        """
         out = self.store.lookup(keys)
         n = int(keys.size)
-        self.metrics.latency.record(now() - t0, weight=n)
+        self.metrics.latency.record(elapsed, weight=n)
         self.metrics.n_queries += n
         self.metrics.n_found += int(np.count_nonzero(out))
         return out
@@ -187,17 +190,6 @@ class ClusterNode:
             raise ValueError("dilation factor must be >= 1")
         self.state = NodeState.DEGRADED
         self.dilation = factor
-
-    def apply_plan(self, plan: FaultPlan) -> None:
-        """Apply a :class:`~repro.fault.FaultPlan` to this node.
-
-        ``crash_pes`` kill the node; ``straggler_pes`` degrade it by
-        ``straggler_factor`` — node ids play the role of PE ids.
-        """
-        if self.node_id in plan.crash_pes:
-            self.kill()
-        elif self.node_id in plan.straggler_pes and plan.straggler_factor > 1.0:
-            self.degrade(plan.straggler_factor)
 
     # -- introspection -------------------------------------------------
 

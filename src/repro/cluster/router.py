@@ -1,28 +1,21 @@
 """Client-facing cluster router: replica selection, retries, hedging.
 
-The router is the piece that turns "RF copies of every key" into an
-availability and tail-latency win.  For each client batch it:
-
-1. **routes** — hashes the keys onto the ring and snapshots their
-   replica rows (one ``np.searchsorted`` + one row gather, the same
-   vectorised cost as :class:`~repro.serve.shards.ShardedStore`);
-2. **selects** — picks one live replica per key (a rotating preference
-   spreads load across replicas; nodes known to be DOWN are skipped
-   up front, the poor man's failure detector);
-3. **hedges** — if the chosen node has not answered within a hedge
-   delay derived from the p95 of per-node sub-request latency ("tail
-   at scale" style), fires the same lookup at each key's next distinct
-   live replica and takes whichever answer lands first;
-4. **retries** — a lookup that dies mid-flight (:class:`NodeDown`)
-   re-routes its keys to the surviving replicas; when *no* replica of
-   a key is currently live the router backs off exponentially and
-   re-probes (transient crashes restart), and only after exhausting
-   its retry budget raises the typed :class:`RangeUnavailable`.
-
-During a rebalance (:mod:`repro.cluster.rebalance`) the router serves
-from a *refined* routing table whose intervals flip from the old to
-the new replica set one handoff watermark at a time, so clients keep
-getting exact answers while key ranges stream between nodes.
+The router turns "RF copies of every key" into an availability and
+tail-latency win.  Each routing round of a client batch joins a queue
+flushed once per event-loop turn, which **routes** every queued key on
+its round's routing-table snapshot to one live replica (a rotating
+preference spreads load; nodes DOWN when the round was queued are
+skipped) and **batches** the keys into one lookup per node.  A node
+slower than the hedge delay (from the p95 of per-node sub-request
+latency, "tail at scale" style) is **hedged**: its keys are routed
+again without it and the first answer wins.  A lookup that dies
+mid-flight (:class:`NodeDown`) is **retried** on the surviving
+replicas; keys with no live replica back off and re-probe (crashes are
+transient) until the retry budget runs out, then the typed
+:class:`RangeUnavailable` is raised.  During a rebalance
+(:mod:`repro.cluster.rebalance`) intervals of the routing table flip
+to the new replica set one handoff watermark at a time, so answers
+stay exact while key ranges stream between nodes.
 """
 
 from __future__ import annotations
@@ -31,13 +24,12 @@ import asyncio
 
 import numpy as np
 
+from ..core.owner import by_owner
 from ..serve.clock import now
 from ..serve.metrics import LatencyHistogram
 from .metrics import ClusterMetrics
 from .node import ClusterNode, NodeDown, NodeState
-from .ring import HashRing
-
-_EMPTY_IDX = np.empty(0, dtype=np.intp)
+from .ring import HashRing, RoutingTable
 
 __all__ = ["RangeUnavailable", "ClusterRouter"]
 
@@ -71,6 +63,55 @@ class RangeUnavailable(RuntimeError):
         self.n_keys = n_keys
 
 
+class _Request:
+    """Keys awaiting node answers (a batch's routing round, or a hedge),
+    routed by ``route = (table, shift, live)``; ``failed`` gets the keys
+    whose node died or had no live replica, ``future`` the answers when
+    none is pending.  ``weight``: client requests it stands for."""
+
+    __slots__ = ("keys", "route", "weight", "pending", "failed", "future")
+
+    def __init__(self, keys: np.ndarray, route: tuple, weight: int = 1):
+        self.keys, self.route, self.weight = keys, route, weight
+        self.pending = int(keys.size)
+        self.failed: list[np.ndarray] = []
+        self.future = asyncio.get_running_loop().create_future()
+
+
+class _Flush:
+    """One loop turn's requests of one routing snapshot, concatenated:
+    request *i* holds slots ``starts[i]:starts[i + 1]`` of ``keys``,
+    ``shift`` and ``answers``."""
+
+    def __init__(self, requests: list[_Request]):
+        self.requests = requests
+        self.table, _, self.live = requests[0].route
+        self.keys = np.concatenate([r.keys for r in requests])
+        self.shift = np.concatenate([r.route[1] for r in requests])
+        self.starts = np.cumsum([0] + [r.keys.size for r in requests]).tolist()
+        self.answers = np.empty(self.keys.size, dtype=np.int64)
+
+    def parts(self, slots: np.ndarray):
+        """``(request, start, its slots)`` per request in ascending *slots*."""
+        cuts = np.searchsorted(slots, self.starts).tolist()
+        return [(r, start, slots[a:b]) for r, start, a, b in zip(
+            self.requests, self.starts, cuts, cuts[1:]) if a < b]
+
+    def settle(self, slots: np.ndarray, result) -> None:
+        """Record a node lookup's *result*: answers, or the exception raised."""
+        if not isinstance(result, Exception):
+            self.answers[slots] = result
+        for request, start, part in self.parts(slots):
+            future = request.future
+            if isinstance(result, NodeDown):
+                request.failed.append(part - start)
+            elif isinstance(result, Exception) and not future.done():
+                future.set_exception(result)
+            request.pending -= part.size
+            if not request.pending and not future.done():
+                future.set_result(self.answers[start:start + request.keys.size])
+
+
 class ClusterRouter:
     """Replica-aware query front end over a ring of cluster nodes.
 
@@ -93,21 +134,19 @@ class ClusterRouter:
         #: has no cache tier, so every record is charged to the store.
         self.recorder = recorder
         self._rr = 0              # rotating replica preference
-        self._inflight: set[int] = set()  # batch ids in flight (for quiesce)
-        self._next_batch = 0
-        # Hedge-delay estimator input: per-node sub-request latencies,
-        # each measured from its own dispatch.  Using whole-batch client
-        # latencies here would be a positive feedback loop — a hedge
-        # that fires after delay D and wins records ~D, ratcheting the
-        # delay up until hedging silently stops.  A slow primary whose
-        # hedge wins is *cancelled*, so straggler samples rarely land
-        # and the estimate tracks the healthy service time.
+        self._queue: dict = {}  # routing snapshot -> requests to flush
+        self._tasks: set[asyncio.Task] = set()  # lookups at delayed nodes
+        self._inflight: set[object] = set()  # batches in flight (quiesce)
+        self._chosen_for, self._chosen = None, {}  # _targets' memo
+        # Hedge-delay estimator input: per-node sub-request latencies from
+        # their own dispatch.  Whole-batch client latencies would feed
+        # back — a hedge that wins after delay D records ~D, ratcheting
+        # the delay up until hedging stops.  A primary beaten by its hedge
+        # is cancelled unrecorded, so the estimate tracks healthy nodes.
         self._hedge_hist = LatencyHistogram()
         self._rebalancing = False
         self._new_rows: np.ndarray | None = None
-        table = ring.table()
-        self._tokens = table.tokens
-        self._rows = table.rows.copy()
+        self._table = ring.table()
 
     # -- membership ----------------------------------------------------
 
@@ -131,34 +170,32 @@ class ClusterRouter:
         if self._rebalancing:
             raise RuntimeError("a rebalance is already in progress")
         self._rebalancing = True
-        self._tokens = tokens
-        self._rows = old_rows.copy()
+        self._table = RoutingTable(tokens, old_rows)
         self._new_rows = new_rows
 
     def flip_interval(self, index: int) -> None:
         """Pass the handoff watermark: interval *index* routes to the
-        new replica set from now on (its data is fully installed)."""
+        new replica set from now on (its data is fully installed).  Copy
+        on write: batches in flight keep the table they started with."""
         assert self._rebalancing and self._new_rows is not None
-        self._rows[index] = self._new_rows[index]
+        rows = self._table.rows.copy()
+        rows[index] = self._new_rows[index]
+        self._table = RoutingTable(self._table.tokens, rows)
 
     def finish_rebalance(self, new_ring: HashRing) -> None:
         """Adopt the new ring's compiled table as the routing truth."""
         self.ring = new_ring
-        table = new_ring.table()
-        self._tokens = table.tokens
-        self._rows = table.rows.copy()
+        self._table = new_ring.table()
         self._new_rows = None
         self._rebalancing = False
 
     async def quiesce(self) -> None:
         """Wait until every batch routed *before now* has finished.
 
-        The rebalancer calls this after flipping all watermarks and
-        before dropping moved ranges from their old owners: any lookup
-        still in flight was routed with the old rows and must find its
-        data where it was sent.  Only the batches in flight *when this
-        call starts* are waited on — later batches route under flipped
-        rows, so a steady query stream cannot starve the quiesce.
+        The rebalancer calls this between the last watermark flip and
+        the drops: a lookup in flight was routed by the old rows and must
+        find its data where it was sent.  Later batches route by flipped
+        rows and are not waited on, so a query stream cannot starve it.
         """
         waiting = set(self._inflight)
         while waiting & self._inflight:
@@ -168,24 +205,12 @@ class ClusterRouter:
 
     def hedge_delay(self) -> float:
         """Adaptive hedge trigger: multiplier x sub-request p95, clamped."""
-        hist = self._hedge_hist
-        if hist.n < HEDGE_WARMUP:
+        if self._hedge_hist.n < HEDGE_WARMUP:
             return HEDGE_INITIAL_DELAY
-        delay = hist.quantile(HEDGE_QUANTILE) * HEDGE_MULTIPLIER
+        delay = self._hedge_hist.quantile(HEDGE_QUANTILE) * HEDGE_MULTIPLIER
         return min(max(delay, HEDGE_MIN_DELAY), HEDGE_MAX_DELAY)
 
-    async def _timed_lookup(self, node_id: int, keys: np.ndarray) -> np.ndarray:
-        """A node lookup that feeds the hedge-delay estimator."""
-        t0 = now()
-        out = await self.nodes[node_id].lookup(keys)
-        self._hedge_hist.record(now() - t0)
-        return out
-
     # -- query path ----------------------------------------------------
-
-    def _down_ids(self) -> list[int]:
-        return [nid for nid, node in self.nodes.items()
-                if node.state is NodeState.DOWN]
 
     async def query_many(self, keys: np.ndarray) -> np.ndarray:
         """Answer a client batch of keys; returns counts (0 = absent).
@@ -200,19 +225,13 @@ class ClusterRouter:
         if self.recorder is not None:
             self.recorder.record_batch(keys, None)
         t0 = now()
-        positions = HashRing.positions(keys)
-        idx = np.searchsorted(self._tokens, positions, side="left") \
-            % self._tokens.size
-        # Snapshot the replica rows: watermark flips during our awaits
-        # must not re-route keys already dispatched under the old rows.
-        rows = self._rows[idx]
-        batch_id = self._next_batch
-        self._next_batch += 1
-        self._inflight.add(batch_id)
+        batch = object()
+        self._inflight.add(batch)
         try:
-            out = await self._route(keys, rows)
+            # flip_interval copies on write: this table is our snapshot.
+            out = await self._route(keys, self._table)
         finally:
-            self._inflight.discard(batch_id)
+            self._inflight.discard(batch)
         m = self.metrics.router
         m.latency.record(now() - t0, weight=n)
         m.n_queries += n
@@ -224,149 +243,136 @@ class ClusterRouter:
         return int((await self.query_many(
             np.array([key], dtype=np.uint64)))[0])
 
-    async def _route(self, keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Serve one batch: select, hedge, retry, fail over."""
-        rf = rows.shape[1]
+    async def _route(self, keys: np.ndarray,
+                     table: RoutingTable) -> np.ndarray:
+        """Serve one batch: queue a round, retry, fail over."""
         out = np.zeros(keys.size, dtype=np.int64)
         pending = np.arange(keys.size)
         rot = self._rr
         self._rr += 1
         backoff = BACKOFF_BASE
         for round_no in range(MAX_RETRY_ROUNDS):
-            # Per-key target: first live replica in rotated preference
-            # order (the rotation spreads steady-state load over all RF
-            # replicas of each range).
-            down = self._down_ids()
-            if not down:
-                # Every replica is live: the rotated-primary column IS
-                # the target, no per-replica liveness masking needed.
-                krows = rows if pending.size == keys.size else rows[pending]
-                target = krows[:, (rot + round_no) % rf]
-                sel, tgt = pending, target
-                stuck = _EMPTY_IDX
-            else:
-                krows = rows[pending]
-                target = np.full(pending.size, -1, dtype=np.int64)
-                for j in range(rf):
-                    col = krows[:, (rot + round_no + j) % rf]
-                    live = ~np.isin(col, down)
-                    target = np.where((target < 0) & live, col, target)
-                routable = target >= 0
-                stuck = pending[~routable]
-                sel = pending[routable]
-                tgt = target[routable]
-
-            failed: list[np.ndarray] = []
-            if sel.size:
-                # Distinct target nodes: a handful of small ints, so a
-                # python set beats np.unique's sort per batch.
-                uniq = sorted(set(tgt.tolist()))
-                # Fast path: every chosen node is UP with zero simulated
-                # delay.  Those lookups have no suspension points, so
-                # awaiting them inline (no tasks, no gather, no hedge
-                # timers) cannot be interrupted mid-flight — and a node
-                # that answers instantly has no tail worth hedging, so
-                # the hedge-delay estimator is skipped too.
-                if all(self.nodes[n].state is NodeState.UP
-                       and self.nodes[n].delay == 0.0 for n in uniq):
-                    for nid in uniq:
-                        gsel = sel[tgt == nid]
-                        out[gsel] = await self.nodes[nid].lookup(keys[gsel])
-                else:
-                    groups = []
-                    tasks = []
-                    for nid in uniq:
-                        gsel = sel[tgt == nid]
-                        groups.append(gsel)
-                        tasks.append(
-                            self._hedged(int(nid), keys[gsel], rows[gsel]))
-                    results = await asyncio.gather(*tasks,
-                                                   return_exceptions=True)
-                    for gsel, res in zip(groups, results):
-                        if isinstance(res, NodeDown):
-                            # Died mid-flight: re-route these keys.
-                            self.metrics.retries += 1
-                            failed.append(gsel)
-                        elif isinstance(res, BaseException):
-                            raise res
-                        else:
-                            out[gsel] = res
-            if stuck.size:
-                # No live replica right now — transient crashes restart,
-                # so this is worth an exponential-backoff re-probe.
-                self.metrics.retries += 1
-
-            if stuck.size or failed:
-                pending = np.concatenate([stuck, *failed]) if failed else stuck
-            else:
+            live = tuple(nid for nid, node in self.nodes.items()
+                         if node.state is not NodeState.DOWN)
+            shift = np.full(pending.size, rot + round_no)
+            request = _Request(keys[pending], (table, shift, live))
+            self._submit(request)
+            out[pending] = await request.future
+            # A retry per dead node, and one for keys with no live replica.
+            self.metrics.retries += len(request.failed)
+            if not request.failed:
                 return out
+            pending = pending[np.concatenate(request.failed)]
             if round_no + 1 < MAX_RETRY_ROUNDS:
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2.0, BACKOFF_MAX)
         self.metrics.failovers += 1
-        tried = tuple(sorted({int(x) for x in rows[pending].ravel()}))
-        raise RangeUnavailable(tried, int(pending.size))
+        rows = table.replicas_at(HashRing.positions(keys[pending]))
+        raise RangeUnavailable(tuple(np.unique(rows).tolist()), int(pending.size))
 
-    async def _hedged(self, node_id: int, keys: np.ndarray,
-                      rows: np.ndarray) -> np.ndarray:
-        """One node lookup, backed up by a hedge after the hedge delay."""
-        primary = asyncio.ensure_future(self._timed_lookup(node_id, keys))
-        if not self.hedging or rows.shape[1] < 2:
-            return await primary
-        done, _ = await asyncio.wait({primary}, timeout=self.hedge_delay())
-        if done:
-            return primary.result()  # fast path; may raise NodeDown
+    # -- the per-turn flush --------------------------------------------
 
-        # Primary is slow: pick each key's next distinct live replica.
-        down = self._down_ids()
-        alt = np.full(keys.size, -1, dtype=np.int64)
-        for j in range(rows.shape[1]):
-            col = rows[:, j]
-            ok = (col != node_id) & (alt < 0)
-            if down:
-                ok &= ~np.isin(col, down)
-            alt = np.where(ok, col, alt)
-        if (alt < 0).any():
-            # Some keys have no live alternate; hedging a subset would
-            # still have to wait for the primary — not worth it.
-            return await primary
-        self.metrics.hedges_fired += 1
-        hedge = asyncio.ensure_future(self._fanout(keys, alt))
+    def _submit(self, request: _Request) -> None:
+        """Queue *request* by routing snapshot; the first request in a
+        loop turn schedules the flush."""
+        if not self._queue:
+            asyncio.get_running_loop().call_soon(self._flush)
+        table, _, live = request.route
+        self._queue.setdefault((id(table), live), []).append(request)
+
+    def _targets(self, flush: _Flush) -> np.ndarray:
+        """Each key's first live replica in its row's preference order
+        rotated by its shift (-1: none), memoised per row and rotation."""
+        table, live = flush.table, flush.live
+        if table is not self._chosen_for:
+            self._chosen_for, self._chosen = table, {}
+        if live not in self._chosen:
+            rows, rf = table.rows, table.rf
+            up = np.zeros(max([int(rows.max()), *live]) + 1, dtype=bool)
+            up[list(live)] = True
+            # (rotation, rank, row) preference orders; argmax: the first live.
+            pref = rows.T[(np.arange(rf)[:, None] + np.arange(rf)) % rf]
+            ok = up[pref]
+            first = np.take_along_axis(pref, ok.argmax(1)[:, None], 1)[:, 0]
+            self._chosen[live] = np.where(ok.any(1), first, -1)
+        idx = table.row_index(HashRing.positions(flush.keys))
+        return self._chosen[live][flush.shift % table.rf, idx]
+
+    def _flush(self) -> None:
+        """Route this loop turn's requests; one lookup per node."""
+        queue, self._queue = self._queue, {}
+        for requests in queue.values():
+            flush = _Flush(requests)
+            # Owner 0 collects the keys with no live replica: they fail.
+            owners = self._targets(flush) + 1
+            for owner, keys, slots in by_owner(
+                    owners, max(flush.live, default=-1) + 2, flush.keys,
+                    np.arange(flush.keys.size)):
+                node = self.nodes.get(owner - 1)
+                if node is None:
+                    flush.settle(slots, NodeDown(-1))
+                elif node.state is NodeState.UP and node.delay == 0.0:
+                    # Cannot suspend, so nothing to hedge or fail: answer.
+                    try:
+                        result = node.answer(keys)
+                    except Exception as exc:
+                        result = exc
+                    flush.settle(slots, result)
+                else:
+                    task = asyncio.ensure_future(self._serve(node, keys, slots, flush))
+                    self._tasks.add(task)
+                    task.add_done_callback(self._tasks.discard)
+
+    async def _serve(self, node: ClusterNode, keys: np.ndarray,
+                     slots: np.ndarray, flush: _Flush) -> None:
+        """Settle *slots* by a hedged lookup at a node that can suspend."""
         try:
-            pending_t: set[asyncio.Task] = {primary, hedge}
-            finished: set[asyncio.Task] = set()
-            while pending_t:
-                done, pending_t = await asyncio.wait(
-                    pending_t, return_when=asyncio.FIRST_COMPLETED)
-                finished |= done
-                for task in done:
-                    if not task.cancelled() and task.exception() is None:
-                        if task is hedge:
-                            self.metrics.hedges_won += 1
-                        return task.result()
-            # Both sides failed; surface the primary's error (NodeDown
-            # sends the batch back through the retry loop).
-            raise primary.exception() or NodeDown(node_id)
-        finally:
-            for task in (primary, hedge):
-                if not task.done():
-                    task.cancel()
-                elif not task.cancelled():
-                    task.exception()  # consume the loser's error, if any
+            result = await self._hedged(node, keys, slots, flush)
+        except Exception as exc:  # NodeDown: the requests re-route
+            result = exc
+        flush.settle(slots, result)
 
-    async def _fanout(self, keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Look up each key at its per-key target node; align results."""
-        out = np.empty(keys.size, dtype=np.int64)
-        masks = []
-        tasks = []
-        for nid in np.unique(targets):
-            mask = targets == nid
-            masks.append(mask)
-            tasks.append(self._timed_lookup(int(nid), keys[mask]))
-        results = await asyncio.gather(*tasks)
-        for mask, res in zip(masks, results):
-            out[mask] = res
-        return out
+    async def _hedged(self, node: ClusterNode, keys: np.ndarray,
+                      slots: np.ndarray, flush: _Flush) -> np.ndarray:
+        """One node lookup, backed up by a hedge after the hedge delay."""
+        n_requests = sum(r.weight for r, _, _ in flush.parts(slots))
+
+        async def timed() -> np.ndarray:
+            # One estimator sample per client request the lookup serves.
+            t0 = now()
+            out = await node.lookup(keys)
+            self._hedge_hist.record(now() - t0, weight=n_requests)
+            return out
+
+        primary = asyncio.ensure_future(timed())
+        done, _ = await asyncio.wait(
+            {primary}, timeout=self.hedge_delay() if self.hedging else None)
+        if done:
+            return primary.result()  # may raise NodeDown
+        # Primary is slow: route the same keys again without it, to each
+        # key's next live replica.  If some key has none, the hedge would
+        # wait for the primary anyway: not worth it.
+        live = tuple(nid for nid in flush.live if nid != node.node_id)
+        hedge = _Request(keys, (flush.table, flush.shift[slots], live), n_requests)
+        if self._targets(_Flush([hedge])).min() < 0:
+            return await primary
+        self.metrics.hedges_fired += n_requests
+        self._submit(hedge)
+        try:
+            waiting = {primary, hedge.future}
+            while waiting:
+                done, waiting = await asyncio.wait(
+                    waiting, return_when=asyncio.FIRST_COMPLETED)
+                if primary in done and primary.exception() is None:
+                    return primary.result()
+                if hedge.future in done and not hedge.failed \
+                        and hedge.future.exception() is None:
+                    self.metrics.hedges_won += n_requests
+                    return hedge.future.result()
+            # Both failed: the primary's NodeDown sends the keys to a retry.
+            raise primary.exception()
+        finally:
+            primary.cancel()
 
     # -- introspection -------------------------------------------------
 

@@ -13,9 +13,7 @@ per-tenant merges go through it.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -263,12 +261,3 @@ class ServeMetrics:
                 },
             },
         }
-
-    def to_json(self, path: str | os.PathLike | None = None, **extra) -> str:
-        """Render the snapshot (plus *extra* top-level keys) as JSON."""
-        doc = {**extra, **self.snapshot()}
-        text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text

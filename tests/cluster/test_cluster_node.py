@@ -1,4 +1,4 @@
-"""Tests for cluster nodes: range stores, health states, fault hooks."""
+"""Tests for cluster nodes: range stores and health states."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.cluster.node import (
 )
 from repro.cluster.ring import HashRing
 from repro.core.serial import serial_count
-from repro.fault.models import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -103,20 +102,6 @@ class TestClusterNode:
         assert node.delay == pytest.approx(1e-3)
         with pytest.raises(ValueError):
             node.degrade(0.5)
-
-    def test_apply_fault_plan(self, db):
-        store = RangeStore(db.kmers, db.counts)
-        plan = FaultPlan(crash_pes=(1,), straggler_pes=(2,),
-                         straggler_factor=8.0)
-        states = {}
-        for nid in range(4):
-            node = ClusterNode(nid, store, service_time=1e-4)
-            node.apply_plan(plan)
-            states[nid] = node.state
-        assert states[0] is NodeState.UP
-        assert states[1] is NodeState.DOWN
-        assert states[2] is NodeState.DEGRADED
-        assert states[3] is NodeState.UP
 
 
 class TestBuildCluster:

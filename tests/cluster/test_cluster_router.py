@@ -130,6 +130,99 @@ class TestFailures:
         assert router.metrics.failovers == 0
 
 
+class TestBatching:
+    """One lookup per node per loop turn, whatever the node does."""
+
+    def test_one_lookup_per_node_per_turn(self, db, monkeypatch):
+        ring, nodes = make_cluster(db, n_nodes=4)
+        router = ClusterRouter(ring, nodes)
+        calls = []
+        answer = ClusterNode.answer
+
+        def counting(node, keys, elapsed=0.0):
+            calls.append(node.node_id)
+            return answer(node, keys, elapsed)
+
+        monkeypatch.setattr(ClusterNode, "answer", counting)
+        groups = key_groups(db.kmers[:512], 64)
+
+        async def go():
+            return await asyncio.gather(*map(router.query_many, groups))
+
+        assert np.array_equal(np.concatenate(run(go())), db.counts[:512])
+        assert len(groups) == 8
+        assert len(calls) == len(set(calls)) <= 4
+
+    def test_node_killed_between_queue_and_flush(self, db):
+        ring, nodes = make_cluster(db, n_nodes=4)
+        router = ClusterRouter(ring, nodes)
+        groups = key_groups(db.kmers[:512], 64)
+
+        async def go():
+            tasks = [asyncio.ensure_future(router.query_many(g))
+                     for g in groups]
+            # Runs after every group has queued its round, before the
+            # flush those rounds scheduled.
+            asyncio.get_running_loop().call_soon(nodes[0].kill)
+            return await asyncio.gather(*tasks)
+
+        assert np.array_equal(np.concatenate(run(go())), db.counts[:512])
+        assert router.metrics.retries >= 1
+
+    def test_mid_flight_kill_reroutes_every_group(self, db, monkeypatch):
+        """A delayed node holding keys of two groups in one lookup dies:
+        both groups re-route and answer exactly."""
+        ring, nodes = make_cluster(db, rf=2, service_time=2e-3)
+        router = ClusterRouter(ring, nodes, hedging=False)
+        lookups = []
+        lookup = ClusterNode.lookup
+
+        async def counting(node, keys):
+            lookups.append(node.node_id)
+            return await lookup(node, keys)
+
+        monkeypatch.setattr(ClusterNode, "lookup", counting)
+        groups = key_groups(db.kmers[:512], 256)
+
+        async def go():
+            tasks = [asyncio.ensure_future(router.query_many(g))
+                     for g in groups]
+            await asyncio.sleep(5e-4)
+            nodes[0].kill()
+            return await asyncio.gather(*tasks)
+
+        assert np.array_equal(np.concatenate(run_virtual(go())),
+                              db.counts[:512])
+        assert lookups.count(0) == 1
+        assert router.metrics.retries >= len(groups) == 2
+
+    def test_flip_never_mutates_a_table_in_flight(self, db):
+        """Retries of a batch in flight route by the table it started
+        with, even after every interval flipped to an empty joiner."""
+        ring, nodes = make_cluster(db, rf=2, service_time=2e-3)
+        router = ClusterRouter(ring, nodes, hedging=False)
+        router.add_node(ClusterNode(9, RangeStore.empty(), service_time=2e-3))
+        table = ring.table()
+        router.begin_rebalance(table.tokens, table.rows,
+                               np.full_like(table.rows, 9))
+        held = router._table
+        rows = held.rows.copy()
+
+        async def go():
+            task = asyncio.ensure_future(router.query_many(db.kmers[:512]))
+            await asyncio.sleep(5e-4)
+            for i in range(table.n_tokens):
+                router.flip_interval(i)
+            nodes[0].kill()
+            return await task
+
+        out = run_virtual(go())
+        assert router._table is not held
+        assert np.array_equal(held.rows, rows)
+        assert np.array_equal(out, db.counts[:512])
+        assert router.metrics.retries >= 1
+
+
 @pytest.fixture
 def fixed_hedge_delay(monkeypatch):
     """Hedge after a fixed 1 ms: the estimator never leaves warmup."""

@@ -112,13 +112,10 @@ class TestServeMetrics:
         m.rejected = 5
         assert m.rejected_qps == 0.0
 
-    def test_to_json_roundtrip(self, tmp_path):
-        path = tmp_path / "snap.json"
-        text = self._loaded().to_json(path, label="unit", seed=0)
-        doc = json.loads(path.read_text())
-        assert doc == json.loads(text)
-        assert doc["label"] == "unit"
-        assert doc["seed"] == 0
+    def test_snapshot_json_roundtrip(self):
+        snap = self._loaded().snapshot()
+        doc = json.loads(json.dumps(snap))
+        assert doc == snap
         assert doc["batching"]["mean_batch_size"] == pytest.approx(8.0)
 
     def test_zero_division_guards(self):
