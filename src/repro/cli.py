@@ -29,8 +29,8 @@ The verbs are the tools that produce or read an artefact:
   ``report`` the cross-PR trajectory in the versioned ledger, ``list``
   the targets and their parameters.
 
-A scenario (serve, cluster, tenant, chaos, dst sweep, lsm, ooc, trace,
-count) is not a verb: it is run as ``dakc xp run
+A scenario (serve, cluster, tenant, dst sweep, lsm, ooc, trace, count)
+is not a verb: it is run as ``dakc xp run
 benchmarks/xp/<scenario>.json [--quick] [--no-ledger] [--set key=value]``
 (``docs/XP.md``).
 """

@@ -46,16 +46,6 @@ from .router import ClusterRouter
 __all__ = ["run_cluster_bench"]
 
 
-def _best_of(runs: int, fn):
-    """Min-elapsed of *runs* calls; returns (best_elapsed, last_result)."""
-    best = float("inf")
-    result = None
-    for _ in range(runs):
-        elapsed, result = fn()
-        best = min(best, elapsed)
-    return best, result
-
-
 def _bench_overhead(counts: KmerCounts, groups: list[np.ndarray],
                     oracle: np.ndarray, *,
                     n_nodes: int, rf: int, vnodes: int, seed: int,
@@ -78,8 +68,14 @@ def _bench_overhead(counts: KmerCounts, groups: list[np.ndarray],
             ClusterRouter(ring, nodes), groups, concurrency=concurrency))
         return elapsed, out
 
-    t_engine, engine_out = _best_of(repeats, engine_run)
-    t_router, router_out = _best_of(repeats, router_run)
+    # Alternate the drives, best-of per side: a slow host window then
+    # lands on both sides instead of skewing one.
+    t_engine = t_router = float("inf")
+    for _ in range(repeats):
+        elapsed, engine_out = engine_run()
+        t_engine = min(t_engine, elapsed)
+        elapsed, router_out = router_run()
+        t_router = min(t_router, elapsed)
     n = int(oracle.size)
     return {
         "n_queries": n,

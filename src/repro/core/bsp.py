@@ -155,8 +155,8 @@ def bsp_count(
 
     ``superstep_hook(step, recv_plain, recv_pairs, stats)`` — when
     given — is invoked after every superstep's exchange has been
-    consumed; :mod:`repro.fault.checkpoint` uses it to snapshot the
-    accumulated per-PE receive state at BSP's natural phase boundaries.
+    consumed, with the accumulated per-PE receive state at BSP's
+    natural phase boundaries (the tests read the exchange through it).
     """
     check_k(k)
     config = config or BspConfig()

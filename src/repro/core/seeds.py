@@ -6,9 +6,9 @@ any component that *also* offsets internally collides with its
 neighbours.  NumPy's :class:`~numpy.random.SeedSequence` solves this
 properly — ``spawn()`` children are statistically independent no matter
 how the roots relate — so every place that needs "one user seed, many
-deterministic child RNGs" (``chaos-sweep`` plan seeds, the cluster
-bench's per-section streams, the :mod:`repro.dst` trajectory streams)
-derives them here.
+deterministic child RNGs" (the ``dst-sweep`` cost section's plan
+seeds, the cluster bench's per-section streams, the :mod:`repro.dst`
+trajectory streams) derives them here.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 FoundationDB-style testing discipline applied to the reproduction:
 every source of nondeterminism in a test run — RNG streams, conveyor
-drain order, actor mailbox and step order, fault plans, LSM crash
-points, cluster membership timing — is owned by one seeded
+drain order, actor mailbox and step order, fault plans (PE crashes
+included), LSM crash points, cluster membership timing — is owned by one seeded
 :class:`Simulation`, making ``seed -> trajectory`` a pure function.
 On top of that:
 
@@ -12,8 +12,9 @@ On top of that:
   drain/mailbox permutations crossed with fault plans, crash-point
   products and membership scripts;
 * :mod:`~repro.dst.invariants` — a pluggable registry of checkers
-  (serial-oracle multiset equality, packet conservation, monotone
-  acks, WAL-recovery exactness, cache staleness, ring ownership = RF);
+  (serial-oracle multiset equality, packet conservation, crash
+  recovery, no silent loss, monotone acks, WAL-recovery exactness,
+  cache staleness, ring ownership = RF, ...);
 * :mod:`~repro.dst.sim` — the :class:`Simulation` that runs one
   schedule through the runtime, LSM and cluster layers and digests the
   logical outcome;
@@ -27,7 +28,7 @@ On top of that:
 
 from .bundle import ReproBundle, load_bundle, replay_bundle, save_bundle
 from .invariants import Invariant, InvariantRegistry, Violation, default_registry
-from .runner import DstReport, dst_run, dst_sweep, format_dst_report
+from .runner import DstReport, dst_run, format_dst_report
 from .schedule import Schedule, ScheduleFuzzer
 from .shrink import shrink_failure
 from .sim import SimConfig, Simulation, Trajectory
@@ -49,6 +50,5 @@ __all__ = [
     "replay_bundle",
     "DstReport",
     "dst_run",
-    "dst_sweep",
     "format_dst_report",
 ]

@@ -14,11 +14,22 @@ prose, made executable:
 ``serial-multiset``
     Whenever the delivery contract promises exactness (reliability
     layer on, or a fault-free wire), the counted multiset equals the
-    serial oracle bit-for-bit.
+    serial oracle bit-for-bit.  The one error allowed is the
+    reliability layer giving up (``ReliabilityError``) on a faulty wire.
 ``packet-conservation``
-    Conveyor ledger balance: with reliable delivery (or no faults)
+    Conveyor ledger balance at the inter-phase barrier (read before
+    any crash wipes state): with reliable delivery (or no faults)
     every injected element is delivered exactly once; on a bare faulty
     wire ``delivered == injected - dropped + duplicated``.
+``crash-recovery``
+    A protected schedule that crashed PEs counts exactly, and each
+    crashed PE shows one crash and one checkpoint restore.
+``no-silent-loss``
+    On an unprotected faulty schedule, a run whose owners hold a
+    different occurrence weight than was generated (drops, duplicates,
+    crash-wiped state) raised ``DeliveryIntegrityError``.  Corrupted
+    values keep the weight, so a bare wire may miscount them silently:
+    the checksum that catches them belongs to the reliability layer.
 ``monotone-acks``
     The reliability layer's cumulative-ack windows never move
     backwards.
@@ -123,9 +134,18 @@ class InvariantRegistry:
 # -- the default catalogue --------------------------------------------
 
 
+def _loud_delivery_failure(ctx: dict) -> bool:
+    return (ctx.get("error") or "").startswith("DeliveryIntegrityError")
+
+
 def _serial_multiset(ctx: dict) -> str | None:
-    if ctx.get("error") is not None or not ctx.get("expects_exact", False):
+    if not ctx.get("expects_exact", False):
         return None
+    error = ctx.get("error")
+    if error is not None:
+        if error.startswith("ReliabilityError") and ctx.get("wire_faults"):
+            return None  # the protocol's loud give-up on a faulty wire
+        return f"exact delivery was promised, but: {error}"
     if ctx.get("counts_match", True):
         return None
     return ("counted multiset != serial oracle "
@@ -134,8 +154,8 @@ def _serial_multiset(ctx: dict) -> str | None:
 
 
 def _packet_conservation(ctx: dict) -> str | None:
-    if ctx.get("error") is not None:
-        return None  # the run already failed loudly; no ledger to balance
+    if ctx.get("error") is not None and not _loud_delivery_failure(ctx):
+        return None  # Phase 1 never finished: no ledger to balance
     injected = ctx.get("injected", 0)
     delivered = ctx.get("delivered", 0)
     if ctx.get("protect", True) or not ctx.get("faulty", False):
@@ -149,6 +169,36 @@ def _packet_conservation(ctx: dict) -> str | None:
     return (f"{label}: delivered {delivered} elements, expected {expected} "
             f"(injected {injected}, dropped {ctx.get('dropped', 0)}, "
             f"duplicated {ctx.get('duplicated', 0)})")
+
+
+def _crash_recovery(ctx: dict) -> str | None:
+    crashed = ctx.get("crash_pes", [])
+    if not crashed or not ctx.get("protect", True):
+        return None
+    error = ctx.get("error")
+    if error is not None and not _loud_delivery_failure(ctx):
+        return None  # the reliability layer gave up before the barrier
+    if error is not None:
+        return f"protected run lost crashed PEs {crashed}: {error}"
+    if not ctx.get("counts_match", True):
+        return (f"counted multiset != serial oracle after restoring PEs "
+                f"{crashed}")
+    crashes = sorted(ctx.get("crashed", []))
+    restores = sorted(ctx.get("restored", []))
+    if crashes == restores == crashed:
+        return None
+    return (f"PEs {crashed} should each crash and restore once; crashed "
+            f"{crashes}, restored {restores}")
+
+
+def _no_silent_loss(ctx: dict) -> str | None:
+    if ctx.get("protect", True) or not ctx.get("faulty", False):
+        return None
+    generated, weight = ctx.get("generated"), ctx.get("weight")
+    if generated is None or weight == generated or _loud_delivery_failure(ctx):
+        return None
+    return (f"bare wire left {weight} of {generated} k-mer occurrences at "
+            "their owners and the run did not raise DeliveryIntegrityError")
 
 
 def _monotone_acks(ctx: dict) -> str | None:
@@ -241,6 +291,8 @@ def default_registry() -> InvariantRegistry:
     registry.register(Invariant("packet-conservation", "runtime",
                                 _packet_conservation))
     registry.register(Invariant("monotone-acks", "runtime", _monotone_acks))
+    registry.register(Invariant("crash-recovery", "runtime", _crash_recovery))
+    registry.register(Invariant("no-silent-loss", "runtime", _no_silent_loss))
     registry.register(Invariant("wal-recovery", "lsm", _wal_recovery))
     registry.register(Invariant("cache-no-stale", "lsm", _cache_no_stale))
     registry.register(Invariant("ooc-exact", "ooc", _ooc_exact))

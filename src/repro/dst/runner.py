@@ -4,8 +4,8 @@
 from a root seed, run each through the :class:`Simulation`, verify the
 determinism contract on a sample of them (same schedule twice must
 digest identically), shrink every distinct failure and emit repro
-bundles.  :func:`dst_sweep` fans one budget across several root seeds
-— the cheap way to widen coverage without growing any one campaign.
+bundles.  The ``dst-sweep`` target runs one campaign per root seed —
+the cheap way to widen coverage without growing any one campaign.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .schedule import Schedule, ScheduleFuzzer
 from .shrink import shrink_failure
 from .sim import SimConfig, Simulation
 
-__all__ = ["DstReport", "dst_run", "dst_sweep", "format_dst_report"]
+__all__ = ["DstReport", "dst_run", "format_dst_report"]
 
 
 @dataclass(slots=True)
@@ -35,6 +35,8 @@ class DstReport:
     determinism_checked: int = 0
     determinism_ok: bool = True
     digests: dict[int, str] = field(default_factory=dict)
+    #: Schedules run per fault class (see :func:`_coverage`).
+    coverage: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -52,8 +54,21 @@ class DstReport:
             "bundles": [str(p) for p in self.bundles],
             "determinism_checked": self.determinism_checked,
             "determinism_ok": self.determinism_ok,
+            "coverage": self.coverage,
             "ok": self.ok,
         }
+
+
+def _coverage(schedule: Schedule) -> dict[str, bool]:
+    """Which fault classes one schedule exercises."""
+    plan = schedule.plan
+    crash = plan is not None and bool(plan.crash_pes)
+    return {
+        "protected_crash": crash and schedule.protect,
+        "unprotected_crash": crash and not schedule.protect,
+        "wire_faults": plan is not None and plan.has_wire_faults,
+        "unprotected": not schedule.protect,
+    }
 
 
 def dst_run(
@@ -89,6 +104,8 @@ def dst_run(
         trajectory = sim.run(schedule)
         report.schedules_run += 1
         report.digests[i] = trajectory.digest
+        for key, hit in _coverage(schedule).items():
+            report.coverage[key] = report.coverage.get(key, 0) + hit
         if determinism_every and i % determinism_every == 0:
             report.determinism_checked += 1
             if sim.run(schedule).digest != trajectory.digest:
@@ -110,22 +127,6 @@ def dst_run(
     return report
 
 
-def dst_sweep(
-    seeds: list[int],
-    *,
-    budget: int = 100,
-    config: SimConfig | None = None,
-    out_dir: str | Path | None = None,
-    **kwargs,
-) -> list[DstReport]:
-    """One campaign per root seed (independent schedule spaces)."""
-    return [
-        dst_run(budget=budget, seed=s, config=config, out_dir=out_dir,
-                **kwargs)
-        for s in seeds
-    ]
-
-
 def format_dst_report(report: DstReport) -> str:
     """Render one campaign as a text summary."""
     lines = [
@@ -134,6 +135,8 @@ def format_dst_report(report: DstReport) -> str:
         f"determinism: {report.determinism_checked} schedules replayed, "
         + ("digests identical" if report.determinism_ok
            else "DIGEST MISMATCH — simulation is not deterministic"),
+        "coverage: " + " ".join(f"{key}={n}"
+                                for key, n in report.coverage.items()),
     ]
     if not report.violations:
         lines.append("violations: none")

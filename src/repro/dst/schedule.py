@@ -16,7 +16,7 @@ schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class Schedule:
     #: the memory ceiling is hit, and the pass-2 bin counting order
     #: (None = the production largest-first / ascending policy).
     spill_seed: int | None = None
-    #: Wire/straggler fault plan (None = healthy fabric).
+    #: Wire/straggler/PE-crash fault plan (None = healthy fabric).
     plan: FaultPlan | None = None
     #: LSM crash point to arm, and on which traversal it fires.
     crash_point: str | None = None
@@ -274,6 +274,15 @@ class ScheduleFuzzer:
         if rng.random() < 0.4:
             scaler_cold = round(float(rng.uniform(10.0, 200.0)), 3)
             scaler_hot = round(scaler_cold * float(rng.uniform(2.0, 10.0)), 3)
+        # PE crashes at the inter-phase barrier are drawn last, for the
+        # same reason, and ride on the plan (a protected crash schedule
+        # restores from a checkpoint, a bare one must fail loudly).
+        if rng.random() < 0.25:
+            n_crash = int(rng.integers(1, max(2, self.n_pes // 2 + 1)))
+            crash_pes = tuple(sorted(int(p) for p in rng.choice(
+                self.n_pes, size=n_crash, replace=False)))
+            plan = replace(plan if plan is not None else FaultPlan(),
+                           crash_pes=crash_pes)
         return Schedule(
             seed=child,
             mode=mode,

@@ -3,7 +3,10 @@
 Runs a schedule through the five stateful layers of the stack —
 
 * **runtime**: ``dakc_count`` on the simulated machine under the
-  schedule's fault plan, wire ordering and actor interleaving;
+  schedule's fault plan (PE crashes included, restored from a
+  checkpoint when protected), wire ordering and actor interleaving —
+  through :func:`run_runtime`, which the ``dst-sweep`` target's cost
+  section uses too;
 * **lsm**: durable ingest of the same reads through an
   :class:`~repro.lsm.store.LsmStore` with the schedule's crash point
   armed, then a recovery reopen;
@@ -39,22 +42,26 @@ import numpy as np
 
 from ..cluster.script import run_membership_script
 from ..core.dakc import DakcConfig, DeliveryIntegrityError, dakc_count
-from ..core.result import probe_sorted
+from ..core.result import KmerCounts, probe_sorted
 from ..core.seeds import spawn_seeds
 from ..core.serial import serial_count
+from ..fault.checkpoint import CheckpointStore, apply_phase_crashes
 from ..fault.injector import FaultyConveyor
-from ..fault.reliability import ReliabilityError, ReliableConveyor
+from ..fault.reliability import (DEFAULT_MAX_ROUNDS, ReliabilityError,
+                                 ReliableConveyor)
 from ..lsm.crash import UNACKED_POINTS, CrashPoints, SimulatedCrash
 from ..lsm.store import LsmConfig, LsmStore
 from ..runtime.actor import ActorRuntime
 from ..runtime.conveyors import Conveyor
 from ..runtime.cost import CostModel
 from ..runtime.machine import laptop
+from ..runtime.stats import RunStats
 from ..serve.cache import HotKeyCache
 from .invariants import InvariantRegistry, Violation, default_registry
 from .schedule import Schedule
 
-__all__ = ["SimConfig", "Trajectory", "Simulation"]
+__all__ = ["RuntimeRun", "SimConfig", "Trajectory", "Simulation",
+           "run_runtime"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,6 +178,125 @@ class _AckTracingConveyor(ReliableConveyor):
                 self._high_base[flow] = window.base
 
 
+def _delivered_weight(conveyor: Conveyor) -> int:
+    """k-mer occurrences the owners hold (a HEAVY element stands for
+    its count) — computed here, not borrowed from DAKC's own check."""
+    weight = 0
+    for queue in conveyor.delivered:
+        for _, group in queue:
+            weight += (int(group.counts.sum()) if group.kind == "HEAVY"
+                       else group.kmers.size)
+    return weight
+
+
+@dataclass(slots=True)
+class RuntimeRun:
+    """One ``dakc_count`` under a schedule's wire, plan and checkpoint."""
+
+    counts: KmerCounts | None  # None when the run raised
+    stats: RunStats | None
+    error: str | None
+    conveyor: Conveyor
+    #: What the inter-phase hook saw (empty when Phase 1 raised): the
+    #: element ledger before any crash, the PEs crashed and restored,
+    #: and the occurrences generated vs. held after the crashes.
+    barrier: dict
+
+
+def run_runtime(schedule: Schedule, reads, k: int, cost: CostModel, *,
+                max_rounds: int = DEFAULT_MAX_ROUNDS,
+                checkpoint: bool = True) -> RuntimeRun:
+    """Run ``dakc_count`` once under *schedule*'s runtime fields: the
+    one place a :class:`~repro.fault.models.FaultPlan` meets the counter.
+
+    The conveyor is reliable (ack-tracing) whenever the schedule is
+    protected, faulty on a bare wire whose plan injects anything, plain
+    otherwise.  At the inter-phase barrier the hook reads the element
+    ledger, snapshots a protected crash schedule's delivered state
+    (``checkpoint``) and crashes the plan's PEs.  Delivery verification
+    is on, as in the product; *cost*'s dilation is cleared afterwards.
+    """
+    plan = schedule.plan
+    faulty = plan is not None and not plan.benign
+    store = (CheckpointStore(cost)
+             if checkpoint and schedule.protect and plan is not None
+             and plan.crash_pes else None)
+    holder: dict[str, Conveyor] = {}
+
+    def conveyor_factory(*args, **kwargs):
+        if schedule.protect:
+            conv = _AckTracingConveyor(*args, plan=plan,
+                                       max_rounds=max_rounds, **kwargs)
+        elif faulty:
+            conv = FaultyConveyor(*args, plan=plan, **kwargs)
+        else:
+            conv = Conveyor(*args, **kwargs)
+        if schedule.drain_seed is not None:
+            hook_rng = np.random.default_rng(schedule.drain_seed)
+            conv.order_hook = (
+                lambda arrival, seq, hop: float(hook_rng.random()))
+        holder["conveyor"] = conv
+        return conv
+
+    runtime_factory = None
+    if schedule.mode == "exact" and (schedule.step_seed is not None
+                                     or schedule.mailbox_seed is not None):
+        step_rng = np.random.default_rng(schedule.step_seed or 0)
+        box_rng = np.random.default_rng(schedule.mailbox_seed or 0)
+        step_order = None
+        if schedule.step_seed is not None:
+            def step_order(round_no, n_pes):
+                return [int(p) for p in step_rng.permutation(n_pes)]
+        mailbox_order = None
+        if schedule.mailbox_seed is not None:
+            def mailbox_order(pe, pending):
+                order = box_rng.permutation(len(pending))
+                return [pending[i] for i in order]
+
+        def runtime_factory(cost, stats, conveyor):
+            return ActorRuntime(cost, stats, conveyor,
+                                step_order=step_order,
+                                mailbox_order=mailbox_order)
+
+    barrier: dict = {}
+
+    def interphase_hook(conveyor, stats):
+        fs = getattr(conveyor, "fault_stats", None)
+        barrier.update(
+            injected=conveyor.injected_elements,
+            delivered=sum(conveyor.delivered_elements(pe)
+                          for pe in range(cost.n_pes)),
+            dropped=fs.dropped_elements if fs is not None else 0,
+            duplicated=fs.duplicated_elements if fs is not None else 0,
+        )
+        if store is not None:
+            store.snapshot_delivered(conveyor, stats)
+        if plan is not None:
+            apply_phase_crashes(plan, conveyor, stats, store)
+        barrier.update(
+            crashed=[pe for pe, s in enumerate(stats.pe)
+                     for _ in range(s.crashes)],
+            restored=list(store.restored) if store is not None else [],
+            generated=stats.total_kmers,
+            weight=_delivered_weight(conveyor),
+        )
+
+    counts = stats = error = None
+    try:
+        counts, stats = dakc_count(
+            reads, k, cost,
+            DakcConfig(protocol=schedule.protocol, mode=schedule.mode),
+            conveyor_factory=conveyor_factory,
+            runtime_factory=runtime_factory,
+            interphase_hook=interphase_hook,
+        )
+    except (DeliveryIntegrityError, ReliabilityError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    finally:
+        cost.set_dilation(None)
+    return RuntimeRun(counts, stats, error, holder["conveyor"], barrier)
+
+
 class Simulation:
     """Deterministic ``(schedule, reads) -> trajectory`` machine."""
 
@@ -196,92 +322,31 @@ class Simulation:
                      reference) -> tuple[dict, dict]:
         cfg = self.config
         cost = CostModel(laptop(nodes=cfg.nodes, cores=cfg.cores_per_node))
-        dakc_cfg = DakcConfig(protocol=schedule.protocol, mode=schedule.mode,
-                              verify_delivery=False)
+        run = run_runtime(schedule, reads, cfg.k, cost,
+                          max_rounds=cfg.max_rounds)
         plan = schedule.plan
-        faulty = plan is not None and not plan.benign
-        holder: dict[str, Conveyor] = {}
-
-        def conveyor_factory(*args, **kwargs):
-            if faulty and schedule.protect:
-                conv = _AckTracingConveyor(*args, plan=plan,
-                                           max_rounds=cfg.max_rounds, **kwargs)
-            elif faulty:
-                conv = FaultyConveyor(*args, plan=plan, **kwargs)
-            else:
-                conv = Conveyor(*args, **kwargs)
-            if schedule.drain_seed is not None:
-                hook_rng = np.random.default_rng(schedule.drain_seed)
-                conv.order_hook = (
-                    lambda arrival, seq, hop: float(hook_rng.random()))
-            holder["conveyor"] = conv
-            return conv
-
-        runtime_factory = None
-        if schedule.mode == "exact" and (schedule.step_seed is not None
-                                         or schedule.mailbox_seed is not None):
-            step_rng = np.random.default_rng(schedule.step_seed or 0)
-            box_rng = np.random.default_rng(schedule.mailbox_seed or 0)
-            step_order = None
-            if schedule.step_seed is not None:
-                def step_order(round_no, n_pes):
-                    return [int(p) for p in step_rng.permutation(n_pes)]
-            mailbox_order = None
-            if schedule.mailbox_seed is not None:
-                def mailbox_order(pe, pending):
-                    order = box_rng.permutation(len(pending))
-                    return [pending[i] for i in order]
-
-            def runtime_factory(cost, stats, conveyor):
-                return ActorRuntime(cost, stats, conveyor,
-                                    step_order=step_order,
-                                    mailbox_order=mailbox_order)
-
-        error = None
-        counts = None
-        sim_time = None
-        try:
-            counts, stats = dakc_count(
-                reads, cfg.k, cost, dakc_cfg,
-                conveyor_factory=conveyor_factory,
-                runtime_factory=runtime_factory,
-            )
-            sim_time = stats.sim_time
-        except (DeliveryIntegrityError, ReliabilityError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        finally:
-            cost.set_dilation(None)
-
-        conv = holder.get("conveyor")
-        delivered = (sum(conv.delivered_elements(pe)
-                         for pe in range(cost.n_pes))
-                     if conv is not None else 0)
-        fs = getattr(conv, "fault_stats", None)
+        counts, barrier = run.counts, run.barrier
         ctx = {
-            "error": error,
-            "expects_exact": schedule.protect or not faulty,
+            "error": run.error,
+            "expects_exact": schedule.protect or plan is None or plan.benign,
             "counts_match": None if counts is None else counts == reference,
             "n_distinct": None if counts is None else int(counts.n_distinct),
             "oracle_distinct": int(reference.n_distinct),
-            "injected": conv.injected_elements if conv is not None else 0,
-            "delivered": delivered,
-            "dropped": fs.dropped_elements if fs is not None else 0,
-            "duplicated": fs.duplicated_elements if fs is not None else 0,
             "protect": schedule.protect,
-            "faulty": faulty,
-            "ack_regressions": getattr(conv, "ack_regressions", 0),
+            "faulty": plan is not None and not plan.benign,
+            "wire_faults": plan is not None and plan.has_wire_faults,
+            "crash_pes": sorted(plan.crash_pes) if plan is not None else [],
+            "ack_regressions": getattr(run.conveyor, "ack_regressions", 0),
+            **barrier,
         }
         events = {
             "mode": schedule.mode,
             "protocol": schedule.protocol,
-            "error": error,
+            "error": run.error,
             "counts": None if counts is None else _counts_fingerprint(counts),
-            "sim_time": sim_time,
-            "injected": ctx["injected"],
-            "delivered": ctx["delivered"],
-            "dropped": ctx["dropped"],
-            "duplicated": ctx["duplicated"],
-            "checksum_failures": getattr(conv, "checksum_failures", 0),
+            "sim_time": None if counts is None else run.stats.sim_time,
+            **barrier,
+            "checksum_failures": getattr(run.conveyor, "checksum_failures", 0),
         }
         return ctx, events
 

@@ -5,11 +5,20 @@ This package drops that assumption and asks what it costs to earn it
 back: :class:`FaultyConveyor` makes the simulated wire lossy under a
 seeded :class:`FaultPlan`; :class:`ReliableConveyor` layers sequencing,
 checksums, dedup and ack/retransmit on top; :class:`CheckpointStore`
-adds phase-boundary snapshot/restart for transient PE crashes; and
-:func:`run_chaos` validates the whole stack against the serial oracle.
+adds phase-boundary snapshot/restart for transient PE crashes.
+:func:`repro.dst.sim.run_runtime` wires a plan into ``dakc_count`` and
+the DST invariants check the result against the serial oracle.
+
+The contract: protected (reliable wire, checkpoint on a crash), counts
+equal the serial oracle exactly.  Unprotected, DAKC's conservation
+check catches lost and duplicated k-mers (dropped or duplicated
+groups, crash-wiped state) with a
+:class:`~repro.core.dakc.DeliveryIntegrityError`, but not corrupted
+values: a flipped bit keeps the occurrence weight the check counts,
+so a bare wire can return wrong counts without an error.  The
+checksum that catches corruption belongs to the reliability layer.
 """
 
-from .chaos import ChaosOutcome, run_chaos
 from .checkpoint import CHECKPOINT_BW_FRACTION, CheckpointStore, apply_phase_crashes
 from .injector import FaultStats, FaultyConveyor
 from .models import Fate, FaultPlan
@@ -24,7 +33,6 @@ from .reliability import (
 __all__ = [
     "ACK_BYTES",
     "CHECKPOINT_BW_FRACTION",
-    "ChaosOutcome",
     "CheckpointStore",
     "DEFAULT_MAX_ROUNDS",
     "Fate",
@@ -35,5 +43,4 @@ __all__ = [
     "ReliableConveyor",
     "apply_phase_crashes",
     "group_checksum",
-    "run_chaos",
 ]

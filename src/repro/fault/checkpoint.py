@@ -2,10 +2,9 @@
 
 At DAKC's inter-phase barrier every PE's Phase-1 result — the delivered
 packet groups it will sort in Phase 2 — is the whole recoverable state
-of the computation.  :class:`CheckpointStore` snapshots that state (and
-the analogous accumulated receive arrays of the BSP baseline at its
-superstep boundaries), prices the snapshot traffic on the machine, and
-replays it into PEs that suffer a transient crash.
+of the computation.  :class:`CheckpointStore` snapshots that state,
+prices the snapshot traffic on the machine, and replays it into PEs
+that suffer a transient crash.
 
 Checkpoint I/O runs at :data:`CHECKPOINT_BW_FRACTION` of a PE's memory
 bandwidth — node-local NVMe or a burst buffer, not the DRAM stream.
@@ -24,7 +23,6 @@ from __future__ import annotations
 from ..runtime.conveyors import Conveyor
 from ..runtime.cost import CostModel
 from ..runtime.stats import RunStats
-from .injector import FaultyConveyor
 from .models import FaultPlan
 
 __all__ = ["CHECKPOINT_BW_FRACTION", "CheckpointStore", "apply_phase_crashes"]
@@ -43,17 +41,15 @@ class CheckpointStore:
         self.cost = cost
         self.bw_fraction = bw_fraction
         self.snapshots_taken = 0
-        self.restores = 0
+        #: PEs replayed from the snapshot, one entry per restore.
+        self.restored: list[int] = []
         self._delivered: list[list] | None = None
-        self._bsp: tuple[list[list], list[list]] | None = None
 
     def _charge(self, pe_stats, nbytes: int) -> float:
         """Charge checkpoint I/O of *nbytes* on one PE; returns the dt."""
         dt = self.cost._dilated(pe_stats, nbytes / (self.cost.pe_mem_bw * self.bw_fraction))
         pe_stats.advance(dt)
         return dt
-
-    # -- DAKC: conveyor delivered state -------------------------------
 
     def snapshot_delivered(self, conveyor: Conveyor, stats: RunStats) -> None:
         """Snapshot every PE's delivered groups (DAKC Phase-1 output)."""
@@ -76,36 +72,7 @@ class CheckpointStore:
             nbytes = sum(g.payload_bytes for _, g in self._delivered[pe])
             dt = self._charge(stats.pe[pe], nbytes)
             stats.recovery_time += dt
-            self.restores += 1
-
-    # -- BSP: accumulated receive arrays ------------------------------
-
-    def snapshot_bsp(self, recv_plain: list[list], recv_pairs: list[list],
-                     stats: RunStats) -> None:
-        """Snapshot the BSP receive state at a superstep boundary."""
-        plain = [list(arrs) for arrs in recv_plain]
-        pairs = [list(ps) for ps in recv_pairs]
-        for pe in range(len(plain)):
-            nbytes = sum(a.nbytes for a in plain[pe])
-            nbytes += sum(u.nbytes + c.nbytes for u, c in pairs[pe])
-            self._charge(stats.pe[pe], nbytes)
-        self._bsp = (plain, pairs)
-        self.snapshots_taken += 1
-
-    def restore_bsp(self, recv_plain: list[list], recv_pairs: list[list],
-                    pes: tuple[int, ...] | list[int], stats: RunStats) -> None:
-        """Replay the BSP snapshot into the (rebooted) *pes*."""
-        if self._bsp is None:
-            raise RuntimeError("no BSP checkpoint to restore from")
-        plain, pairs = self._bsp
-        for pe in pes:
-            recv_plain[pe][:] = plain[pe]
-            recv_pairs[pe][:] = pairs[pe]
-            nbytes = sum(a.nbytes for a in plain[pe])
-            nbytes += sum(u.nbytes + c.nbytes for u, c in pairs[pe])
-            dt = self._charge(stats.pe[pe], nbytes)
-            stats.recovery_time += dt
-            self.restores += 1
+            self.restored.append(pe)
 
 
 def apply_phase_crashes(
@@ -113,17 +80,16 @@ def apply_phase_crashes(
     conveyor: Conveyor,
     stats: RunStats,
     store: CheckpointStore | None = None,
-) -> tuple[int, ...]:
+) -> None:
     """Crash the plan's PEs at the phase boundary; restore if possible.
 
     A crashed PE loses its in-memory delivered groups and reboots after
     ``plan.crash_restart_time``.  With a *store* holding a snapshot the
     state is replayed and the run proceeds; without one the loss stands
-    and DAKC's conservation check will reject the counts.  Returns the
-    PEs crashed.
+    and DAKC's conservation check will reject the counts.
     """
     if not plan.crash_pes:
-        return ()
+        return
     n_pes = conveyor.cost.n_pes
     if any(pe >= n_pes for pe in plan.crash_pes):
         raise ValueError(
@@ -137,6 +103,3 @@ def apply_phase_crashes(
         stats.recovery_time += plan.crash_restart_time
     if store is not None:
         store.restore_delivered(conveyor, plan.crash_pes, stats)
-    if isinstance(conveyor, FaultyConveyor):
-        conveyor.fault_stats.crashed_pes = plan.crash_pes
-    return plan.crash_pes

@@ -34,21 +34,8 @@ class FaultStats:
     duplicated: int = 0
     corrupted: int = 0
     delayed: int = 0  # traversals with extra arrival delay/jitter
-    crashed_pes: tuple[int, ...] = ()
     dropped_elements: int = 0  # payload elements lost to drops
     duplicated_elements: int = 0  # extra payload elements created by dups
-
-    def summary(self) -> dict[str, int | list[int]]:
-        return {
-            "traversals": self.traversals,
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "corrupted": self.corrupted,
-            "delayed": self.delayed,
-            "dropped_elements": self.dropped_elements,
-            "duplicated_elements": self.duplicated_elements,
-            "crashed_pes": list(self.crashed_pes),
-        }
 
 
 def _corrupt_copy(group: PacketGroup, rng: np.random.Generator) -> PacketGroup:

@@ -16,7 +16,7 @@ can go wrong on the simulated machine:
 
 Plans are frozen and seeded: the same plan replayed over the same
 deterministic simulation produces the same fault sequence, which is
-what makes chaos regressions reproducible.
+what makes fault regressions reproducible.
 """
 
 from __future__ import annotations
@@ -164,19 +164,7 @@ class FaultPlan:
         )
 
     @classmethod
-    def sample(
-        cls,
-        rng: np.random.Generator,
-        *,
-        n_pes: int = 0,
-        max_drop: float = 0.05,
-        max_duplicate: float = 0.05,
-        max_delay: float = 0.2,
-        max_reorder: float = 0.3,
-        max_corrupt: float = 0.02,
-        straggler_frac: float = 0.25,
-        max_straggler_factor: float = 4.0,
-    ) -> "FaultPlan":
+    def sample(cls, rng: np.random.Generator, *, n_pes: int = 0) -> "FaultPlan":
         """Compose a random plan from an external RNG stream.
 
         The schedule fuzzer's plan generator: every field — including
@@ -184,30 +172,28 @@ class FaultPlan:
         is a pure function of the caller's seed stream and two fuzz
         campaigns with independent roots never share plans.  Each
         fault class is enabled with probability 1/2 and then drawn
-        uniformly up to its ``max_*`` bound; stragglers (when *n_pes*
-        is given) dilate a random minority of PEs.  Crash-at-barrier
-        faults are deliberately excluded: they require the checkpoint
-        harness (:func:`repro.fault.chaos.run_chaos`), not a bare
-        conveyor swap.
+        uniformly up to its bound (drop and duplicate 5%, delay 20%,
+        reorder 30%, corrupt 2%); in a quarter of plans (when *n_pes*
+        is given) a random minority of PEs straggle at 1.5-4x.
         """
         def draw(bound: float) -> float:
             return float(rng.uniform(0.0, bound)) if rng.random() < 0.5 else 0.0
 
         stragglers: tuple[int, ...] = ()
         factor = 1.0
-        if n_pes > 1 and rng.random() < straggler_frac:
+        if n_pes > 1 and rng.random() < 0.25:
             n_slow = int(rng.integers(1, max(2, n_pes // 2)))
             stragglers = tuple(
                 int(p) for p in rng.choice(n_pes, size=n_slow, replace=False)
             )
-            factor = float(rng.uniform(1.5, max_straggler_factor))
+            factor = float(rng.uniform(1.5, 4.0))
         return cls(
             seed=int(rng.integers(1 << 63)),
-            drop_prob=draw(max_drop),
-            duplicate_prob=draw(max_duplicate),
-            delay_prob=draw(max_delay),
-            reorder_prob=draw(max_reorder),
-            corrupt_prob=draw(max_corrupt),
+            drop_prob=draw(0.05),
+            duplicate_prob=draw(0.05),
+            delay_prob=draw(0.2),
+            reorder_prob=draw(0.3),
+            corrupt_prob=draw(0.02),
             straggler_pes=stragglers,
             straggler_factor=factor,
         )

@@ -96,19 +96,14 @@ class _DedupWindow:
 class ReliableConveyor(FaultyConveyor):
     """Faulty conveyor with sequencing, dedup, acks and retransmit."""
 
-    def __init__(
-        self,
-        *args,
-        rto: float | None = None,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-        **kwargs,
-    ) -> None:
+    def __init__(self, *args, max_rounds: int = DEFAULT_MAX_ROUNDS,
+                 **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        #: Retransmission timeout; default 50x the wire latency, a
-        #: comfortable margin over one round trip.
-        self.rto = rto if rto is not None else 50.0 * self.cost.machine.tau
+        #: Retransmission timeout: 50x the wire latency, a comfortable
+        #: margin over one round trip.
+        self.rto = 50.0 * self.cost.machine.tau
         self.max_rounds = max_rounds
         self._next_seq: dict[tuple[int, int], int] = {}
         #: Sent-but-unacked groups per flow: {(src, dst): {seq: group}}.

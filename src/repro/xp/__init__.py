@@ -11,7 +11,7 @@ makes the "measurably faster" discipline systematic:
   seeds, and an explicit warmup/repetition policy (JSON).
 * :mod:`repro.xp.targets` — the registry of runnable targets (one per
   product scenario: serve, LSM, out-of-core, cluster, tenant, trace,
-  chaos, DST, count; ``paper`` for the source paper's tables and
+  DST, count; ``paper`` for the source paper's tables and
   figures; plus a synthetic calibration target).
 * :mod:`repro.xp.runner`  — expands the grid, spawns collision-free
   child seeds via :mod:`repro.core.seeds`, runs warmups + repetitions,

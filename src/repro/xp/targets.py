@@ -9,8 +9,8 @@ better-direction, so the gate knows which way "worse" points) and
 boolean *checks* (correctness claims — a run whose checks fail is
 recorded but never usable as a baseline).
 
-The eight product scenarios (serve, lsm, ooc, cluster, tenant, trace,
-chaos, dst) are run and recorded only here: one target each, driven by
+The seven product scenarios (serve, lsm, ooc, cluster, tenant, trace,
+dst) are run and recorded only here: one target each, driven by
 one spec under ``benchmarks/xp/`` (``dakc xp run``, ``--set key=value``
 for a one-off) into the ledger.  Every acceptance claim
 of a scenario is a named check with its threshold as a literal beside
@@ -439,105 +439,90 @@ def _count_bench(p: dict) -> TargetOutcome:
 
 
 # ---------------------------------------------------------------------------
-# chaos: fault-injected distributed counting stays exact, and the
-# reliability layer is nearly free on a fault-free wire
-# ---------------------------------------------------------------------------
-
-_CHAOS_DEFAULTS = {
-    "dataset": "synthetic-24", "k": 31, "budget": 200_000,
-    "nodes": 8, "n_plans": 3, "protocol": "2D",
-    "drop_prob": 0.02, "duplicate_prob": 0.02, "corrupt_prob": 0.01,
-    "delay_prob": 0.0, "crash_pe": 3,
-    "straggler_pe": 0, "straggler_factor": 1.0,  # factor 1 = no straggler
-}
-
-
-def _chaos_sweep(p: dict) -> TargetOutcome:
-    from ..core.dakc import DakcConfig
-    from ..fault import FaultPlan
-    from ..fault.chaos import derive_plan_seeds, run_chaos
-    from ..runtime.cost import CostModel
-    from ..runtime.machine import phoenix_intel
-
-    w, oracle = _counted(p["dataset"], p["k"], p["budget"])
-    config = DakcConfig(protocol=p["protocol"])
-
-    def run(plan: FaultPlan, protect: bool):
-        return run_chaos(
-            w.reads, p["k"],
-            CostModel(phoenix_intel(p["nodes"]), cores_per_pe=24), plan,
-            config=config, protect=protect, reference=oracle)
-
-    benign = run(FaultPlan(seed=p["seed"]), protect=False)
-    protected_clean = run(FaultPlan(seed=p["seed"]), protect=True)
-    hostile = [
-        run(FaultPlan(seed=s, drop_prob=p["drop_prob"],
-                      duplicate_prob=p["duplicate_prob"],
-                      corrupt_prob=p["corrupt_prob"],
-                      delay_prob=p["delay_prob"],
-                      crash_pes=(p["crash_pe"],),
-                      straggler_pes=(p["straggler_pe"],),
-                      straggler_factor=p["straggler_factor"]),
-            protect=True)
-        for s in derive_plan_seeds(p["seed"], p["n_plans"])
-    ]
-
-    overhead = (protected_clean.sim_time / benign.sim_time
-                if benign.sim_time else float("inf"))
-    return TargetOutcome(
-        metrics={
-            "fault_free_overhead": overhead,
-            "retransmits": float(sum(o.retransmits for o in hostile)),
-            "mean_recovery_time": (
-                sum(o.recovery_time for o in hostile) / len(hostile)
-                if hostile else 0.0),
-        },
-        checks={
-            "benign_exact": benign.ok and benign.counts_match,
-            "protected_clean_exact":
-                protected_clean.ok and protected_clean.counts_match,
-            "clean_needed_no_recovery":
-                protected_clean.retransmits == 0
-                and protected_clean.recovery_time == 0.0,
-            "overhead_lt_10pct": overhead < 1.10,
-            "hostile_all_exact":
-                all(o.ok and o.counts_match for o in hostile),
-            "hostile_recovered":
-                all(o.recovery_time > 0.0 for o in hostile),
-            # Beyond the accounted recovery time (timeouts, reboot,
-            # restore), masking faults costs a small multiple of the
-            # clean kernel (retransmitted staging/PUT work).
-            "hostile_time_bounded": all(
-                o.sim_time < 10.0 * benign.sim_time + o.recovery_time
-                for o in hostile),
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
 # dst: deterministic-simulation fuzz campaign, cheap enough to run on
 # every change
 # ---------------------------------------------------------------------------
 
 _DST_DEFAULTS = {"budget": 60, "n_seeds": 2}
 
+#: The fault-tolerance cost section's fixed shape: DST's own universe
+#: is too small to price the reliability layer (the protected/bare
+#: ratio reads exactly 1.0 there), so it runs at a counting size.
+_COST_DATASET, _COST_K, _COST_BUDGET, _COST_NODES = (
+    "synthetic-24", 31, 200_000, 8)
+_COST_HOSTILE = {"drop_prob": 0.02, "duplicate_prob": 0.02,
+                 "corrupt_prob": 0.01, "crash_pes": (3,)}
+_COST_PLANS = 3
+
+
+def _fault_costs(seed: int) -> tuple[dict, dict]:
+    """What the reliability layer and checkpoint restart cost, in
+    simulated time: a clean plan bare and protected, then
+    ``_COST_PLANS`` hostile plans (seeded from *seed*) protected —
+    all through DST's :func:`~repro.dst.sim.run_runtime`."""
+    from ..core.seeds import spawn_seeds
+    from ..dst.schedule import Schedule
+    from ..dst.sim import run_runtime
+    from ..fault import FaultPlan
+    from ..runtime.cost import CostModel
+    from ..runtime.machine import phoenix_intel
+
+    w, oracle = _counted(_COST_DATASET, _COST_K, _COST_BUDGET)
+
+    def run(plan: FaultPlan, protect: bool):
+        cost = CostModel(phoenix_intel(_COST_NODES), cores_per_pe=24)
+        return run_runtime(Schedule(protocol="2D", protect=protect, plan=plan),
+                           w.reads, _COST_K, cost)
+
+    bare = run(FaultPlan(seed=seed), protect=False)
+    clean = run(FaultPlan(seed=seed), protect=True)
+    hostile = [run(FaultPlan(seed=s, **_COST_HOSTILE), protect=True)
+               for s in spawn_seeds(seed, _COST_PLANS)]
+    if not all(r.error is None and r.counts == oracle
+               for r in (bare, clean, *hostile)):
+        return {}, {"cost_runs_exact": False}  # no cost without exact counts
+    overhead = clean.stats.sim_time / bare.stats.sim_time
+    metrics = {
+        "fault_free_overhead": overhead,
+        "retransmits": float(sum(r.stats.total("retransmits")
+                                 for r in hostile)),
+        "mean_recovery_time":
+            sum(r.stats.recovery_time for r in hostile) / len(hostile),
+    }
+    checks = {
+        "cost_runs_exact": True,
+        "overhead_lt_10pct": overhead < 1.10,
+        "clean_needed_no_recovery":
+            clean.stats.total("retransmits") == 0
+            and clean.stats.recovery_time == 0.0,
+        # Beyond the accounted recovery time (timeouts, reboot,
+        # restore), masking faults costs a small multiple of the
+        # clean kernel (retransmitted staging/PUT work).
+        "hostile_time_bounded": all(
+            r.stats.sim_time < 10.0 * bare.stats.sim_time
+            + r.stats.recovery_time for r in hostile),
+    }
+    return metrics, checks
+
 
 def _dst_sweep(p: dict) -> TargetOutcome:
     from ..core.seeds import spawn_seeds
-    from ..dst.runner import dst_sweep
+    from ..dst.runner import dst_run
 
     seeds = spawn_seeds(p["seed"], p["n_seeds"])
     replay_every = 10  # schedules 0, 10, 20, ... run twice, digests compared
     t0 = time.perf_counter()
-    reports = dst_sweep(seeds, budget=p["budget"], shrink=False,
-                        determinism_every=replay_every)
+    reports = [dst_run(budget=p["budget"], seed=s, shrink=False,
+                       determinism_every=replay_every) for s in seeds]
     elapsed = time.perf_counter() - t0
     schedules = sum(r.schedules_run for r in reports)
+    cost_metrics, cost_checks = _fault_costs(p["seed"])
     return TargetOutcome(
         metrics={
             "schedules_per_s": schedules / elapsed if elapsed else 0.0,
             "schedules_run": float(schedules),
             "violations": float(sum(len(r.violations) for r in reports)),
+            **cost_metrics,
         },
         checks={
             "no_violations": all(not r.violations for r in reports),
@@ -550,7 +535,11 @@ def _dst_sweep(p: dict) -> TargetOutcome:
             "digests_distinct": all(
                 len(set(r.digests.values())) == p["budget"]
                 for r in reports),
+            "crashes_covered": all(
+                sum(r.coverage[key] for r in reports) > 0
+                for key in ("protected_crash", "unprotected_crash")),
             "throughput_gt_10_per_s": schedules > 10.0 * elapsed,
+            **cost_checks,
         },
     )
 
@@ -794,19 +783,13 @@ TARGETS: dict[str, XpTarget] = {
             _COUNT_DEFAULTS.copy,
         ),
         XpTarget(
-            "chaos-sweep", _chaos_sweep,
-            {"fault_free_overhead": "lower", "retransmits": "lower",
-             "mean_recovery_time": "lower"},
-            "fault-injected distributed counting stays exact under "
-            "drop/dup/corrupt/delay/crash/straggler plans",
-            _CHAOS_DEFAULTS.copy,
-        ),
-        XpTarget(
             "dst-sweep", _dst_sweep,
             {"schedules_per_s": "higher", "schedules_run": "higher",
-             "violations": "lower"},
+             "violations": "lower", "fault_free_overhead": "lower",
+             "retransmits": "lower", "mean_recovery_time": "lower"},
             "deterministic-simulation fuzz campaign over the invariant "
-            "registry",
+            "registry (PE crashes included), plus what fault tolerance "
+            "costs at a counting size",
             _DST_DEFAULTS.copy,
         ),
         XpTarget(

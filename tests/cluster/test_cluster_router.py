@@ -301,3 +301,29 @@ class TestMembership:
         assert doc["ring"]["rf"] == 2
         assert not doc["rebalancing"]
         assert set(doc["nodes"]) == {"0", "1", "2", "3"}
+
+
+class TestOverheadBench:
+    def test_engine_and_router_drives_alternate(self, db, monkeypatch):
+        """A slow host window over one run of drives must not land on
+        one side only: the bench interleaves engine and router drives
+        and keeps the best of each."""
+        from repro.cluster import bench as bench_mod
+        from repro.serve.engine import QueryEngine
+
+        keys = db.kmers[:64]
+        oracle = probe_sorted(db.kmers, db.counts, keys)
+        order = []
+
+        async def fake_drive(target, groups, **kwargs):
+            side = "engine" if isinstance(target, QueryEngine) else "router"
+            order.append(side)
+            return oracle, 1.0 + len(order)
+
+        monkeypatch.setattr(bench_mod, "drive_load", fake_drive)
+        doc = bench_mod._bench_overhead(
+            db, [keys], oracle, n_nodes=4, rf=2, vnodes=8, seed=0,
+            concurrency=1, repeats=3)
+        assert order == ["engine", "router"] * 3
+        assert doc["answers_match"]
+        assert doc["engine_seconds"] == 2.0 and doc["router_seconds"] == 3.0

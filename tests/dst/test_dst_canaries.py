@@ -4,7 +4,8 @@ Each test monkeypatches one real bug into a different layer — a
 conveyor that silently discards a PE's flushes, a ring whose
 replica rows lose a distinct owner, a WAL that acknowledges appends
 without writing the record, a record iterator that hands out torn
-payloads — and asserts the default invariant registry flags it within
+payloads, a checkpoint that never restores a crashed PE, a
+conservation check that checks nothing — and asserts the default invariant registry flags it within
 a small schedule budget.  The companion test pins the other direction:
 on unmutated code the same budget is violation-free.  Together they
 are the evidence the harness has teeth and the invariants are not
@@ -16,21 +17,32 @@ from __future__ import annotations
 from unittest.mock import patch
 
 from repro.cluster.ring import HashRing
+from repro.core import dakc
 from repro.dst.schedule import ScheduleFuzzer
 from repro.dst.sim import Simulation
+from repro.fault.checkpoint import CheckpointStore
 from repro.fileio import Framing
 from repro.lsm.wal import WriteAheadLog, as_read_list
 from repro.runtime.conveyors import Conveyor, _HopBuffer
 
 
-def _hunt(budget: int):
-    """First violating (index, trajectory) under the seed-0 campaign."""
+def _hunt(budget: int, start: int = 0):
+    """First violating (index, trajectory) under the seed-0 campaign,
+    hunting from schedule *start*."""
     sim = Simulation()
-    for i, schedule in enumerate(ScheduleFuzzer(seed=0).schedules(budget)):
-        t = sim.run(schedule)
+    fuzzer = ScheduleFuzzer(seed=0)
+    for i in range(start, budget):
+        t = sim.run(fuzzer.schedule(i))
         if t.violations:
             return i, t
     return None, None
+
+
+def _first_crash(protect: bool, budget: int = 200) -> int:
+    """Index of the campaign's first crash schedule at *protect*."""
+    return next(
+        i for i, s in enumerate(ScheduleFuzzer(seed=0).schedules(budget))
+        if s.protect == protect and s.plan is not None and s.plan.crash_pes)
 
 
 def test_clean_head_is_violation_free():
@@ -121,3 +133,26 @@ def test_canary_torn_record_handed_out_is_caught():
     assert index is not None
     assert trajectory.schedule.crash_point == "wal.mid_append"
     assert any(v.invariant == "wal-recovery" for v in trajectory.violations)
+
+
+def test_canary_checkpoint_restore_skipped_is_caught():
+    """Bug: a crashed PE reboots but its snapshot is never replayed."""
+
+    def no_restore(self, conveyor, pes, stats):
+        return None
+
+    with patch.object(CheckpointStore, "restore_delivered", no_restore):
+        index, trajectory = _hunt(200, start=_first_crash(protect=True))
+    assert index is not None
+    names = {v.invariant for v in trajectory.violations}
+    assert names & {"crash-recovery", "serial-multiset"}
+
+
+def test_canary_conservation_check_skipped_is_caught():
+    """Bug: DAKC's delivery conservation check passes everything, so a
+    bare wire that lost k-mers returns short counts without an error."""
+    with patch.object(dakc, "_verify_conservation", lambda stats, conv: None):
+        index, trajectory = _hunt(200, start=_first_crash(protect=False))
+    assert index is not None
+    assert any(v.invariant == "no-silent-loss"
+               for v in trajectory.violations)

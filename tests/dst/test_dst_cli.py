@@ -24,7 +24,8 @@ def test_dst_run_smoke(capsys, tmp_path):
 
 
 def test_dst_sweep_smoke(run_scenario):
-    """One campaign per root seed is `dakc xp run benchmarks/xp/dst.json`."""
+    """One campaign per root seed is `dakc xp run benchmarks/xp/dst.json`;
+    its fault-cost section is checked in tests/test_cli_chaos.py."""
     run = run_scenario("dst", "n_seeds=2", "budget=2")
     assert run.cell["metrics"]["schedules_run"] == [4.0]
     assert run.cell["metrics"]["violations"] == [0.0]

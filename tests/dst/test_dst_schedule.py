@@ -92,3 +92,5 @@ class TestScheduleFuzzer:
         assert any(s.mailbox_seed is not None or s.step_seed is not None
                    for s in schedules)
         assert any(s.spill_seed is not None for s in schedules)
+        crashes = [s for s in schedules if s.plan is not None and s.plan.crash_pes]
+        assert {s.protect for s in crashes} == {True, False}

@@ -1,18 +1,19 @@
-"""Tests for repro.fault.checkpoint and the chaos harness."""
+"""Tests for repro.fault.checkpoint and the fault wiring DST runs.
+
+The crash and protection matrix runs through
+:func:`repro.dst.sim.run_runtime`, the one function that wires a
+:class:`FaultPlan` into ``dakc_count``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.bsp import BspConfig, bsp_count
-from repro.core.dakc import DakcConfig
 from repro.core.serial import serial_count
-from repro.fault import (
-    CheckpointStore,
-    FaultPlan,
-    run_chaos,
-)
+from repro.dst.schedule import Schedule
+from repro.dst.sim import run_runtime
+from repro.fault import CheckpointStore, FaultPlan
 from repro.runtime.conveyors import Conveyor, PacketGroup
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import laptop
@@ -45,7 +46,7 @@ class TestCheckpointStore:
         conv.delivered[3].clear()
         store.restore_delivered(conv, (1, 3), stats)
         assert [list(q) for q in conv.delivered] == before
-        assert store.snapshots_taken == 1 and store.restores == 2
+        assert store.snapshots_taken == 1 and store.restored == [1, 3]
 
     def test_snapshot_charges_pe_clocks(self):
         conv, cost, stats = self._loaded_conveyor()
@@ -72,102 +73,85 @@ class TestCheckpointStore:
             CheckpointStore(cost, bw_fraction=0.0)
 
 
+def run(reads, plan, *, protocol="1D", protect=True, checkpoint=True):
+    cost = CostModel(laptop(nodes=2, cores=3))
+    schedule = Schedule(protocol=protocol, protect=protect, plan=plan)
+    return run_runtime(schedule, reads, 15, cost, checkpoint=checkpoint)
+
+
+def exact(out, reads) -> bool:
+    return out.error is None and out.counts == serial_count(reads, 15)
+
+
+DATASETS = pytest.mark.parametrize("dataset,protocol", [
+    ("small_reads", "1D"),
+    ("heavy_reads", "2D"),
+    ("small_reads", "3D"),
+])
+
+
 class TestCrashRecovery:
     """The acceptance matrix: a lossy wire plus a transient PE crash,
     across three dataset/topology combinations — protected runs equal
     the serial oracle exactly, unprotected runs are rejected."""
 
-    PLAN = dict(drop_prob=0.02, duplicate_prob=0.01, crash_pes=(1,))
+    PLAN = FaultPlan(seed=11, drop_prob=0.02, duplicate_prob=0.01,
+                     crash_pes=(1,))
 
-    @pytest.mark.parametrize("dataset,protocol", [
-        ("small_reads", "1D"),
-        ("heavy_reads", "2D"),
-        ("small_reads", "3D"),
-    ])
+    @DATASETS
     def test_protected_counts_exact(self, request, dataset, protocol):
         reads = request.getfixturevalue(dataset)
-        cost = CostModel(laptop(nodes=2, cores=3))
-        plan = FaultPlan(seed=11, **self.PLAN)
-        out = run_chaos(reads, 15, cost, plan,
-                        config=DakcConfig(protocol=protocol))
-        assert out.ok and out.counts_match
-        assert out.recovery_time > 0.0
-        assert out.fault_summary["crashed_pes"] == [1]
+        out = run(reads, self.PLAN, protocol=protocol)
+        assert exact(out, reads)
+        assert out.stats.recovery_time > 0.0
+        assert out.barrier["crashed"] == out.barrier["restored"] == [1]
 
-    @pytest.mark.parametrize("dataset,protocol", [
-        ("small_reads", "1D"),
-        ("heavy_reads", "2D"),
-        ("small_reads", "3D"),
-    ])
+    @DATASETS
     def test_unprotected_run_rejected(self, request, dataset, protocol):
         reads = request.getfixturevalue(dataset)
-        cost = CostModel(laptop(nodes=2, cores=3))
-        plan = FaultPlan(seed=11, **self.PLAN)
-        out = run_chaos(reads, 15, cost, plan,
-                        config=DakcConfig(protocol=protocol), protect=False)
-        assert not out.ok
-        assert "DeliveryIntegrityError" in out.error
-        assert out.passed  # detection is the unprotected contract
+        out = run(reads, self.PLAN, protocol=protocol, protect=False)
+        assert out.counts is None
+        assert out.error.startswith("DeliveryIntegrityError")
+        assert out.barrier["crashed"] == [1] and out.barrier["restored"] == []
 
     def test_crash_without_checkpoint_is_fatal(self, small_reads):
         """Reliable delivery alone cannot survive a crash — the PE's
         already-acknowledged state is gone; only a checkpoint saves it."""
-        cost = CostModel(laptop(nodes=2, cores=3))
-        plan = FaultPlan(seed=1, crash_pes=(1,))
-        out = run_chaos(small_reads, 15, cost, plan, checkpoint=False)
-        assert not out.ok
-        assert "DeliveryIntegrityError" in out.error
+        out = run(small_reads, FaultPlan(seed=1, crash_pes=(1,)),
+                  checkpoint=False)
+        assert out.counts is None
+        assert out.error.startswith("DeliveryIntegrityError")
 
     def test_crashed_pe_counted(self, small_reads):
-        cost = CostModel(laptop(nodes=2, cores=3))
-        out = run_chaos(small_reads, 15, cost, FaultPlan(crash_pes=(2,)))
-        assert out.ok and out.counts_match
-
-
-class TestBspCheckpoint:
-    def test_superstep_snapshot_restores_crashed_pe(self, small_reads):
-        """BSP's natural boundary: snapshot each superstep, wipe one
-        PE's receive state mid-run, restore, and the final counts are
-        still exact."""
-        ref = serial_count(small_reads, 15)
-        cost = CostModel(laptop(nodes=2, cores=3))
-        store = CheckpointStore(cost)
-        wiped = {"done": False}
-
-        def hook(step, recv_plain, recv_pairs, stats):
-            store.snapshot_bsp(recv_plain, recv_pairs, stats)
-            if not wiped["done"]:
-                recv_plain[1].clear()
-                recv_pairs[1].clear()
-                store.restore_bsp(recv_plain, recv_pairs, (1,), stats)
-                wiped["done"] = True
-
-        counts, stats = bsp_count(small_reads, 15, cost,
-                                  BspConfig(batch_size=2_000),
-                                  superstep_hook=hook)
-        assert counts == ref
-        assert wiped["done"]
-        assert store.snapshots_taken > 1
-        assert stats.recovery_time > 0.0
-
-    def test_restore_bsp_without_snapshot_raises(self):
-        cost = CostModel(laptop(nodes=1, cores=2))
-        stats = RunStats(n_pes=2)
-        with pytest.raises(RuntimeError, match="no BSP checkpoint"):
-            CheckpointStore(cost).restore_bsp([[], []], [[], []], (0,), stats)
+        out = run(small_reads, FaultPlan(crash_pes=(2,)))
+        assert exact(out, small_reads)
+        assert out.stats.pe[2].crashes == 1
 
 
 class TestChaosContract:
     def test_each_protection_level_upholds_its_contract(self, small_reads):
         """Fault-free and lossy plans protected, the lossy plan bare:
-        exact, exact, and rejected loudly — never silently wrong."""
-        cost = CostModel(laptop(nodes=2, cores=3))
+        exact, exact, and rejected loudly."""
         lossy = FaultPlan(seed=1, drop_prob=0.02, duplicate_prob=0.01)
         clean, protected, bare = (
-            run_chaos(small_reads, 15, cost, plan, protect=protect)
+            run(small_reads, plan, protect=protect)
             for plan, protect in ((FaultPlan(seed=0), True), (lossy, True),
                                   (lossy, False)))
-        assert clean.passed and protected.passed and bare.passed
-        assert clean.counts_match and protected.counts_match
-        assert protected.retransmits > 0 and clean.retransmits == 0
-        assert not bare.ok and bare.error.startswith("DeliveryIntegrityError")
+        assert exact(clean, small_reads) and exact(protected, small_reads)
+        assert protected.stats.total("retransmits") > 0
+        assert clean.stats.total("retransmits") == 0
+        assert bare.error.startswith("DeliveryIntegrityError")
+
+    def test_bare_wire_misses_corruption_reliable_wire_catches_it(
+            self, small_reads):
+        """The boundary of the unprotected contract: a flipped bit keeps
+        the occurrence weight the conservation check counts, so the bare
+        run returns wrong counts without an error; the reliability
+        layer's checksum discards and resends the group."""
+        plan = FaultPlan(seed=0, corrupt_prob=0.05)
+        bare = run(small_reads, plan, protect=False)
+        assert bare.error is None and bare.conveyor.fault_stats.corrupted
+        assert bare.counts != serial_count(small_reads, 15)
+        protected = run(small_reads, plan)
+        assert exact(protected, small_reads)
+        assert protected.conveyor.checksum_failures > 0

@@ -1,43 +1,72 @@
-"""The chaos scenario, run as `dakc xp run benchmarks/xp/chaos.json`."""
+"""The fault-tolerance campaign that was the chaos scenario.
+
+Its clean/hostile cost runs are the fault-cost section of
+`dakc xp run benchmarks/xp/dst.json`; the plan fields that section
+leaves at zero (stragglers, delays) reach the counter through DST's
+wiring, :func:`repro.dst.sim.run_runtime`.
+"""
 
 from __future__ import annotations
 
-SMALL = ["dataset=synthetic-20", "k=17", "nodes=2", "n_plans=1", "crash_pe=1"]
+import numpy as np
+import pytest
+
+from repro.core.serial import serial_count
+from repro.dst.schedule import Schedule
+from repro.dst.sim import run_runtime
+from repro.fault import FaultPlan
+from repro.runtime.cost import CostModel
+from repro.runtime.machine import laptop
+
+COST_CHECKS = ["cost_runs_exact", "overhead_lt_10pct",
+               "clean_needed_no_recovery", "hostile_time_bounded"]
 
 
 class TestChaosCommand:
     def test_chaos_campaign_passes(self, run_scenario):
-        run = run_scenario("chaos", *SMALL, "budget=30000", "drop_prob=0.02",
-                           seed=5)
-        assert run.rc == 0
-        assert "status: ok" in run.out
-        assert run.cell["checks"] == dict.fromkeys(
-            ["benign_exact", "protected_clean_exact",
-             "clean_needed_no_recovery", "overhead_lt_10pct",
-             "hostile_all_exact", "hostile_recovered",
-             "hostile_time_bounded"], True)
-        assert run.cell["metrics"]["retransmits"][0] > 0
+        run = run_scenario("dst", "n_seeds=1", "budget=1", seed=5)
+        assert run.cell is not None
+        checks = run.cell["checks"]
+        assert {name: checks[name] for name in COST_CHECKS} == dict.fromkeys(
+            COST_CHECKS, True)
+        metrics = run.cell["metrics"]
+        assert metrics["retransmits"][0] > 0
+        assert metrics["mean_recovery_time"][0] > 0
+        assert 1.0 <= metrics["fault_free_overhead"][0] < 1.10
 
-    def test_chaos_straggler_and_protocol(self, run_scenario):
-        """The fault-plan fields only the old verb reached are spec keys,
-        off by default: one PE at 1/50 speed blows the time bound and
-        changes nothing about the counts; a delay probability is the
-        plan's to validate."""
-        base = [*SMALL, "budget=20000", "protocol=2D", "drop_prob=0.01"]
-        assert run_scenario("chaos", *base).rc == 0
-        slowed = run_scenario("chaos", *base, "straggler_pe=0",
-                              "straggler_factor=50")
-        assert slowed.rc == 1
-        assert slowed.cell["checks"]["hostile_all_exact"]
-        assert not slowed.cell["checks"]["hostile_time_bounded"]
-        refused = run_scenario("chaos", *base, "delay_prob=1.5")
-        assert refused.rc == 2 and "delay_prob must be in [0, 1]" in refused.err
+    def test_chaos_straggler_and_protocol(self):
+        """One PE at 1/50 speed slows a protected 2D run and changes
+        nothing about the counts; a delay probability is the plan's to
+        validate."""
+        rng = np.random.default_rng(5)
+        reads = [rng.integers(0, 4, size=120).astype(np.uint8)
+                 for _ in range(60)]
+        oracle = serial_count(reads, 15)
+
+        def run(**plan):
+            cost = CostModel(laptop(nodes=2, cores=2))
+            schedule = Schedule(protocol="2D", protect=True,
+                                plan=FaultPlan(seed=5, drop_prob=0.01, **plan))
+            return run_runtime(schedule, reads, 15, cost)
+
+        base = run()
+        slowed = run(straggler_pes=(0,), straggler_factor=50.0)
+        for result in (base, slowed):
+            assert result.error is None and result.counts == oracle
+        assert slowed.stats.sim_time > 3.0 * base.stats.sim_time
+        with pytest.raises(ValueError, match=r"delay_prob must be in \[0, 1\]"):
+            FaultPlan(delay_prob=1.5)
 
     def test_bad_machine_preset(self, run_scenario):
-        """The machine is the target's (phoenix-intel), not a parameter."""
-        run = run_scenario("chaos", "machine=cray-1", "budget=1000")
+        """The cost section's machine is the target's (phoenix-intel),
+        not a parameter: setting it is refused, nothing run."""
+        run = run_scenario("dst", "machine=cray-1", "budget=1")
         assert run.rc == 2 and "unknown parameters ['machine']" in run.err
+        assert run.cell is None
 
     def test_bad_protocol(self, run_scenario):
-        run = run_scenario("chaos", "protocol=9D", "budget=1000")
+        """So is its topology (2D)."""
+        run = run_scenario("dst", "protocol=9D", "budget=1")
         assert run.rc == 2 and run.err.startswith("error: ")
+        assert "unknown parameters ['protocol']" in run.err
+        assert run.cell is None
