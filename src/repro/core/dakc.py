@@ -69,11 +69,6 @@ class DakcConfig:
     agg: AggregationConfig = field(default_factory=AggregationConfig)
     mode: str = "fast"  # "fast" | "exact"
     canonical: bool = False
-    #: Verify at the inter-phase barrier that every generated k-mer
-    #: occurrence was delivered exactly once (conservation check over
-    #: the aggregation stack and conveyor) — the integrity handshake a
-    #: production runtime performs before trusting the counts.
-    verify_delivery: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("fast", "exact"):
@@ -272,8 +267,7 @@ def dakc_count(
     if interphase_hook is not None:
         interphase_hook(conveyor, stats)
 
-    if config.verify_delivery:
-        _verify_conservation(stats, conveyor)
+    _verify_conservation(stats, conveyor)
 
     results = [
         _phase2(dst, [g for _, g in conveyor.delivered[dst]], k, run)

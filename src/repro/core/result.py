@@ -23,9 +23,9 @@ __all__ = ["KmerCounts", "probe_sorted"]
 def probe_sorted(keys: np.ndarray, vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Look *queries* up in a sorted ``(keys, vals)`` table; absent -> 0.
 
-    The one vectorised point-lookup of the read side: shards, the LSM
-    memtable and run blocks, cluster slices and every oracle hold the
-    paper's ordered ``{k-mer, count}`` array and read it through here.
+    The vectorised point-lookup of the read side: shards, the LSM
+    memtable, cluster slices and every oracle hold the paper's ordered
+    ``{k-mer, count}`` array and read it through here.
     *keys* must be strictly increasing ``uint64``; the answer is a
     fresh ``int64`` array in query order (duplicates allowed).
     """

@@ -173,13 +173,12 @@ def dakc_overlap_count(
         run.memory.set_category(dst, "sorted-set", int(uniq.nbytes + counts.nbytes))
         results.append((uniq, counts))
 
-    if config.verify_delivery:
-        delivered_weight = sum(s.total_weight for s in sets)
-        if delivered_weight != stats.total_kmers:
-            raise DeliveryIntegrityError(
-                f"delivery conservation violated: {stats.total_kmers} "
-                f"k-mer occurrences generated but {delivered_weight} inserted"
-            )
+    delivered_weight = sum(s.total_weight for s in sets)
+    if delivered_weight != stats.total_kmers:
+        raise DeliveryIntegrityError(
+            f"delivery conservation violated: {stats.total_kmers} "
+            f"k-mer occurrences generated but {delivered_weight} inserted"
+        )
 
     # sync 2 is the run's exit barrier — that's all of them.
     return run.finish(k, results, protocol=config.protocol, mode="overlap")

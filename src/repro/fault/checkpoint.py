@@ -34,12 +34,8 @@ CHECKPOINT_BW_FRACTION: float = 0.5
 class CheckpointStore:
     """Holds one snapshot of recoverable per-PE state."""
 
-    def __init__(self, cost: CostModel, *,
-                 bw_fraction: float = CHECKPOINT_BW_FRACTION) -> None:
-        if not 0.0 < bw_fraction <= 1.0:
-            raise ValueError("bw_fraction must be in (0, 1]")
+    def __init__(self, cost: CostModel) -> None:
         self.cost = cost
-        self.bw_fraction = bw_fraction
         self.snapshots_taken = 0
         #: PEs replayed from the snapshot, one entry per restore.
         self.restored: list[int] = []
@@ -47,7 +43,7 @@ class CheckpointStore:
 
     def _charge(self, pe_stats, nbytes: int) -> float:
         """Charge checkpoint I/O of *nbytes* on one PE; returns the dt."""
-        dt = self.cost._dilated(pe_stats, nbytes / (self.cost.pe_mem_bw * self.bw_fraction))
+        dt = self.cost._dilated(pe_stats, nbytes / (self.cost.pe_mem_bw * CHECKPOINT_BW_FRACTION))
         pe_stats.advance(dt)
         return dt
 

@@ -19,15 +19,13 @@ header.
   (no page touched at all) when the key is out of range;
 * the **sparse index** is tiny and resident; the two sections are
   **mapped** read-only on first use and that mapping is the only way a
-  run is read.  A lookup group is cut to the fences, the index names
-  the blocks it touches (read accounting only), and one
-  :func:`~repro.core.result.probe_sorted` over the mapped sections
-  answers it in place: both start 8-byte aligned, so numpy searches
-  them without a copy.
+  run is read.  A lookup group, cut to the fences, is one
+  ``searchsorted`` over the mapped keys (8-byte aligned, so not copied);
+  its positions name the index blocks it touches (read accounting only).
 
 Header and index are checksummed, and the pad must read zero; the two
-data sections are not checksummed — their extent is checked against
-the file size on open.
+data sections are not checksummed — on open their extent is checked
+against the file size, and their first and last key against the fences.
 
 Runs are immutable and published atomically and durably
 (:func:`repro.fileio.publish` with fsync), so a crash leaves either no
@@ -42,7 +40,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.result import probe_sorted
 from ..fileio import BLOCK_KEYS, FormatError, Framing, publish, record
 
 __all__ = ["RUN", "write_run", "Run"]
@@ -87,20 +84,29 @@ class Run:
             payload, index_end = index
             self._keys_at = index_end + -index_end % 8
             pad = fh.read(self._keys_at - index_end)
-        self.index_keys = np.frombuffer(payload, dtype="<u8")
-        if (self.index_stride < 1
-                or self.index_keys.size != -(-self.n_keys // self.index_stride)):
-            raise FormatError(self.path, RUN.kind, "corrupt",
-                              f"{self.index_keys.size} index keys for "
-                              f"{self.n_keys} keys at stride {self.index_stride}")
-        size, want = os.path.getsize(self.path), self._keys_at + 16 * self.n_keys
-        if size != want:
-            raise FormatError(self.path, RUN.kind,
-                              "truncated" if size < want else "corrupt",
-                              f"{size} bytes on disk, header implies {want}")
-        if any(pad):
-            raise FormatError(self.path, RUN.kind, "corrupt",
-                              f"nonzero pad at byte {index_end}")
+            self.index_keys = np.frombuffer(payload, dtype="<u8")
+            if (self.index_stride < 1
+                    or self.index_keys.size != -(-self.n_keys // self.index_stride)):
+                raise FormatError(self.path, RUN.kind, "corrupt",
+                                  f"{self.index_keys.size} index keys for "
+                                  f"{self.n_keys} keys at stride {self.index_stride}")
+            size, want = os.path.getsize(self.path), self._keys_at + 16 * self.n_keys
+            if size != want:
+                raise FormatError(self.path, RUN.kind,
+                                  "truncated" if size < want else "corrupt",
+                                  f"{size} bytes on disk, header implies {want}")
+            if any(pad):
+                raise FormatError(self.path, RUN.kind, "corrupt",
+                                  f"nonzero pad at byte {index_end}")
+            if self.n_keys:   # the fences keep add_sorted's probe inside the keys
+                ends = []
+                for i in (0, self.n_keys - 1):
+                    fh.seek(self._keys_at + 8 * i)
+                    ends.append(int.from_bytes(fh.read(8), "little"))
+                if ends != [self.fence_min, self.fence_max]:
+                    raise FormatError(self.path, RUN.kind, "corrupt",
+                                      f"keys span {ends[0]:#x}..{ends[1]:#x}, fences "
+                                      f"{self.fence_min:#x}..{self.fence_max:#x}")
         self._sections: tuple[np.ndarray, np.ndarray] | None = None
         self._closed = False
         # read-amplification accounting
@@ -143,33 +149,36 @@ class Run:
         """Batch point lookup, answers in caller order; absent -> 0."""
         keys = np.asarray(keys, dtype=np.uint64)
         order = np.argsort(keys)
-        out = np.empty(keys.size, dtype=np.int64)
-        out[order] = self.get_sorted(keys[order])
-        return out
+        found = np.zeros(keys.size, dtype=np.int64)
+        self.add_sorted(keys[order], found)
+        return found[np.argsort(order)]
 
-    def get_sorted(self, keys: np.ndarray) -> np.ndarray:
-        """:meth:`get` of an ascending ``uint64`` group (duplicates allowed).
-
-        ``blocks_read`` counts the distinct index blocks the in-fence
-        keys fall in, read off ``index_keys`` without touching data.
-        """
+    def add_sorted(self, keys: np.ndarray, out: np.ndarray) -> None:
+        """Add the counts of an ascending ``uint64`` group (duplicates allowed)
+        into *out*, its ``int64`` answers.  The group is searched only where it
+        straddles a fence; ``blocks_read`` counts the distinct index blocks its
+        in-fence keys fall in: a hit's block holds it, a miss's the key before."""
         mapped_keys, mapped_counts = self._mapped()
-        out = np.zeros(keys.size, dtype=np.int64)
-        if self.n_keys == 0 or keys.size == 0:
-            return out
+        n = keys.size
+        if self.n_keys == 0 or n == 0:
+            return
         self.probes += 1
-        lo = int(keys.searchsorted(np.uint64(self.fence_min), side="left"))
-        hi = int(keys.searchsorted(np.uint64(self.fence_max), side="right"))
+        first, last, fmin, fmax = keys[0], keys[-1], self.fence_min, self.fence_max
+        if last < fmin or first > fmax:
+            return
+        lo = 0 if first >= fmin else int(keys.searchsorted(np.uint64(fmin)))
+        hi = n if last <= fmax else int(keys.searchsorted(np.uint64(fmax), "right"))
         if hi <= lo:
-            return out
-        self.point_queries += int(keys.size)
+            return
+        self.point_queries += n
         cand = keys[lo:hi]
-        # index_keys[b] is the first key of block b, so 'right' - 1 is
-        # the only block that can contain the key; cand ascends, so do they.
-        blocks = self.index_keys.searchsorted(cand, side="right") - 1
+        pos = mapped_keys.searchsorted(cand)   # < n_keys: cand <= fence_max, the last key
+        miss = mapped_keys[pos] != cand
+        blocks = (pos - miss) // self.index_stride
         self.blocks_read += 1 + int(np.count_nonzero(blocks[1:] != blocks[:-1]))
-        out[lo:hi] = probe_sorted(mapped_keys, mapped_counts, cand)
-        return out
+        found = mapped_counts[pos]
+        found[miss] = 0
+        out[lo:hi] += found
 
     # -- accounting ----------------------------------------------------
 

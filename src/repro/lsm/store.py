@@ -326,9 +326,9 @@ class LsmStore:
             raise ValueError("keys must be 1-D")
         order = np.argsort(keys)   # once: every level is probed ascending
         group = keys[order]
-        found = self.memtable.get(group)
+        found = self.memtable.get(group)   # a fresh array: runs add into it
         for run in self.runs:
-            found += run.get_sorted(group)
+            run.add_sorted(group, found)
         self.stats.point_reads += int(keys.size)
         self.stats.run_probes += int(keys.size) * len(self.runs)
         out = np.empty_like(found)

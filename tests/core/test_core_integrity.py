@@ -48,8 +48,7 @@ class DuplicatingConveyor(Conveyor):
 
 class TestConservation:
     def test_clean_run_passes(self, small_reads):
-        kc, stats = dakc_count(small_reads, 21, cost_model(),
-                               DakcConfig(verify_delivery=True))
+        kc, stats = dakc_count(small_reads, 21, cost_model())
         assert kc.total == stats.total_kmers
 
     @pytest.mark.parametrize("faulty", [LossyConveyor, DuplicatingConveyor])
@@ -57,16 +56,15 @@ class TestConservation:
         faulty._seen = 0
         monkeypatch.setattr("repro.core.dakc.Conveyor", faulty)
         with pytest.raises(DeliveryIntegrityError, match="conservation"):
-            dakc_count(small_reads, 21, cost_model(),
-                       DakcConfig(verify_delivery=True))
+            dakc_count(small_reads, 21, cost_model())
 
     def test_fault_undetected_when_disabled(self, small_reads, monkeypatch):
-        """With the check off, loss silently corrupts counts — the
-        reason the check defaults to on."""
+        """With the check patched out, loss silently corrupts counts — the
+        reason every run checks."""
         LossyConveyor._seen = 0
         monkeypatch.setattr("repro.core.dakc.Conveyor", LossyConveyor)
-        kc, stats = dakc_count(small_reads, 21, cost_model(),
-                               DakcConfig(verify_delivery=False))
+        monkeypatch.setattr("repro.core.dakc._verify_conservation", lambda stats, conv: None)
+        kc, stats = dakc_count(small_reads, 21, cost_model())
         assert kc.total < stats.total_kmers  # corrupted, undetected
 
     def test_exact_mode_also_checked(self, tiny_reads, monkeypatch):
@@ -74,4 +72,4 @@ class TestConservation:
         monkeypatch.setattr("repro.core.dakc.Conveyor", LossyConveyor)
         with pytest.raises(DeliveryIntegrityError):
             dakc_count(tiny_reads, 9, cost_model(),
-                       DakcConfig(mode="exact", verify_delivery=True))
+                       DakcConfig(mode="exact"))

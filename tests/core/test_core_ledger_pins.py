@@ -73,7 +73,7 @@ CASES = {
         DakcConfig(protocol="1D", c0_bytes=4_096, c1_packets=7,
                    agg=AggregationConfig(c3=4_000)), None, True),
     "faulty": (partial(_reads, 300, 100, 7), _laptop,
-               DakcConfig(protocol="2D", c0_bytes=1_024, verify_delivery=False),
+               DakcConfig(protocol="2D", c0_bytes=1_024),
                partial(FaultyConveyor, plan=PLAN), False),
     "reliable": (partial(_reads, 300, 100, 8), _laptop,
                  DakcConfig(protocol="2D", c0_bytes=1_024),
@@ -324,5 +324,7 @@ PINS = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_ledger_outputs_pinned(name):
+def test_ledger_outputs_pinned(name, monkeypatch):
+    if name == "faulty":   # the wire loses groups: run past the conservation check
+        monkeypatch.setattr("repro.core.dakc._verify_conservation", lambda stats, conv: None)
     assert run_case(name) == PINS[name]

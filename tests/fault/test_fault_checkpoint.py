@@ -67,11 +67,6 @@ class TestCheckpointStore:
         with pytest.raises(RuntimeError, match="no delivered-state checkpoint"):
             CheckpointStore(cost).restore_delivered(conv, (0,), stats)
 
-    def test_bad_bw_fraction(self):
-        cost = CostModel(laptop(nodes=1, cores=2))
-        with pytest.raises(ValueError, match="bw_fraction"):
-            CheckpointStore(cost, bw_fraction=0.0)
-
 
 def run(reads, plan, *, protocol="1D", protect=True, checkpoint=True):
     cost = CostModel(laptop(nodes=2, cores=3))

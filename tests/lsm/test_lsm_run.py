@@ -16,6 +16,7 @@ from repro.core.result import probe_sorted
 from repro.fileio import BLOCK_KEYS, FormatError, record
 from repro.lsm import run as run_module
 from repro.lsm.run import RUN, Run, write_run
+from repro.lsm.store import LsmConfig, LsmStore
 
 
 @pytest.fixture
@@ -187,9 +188,71 @@ class TestAgainstBlockLoop:
         assert run.blocks_read == gained["blocks_read"] == 16
 
 
+@st.composite
+def store_and_groups(draw):
+    """0-5 overlapping runs (newest first; one-key runs likely), a memtable
+    that may be empty, an index stride, and groups with duplicates and
+    keys below, between and above every run's fences and index keys."""
+    key_sets = st.sets(st.integers(0, UNIVERSE - 1), min_size=1, max_size=80)
+    runs = draw(st.lists(st.one_of(st.sets(st.integers(0, UNIVERSE - 1),
+                                           min_size=1, max_size=1), key_sets),
+                         max_size=5))
+    memtable = draw(st.sets(st.integers(0, UNIVERSE - 1), max_size=40))
+    stride = draw(st.sampled_from([1, 3, 16, 4096]))
+    edges = {e for keys in runs for e in (*sorted(keys)[::stride], max(keys))}
+    near = sorted({e + d for e in edges for d in (-1, 0, 1)} & set(range(UNIVERSE)))
+    present = sorted(set().union(*runs, memtable)) or [0]
+    query = st.one_of(st.sampled_from(near or [0]), st.sampled_from(present),
+                      st.integers(0, UNIVERSE - 1))
+    groups = draw(st.lists(st.lists(query, max_size=60), min_size=1, max_size=3))
+    return runs, memtable, stride, [np.array(g, dtype=np.uint64) for g in groups]
+
+
+def _sorted_pairs(keys) -> tuple[np.ndarray, np.ndarray]:
+    keys = np.array(sorted(keys), dtype=np.uint64)
+    return keys, (keys.astype(np.int64) * 7) % 13 + 1
+
+
+class TestStoreAgainstBlockLoop:
+    """``LsmStore.get`` answers as the merged snapshot does, and every
+    counter gains what the block loop reports for each run."""
+
+    @given(store_and_groups())
+    def test_answers_and_counters_match_reference(self, case):
+        runs, memtable, stride, groups = case
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(run_module, "BLOCK_KEYS", stride):
+            store = LsmStore(Path(tmp) / "st", 5, config=LsmConfig(auto_compact=False))
+            for keys in reversed(runs):          # runs[0] is flushed last: newest
+                store.ingest_counts(*_sorted_pairs(keys))
+                store.flush()
+            if memtable:
+                store.ingest_counts(*_sorted_pairs(memtable))
+            assert store.n_runs == len(runs)
+            snap = store.snapshot()
+            want = {run.path.name: [0, 0, 0] for run in store.runs}
+            point_reads = run_probes = 0
+            for group in groups:
+                assert np.array_equal(store.get(group),
+                                      probe_sorted(snap.kmers, snap.counts, group))
+                point_reads += group.size
+                for run in store.runs:
+                    _, gained = block_loop_get(run, group)
+                    run_probes += gained["probes"] * group.size
+                    counters = want[run.path.name]
+                    counters[0] += gained["probes"]
+                    counters[1] += gained["point_queries"]
+                    counters[2] += gained["blocks_read"]
+            assert (store.stats.point_reads, store.stats.run_probes) == (point_reads,
+                                                                       run_probes)
+            for run in store.runs:
+                assert [run.probes, run.point_queries, run.blocks_read] == want[run.path.name]
+            store.close()
+
+
 class TestAlignedLayout:
     """Version 3: a zero pad puts both sections on an 8-byte boundary,
-    so a lookup is one ``probe_sorted`` over the mapping, copy-free."""
+    so a lookup is one ``searchsorted`` over the mapping, copy-free."""
 
     @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 12_293])
     def test_sections_start_8_aligned(self, tmp_path, n):
@@ -202,7 +265,7 @@ class TestAlignedLayout:
         assert mapped_keys.flags.aligned and mapped_counts.flags.aligned
         assert np.array_equal(mapped_keys, keys) and np.array_equal(mapped_counts, vals)
 
-    def test_get_sorted_is_probe_sorted_over_copies(self, run, keys_vals, rng):
+    def test_add_sorted_adds_probe_sorted_over_copies(self, run, keys_vals, rng):
         keys, _ = keys_vals
         copies = tuple(np.array(section) for section in run.load())
         present = rng.choice(keys, 200)
@@ -213,7 +276,10 @@ class TestAlignedLayout:
                                         keys[:1], keys[-1:], above]))
         for group in (mixed, np.repeat(np.sort(present[:20]), 3), np.sort(absent),
                       below, above, keys[-1:], absent[:1], mixed[:0]):
-            assert np.array_equal(run.get_sorted(group), probe_sorted(*copies, group))
+            base = rng.integers(-5, 5, group.size)
+            out = base.copy()
+            run.add_sorted(group, out)
+            assert np.array_equal(out, base + probe_sorted(*copies, group))
 
 
 class TestLifetime:

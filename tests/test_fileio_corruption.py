@@ -463,6 +463,24 @@ def test_run_data_sections_are_sized_not_checksummed(tmp_path):
     assert fmt.load(path) != original
 
 
+@pytest.mark.parametrize("end,shift", [(0, -1), (0, 1), (-1, -1), (-1, 1)], ids=[
+    "first-below-fence_min", "first-above-fence_min",
+    "last-below-fence_max", "last-above-fence_max"])
+def test_run_data_disagreeing_with_fences_is_corrupt(end, shift, tmp_path):
+    """The keys section's first and last key must be the header's fences:
+    a lookup cut to the fences then probes inside the mapped keys."""
+    fmt = FORMATS["run"]
+    path = fmt.make(tmp_path)
+    run = Run(path)
+    at = run._keys_at + 8 * (end % run.n_keys)
+    run.close()
+    blob = bytearray(path.read_bytes())
+    key = int.from_bytes(blob[at:at + 8], "little") + shift
+    blob[at:at + 8] = key.to_bytes(8, "little")
+    path.write_bytes(bytes(blob))
+    _assert_refused(fmt, path, "corrupt")
+
+
 # -- the same contract as a property -----------------------------------
 
 
