@@ -227,10 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr_rec.add_argument("--zipf", type=float, default=1.1)
     p_tr_rec.add_argument("--miss-fraction", type=float, default=0.02)
     p_tr_rec.add_argument("--cache-capacity", type=int, default=4096,
-                          help="t1 cache slots (0 disables the cache)")
+                          help="cache slots (0 disables the cache)")
     p_tr_rec.add_argument("--cache-threshold", type=int, default=2)
-    p_tr_rec.add_argument("--t2-capacity", type=int, default=0,
-                          help="second cache tier slots (0 = single tier)")
     p_tr_rec.add_argument("--burst-amplitude", type=float, default=1.0,
                           help="rate multiplier inside bursts (1 = no bursts)")
     p_tr_rec.add_argument("--burst-duration", type=float, default=0.05,
@@ -261,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr_rep.add_argument("--shards", type=int, default=8)
     p_tr_rep.add_argument("--cache-capacity", type=int, default=4096)
     p_tr_rep.add_argument("--cache-threshold", type=int, default=2)
-    p_tr_rep.add_argument("--t2-capacity", type=int, default=0)
     p_tr_rep.add_argument("--tick", type=float, default=1e-3,
                           help="arrival-group granularity (seconds)")
     p_tr_rep.add_argument("--group-size", type=int, default=256,
@@ -890,7 +887,6 @@ def _cmd_trace_record(args) -> int:
         miss_fraction=args.miss_fraction,
         cache_capacity=args.cache_capacity,
         cache_threshold=args.cache_threshold,
-        t2_capacity=args.t2_capacity,
         burst=burst, recorder=recorder,
     )
     trace = recorder.save(args.out)
@@ -899,8 +895,7 @@ def _cmd_trace_record(args) -> int:
     print(f"# recorded:  {trace.n_records:,} records over "
           f"{trace.duration:.3f} s  (answers match: "
           f"{result.answers_match})")
-    print(f"# tiers:     t1 {tiers['t1']:,}  t2 {tiers['t2']:,}  "
-          f"store {tiers['store']:,}")
+    print(f"# answered:  cache {tiers['t1']:,}  store {tiers['store']:,}")
     print(f"# wrote trace to {args.out}")
     return 0 if result.answers_match else 1
 
@@ -952,8 +947,7 @@ def _cmd_trace_replay(args) -> int:
     store = ShardedStore.from_counts(kc, args.shards)
     result = replay_trace(
         trace, store, cache_capacity=args.cache_capacity,
-        cache_threshold=args.cache_threshold,
-        t2_capacity=args.t2_capacity, tick=args.tick,
+        cache_threshold=args.cache_threshold, tick=args.tick,
         group_size=args.group_size, concurrency=args.concurrency,
     )
     snap = result.metrics.snapshot()

@@ -9,7 +9,7 @@ database; this package answers queries against it at service scale:
   (:class:`Overloaded` backpressure), per-shard micro-batching, and a
   naive one-at-a-time baseline to measure against;
 * :mod:`repro.serve.cache` — ``HotKeyCache``, the one hot-key LRU:
-  L3-style heavy-hitter admission, with an optional second tier;
+  L3-style heavy-hitter admission;
 * :mod:`repro.serve.workload` — seeded Zipf load generation from a
   real counted spectrum, and ``drive_load``, the one client driver
   (closed-loop or paced) every bench and replay submits through;
@@ -25,7 +25,7 @@ paper's heavy-hitter (L3) argument.
 """
 
 from .bench import ServeBenchResult, run_serve_bench
-from .cache import TIER_STORE, TIER_T1, TIER_T2, HotKeyCache
+from .cache import TIER_STORE, TIER_T1, HotKeyCache
 from .engine import EngineConfig, Overloaded, QueryEngine, naive_serve
 from .metrics import LatencyHistogram, ServeMetrics
 from .shards import Shard, ShardedStore
@@ -43,7 +43,6 @@ __all__ = [
     "ShardedStore",
     "HotKeyCache",
     "TIER_T1",
-    "TIER_T2",
     "TIER_STORE",
     "BurstSpec",
     "EngineConfig",

@@ -63,7 +63,6 @@ def run_serve_bench(
     config: EngineConfig | None = None,
     cache_capacity: int = 4096,
     cache_threshold: int = 2,
-    t2_capacity: int = 0,
     group_size: int = 256,
     concurrency: int = 8,
     store: ShardedStore | None = None,
@@ -76,9 +75,8 @@ def run_serve_bench(
     :class:`ShardedStore` (``n_shards``/``shard_of``/``lookup_batch``/
     ``get``) works — e.g. a live :class:`repro.lsm.LsmReadView` — while
     *counts* still seeds the workload's popularity ranking.
-    The cache triple builds one :class:`~repro.serve.cache.HotKeyCache`
-    (a *cache_capacity* of 0 serves uncached; a non-zero *t2_capacity*
-    puts a second tier under the RAM slots); *recorder* (a
+    The cache pair builds one :class:`~repro.serve.cache.HotKeyCache`
+    (a *cache_capacity* of 0 serves uncached); *recorder* (a
     :class:`repro.trace.TraceRecorder`) logs the engine's query trace,
     which is how ``dakc trace record`` produces one.
     """
@@ -93,8 +91,7 @@ def run_serve_bench(
     naive_out, naive_metrics = naive_serve(store, stream.keys)
 
     async def drive() -> tuple[np.ndarray, ServeMetrics]:
-        cache = (HotKeyCache(cache_capacity, t2_capacity=t2_capacity,
-                             admit_threshold=cache_threshold)
+        cache = (HotKeyCache(cache_capacity, admit_threshold=cache_threshold)
                  if cache_capacity > 0 else None)
         async with QueryEngine(store, config, cache=cache,
                                recorder=recorder) as engine:

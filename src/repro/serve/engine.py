@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.owner import by_owner
-from .cache import T2_LATENCY, HotKeyCache
+from .cache import TIER_STORE, TIER_T1, HotKeyCache
 from .clock import now
 from .metrics import ServeMetrics
 from .shards import ShardedStore
@@ -301,9 +301,6 @@ class QueryEngine:
 
         # Hot-key cache pass: answer the Zipf head without queueing.
         cache = self.cache
-        recorder = self.recorder
-        tiers = None  # the per-key answering tier, kept for the recorder
-        virtual = 0.0
         if cache is None:
             out = np.zeros(n, dtype=np.int64)
             miss_idx = np.arange(n)
@@ -313,22 +310,14 @@ class QueryEngine:
             ckeys = keys.tolist()
             if self.tenants is not None and tenant is not None:
                 ckeys = [(tenant, key) for key in ckeys]
-            if recorder is not None:
-                tiers = np.empty(n, dtype=np.int8)
-            t2_before = cache.t2_hits
-            out = cache.get_many(ckeys, tiers)
+            out = cache.get_many(ckeys)
             miss_idx = np.flatnonzero(out < 0)
-            n_t2 = cache.t2_hits - t2_before
-            if n_t2:
-                # A t2 hit is not free: its device latency is charged
-                # as virtual seconds folded into the latency histogram,
-                # the way the cost model charges beta_link for remote
-                # PUTs.
-                virtual = n_t2 * T2_LATENCY
-                self.metrics.cache_t2_hits += n_t2
-                self.metrics.t2_time_charged += virtual
-        if recorder is not None:
-            recorder.record_batch(keys, tiers)
+        if self.recorder is not None:
+            # The answering tier of each key: the cache, or the store
+            # for every key left to the shards.
+            tiers = np.full(n, TIER_T1, dtype=np.int8)
+            tiers[miss_idx] = TIER_STORE
+            self.recorder.record_batch(keys, tiers)
         n_miss = int(miss_idx.size)
         self.metrics.cache_hits += n - n_miss
         self.metrics.cache_misses += n_miss
@@ -346,7 +335,7 @@ class QueryEngine:
             self._requests.add(request)
             await request.future
 
-        dt = now() - t0 + virtual
+        dt = now() - t0
         found = int((out > 0).sum())
         self.metrics.latency.record(dt, weight=n)
         self.metrics.n_queries += n

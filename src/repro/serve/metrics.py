@@ -140,8 +140,6 @@ class ServeMetrics:
     n_found: int = 0            # queries whose key existed in the database
     cache_hits: int = 0
     cache_misses: int = 0       # queries that had to touch a shard
-    cache_t2_hits: int = 0      # hits answered by the cache's t2 tier
-    t2_time_charged: float = 0.0  # simulated seconds charged for t2 hits
     rejected: int = 0           # admission-control rejections (all causes)
     #: Rejections broken down by cause — "overload" (queue depth),
     #: "quota" (tenant token bucket), "shed" (priority-class headroom).
@@ -157,7 +155,7 @@ class ServeMetrics:
     elapsed: float = field(default=0.0, metadata={"fold": max})
     #: The live cache object (anything with ``stats()``), attached by
     #: the engine so snapshots carry the full counter table —
-    #: occupancy, evictions, per-tier hits — instead of only the
+    #: occupancy, evictions, admission candidates — instead of only the
     #: scalar hit rate.
     cache_source: object | None = field(
         default=None, repr=False, compare=False, metadata={"fold": None})
@@ -226,9 +224,6 @@ class ServeMetrics:
             "misses": self.cache_misses,
             "hit_rate": self.cache_hit_rate,
         }
-        if self.cache_t2_hits:
-            cache["t2_hits"] = self.cache_t2_hits
-            cache["t2_time_charged_s"] = self.t2_time_charged
         if self.cache_source is not None:
             cache["stats"] = self.cache_source.stats()
         return {

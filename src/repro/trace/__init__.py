@@ -26,7 +26,6 @@ from .bench import TraceBenchResult, run_trace_bench
 from .format import (
     TIER_STORE,
     TIER_T1,
-    TIER_T2,
     TRACE_MAGIC,
     TRACE_VERSION,
     QueryTrace,
@@ -47,7 +46,6 @@ __all__ = [
     "TRACE_MAGIC",
     "TRACE_VERSION",
     "TIER_T1",
-    "TIER_T2",
     "TIER_STORE",
     "QueryTrace",
     "save_trace",

@@ -1,7 +1,7 @@
 """The trace experiment: record, model, sample, replay — one harness.
 
 Run by the ``trace-bench`` xp target (``benchmarks/xp/trace.json`` →
-ledger ``trace-bench``): one seeded end-to-end run with four claims
+ledger ``trace-bench``): one seeded end-to-end run with three claims
 under test:
 
 1. **Model exactness** (the Fig.-3-style curve): the Mattson
@@ -14,9 +14,9 @@ under test:
    ``sample_tolerance`` after 1/rate capacity scaling.
 3. **Replay fidelity**: replaying the recorded trace through a fresh
    engine over the same store returns bit-identical answers.
-4. **Tiering wins**: at equal t1 RAM, the two-tier cache's total hit
-   rate beats the single-tier cache's on the Zipf+burst workload
-   (the demoted head is caught by t2 instead of falling to the store).
+
+Beside them it reports the hit rate of the cache the trace was
+recorded through, simulated sequentially over the recorded keys.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ class TraceBenchResult:
     sampled_miss: np.ndarray       # SHARDS sample, capacity-rescaled
     sample_rate: float
     replay_answers_match: bool
-    single_tier: dict              # simulate_cache ledger, HotKeyCache
-    two_tier: dict                 # simulate_cache ledger, HotKeyCache + t2
+    cache: dict                    # simulate_cache ledger, HotKeyCache
     seed: int
 
     @property
@@ -67,11 +66,6 @@ class TraceBenchResult:
             return 0.0
         return float(np.abs(self.sampled_miss - self.measured_miss).max()) * 100.0
 
-    @property
-    def tiering_gain(self) -> float:
-        """Two-tier hit rate minus single-tier hit rate (same t1 RAM)."""
-        return self.two_tier["hit_rate"] - self.single_tier["hit_rate"]
-
 
 def run_trace_bench(
     counts: KmerCounts,
@@ -82,8 +76,7 @@ def run_trace_bench(
     seed: int = 0,
     sample_rate: float = 0.5,
     sample_salts: int = 4,
-    t1_capacity: int = 128,
-    t2_capacity: int = 4096,
+    cache_capacity: int = 128,
     cache_threshold: int = 2,
     burst: BurstSpec | None = None,
 ) -> TraceBenchResult:
@@ -101,8 +94,7 @@ def run_trace_bench(
     run_serve_bench(
         counts, n_queries=n_queries, n_shards=n_shards, zipf_s=zipf_s,
         seed=seed, store=store, burst=burst, recorder=recorder,
-        cache_capacity=t1_capacity, cache_threshold=cache_threshold,
-        t2_capacity=t2_capacity,
+        cache_capacity=cache_capacity, cache_threshold=cache_threshold,
     )
     trace = recorder.snapshot()
 
@@ -120,16 +112,13 @@ def run_trace_bench(
 
     # -- replay: bit-identical answers through a fresh engine ----------
     replayed = replay_trace(
-        trace, store, cache_capacity=t1_capacity,
-        cache_threshold=cache_threshold, t2_capacity=t2_capacity,
+        trace, store, cache_capacity=cache_capacity,
+        cache_threshold=cache_threshold,
     )
 
-    # -- tiering: equal t1 RAM, with vs. without a second tier ---------
-    single = simulate_cache(
-        trace.keys, HotKeyCache(t1_capacity, admit_threshold=cache_threshold))
-    tiered = simulate_cache(
-        trace.keys, HotKeyCache(t1_capacity, t2_capacity=t2_capacity,
-                                admit_threshold=cache_threshold))
+    # -- the recording's cache, driven one key at a time ----------------
+    cache = simulate_cache(
+        trace.keys, HotKeyCache(cache_capacity, admit_threshold=cache_threshold))
 
     return TraceBenchResult(
         trace_summary=trace.describe(),
@@ -139,7 +128,6 @@ def run_trace_bench(
         sampled_miss=sampled,
         sample_rate=sample_rate,
         replay_answers_match=replayed.answers_match,
-        single_tier=single,
-        two_tier=tiered,
+        cache=cache,
         seed=seed,
     )

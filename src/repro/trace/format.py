@@ -2,8 +2,8 @@
 
 A trace is the raw material of cache modelling: one record per served
 query — ``(ts, stream, key, tier)`` — in arrival order, where *tier*
-says which layer answered (t1 RAM cache, t2 second tier, or the
-sharded store on a miss).  The reuse-distance profiler
+says which layer answered (the hot-key cache, or the sharded store on
+a miss).  The reuse-distance profiler
 (:mod:`repro.trace.profiler`) needs only the key sequence; the replay
 engine (:mod:`repro.trace.replay`) also uses the timestamps to rebuild
 arrival groups, and the tier column lets recorded and replayed cache
@@ -26,13 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..fileio import FormatError, check_version, load_npz, parse_json, save_npz
-from ..serve.cache import TIER_STORE, TIER_T1, TIER_T2
+from ..serve.cache import TIER_STORE, TIER_T1
 
 __all__ = [
     "TRACE_MAGIC",
     "TRACE_VERSION",
     "TIER_T1",
-    "TIER_T2",
     "TIER_STORE",
     "QueryTrace",
     "save_trace",
@@ -52,7 +51,7 @@ class QueryTrace:
     ts: np.ndarray       # float64 seconds since trace start, non-decreasing
     streams: np.ndarray  # int32 tenant/stream id per record
     keys: np.ndarray     # uint64 query keys
-    tiers: np.ndarray    # int8 answering tier (TIER_T1/TIER_T2/TIER_STORE)
+    tiers: np.ndarray    # int8 answering tier (TIER_T1/TIER_STORE)
     k: int = 0           # k-mer length of the keyspace (0 = unknown)
     seed: int = 0        # workload seed, when the trace came from a generator
     source: str = ""     # free-form provenance ("trace record seed=0", a path)
@@ -83,7 +82,6 @@ class QueryTrace:
         """Records answered per tier, as recorded."""
         return {
             "t1": int((self.tiers == TIER_T1).sum()),
-            "t2": int((self.tiers == TIER_T2).sum()),
             "store": int((self.tiers == TIER_STORE).sum()),
         }
 
@@ -157,7 +155,8 @@ def load_trace(path: str | os.PathLike) -> QueryTrace:
 
     Raises :class:`~repro.fileio.FormatError` on anything that is not a
     complete, current-version trace file: truncated archives, foreign
-    ``.npz`` files, versions from the future.
+    ``.npz`` files, versions from the future, tier labels other than
+    :data:`TIER_T1` and :data:`TIER_STORE`.
     """
     columns = load_npz(path, _KIND, ("header", *_COLUMNS))
     header = parse_json(path, _KIND, columns.pop("header").tobytes(),
@@ -171,6 +170,10 @@ def load_trace(path: str | os.PathLike) -> QueryTrace:
             path, _KIND, "mismatch",
             f"header says {n_records} records, columns hold "
             + "/".join(str(col.size) for col in columns.values()))
+    foreign = np.setdiff1d(columns["tiers"], (TIER_T1, TIER_STORE))
+    if foreign.size:
+        raise FormatError(path, _KIND, "corrupt",
+                          f"unknown tier labels {foreign.tolist()}")
     return QueryTrace(
         ts=columns["ts"].astype(np.float64, copy=False),
         streams=columns["streams"].astype(np.int32, copy=False),

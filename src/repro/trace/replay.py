@@ -50,7 +50,7 @@ def simulate_cache(keys: np.ndarray, cache) -> dict:
     One ``get`` per record; on a miss the key is ``offer``-ed back
     (value = 1, a stand-in count — the simulation cares about
     residency, not answers).  Works for any cache with the
-    ``get``/``offer``/``stats`` trio, one tier or two.
+    ``get``/``offer``/``stats`` trio.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     get = cache.get
@@ -112,7 +112,6 @@ def replay_trace(
     config: EngineConfig | None = None,
     cache_capacity: int = 4096,
     cache_threshold: int = 2,
-    t2_capacity: int = 0,
     tick: float = 1e-3,
     group_size: int = 256,
     concurrency: int = 8,
@@ -123,7 +122,7 @@ def replay_trace(
 
     The trace's timestamps set the batching (arrival-tick groups of
     *tick* seconds); up to *concurrency* groups are in flight at once.
-    The capacity triple builds one :class:`~repro.serve.cache.HotKeyCache`
+    The cache pair builds one :class:`~repro.serve.cache.HotKeyCache`
     (``cache_capacity=0`` replays uncached).  With *check* the answers
     are verified bit-identical against the scalar baseline.  *recorder*
     re-records the replayed stream, which is how a replay round-trips a
@@ -143,8 +142,7 @@ def replay_trace(
     groups = [part for g in groups
               for part in np.array_split(g, max(1, -(-g.size // cap)))]
 
-    cache = (HotKeyCache(cache_capacity, t2_capacity=t2_capacity,
-                         admit_threshold=cache_threshold)
+    cache = (HotKeyCache(cache_capacity, admit_threshold=cache_threshold)
              if cache_capacity > 0 else None)
 
     async def drive() -> tuple[np.ndarray, ServeMetrics]:

@@ -68,8 +68,10 @@ def spatial_sample(trace: QueryTrace, rate: float, *, salt: int = 0) -> QueryTra
 def temporal_sample(trace: QueryTrace, *, window: float, every: float,
                     phase: float = 0.0) -> QueryTrace:
     """Keep *window* seconds out of each *every*-second period."""
-    if window <= 0 or every <= 0 or window > every:
-        raise ValueError("need 0 < window <= every")
+    if not (np.isfinite([window, every, phase]).all()
+            and 0 < window <= every):
+        raise ValueError("need finite window, every and phase, "
+                         "with 0 < window <= every")
     rel = (trace.ts - phase) % every
     sampled = trace.select((trace.ts >= phase) & (rel < window))
     meta = dict(sampled.meta)

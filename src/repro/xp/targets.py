@@ -654,7 +654,7 @@ def _tenant_bench(p: dict) -> TargetOutcome:
 
 
 # ---------------------------------------------------------------------------
-# trace: record -> Mattson model -> SHARDS sample -> replay -> tiering
+# trace: record -> Mattson model -> SHARDS sample -> replay
 # ---------------------------------------------------------------------------
 
 _TRACE_DATA = {"dataset": "synthetic-24", "k": 21, "budget": 120_000}
@@ -682,16 +682,12 @@ def _trace_bench(p: dict) -> TargetOutcome:
         metrics={
             "model_error_pp": res.model_error_pp,
             "sample_error_pp": res.sample_error_pp,
-            "two_tier_gain": res.tiering_gain,
-            "single_tier_hit_rate": res.single_tier["hit_rate"],
-            "two_tier_hit_rate": res.two_tier["hit_rate"],
+            "cache_hit_rate": res.cache["hit_rate"],
         },
         checks={
             # The Mattson curve tracks brute-force LRU at every capacity.
             "model_error_le_2pp": res.model_error_pp <= 2.0,
             "replay_bit_identical": res.replay_answers_match,
-            # The second tier pays for itself at equal t1 RAM.
-            "two_tier_beats_single": res.tiering_gain > 0.0,
             # A pooled 50% sample is an estimate, but never wildly off.
             "sample_error_le_10pp": res.sample_error_pp <= 10.0,
         },
@@ -818,10 +814,9 @@ TARGETS: dict[str, XpTarget] = {
         XpTarget(
             "trace-bench", _trace_bench,
             {"model_error_pp": "lower", "sample_error_pp": "lower",
-             "two_tier_gain": "higher", "single_tier_hit_rate": "higher",
-             "two_tier_hit_rate": "higher"},
+             "cache_hit_rate": "higher"},
             "query trace: Mattson miss-ratio model vs brute-force LRU, "
-            "bit-identical replay, two-tier vs single-tier cache",
+            "SHARDS sampling, bit-identical replay",
             _trace_defaults,
         ),
         XpTarget(

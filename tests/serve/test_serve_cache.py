@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.serve.cache import CANDIDATES_PER_SLOT, TIER_STORE, HotKeyCache
+from repro.serve.cache import CANDIDATES_PER_SLOT, HotKeyCache
 
 
 class TestLRU:
@@ -18,6 +18,11 @@ class TestLRU:
         assert c.get(1) == 10
         assert c.hits == 1 and c.misses == 1
         assert c.hit_rate == pytest.approx(0.5)
+        # The whole counter document: one tier, nothing else in it.
+        assert c.stats() == {
+            "hits": 1, "misses": 1, "hit_rate": 0.5, "evictions": 0,
+            "resident": 1, "capacity": 4, "candidates": 0,
+            "admit_threshold": 1}
 
     def test_eviction_is_lru(self):
         c = HotKeyCache(2)
@@ -39,9 +44,16 @@ class TestLRU:
         c.offer(1, 10)
         assert c.invalidate(1)
         assert not c.invalidate(1)
+        assert not c.invalidate(3)      # never cached
         c.offer(2, 20)
         c.clear()
         assert len(c) == 0
+        for key in (1, 2, 3):
+            c.offer(key, key)
+        assert c.invalidate_many(np.array([1, 2, 99], dtype=np.uint64)) == 2
+        assert 3 in c and len(c) == 1
+        c.clear()
+        assert len(c) == 0 and c.stats()["candidates"] == 0
 
 
 class TestAdmission:
@@ -85,15 +97,17 @@ class TestAdmission:
         with pytest.raises(ValueError):
             HotKeyCache(0)
         with pytest.raises(ValueError):
-            HotKeyCache(4, t2_capacity=-1)
+            HotKeyCache(-1)
         with pytest.raises(ValueError):
             HotKeyCache(4, admit_threshold=0)
+        with pytest.raises(ValueError):
+            HotKeyCache(0, admit_threshold=2)
 
 
 def _state(c: HotKeyCache) -> tuple:
     """Everything a cache call can change, tables in order."""
-    return (list(c._t1.items()), list(c._t2.items()), list(c._seen.items()),
-            c.hits, c.misses, c.t2_hits, c.demotions, c.evictions, c.last_tier)
+    return (list(c._slots.items()), list(c._seen.items()),
+            c.hits, c.misses, c.evictions)
 
 
 #: Raw and tenant-tagged keys: a hot few that groups repeat, and enough
@@ -103,47 +117,38 @@ _keys = st.one_of(st.integers(0, 7), st.integers(0, 80),
 
 
 class TestBulkCalls:
-    @given(capacity=st.integers(1, 16), t2_capacity=st.integers(0, 4),
-           admit_threshold=st.integers(1, 3),
+    @given(capacity=st.integers(1, 16), admit_threshold=st.integers(1, 3),
            groups=st.lists(st.tuples(
                st.booleans(),
                st.lists(st.tuples(_keys, st.integers(0, 5)), max_size=24)),
                min_size=8, max_size=40))
-    def test_bulk_calls_match_per_key_calls(self, capacity, t2_capacity,
-                                            admit_threshold, groups):
+    def test_bulk_calls_match_per_key_calls(self, capacity, admit_threshold,
+                                            groups):
         """get_many/offer_many over a group = get/offer per key in order:
-        same answers and tiers, same tables in the same order, same
-        counters."""
-        kw = dict(t2_capacity=t2_capacity, admit_threshold=admit_threshold)
-        bulk, ref = HotKeyCache(capacity, **kw), HotKeyCache(capacity, **kw)
+        same answers, same tables in the same order, same counters."""
+        bulk = HotKeyCache(capacity, admit_threshold=admit_threshold)
+        ref = HotKeyCache(capacity, admit_threshold=admit_threshold)
         for is_get, pairs in groups:
             keys = [key for key, _ in pairs]
             if is_get:
-                tiers = np.empty(len(keys), dtype=np.int8)
-                got = bulk.get_many(keys, tiers)
-                want, want_tiers = [], []
-                for key in keys:
-                    value = ref.get(key)
-                    want.append(-1 if value is None else value)
-                    want_tiers.append(
-                        TIER_STORE if value is None else ref.last_tier)
+                got = bulk.get_many(keys)
+                want = [-1 if v is None else v for v in map(ref.get, keys)]
                 assert got.dtype == np.int64
                 assert got.tolist() == want
-                assert tiers.tolist() == want_tiers
             else:
                 bulk.offer_many(keys, [value for _, value in pairs])
                 for key, value in pairs:
                     ref.offer(key, value)
             assert _state(bulk) == _state(ref)
 
-    @pytest.mark.parametrize("capacity,t2_capacity,admit_threshold",
-                             [(1, 0, 2), (4, 0, 2), (4, 0, 3), (2, 0, 1), (4, 3, 2)])
+    @pytest.mark.parametrize("capacity,admit_threshold",
+                             [(1, 2), (4, 2), (4, 3), (2, 1)])
     def test_long_skewed_stream_matches_per_key_calls(
-            self, capacity, t2_capacity, admit_threshold):
+            self, capacity, admit_threshold):
         """The engine's pattern, long enough to churn every table: get a
         Zipf group, offer its misses."""
-        kw = dict(t2_capacity=t2_capacity, admit_threshold=admit_threshold)
-        bulk, ref = HotKeyCache(capacity, **kw), HotKeyCache(capacity, **kw)
+        bulk = HotKeyCache(capacity, admit_threshold=admit_threshold)
+        ref = HotKeyCache(capacity, admit_threshold=admit_threshold)
         rng = np.random.default_rng(7)
         for _ in range(400):
             keys = (rng.zipf(1.3, size=rng.integers(0, 24)) % 200).tolist()

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.serial import serial_count
 from repro.serve import engine as engine_mod
-from repro.serve.cache import TIER_STORE, TIER_T1, TIER_T2, HotKeyCache
+from repro.serve.cache import TIER_STORE, TIER_T1, HotKeyCache
 from repro.serve.engine import EngineConfig, Overloaded, QueryEngine, naive_serve
 from repro.serve.shards import ShardedStore
 from repro.serve.workload import drive_load, key_groups
@@ -222,21 +222,20 @@ class TestCacheIntegration:
 
         assert np.array_equal(run(go()), expect)
 
-    @pytest.mark.parametrize("t2_capacity", [0, 4])
-    def test_recorded_tiers_are_the_per_key_tiers(self, db, store, rng, t2_capacity):
+    def test_recorded_tiers_are_the_per_key_tiers(self, db, store, rng):
         keys = rng.choice(db.kmers[:48], size=1200)
-        cache = HotKeyCache(8, t2_capacity=t2_capacity, admit_threshold=1)
+        cache = HotKeyCache(8, admit_threshold=1)
         expected = []
         bulk = cache.get_many
 
-        def per_key_then_bulk(ckeys, tiers=None):
+        def per_key_then_bulk(ckeys):
             # The reference: per-key gets on a copy of the cache as it
             # stands when the engine asks.
             twin = copy.deepcopy(cache)
             for key in ckeys:
                 expected.append(
-                    TIER_STORE if twin.get(key) is None else twin.last_tier)
-            return bulk(ckeys, tiers)
+                    TIER_STORE if twin.get(key) is None else TIER_T1)
+            return bulk(ckeys)
 
         cache.get_many = per_key_then_bulk
         recorder = TraceRecorder()
@@ -252,8 +251,7 @@ class TestCacheIntegration:
         assert np.array_equal(out, [db.get(int(k)) for k in keys])
         tiers = recorder.snapshot().tiers.tolist()
         assert tiers == expected
-        want = {TIER_T1, TIER_STORE} | ({TIER_T2} if t2_capacity else set())
-        assert set(tiers) == want
+        assert set(tiers) == {TIER_T1, TIER_STORE}
 
 
 class TestLifecycle:

@@ -193,10 +193,8 @@ class TestGoldenShapes:
     """
 
     CAUSES = _keys("overload", "quota")
-    LRU_STATS = _keys("tiers", "hits", "misses", "hit_rate", "evictions",
+    LRU_STATS = _keys("hits", "misses", "hit_rate", "evictions",
                       "resident", "capacity", "candidates", "admit_threshold")
-    TIERED_STATS = {**LRU_STATS, "t2": _keys(
-        "hits", "resident", "capacity", "demotions", "time_charged_s")}
 
     @staticmethod
     def snapshot_tree(cache: dict, causes: dict) -> dict:
@@ -219,8 +217,6 @@ class TestGoldenShapes:
         if rejecting:
             m.reject(4, "overload")
             m.reject(2, "quota")
-        if cache is not None and cache.t2_capacity:
-            m.cache_t2_hits, m.t2_time_charged = 5, 1.25e-4
         return m
 
     def check(self, m, snap_cache, causes):
@@ -237,11 +233,3 @@ class TestGoldenShapes:
     def test_single_tier_cache_attached(self):
         cache = _keys("hits", "misses", "hit_rate", stats=self.LRU_STATS)
         self.check(self.metrics(HotKeyCache(8)), cache, self.CAUSES)
-
-    def test_two_tier_cache_attached(self):
-        stats = self.TIERED_STATS
-        self.check(
-            self.metrics(HotKeyCache(4, t2_capacity=8)),
-            _keys("hits", "misses", "hit_rate", "t2_hits",
-                  "t2_time_charged_s", stats=stats),
-            self.CAUSES)

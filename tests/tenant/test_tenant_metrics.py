@@ -72,11 +72,11 @@ class TestMergedMetrics:
         for i, t in enumerate(("a", "b"), start=1):
             m = tms.get(t)
             m.n_batches, m.batched_keys = i, 10 * i
-            m.cache_t2_hits = i
+            m.cache_hits = i
             m.observe_queue_depth(4 * i)
         merged = tms.merged()
         assert (merged.n_batches, merged.batched_keys) == (3, 30)
-        assert merged.cache_t2_hits == 3
+        assert merged.cache_hits == 3
         assert merged.queue_depth_max == 8 and merged.queue_depth_mean == 6.0
 
     def test_elapsed_stamped_on_all(self):

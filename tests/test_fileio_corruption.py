@@ -46,7 +46,14 @@ from repro.lsm.wal import WAL, WriteAheadLog
 from repro.ooc.format import BIN, append_chunk, pack_superkmers, read_bin_records
 from repro.seq.encoding import decode_codes, encode_batch
 from repro.seq.fastx import SeqRecord, read_fastx, read_fastx_batches, write_fasta, write_fastq
-from repro.trace.format import TRACE_MAGIC, QueryTrace, load_trace, save_trace
+from repro.trace.format import (
+    TIER_STORE,
+    TIER_T1,
+    TRACE_MAGIC,
+    QueryTrace,
+    load_trace,
+    save_trace,
+)
 
 K = 9
 RNG_SEED = 11
@@ -190,7 +197,7 @@ def make_trace(dir: Path, version: int | None = None, n: int = 400) -> Path:
         ts=np.sort(rng.uniform(0.0, 1.0, n)),
         streams=rng.integers(0, 3, n).astype(np.int32),
         keys=rng.integers(0, 1 << 30, n).astype(np.uint64),
-        tiers=rng.integers(0, 3, n).astype(np.int8),
+        tiers=rng.choice(np.array([TIER_T1, TIER_STORE], np.int8), n),
         k=K, seed=RNG_SEED, source="matrix", meta={"note": "fixture"})
     save_trace(path, trace)
     if version is not None:
@@ -412,6 +419,18 @@ def test_format_2_store_is_refused_before_anything_is_swept(tmp_path):
     listing = {p.name: p.read_bytes() for p in path.parent.iterdir()}
     _assert_refused(FORMATS["manifest"], path, "version")
     assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == listing
+
+
+@pytest.mark.parametrize("label", [1, 57], ids=["old-second-tier", "stray"])
+def test_trace_foreign_tier_label_is_corrupt(label, tmp_path):
+    """A tier column may only name the cache or the store: label 1 (what
+    a second cache tier used to write) and any other int8 are refused."""
+    path = make_trace(tmp_path)
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays["tiers"][7] = label
+    np.savez_compressed(path, **arrays)
+    _assert_refused(FORMATS["trace"], path, "corrupt")
 
 
 def test_database_cut_at_a_block_boundary_is_truncated(tmp_path):

@@ -12,7 +12,6 @@ from repro.fileio import FormatError
 from repro.trace.format import (
     TIER_STORE,
     TIER_T1,
-    TIER_T2,
     TRACE_MAGIC,
     TRACE_VERSION,
     QueryTrace,
@@ -28,7 +27,7 @@ def make_trace(n: int = 100, seed: int = 0) -> QueryTrace:
         ts=ts,
         streams=rng.integers(0, 3, size=n).astype(np.int32),
         keys=rng.integers(0, 1 << 30, size=n).astype(np.uint64),
-        tiers=rng.choice([TIER_T1, TIER_T2, TIER_STORE], size=n).astype(np.int8),
+        tiers=rng.choice([TIER_T1, TIER_STORE], size=n).astype(np.int8),
         k=21, seed=seed, source="unit-test", meta={"note": "fixture"},
     )
 
@@ -56,7 +55,7 @@ class TestRoundTrip:
         assert loaded.n_records == 0
         assert loaded.duration == 0.0
         assert loaded.unique_fraction() == 0.0
-        assert loaded.tier_counts() == {"t1": 0, "t2": 0, "store": 0}
+        assert loaded.tier_counts() == {"t1": 0, "store": 0}
 
     def test_dtypes_are_canonical_after_load(self, tmp_path):
         # Sloppy caller dtypes are normalised on save.

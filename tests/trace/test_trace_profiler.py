@@ -50,18 +50,15 @@ class TestMattsonInclusion:
     @given(
         keys=st.lists(st.integers(min_value=0, max_value=12),
                       min_size=1, max_size=200),
-        capacity=st.integers(min_value=1, max_value=16),
-        t2=st.integers(min_value=0, max_value=8),
+        capacity=st.integers(min_value=1, max_value=24),
     )
-    def test_predicted_hits_match_lru_simulation(self, keys, capacity, t2):
+    def test_predicted_hits_match_lru_simulation(self, keys, capacity):
         arr = np.asarray(keys, dtype=np.uint64)
         hist = RDHistogram.from_distances(reuse_distances(arr))
-        # admit_threshold=1 makes HotKeyCache exact classic LRU; exclusive
-        # tiers with demote-on-evict hold the same keys as one LRU of the
-        # summed size.
-        cache = HotKeyCache(capacity, t2_capacity=t2, admit_threshold=1)
+        # admit_threshold=1 makes HotKeyCache exact classic LRU.
+        cache = HotKeyCache(capacity, admit_threshold=1)
         sim = simulate_cache(arr, cache)
-        assert hist.predicted_hits(capacity + t2) == sim["hits"]
+        assert hist.predicted_hits(capacity) == sim["hits"]
 
     def test_several_capacities_on_a_zipf_stream(self):
         rng = np.random.default_rng(0)

@@ -41,7 +41,7 @@ class TestRecordBatch:
         rec = TraceRecorder(clock=FakeClock())
         rec.record_batch([7, 8], [TIER_T1, TIER_STORE], stream=3)
         trace = rec.snapshot()
-        assert trace.tier_counts() == {"t1": 1, "t2": 0, "store": 1}
+        assert trace.tier_counts() == {"t1": 1, "store": 1}
         assert np.all(trace.streams == 3)
 
     def test_explicit_ts_scalar_and_vector(self):

@@ -89,14 +89,6 @@ class TestReplayTrace:
         assert np.array_equal(result.answers, baseline)
         assert result.n_groups >= 1
 
-    def test_tiered_replay_matches_too(self, counts, recorded):
-        store = ShardedStore.from_counts(counts, 4)
-        result = replay_trace(recorded, store, cache_capacity=64,
-                              t2_capacity=1024, cache_threshold=2)
-        assert result.answers_match
-        snap = result.metrics.snapshot()
-        assert snap["cache"]["stats"]["tiers"] == 2
-
     def test_uncached_replay(self, counts, recorded):
         store = ShardedStore.from_counts(counts, 4)
         result = replay_trace(recorded, store, cache_capacity=0)

@@ -87,10 +87,16 @@ class TestTemporalSample:
 
     def test_invalid_windows_rejected(self):
         trace = zipf_trace(10)
-        with pytest.raises(ValueError):
-            temporal_sample(trace, window=2.0, every=1.0)
-        with pytest.raises(ValueError):
-            temporal_sample(trace, window=0.0, every=1.0)
+        nan, inf = float("nan"), float("inf")
+        # Non-finite values compare False both ways, so each needs its
+        # own refusal rather than slipping through as an empty sample.
+        for window, every, phase in [(2.0, 1.0, 0.0), (0.0, 1.0, 0.0),
+                                     (nan, 0.5, 0.0), (0.1, nan, 0.0),
+                                     (0.1, 0.5, nan), (inf, inf, 0.0),
+                                     (0.1, inf, 0.0), (0.1, 0.5, -inf)]:
+            with pytest.raises(ValueError):
+                temporal_sample(trace, window=window, every=every,
+                                phase=phase)
 
 
 class TestCurvePreservation:

@@ -84,8 +84,7 @@ CASES = {
     ),
     "trace-bench": (
         {"budget": 20_000, "n_queries": 4_000},
-        {"model_error_le_2pp", "replay_bit_identical",
-         "two_tier_beats_single"},
+        {"model_error_le_2pp", "replay_bit_identical"},
         {"sample_error_le_10pp"},
     ),
     "paper": ({"exp_id": "fig5"}, PAPER_CHECKS["fig5"], set()),
