@@ -22,8 +22,8 @@ A :class:`HashRing` keeps the same hash (splitmix64 positions on the
 
 The ring compiles to a :class:`RoutingTable` — a sorted token array
 plus a ``(n_tokens, rf)`` replica matrix — so a batch of keys routes
-with one ``np.searchsorted`` and one row gather, the same vectorised
-discipline as :class:`~repro.serve.shards.ShardedStore`.
+with a few vectorised gathers (a ring-slice table, then the rows), the
+same discipline as :class:`~repro.serve.shards.ShardedStore`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ __all__ = ["HashRing", "RoutingTable", "interval_mask"]
 # Per-node salt decorrelating a node's token stream from its numeric id
 # (node 0 and node 1 must not get adjacent tokens).
 _NODE_SALT = np.uint64(0xD6E8FEB86659FD93)
+# RoutingTable.row_index cuts the circle into 2**12 equal slices.
+_SLICE_SHIFT = np.uint64(64 - 12)
 
 
 def _node_tokens(node_id: int, vnodes: int, seed: int) -> np.ndarray:
@@ -87,6 +89,12 @@ class RoutingTable:
             raise ValueError("one replica row per token required")
         if self.tokens.size > 1 and not (self.tokens[:-1] < self.tokens[1:]).all():
             raise ValueError("tokens must be strictly increasing")
+        # row_index's slice table: each slice's first token at or after
+        # its start, and the most tokens in one slice (the steps past it).
+        starts = np.arange(4096, dtype=np.uint64) << _SLICE_SHIFT
+        object.__setattr__(self, "_first", np.searchsorted(self.tokens, starts))
+        object.__setattr__(self, "_depth", int(np.bincount(
+            (self.tokens >> _SLICE_SHIFT).view(np.intp), minlength=1).max()))
 
     @property
     def n_tokens(self) -> int:
@@ -97,9 +105,15 @@ class RoutingTable:
         return int(self.rows.shape[1])
 
     def row_index(self, positions: np.ndarray) -> np.ndarray:
-        """Token-interval index of each hashed position (vectorised)."""
+        """Token-interval index of each hashed position (vectorised):
+        its first token ``>= p`` (wrapping), stepped to from its slice's
+        first token — a binary search over the tokens, at a few gathers."""
         positions = np.asarray(positions, dtype=np.uint64)
-        return np.searchsorted(self.tokens, positions, side="left") % self.n_tokens
+        idx = self._first.take((positions >> _SLICE_SHIFT).view(np.intp))
+        for _ in range(self._depth):
+            idx += self.tokens.take(idx, mode="clip") < positions
+        idx[idx >= self.n_tokens] = 0  # past the last token: wrap
+        return idx
 
     def replicas_at(self, positions: np.ndarray) -> np.ndarray:
         """``(n, rf)`` replica node ids for hashed positions."""

@@ -1,8 +1,9 @@
 """Client-facing cluster router: replica selection, retries, hedging.
 
 The router turns "RF copies of every key" into an availability and
-tail-latency win.  Each routing round of a client batch joins a queue
-flushed once per event-loop turn, which **routes** every queued key on
+tail-latency win.  Each routing round of a client batch joins the
+per-turn queue the engine uses too (:mod:`repro.serve.turn`), whose
+one flush per event-loop turn **routes** every queued key on
 its round's routing-table snapshot to one live replica (a rotating
 preference spreads load; nodes DOWN when the round was queued are
 skipped) and **batches** the keys into one lookup per node.  A node
@@ -21,12 +22,14 @@ stay exact while key ranges stream between nodes.
 from __future__ import annotations
 
 import asyncio
+from collections import namedtuple
 
 import numpy as np
 
 from ..core.owner import by_owner
 from ..serve.clock import now
 from ..serve.metrics import LatencyHistogram
+from ..serve.turn import Request, Turn, TurnQueue
 from .metrics import ClusterMetrics
 from .node import ClusterNode, NodeDown, NodeState
 from .ring import HashRing, RoutingTable
@@ -63,53 +66,21 @@ class RangeUnavailable(RuntimeError):
         self.n_keys = n_keys
 
 
-class _Request:
-    """Keys awaiting node answers (a batch's routing round, or a hedge),
-    routed by ``route = (table, shift, live)``; ``failed`` gets the keys
-    whose node died or had no live replica, ``future`` the answers when
-    none is pending.  ``weight``: client requests it stands for."""
-
-    __slots__ = ("keys", "route", "weight", "pending", "failed", "future")
-
-    def __init__(self, keys: np.ndarray, route: tuple, weight: int = 1):
-        self.keys, self.route, self.weight = keys, route, weight
-        self.pending = int(keys.size)
-        self.failed: list[np.ndarray] = []
-        self.future = asyncio.get_running_loop().create_future()
+#: A request's tag: a batch's routing round, or a hedge, routed on a
+#: table snapshot by its keys' rotations (< rf) over the live nodes;
+#: ``weight``: the client requests it stands for.
+_Route = namedtuple("_Route", "table shift live weight")
 
 
-class _Flush:
-    """One loop turn's requests of one routing snapshot, concatenated:
-    request *i* holds slots ``starts[i]:starts[i + 1]`` of ``keys``,
-    ``shift`` and ``answers``."""
+class _Flush(Turn):
+    """A turn's requests of one routing snapshot; NodeDown slots retry."""
 
-    def __init__(self, requests: list[_Request]):
-        self.requests = requests
-        self.table, _, self.live = requests[0].route
-        self.keys = np.concatenate([r.keys for r in requests])
-        self.shift = np.concatenate([r.route[1] for r in requests])
-        self.starts = np.cumsum([0] + [r.keys.size for r in requests]).tolist()
-        self.answers = np.empty(self.keys.size, dtype=np.int64)
+    retryable = (NodeDown,)
 
-    def parts(self, slots: np.ndarray):
-        """``(request, start, its slots)`` per request in ascending *slots*."""
-        cuts = np.searchsorted(slots, self.starts).tolist()
-        return [(r, start, slots[a:b]) for r, start, a, b in zip(
-            self.requests, self.starts, cuts, cuts[1:]) if a < b]
-
-    def settle(self, slots: np.ndarray, result) -> None:
-        """Record a node lookup's *result*: answers, or the exception raised."""
-        if not isinstance(result, Exception):
-            self.answers[slots] = result
-        for request, start, part in self.parts(slots):
-            future = request.future
-            if isinstance(result, NodeDown):
-                request.failed.append(part - start)
-            elif isinstance(result, Exception) and not future.done():
-                future.set_exception(result)
-            request.pending -= part.size
-            if not request.pending and not future.done():
-                future.set_result(self.answers[start:start + request.keys.size])
+    def __init__(self, requests: list[Request]):
+        super().__init__(requests)
+        self.table, self.live = requests[0].tag.table, requests[0].tag.live
+        self.shift = np.concatenate([r.tag.shift for r in requests])
 
 
 class ClusterRouter:
@@ -134,7 +105,7 @@ class ClusterRouter:
         #: has no cache tier, so every record is charged to the store.
         self.recorder = recorder
         self._rr = 0              # rotating replica preference
-        self._queue: dict = {}  # routing snapshot -> requests to flush
+        self._turns = TurnQueue(self._flush)  # grouped by routing snapshot
         self._tasks: set[asyncio.Task] = set()  # lookups at delayed nodes
         self._inflight: set[object] = set()  # batches in flight (quiesce)
         self._chosen_for, self._chosen = None, {}  # _targets' memo
@@ -254,9 +225,9 @@ class ClusterRouter:
         for round_no in range(MAX_RETRY_ROUNDS):
             live = tuple(nid for nid, node in self.nodes.items()
                          if node.state is not NodeState.DOWN)
-            shift = np.full(pending.size, rot + round_no)
-            request = _Request(keys[pending], (table, shift, live))
-            self._submit(request)
+            shift = np.full(pending.size, (rot + round_no) % table.rf)
+            request = Request(keys[pending], _Route(table, shift, live, 1))
+            self._turns.submit(request, (id(table), live))
             out[pending] = await request.future
             # A retry per dead node, and one for keys with no live replica.
             self.metrics.retries += len(request.failed)
@@ -272,17 +243,10 @@ class ClusterRouter:
 
     # -- the per-turn flush --------------------------------------------
 
-    def _submit(self, request: _Request) -> None:
-        """Queue *request* by routing snapshot; the first request in a
-        loop turn schedules the flush."""
-        if not self._queue:
-            asyncio.get_running_loop().call_soon(self._flush)
-        table, _, live = request.route
-        self._queue.setdefault((id(table), live), []).append(request)
-
     def _targets(self, flush: _Flush) -> np.ndarray:
         """Each key's first live replica in its row's preference order
-        rotated by its shift (-1: none), memoised per row and rotation."""
+        rotated by its shift (< rf; -1: none), memoised per row and
+        rotation."""
         table, live = flush.table, flush.live
         if table is not self._chosen_for:
             self._chosen_for, self._chosen = table, {}
@@ -294,48 +258,53 @@ class ClusterRouter:
             pref = rows.T[(np.arange(rf)[:, None] + np.arange(rf)) % rf]
             ok = up[pref]
             first = np.take_along_axis(pref, ok.argmax(1)[:, None], 1)[:, 0]
-            self._chosen[live] = np.where(ok.any(1), first, -1)
+            self._chosen[live] = np.where(ok.any(1), first, -1).ravel()
         idx = table.row_index(HashRing.positions(flush.keys))
-        return self._chosen[live][flush.shift % table.rf, idx]
+        return self._chosen[live].take(flush.shift * table.n_tokens + idx)
 
-    def _flush(self) -> None:
-        """Route this loop turn's requests; one lookup per node."""
-        queue, self._queue = self._queue, {}
-        for requests in queue.values():
-            flush = _Flush(requests)
-            # Owner 0 collects the keys with no live replica: they fail.
-            owners = self._targets(flush) + 1
-            for owner, keys, slots in by_owner(
-                    owners, max(flush.live, default=-1) + 2, flush.keys,
-                    np.arange(flush.keys.size)):
-                node = self.nodes.get(owner - 1)
-                if node is None:
-                    flush.settle(slots, NodeDown(-1))
-                elif node.state is NodeState.UP and node.delay == 0.0:
-                    # Cannot suspend, so nothing to hedge or fail: answer.
-                    try:
-                        result = node.answer(keys)
-                    except Exception as exc:
-                        result = exc
-                    flush.settle(slots, result)
+    def _flush(self, requests: list[Request]) -> None:
+        """Route one snapshot's requests of this loop turn; one lookup
+        per node, and one settling of what the nodes answered at once."""
+        flush = _Flush(requests)
+        answered = []
+        # Owner 0 collects the keys with no live replica: they fail.
+        owners = self._targets(flush) + 1
+        for owner, keys, slots in by_owner(
+                owners, max(flush.live, default=-1) + 2, flush.keys,
+                np.arange(flush.keys.size)):
+            node = self.nodes.get(owner - 1)
+            if node is None:
+                flush.settle(slots, NodeDown(-1))
+            elif node.state is NodeState.UP and node.delay == 0.0:
+                # Cannot suspend, so nothing to hedge or fail: answer.
+                try:
+                    flush.answers[slots] = node.answer(keys)
+                except Exception as exc:
+                    flush.settle(slots, exc)
                 else:
-                    task = asyncio.ensure_future(self._serve(node, keys, slots, flush))
-                    self._tasks.add(task)
-                    task.add_done_callback(self._tasks.discard)
+                    answered.append(slots)
+            else:
+                task = asyncio.ensure_future(self._serve(node, keys, slots, flush))
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
+        if answered:
+            done = np.concatenate(answered)
+            flush.settle(None if done.size == flush.keys.size else np.sort(done))
 
     async def _serve(self, node: ClusterNode, keys: np.ndarray,
                      slots: np.ndarray, flush: _Flush) -> None:
         """Settle *slots* by a hedged lookup at a node that can suspend."""
         try:
-            result = await self._hedged(node, keys, slots, flush)
+            flush.answers[slots] = await self._hedged(node, keys, slots, flush)
         except Exception as exc:  # NodeDown: the requests re-route
-            result = exc
-        flush.settle(slots, result)
+            flush.settle(slots, exc)
+        else:
+            flush.settle(slots)
 
     async def _hedged(self, node: ClusterNode, keys: np.ndarray,
                       slots: np.ndarray, flush: _Flush) -> np.ndarray:
         """One node lookup, backed up by a hedge after the hedge delay."""
-        n_requests = sum(r.weight for r, _, _ in flush.parts(slots))
+        n_requests = sum(r.tag.weight for r, _, _ in flush.parts(slots))
 
         async def timed() -> np.ndarray:
             # One estimator sample per client request the lookup serves.
@@ -353,11 +322,12 @@ class ClusterRouter:
         # key's next live replica.  If some key has none, the hedge would
         # wait for the primary anyway: not worth it.
         live = tuple(nid for nid in flush.live if nid != node.node_id)
-        hedge = _Request(keys, (flush.table, flush.shift[slots], live), n_requests)
+        hedge = Request(keys, _Route(flush.table, flush.shift[slots], live,
+                                     n_requests))
         if self._targets(_Flush([hedge])).min() < 0:
             return await primary
         self.metrics.hedges_fired += n_requests
-        self._submit(hedge)
+        self._turns.submit(hedge, (id(flush.table), live))
         try:
             waiting = {primary, hedge.future}
             while waiting:

@@ -400,7 +400,7 @@ class LsmReadView:
     holding this view serves exact counts while ingest and compaction
     keep mutating the store underneath — no rebuild, no snapshot copy.
     Sharding here is virtual (routing only): data stays in one store,
-    but the engine's per-shard micro-batchers still coalesce by owner.
+    but the engine's flush still makes one lookup per owner.
     """
 
     def __init__(self, store: LsmStore, n_shards: int = 1):

@@ -228,14 +228,6 @@ class CostModel:
         self._charge(src, ClockLedger.PUT, nbytes)
         return src.clock + self.machine.tau
 
-    # -- composite costs ---------------------------------------------
-
-    def sort_cost_time(self, n: int, passes: int, elem_bytes: int = 8) -> float:
-        """Phase-2 radix sort time: Eq. 12 compute + Eq. 13 traffic."""
-        ops = n * passes
-        traffic = 2 * n * elem_bytes * passes  # read + write per pass
-        return ops / self.pe_ops + traffic / self.pe_mem_bw
-
     # -- queueing ----------------------------------------------------
 
     @staticmethod

@@ -131,11 +131,6 @@ class MachineConfig:
         return self.beta_link / self.cores_per_node
 
     @property
-    def core_disk_bw(self) -> float:
-        """Disk bandwidth share of one core (bytes/s)."""
-        return self.beta_disk / self.cores_per_node
-
-    @property
     def mu(self) -> float:
         """Per-byte wire cost (the model's :math:`\\mu` = 1/beta_link)."""
         return 1.0 / self.beta_link

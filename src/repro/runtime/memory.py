@@ -202,10 +202,3 @@ class MemoryTracker:
 
     def peak_any_pe(self) -> int:
         return max(self._peak, default=0)
-
-    def peak_by_category(self) -> dict[str, int]:
-        """Current bytes per category summed over PEs (diagnostics)."""
-        out: dict[str, int] = {}
-        for (pe, cat), nbytes in self.current.items():
-            out[cat] = out.get(cat, 0) + nbytes
-        return out

@@ -170,14 +170,6 @@ class RunStats:
             return 1.0
         return float(received.max() / mean)
 
-    def clock_imbalance(self) -> float:
-        """Max/mean ratio of per-PE virtual clocks."""
-        clocks = np.array([p.clock for p in self.pe], dtype=np.float64)
-        mean = clocks.mean() if clocks.size else 0.0
-        if mean == 0:
-            return 1.0
-        return float(clocks.max() / mean)
-
     # -- reporting ---------------------------------------------------
 
     def summary(self) -> dict:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .alphabet import (
     ASCII_TO_CODE,
-    BASES,
     CODE_TO_ASCII,
     COMPLEMENT_CODE,
     INVALID_CODE,
@@ -162,8 +161,3 @@ def unpack_codes_2bit(packed: np.ndarray, n_bases: int) -> np.ndarray:
     out[2::4] = (packed >> 4) & 0x3
     out[3::4] = (packed >> 6) & 0x3
     return out[:n_bases]
-
-
-def random_codes(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform random 2-bit code array of length *n* (test/data helper)."""
-    return rng.integers(0, len(BASES), size=n, dtype=np.uint8)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import decode_codes, encode_seq
+from .encoding import encode_seq
 
 __all__ = [
     "uniform_genome",
@@ -115,8 +115,3 @@ def repeat_genome(
             start = int(rng.integers(0, length - tract_len))
             genome[start : start + tract_len] = tract
     return genome
-
-
-def genome_to_str(genome: np.ndarray) -> str:
-    """Decode an encoded genome back to a DNA string."""
-    return decode_codes(genome)

@@ -6,8 +6,8 @@ database; this package answers queries against it at service scale:
 * :mod:`repro.serve.shards` — splitmix64-sharded sorted-array stores
   with vectorised batch lookups;
 * :mod:`repro.serve.engine` — asyncio front end: bounded admission
-  (:class:`Overloaded` backpressure), per-shard micro-batching, and a
-  naive one-at-a-time baseline to measure against;
+  (:class:`Overloaded` backpressure), one batched flush per event-loop
+  turn (:mod:`repro.serve.turn`), and a naive one-at-a-time baseline;
 * :mod:`repro.serve.cache` — ``HotKeyCache``, the one hot-key LRU:
   L3-style heavy-hitter admission;
 * :mod:`repro.serve.workload` — seeded Zipf load generation from a

@@ -8,7 +8,7 @@ capture a trace):
 1. count a dataset replica into a database,
 2. shard it, generate a Zipf query stream from its spectrum,
 3. answer the stream twice — once with the naive one-at-a-time scalar
-   loop, once through the micro-batching + hot-key-cache engine (driven
+   loop, once through the per-turn batching + hot-key-cache engine (driven
    by :func:`~repro.serve.workload.drive_load`),
 4. check both answer vectors agree, and report throughput, latency
    percentiles, cache hit rate, and the measured speedup.

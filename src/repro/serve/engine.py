@@ -1,44 +1,35 @@
-"""Asyncio query engine: admission control, micro-batching, caching.
+"""Asyncio query engine: admission control, per-turn batching, caching.
 
 The serving pipeline for one query is::
 
-    client --> admission gate --> hot-key cache --> per-shard queue
-                  (Overloaded)       (L3-style)         |
-                                                   micro-batcher
-                                                 (size/window coalesce)
-                                                        |
-                                               one probe_sorted per flush
+    client --> admission gate --> hot-key cache --> turn queue --> one
+                  (Overloaded)       (L3-style)     flush per loop turn:
+                                                    one lookup per shard
 
-Three mechanisms carry the performance argument:
+* **Bounded admission** — past :data:`MAX_INFLIGHT` keys in flight the
+  engine rejects with a typed :class:`Overloaded` error instead of
+  queueing unboundedly: latency stays bounded, memory stays flat.
+* **Per-turn batching** — every client batch's misses join one
+  :class:`~repro.serve.turn.TurnQueue`, whose one flush per loop turn
+  answers them all with one vectorised lookup per shard, amortising
+  the per-call overhead that makes one-at-a-time serving slow.
+* **Hot-key caching** — a :class:`~repro.serve.cache.HotKeyCache` in
+  front of the flush absorbs the Zipf head (the read-path analogue of
+  the paper's L3 heavy-hitter aggregation): one ``get_many`` per client
+  batch, one ``offer_many`` per flush.
 
-* **Bounded admission** — the engine tracks keys in flight and rejects
-  work past :data:`MAX_INFLIGHT` with a typed :class:`Overloaded` error
-  instead of queueing unboundedly.  Explicit backpressure: the load
-  generator sees rejections, latency stays bounded, memory stays flat.
-* **Micro-batching** — per-shard workers coalesce queued requests up
-  to :data:`BATCH_SIZE` keys or a ``batch_window`` timer and answer each
-  flush with *one* vectorised lookup, amortising the per-call Python
-  and NumPy overhead that makes one-at-a-time serving slow.
-* **Hot-key caching** — a :class:`~repro.serve.cache.HotKeyCache`
-  in front of the queues absorbs the Zipf head before it concentrates
-  on one shard (the read-path analogue of the paper's L3 heavy-hitter
-  aggregation).  The cache is aggregated like the store: one
-  ``get_many`` per client batch and one ``offer_many`` per flush.
-
-Requests enter as key *chunks* (a single key is a chunk of one): the
-batch API :meth:`QueryEngine.query_many` routes a client batch's
-misses to their shards with one vectorised owner computation and one
-stable split, which is how a load generator standing in for thousands
-of concurrent single-key clients submits an arrival tick's worth of
-traffic.  Each flush writes its answers straight into the request's
-output array; the request's one future resolves when its last chunk
-has been answered.
+With a simulated store service cost (``flush_service_time`` /
+``flush_service_per_key``) each shard is one server: keys wait in its
+FIFO (with tenants, a :class:`~repro.tenant.scheduler.DRRQueue`) while
+a flush of at most :data:`BATCH_SIZE` keys is in service, and a
+``call_later`` completion answers it and starts the shard's next one.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +39,7 @@ from .cache import TIER_STORE, TIER_T1, HotKeyCache
 from .clock import now
 from .metrics import ServeMetrics
 from .shards import ShardedStore
+from .turn import Request, Turn, TurnQueue
 
 # The tenant layer is imported after .metrics so the partial-package
 # import chain (serve -> engine -> tenant -> serve.metrics) resolves.
@@ -57,28 +49,25 @@ from ..tenant.scheduler import DRRQueue                # noqa: E402
 
 __all__ = ["Overloaded", "EngineConfig", "QueryEngine", "naive_serve"]
 
-#: Keys per flush, the coalescing target: one 256-key client group, the
-#: group size every serving bench submits, is one flush.
+#: Most keys per flush of a shard in service: one 256-key client group,
+#: the group size every serving bench submits.
 BATCH_SIZE = 256
 #: Admission bound in keys (priority p gets ``MAX_INFLIGHT >> p``): 32
 #: flushes, 4x what 8 closed-loop clients of 256-key groups hold, so
 #: only open-loop floods are shed.
 MAX_INFLIGHT = 8192
-#: Micro-batchers per shard.  A flush runs synchronously on the event
-#: loop, so a second worker would split the queue into smaller batches,
-#: not look up in parallel.
-WORKERS_PER_SHARD = 1
+#: Least :class:`Overloaded` retry hint in seconds (also the hint before
+#: a drain rate is measured); the most is 5 s.
+RETRY_FLOOR = 5e-4
 
 
 class Overloaded(RuntimeError):
     """Admission queue full: the request was rejected, not queued.
 
     Carries ``inflight`` (keys currently admitted), ``limit`` and a
-    ``retry_after`` hint — the estimated seconds until the current
-    queue depth drains enough to admit a request of this size (derived
-    from the engine's measured flush rate) — so clients can implement
-    informed retry/shedding policies instead of blind exponential
-    backoff.
+    ``retry_after`` hint — the seconds until the engine's measured
+    drain rate frees room for a request of this size — so clients can
+    back off informed instead of blindly.
     """
 
     def __init__(self, inflight: int, limit: int, retry_after: float = 0.0):
@@ -94,49 +83,25 @@ class Overloaded(RuntimeError):
 class EngineConfig:
     """Tuning knobs for :class:`QueryEngine`."""
 
-    batch_window: float = 5e-4   # seconds a partial batch waits for company
     fair_scheduling: bool = True  # DRR queues when tenants are registered
-    #: Simulated store service cost per flush (fixed + per-key seconds),
-    #: awaited by the worker before the vectorised lookup.  0 = off.
-    #: Benchmarks use it to model a real backend; on virtual time
-    #: (:func:`repro.serve.clock.run_virtual`) it is what queueing
-    #: effects such as tenant isolation are measured in.
+    #: Simulated store service cost per flush (fixed + per-key seconds;
+    #: 0 = off): on virtual time (:func:`repro.serve.clock.run_virtual`)
+    #: what queueing effects such as tenant isolation are measured in.
     flush_service_time: float = 0.0
     flush_service_per_key: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if self.flush_service_time < 0 or self.flush_service_per_key < 0:
             raise ValueError("flush service costs must be >= 0")
 
 
-class _Request:
-    """One client batch awaiting its store-answered keys.
-
-    Each flush writes its chunk's answers straight into :attr:`out` and
-    the one :attr:`future` resolves when no key is pending.
-    """
-
-    __slots__ = ("out", "pending", "future")
-
-    def __init__(self, out: np.ndarray, pending: int, future: asyncio.Future):
-        self.out = out
-        self.pending = pending
-        self.future = future
+_Chunk = namedtuple("_Chunk", "keys slots turn tenant")  # bound for a busy shard
 
 
-class _Chunk:
-    """Keys of one request bound for one shard, and where they answer."""
+class _Fifo(deque):
+    """A shard's queue without fair scheduling, under DRRQueue's names."""
 
-    __slots__ = ("keys", "pos", "request", "tenant")
-
-    def __init__(self, keys: np.ndarray, pos: np.ndarray, request: _Request,
-                 tenant: str | None = None):
-        self.keys = keys
-        self.pos = pos            # indices of the keys in request.out
-        self.request = request
-        self.tenant = tenant
+    put_nowait, get_nowait, qsize = deque.append, deque.popleft, deque.__len__
 
 
 class QueryEngine:
@@ -161,37 +126,34 @@ class QueryEngine:
         #: query is logged with the tier that answered it.
         self.recorder = recorder
         #: Optional multi-tenancy: quota admission per request, DRR
-        #: weighted-fair batching at the shard workers, per-tenant
+        #: weighted-fair service at shards in service, per-tenant
         #: metrics with SLO grading, and tenant-tagged cache entries.
         self.tenants = tenants
         self.tenant_metrics = (
             TenantMetricsSet(tenants) if tenants is not None else None)
         if cache is not None:
             self.metrics.cache_source = cache
-        self._queues: list = []
-        self._workers: list[asyncio.Task] = []
-        self._requests: set[_Request] = set()   # store keys still pending
+        self._turns = TurnQueue(self._flush)
+        self._queues: list = []       # per shard, with a service cost only
+        self._serving: dict[int, asyncio.TimerHandle] = {}  # shard -> completion
+        self._requests: set[Request] = set()   # store keys still pending
         self._inflight = 0
         self._running = False
         self._unsubscribe = None
         self._drain_rate = 0.0       # EWMA keys/s through the flush path
         self._last_flush_t: float | None = None
+        self._drain_keys = 0         # keys answered since _last_flush_t
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
         if self._running:
             return
-        if self.tenants is not None and self.config.fair_scheduling:
-            weights = self.tenants.weights()
-            self._queues = [DRRQueue(weights) for _ in range(self.store.n_shards)]
-        else:
-            self._queues = [asyncio.Queue() for _ in range(self.store.n_shards)]
-        self._workers = [
-            asyncio.create_task(self._worker(sid))
-            for sid in range(self.store.n_shards)
-            for _ in range(WORKERS_PER_SHARD)
-        ]
+        cfg = self.config
+        if cfg.flush_service_time > 0 or cfg.flush_service_per_key > 0:
+            fair = self.tenants is not None and cfg.fair_scheduling
+            self._queues = [DRRQueue(self.tenants.weights()) if fair else _Fifo()
+                            for _ in range(self.store.n_shards)]
         # A live store (e.g. LsmReadView) keeps changing answers under
         # us; drop cached entries for every ingested key or the cache
         # would serve pre-ingest counts forever.
@@ -200,20 +162,19 @@ class QueryEngine:
         self._running = True
 
     async def stop(self) -> None:
-        """Cancel the workers; every caller still waiting gets RuntimeError."""
+        """Drop queued and in-service keys; every waiting caller gets
+        RuntimeError."""
         if not self._running:
             return
         self._running = False
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
-        for task in self._workers:
-            task.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
+        self._turns.clear()
+        for handle in self._serving.values():
+            handle.cancel()
+        self._serving = {}
         self._queues = []
-        # Chunks still queued, or held by a cancelled worker, will never
-        # flush: fail their callers instead of leaving them waiting.
         for request in self._requests:
             if not request.future.done():
                 request.future.set_exception(RuntimeError(
@@ -236,25 +197,18 @@ class QueryEngine:
     # -- query paths ---------------------------------------------------
 
     async def query(self, key: int, *, tenant: str | None = None) -> int:
-        """Answer one key (a chunk of one; pays the batching window)."""
+        """Answer one key (a client batch of one)."""
         result = await self.query_many(np.array([key], dtype=np.uint64),
                                        tenant=tenant)
         return int(result[0])
 
     def _retry_hint(self, n: int) -> float:
-        """Seconds until *n* keys of admission headroom should exist.
-
-        Derived from the current queue depth and the measured flush
-        drain rate; clamped to [batch_window, 5 s] so clients never
-        spin on a zero hint or stall on a cold estimate.
-        """
+        """Seconds until *n* keys of admission headroom should exist:
+        the excess over the measured flush drain rate, clamped to
+        [RETRY_FLOOR, 5 s] (the floor while the rate is unmeasured)."""
         excess = max(self._inflight + n - MAX_INFLIGHT, n)
-        if self._drain_rate > 0:
-            hint = excess / self._drain_rate
-        else:
-            hint = self.config.batch_window or 1e-3
-        floor = self.config.batch_window or 1e-4
-        return float(min(max(hint, floor), 5.0))
+        hint = excess / self._drain_rate if self._drain_rate > 0 else RETRY_FLOOR
+        return float(min(max(hint, RETRY_FLOOR), 5.0))
 
     async def query_many(self, keys: np.ndarray, *,
                          tenant: str | None = None) -> np.ndarray:
@@ -323,17 +277,14 @@ class QueryEngine:
         self.metrics.cache_misses += n_miss
 
         if n_miss:
-            request = _Request(out, n_miss,
-                               asyncio.get_running_loop().create_future())
-            miss_keys = keys[miss_idx]
-            for sid, chunk_keys, chunk_pos in by_owner(
-                    self.store.shard_of(miss_keys), self.store.n_shards,
-                    miss_keys, miss_idx):
-                self._queues[sid].put_nowait(
-                    _Chunk(chunk_keys, chunk_pos, request, tenant))
+            request = Request(keys[miss_idx], tenant)
+            self._turns.submit(request)
             self._inflight += n_miss
             self._requests.add(request)
-            await request.future
+            try:
+                out[miss_idx] = await request.future
+            finally:
+                self._requests.discard(request)
 
         dt = now() - t0
         found = int((out > 0).sum())
@@ -348,71 +299,94 @@ class QueryEngine:
             tm.cache_misses += n_miss
         return out
 
-    # -- micro-batching workers ---------------------------------------
+    # -- the per-turn flush --------------------------------------------
 
-    async def _worker(self, sid: int) -> None:
+    def _flush(self, requests: list[Request]) -> None:
+        """Answer one loop turn's requests (tagged by tenant): one cut by
+        shard, then one lookup per shard, or with a service cost a
+        place in each shard's queue."""
+        turn = Turn(requests)
+        keys = turn.keys
+        shards = by_owner(self.store.shard_of(keys), self.store.n_shards,
+                          keys, np.arange(keys.size))
+        if self._queues:
+            for sid, _, slots in shards:
+                for request, _, part in turn.parts(slots):
+                    self._queues[sid].put_nowait(
+                        _Chunk(keys[part], part, turn, request.tag))
+                if sid not in self._serving:
+                    self._serve(sid)
+            return
+        n_lookups = 0
+        for n_lookups, (sid, shard_keys, slots) in enumerate(shards, 1):
+            turn.answers[slots] = self.store.lookup_batch(sid, shard_keys)
+        self._answered(keys, turn.answers, n_lookups,
+                       [r.tag for r in requests], turn.starts)
+        turn.settle()
+
+    def _serve(self, sid: int) -> None:
+        """Put shard *sid*'s next flush in service: queued chunks until
+        it holds BATCH_SIZE keys, answered once the service time passed."""
         queue = self._queues[sid]
+        batch = [queue.get_nowait()]
+        n_keys = batch[0].keys.size
+        while n_keys < BATCH_SIZE and queue.qsize():
+            batch.append(queue.get_nowait())
+            n_keys += batch[-1].keys.size
+        self.metrics.observe_queue_depth(queue.qsize())
         cfg = self.config
-        while True:
-            chunk = await queue.get()
-            batch = [chunk]
-            n_keys = int(chunk.keys.size)
-            if cfg.batch_window > 0 and n_keys < BATCH_SIZE and queue.empty():
-                # Lone partial batch: wait one window for company.
-                await asyncio.sleep(cfg.batch_window)
-            while n_keys < BATCH_SIZE and not queue.empty():
-                more = queue.get_nowait()
-                batch.append(more)
-                n_keys += int(more.keys.size)
-            self.metrics.observe_queue_depth(queue.qsize())
-            if cfg.flush_service_time > 0 or cfg.flush_service_per_key > 0:
-                # Simulated store service cost: makes queueing (and so
-                # isolation) measurable on an in-memory store.
-                await asyncio.sleep(cfg.flush_service_time
-                                    + cfg.flush_service_per_key * n_keys)
-            self._flush(sid, batch, n_keys)
+        self._serving[sid] = asyncio.get_running_loop().call_later(
+            cfg.flush_service_time + cfg.flush_service_per_key * n_keys,
+            self._complete, sid, batch)
 
-    def _flush(self, sid: int, batch: list[_Chunk], n_keys: int) -> None:
-        """One vectorised lookup answering every chunk in the batch."""
-        if len(batch) == 1:
-            all_keys = batch[0].keys
-        else:
-            all_keys = np.concatenate([c.keys for c in batch])
-        values = self.store.lookup_batch(sid, all_keys)
+    def _complete(self, sid: int, batch: list[_Chunk]) -> None:
+        """Answer shard *sid*'s flush in service; start its next one."""
+        del self._serving[sid]
+        keys = np.concatenate([c.keys for c in batch])
+        values = self.store.lookup_batch(sid, keys)
+        starts = np.cumsum([0] + [c.keys.size for c in batch]).tolist()
+        self._answered(keys, values, 1, [c.tenant for c in batch], starts)
+        for chunk, start, end in zip(batch, starts, starts[1:]):
+            chunk.turn.answers[chunk.slots] = values[start:end]
+            chunk.turn.settle(chunk.slots)
+        if self._queues[sid].qsize():
+            self._serve(sid)
+
+    def _answered(self, keys: np.ndarray, values: np.ndarray, n_lookups: int,
+                  tenants: list, starts: list[int]) -> None:
+        """Account a flush's *n_lookups* store lookups: the batch
+        counters, admission headroom, the drain-rate EWMA behind retry
+        hints, and the cache offers — one ``offer_many``, or one per
+        tenant of tenant-tagged keys (run *i* of *keys*,
+        ``starts[i]:starts[i + 1]``, is *tenants[i]*'s)."""
+        self.metrics.n_batches += n_lookups
+        self.metrics.batched_keys += int(keys.size)
+        self._inflight -= int(keys.size)
+        # The rate is taken over spans of at least RETRY_FLOOR: shards
+        # finishing in one instant (or microseconds apart) count together.
         t = now()
-        if self._last_flush_t is not None:
-            dt = t - self._last_flush_t
-            if dt > 0:
-                inst = n_keys / dt
-                # EWMA of the drain rate feeds Overloaded retry hints.
-                self._drain_rate = (inst if self._drain_rate == 0
-                                    else 0.8 * self._drain_rate + 0.2 * inst)
-        self._last_flush_t = t
-        cache = self.cache
-        # Tenant-tagged cache keys differ chunk by chunk: one offer call
-        # per chunk then, else one for the whole flush.
-        per_chunk = cache is not None and self.tenants is not None
-        offset = 0
-        for chunk in batch:
-            end = offset + int(chunk.keys.size)
-            request = chunk.request
-            request.out[chunk.pos] = values[offset:end]
-            request.pending -= end - offset
-            if not request.pending:
-                self._requests.discard(request)
-                if not request.future.done():   # done = caller cancelled
-                    request.future.set_result(None)
-            if per_chunk:
-                ckeys = chunk.keys.tolist()
-                if chunk.tenant is not None:
-                    ckeys = [(chunk.tenant, key) for key in ckeys]
-                cache.offer_many(ckeys, values[offset:end].tolist())
-            offset = end
-        if cache is not None and not per_chunk:
-            cache.offer_many(all_keys.tolist(), values.tolist())
-        self._inflight -= n_keys
-        self.metrics.n_batches += 1
-        self.metrics.batched_keys += n_keys
+        if self._last_flush_t is None:
+            self._last_flush_t = t
+        elif t - self._last_flush_t >= RETRY_FLOOR:
+            inst = (self._drain_keys + keys.size) / (t - self._last_flush_t)
+            self._drain_rate = (inst if self._drain_rate == 0
+                                else 0.8 * self._drain_rate + 0.2 * inst)
+            self._last_flush_t, self._drain_keys = t, 0
+        else:
+            self._drain_keys += int(keys.size)
+        if self.cache is None:
+            return
+        if self.tenants is None:
+            self.cache.offer_many(keys.tolist(), values.tolist())
+            return
+        offers: dict = {}
+        for tenant, start, end in zip(tenants, starts, starts[1:]):
+            ckeys, cvalues = offers.setdefault(tenant, ([], []))
+            run = keys[start:end].tolist()
+            ckeys.extend(run if tenant is None else [(tenant, k) for k in run])
+            cvalues.extend(values[start:end].tolist())
+        for ckeys, cvalues in offers.values():
+            self.cache.offer_many(ckeys, cvalues)
 
 
 def naive_serve(

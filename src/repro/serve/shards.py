@@ -57,7 +57,7 @@ class ShardedStore:
 
     The shard of a key is ``splitmix64(key) mod n_shards`` — a pure
     function of the key, so clients, load balancers, and the engine's
-    micro-batcher all agree on routing without coordination.
+    flush all agree on routing without coordination.
     """
 
     def __init__(self, k: int, shards: list[Shard]):

@@ -9,8 +9,8 @@ quotas, priorities, and SLOs.  The layer adds four mechanisms to
   work with a typed :class:`QuotaExceeded` (carrying a retry-after
   hint) *before* it consumes queue depth;
 * :mod:`repro.tenant.scheduler` — deficit-round-robin weighted-fair
-  batching at the shard workers, so each flush mixes tenants in
-  proportion to weight instead of FIFO arrival order;
+  queues at busy shards, so each flush mixes tenants in proportion to
+  weight instead of FIFO arrival order;
 * :mod:`repro.tenant.metrics` — per-tenant latency histograms, hit
   rates, rejection causes, and SLO-attainment gauges that merge
   bucket-exactly into the engine totals;

@@ -25,8 +25,8 @@ target (``dakc xp run benchmarks/xp/tenant.json`` → ledger
 Isolation is a queueing claim, so every scenario runs on the virtual
 clock of :func:`~repro.serve.clock.run_virtual`: the only time that
 passes is the simulated store service cost (``flush_service_time`` /
-``flush_service_per_key``), the batching window, the victim's pacing
-and the flooders' back-off sleeps, and each p99 is an exact function
+``flush_service_per_key``), the victim's pacing and the flooders'
+back-off sleeps, and each p99 is an exact function
 of the seed.  Two more sections: :func:`~repro.tenant.scheduler.drr_audit`
 measures DRR shares over one saturated window, and the
 :class:`~repro.tenant.autoscaler.Autoscaler` drives live cluster
@@ -169,8 +169,7 @@ def bench_engine_config():
     """The engine the experiment is sized for (see :func:`run_tenant_bench`)."""
     from ..serve.engine import EngineConfig  # lazy: serve <-> tenant cycle
 
-    return EngineConfig(batch_window=2e-3, flush_service_time=30e-3,
-                        flush_service_per_key=1e-5)
+    return EngineConfig(flush_service_time=30e-3, flush_service_per_key=1e-5)
 
 
 def run_tenant_bench(

@@ -2,7 +2,7 @@
 
 "Millions of users" means the serving stack faces *tenants*, not one
 anonymous stream: each named client carries a weight (its fair share
-of shard-worker batch slots), a token-bucket rate limit with burst
+of a busy shard's flushes), a token-bucket rate limit with burst
 credits (how many keys per second it may admit, and how far it may
 briefly overshoot), a priority class (how early it is shed when the
 engine saturates), and an optional latency SLO that the per-tenant
@@ -60,7 +60,7 @@ class UnknownTenant(KeyError):
 class TenantSpec:
     """One tenant's service contract.
 
-    * ``weight`` — relative share of shard-worker batch slots under
+    * ``weight`` — relative share of a busy shard's flushes under
       contention (the DRR scheduler serves ~``weight / sum(weights)``
       of the saturated throughput to this tenant);
     * ``rate`` / ``burst`` — token-bucket quota in keys/second and

@@ -1,4 +1,4 @@
-"""Deficit round-robin: weighted-fair chunk scheduling at shard workers.
+"""Deficit round-robin: weighted-fair chunk scheduling at busy shards.
 
 A FIFO shard queue lets one flooding tenant put a wall of chunks in
 front of everyone else's traffic — the serving-side version of the
@@ -9,24 +9,21 @@ tenant keeps a *deficit counter*; on its turn it is granted
 while the deficit covers them.  Over any saturated window each tenant
 receives service proportional to its weight, within an additive error
 of one quantum plus one maximum chunk — the bound the `fair-share` DST
-invariant checks, while `no-starvation` checks the dual guarantee that
-a backlogged tenant's head chunk is served within
-``ceil(chunk / (quantum * weight))`` of its turns.
+invariant checks, while `no-starvation` checks that a backlogged
+tenant's head chunk is served within ``ceil(chunk / (quantum *
+weight))`` of its turns.
 
-:class:`DRRQueue` exposes the same surface the engine's micro-batching
-workers already use on :class:`asyncio.Queue` — ``put_nowait`` /
-``get`` / ``get_nowait`` / ``empty`` / ``qsize`` — so weighted
-fairness drops in without touching the coalescing loop.  Anything
-with ``.keys`` (sized) and ``.tenant`` attributes schedules; a
-``tenant`` of ``None`` rides in a shared best-effort lane at the
-default weight.  :func:`drr_audit` is the one saturated-window
-measurement of that fairness; the tenant bench reports it and the DST
-`fair-share` and `no-starvation` invariants fuzz it.
+The query engine keeps one :class:`DRRQueue` per shard when the store
+has a service cost and tenants are registered; each flush a shard puts
+in service takes its chunks in DRR order.  Anything with ``.keys``
+(sized) and ``.tenant`` attributes schedules; a ``tenant`` of ``None``
+rides in a shared best-effort lane at the default weight.
+:func:`drr_audit` is the one saturated-window measurement of that
+fairness; the tenant bench reports it and DST fuzzes it.
 """
 
 from __future__ import annotations
 
-import asyncio
 import math
 from collections import OrderedDict, deque
 from types import SimpleNamespace
@@ -44,7 +41,7 @@ QUANTUM_KEYS = 64
 
 
 class DRRQueue:
-    """Asyncio-compatible deficit-round-robin queue over tagged chunks.
+    """Deficit-round-robin queue over tagged chunks.
 
     * ``weights`` — tenant name -> relative weight (missing tenants,
       including the anonymous ``None`` lane, use *default_weight*);
@@ -76,7 +73,6 @@ class DRRQueue:
         self._waits: dict[object, int] = {}  # grant turns since last service
         self._fresh = True                   # head of _active owed a grant?
         self._n_chunks = 0
-        self._event = asyncio.Event()
         #: Keys served per tenant (the fair-share measurement).
         self.served_keys: dict[object, int] = {}
         #: Chunks served per tenant.
@@ -84,13 +80,10 @@ class DRRQueue:
         #: Services that waited more grant turns than DRR allows.
         self.starvation_violations = 0
 
-    # -- asyncio.Queue surface -----------------------------------------
+    # -- queue surface -------------------------------------------------
 
     def qsize(self) -> int:
         return self._n_chunks
-
-    def empty(self) -> bool:
-        return self._n_chunks == 0
 
     def put_nowait(self, chunk) -> None:
         tenant = getattr(chunk, "tenant", _ANON)
@@ -105,23 +98,12 @@ class DRRQueue:
                 self._fresh = True
         q.append(chunk)
         self._n_chunks += 1
-        self._event.set()
 
     def get_nowait(self):
         chunk = self._pop()
         if chunk is None:
-            raise asyncio.QueueEmpty
+            raise IndexError("get_nowait from an empty DRRQueue")
         return chunk
-
-    async def get(self):
-        while True:
-            chunk = self._pop()
-            if chunk is not None:
-                return chunk
-            self._event.clear()
-            if self._n_chunks:  # lost race with a concurrent put
-                continue
-            await self._event.wait()
 
     # -- the scheduler -------------------------------------------------
 

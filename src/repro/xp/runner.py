@@ -69,8 +69,11 @@ def run_spec(spec: ExperimentSpec, *, progress=None) -> dict:
             outcome = target.run({**params, "seed": rep_seed})
             elapsed = time.perf_counter() - t0
             # A wrong answer in a warmup is still a wrong answer: its
-            # checks count, only its timings are discarded.
-            for name, value in outcome.checks.items():
+            # checks count, only its timings (and the wall-clock ratio
+            # checks made of them) are discarded.
+            kept = outcome.checks if warm else {**outcome.checks,
+                                                **outcome.cost_checks}
+            for name, value in kept.items():
                 checks[name] = checks.get(name, True) and bool(value)
             if warm:
                 continue

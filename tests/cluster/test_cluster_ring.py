@@ -141,6 +141,24 @@ def test_property_every_key_has_rf_distinct_replicas(n_nodes, rf, vnodes, seed):
     assert np.array_equal(again.replicas_batch(keys), rows)
 
 
+@given(
+    n_nodes=st.integers(min_value=1, max_value=40),
+    vnodes=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_row_index_is_the_first_token_at_or_after(n_nodes, vnodes, seed):
+    """The slice-table walk equals a binary search over the tokens,
+    wrap past the last token included, at and beside every token."""
+    table = HashRing(range(n_nodes), rf=1, vnodes=vnodes, seed=seed).table()
+    one = np.uint64(1)
+    positions = np.concatenate([
+        np.random.default_rng(seed).integers(0, 2**64, 512, dtype=np.uint64),
+        table.tokens, table.tokens - one, table.tokens + one,
+        np.array([0, 2**64 - 1], dtype=np.uint64)])
+    expect = np.searchsorted(table.tokens, positions) % table.n_tokens
+    assert np.array_equal(table.row_index(positions), expect)
+
+
 class TestIntervalMask:
     def test_plain_interval(self):
         pos = np.array([5, 10, 15, 20], dtype=np.uint64)

@@ -299,7 +299,7 @@ class TestReadView:
         async def go():
             with LsmStore(tmp_path / "db", K, config=TINY) as store:
                 view = store.read_view(n_shards=2)
-                cfg = EngineConfig(batch_window=0.0)
+                cfg = EngineConfig()
                 n = 0
                 async with QueryEngine(view, cfg) as engine:
                     for batch in _batches(small_reads, 50):

@@ -26,7 +26,7 @@ def db(small_reads):
 
 @asynccontextmanager
 async def engine_target(db):
-    cfg = EngineConfig(batch_window=1e-4)
+    cfg = EngineConfig()
     async with QueryEngine(ShardedStore.from_counts(db, 4), cfg) as engine:
         yield engine
 
@@ -133,7 +133,7 @@ def test_real_overload_resubmits_to_a_complete_answer(db, monkeypatch):
     keys = db.kmers[:256]
 
     async def go():
-        cfg = EngineConfig(batch_window=2e-3)
+        cfg = EngineConfig()
         async with QueryEngine(ShardedStore.from_counts(db, 4), cfg) as engine:
             answers, _ = await drive_load(engine, key_groups(keys, 8),
                                           concurrency=16, resubmit=True)
@@ -149,7 +149,7 @@ def test_paced_groups_are_submitted_on_schedule(db):
     interval = 5e-3
 
     async def go():
-        cfg = EngineConfig(batch_window=1e-4, flush_service_time=3 * interval)
+        cfg = EngineConfig(flush_service_time=3 * interval)
         store = ShardedStore.from_counts(db, 1)
         async with QueryEngine(store, cfg) as engine:
             groups = key_groups(db.kmers[:80], 8)

@@ -11,6 +11,7 @@ import pytest
 from repro.core.serial import serial_count
 from repro.serve import engine as engine_mod
 from repro.serve.cache import TIER_STORE, TIER_T1, HotKeyCache
+from repro.serve.clock import now, run_virtual
 from repro.serve.engine import EngineConfig, Overloaded, QueryEngine, naive_serve
 from repro.serve.shards import ShardedStore
 from repro.serve.workload import drive_load, key_groups
@@ -31,9 +32,23 @@ def run(coro):
     return asyncio.run(coro)
 
 
+class CountingStore:
+    """A store that records the shard and size of every lookup."""
+
+    def __init__(self, store):
+        self.inner, self.calls = store, []
+        self.n_shards, self.shard_of = store.n_shards, store.shard_of
+
+    def lookup_batch(self, sid, keys):
+        self.calls.append((sid, int(keys.size)))
+        return self.inner.lookup_batch(sid, keys)
+
+
 class TestCorrectness:
-    @pytest.mark.parametrize("batch_size,window", [(1, 0.0), (16, 0.0), (64, 1e-3)])
-    def test_matches_oracle(self, db, store, rng, monkeypatch, batch_size, window):
+    # A service cost puts each shard in service (flushes of BATCH_SIZE
+    # keys); without one the turn's flush answers every key at once.
+    @pytest.mark.parametrize("batch_size,service", [(1, 0.0), (16, 0.0), (64, 1e-3)])
+    def test_matches_oracle(self, db, store, rng, monkeypatch, batch_size, service):
         monkeypatch.setattr(engine_mod, "BATCH_SIZE", batch_size)
         keys = rng.choice(db.kmers, size=400)
         expect = np.array([db.get(int(k)) for k in keys])
@@ -42,11 +57,11 @@ class TestCorrectness:
         assert set(store.shard_of(keys).tolist()) == set(range(store.n_shards))
 
         async def go():
-            cfg = EngineConfig(batch_window=window)
+            cfg = EngineConfig(flush_service_time=service)
             async with QueryEngine(store, cfg) as engine:
                 return await engine.query_many(keys), engine
 
-        out, engine = run(go())
+        out, engine = run_virtual(go())
         assert np.array_equal(out, expect)
         assert engine.metrics.batched_keys == keys.size
         assert engine.inflight == 0 and not engine._requests
@@ -55,8 +70,7 @@ class TestCorrectness:
         key = int(db.kmers[0])
 
         async def go():
-            cfg = EngineConfig(batch_window=0.0)
-            async with QueryEngine(store, cfg) as engine:
+            async with QueryEngine(store) as engine:
                 hit = await engine.query(key)
                 miss = await engine.query((1 << 30) + 12345)
                 return hit, miss
@@ -77,9 +91,8 @@ class TestCorrectness:
         naive_out, _ = naive_serve(store, keys)
 
         async def go():
-            cfg = EngineConfig(batch_window=2e-4)
             cache = HotKeyCache(512, admit_threshold=2)
-            async with QueryEngine(store, cfg, cache=cache) as engine:
+            async with QueryEngine(store, cache=cache) as engine:
                 return (await drive_load(engine, key_groups(keys, 100),
                                          concurrency=4))[0]
 
@@ -96,54 +109,89 @@ class TestBatching:
         keys = db.kmers[:300]
 
         async def go():
-            cfg = EngineConfig(batch_window=5e-3)
-            async with QueryEngine(store, cfg) as engine:
+            async with QueryEngine(store) as engine:
                 groups = [keys[i : i + 10] for i in range(0, 300, 10)]
                 await asyncio.gather(*(engine.query_many(g) for g in groups))
                 return engine.metrics
 
         metrics = run(go())
         assert metrics.n_queries == 300
-        # 30 requests x 4 shards would be <= 120 naive flushes; the
-        # window must coalesce them well below that.
-        assert metrics.n_batches < 60
+        # 30 requests in one loop turn: one flush, one lookup per shard
+        # (30 x 4 shards would be 120 without the turn's batching).
+        assert metrics.n_batches <= store.n_shards
         assert metrics.mean_batch_size > 2.0
         assert metrics.batched_keys == 300
 
+    def test_one_lookup_per_owning_shard_per_turn(self, db, store, rng):
+        counting = CountingStore(store)
+        groups = key_groups(rng.choice(db.kmers, size=8 * 256), 256)
+
+        async def go():
+            async with QueryEngine(counting) as engine:
+                # 8 clients, one turn: their submissions share a flush.
+                return await asyncio.gather(*map(engine.query_many, groups))
+
+        out = np.concatenate(run(go()))
+        keys = np.concatenate(groups)
+        assert np.array_equal(out, [db.get(int(k)) for k in keys])
+        owners = sorted(set(store.shard_of(keys).tolist()))
+        assert sorted(sid for sid, _ in counting.calls) == owners
+        assert sum(n for _, n in counting.calls) == keys.size
+
+    def test_lone_query_answers_in_its_turn(self, db, store):
+        """Zero service cost: nothing waits for company, so on virtual
+        time a lone query is answered at the instant it was asked."""
+        key = int(db.kmers[3])
+
+        async def go():
+            async with QueryEngine(store) as engine:
+                return await engine.query(key), now()
+
+        assert run_virtual(go()) == (db.get(key), 0.0)
+
     def test_no_window_still_answers(self, db, store, monkeypatch):
+        """BATCH_SIZE bounds only a shard in service: without a service
+        cost a group bigger than it is still one lookup per shard."""
         monkeypatch.setattr(engine_mod, "BATCH_SIZE", 8)
 
         async def go():
-            cfg = EngineConfig(batch_window=0.0)
-            async with QueryEngine(store, cfg) as engine:
-                return await engine.query_many(db.kmers[:64])
-
-        assert (run(go()) > 0).all()
-
-    def test_workers_per_shard(self, db, store, monkeypatch):
-        monkeypatch.setattr(engine_mod, "BATCH_SIZE", 16)
-        monkeypatch.setattr(engine_mod, "WORKERS_PER_SHARD", 3)
-
-        async def go():
-            cfg = EngineConfig(batch_window=1e-4)
-            async with QueryEngine(store, cfg) as engine:
-                out, _ = await drive_load(engine, key_groups(db.kmers[:500], 50))
-                return out, engine.metrics
+            async with QueryEngine(store) as engine:
+                return await engine.query_many(db.kmers[:64]), engine.metrics
 
         out, metrics = run(go())
-        assert (out > 0).all()
-        assert metrics.n_queries == 500
+        assert np.array_equal(out, db.counts[:64])
+        assert metrics.n_batches <= store.n_shards
+
+    def test_in_service_flushes_split_at_batch_size(self, db, store, monkeypatch):
+        """A shard in service is one server: keys queue behind its
+        flush, and each flush takes chunks until it holds BATCH_SIZE."""
+        monkeypatch.setattr(engine_mod, "BATCH_SIZE", 16)
+        counting = CountingStore(store)
+
+        async def go():
+            cfg = EngineConfig(flush_service_time=1e-3)
+            async with QueryEngine(counting, cfg) as engine:
+                out, _ = await drive_load(engine, key_groups(db.kmers[:480], 8))
+                return out, engine.metrics
+
+        out, metrics = run_virtual(go())
+        assert np.array_equal(out, db.counts[:480])
+        assert metrics.n_queries == metrics.batched_keys == 480
+        # A flush stops at the chunk that reaches 16 keys (a chunk is
+        # at most one 8-key group), and keys did wait behind flushes.
+        sizes = [n for _, n in counting.calls]
+        assert max(sizes) <= 16 + 8 - 1 and len(sizes) >= 480 // 23
+        assert metrics.queue_depth_max > 0
 
 
 class TestBackpressure:
     def test_overloaded_raised_and_counted(self, db, store, monkeypatch):
-        # Bound so small that the second in-flight batch must bounce; the
-        # large BATCH_SIZE keeps workers in their coalescing window so the
-        # first batch stays in flight while we probe.
+        # Bound so small that the second in-flight batch must bounce; a
+        # service cost keeps the first batch in flight while we probe.
         monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 4)
 
         async def go():
-            cfg = EngineConfig(batch_window=5e-2)
+            cfg = EngineConfig(flush_service_time=5e-2)
             async with QueryEngine(store, cfg) as engine:
                 first = asyncio.create_task(engine.query_many(db.kmers[:4]))
                 await asyncio.sleep(0)  # let it enter the queues
@@ -152,7 +200,7 @@ class TestBackpressure:
                 await first
                 return engine.metrics, exc.value
 
-        metrics, err = run(go())
+        metrics, err = run_virtual(go())
         assert metrics.rejected == 4
         assert err.limit == 4 and err.inflight == 4
 
@@ -160,7 +208,7 @@ class TestBackpressure:
         monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 4)
 
         async def go():
-            cfg = EngineConfig(batch_window=5e-2)
+            cfg = EngineConfig(flush_service_time=5e-2)
             async with QueryEngine(store, cfg) as engine:
                 first = asyncio.create_task(engine.query_many(db.kmers[:4]))
                 await asyncio.sleep(0)
@@ -173,15 +221,14 @@ class TestBackpressure:
                 assert engine.inflight == 0
                 return out
 
-        assert (run(go()) > 0).all()
+        assert (run_virtual(go()) > 0).all()
 
     def test_replay_counts_rejections_instead_of_raising(self, db, store, monkeypatch):
         monkeypatch.setattr(engine_mod, "BATCH_SIZE", 8)
         monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 8)
 
         async def go():
-            cfg = EngineConfig(batch_window=2e-2)
-            async with QueryEngine(store, cfg) as engine:
+            async with QueryEngine(store) as engine:
                 await drive_load(engine, key_groups(db.kmers[:256], 8),
                                  concurrency=16)
                 return engine.metrics
@@ -196,9 +243,8 @@ class TestCacheIntegration:
         hot = np.repeat(db.kmers[:2], 200)
 
         async def go():
-            cfg = EngineConfig(batch_window=1e-4)
             cache = HotKeyCache(64, admit_threshold=2)
-            async with QueryEngine(store, cfg, cache=cache) as engine:
+            async with QueryEngine(store, cache=cache) as engine:
                 # Sequential groups: the cache warms on the first group
                 # and every later group must hit it.
                 await drive_load(engine, key_groups(hot, 40), concurrency=1)
@@ -216,8 +262,7 @@ class TestCacheIntegration:
 
         async def go():
             cache = HotKeyCache(128, admit_threshold=1)
-            cfg = EngineConfig(batch_window=1e-4)
-            async with QueryEngine(store, cfg, cache=cache) as engine:
+            async with QueryEngine(store, cache=cache) as engine:
                 return (await drive_load(engine, key_groups(keys, 64)))[0]
 
         assert np.array_equal(run(go()), expect)
@@ -241,8 +286,7 @@ class TestCacheIntegration:
         recorder = TraceRecorder()
 
         async def go():
-            cfg = EngineConfig(batch_window=1e-4)
-            async with QueryEngine(store, cfg, cache=cache,
+            async with QueryEngine(store, cache=cache,
                                    recorder=recorder) as engine:
                 return (await drive_load(engine, key_groups(keys, 40),
                                          concurrency=2))[0]
@@ -267,10 +311,10 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("pause", [0.0, 0.01])
     def test_stop_fails_waiting_callers(self, db, store, pause):
-        # pause 0: the chunks are still queued when stop() comes; 0.01:
-        # each worker holds its chunk in the 0.2 s coalescing window.
+        # pause 0: the keys still wait for their turn's flush when
+        # stop() comes; 0.01: every shard holds them in its 0.2 s service.
         async def go():
-            engine = QueryEngine(store, EngineConfig(batch_window=0.2))
+            engine = QueryEngine(store, EngineConfig(flush_service_time=0.2))
             await engine.start()
             caller = asyncio.create_task(engine.query_many(db.kmers[:49]))
             await asyncio.sleep(pause)
@@ -280,27 +324,52 @@ class TestLifecycle:
                 await asyncio.wait_for(caller, 1.0)
             return engine.inflight
 
-        assert run(go()) == 0
+        assert run_virtual(go()) == 0
+
+    def test_stop_fails_keys_queued_behind_a_shard_in_service(self, db, store):
+        counting = CountingStore(store)
+
+        async def go():
+            engine = QueryEngine(counting, EngineConfig(flush_service_time=0.2))
+            await engine.start()
+            callers = [asyncio.create_task(engine.query_many(db.kmers[:49]))]
+            await asyncio.sleep(0.01)   # in service ...
+            callers.append(asyncio.create_task(engine.query_many(db.kmers[49:98])))
+            await asyncio.sleep(0.01)   # ... and the second batch behind it
+            assert sum(q.qsize() for q in engine._queues) > 0
+            handles = list(engine._serving.values())
+            assert handles
+            await engine.stop()
+            assert all(h.cancelled() for h in handles) and not engine._serving
+            results = await asyncio.gather(*callers, return_exceptions=True)
+            await asyncio.sleep(1.0)    # no completion left to fire
+            return results, engine.inflight
+
+        results, inflight = run_virtual(go())
+        assert all(isinstance(r, RuntimeError) and "stopped" in str(r)
+                   for r in results)
+        assert inflight == 0 and counting.calls == []
 
     def test_cancelled_caller_releases_inflight(self, db, store):
         async def go():
-            cfg = EngineConfig(batch_window=5e-3)
+            cfg = EngineConfig(flush_service_time=5e-3)
             async with QueryEngine(store, cfg) as engine:
                 caller = asyncio.create_task(engine.query_many(db.kmers[:40]))
                 await asyncio.sleep(0)
                 caller.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await caller
-                assert engine.inflight == 40   # its chunks are still queued
+                await asyncio.sleep(0)
+                assert engine.inflight == 40   # its keys are in service
                 await asyncio.sleep(0.05)      # ... until their flush
                 assert engine.inflight == 0
                 return await engine.query_many(db.kmers[40:100])
 
-        assert np.array_equal(run(go()), db.counts[40:100])
+        assert np.array_equal(run_virtual(go()), db.counts[40:100])
 
     def test_metrics_elapsed_set_by_replay(self, db, store):
         async def go():
-            async with QueryEngine(store, EngineConfig(batch_window=0.0)) as engine:
+            async with QueryEngine(store) as engine:
                 _, engine.metrics.elapsed = await drive_load(
                     engine, key_groups(db.kmers[:100], 25))
                 return engine.metrics

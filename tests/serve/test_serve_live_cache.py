@@ -70,7 +70,7 @@ class TestCacheInvalidation:
         store.ingest(first)
         view = LsmReadView(store, n_shards=2)
         cache = HotKeyCache(capacity=4096, admit_threshold=1)
-        cfg = EngineConfig(batch_window=0.0)
+        cfg = EngineConfig()
 
         both = serial_count(small_reads, K)
         only_first = serial_count(first, K)

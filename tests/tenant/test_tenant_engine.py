@@ -10,6 +10,7 @@ import pytest
 from repro.core.serial import serial_count
 from repro.serve import engine as engine_mod
 from repro.serve.cache import HotKeyCache
+from repro.serve.clock import run_virtual
 from repro.serve.engine import EngineConfig, Overloaded, QueryEngine
 from repro.serve.shards import ShardedStore
 from repro.tenant import QuotaExceeded, TenantRegistry, TenantSpec
@@ -41,8 +42,7 @@ def registry():
 class TestAdmission:
     def test_quota_rejection_before_queue_depth(self, db, store):
         async def go():
-            cfg = EngineConfig(batch_window=0.0)
-            engine = QueryEngine(store, cfg, tenants=registry())
+            engine = QueryEngine(store, tenants=registry())
             async with engine:
                 await engine.query_many(db.kmers[:200], tenant="bronze")
                 with pytest.raises(QuotaExceeded) as exc:
@@ -66,7 +66,7 @@ class TestAdmission:
         monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 128)
 
         async def go():
-            cfg = EngineConfig(batch_window=5e-2)
+            cfg = EngineConfig(flush_service_time=5e-2)
             engine = QueryEngine(store, cfg, tenants=registry())
             async with engine:
                 first = asyncio.create_task(
@@ -78,7 +78,7 @@ class TestAdmission:
                 await first
                 return engine, exc.value, ok
 
-        engine, err, gold_out = run(go())
+        engine, err, gold_out = run_virtual(go())
         assert err.limit == 64
         assert err.retry_after > 0
         assert engine.metrics.rejected_by_cause == {"shed": 70}
@@ -92,7 +92,7 @@ class TestAdmission:
         monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 32)
 
         async def go():
-            cfg = EngineConfig(batch_window=5e-2)
+            cfg = EngineConfig(flush_service_time=5e-2)
             engine = QueryEngine(store, cfg, tenants=registry())
             async with engine:
                 first = asyncio.create_task(
@@ -103,15 +103,14 @@ class TestAdmission:
                 await first
                 return engine
 
-        engine = run(go())
+        engine = run_virtual(go())
         assert engine.metrics.rejected_by_cause == {"overload": 10}
         assert engine.tenant_metrics.get("gold").rejected_by_cause == {
             "overload": 10}
 
     def test_unknown_tenant_rejected(self, db, store):
         async def go():
-            engine = QueryEngine(store, EngineConfig(batch_window=0.0),
-                                 tenants=registry())
+            engine = QueryEngine(store, tenants=registry())
             async with engine:
                 with pytest.raises(KeyError):
                     await engine.query_many(db.kmers[:4], tenant="iron")
@@ -120,8 +119,7 @@ class TestAdmission:
 
     def test_untenanted_requests_still_flow(self, db, store):
         async def go():
-            engine = QueryEngine(store, EngineConfig(batch_window=0.0),
-                                 tenants=registry())
+            engine = QueryEngine(store, tenants=registry())
             async with engine:
                 return await engine.query_many(db.kmers[:50])
 
@@ -130,22 +128,28 @@ class TestAdmission:
 
 class TestFairQueues:
     def test_drr_queues_installed_with_tenants(self, store):
-        async def go():
-            engine = QueryEngine(store, tenants=registry())
-            async with engine:
-                return [type(q) for q in engine._queues]
-
-        kinds = run(go())
-        assert all(k is DRRQueue for k in kinds)
-
-    def test_fifo_queues_when_fair_scheduling_off(self, store):
-        async def go():
-            cfg = EngineConfig(fair_scheduling=False)
+        async def go(cfg):
             engine = QueryEngine(store, cfg, tenants=registry())
             async with engine:
                 return [type(q) for q in engine._queues]
 
-        assert all(k is asyncio.Queue for k in run(go()))
+        kinds = run(go(EngineConfig(flush_service_time=1e-3)))
+        assert len(kinds) == store.n_shards
+        assert all(k is DRRQueue for k in kinds)
+        # Without a service cost nothing waits: the turn's flush
+        # answers every key, so no shard keeps a queue.
+        assert run(go(EngineConfig())) == []
+
+    def test_fifo_queues_when_fair_scheduling_off(self, store):
+        async def go():
+            cfg = EngineConfig(fair_scheduling=False, flush_service_time=1e-3)
+            engine = QueryEngine(store, cfg, tenants=registry())
+            async with engine:
+                return [type(q) for q in engine._queues]
+
+        kinds = run(go())
+        assert len(kinds) == store.n_shards
+        assert all(k is engine_mod._Fifo for k in kinds)
 
     def test_answers_exact_under_drr(self, db, store, rng):
         keys = rng.choice(db.kmers, size=600)
@@ -154,7 +158,7 @@ class TestFairQueues:
                                     TenantSpec("silver", weight=1.0)])
 
         async def go():
-            cfg = EngineConfig(batch_window=1e-3)
+            cfg = EngineConfig(flush_service_time=1e-3)
             engine = QueryEngine(store, cfg, tenants=unlimited)
             async with engine:
                 groups = [keys[i:i + 50] for i in range(0, 600, 50)]
@@ -163,7 +167,7 @@ class TestFairQueues:
                     for i, g in enumerate(groups)))
                 return np.concatenate(outs)
 
-        assert np.array_equal(run(go()), expect)
+        assert np.array_equal(run_virtual(go()), expect)
 
 
 class TestTenantTaggedCache:
@@ -172,9 +176,7 @@ class TestTenantTaggedCache:
 
         async def go():
             cache = HotKeyCache(64, admit_threshold=1)
-            cfg = EngineConfig(batch_window=1e-4)
-            engine = QueryEngine(store, cfg, cache=cache,
-                                 tenants=registry())
+            engine = QueryEngine(store, cache=cache, tenants=registry())
             async with engine:
                 await engine.query_many(hot, tenant="gold")
                 await engine.query_many(hot, tenant="gold")
@@ -204,9 +206,7 @@ class TestTenantMetricsMirroring:
     def test_single_tenant_run_mirrors_globals(self, db, store):
         async def go():
             cache = HotKeyCache(64, admit_threshold=1)
-            cfg = EngineConfig(batch_window=1e-4)
-            engine = QueryEngine(store, cfg, cache=cache,
-                                 tenants=registry())
+            engine = QueryEngine(store, cache=cache, tenants=registry())
             async with engine:
                 for i in range(0, 300, 50):
                     await engine.query_many(db.kmers[i % 100:i % 100 + 50],
@@ -223,8 +223,7 @@ class TestTenantMetricsMirroring:
 
     def test_slo_gauge_in_snapshot(self, db, store):
         async def go():
-            engine = QueryEngine(store, EngineConfig(batch_window=0.0),
-                                 tenants=registry())
+            engine = QueryEngine(store, tenants=registry())
             async with engine:
                 await engine.query_many(db.kmers[:40], tenant="gold")
                 return engine.tenant_metrics.snapshot()
@@ -236,12 +235,11 @@ class TestTenantMetricsMirroring:
 
 
 class TestRetryHints:
-    def test_overloaded_hint_clamped_to_config_floor(self, db, store,
-                                                     monkeypatch):
+    def test_cold_hint_clamped_to_floor(self, db, store, monkeypatch):
         monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 16)
 
         async def go():
-            cfg = EngineConfig(batch_window=5e-2)
+            cfg = EngineConfig(flush_service_time=5e-2)
             engine = QueryEngine(store, cfg, tenants=registry())
             async with engine:
                 first = asyncio.create_task(
@@ -252,5 +250,46 @@ class TestRetryHints:
                 await first
                 return exc.value
 
-        err = run(go())
-        assert 5e-2 <= err.retry_after <= 5.0
+        err = run_virtual(go())
+        # No flush has drained yet: the hint is the floor.
+        assert engine_mod.RETRY_FLOOR <= err.retry_after <= 5.0
+        assert err.retry_after == engine_mod.RETRY_FLOOR
+
+    def test_warm_hint_follows_the_drain_rate(self, db, monkeypatch):
+        monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 64)
+        service = 1e-2
+        one_shard = ShardedStore.from_counts(db, 1)
+
+        async def go():
+            cfg = EngineConfig(flush_service_time=service)
+            async with QueryEngine(one_shard, cfg) as engine:
+                # One flush each, completing `service` apart.
+                for lo, hi in ((0, 16), (16, 48), (48, 56)):
+                    await engine.query_many(db.kmers[lo:hi])
+                first = asyncio.create_task(engine.query_many(db.kmers[:60]))
+                await asyncio.sleep(0)
+                with pytest.raises(Overloaded) as exc:
+                    await engine.query_many(db.kmers[60:70])
+                await first
+                return exc.value
+
+        err = run_virtual(go())
+        # The first flush only starts the clock; then an EWMA of
+        # keys / seconds between flushes.
+        rate = 32 / service
+        rate = 0.8 * rate + 0.2 * (8 / service)
+        assert err.retry_after == pytest.approx(10 / rate)
+
+    def test_shards_finishing_together_count_together(self, db, store):
+        """Four shards in service finish each flush in one instant; the
+        drain rate counts all their keys, not the first shard's."""
+        service = 1e-2
+
+        async def go():
+            cfg = EngineConfig(flush_service_time=service)
+            async with QueryEngine(store, cfg) as engine:
+                for lo in range(0, 640, 64):
+                    await engine.query_many(db.kmers[lo:lo + 64])
+                return engine._drain_rate
+
+        assert run_virtual(go()) == pytest.approx(64 / service, rel=0.1)

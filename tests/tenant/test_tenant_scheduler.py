@@ -1,8 +1,6 @@
-"""Tests for the deficit-round-robin queue: fairness, bounds, asyncio."""
+"""Tests for the deficit-round-robin queue: fairness, bounds, surface."""
 
 from __future__ import annotations
-
-import asyncio
 
 import numpy as np
 import pytest
@@ -24,7 +22,7 @@ class Chunk:
 
 def drain(q: DRRQueue) -> list:
     out = []
-    while not q.empty():
+    while q.qsize():
         out.append(q.get_nowait())
     return out
 
@@ -35,13 +33,13 @@ class TestQueueSurface:
         chunks = [Chunk(3, "a") for _ in range(5)]
         for c in chunks:
             q.put_nowait(c)
-        assert q.qsize() == 5 and not q.empty()
+        assert q.qsize() == 5
         assert drain(q) == chunks
-        assert q.empty() and q.qsize() == 0
+        assert q.qsize() == 0
 
     def test_get_nowait_on_empty_raises(self):
         q = DRRQueue()
-        with pytest.raises(asyncio.QueueEmpty):
+        with pytest.raises(IndexError):
             q.get_nowait()
 
     def test_anonymous_lane_schedules_at_default_weight(self):
@@ -51,22 +49,6 @@ class TestQueueSurface:
         served = drain(q)
         assert {c.tenant for c in served} == {"a", None}
         assert q.served_keys[None] == 4
-
-    def test_async_get_wakes_on_put(self):
-        async def go():
-            q = DRRQueue(quantum=4)
-            chunk = Chunk(2, "a")
-
-            async def producer():
-                await asyncio.sleep(0.01)
-                q.put_nowait(chunk)
-
-            task = asyncio.ensure_future(producer())
-            got = await asyncio.wait_for(q.get(), timeout=2.0)
-            await task
-            return got is chunk
-
-        assert asyncio.run(go())
 
     def test_validation(self):
         with pytest.raises(ValueError):

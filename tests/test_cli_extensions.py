@@ -168,21 +168,22 @@ class TestServeBench:
         assert run.rc == 2 and "/no/such.npz" in run.err
 
     @pytest.mark.parametrize("removed", ["batch_size", "max_inflight",
-                                         "workers_per_shard", "quantum_keys"])
+                                         "workers_per_shard", "quantum_keys",
+                                         "batch_window"])
     def test_removed_engine_setting_is_refused(self, run_scenario, removed):
         """A former engine knob is a constant now: setting it is an
         unknown parameter, refused before anything runs."""
         run = run_scenario("serve", f"{removed}=1")
         assert run.rc == 2 and run.cell is None
         assert f"unknown parameters ['{removed}']" in run.err
-        assert "accepts [" in run.err and "'batch_window'" in run.err
+        assert "accepts [" in run.err and "'fair_scheduling'" in run.err
 
 
 class TestTenantBench:
     """The tenant scenario, run as `dakc xp run benchmarks/xp/tenant.json`."""
 
     SMALL = ["budget=20000", "n_victim_groups=40", "victim_interval=0.002",
-             "flooders=4", "batch_window=0.001", "flush_service_time=0.01"]
+             "flooders=4", "flush_service_time=0.01"]
     #: The checks that do not depend on this host's timing at this size.
     EXACT = ["answers_match", "no_starvation", "share_error_lt_5pct",
              "autoscale_exact", "autoscale_split_and_merged"]

@@ -30,7 +30,7 @@ def test_deleted_config_classes_are_not_exported(package, name):
 
 
 @pytest.mark.parametrize("config,fields", [
-    (EngineConfig, ["batch_window", "fair_scheduling", "flush_service_time",
+    (EngineConfig, ["fair_scheduling", "flush_service_time",
                     "flush_service_per_key"]),
     (LsmConfig, ["memtable_bytes", "max_runs", "fan_in", "canonical",
                  "wal_sync", "auto_compact"]),

@@ -73,6 +73,30 @@ class TestRunner:
         assert cell["checks"] == {"exact": False}
         assert env["ok"] is False  # never baseline-eligible
 
+    @pytest.mark.parametrize("failing_call,ok", [(1, True), (2, False)])
+    def test_cost_checks_count_kept_repetitions_only(self, monkeypatch,
+                                                     failing_call, ok):
+        """A slow warm-up misses a wall-clock ratio without failing the
+        cell; the same miss in a kept repetition does fail it."""
+        calls = []
+
+        def slow_on_one_call(params):
+            calls.append(params["seed"])
+            return TargetOutcome(metrics={"value": 1.0},
+                                 checks={"exact": True},
+                                 cost_checks={"fast": len(calls) != failing_call})
+
+        monkeypatch.setitem(TARGETS, "slow-once", XpTarget(
+            "slow-once", slow_on_one_call, {"value": "lower"},
+            "misses its wall-clock check on one call"))
+        env = run_spec(synth_spec(
+            target="slow-once", fixed={}, sweep=SweepSpec(),
+            policy=RepetitionPolicy(warmup=1, repetitions=3)))
+        (cell,) = env["cells"]
+        assert len(calls) == 4
+        assert cell["checks"] == {"exact": True, "fast": ok}
+        assert env["ok"] is ok
+
     def test_seeds_distinct_across_reps_and_cells(self):
         env = run_spec(synth_spec())
         all_seeds = [s for cell in env["cells"] for s in cell["seeds"]]

@@ -77,7 +77,7 @@ CASES = {
     ),
     "tenant-bench": (
         {"budget": 20_000, "n_victim_groups": 40, "victim_interval": 4e-3,
-         "flooders": 4, "batch_window": 1e-3, "flush_service_time": 5e-3},
+         "flooders": 4, "flush_service_time": 5e-3},
         {"answers_match", "no_starvation", "share_error_lt_5pct",
          "autoscale_exact", "autoscale_split_and_merged"},
         {"isolated_lt_10pct", "unprotected_gt_50pct"},
@@ -101,8 +101,9 @@ def test_target_checks_and_metric_directions(name):
     params, exact, size_dependent = CASES[name]
     target = TARGETS[name]
     outcome = target.run({**params, "seed": 3})
-    assert set(outcome.checks) == exact | size_dependent
-    failed = sorted(c for c in exact if not outcome.checks[c])
+    checks = {**outcome.checks, **outcome.cost_checks}
+    assert set(checks) == exact | size_dependent
+    failed = sorted(c for c in exact if not checks[c])
     assert not failed, f"{name}: {failed} (metrics {outcome.metrics})"
     assert outcome.metrics and set(outcome.metrics) <= set(target.directions)
 
