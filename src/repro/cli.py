@@ -281,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr_smp.add_argument("--every", type=float, default=None,
                           help="... out of every this many seconds")
     p_tr_smp.add_argument("--check", action="store_true",
-                          help="compare the sampled (rescaled) miss-ratio "
-                          "curve against the full trace's exact curve")
+                          help="spatial only: compare 4 pooled samples' "
+                          "rescaled miss-ratio curve with the full trace's "
+                          "exact curve; exit 1 past trace-bench's bound")
 
     p_xp = sub.add_parser(
         "xp",
@@ -976,6 +977,9 @@ def _cmd_trace_sample(args) -> int:
     if (args.rate is None) == (args.window is None):
         raise ValueError("pick one: --rate (spatial) or --window/--every "
                          "(temporal)")
+    if args.check and args.rate is None:
+        raise ValueError("--check needs --rate: a temporal sample has no "
+                         "error bound")
     if args.rate is not None:
         sampled = spatial_sample(trace, args.rate, salt=args.salt)
         kind = f"spatial rate={args.rate} salt={args.salt}"
@@ -989,18 +993,24 @@ def _cmd_trace_sample(args) -> int:
     print(f"# sampled:   {kind}")
     print(f"# kept:      {sampled.n_records:,} / {trace.n_records:,} "
           f"records ({kept:.1%})")
-    if args.check:
-        from .trace import measured_miss_ratio_curve, scaled_miss_ratio_curve
-        from .trace.profiler import default_capacities
-
-        caps = default_capacities(int(np.unique(trace.keys).size), points=8)
-        full = measured_miss_ratio_curve(trace.keys, caps)
-        est = scaled_miss_ratio_curve(sampled, caps)
-        err = float(np.abs(est - full).max()) * 100
-        print(f"# sampled-vs-full miss-ratio error: {err:.2f} pp "
-              f"(capacities {caps.tolist()})")
     print(f"# wrote sampled trace to {args.out}")
-    return 0
+    if not args.check:
+        return 0
+    from .trace import measured_miss_ratio_curve
+    from .trace.bench import SAMPLE_ERROR_BOUND_PP, curve_capacities
+    from .trace.sampling import pooled_miss_ratio_curve
+
+    # trace-bench's check: four salts (0-3) pooled, as its default
+    # sample_salts, on its capacity grid.
+    caps = curve_capacities(int(np.unique(trace.keys).size))
+    full = measured_miss_ratio_curve(trace.keys, caps)
+    est = pooled_miss_ratio_curve(trace, args.rate, caps)
+    err = float(np.abs(est - full).max()) * 100
+    ok = err <= SAMPLE_ERROR_BOUND_PP
+    print(f"# pooled-sample-vs-full miss-ratio error: {err:.2f} pp "
+          f"(bound {SAMPLE_ERROR_BOUND_PP:g} pp: "
+          f"{'ok' if ok else 'FAILED'}; capacities {caps.tolist()})")
+    return 0 if ok else 1
 
 
 def _xp_load_spec(args):

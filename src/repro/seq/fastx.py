@@ -240,8 +240,9 @@ def _fastq_block(data: bytes, final: bool, path, done: int) -> tuple[bytes, np.n
     if bad < n or (final and rows.size % 4):
         record = rows[4 * bad:4 * bad + 4]      # fewer than four lines at the end of the file
         _refuse(_fastq_records, data[starts[record[0]]:ends[record[-1]] + 1], path, done + bad)
-    lines = data.split(b"\n")
-    codes = b"".join([lines[i].removesuffix(b"\r") for i in seq.tolist()])
+    first = starts[seq]
+    codes = b"".join(map(data.__getitem__,
+                         map(slice, first.tolist(), (first + length[seq]).tolist())))
     used = int(ends[rows[4 * n - 1]]) + 1 if n else 0
     return codes.translate(_CODE_OF_BYTE), length[seq], used
 

@@ -58,8 +58,10 @@ class HotKeyCache:
       admitted once its observation count reaches *admit_threshold*
       (``1`` = classic LRU, admit on first sight).
     * :meth:`get_many` / :meth:`offer_many` — the same two operations
-      over a group of keys, leaving exactly the state, counters and
-      answers of the per-key calls in order (which stay the reference).
+      over a group of keys.  :meth:`get_many` leaves exactly the state,
+      counters and answers of one :meth:`get` per key in order;
+      :meth:`offer_many` is the admission policy itself, and
+      :meth:`offer` is a group of one.
 
     The candidate counter table is itself LRU-bounded
     (:data:`CANDIDATES_PER_SLOT` per slot) so cold keys cannot grow
@@ -120,32 +122,62 @@ class HotKeyCache:
 
         Returns True if the key is (now) resident.
         """
-        slots = self._slots
-        if key in slots:
-            # Keep resident entries fresh (counts can change under
-            # rebuilds) without burning an admission observation.
-            slots[key] = value
-            slots.move_to_end(key)
-            return True
-        seen = self._seen.get(key, 0) + 1
-        if seen < self.admit_threshold:
-            self._seen[key] = seen
-            self._seen.move_to_end(key)
-            if len(self._seen) > CANDIDATES_PER_SLOT * self.capacity:
-                self._seen.popitem(last=False)
-            return False
-        self._seen.pop(key, None)
-        slots[key] = value
-        if len(slots) > self.capacity:
-            slots.popitem(last=False)
-            self.evictions += 1
-        return True
+        self.offer_many((key,), (value,))
+        return key in self._slots
 
     def offer_many(self, keys, values) -> None:
-        """:meth:`offer` each ``(key, value)`` pair in order."""
-        offer = self.offer
-        for key, value in zip(keys, values):
-            offer(key, value)
+        """Record each store-answered ``(key, value)`` pair in order.
+
+        The admission policy.  A resident key takes the new value and
+        moves to MRU without burning an observation (counts can change
+        under rebuilds).  Any other key makes one candidate-table
+        lookup: a first sighting is appended, a repeat below the
+        threshold is counted and moved to MRU, and the sighting that
+        reaches the threshold leaves the table and is admitted.  Both
+        tables drop their LRU entry when full.  The table sizes are
+        read once and then counted, so a group is one pass of table
+        operations with no Python-level call per key.
+        """
+        slots, seen = self._slots, self._seen
+        # popitem(False) drops a table's LRU entry (positional: cheaper
+        # than the keyword on this path).
+        move_slot, pop_slot = slots.move_to_end, slots.popitem
+        move_seen, pop_seen, seen_get = (seen.move_to_end, seen.popitem,
+                                         seen.get)
+        capacity, threshold = self.capacity, self.admit_threshold
+        max_seen = CANDIDATES_PER_SLOT * capacity
+        n_slots, n_seen = len(slots), len(seen)
+        evictions = 0
+        try:
+            for key, value in zip(keys, values):
+                if key in slots:
+                    slots[key] = value
+                    move_slot(key)
+                    continue
+                count = seen_get(key)
+                if count is None:
+                    if threshold > 1:
+                        if n_seen < max_seen:
+                            n_seen += 1
+                        else:
+                            pop_seen(False)
+                        seen[key] = 1
+                        continue
+                elif count + 1 < threshold:
+                    seen[key] = count + 1
+                    move_seen(key)
+                    continue
+                else:
+                    del seen[key]
+                    n_seen -= 1
+                if n_slots < capacity:
+                    n_slots += 1
+                else:
+                    pop_slot(False)
+                    evictions += 1
+                slots[key] = value
+        finally:
+            self.evictions += evictions
 
     def invalidate(self, key: int) -> bool:
         """Drop one key; True if it was cached."""

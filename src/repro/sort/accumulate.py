@@ -59,10 +59,14 @@ def accumulate_sorted(kmers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(kmers, dtype=np.uint64)
     if len(a) == 0:
         return a.copy(), np.empty(0, dtype=np.int64)
-    if not ascending(a):
-        raise ValueError("accumulate_sorted requires a sorted array")
     starts = np.concatenate(([0], _boundaries(a)))
-    return a[starts].copy(), np.diff(starts, append=len(a)).astype(np.int64)
+    uniq = a[starts]
+    # The keys ascend iff every key change is a strict rise (a descent
+    # is always a key change), and the keys on both sides of each
+    # change are neighbours in *uniq*: one compare per distinct key.
+    if not keys_less(uniq[:-1], uniq[1:], strict=True).all():
+        raise ValueError("accumulate_sorted requires a sorted array")
+    return uniq, np.diff(starts, append=len(a)).astype(np.int64)
 
 
 def accumulate_weighted(

@@ -35,7 +35,24 @@ from .recorder import TraceRecorder
 from .replay import measured_miss_ratio_curve, replay_trace, simulate_cache
 from .sampling import pooled_miss_ratio_curve
 
-__all__ = ["TraceBenchResult", "run_trace_bench"]
+__all__ = ["TraceBenchResult", "run_trace_bench", "curve_capacities",
+           "SAMPLE_ERROR_BOUND_PP"]
+
+#: How far (percentage points, at any capacity) a pooled SHARDS sample's
+#: rescaled miss-ratio curve may sit from the full trace's: the bound of
+#: trace-bench's ``sample_error_le_10pp`` and of ``dakc trace sample
+#: --check``.
+SAMPLE_ERROR_BOUND_PP: float = 10.0
+
+
+def curve_capacities(n_distinct: int) -> np.ndarray:
+    """The capacities a trace's miss-ratio curves are compared at.
+
+    Eight log-spaced sub-working-set sizes from 16 slots up to the
+    trace's *n_distinct* keys: where the curve actually bends.
+    """
+    grid = np.geomspace(16, max(n_distinct, 32), num=8)
+    return np.unique(np.round(grid).astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -100,9 +117,7 @@ def run_trace_bench(
 
     # -- model: predicted vs. measured LRU miss-ratio curve ------------
     profile = profile_trace(trace)
-    # Sub-working-set capacities: where the curve actually bends.
-    grid = np.geomspace(16, max(profile.histogram.n_distinct, 32), num=8)
-    caps = np.unique(np.round(grid).astype(np.int64))
+    caps = curve_capacities(profile.histogram.n_distinct)
     predicted = profile.histogram.miss_ratio_curve(caps)
     measured = measured_miss_ratio_curve(trace.keys, caps)
 

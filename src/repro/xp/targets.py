@@ -674,6 +674,7 @@ def _trace_defaults() -> dict:
 def _trace_bench(p: dict) -> TargetOutcome:
     from ..serve import BurstSpec
     from ..trace import run_trace_bench
+    from ..trace.bench import SAMPLE_ERROR_BOUND_PP
 
     _, counts = _counted(p.pop("dataset"), p.pop("k"), p.pop("budget"))
     res = run_trace_bench(
@@ -692,7 +693,8 @@ def _trace_bench(p: dict) -> TargetOutcome:
             "model_error_le_2pp": res.model_error_pp <= 2.0,
             "replay_bit_identical": res.replay_answers_match,
             # A pooled 50% sample is an estimate, but never wildly off.
-            "sample_error_le_10pp": res.sample_error_pp <= 10.0,
+            "sample_error_le_10pp":
+                res.sample_error_pp <= SAMPLE_ERROR_BOUND_PP,
         },
     )
 

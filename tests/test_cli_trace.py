@@ -81,6 +81,23 @@ class TestSample:
         assert sampled.meta["sample"]["kind"] == "spatial"
         assert "miss-ratio error" in capsys.readouterr().out
 
+    def test_check_fails_past_the_bound(self, recorded, tmp_path, capsys):
+        """A 20% sample of a 6k-record trace keeps too few keys to place
+        the curve within trace-bench's bound (13.4 pp): the check exits 1."""
+        rc = main(["trace", "sample", recorded, "--rate", "0.2",
+                   "--check", "--out", str(tmp_path / "thin.npz")])
+        assert rc == 1
+        assert "FAILED" in capsys.readouterr().out
+
+    def test_check_refuses_a_temporal_sample(self, recorded, tmp_path,
+                                             capsys):
+        out = tmp_path / "windowed.npz"
+        rc = main(["trace", "sample", recorded, "--window", "0.001",
+                   "--every", "0.004", "--check", "--out", str(out)])
+        assert rc == 2
+        assert "--check needs --rate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_temporal_sample(self, recorded, tmp_path):
         out = tmp_path / "windowed.npz"
         rc = main(["trace", "sample", recorded, "--window", "0.001",
