@@ -240,14 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="trace output path (.npz)")
 
     p_tr_prof = verb(tr_sub, "profile", _cmd_trace_profile,
-                     help="reuse-distance profile: exact LRU miss-ratio curve")
+                     help="exact miss-ratio curve of the trace's cache "
+                     "(full simulation)")
     p_tr_prof.add_argument("trace", help="trace file written by `trace record`")
     p_tr_prof.add_argument("--capacities",
                            help="comma-separated cache capacities "
-                           "(default: log-spaced up to the working set)")
-    p_tr_prof.add_argument("--measure", action="store_true",
-                           help="also brute-force-simulate LRU at each "
-                           "capacity and report the model error")
+                           "(default: trace-bench's log-spaced grid)")
     p_tr_prof.add_argument("--json", help="write the profile document here")
 
     p_tr_rep = verb(tr_sub, "replay", _cmd_trace_replay,
@@ -281,9 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr_smp.add_argument("--every", type=float, default=None,
                           help="... out of every this many seconds")
     p_tr_smp.add_argument("--check", action="store_true",
-                          help="spatial only: compare 4 pooled samples' "
-                          "rescaled miss-ratio curve with the full trace's "
-                          "exact curve; exit 1 past trace-bench's bound")
+                          help="spatial only: compare the miniature "
+                          "simulations of the trace's cache over 4 pooled "
+                          "samples with its exact curve; exit 1 past "
+                          "the bound")
 
     p_xp = sub.add_parser(
         "xp",
@@ -871,8 +870,10 @@ def _database_or_replica(args):
 
 
 def _cmd_trace_record(args) -> int:
+    import dataclasses
+
     from .serve import BurstSpec, run_serve_bench
-    from .trace import TraceRecorder
+    from .trace import TraceRecorder, save_trace
 
     kc, source = _database_or_replica(args)
     burst = None
@@ -890,7 +891,10 @@ def _cmd_trace_record(args) -> int:
         cache_threshold=args.cache_threshold,
         burst=burst, recorder=recorder,
     )
-    trace = recorder.save(args.out)
+    trace = dataclasses.replace(recorder.snapshot(), meta={"cache": {
+        "capacity": args.cache_capacity,
+        "admit_threshold": args.cache_threshold}})
+    save_trace(args.out, trace)
     tiers = trace.tier_counts()
     print(f"# database:  {source}  ({kc.n_distinct:,} distinct, k={kc.k})")
     print(f"# recorded:  {trace.n_records:,} records over "
@@ -901,39 +905,37 @@ def _cmd_trace_record(args) -> int:
     return 0 if result.answers_match else 1
 
 
+def _trace_admit_threshold(trace) -> int:
+    """The admission threshold of the cache a trace was recorded
+    through (``meta["cache"]``, written by ``trace record``); a trace
+    without one is modelled at ``HotKeyCache``'s default of 1."""
+    return int(trace.meta.get("cache", {}).get("admit_threshold", 1))
+
+
 def _cmd_trace_profile(args) -> int:
     import numpy as np
 
-    from .trace import load_trace, profile_trace
-    from .trace.replay import measured_miss_ratio_curve
+    from .trace import load_trace, measured_miss_ratio_curve
+    from .trace.bench import curve_capacities
 
     trace = load_trace(args.trace)
-    caps = ([int(c) for c in args.capacities.split(",") if c.strip()]
-            if args.capacities else None)
-    profile = profile_trace(trace, caps)
-    doc = {"trace": trace.describe(), **profile.to_doc()}
-    d = doc["trace"]
+    d = trace.describe()
+    caps = (np.array([int(c) for c in args.capacities.split(",")
+                      if c.strip()], dtype=np.int64)
+            if args.capacities else curve_capacities(d["n_distinct"]))
+    threshold = _trace_admit_threshold(trace)
+    miss = measured_miss_ratio_curve(trace.keys, caps,
+                                     admit_threshold=threshold)
+    doc = {"trace": d, "admit_threshold": threshold,
+           "capacities": caps.tolist(), "miss_ratio": miss.tolist(),
+           "hit_ratio": (1.0 - miss).tolist()}
     print(f"# trace:     {args.trace}  ({d['n_records']:,} records, "
           f"{d['n_distinct']:,} distinct keys, k={d['k']})")
+    print(f"# cache:     HotKeyCache, admit_threshold={threshold}")
     print(f"# cold miss floor: {d['n_distinct'] / max(d['n_records'], 1):.1%}")
-    measured = None
-    if args.measure:
-        measured = measured_miss_ratio_curve(trace.keys,
-                                             profile.capacities)
-        doc["measured_miss_ratio"] = measured.tolist()
-        doc["model_error_pp"] = float(
-            np.abs(np.asarray(doc["miss_ratio"]) - measured).max()) * 100
-    header = "# capacity   predicted-miss"
-    if measured is not None:
-        header += "   measured-miss"
-    print(header)
-    for j, cap in enumerate(profile.capacities):
-        line = f"  {int(cap):>8}   {doc['miss_ratio'][j]:>14.4f}"
-        if measured is not None:
-            line += f"   {measured[j]:>13.4f}"
-        print(line)
-    if measured is not None:
-        print(f"# max model error: {doc['model_error_pp']:.3f} pp")
+    print("# capacity   miss-ratio")
+    for cap, ratio in zip(caps.tolist(), miss.tolist()):
+        print(f"  {cap:>8}   {ratio:>10.4f}")
     if args.json:
         _write_json(args.json, doc, "profile document")
     return 0
@@ -996,18 +998,21 @@ def _cmd_trace_sample(args) -> int:
     print(f"# wrote sampled trace to {args.out}")
     if not args.check:
         return 0
-    from .trace import measured_miss_ratio_curve
+    from .trace import measured_miss_ratio_curve, pooled_miss_ratio_curve
     from .trace.bench import SAMPLE_ERROR_BOUND_PP, curve_capacities
-    from .trace.sampling import pooled_miss_ratio_curve
 
-    # trace-bench's check: four salts (0-3) pooled, as its default
-    # sample_salts, on its capacity grid.
+    # trace-bench's model: four salts (0-3) pooled, as its default
+    # sample_salts, on its capacity grid, at the recorded threshold.
     caps = curve_capacities(int(np.unique(trace.keys).size))
-    full = measured_miss_ratio_curve(trace.keys, caps)
-    est = pooled_miss_ratio_curve(trace, args.rate, caps)
+    threshold = _trace_admit_threshold(trace)
+    full = measured_miss_ratio_curve(trace.keys, caps,
+                                     admit_threshold=threshold)
+    est = pooled_miss_ratio_curve(trace, args.rate, caps,
+                                  admit_threshold=threshold)
     err = float(np.abs(est - full).max()) * 100
     ok = err <= SAMPLE_ERROR_BOUND_PP
-    print(f"# pooled-sample-vs-full miss-ratio error: {err:.2f} pp "
+    print(f"# miniature-vs-full miss-ratio error at admit_threshold="
+          f"{threshold}: {err:.2f} pp "
           f"(bound {SAMPLE_ERROR_BOUND_PP:g} pp: "
           f"{'ok' if ok else 'FAILED'}; capacities {caps.tolist()})")
     return 0 if ok else 1

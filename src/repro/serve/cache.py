@@ -14,8 +14,9 @@ the L3 admission idea to the cache itself: a key must be *seen* at
 least ``admit_threshold`` times before it earns a slot, tracked by a
 bounded second-chance counter table, so only traffic-proven heavy
 hitters occupy cache capacity.  At ``admit_threshold=1`` it is plain
-LRU, the cache whose miss-ratio curve the reuse-distance profiler in
-:mod:`repro.trace` predicts from recorded query traces.
+LRU.  :mod:`repro.trace` models this class itself, at any threshold:
+miniature copies of it run over spatial samples of a recorded query
+trace (:func:`repro.trace.sampling.pooled_miss_ratio_curve`).
 """
 
 from __future__ import annotations

@@ -8,15 +8,15 @@ can model and re-run:
   and its versioned ``.npz`` on-disk format;
 * :mod:`repro.trace.recorder` — low-overhead in-process capture,
   duck-typed into the engine and router hot paths;
-* :mod:`repro.trace.profiler` — Mattson reuse-distance profiling: one
-  Fenwick-tree pass yields the *exact* LRU miss-ratio curve at every
-  capacity;
 * :mod:`repro.trace.sampling` — SHARDS spatial sampling (hash-filter
-  keys, rescale capacities by 1/rate) and temporal windowing;
+  keys) and temporal windowing, and the one cache model: miniature
+  simulations of the product's ``HotKeyCache`` over pooled spatial
+  samples at capacities scaled by the rate;
 * :mod:`repro.trace.replay` — deterministic replay: cache simulation
-  for model checking, full engine replay for bit-identical answers;
-* :mod:`repro.trace.bench` — the record→profile→sample→replay
-  experiment behind the ``trace-bench`` xp target and ledger.
+  (the exact miss-ratio curve the model is checked against), full
+  engine replay for bit-identical answers;
+* :mod:`repro.trace.bench` — the record→model→replay experiment behind
+  the ``trace-bench`` xp target and ledger.
 
 See ``docs/TRACING.md`` for the design and the capacity-planning
 workflow it enables.
@@ -32,7 +32,6 @@ from .format import (
     load_trace,
     save_trace,
 )
-from .profiler import RDHistogram, profile_trace, reuse_distances
 from .recorder import TraceRecorder
 from .replay import (
     ReplayResult,
@@ -40,7 +39,7 @@ from .replay import (
     replay_trace,
     simulate_cache,
 )
-from .sampling import scaled_miss_ratio_curve, spatial_sample, temporal_sample
+from .sampling import pooled_miss_ratio_curve, spatial_sample, temporal_sample
 
 __all__ = [
     "TRACE_MAGIC",
@@ -51,12 +50,9 @@ __all__ = [
     "save_trace",
     "load_trace",
     "TraceRecorder",
-    "reuse_distances",
-    "RDHistogram",
-    "profile_trace",
     "spatial_sample",
     "temporal_sample",
-    "scaled_miss_ratio_curve",
+    "pooled_miss_ratio_curve",
     "simulate_cache",
     "measured_miss_ratio_curve",
     "ReplayResult",

@@ -1,18 +1,15 @@
-"""The trace experiment: record, model, sample, replay — one harness.
+"""The trace experiment: record, model, replay — one harness.
 
 Run by the ``trace-bench`` xp target (``benchmarks/xp/trace.json`` →
-ledger ``trace-bench``): one seeded end-to-end run with three claims
+ledger ``trace-bench``): one seeded end-to-end run with two claims
 under test:
 
-1. **Model exactness** (the Fig.-3-style curve): the Mattson
-   reuse-distance profile's predicted LRU miss-ratio curve matches a
-   brute-force LRU simulation of the recorded trace at every measured
-   capacity (error well under 2 percentage points — it is exact up to
-   the shared arithmetic).
-2. **Sampling fidelity**: a SHARDS spatial sample at ``sample_rate``
-   reproduces the full-trace miss-ratio curve within
-   ``sample_tolerance`` after 1/rate capacity scaling.
-3. **Replay fidelity**: replaying the recorded trace through a fresh
+1. **Model fidelity**: miniature simulations of the recording's cache
+   (``HotKeyCache`` at its admission threshold) over pooled SHARDS
+   samples at ``sample_rate`` reproduce the exact miss-ratio curve,
+   a full simulation of the same cache at every capacity, within 2
+   percentage points.
+2. **Replay fidelity**: replaying the recorded trace through a fresh
    engine over the same store returns bit-identical answers.
 
 Beside them it reports the hit rate of the cache the trace was
@@ -30,7 +27,6 @@ from ..serve.bench import run_serve_bench
 from ..serve.cache import HotKeyCache
 from ..serve.shards import ShardedStore
 from ..serve.workload import BurstSpec
-from .profiler import profile_trace
 from .recorder import TraceRecorder
 from .replay import measured_miss_ratio_curve, replay_trace, simulate_cache
 from .sampling import pooled_miss_ratio_curve
@@ -38,10 +34,10 @@ from .sampling import pooled_miss_ratio_curve
 __all__ = ["TraceBenchResult", "run_trace_bench", "curve_capacities",
            "SAMPLE_ERROR_BOUND_PP"]
 
-#: How far (percentage points, at any capacity) a pooled SHARDS sample's
-#: rescaled miss-ratio curve may sit from the full trace's: the bound of
-#: trace-bench's ``sample_error_le_10pp`` and of ``dakc trace sample
-#: --check``.
+#: How far (percentage points, at any capacity) the miniature-simulation
+#: curve may sit from the exact one: the bound of ``dakc trace sample
+#: --check``, whose traces can be far smaller than trace-bench's (which
+#: holds the model to 2 pp).
 SAMPLE_ERROR_BOUND_PP: float = 10.0
 
 
@@ -57,31 +53,22 @@ def curve_capacities(n_distinct: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TraceBenchResult:
-    """Outcome of one record→profile→sample→replay run."""
+    """Outcome of one record→model→replay run."""
 
     trace_summary: dict
     capacities: np.ndarray
-    predicted_miss: np.ndarray     # Mattson model
-    measured_miss: np.ndarray      # brute-force LRU simulation
-    sampled_miss: np.ndarray       # SHARDS sample, capacity-rescaled
-    sample_rate: float
+    modelled_miss: np.ndarray      # miniature simulations, pooled samples
+    measured_miss: np.ndarray      # full simulation of the same cache
     replay_answers_match: bool
     cache: dict                    # simulate_cache ledger, HotKeyCache
     seed: int
 
     @property
     def model_error_pp(self) -> float:
-        """Max |predicted - measured| miss ratio, percentage points."""
+        """Max |modelled - measured| miss ratio, percentage points."""
         if not self.capacities.size:
             return 0.0
-        return float(np.abs(self.predicted_miss - self.measured_miss).max()) * 100.0
-
-    @property
-    def sample_error_pp(self) -> float:
-        """Max |sampled - measured| miss ratio, percentage points."""
-        if not self.capacities.size:
-            return 0.0
-        return float(np.abs(self.sampled_miss - self.measured_miss).max()) * 100.0
+        return float(np.abs(self.modelled_miss - self.measured_miss).max()) * 100.0
 
 
 def run_trace_bench(
@@ -97,7 +84,7 @@ def run_trace_bench(
     cache_threshold: int = 2,
     burst: BurstSpec | None = None,
 ) -> TraceBenchResult:
-    """Record a Zipf+burst trace, model it, sample it, replay it.
+    """Record a Zipf+burst trace, model its cache, replay it.
 
     Everything downstream of the key sequence is deterministic in the
     seed.
@@ -115,15 +102,13 @@ def run_trace_bench(
     )
     trace = recorder.snapshot()
 
-    # -- model: predicted vs. measured LRU miss-ratio curve ------------
-    profile = profile_trace(trace)
-    caps = curve_capacities(profile.histogram.n_distinct)
-    predicted = profile.histogram.miss_ratio_curve(caps)
-    measured = measured_miss_ratio_curve(trace.keys, caps)
-
-    # -- sampling: SHARDS spatial samples, pooled + capacity-rescaled --
-    sampled = pooled_miss_ratio_curve(trace, sample_rate, caps,
-                                      salts=sample_salts)
+    # -- model: miniature simulations vs. the full one -----------------
+    caps = curve_capacities(int(np.unique(trace.keys).size))
+    measured = measured_miss_ratio_curve(trace.keys, caps,
+                                         admit_threshold=cache_threshold)
+    modelled = pooled_miss_ratio_curve(trace, sample_rate, caps,
+                                       admit_threshold=cache_threshold,
+                                       salts=sample_salts)
 
     # -- replay: bit-identical answers through a fresh engine ----------
     replayed = replay_trace(
@@ -138,10 +123,8 @@ def run_trace_bench(
     return TraceBenchResult(
         trace_summary=trace.describe(),
         capacities=caps,
-        predicted_miss=predicted,
+        modelled_miss=modelled,
         measured_miss=measured,
-        sampled_miss=sampled,
-        sample_rate=sample_rate,
         replay_answers_match=replayed.answers_match,
         cache=cache,
         seed=seed,

@@ -3,11 +3,14 @@
 A trace is the raw material of cache modelling: one record per served
 query — ``(ts, stream, key, tier)`` — in arrival order, where *tier*
 says which layer answered (the hot-key cache, or the sharded store on
-a miss).  The reuse-distance profiler
-(:mod:`repro.trace.profiler`) needs only the key sequence; the replay
-engine (:mod:`repro.trace.replay`) also uses the timestamps to rebuild
-arrival groups, and the tier column lets recorded and replayed cache
-behaviour be diffed.
+a miss).  The cache model (:mod:`repro.trace.sampling`) needs only the
+key sequence and the admission threshold of the cache it models, which
+``dakc trace record`` writes into the header as ``meta["cache"] =
+{"capacity", "admit_threshold"}`` (a trace without it is modelled at
+``HotKeyCache``'s default threshold of 1); the replay engine
+(:mod:`repro.trace.replay`) also uses the timestamps to rebuild arrival
+groups, and the tier column lets recorded and replayed cache behaviour
+be diffed.
 
 On disk a trace is a compressed ``.npz`` (plain ``np.load`` reads it)
 with the four column arrays plus a JSON header carrying a magic string,
@@ -97,13 +100,6 @@ class QueryTrace:
             keys=self.keys[mask], tiers=self.tiers[mask],
             k=self.k, seed=self.seed, source=self.source, meta=dict(self.meta),
         )
-
-    def same_records(self, other: "QueryTrace") -> bool:
-        """Column-wise equality of the records (provenance ignored)."""
-        return (bool(np.array_equal(self.ts, other.ts))
-                and bool(np.array_equal(self.streams, other.streams))
-                and bool(np.array_equal(self.keys, other.keys))
-                and bool(np.array_equal(self.tiers, other.tiers)))
 
     def describe(self) -> dict:
         """JSON-friendly summary (the `dakc trace profile` header)."""

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from ..serve.cache import TIER_STORE
-from .format import QueryTrace, save_trace
+from .format import QueryTrace
 
 __all__ = ["TraceRecorder"]
 
@@ -115,12 +115,6 @@ class TraceRecorder:
             ts, streams, keys, tiers = (col.copy() for col in self._chunks[0])
         return QueryTrace(ts=ts, streams=streams, keys=keys, tiers=tiers,
                           k=self.k, seed=self.seed, source=self.source)
-
-    def save(self, path) -> QueryTrace:
-        """Snapshot and write to *path*; returns the snapshot."""
-        trace = self.snapshot()
-        save_trace(path, trace)
-        return trace
 
     def clear(self) -> None:
         self._chunks.clear()

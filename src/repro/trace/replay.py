@@ -3,11 +3,11 @@
 Two replay modes, increasing in fidelity:
 
 * :func:`simulate_cache` — the *model-checking* mode: drive just a
-  cache object (``get``/``offer``) with the trace's key sequence, one
-  record at a time, and count what it would have hit.  With a
-  :class:`~repro.serve.cache.HotKeyCache` at ``admit_threshold=1``
-  this is an exact LRU simulation — the measured side of the
-  predicted-vs-measured miss-ratio comparison.
+  cache object with the trace's key sequence, one record at a time,
+  and count what it would have hit.  With the product's
+  :class:`~repro.serve.cache.HotKeyCache` this is the exact curve
+  (:func:`measured_miss_ratio_curve`) that the miniature simulations
+  of :mod:`repro.trace.sampling` estimate.
 
 * :func:`replay_trace` — the *system* mode: rebuild the trace's
   arrival groups from its timestamps
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -47,20 +48,21 @@ __all__ = [
 def simulate_cache(keys: np.ndarray, cache) -> dict:
     """Sequentially drive *cache* with *keys*; return its hit ledger.
 
-    One ``get`` per record; on a miss the key is ``offer``-ed back
+    One ``get`` per record; a key whose ``get`` missed is offered back
     (value = 1, a stand-in count — the simulation cares about
-    residency, not answers).  Works for any cache with the
-    ``get``/``offer``/``stats`` trio.
+    residency, not answers).  The misses reach one ``offer_many`` call
+    through a generator: ``offer_many`` pulls the next key only after
+    it has offered the previous one, so gets and offers interleave in
+    record order exactly as one ``get``/``offer`` per key would.  Works
+    for any cache with ``get``, ``offer_many``, a ``hits`` counter and
+    ``stats``.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     get = cache.get
-    offer = cache.offer
-    hits = 0
-    for key in keys.tolist():
-        if get(key) is None:
-            offer(key, 1)
-        else:
-            hits += 1
+    hits0 = cache.hits
+    cache.offer_many((key for key in keys.tolist() if get(key) is None),
+                     repeat(1))
+    hits = cache.hits - hits0
     n = int(keys.size)
     return {
         "n_accesses": n,
@@ -71,18 +73,21 @@ def simulate_cache(keys: np.ndarray, cache) -> dict:
     }
 
 
-def measured_miss_ratio_curve(keys: np.ndarray, capacities) -> np.ndarray:
-    """Brute-force LRU miss ratio at each capacity.
+def measured_miss_ratio_curve(keys: np.ndarray, capacities, *,
+                              admit_threshold: int) -> np.ndarray:
+    """The exact miss ratio of the product's cache at each capacity.
 
-    One fresh ``HotKeyCache(c, admit_threshold=1)`` — exact classic
-    LRU — per capacity, driven over the full key sequence.  This is
-    the ground truth the Mattson profile is checked against; O(n) per
-    capacity where the profiler is O(n log n) for *all* capacities.
+    One fresh ``HotKeyCache(c, admit_threshold=admit_threshold)`` per
+    capacity, driven over the full key sequence: the ground truth the
+    miniature simulations of
+    :func:`~repro.trace.sampling.pooled_miss_ratio_curve` are checked
+    against.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     out = np.empty(len(capacities), dtype=np.float64)
     for j, cap in enumerate(capacities):
-        sim = simulate_cache(keys, HotKeyCache(int(cap), admit_threshold=1))
+        sim = simulate_cache(
+            keys, HotKeyCache(int(cap), admit_threshold=admit_threshold))
         out[j] = sim["misses"] / sim["n_accesses"] if sim["n_accesses"] else 0.0
     return out
 

@@ -1,17 +1,19 @@
-"""Trace sampling that preserves the miss-ratio curve.
-
-Profiling a multi-million-record trace is cheap here, but the point
-of the Cydonia ``sample/`` direction is that it doesn't have to be
-done on the full trace at all:
+"""Trace sampling, and the miniature-simulation cache model built on it.
 
 * **Spatial sampling** (SHARDS; Waldspurger et al., FAST'15): keep a
   key iff ``hash(key) < rate * 2^64``.  Sampling whole *keys* rather
   than individual records preserves every kept key's access sequence
-  exactly, so the sampled trace's reuse distances are the full
-  trace's distances scaled by ~*rate* — the sampled MRC at capacity
-  ``c`` estimates the full-trace MRC at capacity ``c / rate``.  We
-  reuse :func:`repro.core.owner.splitmix64` as the filter hash, the
-  same mixer that shards keys to PEs.
+  exactly, so a cache of ``c * rate`` slots over the sample sees about
+  what a cache of ``c`` slots sees over the full trace.  We reuse
+  :func:`repro.core.owner.splitmix64` as the filter hash, the same
+  mixer that shards keys to PEs.
+
+* **Miniature simulations** (Waldspurger et al., ATC'17):
+  :func:`pooled_miss_ratio_curve` runs the product's own
+  :class:`~repro.serve.cache.HotKeyCache`, admission threshold
+  included, over spatial samples at scaled-down sizes.  It is the one
+  cache model here: any policy the cache runs, it models, because it
+  runs it.
 
 * **Temporal sampling**: keep a periodic window of the timeline —
   ``window`` seconds out of every ``every`` seconds.  This preserves
@@ -20,8 +22,8 @@ done on the full trace at all:
   capacity-rescaling guarantee, so it is for eyeballing phases, not
   exact modelling.
 
-Both return ordinary :class:`QueryTrace` objects, so sampled traces
-save, profile, and replay like full ones.
+Both samplers return ordinary :class:`QueryTrace` objects, so sampled
+traces save, model, and replay like full ones.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.owner import splitmix64
+from ..serve.cache import HotKeyCache
 from .format import QueryTrace
-from .profiler import RDHistogram, reuse_distances
+from .replay import simulate_cache
 
 __all__ = [
     "spatial_sample",
     "temporal_sample",
-    "scaled_miss_ratio_curve",
     "pooled_miss_ratio_curve",
 ]
 
@@ -83,50 +85,35 @@ def temporal_sample(trace: QueryTrace, *, window: float, every: float,
                       source=sampled.source, meta=meta)
 
 
-def sample_rate(trace: QueryTrace) -> float:
-    """The spatial sampling rate recorded in a trace's metadata (1.0
-    for unsampled or temporally-sampled traces)."""
-    sample = trace.meta.get("sample") or {}
-    if sample.get("kind") == "spatial":
-        return float(sample["rate"])
-    return 1.0
-
-
-def scaled_miss_ratio_curve(trace: QueryTrace, capacities) -> np.ndarray:
-    """Estimate the FULL-trace MRC at *capacities* from a sampled trace.
-
-    For a spatial sample at rate ``r``, the sampled cache sees ~``r``
-    of every reuse window's distinct keys, so full-trace capacity
-    ``c`` corresponds to sampled capacity ``round(c * r)`` (SHARDS
-    scaling).  With ``r == 1`` this is just the exact MRC.
-    """
-    caps = np.asarray(capacities, dtype=np.int64)
-    rate = sample_rate(trace)
-    hist = RDHistogram.from_distances(reuse_distances(trace.keys))
-    scaled = np.maximum(np.round(caps * rate).astype(np.int64), 1)
-    return hist.miss_ratio_curve(scaled)
-
-
 def pooled_miss_ratio_curve(
-    trace: QueryTrace, rate: float, capacities, *, salts: int = 4
+    trace: QueryTrace, rate: float, capacities, *, admit_threshold: int,
+    salts: int = 4,
 ) -> np.ndarray:
-    """Variance-reduced MRC estimate: pool *salts* independent samples.
+    """The full trace's miss-ratio curve, estimated by miniature caches.
 
-    A single hash-filter sample of a skewed trace is noisy — dropping
-    one Zipf-head key moves the whole curve.  Re-salting the filter
-    draws independent key subsets from the *same* trace for free;
-    merging their reuse-distance histograms before computing the
-    curve is an access-weighted average that converges fast (4 salts
-    at rate 0.5 is typically within a fraction of a point of exact).
-    Total profiling work is ``salts * rate`` of the full trace.
+    For each of *salts* independent spatial samples at *rate*, and at
+    each capacity ``c``, a fresh ``HotKeyCache(max(1, round(c * rate)),
+    admit_threshold=admit_threshold)`` runs over the sample; its
+    candidate table scales with it (``CANDIDATES_PER_SLOT`` per slot).
+    The samples pool by summed misses over summed accesses.  A single
+    sample of a skewed trace is noisy — dropping one Zipf-head key
+    moves the whole curve — and re-salting the filter draws another
+    key subset from the same trace for free.  Total work is
+    ``salts * rate`` full-trace simulations per capacity.
     """
     if salts < 1:
         raise ValueError("need at least one salt")
     caps = np.asarray(capacities, dtype=np.int64)
-    merged = None
-    for salt in range(salts):
-        sampled = spatial_sample(trace, rate, salt=salt)
-        hist = RDHistogram.from_distances(reuse_distances(sampled.keys))
-        merged = hist if merged is None else merged.merge(hist)
     scaled = np.maximum(np.round(caps * rate).astype(np.int64), 1)
-    return merged.miss_ratio_curve(scaled)
+    misses = np.zeros(caps.shape, dtype=np.int64)
+    accesses = 0
+    for salt in range(salts):
+        keys = spatial_sample(trace, rate, salt=salt).keys
+        accesses += keys.size
+        for j, cap in enumerate(scaled.tolist()):
+            misses[j] += simulate_cache(
+                keys, HotKeyCache(cap, admit_threshold=admit_threshold)
+            )["misses"]
+    if not accesses:
+        return np.zeros(caps.shape, dtype=np.float64)
+    return misses / accesses

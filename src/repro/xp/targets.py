@@ -657,7 +657,7 @@ def _tenant_bench(p: dict) -> TargetOutcome:
 
 
 # ---------------------------------------------------------------------------
-# trace: record -> Mattson model -> SHARDS sample -> replay
+# trace: record -> miniature-simulation model -> replay
 # ---------------------------------------------------------------------------
 
 _TRACE_DATA = {"dataset": "synthetic-24", "k": 21, "budget": 120_000}
@@ -674,7 +674,6 @@ def _trace_defaults() -> dict:
 def _trace_bench(p: dict) -> TargetOutcome:
     from ..serve import BurstSpec
     from ..trace import run_trace_bench
-    from ..trace.bench import SAMPLE_ERROR_BOUND_PP
 
     _, counts = _counted(p.pop("dataset"), p.pop("k"), p.pop("budget"))
     res = run_trace_bench(
@@ -685,16 +684,13 @@ def _trace_bench(p: dict) -> TargetOutcome:
     return TargetOutcome(
         metrics={
             "model_error_pp": res.model_error_pp,
-            "sample_error_pp": res.sample_error_pp,
             "cache_hit_rate": res.cache["hit_rate"],
         },
         checks={
-            # The Mattson curve tracks brute-force LRU at every capacity.
+            # Miniature caches over pooled samples track a full
+            # simulation of the same cache at every capacity.
             "model_error_le_2pp": res.model_error_pp <= 2.0,
             "replay_bit_identical": res.replay_answers_match,
-            # A pooled 50% sample is an estimate, but never wildly off.
-            "sample_error_le_10pp":
-                res.sample_error_pp <= SAMPLE_ERROR_BOUND_PP,
         },
     )
 
@@ -818,10 +814,9 @@ TARGETS: dict[str, XpTarget] = {
         ),
         XpTarget(
             "trace-bench", _trace_bench,
-            {"model_error_pp": "lower", "sample_error_pp": "lower",
-             "cache_hit_rate": "higher"},
-            "query trace: Mattson miss-ratio model vs brute-force LRU, "
-            "SHARDS sampling, bit-identical replay",
+            {"model_error_pp": "lower", "cache_hit_rate": "higher"},
+            "query trace: miniature simulations of the serving cache vs "
+            "a full one, bit-identical replay",
             _trace_defaults,
         ),
         XpTarget(

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.serve.cache import CANDIDATES_PER_SLOT, HotKeyCache
+from repro.trace.replay import simulate_cache
 
 
 class TestLRU:
@@ -269,3 +270,26 @@ class TestBulkCalls:
             ref.offer(key, value)
         assert ref.evictions > 0
         assert _state(bulk) == _state(ref)
+
+    @pytest.mark.parametrize("admit_threshold", [1, 2, 3])
+    @pytest.mark.parametrize("capacity", [1, 4, 64])
+    def test_simulate_cache_matches_per_key_calls(self, capacity,
+                                                  admit_threshold):
+        """``simulate_cache`` hands its misses to one ``offer_many``
+        through a generator: the same hits, tables and counters as the
+        reference's get, then offer on a miss, per key — also run a
+        second time from the warm state the first left."""
+        keys = np.asarray(_zipf_keys(3000, tagged=False), dtype=np.uint64)
+        cache = HotKeyCache(capacity, admit_threshold=admit_threshold)
+        ref = _PerKeyCache(capacity, admit_threshold=admit_threshold)
+        for stream in (keys, keys[::-1]):
+            sim = simulate_cache(stream, cache)
+            hits = 0
+            for key in stream.tolist():
+                if ref.get(key) is None:
+                    ref.offer(key, 1)
+                else:
+                    hits += 1
+            assert (sim["hits"], sim["misses"]) == (hits, stream.size - hits)
+            assert _state(cache) == _state(ref)
+        assert ref.evictions > 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from repro.apps.store import save_counts
 from repro.cli import main
 from repro.core.serial import serial_count
-from repro.trace import load_trace
+from repro.trace import load_trace, measured_miss_ratio_curve, save_trace
 
 
 @pytest.fixture(scope="module")
@@ -49,19 +50,37 @@ class TestProfile:
         rc = main(["trace", "profile", recorded])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "predicted-miss" in out
+        assert "miss-ratio" in out
+        assert "admit_threshold=2" in out
 
-    def test_profile_measure_reports_near_zero_model_error(
-            self, recorded, tmp_path, capsys):
+    def test_profile_is_the_full_simulation_at_the_recorded_threshold(
+            self, recorded, tmp_path):
         doc_path = tmp_path / "profile.json"
-        rc = main(["trace", "profile", recorded, "--measure",
+        rc = main(["trace", "profile", recorded,
                    "--capacities", "4,32,256", "--json", str(doc_path)])
         assert rc == 0
         doc = json.loads(doc_path.read_text())
+        trace = load_trace(recorded)
+        # `trace record` wrote its cache into the header.
+        assert trace.meta["cache"] == {"capacity": 4096,
+                                       "admit_threshold": 2}
+        assert doc["admit_threshold"] == 2
         assert doc["capacities"] == [4, 32, 256]
-        assert len(doc["miss_ratio"]) == 3
-        # The Mattson model is exact against brute-force LRU.
-        assert doc["model_error_pp"] <= 1e-6
+        assert doc["miss_ratio"] == measured_miss_ratio_curve(
+            trace.keys, [4, 32, 256], admit_threshold=2).tolist()
+
+    def test_profile_of_a_trace_without_a_cache_is_at_threshold_one(
+            self, recorded, tmp_path):
+        bare = tmp_path / "bare.npz"
+        trace = load_trace(recorded)
+        save_trace(bare, dataclasses.replace(trace, meta={}))
+        doc_path = tmp_path / "profile.json"
+        assert main(["trace", "profile", str(bare), "--capacities", "8,64",
+                     "--json", str(doc_path)]) == 0
+        doc = json.loads(doc_path.read_text())
+        assert doc["admit_threshold"] == 1
+        assert doc["miss_ratio"] == measured_miss_ratio_curve(
+            trace.keys, [8, 64], admit_threshold=1).tolist()
 
     def test_profile_rejects_non_trace_files(self, db, capsys):
         rc = main(["trace", "profile", db])
@@ -82,8 +101,9 @@ class TestSample:
         assert "miss-ratio error" in capsys.readouterr().out
 
     def test_check_fails_past_the_bound(self, recorded, tmp_path, capsys):
-        """A 20% sample of a 6k-record trace keeps too few keys to place
-        the curve within trace-bench's bound (13.4 pp): the check exits 1."""
+        """A 20% sample of a 6k-record trace keeps too few keys for its
+        miniature caches to place the curve within the bound (14.30 pp
+        off at the recorded threshold 2): the check exits 1."""
         rc = main(["trace", "sample", recorded, "--rate", "0.2",
                    "--check", "--out", str(tmp_path / "thin.npz")])
         assert rc == 1

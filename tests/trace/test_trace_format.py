@@ -33,12 +33,13 @@ def make_trace(n: int = 100, seed: int = 0) -> QueryTrace:
 
 
 class TestRoundTrip:
-    def test_save_load_preserves_records_and_provenance(self, tmp_path):
+    def test_save_load_preserves_records_and_provenance(self, tmp_path,
+                                                        same_records):
         trace = make_trace(257)
         path = tmp_path / "t.npz"
         save_trace(path, trace)
         loaded = load_trace(path)
-        assert loaded.same_records(trace)
+        assert same_records(loaded, trace)
         assert loaded.k == 21
         assert loaded.seed == 0
         assert loaded.source == "unit-test"

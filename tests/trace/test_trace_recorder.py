@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.trace.format import TIER_STORE, TIER_T1, load_trace
+from repro.trace.format import TIER_STORE, TIER_T1, load_trace, save_trace
 from repro.trace.recorder import TraceRecorder
 
 
@@ -104,11 +104,13 @@ class TestSnapshotLifecycle:
         # Epoch rebased again: the post-clear trace starts at ts=0.
         assert rec.snapshot().ts[0] == 0.0
 
-    def test_save_writes_loadable_trace_with_provenance(self, tmp_path):
+    def test_save_writes_loadable_trace_with_provenance(self, tmp_path,
+                                                        same_records):
         rec = TraceRecorder(k=21, seed=7, source="unit", clock=FakeClock())
         rec.record_batch([1, 2, 3])
         path = tmp_path / "rec.npz"
-        returned = rec.save(path)
+        returned = rec.snapshot()
+        save_trace(path, returned)
         loaded = load_trace(path)
-        assert loaded.same_records(returned)
+        assert same_records(loaded, returned)
         assert (loaded.k, loaded.seed, loaded.source) == (21, 7, "unit")

@@ -49,7 +49,7 @@ class TestSimulateCache:
 
     def test_measured_curve_is_monotone(self, recorded):
         caps = [1, 8, 64, 512]
-        mrc = measured_miss_ratio_curve(recorded.keys, caps)
+        mrc = measured_miss_ratio_curve(recorded.keys, caps, admit_threshold=1)
         assert np.all(np.diff(mrc) <= 1e-12)
 
 

@@ -1,22 +1,24 @@
-"""Tests for trace sampling (SHARDS spatial + temporal windows).
+"""Tests for trace sampling (SHARDS spatial + temporal windows) and the
+miniature-simulation cache model built on it.
 
-The satellite claim under test: a spatially sampled replay preserves
-the miss-ratio curve of the full trace within tolerance, after the
-SHARDS 1/rate capacity rescaling (pooling a few salted samples keeps
-the variance down on skewed traces).
+The claim under test: miniature ``HotKeyCache`` simulations over pooled
+spatial samples, at capacities scaled by the rate, reproduce the full
+simulation's miss-ratio curve within tolerance; at rate 1 they are the
+full simulation, and at threshold 1 they equal the Mattson LRU model
+they replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.trace.format import QueryTrace
 from repro.trace.replay import measured_miss_ratio_curve
 from repro.trace.sampling import (
     pooled_miss_ratio_curve,
-    sample_rate,
-    scaled_miss_ratio_curve,
     spatial_sample,
     temporal_sample,
 )
@@ -34,11 +36,10 @@ def zipf_trace(n: int = 20_000, seed: int = 0, a: float = 1.3) -> QueryTrace:
 
 
 class TestSpatialSample:
-    def test_rate_one_is_identity(self):
+    def test_rate_one_is_identity(self, same_records):
         trace = zipf_trace(500)
         sampled = spatial_sample(trace, 1.0)
-        assert sampled.same_records(trace)
-        assert sample_rate(sampled) == 1.0
+        assert same_records(sampled, trace)
 
     def test_invalid_rates_rejected(self):
         trace = zipf_trace(10)
@@ -55,13 +56,14 @@ class TestSpatialSample:
         assert np.array_equal(sampled.keys, trace.keys[mask])
         assert np.array_equal(sampled.ts, trace.ts[mask])
 
-    def test_deterministic_in_salt_and_independent_across_salts(self):
+    def test_deterministic_in_salt_and_independent_across_salts(
+            self, same_records):
         trace = zipf_trace(5_000)
         a1 = spatial_sample(trace, 0.5, salt=1)
         a2 = spatial_sample(trace, 0.5, salt=1)
         b = spatial_sample(trace, 0.5, salt=2)
-        assert a1.same_records(a2)
-        assert not a1.same_records(b)
+        assert same_records(a1, a2)
+        assert not same_records(a1, b)
 
     def test_kept_fraction_tracks_rate(self):
         trace = zipf_trace(50_000, seed=3)
@@ -73,7 +75,6 @@ class TestSpatialSample:
         sampled = spatial_sample(zipf_trace(100), 0.5, salt=9)
         assert sampled.meta["sample"] == {
             "kind": "spatial", "rate": 0.5, "salt": 9, "parent_records": 100}
-        assert sample_rate(sampled) == 0.5
 
 
 class TestTemporalSample:
@@ -83,7 +84,6 @@ class TestTemporalSample:
         rel = sampled.ts % 1.0
         assert np.all(rel < 0.2)
         assert 0 < sampled.n_records < trace.n_records
-        assert sample_rate(sampled) == 1.0  # no capacity-rescaling claim
 
     def test_invalid_windows_rejected(self):
         trace = zipf_trace(10)
@@ -100,20 +100,40 @@ class TestTemporalSample:
 
 
 class TestCurvePreservation:
-    def test_scaled_curve_on_unsampled_trace_is_exact(self):
-        trace = zipf_trace(5_000)
-        caps = np.array([1, 4, 16, 64, 256])
-        exact = measured_miss_ratio_curve(trace.keys, caps)
-        est = scaled_miss_ratio_curve(trace, caps)
-        assert np.allclose(est, exact, atol=1e-12)
+    @given(keys=st.lists(st.integers(0, 40), max_size=300),
+           caps=st.lists(st.integers(1, 50), min_size=1, max_size=5),
+           admit_threshold=st.integers(1, 3))
+    def test_rate_one_equals_the_full_simulation(self, keys, caps,
+                                                 admit_threshold):
+        """At rate 1 every sample is the whole trace and no capacity is
+        scaled, so the pooled curve is the full simulation exactly."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        n = keys.size
+        trace = QueryTrace(ts=np.arange(n, dtype=np.float64),
+                           streams=np.zeros(n, np.int32), keys=keys,
+                           tiers=np.zeros(n, np.int8))
+        est = pooled_miss_ratio_curve(trace, 1.0, caps,
+                                      admit_threshold=admit_threshold)
+        exact = measured_miss_ratio_curve(keys, caps,
+                                          admit_threshold=admit_threshold)
+        assert est.tolist() == exact.tolist()
+
+    def test_threshold_one_equals_the_mattson_model(self):
+        """At threshold 1 the cache is LRU, and the pooled miniature
+        curve is bit-identical to the pooled Mattson reuse-distance
+        curve it replaced (values computed by that model)."""
+        est = pooled_miss_ratio_curve(zipf_trace(5_000), 0.5,
+                                      [1, 4, 16, 64, 256], admit_threshold=1)
+        assert est.tolist() == [0.8038786362214576, 0.6699249296215202,
+                                0.38974038160775726, 0.2619643415702221,
+                                0.1826712543009071]
 
     def test_pooled_sampled_curve_matches_within_tolerance(self, small_reads):
-        # The satellite acceptance test: a sampled replay preserves
-        # the miss-ratio curve.  On the serving workload the bench
-        # records (Zipf(1.1) over a counted spectrum), 4 pooled salts
-        # at rate 0.5 stay within 5pp of the exact curve — head-key
-        # inclusion noise dominates at these toy capacities, so the
-        # tolerance is wider than production SHARDS (<1pp at
+        # On the serving workload the bench records (Zipf(1.1) over a
+        # counted spectrum), 4 pooled salts at rate 0.5 stay within 5pp
+        # of the full simulation, with and without admission —
+        # head-key inclusion noise dominates at these toy capacities,
+        # so the tolerance is wider than production SHARDS (<1pp at
         # million-entry capacities).
         from repro.core.serial import serial_count
         from repro.serve.workload import zipf_workload
@@ -124,11 +144,16 @@ class TestCurvePreservation:
         trace = QueryTrace(ts=w.arrivals, streams=np.zeros(n, np.int32),
                            keys=w.keys, tiers=np.zeros(n, np.int8))
         caps = np.array([16, 64, 256, 1024, 4096])
-        exact = measured_miss_ratio_curve(trace.keys, caps)
-        est = pooled_miss_ratio_curve(trace, 0.5, caps, salts=4)
-        err_pp = float(np.abs(est - exact).max()) * 100.0
-        assert err_pp <= 5.0, f"sampled MRC off by {err_pp:.2f}pp"
+        for threshold in (1, 2):
+            exact = measured_miss_ratio_curve(trace.keys, caps,
+                                              admit_threshold=threshold)
+            est = pooled_miss_ratio_curve(trace, 0.5, caps,
+                                          admit_threshold=threshold, salts=4)
+            err_pp = float(np.abs(est - exact).max()) * 100.0
+            assert err_pp <= 5.0, (
+                f"threshold {threshold}: sampled MRC off by {err_pp:.2f}pp")
 
     def test_pooling_needs_a_salt(self):
         with pytest.raises(ValueError):
-            pooled_miss_ratio_curve(zipf_trace(100), 0.5, [4], salts=0)
+            pooled_miss_ratio_curve(zipf_trace(100), 0.5, [4],
+                                    admit_threshold=1, salts=0)

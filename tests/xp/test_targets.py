@@ -84,8 +84,8 @@ CASES = {
     ),
     "trace-bench": (
         {"budget": 20_000, "n_queries": 4_000},
-        {"model_error_le_2pp", "replay_bit_identical"},
-        {"sample_error_le_10pp"},
+        {"replay_bit_identical"},
+        {"model_error_le_2pp"},
     ),
     "paper": ({"exp_id": "fig5"}, PAPER_CHECKS["fig5"], set()),
     "synthetic-latency": ({}, set(), set()),
