@@ -143,7 +143,6 @@ def count_kmers(
     batch_size: int | None = None,
     protocol: str = "1D",
     agg: AggregationConfig | None = None,
-    mode: str = "fast",
 ) -> CountRun:
     """Count k-mers of length *k* in *reads*.
 
@@ -170,9 +169,8 @@ def count_kmers(
         Count canonical (strand-folded) k-mers.
     batch_size:
         BSP batch ``b`` (ignored by dakc/serial/kmc3).
-    protocol, agg, mode:
-        DAKC knobs (Conveyors topology, aggregation config, exact or
-        vectorised execution).
+    protocol, agg:
+        DAKC knobs (Conveyors topology, aggregation config).
 
     Returns
     -------
@@ -222,7 +220,6 @@ def count_kmers(
         cfg = DakcConfig(
             protocol=protocol,
             agg=agg or AggregationConfig(),
-            mode=mode,
             canonical=canonical,
         )
         if algorithm == "dakc-overlap":

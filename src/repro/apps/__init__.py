@@ -14,7 +14,7 @@ from .assembly import (
     assembly_stats,
     genome_recovery,
 )
-from .setops import containment, intersect, jaccard, subtract, symmetric_difference, union
+from .setops import containment, intersect, jaccard, subtract, symmetric_difference
 from .spectrum import (
     SpectrumFeatures,
     estimate_error_rate,
@@ -32,7 +32,6 @@ __all__ = [
     "estimate_genome_size",
     "estimate_error_rate",
     "intersect",
-    "union",
     "subtract",
     "symmetric_difference",
     "jaccard",

@@ -89,15 +89,6 @@ class DeBruijnGraph:
             out[:, base] = self._contains(cand)
         return out
 
-    def out_degrees(self) -> np.ndarray:
-        return self.successors_mask(self.kmers).sum(axis=1)
-
-    def in_degrees(self) -> np.ndarray:
-        return self.predecessors_mask(self.kmers).sum(axis=1)
-
-    def count_of(self, kmer: int) -> int:
-        return int(probe_sorted(self.kmers, self.counts, [kmer])[0])
-
 
 def assemble_unitigs(counts: KmerCounts, *, min_length: int = 0) -> list[Unitig]:
     """Compact maximal non-branching paths into unitigs.

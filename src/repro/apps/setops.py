@@ -1,7 +1,7 @@
 """Set operations on counted k-mer databases (kmc_tools-style).
 
 KMC3 ships a companion (`kmc_tools`) whose *simple* operations —
-intersect, union, subtract, counters compared — are the workhorse of
+intersect, subtract, counters compared — are the workhorse of
 comparative genomics (e.g. shared k-mers between two strains, or
 sample-specific k-mers for variant discovery).  These are the same
 operations on :class:`~repro.core.result.KmerCounts`, vectorised over
@@ -17,7 +17,6 @@ from ..seq.kmers import check_k
 
 __all__ = [
     "intersect",
-    "union",
     "subtract",
     "symmetric_difference",
     "jaccard",
@@ -63,14 +62,6 @@ def intersect(a: KmerCounts, b: KmerCounts, *, mode: str = "min") -> KmerCounts:
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return KmerCounts(a.k, keys, counts)
-
-
-def union(a: KmerCounts, b: KmerCounts) -> KmerCounts:
-    """All k-mers of either input; counts summed (kmc_tools 'union')."""
-    _check_compatible(a, b)
-    keys = np.concatenate((a.kmers, b.kmers))
-    vals = np.concatenate((a.counts, b.counts))
-    return KmerCounts.from_pairs(a.k, keys, vals)
 
 
 def subtract(a: KmerCounts, b: KmerCounts, *, counted: bool = False) -> KmerCounts:

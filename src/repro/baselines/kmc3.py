@@ -72,7 +72,7 @@ def kmc3_count(
                            threaded=True))
     cost, stats = run.cost, run.stats
     pe = stats.pe[0]
-    cache = CacheAccounting(machine.cache_bytes, machine.line_bytes)
+    cache = CacheAccounting(machine.line_bytes)
     total_bases = n_bases(reads)
 
     # Input I/O (KMC3's reported time includes it); the model books it

@@ -122,8 +122,7 @@ class RangeStore:
 class ClusterNode:
     """One cluster member: a store slice, health state, and metrics."""
 
-    def __init__(self, node_id: int, store, *, service_time: float = 0.0,
-                 metrics: ServeMetrics | None = None):
+    def __init__(self, node_id: int, store, *, service_time: float = 0.0):
         if service_time < 0:
             raise ValueError("service_time must be >= 0")
         self.node_id = int(node_id)
@@ -131,7 +130,7 @@ class ClusterNode:
         self.service_time = service_time
         self.state = NodeState.UP
         self.dilation = 1.0
-        self.metrics = metrics or ServeMetrics()
+        self.metrics = ServeMetrics()
 
     # -- serving -------------------------------------------------------
 

@@ -91,19 +91,14 @@ class ClusterRouter:
     """
 
     def __init__(self, ring: HashRing, nodes: dict[int, ClusterNode], *,
-                 hedging: bool = True,
-                 metrics: ClusterMetrics | None = None, recorder=None):
+                 hedging: bool = True):
         missing = [n for n in ring.node_ids if n not in nodes]
         if missing:
             raise ValueError(f"ring nodes without a ClusterNode: {missing}")
         self.ring = ring
         self.nodes = dict(nodes)
         self.hedging = hedging
-        self.metrics = metrics or ClusterMetrics()
-        #: Optional :class:`repro.trace.TraceRecorder` (duck-typed:
-        #: anything with ``record_batch(keys, tiers)``).  The router
-        #: has no cache tier, so every record is charged to the store.
-        self.recorder = recorder
+        self.metrics = ClusterMetrics()
         self._rr = 0              # rotating replica preference
         self._turns = TurnQueue(self._flush)  # grouped by routing snapshot
         self._tasks: set[asyncio.Task] = set()  # lookups at delayed nodes
@@ -193,8 +188,6 @@ class ClusterRouter:
         n = int(keys.size)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        if self.recorder is not None:
-            self.recorder.record_batch(keys, None)
         t0 = now()
         batch = object()
         self._inflight.add(batch)

@@ -203,7 +203,7 @@ def bsp_count(
             cost.charge_mem(pe_stats, int(read_bytes[src] * frac))
             cost.charge_compute(pe_stats, batch.size * OPS_PER_ELEMENT_BUFFER)
             cost.charge_mem(pe_stats, batch.nbytes)  # bucket writes
-            cache = CacheAccounting(cost.machine.cache_bytes, cost.machine.line_bytes)
+            cache = CacheAccounting(cost.machine.line_bytes)
             cache.stream(int(read_bytes[src] * frac))
             cache.stream(batch.nbytes)
             pe_stats.cache_misses_p1 += cache.misses
@@ -269,7 +269,7 @@ def bsp_count(
     results = []
     for dst in range(n_pes):
         pe_stats = stats.pe[dst]
-        cache = CacheAccounting(cost.machine.cache_bytes, cost.machine.line_bytes)
+        cache = CacheAccounting(cost.machine.line_bytes)
         if config.preaccumulate:
             ks = np.concatenate([p[0] for p in recv_pairs[dst]]) if recv_pairs[dst] else np.empty(0, np.uint64)
             cs = np.concatenate([p[1] for p in recv_pairs[dst]]) if recv_pairs[dst] else np.empty(0, np.int64)

@@ -154,7 +154,7 @@ def _phase2(
     # why measured Phase-2 misses undershoot the prediction in Fig. 3,
     # with the gap shrinking as n grows.
     eff_passes = effective_msd_passes(int(t_arr.size), passes)
-    cache = CacheAccounting(cost.machine.cache_bytes, cost.machine.line_bytes)
+    cache = CacheAccounting(cost.machine.line_bytes)
     cost.charge_compute(pe_stats, t_arr.size * eff_passes)
     cost.charge_mem(pe_stats, 2 * t_arr.nbytes * eff_passes)
     for _ in range(eff_passes):
@@ -331,7 +331,7 @@ def _run_phase1_fast(
     config: DakcConfig,
 ) -> None:
     """Vectorised Phase 1: parse + AsyncAdd for every source PE."""
-    cache_tpl = (cost.machine.cache_bytes, cost.machine.line_bytes)
+    line_bytes = cost.machine.line_bytes
     for src, rows in enumerate(per_pe_reads):
         pe_stats = stats.pe[src]
         kmers = parse_kmers(rows, k, config.canonical)
@@ -339,7 +339,7 @@ def _run_phase1_fast(
         pe_stats.kmers_generated += int(kmers.size)
         cost.charge_compute(pe_stats, int(kmers.size))
         cost.charge_mem(pe_stats, read_bytes)
-        cache = CacheAccounting(*cache_tpl)
+        cache = CacheAccounting(line_bytes)
         # Only the read scan misses on the send side: generated k-mers
         # flow through the cache-resident L3/L2 buffers (80 KB + 264 B
         # per destination), never touching DRAM until the NIC PUT.
@@ -399,6 +399,6 @@ def _charge_receives(cost: CostModel, stats: RunStats, conveyor: Conveyor) -> No
         pe_stats.elements_received += received
         jobs = [(arrival, t) for (arrival, _), t in zip(queue, service.tolist())]
         pe_stats.clock = cost.busy_period(pe_stats.clock, jobs)
-        cache = CacheAccounting(cost.machine.cache_bytes, cost.machine.line_bytes)
+        cache = CacheAccounting(cost.machine.line_bytes)
         cache.stream(int(payload.sum()))
         pe_stats.cache_misses_p1 += cache.misses

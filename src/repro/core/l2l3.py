@@ -205,7 +205,6 @@ class BulkAggregator:
         cost: CostModel,
         *,
         k: int = 31,
-        charge_costs: bool = True,
     ) -> None:
         self.src = src
         self.config = config
@@ -213,7 +212,6 @@ class BulkAggregator:
         self.cost = cost
         self.n_pes = cost.n_pes
         self.k = k
-        self.charge_costs = charge_costs
         self._stats = conveyor.stats.pe[src]
         self._sort_passes = radix_passes_for_bits(2 * k, 8)
         # L3 state: pending k-mers short of a full C3 buffer.
@@ -231,9 +229,8 @@ class BulkAggregator:
         if kmers.size == 0:
             return
         ledger = self.cost.ledger(self._stats)
-        if self.charge_costs:
-            ledger.add_one(ledger.COMPUTE, ledger.key(0, ledger.CALLER),
-                           kmers.size * OPS_PER_ELEMENT_BUFFER)
+        ledger.add_one(ledger.COMPUTE, ledger.key(0, ledger.CALLER),
+                       kmers.size * OPS_PER_ELEMENT_BUFFER)
         if not self.config.enable_l3:
             none = np.empty(0, dtype=np.int64)
             self._inject(ledger, *self._route(ledger, kmers, none, none, 1, 0))
@@ -340,7 +337,7 @@ class BulkAggregator:
         packets, lo, hi = (a.transpose(2, 0, 1).ravel() for a in (packets, lo, hi))
         sent = packets.nonzero()[0]
         self._stats.l2_flushes += int(packets.sum())
-        if self.charge_costs and width:
+        if width:
             # L3 sort cost.  The L3 buffer is an absolute design
             # constant (80 KB at the default C3), cache resident on any
             # real LLC: one read+write sweep plus fixed sort setup
@@ -376,9 +373,8 @@ class BulkAggregator:
 
     def _inject(self, ledger, groups, n_packets) -> None:
         """Charge each group's packet handling, then hand the batch on."""
-        if self.charge_costs:
-            ledger.add(ledger.COMPUTE, ledger.key(np.arange(len(groups)), ledger.CALLER),
-                       n_packets * OPS_PER_PACKET)
+        ledger.add(ledger.COMPUTE, ledger.key(np.arange(len(groups)), ledger.CALLER),
+                   n_packets * OPS_PER_PACKET)
         self.conveyor.inject_many(self.src, groups, ledger)
 
 
@@ -405,15 +401,12 @@ class ExactAggregator:
         cost: CostModel,
         *,
         k: int = 31,
-        charge_costs: bool = False,
     ) -> None:
         self.src = src
         self.config = config
         self.conveyor = conveyor
-        self.cost = cost
         self.n_pes = cost.n_pes
         self.k = k
-        self.charge_costs = charge_costs
         self._stats = conveyor.stats.pe[src]
         self._l3: list[int] = []
         self._l2n: list[list[int]] = [[] for _ in range(self.n_pes)]
@@ -504,8 +497,6 @@ class ExactAggregator:
         k_arr = np.asarray(kmers, dtype=np.uint64)
         c_arr = None if counts is None else np.asarray(counts, dtype=np.int64)
         per_elem = self.config.elem_bytes * (2 if kind == "HEAVY" else 1)
-        if self.charge_costs:
-            self.cost.charge_compute(self._stats, OPS_PER_PACKET)
         self.conveyor.inject(
             PacketGroup(
                 src=self.src,

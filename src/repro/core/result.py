@@ -128,11 +128,6 @@ class KmerCounts:
         """k-mer spectrum: ``spectrum[c]`` distinct k-mers with count c."""
         return counts_to_histogram(self.counts, max_count=max_count)
 
-    def heavy_hitters(self, threshold: int) -> "KmerCounts":
-        """k-mers with count strictly above *threshold*."""
-        mask = self.counts > threshold
-        return KmerCounts(self.k, self.kmers[mask], self.counts[mask])
-
     def to_counter(self) -> Counter:
         """Materialise as a ``collections.Counter`` (tests/oracles)."""
         return Counter(dict(zip(kmer_ints(self.kmers), self.counts.tolist())))

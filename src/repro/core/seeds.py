@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spawn_seeds", "spawn_rngs"]
+__all__ = ["spawn_seeds"]
 
 #: Child seeds fit the components that persist them as plain ints
 #: (e.g. :class:`repro.fault.FaultPlan.seed`, JSON repro bundles).
@@ -35,10 +35,3 @@ def spawn_seeds(seed: int, n: int) -> list[int]:
         int(child.generate_state(2, np.uint64)[0] & ((1 << _SEED_BITS) - 1))
         for child in np.random.SeedSequence(seed).spawn(n)
     ]
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Derive *n* independent child generators from one root seed."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]

@@ -12,8 +12,7 @@ This module implements that future-work design:
   batches are sorted into *runs*; runs compact by merging once their
   number crosses a threshold, so insertion stays cheap and the final
   accumulate is a k-way merge of a handful of sorted runs instead of a
-  full re-sort.  Asynchronous point queries (`count_of`) binary-search
-  the runs at any time — no barrier needed to read a count.
+  full re-sort.
 * :func:`dakc_overlap_count` — DAKC with the sorted-set receivers:
   Phase-2 work happens *inside* each delivery's service time, so the
   algorithm needs only **two** global synchronisations (entry and
@@ -86,16 +85,6 @@ class SortedRunSet:
         self.merged_elements += int(keys.size)
         self.runs = [accumulate_weighted(keys, vals)]
 
-    def count_of(self, kmer: int) -> int:
-        """Asynchronous point query: current count of one k-mer."""
-        total = 0
-        key = np.uint64(kmer)
-        for keys, vals in self.runs:
-            i = int(np.searchsorted(keys, key))
-            if i < keys.size and keys[i] == key:
-                total += int(vals[i])
-        return total
-
     def finalize(self) -> tuple[np.ndarray, np.ndarray]:
         """Merge all runs into the final ordered (k-mer, count) array."""
         if not self.runs:
@@ -167,7 +156,7 @@ def dakc_overlap_count(
         merge_elems = s.merged_elements - pre_merge
         cost.charge_compute(pe_stats, merge_elems * 2)
         cost.charge_mem(pe_stats, merge_elems * 16)
-        cache = CacheAccounting(cost.machine.cache_bytes, cost.machine.line_bytes)
+        cache = CacheAccounting(cost.machine.line_bytes)
         cache.stream(merge_elems * 8)
         pe_stats.cache_misses_p2 += cache.misses
         run.memory.set_category(dst, "sorted-set", int(uniq.nbytes + counts.nbytes))

@@ -67,13 +67,6 @@ class CrashPoints:
             raise ValueError("nth must be >= 1")
         self._armed[name] = nth
 
-    def disarm(self, name: str) -> None:
-        self._armed.pop(name, None)
-
-    @property
-    def armed(self) -> tuple[str, ...]:
-        return tuple(sorted(self._armed))
-
     def hit(self, name: str) -> None:
         """Announce reaching *name*; raises if a test armed it."""
         self.hit_counts[name] = self.hit_counts.get(name, 0) + 1

@@ -120,14 +120,6 @@ class BinWriter:
 
     # -- pass-1 ingestion ----------------------------------------------
 
-    def add_read(self, codes: np.ndarray) -> int:
-        """Split one encoded read and buffer its super-k-mers.
-
-        Returns the number of k-mers the read contributed.  May trigger
-        a flush wave if the memory ceiling is crossed.
-        """
-        return self.add_reads([np.asarray(codes, dtype=np.uint8)])
-
     def add_reads(self, reads: np.ndarray | list) -> int:
         """Buffer a batch of reads (rows of a matrix or a list of arrays).
 

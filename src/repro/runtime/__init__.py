@@ -15,7 +15,7 @@ Substitutes for OpenSHMEM + Conveyors + HClib-Actor on real hardware
 """
 
 from .actor import Actor, ActorRuntime
-from .cache import CacheAccounting, random_access_misses, scan_misses
+from .cache import CacheAccounting, scan_misses
 from .collectives import alltoallv, barrier, exchange_matrix_bytes
 from .conveyors import Conveyor, PacketGroup
 from .cost import CostModel
@@ -61,7 +61,6 @@ __all__ = [
     "exchange_matrix_bytes",
     "CacheAccounting",
     "scan_misses",
-    "random_access_misses",
     "MemoryTracker",
     "OutOfMemoryError",
     "aggregation_memory_per_pe",

@@ -6,9 +6,12 @@ prices those events on a :class:`~repro.runtime.machine.MachineConfig`,
 advancing per-PE virtual clocks.  The pricing rules are the paper's own
 model (Section V) applied at event granularity:
 
-* compute: ``ops / core_ops`` (Eq. 9/12 denominators);
-* intranode traffic: ``bytes / core_mem_bw`` (Eqs. 10/13);
-* remote PUT: ``tau + bytes / core_link_bw`` (tau >> mu, Table I);
+* compute: ``ops`` at one core's share of ``c_node`` (Eq. 9/12
+  denominators);
+* intranode traffic: ``bytes`` at one core's share of ``beta_mem``
+  (Eqs. 10/13);
+* remote PUT: ``tau`` plus ``bytes`` at one core's share of
+  ``beta_link`` (tau >> mu, Table I);
 * co-located PUT: converted to a memcpy at memory bandwidth — the
   HClib-Actor behaviour the paper credits for beating KMC3 on a single
   node (Section VI-B);

@@ -89,11 +89,6 @@ class MachineConfig:
         """Same machine scaled to a different node count."""
         return replace(self, nodes=nodes)
 
-    def with_pes(self, n_pes: int) -> "MachineConfig":
-        """Smallest machine of this type with at least *n_pes* PEs."""
-        nodes = max(1, math.ceil(n_pes / self.cores_per_node))
-        return replace(self, nodes=nodes)
-
     def with_time_scale(self, factor: float) -> "MachineConfig":
         """Scale all fixed latencies by *factor* (time dilation).
 
@@ -113,44 +108,11 @@ class MachineConfig:
             local_latency=self.local_latency * factor,
         )
 
-    # -- per-core rates ----------------------------------------------
-
-    @property
-    def core_ops(self) -> float:
-        """INT64 ops/s available to one core."""
-        return self.c_node / self.cores_per_node
-
-    @property
-    def core_mem_bw(self) -> float:
-        """Memory bandwidth share of one core (bytes/s)."""
-        return self.beta_mem / self.cores_per_node
-
-    @property
-    def core_link_bw(self) -> float:
-        """NIC bandwidth share of one core (bytes/s)."""
-        return self.beta_link / self.cores_per_node
-
-    @property
-    def mu(self) -> float:
-        """Per-byte wire cost (the model's :math:`\\mu` = 1/beta_link)."""
-        return 1.0 / self.beta_link
-
     @property
     def barrier_time(self) -> float:
         """Tree-reduction barrier: :math:`\\tau \\log_2 P` (Eq. 3)."""
         p = max(2, self.n_pes)
         return self.tau * math.log2(p)
-
-    # -- balance -----------------------------------------------------
-
-    @property
-    def hardware_balance_ops_per_byte(self) -> float:
-        """Node compute-to-memory balance in iadd64 per byte.
-
-        The paper quotes ~2.6 iadd64/byte for the Phoenix CPUs
-        (Section VII).
-        """
-        return self.c_node / self.beta_mem
 
 
 def phoenix_intel(nodes: int = 8) -> MachineConfig:

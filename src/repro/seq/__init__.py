@@ -25,7 +25,6 @@ from .datasets import (
     Workload,
     get_spec,
     materialize,
-    synthetic_spec,
     table5_rows,
 )
 from .encoding import decode_codes, encode_batch, encode_seq
@@ -50,29 +49,11 @@ from .kmers import (
     reverse_complement_kmers,
     str_to_kmer,
 )
-from .composition import (
-    ReadSetSummary,
-    base_composition,
-    dust_score,
-    gc_content,
-    per_position_composition,
-    quality_profile,
-    summarize_reads,
-)
 from .minimizers import (
     SuperKmer,
     minimizers_of_kmers,
     read_minimizers,
     split_superkmers,
-)
-from .quality import (
-    decode_phred,
-    encode_phred,
-    expected_errors,
-    mask_low_quality,
-    mean_quality,
-    prepare_reads,
-    trim_record,
 )
 from .readsim import ReadSimConfig, reads_to_records, simulate_reads
 from .superkmers import (
@@ -99,7 +80,6 @@ __all__ = [
     "SYNTHETIC_SPECS",
     "get_spec",
     "materialize",
-    "synthetic_spec",
     "table5_rows",
     "encode_seq",
     "encode_batch",
@@ -130,13 +110,6 @@ __all__ = [
     "ReadSimConfig",
     "simulate_reads",
     "reads_to_records",
-    "decode_phred",
-    "encode_phred",
-    "mean_quality",
-    "expected_errors",
-    "trim_record",
-    "mask_low_quality",
-    "prepare_reads",
     "minimizers_of_kmers",
     "read_minimizers",
     "SuperKmer",
@@ -151,11 +124,4 @@ __all__ = [
     "partition_superkmers",
     "count_superkmer_batch",
     "superkmer_wire_bytes",
-    "base_composition",
-    "gc_content",
-    "per_position_composition",
-    "quality_profile",
-    "dust_score",
-    "ReadSetSummary",
-    "summarize_reads",
 ]

@@ -38,10 +38,6 @@ BASE_TO_CODE: dict[str, int] = {b: i for i, b in enumerate(BASES)}
 #: Map 2-bit code -> base character.
 CODE_TO_BASE: dict[int, str] = {i: b for i, b in enumerate(BASES)}
 
-#: Complement of each 2-bit code: A<->T (0<->3), C<->G (1<->2).
-#: Note ``complement(c) == 3 - c`` for the standard encoding.
-COMPLEMENT_CODE: np.ndarray = np.array([3, 2, 1, 0], dtype=np.uint8)
-
 #: Sentinel code used for non-ACGT characters (e.g. ``N``) during
 #: vectorised encoding.  Reads containing ambiguous bases are split at
 #: these positions before k-mer extraction, mirroring how production
@@ -68,11 +64,6 @@ for _base, _code in BASE_TO_CODE.items():
 CODE_TO_ASCII: np.ndarray = _CODE_TO_ASCII
 
 
-def is_valid_base(ch: str) -> bool:
-    """Return True if *ch* is a (case-insensitive) ACGT base."""
-    return len(ch) == 1 and ch.upper() in BASE_TO_CODE
-
-
 def complement_base(ch: str) -> str:
     """Return the Watson-Crick complement of a single base character."""
     code = BASE_TO_CODE[ch.upper()]
@@ -82,7 +73,7 @@ def complement_base(ch: str) -> str:
 def reverse_complement_str(seq: str) -> str:
     """Reverse-complement a DNA string (pure-Python reference path).
 
-    For bulk work use :func:`repro.seq.encoding.reverse_complement_codes`
-    which operates on encoded arrays.
+    For bulk work use :func:`repro.seq.kmers.reverse_complement_kmers`
+    on packed k-mers.
     """
     return "".join(complement_base(c) for c in reversed(seq))

@@ -33,7 +33,6 @@ __all__ = [
     "REAL_SPECS",
     "ALL_SPECS",
     "get_spec",
-    "synthetic_spec",
     "materialize",
     "table5_rows",
 ]
@@ -178,12 +177,6 @@ def get_spec(key: str) -> DatasetSpec:
     except KeyError:
         known = ", ".join(sorted(ALL_SPECS))
         raise KeyError(f"unknown dataset {key!r}; known: {known}") from None
-
-
-def synthetic_spec(scale: int) -> DatasetSpec:
-    """Spec for *Synthetic <scale>* (creates it if outside 20..32)."""
-    key = f"synthetic-{scale}"
-    return SYNTHETIC_SPECS.get(key, _synthetic(scale))
 
 
 #: Minimum genome length a materialised workload may shrink to.

@@ -18,7 +18,6 @@ import numpy as np
 from .alphabet import (
     ASCII_TO_CODE,
     CODE_TO_ASCII,
-    COMPLEMENT_CODE,
     INVALID_CODE,
 )
 
@@ -27,11 +26,7 @@ __all__ = [
     "encode_seq",
     "encode_batch",
     "decode_codes",
-    "encode_reads",
-    "reverse_complement_codes",
     "codes_to_str",
-    "pack_codes_2bit",
-    "unpack_codes_2bit",
 ]
 
 
@@ -115,49 +110,3 @@ def decode_codes(codes: np.ndarray) -> str:
 
 # Kept as an alias with a name matching its usage in fastx/readsim.
 codes_to_str = decode_codes
-
-
-def encode_reads(reads: list[str], *, validate: bool = True) -> list[np.ndarray]:
-    """Encode a batch of reads; returns one code array per read."""
-    return [encode_seq(r, validate=validate) for r in reads]
-
-
-def reverse_complement_codes(codes: np.ndarray) -> np.ndarray:
-    """Reverse-complement an encoded sequence (vectorised)."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    return COMPLEMENT_CODE[codes[::-1]]
-
-
-def pack_codes_2bit(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Pack a 2-bit code array into a dense byte array (4 bases/byte).
-
-    This is the in-memory representation a production counter uses for
-    read storage (the paper: "converts the ASCII characters into a
-    2-bit DNA encoding").  Returns ``(packed, n_bases)``; the packed
-    array stores base ``i`` in bits ``2*(i % 4)`` of byte ``i // 4``.
-    """
-    codes = np.asarray(codes, dtype=np.uint8)
-    n = codes.size
-    padded = np.zeros((n + 3) // 4 * 4, dtype=np.uint8)
-    padded[:n] = codes
-    grouped = padded.reshape(-1, 4)
-    packed = (
-        grouped[:, 0]
-        | (grouped[:, 1] << 2)
-        | (grouped[:, 2] << 4)
-        | (grouped[:, 3] << 6)
-    ).astype(np.uint8)
-    return packed, n
-
-
-def unpack_codes_2bit(packed: np.ndarray, n_bases: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes_2bit`."""
-    packed = np.asarray(packed, dtype=np.uint8)
-    if packed.size * 4 < n_bases:
-        raise ValueError("packed array too short for n_bases")
-    out = np.empty(packed.size * 4, dtype=np.uint8)
-    out[0::4] = packed & 0x3
-    out[1::4] = (packed >> 2) & 0x3
-    out[2::4] = (packed >> 4) & 0x3
-    out[3::4] = (packed >> 6) & 0x3
-    return out[:n_bases]

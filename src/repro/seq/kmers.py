@@ -60,7 +60,6 @@ __all__ = [
     "reverse_complement_kmer",
     "reverse_complement_kmers",
     "canonical_kmers",
-    "count_kmers_in_read",
 ]
 
 #: Largest k held in one ``uint64`` word (the paper's representation).
@@ -395,12 +394,6 @@ def canonical_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
     keep = keys_less(kmers, rc, strict=True)
     rc[keep] = kmers[keep]
     return rc
-
-
-def count_kmers_in_read(m: int, k: int) -> int:
-    """Number of k-mers in a read of length *m*: ``max(0, m - k + 1)``."""
-    check_k(k, MAX_WIDE_K)
-    return max(0, m - k + 1)
 
 
 def kmer_ints(kmers: np.ndarray) -> list[int]:

@@ -180,10 +180,6 @@ class HotKeyCache:
         finally:
             self.evictions += evictions
 
-    def invalidate(self, key: int) -> bool:
-        """Drop one key; True if it was cached."""
-        return self._slots.pop(key, None) is not None
-
     def invalidate_many(self, keys) -> int:
         """Drop every cached entry for the k-mers in *keys*.
 

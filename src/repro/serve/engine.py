@@ -113,14 +113,13 @@ class QueryEngine:
         config: EngineConfig | None = None,
         *,
         cache: HotKeyCache | None = None,
-        metrics: ServeMetrics | None = None,
         recorder=None,
         tenants: TenantRegistry | None = None,
     ):
         self.store = store
         self.config = config or EngineConfig()
         self.cache = cache
-        self.metrics = metrics or ServeMetrics()
+        self.metrics = ServeMetrics()
         #: Optional :class:`repro.trace.TraceRecorder` (duck-typed:
         #: anything with ``record_batch(keys, tiers)``); every admitted
         #: query is logged with the tier that answered it.
@@ -389,15 +388,13 @@ class QueryEngine:
             self.cache.offer_many(ckeys, cvalues)
 
 
-def naive_serve(
-    store: ShardedStore, keys: np.ndarray, metrics: ServeMetrics | None = None
-) -> tuple[np.ndarray, ServeMetrics]:
+def naive_serve(store: ShardedStore, keys: np.ndarray) -> tuple[np.ndarray, ServeMetrics]:
     """The baseline: answer each query with its own scalar lookup.
 
     No batching, no caching, no queueing — the loop anyone writes
     first, and the per-query overhead wall the engine exists to beat.
     """
-    metrics = metrics or ServeMetrics()
+    metrics = ServeMetrics()
     keys = np.asarray(keys, dtype=np.uint64)
     out = np.empty(keys.size, dtype=np.int64)
     get = store.get

@@ -13,23 +13,20 @@ from .accumulate import (
     counts_to_histogram,
     merge_count_arrays,
 )
-from .checks import count_descents, is_sorted, presortedness, sorted_run_fraction
+from .checks import count_descents, presortedness
 from .hybrid import COMPARISON_THRESHOLD, PRESORTED_CUTOFF, HybridSortStats, hybrid_sort
-from .radix import RadixSortStats, digit_histogram, radix_passes_for_bits, radix_sort
+from .radix import RadixSortStats, radix_passes_for_bits, radix_sort
 
 __all__ = [
     "radix_sort",
     "radix_passes_for_bits",
-    "digit_histogram",
     "RadixSortStats",
     "hybrid_sort",
     "HybridSortStats",
     "COMPARISON_THRESHOLD",
     "PRESORTED_CUTOFF",
-    "is_sorted",
     "presortedness",
     "count_descents",
-    "sorted_run_fraction",
     "accumulate_sorted",
     "accumulate_weighted",
     "counts_to_histogram",

@@ -11,15 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["is_sorted", "sorted_run_fraction", "count_descents", "presortedness"]
-
-
-def is_sorted(arr: np.ndarray) -> bool:
-    """True if *arr* is non-decreasing (vectorised single pass)."""
-    a = np.asarray(arr)
-    if a.size <= 1:
-        return True
-    return bool(np.all(a[:-1] <= a[1:]))
+__all__ = ["count_descents", "presortedness"]
 
 
 def count_descents(arr: np.ndarray) -> int:
@@ -28,20 +20,6 @@ def count_descents(arr: np.ndarray) -> int:
     if a.size <= 1:
         return 0
     return int(np.count_nonzero(a[:-1] > a[1:]))
-
-
-def sorted_run_fraction(arr: np.ndarray) -> float:
-    """Mean length fraction of maximal non-decreasing runs.
-
-    1.0 for a sorted array; approaches ``1/size`` for a strictly
-    decreasing one.  Used by the hybrid sorter's "skip the pass"
-    heuristic.
-    """
-    a = np.asarray(arr)
-    if a.size <= 1:
-        return 1.0
-    runs = count_descents(a) + 1
-    return 1.0 / runs
 
 
 def presortedness(arr: np.ndarray) -> float:

@@ -57,25 +57,22 @@ def hybrid_sort(
     arr: np.ndarray,
     *,
     key_bits: int = 64,
-    digit_bits: int = 8,
     stats: HybridSortStats | None = None,
-    comparison_threshold: int = COMPARISON_THRESHOLD,
-    presorted_cutoff: float = PRESORTED_CUTOFF,
 ) -> np.ndarray:
     """Sort a ``uint64`` array with the ska_sort-style hybrid policy."""
     a = np.ascontiguousarray(arr, dtype=np.uint64)
     if a.size <= 1:
         return a.copy()
-    if a.size <= comparison_threshold:
+    if a.size <= COMPARISON_THRESHOLD:
         if stats is not None:
             stats.comparison_calls += 1
         return np.sort(a, kind="quicksort")
-    if presortedness(a) >= presorted_cutoff:
+    if presortedness(a) >= PRESORTED_CUTOFF:
         if stats is not None:
             stats.presorted_skips += 1
             stats.comparison_calls += 1
         return np.sort(a, kind="stable")  # timsort-ish path on runs
     if stats is not None:
         stats.radix_calls += 1
-        return radix_sort(a, key_bits=key_bits, digit_bits=digit_bits, stats=stats.radix)
-    return radix_sort(a, key_bits=key_bits, digit_bits=digit_bits)
+        return radix_sort(a, key_bits=key_bits, stats=stats.radix)
+    return radix_sort(a, key_bits=key_bits)

@@ -25,7 +25,6 @@ __all__ = [
     "RadixSortStats",
     "radix_sort",
     "radix_passes_for_bits",
-    "digit_histogram",
     "effective_msd_passes",
 ]
 
@@ -72,13 +71,6 @@ def radix_passes_for_bits(key_bits: int, digit_bits: int) -> int:
     if key_bits <= 0:
         return 0
     return -(-key_bits // digit_bits)
-
-
-def digit_histogram(arr: np.ndarray, shift: int, digit_bits: int) -> np.ndarray:
-    """Histogram of the ``digit_bits``-wide digit at bit offset *shift*."""
-    mask = np.uint64((1 << digit_bits) - 1)
-    digits = (arr >> np.uint64(shift)) & mask
-    return np.bincount(digits.astype(np.int64), minlength=1 << digit_bits)
 
 
 def radix_sort(

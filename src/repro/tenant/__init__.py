@@ -18,9 +18,8 @@ quotas, priorities, and SLOs.  The layer adds four mechanisms to
   splits hot rings and merges cold ones through live
   :mod:`repro.cluster` rebalancing, bit-exact during the moves.
 
-:mod:`repro.tenant.workload` generates per-tenant traffic (diurnal
-cycles + seeded bursts) and :mod:`repro.tenant.bench` runs the
-antagonist-vs-victim isolation experiment behind the ``tenant-bench`` xp target.
+:mod:`repro.tenant.bench` runs the antagonist-vs-victim isolation
+experiment behind the ``tenant-bench`` xp target.
 Every scheduling knob is carried by :class:`repro.dst.Schedule`, and
 the DST harness fuzzes the `no-starvation` and `fair-share`
 invariants over it.  See ``docs/TENANCY.md``.
@@ -38,12 +37,6 @@ from .. import serve as _serve  # noqa: F401  (import-order anchor)
 from .autoscaler import Autoscaler, AutoscalerConfig, Decision  # noqa: E402
 from .bench import TenantBenchResult, autoscale_demo, run_tenant_bench  # noqa: E402
 from .metrics import TenantMetricsSet  # noqa: E402
-from .workload import (  # noqa: E402
-    DiurnalSpec,
-    TenantLoadSpec,
-    merged_arrival_groups,
-    tenant_workload,
-)
 
 __all__ = [
     "TenantSpec",
@@ -55,10 +48,6 @@ __all__ = [
     "Autoscaler",
     "AutoscalerConfig",
     "Decision",
-    "DiurnalSpec",
-    "TenantLoadSpec",
-    "tenant_workload",
-    "merged_arrival_groups",
     "TenantBenchResult",
     "run_tenant_bench",
     "autoscale_demo",

@@ -1,7 +1,7 @@
 """Per-tenant serving metrics: latency, hit rate, rejections, SLOs.
 
-One :class:`~repro.serve.metrics.ServeMetrics` per tenant, all sharing
-one histogram geometry so :meth:`ServeMetrics.merge
+One :class:`~repro.serve.metrics.ServeMetrics` per tenant; every
+histogram has the module's one geometry, so :meth:`ServeMetrics.merge
 <repro.serve.metrics.ServeMetrics.merge>` folds them exactly (the
 engine's global histogram is always the bucket-wise sum of the
 per-tenant ones — a property the test suite pins).  On top of the
@@ -13,7 +13,7 @@ target, read straight off the histogram via
 
 from __future__ import annotations
 
-from ..serve.metrics import LatencyHistogram, ServeMetrics
+from ..serve.metrics import ServeMetrics
 from .registry import TenantRegistry
 
 __all__ = ["TenantMetricsSet"]
@@ -25,8 +25,6 @@ class TenantMetricsSet:
     def __init__(self, registry: TenantRegistry | None = None):
         self.registry = registry
         self._metrics: dict[str, ServeMetrics] = {}
-        # One geometry for every tenant so histograms merge exactly.
-        self._proto = LatencyHistogram()
 
     def __contains__(self, tenant: str) -> bool:
         return tenant in self._metrics
@@ -38,7 +36,7 @@ class TenantMetricsSet:
         """The tenant's metrics, created on first sight."""
         m = self._metrics.get(tenant)
         if m is None:
-            m = ServeMetrics(latency=LatencyHistogram.like(self._proto))
+            m = ServeMetrics()
             self._metrics[tenant] = m
         return m
 
@@ -58,7 +56,7 @@ class TenantMetricsSet:
 
     def merged(self) -> ServeMetrics:
         """Bucket-exact fold of every tenant's metrics into one."""
-        total = ServeMetrics(latency=LatencyHistogram.like(self._proto))
+        total = ServeMetrics()
         for m in self._metrics.values():
             total.merge(m)
         return total

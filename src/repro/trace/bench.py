@@ -55,13 +55,11 @@ def curve_capacities(n_distinct: int) -> np.ndarray:
 class TraceBenchResult:
     """Outcome of one record→model→replay run."""
 
-    trace_summary: dict
     capacities: np.ndarray
     modelled_miss: np.ndarray      # miniature simulations, pooled samples
     measured_miss: np.ndarray      # full simulation of the same cache
     replay_answers_match: bool
     cache: dict                    # simulate_cache ledger, HotKeyCache
-    seed: int
 
     @property
     def model_error_pp(self) -> float:
@@ -121,11 +119,9 @@ def run_trace_bench(
         trace.keys, HotKeyCache(cache_capacity, admit_threshold=cache_threshold))
 
     return TraceBenchResult(
-        trace_summary=trace.describe(),
         capacities=caps,
         modelled_miss=modelled,
         measured_miss=measured,
         replay_answers_match=replayed.answers_match,
         cache=cache,
-        seed=seed,
     )

@@ -1,9 +1,9 @@
 """Low-overhead in-process query-trace capture.
 
 The recorder is the write side of :mod:`repro.trace.format`: the
-serve engine and the cluster router hand it whole key batches on their
-hot path, and it appends ``(ts, stream, key, tier)`` rows into chunked
-numpy buffers — no per-record Python object, no I/O until
+serve engine hands it whole key batches on its hot path, and it
+appends ``(ts, stream, key, tier)`` rows into chunked numpy buffers
+— no per-record Python object, no I/O until
 :meth:`TraceRecorder.snapshot`.  The hook is duck-typed on purpose:
 anything with ``record_batch(keys, tiers)`` can stand in (the serve
 layer never imports this module).

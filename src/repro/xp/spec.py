@@ -85,13 +85,6 @@ class SweepSpec:
     def to_doc(self) -> dict:
         return {name: list(values) for name, values in self.axes}
 
-    @property
-    def n_cells(self) -> int:
-        n = 1
-        for _, values in self.axes:
-            n *= len(values)
-        return n
-
     def cells(self) -> list[dict]:
         """Expand the grid into per-cell parameter dicts (stable order)."""
         if not self.axes:

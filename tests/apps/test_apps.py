@@ -13,7 +13,6 @@ from repro.apps.setops import (
     jaccard,
     subtract,
     symmetric_difference,
-    union,
 )
 from repro.apps.spectrum import (
     estimate_error_rate,
@@ -89,11 +88,6 @@ class TestSetOps:
         with pytest.raises(ValueError):
             intersect(a, b, mode="weird")
 
-    def test_union_sums(self):
-        a = kc([(1, 5), (2, 3)])
-        b = kc([(2, 7), (9, 1)])
-        assert union(a, b).to_counter() == {1: 5, 2: 10, 9: 1}
-
     def test_subtract(self):
         a = kc([(1, 5), (2, 3)])
         b = kc([(2, 1)])
@@ -119,13 +113,12 @@ class TestSetOps:
 
     def test_k_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            union(kc([(1, 1)], k=5), kc([(1, 1)], k=7))
+            intersect(kc([(1, 1)], k=5), kc([(1, 1)], k=7))
 
     def test_empty_operands(self):
         a = kc([(1, 1)])
         e = KmerCounts.empty(5)
         assert intersect(a, e).n_distinct == 0
-        assert union(a, e) == a
         assert subtract(a, e) == a
         assert containment(e, a) == 1.0
 
@@ -134,7 +127,6 @@ class TestSetOps:
     def test_counter_semantics(self, pa, pb):
         a, b = kc(pa), kc(pb)
         ca, cb = a.to_counter(), b.to_counter()
-        assert union(a, b).to_counter() == ca + cb
         assert intersect(a, b, mode="min").to_counter() == ca & cb
         got_sub = subtract(a, b, counted=True).to_counter()
         assert got_sub == ca - cb

@@ -151,14 +151,6 @@ class TestSortedRunSet:
         uniq, counts = srs.finalize()
         assert dict(zip(uniq.tolist(), counts.tolist())) == dict(ref)
 
-    def test_async_query_mid_stream(self):
-        srs = SortedRunSet(compact_threshold=2)
-        srs.insert_batch(np.array([7, 7, 9], dtype=np.uint64))
-        assert srs.count_of(7) == 2
-        srs.insert_batch(np.array([7], dtype=np.uint64))
-        assert srs.count_of(7) == 3  # no barrier needed
-        assert srs.count_of(999) == 0
-
     def test_run_count_bounded(self):
         srs = SortedRunSet(compact_threshold=4)
         rng = np.random.default_rng(0)
@@ -170,7 +162,8 @@ class TestSortedRunSet:
         srs = SortedRunSet()
         srs.insert_batch(np.array([5], dtype=np.uint64), np.array([10]))
         srs.insert_batch(np.array([5], dtype=np.uint64), np.array([3]))
-        assert srs.count_of(5) == 13
+        uniq, counts = srs.finalize()
+        assert (uniq.tolist(), counts.tolist()) == ([5], [13])
 
     def test_weight_shape_mismatch(self):
         srs = SortedRunSet()

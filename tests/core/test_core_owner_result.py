@@ -180,10 +180,6 @@ class TestKmerCounts:
         assert kc.n_distinct == 2
         assert 5 not in kc
 
-    def test_heavy_hitters(self):
-        hh = self.make().heavy_hitters(2)
-        assert hh.kmers.tolist() == [1, 9]
-
     def test_spectrum(self):
         spec = self.make().spectrum()
         assert spec[1] == 1 and spec[3] == 1 and spec[7] == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.seeds import spawn_rngs, spawn_seeds
+from repro.core.seeds import spawn_seeds
 
 
 class TestSpawnSeeds:
@@ -34,16 +34,3 @@ class TestSpawnSeeds:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             spawn_seeds(0, -1)
-
-
-class TestSpawnRngs:
-    def test_streams_independent_and_deterministic(self):
-        a1, b1 = spawn_rngs(5, 2)
-        a2, b2 = spawn_rngs(5, 2)
-        xs1, xs2 = a1.random(4).tolist(), a2.random(4).tolist()
-        assert xs1 == xs2  # same child, same stream
-        assert b1.random(4).tolist() != xs1  # siblings differ
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -2)

@@ -32,7 +32,7 @@ class TestBinWriter:
     def test_hysteresis_drains_to_half(self, tmp_path):
         bw = BinWriter(tmp_path, K, W, 8, ceiling_bytes=600)
         for r in make_reads():
-            bw.add_read(r)
+            bw.add_reads([r])
             assert bw._buffered <= 600 or bw._buffered <= 600 // 2 + r.size + 8
         bw.close()
 
@@ -58,7 +58,7 @@ class TestBinWriter:
         bw = BinWriter(tmp_path, K, W, 4, ceiling_bytes=1 << 20)
         bw.close()
         with pytest.raises(ValueError, match="closed"):
-            bw.add_read(np.zeros(20, dtype=np.uint8))
+            bw.add_reads([np.zeros(20, dtype=np.uint8)])
 
     def test_rejects_bad_config(self, tmp_path):
         with pytest.raises(ValueError):

@@ -45,10 +45,8 @@ class TestMachineConfig:
         assert m.colocated(0, 3)
         assert not m.colocated(3, 4)
 
-    def test_with_nodes_and_pes(self):
-        m = phoenix_intel(1)
-        assert m.with_nodes(8).nodes == 8
-        assert m.with_pes(100).nodes == 5  # ceil(100/24)
+    def test_with_nodes(self):
+        assert phoenix_intel(1).with_nodes(8).nodes == 8
 
     def test_with_time_scale(self):
         m = phoenix_intel(1).with_time_scale(0.5)
@@ -57,10 +55,6 @@ class TestMachineConfig:
         assert m.beta_link == pytest.approx(12.5e9)  # bandwidth untouched
         with pytest.raises(ValueError):
             m.with_time_scale(0)
-
-    def test_hardware_balance(self):
-        """Section VII: Phoenix CPUs ~2.6 iadd64/byte."""
-        assert phoenix_intel(1).hardware_balance_ops_per_byte == pytest.approx(2.6, abs=0.05)
 
     def test_barrier_time(self):
         m = phoenix_intel(4)

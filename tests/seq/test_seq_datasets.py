@@ -12,7 +12,6 @@ from repro.seq.datasets import (
     SYNTHETIC_SPECS,
     get_spec,
     materialize,
-    synthetic_spec,
     table5_rows,
 )
 
@@ -41,19 +40,19 @@ class TestRegistry:
 
     def test_synthetic_genome_lengths(self):
         for scale in range(20, 33):
-            assert synthetic_spec(scale).genome_len == 2**scale
+            assert SYNTHETIC_SPECS[f"synthetic-{scale}"].genome_len == 2**scale
 
     def test_get_spec_unknown(self):
         with pytest.raises(KeyError, match="unknown dataset"):
             get_spec("e-coli")
 
     def test_n_kmers(self):
-        spec = synthetic_spec(20)
+        spec = SYNTHETIC_SPECS["synthetic-20"]
         assert spec.n_kmers(31) == spec.n_reads * (150 - 31 + 1)
         assert spec.n_kmers(151) == 0
 
     def test_coverage_of_synthetics(self):
-        assert abs(synthetic_spec(24).coverage - 50.0) < 0.1
+        assert abs(SYNTHETIC_SPECS["synthetic-24"].coverage - 50.0) < 0.1
 
     def test_table5_rows(self):
         rows = table5_rows()

@@ -11,20 +11,14 @@ from repro.seq.alphabet import (
     ASCII_TO_CODE,
     BASE_TO_CODE,
     BASES,
-    COMPLEMENT_CODE,
     INVALID_CODE,
     complement_base,
-    is_valid_base,
     reverse_complement_str,
 )
 from repro.seq.encoding import (
     decode_codes,
     encode_base,
-    encode_reads,
     encode_seq,
-    pack_codes_2bit,
-    reverse_complement_codes,
-    unpack_codes_2bit,
 )
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=200)
@@ -39,9 +33,6 @@ class TestAlphabet:
         for b in BASES:
             assert BASE_TO_CODE[complement_base(b)] == 3 - BASE_TO_CODE[b]
 
-    def test_complement_table_involution(self):
-        assert np.array_equal(COMPLEMENT_CODE[COMPLEMENT_CODE], np.arange(4))
-
     def test_ascii_table_lowercase(self):
         for b in BASES:
             assert ASCII_TO_CODE[ord(b.lower())] == BASE_TO_CODE[b]
@@ -49,11 +40,6 @@ class TestAlphabet:
     def test_ascii_table_invalid(self):
         for ch in "NXYZ@ \n5":
             assert ASCII_TO_CODE[ord(ch)] == INVALID_CODE
-
-    def test_is_valid_base(self):
-        assert is_valid_base("a") and is_valid_base("T")
-        assert not is_valid_base("N")
-        assert not is_valid_base("AC")
 
     def test_reverse_complement_str(self):
         assert reverse_complement_str("ACGT") == "ACGT"  # palindrome
@@ -94,40 +80,3 @@ class TestEncode:
     def test_decode_rejects_invalid(self):
         with pytest.raises(ValueError):
             decode_codes(np.array([0, 1, 200], dtype=np.uint8))
-
-    def test_encode_reads(self):
-        out = encode_reads(["ACG", "TTT"])
-        assert len(out) == 2
-        assert out[1].tolist() == [3, 3, 3]
-
-
-class TestReverseComplement:
-    @given(dna)
-    def test_involution(self, seq):
-        codes = encode_seq(seq)
-        assert np.array_equal(
-            reverse_complement_codes(reverse_complement_codes(codes)), codes
-        )
-
-    @given(dna)
-    def test_matches_string_version(self, seq):
-        codes = encode_seq(seq)
-        assert decode_codes(reverse_complement_codes(codes)) == reverse_complement_str(seq)
-
-
-class TestPacking:
-    @given(dna)
-    def test_pack_roundtrip(self, seq):
-        codes = encode_seq(seq)
-        packed, n = pack_codes_2bit(codes)
-        assert n == codes.size
-        assert np.array_equal(unpack_codes_2bit(packed, n), codes)
-
-    def test_pack_density(self):
-        codes = encode_seq("A" * 100)
-        packed, _ = pack_codes_2bit(codes)
-        assert packed.size == 25  # 4 bases per byte
-
-    def test_unpack_too_short(self):
-        with pytest.raises(ValueError):
-            unpack_codes_2bit(np.zeros(1, dtype=np.uint8), 10)

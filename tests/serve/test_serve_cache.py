@@ -45,9 +45,9 @@ class TestLRU:
     def test_invalidate_and_clear(self):
         c = HotKeyCache(4)
         c.offer(1, 10)
-        assert c.invalidate(1)
-        assert not c.invalidate(1)
-        assert not c.invalidate(3)      # never cached
+        assert c.invalidate_many([1]) == 1
+        assert c.invalidate_many([1]) == 0
+        assert c.invalidate_many([3]) == 0      # never cached
         c.offer(2, 20)
         c.clear()
         assert len(c) == 0

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sort.checks import count_descents, is_sorted, presortedness, sorted_run_fraction
+from repro.sort.checks import count_descents, presortedness
 from repro.sort.hybrid import HybridSortStats, hybrid_sort
 from repro.sort.radix import (
     RadixSortStats,
-    digit_histogram,
     effective_msd_passes,
     radix_passes_for_bits,
     radix_sort,
@@ -109,19 +108,6 @@ class TestPasses:
             effective_msd_passes(10, 0)
 
 
-class TestDigitHistogram:
-    def test_counts(self):
-        arr = np.array([0x00, 0x01, 0x0101], dtype=np.uint64)
-        h0 = digit_histogram(arr, 0, 8)
-        assert h0[0] == 1 and h0[1] == 2
-        h1 = digit_histogram(arr, 8, 8)
-        assert h1[0] == 2 and h1[1] == 1
-
-    @given(uint64_arrays)
-    def test_histogram_sums_to_n(self, arr):
-        assert digit_histogram(arr, 16, 8).sum() == arr.size
-
-
 class TestHybridSort:
     @given(uint64_arrays)
     def test_matches_npsort(self, arr):
@@ -151,18 +137,9 @@ class TestHybridSort:
 
 
 class TestChecks:
-    def test_is_sorted(self):
-        assert is_sorted(np.array([1, 1, 2], dtype=np.uint64))
-        assert not is_sorted(np.array([2, 1], dtype=np.uint64))
-        assert is_sorted(np.empty(0))
-
     def test_count_descents(self):
         assert count_descents(np.array([3, 1, 2, 0])) == 2
 
     def test_presortedness_bounds(self):
         assert presortedness(np.arange(100)) == 1.0
         assert presortedness(np.arange(100)[::-1]) == 0.0
-
-    def test_sorted_run_fraction(self):
-        assert sorted_run_fraction(np.arange(10)) == 1.0
-        assert sorted_run_fraction(np.array([2, 1])) == 0.5

@@ -54,15 +54,13 @@ class TestSweepSpec:
     def test_grid_expansion_is_cartesian(self):
         sweep = SweepSpec.from_doc({"a": [1, 2], "b": ["x", "y", "z"]})
         cells = sweep.cells()
-        assert sweep.n_cells == 6 and len(cells) == 6
+        assert len(cells) == 6
         assert {(c["a"], c["b"]) for c in cells} == {
             (a, b) for a in (1, 2) for b in ("x", "y", "z")
         }
 
     def test_empty_sweep_is_one_default_cell(self):
-        sweep = SweepSpec()
-        assert sweep.n_cells == 1
-        assert sweep.cells() == [{}]
+        assert SweepSpec().cells() == [{}]
         assert cell_id({}) == ""
 
     def test_axes_sorted_for_stable_order(self):
