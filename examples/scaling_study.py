@@ -35,7 +35,7 @@ def strong_scaling() -> None:
                 curves[algo][nodes] = pt.sim_time
         rows.append(row)
     print_table(rows, title="Strong scaling (simulated Phoenix)")
-    print(scaling_chart(curves, title="log-log scaling (lower is better)"))
+    print(scaling_chart(curves))
 
 
 def oom_gates() -> None:

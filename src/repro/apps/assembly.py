@@ -90,7 +90,7 @@ class DeBruijnGraph:
         return out
 
 
-def assemble_unitigs(counts: KmerCounts, *, min_length: int = 0) -> list[Unitig]:
+def assemble_unitigs(counts: KmerCounts) -> list[Unitig]:
     """Compact maximal non-branching paths into unitigs.
 
     Standard algorithm: a k-mer is a *path-internal* node iff it has
@@ -152,9 +152,6 @@ def assemble_unitigs(counts: KmerCounts, *, min_length: int = 0) -> list[Unitig]
     for i in range(n):
         if not visited[i]:
             walk_from(i)
-
-    if min_length:
-        unitigs = [u for u in unitigs if len(u) >= min_length]
     return unitigs
 
 

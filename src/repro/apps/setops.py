@@ -39,45 +39,21 @@ def _membership(a: KmerCounts, b: KmerCounts) -> np.ndarray:
     return b.kmers[idx_clamped] == a.kmers
 
 
-def intersect(a: KmerCounts, b: KmerCounts, *, mode: str = "min") -> KmerCounts:
-    """k-mers present in both; counts combined by *mode*.
-
-    ``mode``: ``"min"`` (kmc_tools default), ``"max"``, ``"sum"``,
-    ``"left"`` (keep a's counts).
-    """
+def intersect(a: KmerCounts, b: KmerCounts) -> KmerCounts:
+    """k-mers present in both, each with the smaller of its two counts
+    (kmc_tools' default)."""
     _check_compatible(a, b)
     in_b = _membership(a, b)
     keys = a.kmers[in_b]
-    ca = a.counts[in_b]
     idx = np.searchsorted(b.kmers, keys)
-    cb = b.counts[idx]
-    if mode == "min":
-        counts = np.minimum(ca, cb)
-    elif mode == "max":
-        counts = np.maximum(ca, cb)
-    elif mode == "sum":
-        counts = ca + cb
-    elif mode == "left":
-        counts = ca
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return KmerCounts(a.k, keys, counts)
+    return KmerCounts(a.k, keys, np.minimum(a.counts[in_b], b.counts[idx]))
 
 
-def subtract(a: KmerCounts, b: KmerCounts, *, counted: bool = False) -> KmerCounts:
-    """k-mers of *a* not in *b* (``counted=False``), or counts of *a*
-    minus counts of *b*, dropping non-positive results
-    (``counted=True`` — kmc_tools 'counters_subtract')."""
+def subtract(a: KmerCounts, b: KmerCounts) -> KmerCounts:
+    """k-mers of *a* not in *b*, with their counts in *a*."""
     _check_compatible(a, b)
-    if not counted:
-        keep = ~_membership(a, b)
-        return KmerCounts(a.k, a.kmers[keep], a.counts[keep])
-    in_b = _membership(a, b)
-    counts = a.counts.copy()
-    idx = np.searchsorted(b.kmers, a.kmers[in_b])
-    counts[in_b] = counts[in_b] - b.counts[idx]
-    keep = counts > 0
-    return KmerCounts(a.k, a.kmers[keep], counts[keep])
+    keep = ~_membership(a, b)
+    return KmerCounts(a.k, a.kmers[keep], a.counts[keep])
 
 
 def symmetric_difference(a: KmerCounts, b: KmerCounts) -> KmerCounts:

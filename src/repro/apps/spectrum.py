@@ -92,17 +92,15 @@ def estimate_genome_size(counts: KmerCounts, *, max_count: int = 1000) -> int:
     return int(round(feats.signal_mass / feats.peak))
 
 
-def estimate_error_rate(counts: KmerCounts, k: int | None = None,
-                        *, max_count: int = 1000) -> float:
+def estimate_error_rate(counts: KmerCounts, *, max_count: int = 1000) -> float:
     """Per-base substitution-rate estimate from the error band.
 
     A substitution at one base corrupts up to k overlapping k-mers, so
     ``error_occurrences ~= errors * k`` and
     ``rate ~= error_mass / (k * total_mass)``.
     """
-    k = k if k is not None else counts.k
     feats = spectrum_features(counts, max_count=max_count)
     total = feats.error_mass + feats.signal_mass
     if total == 0:
         return 0.0
-    return feats.error_mass / (k * total)
+    return feats.error_mass / (counts.k * total)

@@ -70,18 +70,14 @@ def save_counts(path: str | os.PathLike, counts: KmerCounts,
     publish(path, write)
 
 
-def load_counts(
-    path: str | os.PathLike, *, expect_k: int | None = None
-) -> tuple[KmerCounts, bool]:
+def load_counts(path: str | os.PathLike) -> tuple[KmerCounts, bool]:
     """Load a database written by :func:`save_counts`.
 
     Returns ``(counts, canonical_flag)``.  Raises
     :class:`~repro.fileio.FormatError` if the file is not a readable
     count database of this format version (a version-1 ``.npz`` is
     refused as ``version``: re-count, or carry it over with
-    :func:`dump_text`), or — when *expect_k* is given — was counted at a
-    different k than the caller expects (mixing k's silently corrupts
-    any downstream merge).
+    :func:`dump_text`).
     """
     with open(path, "rb") as fh:
         if fh.read(2) == b"PK":
@@ -92,9 +88,6 @@ def load_counts(
         k, n, n_blocks, canonical = DATABASE.read_header(fh, path)
         if not 1 <= k <= MAX_K:
             raise FormatError(path, DATABASE.kind, "corrupt", f"header says k={k}")
-        if expect_k is not None and k != expect_k:
-            raise FormatError(path, DATABASE.kind, "mismatch",
-                              f"database has k={k}, expected k={expect_k}")
         kmers, values = read_sorted_blocks(DATABASE, fh, path, n=n, n_blocks=n_blocks,
                                            key_bits=2 * k)
     return KmerCounts(k, kmers, values), canonical
@@ -187,13 +180,13 @@ def dump_text(path: str | os.PathLike, counts: KmerCounts) -> int:
     return len(strs)
 
 
-def load_text(path: str | os.PathLike, k: int | None = None) -> KmerCounts:
+def load_text(path: str | os.PathLike) -> KmerCounts:
     """Load a ``KMER<TAB>count`` text dump (plain or ``.gz``) back.
 
     An unreadable dump is a :class:`~repro.fileio.FormatError`:
     ``corrupt`` naming ``line N`` for a malformed row or a k-mer of
-    another length than *k* (or than the first row's), ``truncated``
-    for a ``.gz`` cut short or a dump with no row to infer k from.
+    another length than the first row's, ``truncated`` for a ``.gz``
+    cut short or a dump with no row to infer k from.
     """
     path = Path(path)
 
@@ -208,7 +201,7 @@ def load_text(path: str | os.PathLike, k: int | None = None) -> KmerCounts:
                           f"starts {head!r}, not as a gzip file")
     keys: list[int] = []
     vals: list[int] = []
-    inferred_k = k
+    inferred_k = None
     line_no = 0
     try:
         with _open_text(path, "r") as fh:
@@ -233,7 +226,7 @@ def load_text(path: str | os.PathLike, k: int | None = None) -> KmerCounts:
     except (gzip.BadGzipFile, zlib.error, UnicodeDecodeError) as exc:
         raise refused("corrupt", f"after line {line_no}: {exc}") from exc
     if inferred_k is None:
-        raise refused("truncated", "empty dump and no k given")
+        raise refused("truncated", "empty dump, no row to infer k from")
     return KmerCounts.from_pairs(
         inferred_k,
         np.array(keys, dtype=np.uint64),

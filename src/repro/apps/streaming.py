@@ -39,6 +39,9 @@ from .store import merge_sorted_counts
 
 __all__ = ["count_records_streaming", "count_file_streaming", "count_files_streaming"]
 
+#: Records per batch: the bound on what one batch holds in memory.
+BATCH_RECORDS = 100_000
+
 
 def _count_batches(
     batches: Iterator[tuple[np.ndarray, np.ndarray]],
@@ -76,7 +79,7 @@ def count_records_streaming(
     records: Iterable[SeqRecord],
     k: int,
     *,
-    batch_records: int = 100_000,
+    batch_records: int = BATCH_RECORDS,
     canonical: bool = False,
 ) -> KmerCounts:
     """Count k-mers of a record stream in bounded batches."""
@@ -90,29 +93,24 @@ def count_records_streaming(
 
 
 def count_file_streaming(
-    path: str | os.PathLike,
-    k: int,
-    *,
-    batch_records: int = 100_000,
-    canonical: bool = False,
+    path: str | os.PathLike, k: int, *, canonical: bool = False
 ) -> KmerCounts:
     """Count a FASTA/FASTQ file without loading it whole."""
-    return count_files_streaming(
-        [path], k, batch_records=batch_records, canonical=canonical)
+    return count_files_streaming([path], k, canonical=canonical)
 
 
 def count_files_streaming(
     paths: list[str | os.PathLike],
     k: int,
     *,
-    batch_records: int = 100_000,
     canonical: bool = False,
 ) -> KmerCounts:
-    """Count several files into one database (multi-lane sequencing runs).
+    """Count several files into one database (multi-lane sequencing runs),
+    :data:`BATCH_RECORDS` records at a time.
 
     Batches run on across file boundaries: a batch can hold the tail
     of one file and the head of the next.
     """
     return _count_batches(
-        read_fastx_batches(*paths, batch_records=batch_records),
-        k, batch_records, canonical)
+        read_fastx_batches(*paths, batch_records=BATCH_RECORDS),
+        k, BATCH_RECORDS, canonical)

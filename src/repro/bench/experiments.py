@@ -723,7 +723,7 @@ def ext_bigk() -> ExperimentResult:
 def ext_gpu() -> ExperimentResult:
     """The Section VII GPU projection, quantified (Synthetic 30 @ 32 nodes)."""
     spec = get_spec("synthetic-30")
-    projections = {acc.name: project_speedup(spec.n_reads, spec.read_len, K, acc, nodes=32)
+    projections = {acc.name: project_speedup(spec.n_reads, spec.read_len, K, acc)
                    for acc in (A100, H100)}
     rows = [
         {"accelerator": name,

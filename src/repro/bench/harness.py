@@ -155,7 +155,6 @@ def sweep_nodes(
     k: int,
     node_counts: list[int],
     *,
-    machine: MachineConfig | None = None,
     verify: bool = True,
     **kwargs,
 ) -> list[RunPoint]:
@@ -169,7 +168,6 @@ def sweep_nodes(
                     algo,
                     workload,
                     k,
-                    machine=machine,
                     nodes=nodes,
                     verify_against=reference,
                     **kwargs,

@@ -2,8 +2,8 @@
 
 The paper's figures are scatter/line plots; this repository runs where
 no plotting stack exists, so the harness renders its series as ASCII.
-Log-log axes are the default because every scaling figure in the paper
-is log-log (node counts double, times shrink geometrically).
+The axes are log-log because every scaling figure in the paper is
+log-log (node counts double, times shrink geometrically).
 """
 
 from __future__ import annotations
@@ -14,37 +14,27 @@ from collections.abc import Sequence
 __all__ = ["ascii_chart", "scaling_chart"]
 
 _MARKERS = "ox+*#@%&"
+_WIDTH, _HEIGHT = 70, 18
 
 
-def _transform(value: float, log: bool) -> float:
-    if log:
-        if value <= 0:
-            raise ValueError("log axis requires positive values")
-        return math.log10(value)
-    return value
+def _log10(value: float) -> float:
+    if value <= 0:
+        raise ValueError("log axis requires positive values")
+    return math.log10(value)
 
 
-def ascii_chart(
-    series: dict[str, Sequence[tuple[float, float]]],
-    *,
-    width: int = 70,
-    height: int = 20,
-    logx: bool = True,
-    logy: bool = True,
-    title: str | None = None,
-    xlabel: str = "x",
-    ylabel: str = "y",
-) -> str:
-    """Render named (x, y) series as an ASCII scatter/line chart.
+def ascii_chart(series: dict[str, Sequence[tuple[float, float]]]) -> str:
+    """Render named (nodes, seconds) series as a log-log ASCII chart.
 
     Each series gets a marker from ``oxx+*...``; points sharing a cell
-    keep the first-drawn marker.  Axes may be log10-scaled.
+    keep the first-drawn marker.
     """
     points = [(name, x, y) for name, pts in series.items() for x, y in pts]
     if not points:
         return "(no data)\n"
-    xs = [_transform(x, logx) for _, x, _ in points]
-    ys = [_transform(y, logy) for _, _, y in points]
+    width, height = _WIDTH, _HEIGHT
+    xs = [_log10(x) for _, x, _ in points]
+    ys = [_log10(y) for _, _, y in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
@@ -58,20 +48,13 @@ def ascii_chart(
         if grid[row][col] == " ":
             grid[row][col] = marker
 
-    lines = []
-    if title:
-        lines.append(title)
-    y_top = 10**y_hi if logy else y_hi
-    y_bot = 10**y_lo if logy else y_lo
-    lines.append(f"{ylabel} {y_top:.3g}")
+    lines = ["log-log scaling (lower is better)", f"time(s) {10**y_hi:.3g}"]
     for row in grid:
         lines.append("  |" + "".join(row))
     lines.append("  +" + "-" * width)
-    x_left = 10**x_lo if logx else x_lo
-    x_right = 10**x_hi if logx else x_hi
     pad = max(0, width - 12)
-    lines.append(f"   {x_left:.3g}{' ' * pad}{x_right:.3g}  ({xlabel})")
-    lines.append(f"  {ylabel} min = {y_bot:.3g}")
+    lines.append(f"   {10**x_lo:.3g}{' ' * pad}{10**x_hi:.3g}  (nodes)")
+    lines.append(f"  time(s) min = {10**y_lo:.3g}")
     legend = "   " + "  ".join(
         f"{_MARKERS[i % len(_MARKERS)]} {name}" for i, name in enumerate(series)
     )
@@ -79,13 +62,7 @@ def ascii_chart(
     return "\n".join(lines) + "\n"
 
 
-def scaling_chart(
-    times_by_algorithm: dict[str, dict[int, float]],
-    *,
-    title: str = "strong scaling",
-    width: int = 70,
-    height: int = 18,
-) -> str:
+def scaling_chart(times_by_algorithm: dict[str, dict[int, float]]) -> str:
     """Render {algorithm: {nodes: seconds}} as a log-log scaling plot.
 
     OOM/missing points (NaN) are skipped.
@@ -99,8 +76,4 @@ def scaling_chart(
         ]
         if pts:
             series[name] = pts
-    return ascii_chart(
-        series, width=width, height=height,
-        logx=True, logy=True, title=title,
-        xlabel="nodes", ylabel="time(s)",
-    )
+    return ascii_chart(series)

@@ -7,7 +7,6 @@ grep-friendly: benchmark logs are diffed across runs.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Sequence
 
 __all__ = ["format_table", "print_table", "format_time", "format_bytes", "format_speedup"]
@@ -39,13 +38,12 @@ def format_speedup(x: float) -> str:
     return "-" if x != x else f"{x:.2f}x"
 
 
-def format_table(
-    rows: Sequence[dict], *, title: str | None = None, columns: Sequence[str] | None = None
-) -> str:
-    """Render dict-rows as an aligned ASCII table."""
+def format_table(rows: Sequence[dict], *, title: str | None = None) -> str:
+    """Render dict-rows as an aligned ASCII table, in the first row's
+    column order."""
     if not rows:
         return f"== {title} ==\n(no rows)\n" if title else "(no rows)\n"
-    cols = list(columns) if columns else list(rows[0].keys())
+    cols = list(rows[0].keys())
     cells = [[str(r.get(c, "")) for c in cols] for r in rows]
     widths = [max(len(c), *(len(row[i]) for row in cells)) for i, c in enumerate(cols)]
     lines = []
@@ -58,12 +56,6 @@ def format_table(
     return "\n".join(lines) + "\n"
 
 
-def print_table(
-    rows: Sequence[dict],
-    *,
-    title: str | None = None,
-    columns: Sequence[str] | None = None,
-    file=None,
-) -> None:
+def print_table(rows: Sequence[dict], *, title: str | None = None) -> None:
     """Print dict-rows as an aligned ASCII table."""
-    print(format_table(rows, title=title, columns=columns), file=file or sys.stdout)
+    print(format_table(rows, title=title))

@@ -80,7 +80,7 @@ def build_workload(
     return _cached(key, k, budget_kmers, seed, coverage)
 
 
-def scaled_batch_size(workload: Workload, k: int, *, paper_batch: int = PAPER_BATCH) -> int:
+def scaled_batch_size(workload: Workload, k: int) -> int:
     """The BSP batch ``b`` scaled by the workload's shrink factor.
 
     Preserves ``supersteps = ceil(local_kmers / b)`` between the paper
@@ -90,6 +90,6 @@ def scaled_batch_size(workload: Workload, k: int, *, paper_batch: int = PAPER_BA
     full = workload.spec.n_kmers(k)
     scaled = workload.n_kmers(k)
     if full <= 0 or scaled <= 0:
-        return paper_batch
-    b = int(math.ceil(paper_batch * scaled / full))
+        return PAPER_BATCH
+    b = int(math.ceil(PAPER_BATCH * scaled / full))
     return max(1, b)

@@ -524,7 +524,7 @@ def _cmd_sweep(args) -> int:
         rows.append(row)
     print_table(rows, title="simulated kernel time")
     if args.plot:
-        print(scaling_chart(curves, title="log-log scaling (lower is better)"))
+        print(scaling_chart(curves))
     return 0
 
 

@@ -35,6 +35,9 @@ __all__ = ["MembershipEvent", "sample_script", "script_to_doc",
 
 _KINDS = ("kill", "restart", "join", "leave")
 
+#: Keys per chunk a join or leave migrates before yielding.
+_CHUNK_KEYS = 2048
+
 
 @dataclass(frozen=True, slots=True)
 class MembershipEvent:
@@ -105,25 +108,18 @@ def sample_script(
                  for (kind, node), at in zip(steps, times))
 
 
-async def _fire(
-    router: ClusterRouter,
-    event: MembershipEvent,
-    *,
-    service_time: float,
-    chunk_keys: int,
-) -> None:
+async def _fire(router: ClusterRouter, event: MembershipEvent) -> None:
     if event.kind == "kill":
         router.nodes[event.node].kill()
     elif event.kind == "restart":
         router.nodes[event.node].restart()
     elif event.kind == "join":
         new_ring = router.ring.with_node(event.node)
-        router.add_node(ClusterNode(event.node, RangeStore.empty(),
-                                    service_time=service_time))
-        await rebalance(router, new_ring, chunk_keys=chunk_keys)
+        router.add_node(ClusterNode(event.node, RangeStore.empty()))
+        await rebalance(router, new_ring, chunk_keys=_CHUNK_KEYS)
     elif event.kind == "leave":
         new_ring = router.ring.without_node(event.node)
-        await rebalance(router, new_ring, chunk_keys=chunk_keys)
+        await rebalance(router, new_ring, chunk_keys=_CHUNK_KEYS)
         router.remove_node(event.node)
 
 
@@ -136,9 +132,7 @@ def run_membership_script(
     rf: int = 2,
     vnodes: int = 8,
     seed: int = 0,
-    service_time: float = 0.0,
     group_size: int = 64,
-    chunk_keys: int = 2048,
     groups: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ClusterRouter]:
     """Serve *keys* in batches while executing *script* between them.
@@ -156,8 +150,7 @@ def run_membership_script(
     *keys*.
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    ring, nodes = build_cluster(counts, n_nodes, rf=rf, vnodes=vnodes,
-                                seed=seed, service_time=service_time)
+    ring, nodes = build_cluster(counts, n_nodes, rf=rf, vnodes=vnodes, seed=seed)
     router = ClusterRouter(ring, nodes)
     if groups is not None:
         batches = [np.asarray(g, dtype=np.uint64) for g in groups]
@@ -171,12 +164,10 @@ def run_membership_script(
         answers = []
         for i, batch in enumerate(batches):
             while pending and pending[0].at <= i:
-                await _fire(router, pending.pop(0),
-                            service_time=service_time, chunk_keys=chunk_keys)
+                await _fire(router, pending.pop(0))
             answers.append(await router.query_many(batch))
         while pending:  # events scheduled past the last batch
-            await _fire(router, pending.pop(0),
-                        service_time=service_time, chunk_keys=chunk_keys)
+            await _fire(router, pending.pop(0))
         if not answers:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(answers)

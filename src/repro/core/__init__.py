@@ -17,14 +17,13 @@ from .l2l3 import AggregationConfig, BulkAggregator, ExactAggregator, receive_se
 from .owner import by_owner, owner_pe, owner_pe_scalar, splitmix64
 from .phases import SimRun, n_bases, parse_kmers, split_reads
 from .result import KmerCounts
-from .serial import SerialRunInfo, serial_count, serial_count_oracle
+from .serial import serial_count, serial_count_oracle
 from .sortedset import SortedRunSet, dakc_overlap_count
 
 __all__ = [
     "KmerCounts",
     "serial_count",
     "serial_count_oracle",
-    "SerialRunInfo",
     "BspConfig",
     "bsp_count",
     "DakcConfig",

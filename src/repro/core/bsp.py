@@ -146,17 +146,10 @@ def bsp_count(
     k: int,
     cost: CostModel | MachineConfig,
     config: BspConfig | None = None,
-    *,
-    superstep_hook=None,
 ) -> tuple[KmerCounts, RunStats]:
     """Count k-mers with the BSP baseline on the simulated machine.
 
     Same contract as :func:`repro.core.dakc.dakc_count`.
-
-    ``superstep_hook(step, recv_plain, recv_pairs, stats)`` — when
-    given — is invoked after every superstep's exchange has been
-    consumed, with the accumulated per-PE receive state at BSP's
-    natural phase boundaries (the tests read the exchange through it).
     """
     check_k(k)
     config = config or BspConfig()
@@ -248,9 +241,6 @@ def bsp_count(
                     deferred_recv_bytes[dst] += got
             memory.set_category(dst, "send-batch", 0)
             memory.allocate(dst, "recv-T", got)
-
-        if superstep_hook is not None:
-            superstep_hook(step, recv_plain, recv_pairs, stats)
 
     if not config.blocking:
         # waitall: every PE blocks until its outstanding exchanges have

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..seq.kmers import MAX_K, kmer_array, kmer_ints
-from ..sort.accumulate import accumulate_weighted, ascending, counts_to_histogram
+from ..sort.accumulate import accumulate_weighted, counts_to_histogram, keys_less
 
 __all__ = ["KmerCounts", "probe_sorted"]
 
@@ -62,7 +62,7 @@ class KmerCounts:
         if kmers.shape[:1] != counts.shape or kmers.ndim != 1 + (self.k > MAX_K):
             raise ValueError(f"k={self.k}: kmers and counts must be aligned, "
                              "one row of two words per k-mer above k=32")
-        if not ascending(kmers, strict=True):
+        if not keys_less(kmers[:-1], kmers[1:]).all():
             raise ValueError("kmers must be strictly increasing (ordered, unique)")
         if counts.size and counts.min() < 1:
             raise ValueError("all counts must be >= 1")
@@ -146,14 +146,15 @@ class KmerCounts:
     def __hash__(self) -> int:  # frozen dataclass wants it; cheap digest
         return hash((self.k, self.n_distinct, self.total))
 
-    def diff(self, other: "KmerCounts", limit: int = 5) -> list[str]:
-        """Human-readable differences against another result (tests)."""
+    def diff(self, other: "KmerCounts") -> list[str]:
+        """Human-readable differences against another result, the first
+        five k-mers at most (tests)."""
         msgs: list[str] = []
         if self.k != other.k:
             msgs.append(f"k differs: {self.k} vs {other.k}")
             return msgs
         mine, theirs = self.to_counter(), other.to_counter()
-        for key in list((mine - theirs) + (theirs - mine))[:limit]:
+        for key in list((mine - theirs) + (theirs - mine))[:5]:
             msgs.append(
                 f"kmer {key:#x}: counts {mine.get(key, 0)} vs {theirs.get(key, 0)}"
             )

@@ -15,7 +15,6 @@ The reference everything else validates against.  Two paths:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,23 +22,10 @@ from ..seq.encoding import decode_codes
 from ..seq.kmers import (canonical_kmers, check_k, extract_kmers_from_reads, iter_kmers,
                          reverse_complement_kmer)
 from ..sort.accumulate import accumulate_sorted
-from ..sort.hybrid import HybridSortStats, hybrid_sort
+from ..sort.hybrid import hybrid_sort
 from .result import KmerCounts
 
-__all__ = ["SerialRunInfo", "serial_count", "serial_count_oracle"]
-
-
-@dataclass(slots=True)
-class SerialRunInfo:
-    """Measured quantities of one serial run (for model validation)."""
-
-    n_kmers: int = 0
-    n_distinct: int = 0
-    sort: HybridSortStats = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.sort is None:
-            self.sort = HybridSortStats()
+__all__ = ["serial_count", "serial_count_oracle"]
 
 
 def serial_count(
@@ -47,7 +33,6 @@ def serial_count(
     k: int,
     *,
     canonical: bool = False,
-    info: SerialRunInfo | None = None,
 ) -> KmerCounts:
     """Count k-mers serially (Algorithm 1).
 
@@ -59,14 +44,7 @@ def serial_count(
     kmers = extract_kmers_from_reads(reads, k)
     if canonical:
         kmers = canonical_kmers(kmers, k)
-    if info is not None:
-        info.n_kmers = int(kmers.size)
-    sorted_kmers = hybrid_sort(
-        kmers, key_bits=2 * k, stats=info.sort if info is not None else None
-    )
-    uniq, counts = accumulate_sorted(sorted_kmers)
-    if info is not None:
-        info.n_distinct = int(uniq.size)
+    uniq, counts = accumulate_sorted(hybrid_sort(kmers, key_bits=2 * k))
     return KmerCounts(k, uniq, counts)
 
 

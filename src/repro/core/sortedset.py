@@ -102,8 +102,6 @@ def dakc_overlap_count(
     k: int,
     cost: CostModel | MachineConfig,
     config: DakcConfig | None = None,
-    *,
-    compact_threshold: int = 8,
 ) -> tuple[KmerCounts, RunStats]:
     """DAKC with sorted-set receivers: two global synchronisations.
 
@@ -127,13 +125,13 @@ def dakc_overlap_count(
 
     # Fold deliveries into per-owner sorted sets, charging each
     # delivery's insert inside its lazy-queue service time.
-    sets = [SortedRunSet(compact_threshold=compact_threshold) for _ in range(n_pes)]
+    sets = [SortedRunSet() for _ in range(n_pes)]
     results = []
     for dst in range(n_pes):
         pe_stats = stats.pe[dst]
         s = sets[dst]
         jobs = []
-        log_r = max(1.0, math.log2(compact_threshold + 1))
+        log_r = max(1.0, math.log2(s.compact_threshold + 1))
         for arrival, group in conveyor.delivered[dst]:
             base = receive_service_time(cost, group)
             # Insert = sort the batch + its amortised share of merges:

@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bundle import ReproBundle, save_bundle
-from .invariants import InvariantRegistry, Violation
+from .invariants import Violation
 from .schedule import Schedule, ScheduleFuzzer
 from .shrink import shrink_failure
 from .sim import SimConfig, Simulation
 
 __all__ = ["DstReport", "dst_run", "format_dst_report"]
+
+#: Failures a campaign shrinks into repro bundles.
+MAX_BUNDLES = 5
 
 
 @dataclass(slots=True)
@@ -75,27 +78,22 @@ def dst_run(
     *,
     budget: int = 200,
     seed: int = 0,
-    config: SimConfig | None = None,
-    registry: InvariantRegistry | None = None,
     shrink: bool = True,
-    shrink_budget: int = 150,
     out_dir: str | Path | None = None,
-    max_bundles: int = 5,
     determinism_every: int = 50,
-    progress=None,
 ) -> DstReport:
     """Run one fuzz campaign of *budget* schedules rooted at *seed*.
 
     Every ``determinism_every``-th schedule is executed twice and the
     digests compared — the cheap continuous audit that the simulation
     really is a pure function of its schedule.  Failures are shrunk
-    (up to *max_bundles* of them) and written as repro bundles under
-    *out_dir* when given.
+    (up to :data:`MAX_BUNDLES` of them) and written as repro bundles
+    under *out_dir* when given.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    config = config if config is not None else SimConfig()
-    sim = Simulation(config, registry=registry)
+    config = SimConfig()
+    sim = Simulation(config)
     fuzzer = ScheduleFuzzer(seed=seed, n_pes=config.n_pes,
                             n_nodes=config.n_nodes, rf=config.rf)
     report = DstReport(seed=seed, budget=budget)
@@ -112,18 +110,15 @@ def dst_run(
                 report.determinism_ok = False
         if trajectory.violations:
             report.violations.append((schedule, list(trajectory.violations)))
-            if shrink and len(report.bundles) < max_bundles:
+            if shrink and len(report.bundles) < MAX_BUNDLES:
                 reads = sim.make_reads(schedule.seed)
-                result = shrink_failure(sim, schedule, reads,
-                                        max_runs=shrink_budget)
+                result = shrink_failure(sim, schedule, reads)
                 bundle = ReproBundle.from_failure(
                     config, result.schedule, result.reads, result.trajectory)
                 if out_dir is not None:
                     path = (Path(out_dir) /
                             f"dst-{seed}-{i:04d}-{result.invariant}.json")
                     report.bundles.append(save_bundle(bundle, path))
-        if progress is not None:
-            progress(i, trajectory)
     return report
 
 

@@ -30,6 +30,9 @@ from .sim import Simulation, Trajectory
 
 __all__ = ["ShrinkResult", "shrink_failure"]
 
+#: Reruns one shrink may spend.
+MAX_RUNS = 150
+
 
 @dataclass(slots=True)
 class ShrinkResult:
@@ -154,24 +157,20 @@ def _simplify_schedule(sim: Simulation, schedule: Schedule,
 
 
 def shrink_failure(sim: Simulation, schedule: Schedule,
-                   reads: list[np.ndarray], *,
-                   invariant: str | None = None,
-                   max_runs: int = 200) -> ShrinkResult:
-    """Minimise a failing ``(schedule, reads)`` pair.
+                   reads: list[np.ndarray]) -> ShrinkResult:
+    """Minimise a failing ``(schedule, reads)`` pair in at most
+    :data:`MAX_RUNS` reruns.
 
-    ``invariant`` pins which violation must survive every shrink step
-    (default: the first violation of the original failure).  Raises
-    ``ValueError`` if the pair does not fail to begin with.
+    The first violation of the original failure must survive every
+    shrink step.  Raises ``ValueError`` if the pair does not fail to
+    begin with.
     """
     trajectory = sim.run(schedule, reads=reads)
     if not trajectory.violations:
         raise ValueError("shrink_failure needs a failing (schedule, reads)")
-    if invariant is None:
-        invariant = trajectory.violations[0].invariant
-    elif not any(v.invariant == invariant for v in trajectory.violations):
-        raise ValueError(f"run does not violate {invariant!r}")
+    invariant = trajectory.violations[0].invariant
 
-    budget = [max_runs]
+    budget = [MAX_RUNS]
     reads_before = len(reads)
     best = trajectory
 
@@ -192,7 +191,7 @@ def shrink_failure(sim: Simulation, schedule: Schedule,
         reads=reads,
         trajectory=best,
         invariant=invariant,
-        runs=max_runs - budget[0],
+        runs=MAX_RUNS - budget[0],
         reads_before=reads_before,
         reads_after=len(reads),
     )

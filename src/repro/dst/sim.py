@@ -204,22 +204,21 @@ class RuntimeRun:
 
 
 def run_runtime(schedule: Schedule, reads, k: int, cost: CostModel, *,
-                max_rounds: int = DEFAULT_MAX_ROUNDS,
-                checkpoint: bool = True) -> RuntimeRun:
+                max_rounds: int = DEFAULT_MAX_ROUNDS) -> RuntimeRun:
     """Run ``dakc_count`` once under *schedule*'s runtime fields: the
     one place a :class:`~repro.fault.models.FaultPlan` meets the counter.
 
     The conveyor is reliable (ack-tracing) whenever the schedule is
     protected, faulty on a bare wire whose plan injects anything, plain
     otherwise.  At the inter-phase barrier the hook reads the element
-    ledger, snapshots a protected crash schedule's delivered state
-    (``checkpoint``) and crashes the plan's PEs.  Delivery verification
+    ledger, snapshots a protected crash schedule's delivered state and
+    crashes the plan's PEs.  Delivery verification
     is on, as in the product; *cost*'s dilation is cleared afterwards.
     """
     plan = schedule.plan
     faulty = plan is not None and not plan.benign
     store = (CheckpointStore(cost)
-             if checkpoint and schedule.protect and plan is not None
+             if schedule.protect and plan is not None
              and plan.crash_pes else None)
     holder: dict[str, Conveyor] = {}
 

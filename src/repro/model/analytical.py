@@ -113,18 +113,13 @@ def predict(
     m: int,
     k: int,
     machine: MachineConfig,
-    *,
-    nodes: int | None = None,
 ) -> ModelPrediction:
     """Evaluate the analytical model (Eqs. 9-18).
 
     Parameters mirror Table I: *n* reads of *m* bases, counting
-    k-mers of length *k* on *nodes* nodes of *machine* (defaults to
-    ``machine.nodes``).
+    k-mers of length *k* on the ``machine.nodes`` nodes of *machine*.
     """
-    p = nodes if nodes is not None else machine.nodes
-    if p < 1:
-        raise ValueError("node count must be >= 1")
+    p = machine.nodes
     width = kmer_width_bits(k)
     n_kmers = n * max(0, m - k + 1)
     line = machine.line_bytes

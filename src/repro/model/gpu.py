@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..runtime.machine import MachineConfig, phoenix_intel
+from ..runtime.machine import phoenix_intel
 from .analytical import predict
 from .roofline import operational_intensity
 
@@ -63,18 +63,16 @@ def project_speedup(
     m: int,
     k: int,
     accelerator: Accelerator = H100,
-    *,
-    machine: MachineConfig | None = None,
-    nodes: int | None = None,
 ) -> GpuProjection:
-    """Bound the speedup from replacing each node's CPU with a GPU.
+    """Bound the speedup from replacing each node's CPU with a GPU, on
+    32 Phoenix Intel nodes.
 
     The projection keeps internode communication fixed (the NIC does
     not change) and scales compute/intranode terms by the accelerator's
     envelope — exactly the reasoning of Section VII.
     """
-    machine = machine or phoenix_intel(nodes or 32)
-    pred = predict(n, m, k, machine, nodes=nodes)
+    machine = phoenix_intel(32)
+    pred = predict(n, m, k, machine)
     bw_ratio = accelerator.mem_bw / machine.beta_mem
     ops_ratio = accelerator.int64_ops / machine.c_node
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..runtime.machine import MachineConfig, phoenix_intel
+from ..runtime.machine import phoenix_intel
 
 __all__ = [
     "DEFAULT_C1",
@@ -44,9 +44,9 @@ class Table4Params:
     beta_link: float  # Link bandwidth (bytes/s)
 
 
-def table4_params(machine: MachineConfig | None = None) -> Table4Params:
-    """Table IV parameters of a machine (default: Phoenix Intel)."""
-    m = machine or phoenix_intel(1)
+def table4_params() -> Table4Params:
+    """Table IV parameters of a Phoenix Intel node."""
+    m = phoenix_intel(1)
     return Table4Params(
         c_node=m.c_node,
         beta_mem=m.beta_mem,
@@ -56,9 +56,9 @@ def table4_params(machine: MachineConfig | None = None) -> Table4Params:
     )
 
 
-def table4_rows(machine: MachineConfig | None = None) -> list[dict[str, str]]:
+def table4_rows() -> list[dict[str, str]]:
     """Printable rows of Table IV."""
-    p = table4_params(machine)
+    p = table4_params()
     return [
         {"Parameter": "Peak INT64", "Symbol": "C_node", "Value": f"{p.c_node / 1e9:.1f} GOp/s"},
         {"Parameter": "Memory Bandwidth", "Symbol": "beta_mem", "Value": f"{p.beta_mem / 1e9:.1f} GB/s"},

@@ -65,18 +65,11 @@ def validate_workload(
     workload: Workload,
     k: int,
     machine: MachineConfig,
-    *,
-    cores_per_pe: int | None = None,
-    config: DakcConfig | None = None,
 ) -> tuple[ValidationRow, RunStats, ModelPrediction]:
-    """Run DAKC on *workload* and pair measurements with predictions."""
-    cost = CostModel(
-        machine,
-        cores_per_pe=cores_per_pe
-        if cores_per_pe is not None
-        else machine.cores_per_node,
-    )
-    _, stats = dakc_count(workload.reads, k, cost, config or DakcConfig())
+    """Run DAKC on *workload*, one PE per node, and pair measurements
+    with predictions."""
+    cost = CostModel(machine, cores_per_pe=machine.cores_per_node)
+    _, stats = dakc_count(workload.reads, k, cost, DakcConfig())
 
     pred = predict(workload.n_reads, workload.read_len, k, machine)
     # Per-node measured misses: sum over the PEs of one node; with the
@@ -110,8 +103,6 @@ def scaling_curve_agreement(
     k: int,
     machine: MachineConfig,
     node_counts: list[int],
-    *,
-    comm_model: str = "sum",
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Model vs simulation across a strong-scaling sweep.
 
@@ -128,7 +119,7 @@ def scaling_curve_agreement(
         _, stats = dakc_count(workload.reads, k, cost, DakcConfig())
         measured.append(stats.sim_time)
         pred = predict(workload.n_reads, workload.read_len, k, m)
-        predicted.append(pred.t_total(comm_model))
+        predicted.append(pred.t_total("sum"))
     measured_arr = np.array(measured)
     predicted_arr = np.array(predicted)
     if len(node_counts) < 2 or measured_arr.std() == 0 or predicted_arr.std() == 0:

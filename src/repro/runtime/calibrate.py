@@ -100,7 +100,6 @@ class CalibrationResult:
 
 def calibrate_machine(
     *,
-    nodes: int = 1,
     cores: int | None = None,
     quick: bool = False,
 ) -> CalibrationResult:
@@ -121,10 +120,10 @@ def calibrate_machine(
         bw = measure_memory_bandwidth()
         cache = estimate_cache_bytes()
     cores = cores or 8
-    reference = phoenix_intel(nodes)
+    reference = phoenix_intel(1)
     machine = MachineConfig(
         name="calibrated-host",
-        nodes=nodes,
+        nodes=1,
         sockets_per_node=1,
         cores_per_socket=cores,
         c_node=ops * cores,

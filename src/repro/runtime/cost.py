@@ -202,12 +202,12 @@ class CostModel:
             self.tracer.record(pe.pe, t0, pe.clock, "disk-write")
         return dt
 
-    def charge_disk_read(self, pe: PEStats, nbytes: int, *, ops: int = 1) -> float:
-        """Charge a pass-2 bin reread of *nbytes* (β_disk)."""
+    def charge_disk_read(self, pe: PEStats, nbytes: int) -> float:
+        """Charge a pass-2 bin reread of *nbytes* (one disk op, β_disk)."""
         m = self.machine
-        dt = self._dilated(pe, ops * m.disk_latency + nbytes / self.pe_disk_bw)
+        dt = self._dilated(pe, m.disk_latency + nbytes / self.pe_disk_bw)
         pe.disk_bytes_read += int(nbytes)
-        pe.disk_ops += int(ops)
+        pe.disk_ops += 1
         t0 = pe.clock
         pe.advance(dt)
         if self.tracer is not None:

@@ -56,15 +56,11 @@ L2_ELEM_BYTES: int = 8
 #: Bytes per element of the single L3 buffer (80 KB / 10K elements).
 L3_ELEM_BYTES: int = 8
 
+#: Table III's buffer sizes in elements: L1 slots, L2 and L3 elements.
+C1, C2, C3 = 1024, 32, 10_000
 
-def aggregation_memory_per_pe(
-    protocol: str,
-    p: int,
-    *,
-    c1: int = 1024,
-    c2: int = 32,
-    c3: int = 10_000,
-) -> dict[str, int]:
+
+def aggregation_memory_per_pe(protocol: str, p: int) -> dict[str, int]:
     """Table III closed forms: bytes per PE for each aggregation layer.
 
     ``x`` is 1 for 1D, 1/2 for 2D, 1/3 for 3D; the L0 layer keeps
@@ -76,32 +72,32 @@ def aggregation_memory_per_pe(
         raise ValueError(f"unknown protocol {protocol!r}")
     x = exponents[proto]
     l0 = int(L0_BUFFER_BYTES * (p**x))
-    l1 = L1_SLOT_BYTES * c1
+    l1 = L1_SLOT_BYTES * C1
     # One L2N + L2H pair per destination PE; amortised header included.
-    l2 = int(264 * (c2 / 32)) * p  # 264 B per destination at default C2=32
-    l3 = L3_ELEM_BYTES * c3
+    l2 = 264 * p  # 264 B per destination at C2=32
+    l3 = L3_ELEM_BYTES * C3
     return {"L0": l0, "L1": l1, "L2": l2, "L3": l3, "total": l0 + l1 + l2 + l3}
 
 
-def table3_rows(p: int, *, c1: int = 1024, c2: int = 32, c3: int = 10_000) -> list[dict]:
+def table3_rows(p: int) -> list[dict]:
     """Rows of Table III for a machine of *p* PEs."""
     rows = []
-    per_pe_1d = aggregation_memory_per_pe("1D", p, c1=c1, c2=c2, c3=c3)
+    per_pe_1d = aggregation_memory_per_pe("1D", p)
     rows.append(
         {"Scope": "Runtime", "Layer": "L0", "Buffers/PE": "P^x",
          "Element/Buffer": "NA", "Memory/PE (1D)": per_pe_1d["L0"]}
     )
     rows.append(
         {"Scope": "Runtime", "Layer": "L1", "Buffers/PE": "1",
-         "Element/Buffer": f"C1={c1}", "Memory/PE (1D)": per_pe_1d["L1"]}
+         "Element/Buffer": f"C1={C1}", "Memory/PE (1D)": per_pe_1d["L1"]}
     )
     rows.append(
         {"Scope": "Application", "Layer": "L2", "Buffers/PE": "P",
-         "Element/Buffer": f"C2={c2}", "Memory/PE (1D)": per_pe_1d["L2"]}
+         "Element/Buffer": f"C2={C2}", "Memory/PE (1D)": per_pe_1d["L2"]}
     )
     rows.append(
         {"Scope": "Application", "Layer": "L3", "Buffers/PE": "1",
-         "Element/Buffer": f"C3={c3}", "Memory/PE (1D)": per_pe_1d["L3"]}
+         "Element/Buffer": f"C3={C3}", "Memory/PE (1D)": per_pe_1d["L3"]}
     )
     return rows
 

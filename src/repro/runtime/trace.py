@@ -60,24 +60,22 @@ class Tracer:
             return 0.0, 0.0
         return min(s.start for s in mine), max(s.end for s in mine)
 
-    def busy_fraction(self, pe: int, *, idle_kinds: tuple[str, ...] = ("wait",)) -> float:
-        """Fraction of a PE's traced wall time spent non-idle."""
+    def busy_fraction(self, pe: int) -> float:
+        """Fraction of a PE's traced wall time spent outside ``wait``."""
         mine = [s for s in self.spans if s.pe == pe]
         if not mine:
             return 0.0
         lo, hi = self.pe_span(pe)
         if hi == lo:
             return 0.0
-        busy = sum(s.end - s.start for s in mine if s.kind not in idle_kinds)
+        busy = sum(s.end - s.start for s in mine if s.kind != "wait")
         return min(1.0, busy / (hi - lo))
 
     def total_time(self) -> float:
         return max((s.end for s in self.spans), default=0.0)
 
 
-def to_chrome_trace(
-    tracer: Tracer, *, process_name: str = "simulated machine"
-) -> str:
+def to_chrome_trace(tracer: Tracer) -> str:
     """Export spans as Chrome trace-event JSON (Perfetto-loadable).
 
     Each span becomes a complete ("ph": "X") duration event: one
@@ -91,7 +89,7 @@ def to_chrome_trace(
             "ph": "M",
             "pid": 0,
             "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": "simulated machine"},
         }
     ]
     for pe in sorted({s.pe for s in tracer.spans}):

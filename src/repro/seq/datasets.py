@@ -188,8 +188,6 @@ def materialize(
     *,
     fidelity: float = 2**-10,
     seed: int = 0,
-    max_reads: int | None = None,
-    error_rate: float = 0.001,
     coverage: float | None = None,
 ) -> Workload:
     """Generate a scaled-down replica of a Table V dataset.
@@ -218,14 +216,10 @@ def materialize(
     else:
         genome = uniform_genome(genome_len, rng=rng)
     cov = coverage if coverage is not None else spec.coverage
-    n_reads = int(math.ceil(cov * genome_len / spec.read_len))
-    if max_reads is not None:
-        n_reads = min(n_reads, max_reads)
     cfg = ReadSimConfig(
         read_len=spec.read_len,
         coverage=cov,
-        n_reads=n_reads,
-        error_rate=error_rate,
+        n_reads=int(math.ceil(cov * genome_len / spec.read_len)),
         seed=seed,
     )
     reads = simulate_reads(genome, cfg, rng=rng)

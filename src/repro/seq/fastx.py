@@ -329,17 +329,15 @@ def write_fasta(
 def write_fastq(
     path: str | os.PathLike[str] | io.TextIOBase,
     records: Iterable[SeqRecord],
-    *,
-    default_qual: str = "I",
 ) -> int:
-    """Write records as FASTQ; records lacking quality get *default_qual*."""
+    """Write records as FASTQ; records lacking quality get ``I`` (Q40)."""
     fh, should_close = (
         (path, False) if isinstance(path, io.TextIOBase) else (open(Path(path), "wt"), True)
     )
     n = 0
     try:
         for rec in records:
-            qual = rec.qual if rec.qual is not None else default_qual * len(rec.seq)
+            qual = rec.qual if rec.qual is not None else "I" * len(rec.seq)
             if len(qual) != len(rec.seq):
                 raise ValueError("quality length mismatch")
             fh.write(f"@{rec.name}\n{rec.seq}\n+\n{qual}\n")

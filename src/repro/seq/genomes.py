@@ -81,8 +81,7 @@ def repeat_genome(
     length: int,
     repeats: RepeatSpec | list[RepeatSpec] | None = None,
     *,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Generate a genome with heavy-hitter tandem repeats.
 
@@ -92,8 +91,6 @@ def repeat_genome(
     Overlap between tracts of different specs is permitted (it only
     makes k-mers heavier), but each tract stays within bounds.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     genome = uniform_genome(length, rng=rng)
     if repeats is None:
         repeats = [RepeatSpec()]

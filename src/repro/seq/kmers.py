@@ -249,12 +249,10 @@ def extract_kmers_from_reads(reads: list[np.ndarray] | np.ndarray, k: int) -> np
     return extract_kmers_flat(*flatten_reads(reads), k)
 
 
-def count_packed_kmers(
-    kmers: np.ndarray, k: int, *, canonical: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def count_packed_kmers(kmers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Packed k-mers -> sorted ``(unique_kmers, counts)``.
 
-    The (canonical) -> ``Sort`` -> ``Accumulate`` tail of Algorithm 1
+    The ``Sort`` -> ``Accumulate`` tail of Algorithm 1
     for every wall-clock counter.  ``np.sort`` rather than
     :func:`repro.sort.hybrid.hybrid_sort`: the in-tree radix is
     simulation-grade Python whose pass statistics feed the model
@@ -263,8 +261,7 @@ def count_packed_kmers(
     as it was; a counter that built the array itself hands it to
     :func:`count_owned_kmers` and saves the copy.
     """
-    return count_owned_kmers(
-        canonical_kmers(kmers, k) if canonical else np.array(kmers), k)
+    return count_owned_kmers(np.array(kmers), k)
 
 
 def count_owned_kmers(
@@ -391,7 +388,7 @@ def canonical_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
     kmers = np.asarray(kmers, dtype=np.uint64)
     if rc.ndim == 1:
         return np.minimum(kmers, rc, out=rc)
-    keep = keys_less(kmers, rc, strict=True)
+    keep = keys_less(kmers, rc)
     rc[keep] = kmers[keep]
     return rc
 

@@ -108,10 +108,10 @@ def simulate_reads(
     return reads
 
 
-def reads_to_records(reads: np.ndarray, *, prefix: str = "read") -> list[SeqRecord]:
-    """Materialise a read matrix as FASTQ-ready records."""
+def reads_to_records(reads: np.ndarray) -> list[SeqRecord]:
+    """Materialise a read matrix as FASTQ-ready records ``read0``, ..."""
     out: list[SeqRecord] = []
     for i in range(reads.shape[0]):
         seq = decode_codes(reads[i])
-        out.append(SeqRecord(f"{prefix}{i}", seq, "I" * len(seq)))
+        out.append(SeqRecord(f"read{i}", seq, "I" * len(seq)))
     return out

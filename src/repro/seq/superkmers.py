@@ -153,9 +153,9 @@ class SuperKmerBatch:
         """
         return pack_spans(self.codes, self.starts, self.lengths)
 
-    def wire_bytes(self, header_bytes: int = 8) -> int:
-        """Total packed bytes on the wire, *header_bytes* per record."""
-        return superkmer_wire_bytes(self.lengths, header_bytes=header_bytes)
+    def wire_bytes(self) -> int:
+        """Total packed bytes on the wire, 8 header bytes per record."""
+        return superkmer_wire_bytes(self.lengths)
 
 
 def _empty_batch(codes: np.ndarray, k: int, w: int) -> SuperKmerBatch:
@@ -297,12 +297,11 @@ def span_kmers(
     return pack_windows(codes, k)[_span_positions(starts, n_kmers_per)]
 
 
-def superkmer_wire_bytes(lengths: np.ndarray, *, header_bytes: int = 8) -> int:
-    """Packed wire bytes of super-k-mer spans: ``ceil(len/4) + header``."""
+def superkmer_wire_bytes(lengths: np.ndarray) -> int:
+    """Packed wire bytes of super-k-mer spans: ``ceil(len/4)`` plus an
+    8-byte header each."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    if header_bytes < 0:
-        raise ValueError("header_bytes must be >= 0")
-    return int((-(-lengths // 4) + header_bytes).sum())
+    return int((-(-lengths // 4) + 8).sum())
 
 
 def partition_superkmers(

@@ -195,17 +195,16 @@ class QueryEngine:
 
     # -- query paths ---------------------------------------------------
 
-    async def query(self, key: int, *, tenant: str | None = None) -> int:
+    async def query(self, key: int) -> int:
         """Answer one key (a client batch of one)."""
-        result = await self.query_many(np.array([key], dtype=np.uint64),
-                                       tenant=tenant)
+        result = await self.query_many(np.array([key], dtype=np.uint64))
         return int(result[0])
 
-    def _retry_hint(self, n: int) -> float:
-        """Seconds until *n* keys of admission headroom should exist:
+    def _retry_hint(self, n: int, limit: int) -> float:
+        """Seconds until *n* keys of headroom under *limit* should exist:
         the excess over the measured flush drain rate, clamped to
         [RETRY_FLOOR, 5 s] (the floor while the rate is unmeasured)."""
-        excess = max(self._inflight + n - MAX_INFLIGHT, n)
+        excess = max(self._inflight + n - limit, n)
         hint = excess / self._drain_rate if self._drain_rate > 0 else RETRY_FLOOR
         return float(min(max(hint, RETRY_FLOOR), 5.0))
 
@@ -249,7 +248,7 @@ class QueryEngine:
                 # The bucket was debited for work that never queued.
                 self.tenants.refund(tenant, n)
             raise Overloaded(self._inflight, limit,
-                             retry_after=self._retry_hint(n))
+                             retry_after=self._retry_hint(n, limit))
         t0 = now()
 
         # Hot-key cache pass: answer the Zipf head without queueing.

@@ -32,6 +32,9 @@ from .clock import now
 __all__ = ["BurstSpec", "QueryWorkload", "zipf_workload", "arrival_groups",
            "key_groups", "drive_load"]
 
+#: Ranks a Zipf stream samples from: the top of the spectrum.
+MAX_SUPPORT = 200_000
+
 
 @dataclass(frozen=True)
 class BurstSpec:
@@ -143,14 +146,13 @@ def zipf_workload(
     seed: int = 0,
     rate_qps: float = 100_000.0,
     miss_fraction: float = 0.0,
-    max_support: int = 200_000,
     burst: BurstSpec | None = None,
 ) -> QueryWorkload:
     """Generate a Zipf(s) query stream over a counted database.
 
     * Keys are ranked by database count (descending, ties broken by
       key value) and sampled with ``P(rank r) ~ (r+1)^-s`` over the
-      top ``max_support`` ranks.
+      top :data:`MAX_SUPPORT` ranks.
     * *miss_fraction* of queries ask for keys absent from the
       database (uniform over the k-mer space), exercising the
       negative-lookup path.
@@ -170,7 +172,7 @@ def zipf_workload(
 
     # Rank the spectrum: heaviest count first, key value as tiebreak.
     order = np.lexsort((counts.kmers, -counts.counts))
-    support = order[: min(max_support, order.size)]
+    support = order[: min(MAX_SUPPORT, order.size)]
     ranked_keys = counts.kmers[support]
     weights = (np.arange(ranked_keys.size, dtype=np.float64) + 1.0) ** -s
     weights /= weights.sum()

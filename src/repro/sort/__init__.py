@@ -14,15 +14,13 @@ from .accumulate import (
     merge_count_arrays,
 )
 from .checks import count_descents, presortedness
-from .hybrid import COMPARISON_THRESHOLD, PRESORTED_CUTOFF, HybridSortStats, hybrid_sort
-from .radix import RadixSortStats, radix_passes_for_bits, radix_sort
+from .hybrid import COMPARISON_THRESHOLD, PRESORTED_CUTOFF, hybrid_sort
+from .radix import radix_passes_for_bits, radix_sort
 
 __all__ = [
     "radix_sort",
     "radix_passes_for_bits",
-    "RadixSortStats",
     "hybrid_sort",
-    "HybridSortStats",
     "COMPARISON_THRESHOLD",
     "PRESORTED_CUTOFF",
     "presortedness",

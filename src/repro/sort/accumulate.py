@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "keys_less",
-    "ascending",
     "accumulate_sorted",
     "accumulate_weighted",
     "counts_to_histogram",
@@ -29,17 +28,11 @@ __all__ = [
 ]
 
 
-def keys_less(a: np.ndarray, b: np.ndarray, *, strict: bool) -> np.ndarray:
-    """Elementwise ``a < b`` (``<=`` unless *strict*); rows by ``hi``, then ``lo``."""
-    less = np.less if strict else np.less_equal
+def keys_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise ``a < b``; rows by ``hi``, then ``lo``."""
     if a.ndim == 1:
-        return less(a, b)
-    return (a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & less(a[:, 1], b[:, 1]))
-
-
-def ascending(keys: np.ndarray, *, strict: bool = False) -> bool:
-    """Whether the keys never decrease (*strict*: always increase)."""
-    return bool(keys_less(keys[:-1], keys[1:], strict=strict).all())
+        return a < b
+    return (a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] < b[:, 1]))
 
 
 def _boundaries(a: np.ndarray) -> np.ndarray:
@@ -64,7 +57,7 @@ def accumulate_sorted(kmers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The keys ascend iff every key change is a strict rise (a descent
     # is always a key change), and the keys on both sides of each
     # change are neighbours in *uniq*: one compare per distinct key.
-    if not keys_less(uniq[:-1], uniq[1:], strict=True).all():
+    if not keys_less(uniq[:-1], uniq[1:]).all():
         raise ValueError("accumulate_sorted requires a sorted array")
     return uniq, np.diff(starts, append=len(a)).astype(np.int64)
 

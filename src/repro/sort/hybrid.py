@@ -23,14 +23,12 @@ from the cheap fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .checks import presortedness
-from .radix import RadixSortStats, radix_sort
+from .radix import radix_sort
 
-__all__ = ["HybridSortStats", "hybrid_sort", "COMPARISON_THRESHOLD", "PRESORTED_CUTOFF"]
+__all__ = ["hybrid_sort", "COMPARISON_THRESHOLD", "PRESORTED_CUTOFF"]
 
 #: Below this size a comparison sort beats radix setup costs.
 COMPARISON_THRESHOLD: int = 256
@@ -39,40 +37,13 @@ COMPARISON_THRESHOLD: int = 256
 PRESORTED_CUTOFF: float = 0.95
 
 
-@dataclass(slots=True)
-class HybridSortStats:
-    """Which paths the hybrid sorter took, plus radix traffic."""
-
-    comparison_calls: int = 0
-    radix_calls: int = 0
-    presorted_skips: int = 0
-    radix: RadixSortStats = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.radix is None:
-            self.radix = RadixSortStats()
-
-
-def hybrid_sort(
-    arr: np.ndarray,
-    *,
-    key_bits: int = 64,
-    stats: HybridSortStats | None = None,
-) -> np.ndarray:
+def hybrid_sort(arr: np.ndarray, *, key_bits: int = 64) -> np.ndarray:
     """Sort a ``uint64`` array with the ska_sort-style hybrid policy."""
     a = np.ascontiguousarray(arr, dtype=np.uint64)
     if a.size <= 1:
         return a.copy()
     if a.size <= COMPARISON_THRESHOLD:
-        if stats is not None:
-            stats.comparison_calls += 1
         return np.sort(a, kind="quicksort")
     if presortedness(a) >= PRESORTED_CUTOFF:
-        if stats is not None:
-            stats.presorted_skips += 1
-            stats.comparison_calls += 1
         return np.sort(a, kind="stable")  # timsort-ish path on runs
-    if stats is not None:
-        stats.radix_calls += 1
-        return radix_sort(a, key_bits=key_bits, stats=stats.radix)
     return radix_sort(a, key_bits=key_bits)

@@ -241,8 +241,7 @@ def run_tenant_bench(
     )
 
 
-def autoscale_demo(counts: KmerCounts, *, n_nodes: int = 3,
-                   seed: int = 0, chunk_keys: int = 4096) -> dict:
+def autoscale_demo(counts: KmerCounts, *, n_nodes: int = 3, seed: int = 0) -> dict:
     """Hot spell -> split, cold spell -> merge; exact answers throughout.
 
     Loads are synthetic (the decision machine only sees node -> qps
@@ -275,7 +274,7 @@ def autoscale_demo(counts: KmerCounts, *, n_nodes: int = 3,
         for _ in range(cfg.patience):
             decision, report = await scaler.step(
                 router, {nid: 5 * cfg.hot_load for nid in router.nodes},
-                make_node=make_node, chunk_keys=chunk_keys)
+                make_node=make_node)
         decisions.append({"action": decision.action, "node": decision.node,
                           "reason": decision.reason,
                           "moved_keys": report.moved_keys if report else 0})
@@ -285,7 +284,7 @@ def autoscale_demo(counts: KmerCounts, *, n_nodes: int = 3,
         for _ in range(cfg.patience):
             decision, report = await scaler.step(
                 router, {nid: cfg.cold_load / 10 for nid in router.nodes},
-                make_node=make_node, chunk_keys=chunk_keys)
+                make_node=make_node)
         decisions.append({"action": decision.action, "node": decision.node,
                           "reason": decision.reason,
                           "moved_keys": report.moved_keys if report else 0})

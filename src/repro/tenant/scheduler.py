@@ -44,7 +44,7 @@ class DRRQueue:
     """Deficit-round-robin queue over tagged chunks.
 
     * ``weights`` — tenant name -> relative weight (missing tenants,
-      including the anonymous ``None`` lane, use *default_weight*);
+      including the anonymous ``None`` lane, weigh 1);
     * ``quantum`` — key-credits granted per unit weight per turn; the
       knob trading scheduling overhead (small quantum = more turns)
       against burst fairness (large quantum = coarser interleaving).
@@ -57,13 +57,10 @@ class DRRQueue:
     """
 
     def __init__(self, weights: dict[str, float] | None = None, *,
-                 quantum: int = QUANTUM_KEYS, default_weight: float = 1.0):
+                 quantum: int = QUANTUM_KEYS):
         if quantum < 1:
             raise ValueError("quantum must be >= 1 key")
-        if default_weight <= 0:
-            raise ValueError("default_weight must be > 0")
         self.quantum = int(quantum)
-        self.default_weight = float(default_weight)
         self.weights = dict(weights or {})
         if any(w <= 0 for w in self.weights.values()):
             raise ValueError("tenant weights must be > 0")
@@ -108,7 +105,7 @@ class DRRQueue:
     # -- the scheduler -------------------------------------------------
 
     def weight_of(self, tenant) -> float:
-        return self.weights.get(tenant, self.default_weight)
+        return self.weights.get(tenant, 1.0)
 
     def grant_bound(self, size: int, tenant) -> int:
         """Max grant turns DRR needs to serve a *size*-key head chunk."""

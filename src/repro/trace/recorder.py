@@ -2,11 +2,11 @@
 
 The recorder is the write side of :mod:`repro.trace.format`: the
 serve engine hands it whole key batches on its hot path, and it
-appends ``(ts, stream, key, tier)`` rows into chunked numpy buffers
-— no per-record Python object, no I/O until
-:meth:`TraceRecorder.snapshot`.  The hook is duck-typed on purpose:
-anything with ``record_batch(keys, tiers)`` can stand in (the serve
-layer never imports this module).
+appends ``(ts, key, tier)`` rows into chunked numpy buffers — no
+per-record Python object, no I/O until :meth:`TraceRecorder.snapshot`.
+The trace's ``stream`` column is 0 on every row it records.  The hook
+is duck-typed on purpose: anything with ``record_batch(keys, tiers)``
+can stand in (the serve layer never imports this module).
 
 Timestamps come from a monotonic clock rebased to the first record, so
 a trace always starts at ``ts == 0`` and is host-epoch-free.  Replay
@@ -19,7 +19,6 @@ import time
 
 import numpy as np
 
-from ..serve.cache import TIER_STORE
 from .format import QueryTrace
 
 __all__ = ["TraceRecorder"]
@@ -40,8 +39,8 @@ class TraceRecorder:
         free-form provenance string (e.g. ``"trace record seed=0"``).
     clock:
         0-arg callable returning seconds; defaults to
-        :func:`time.monotonic`.  Tests and replay inject a virtual
-        clock here to make recorded timestamps deterministic.
+        :func:`time.monotonic`.  Tests inject a fake clock here to
+        make recorded timestamps deterministic.
     """
 
     def __init__(self, *, k: int = 0, seed: int = 0, source: str = "",
@@ -50,7 +49,7 @@ class TraceRecorder:
         self.seed = int(seed)
         self.source = str(source)
         self._clock = clock if clock is not None else time.monotonic
-        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._t0: float | None = None
         self._n = 0
 
@@ -58,14 +57,11 @@ class TraceRecorder:
     def n_records(self) -> int:
         return self._n
 
-    def record_batch(self, keys, tiers=None, *, ts=None, stream: int = 0) -> None:
+    def record_batch(self, keys, tiers) -> None:
         """Append one served batch.
 
         *keys* is any uint64-coercible array; *tiers* is a same-length
-        int8 array of answering tiers, or ``None`` when the caller has
-        no cache (everything is charged to the store).  *ts* overrides
-        the wall-clock stamp with explicit per-record times (replay and
-        synthetic traces); otherwise the whole batch shares one
+        int8 array of answering tiers.  The whole batch shares one
         monotonic timestamp — batches ARE the arrival granularity on
         the serving hot path.
         """
@@ -73,25 +69,14 @@ class TraceRecorder:
         n = keys.size
         if n == 0:
             return
-        if tiers is None:
-            tiers = np.full(n, TIER_STORE, dtype=np.int8)
-        else:
-            tiers = np.asarray(tiers, dtype=np.int8)
-            if tiers.size != n:
-                raise ValueError("tiers length != keys length")
-        if ts is None:
-            now = float(self._clock())
-            if self._t0 is None:
-                self._t0 = now
-            ts_col = np.full(n, now - self._t0, dtype=np.float64)
-        else:
-            ts_col = np.asarray(ts, dtype=np.float64)
-            if ts_col.ndim == 0:
-                ts_col = np.full(n, float(ts_col), dtype=np.float64)
-            elif ts_col.size != n:
-                raise ValueError("ts length != keys length")
-        streams = np.full(n, int(stream), dtype=np.int32)
-        self._chunks.append((ts_col, streams, keys.copy(), tiers.copy()))
+        tiers = np.asarray(tiers, dtype=np.int8)
+        if tiers.size != n:
+            raise ValueError("tiers length != keys length")
+        now = float(self._clock())
+        if self._t0 is None:
+            self._t0 = now
+        ts_col = np.full(n, now - self._t0, dtype=np.float64)
+        self._chunks.append((ts_col, keys.copy(), tiers.copy()))
         self._n += n
         if len(self._chunks) >= _CHUNK // 64:
             self._coalesce()
@@ -108,12 +93,12 @@ class TraceRecorder:
         """The trace captured so far (recording can continue after)."""
         self._coalesce()
         if not self._chunks:
-            empty = lambda dt: np.empty(0, dtype=dt)  # noqa: E731
-            ts, streams, keys, tiers = (empty(np.float64), empty(np.int32),
-                                        empty(np.uint64), empty(np.int8))
+            ts, keys, tiers = (np.empty(0, dtype=dt)
+                               for dt in (np.float64, np.uint64, np.int8))
         else:
-            ts, streams, keys, tiers = (col.copy() for col in self._chunks[0])
-        return QueryTrace(ts=ts, streams=streams, keys=keys, tiers=tiers,
+            ts, keys, tiers = (col.copy() for col in self._chunks[0])
+        return QueryTrace(ts=ts, streams=np.zeros(ts.size, dtype=np.int32),
+                          keys=keys, tiers=tiers,
                           k=self.k, seed=self.seed, source=self.source)
 
     def clear(self) -> None:

@@ -99,7 +99,7 @@ class ReplayResult:
     answers: np.ndarray
     metrics: ServeMetrics
     n_groups: int
-    answers_match: bool  # vs. the scalar naive baseline (when checked)
+    answers_match: bool  # vs. the scalar naive baseline
 
     def to_doc(self) -> dict:
         return {
@@ -114,26 +114,20 @@ def replay_trace(
     trace: QueryTrace,
     store,
     *,
-    config: EngineConfig | None = None,
     cache_capacity: int = 4096,
     cache_threshold: int = 2,
     tick: float = 1e-3,
     group_size: int = 256,
     concurrency: int = 8,
-    recorder=None,
-    check: bool = True,
 ) -> ReplayResult:
     """Replay a recorded trace through a fresh engine over *store*.
 
     The trace's timestamps set the batching (arrival-tick groups of
     *tick* seconds); up to *concurrency* groups are in flight at once.
     The cache pair builds one :class:`~repro.serve.cache.HotKeyCache`
-    (``cache_capacity=0`` replays uncached).  With *check* the answers
-    are verified bit-identical against the scalar baseline.  *recorder*
-    re-records the replayed stream, which is how a replay round-trips a
-    trace.
+    (``cache_capacity=0`` replays uncached).  The answers are verified
+    bit-identical against the scalar baseline.
     """
-    config = config or EngineConfig()
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
     groups = arrival_groups(trace.keys, trace.ts, tick=tick)
@@ -151,8 +145,7 @@ def replay_trace(
              if cache_capacity > 0 else None)
 
     async def drive() -> tuple[np.ndarray, ServeMetrics]:
-        async with QueryEngine(store, config, cache=cache,
-                               recorder=recorder) as engine:
+        async with QueryEngine(store, EngineConfig(), cache=cache) as engine:
             # Replay must answer every record (bit-identical check), so
             # a rejected group backs off and is resubmitted.
             out, engine.metrics.elapsed = await drive_load(
@@ -161,10 +154,6 @@ def replay_trace(
 
     answers, metrics = asyncio.run(drive())
 
-    if check:
-        baseline, _ = naive_serve(store, trace.keys)
-        answers_match = bool(np.array_equal(answers, baseline))
-    else:
-        answers_match = True
-    return ReplayResult(answers=answers, metrics=metrics,
-                        n_groups=len(groups), answers_match=answers_match)
+    baseline, _ = naive_serve(store, trace.keys)
+    return ReplayResult(answers=answers, metrics=metrics, n_groups=len(groups),
+                        answers_match=bool(np.array_equal(answers, baseline)))

@@ -67,18 +67,14 @@ def spatial_sample(trace: QueryTrace, rate: float, *, salt: int = 0) -> QueryTra
                       source=sampled.source, meta=meta)
 
 
-def temporal_sample(trace: QueryTrace, *, window: float, every: float,
-                    phase: float = 0.0) -> QueryTrace:
-    """Keep *window* seconds out of each *every*-second period."""
-    if not (np.isfinite([window, every, phase]).all()
-            and 0 < window <= every):
-        raise ValueError("need finite window, every and phase, "
-                         "with 0 < window <= every")
-    rel = (trace.ts - phase) % every
-    sampled = trace.select((trace.ts >= phase) & (rel < window))
+def temporal_sample(trace: QueryTrace, *, window: float, every: float) -> QueryTrace:
+    """Keep the first *window* seconds of each *every*-second period."""
+    if not (np.isfinite([window, every]).all() and 0 < window <= every):
+        raise ValueError("need finite window and every, with 0 < window <= every")
+    sampled = trace.select(trace.ts % every < window)
     meta = dict(sampled.meta)
     meta["sample"] = {"kind": "temporal", "window": window, "every": every,
-                      "phase": phase, "parent_records": trace.n_records}
+                      "parent_records": trace.n_records}
     return QueryTrace(ts=sampled.ts, streams=sampled.streams,
                       keys=sampled.keys, tiers=sampled.tiers,
                       k=sampled.k, seed=sampled.seed,

@@ -73,19 +73,18 @@ def gate_envelopes(
     *,
     alpha: float = 0.01,
     min_effect: float = 0.10,
-    metrics: tuple[str, ...] | None = None,
 ) -> GateResult:
     """Judge *current* against *baseline* (both validated envelopes).
 
-    *metrics* restricts which metrics gate; by default the current
-    spec's ``gate_metrics`` applies (all shared metrics if empty).
+    The current spec's ``gate_metrics`` choose the metrics that gate
+    (all shared metrics if empty).
     """
     if baseline["experiment"] != current["experiment"]:
         raise ValueError(
             f"experiment mismatch: baseline is "
             f"{baseline['experiment']!r}, current is "
             f"{current['experiment']!r}")
-    gated = metrics if metrics is not None else _gated_metrics(current)
+    gated = _gated_metrics(current)
     directions = {**baseline.get("directions", {}),
                   **current.get("directions", {})}
     result = GateResult(

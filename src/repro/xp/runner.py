@@ -31,7 +31,7 @@ def _summarize(samples: list[float], seed: int) -> dict:
     import numpy as np
 
     x = np.asarray(samples, dtype=float)
-    lo, hi = bootstrap_ci(x, stat="mean", seed=seed)
+    lo, hi = bootstrap_ci(x, seed=seed)
     return {
         "n": int(x.size),
         "mean": float(x.mean()),

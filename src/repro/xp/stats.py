@@ -34,31 +34,17 @@ __all__ = [
     "compare_samples",
 ]
 
-_STATS = {"mean": np.mean, "median": np.median}
-
-
-def bootstrap_ci(
-    samples,
-    *,
-    stat: str = "mean",
-    n_boot: int = 2000,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Seeded percentile-bootstrap (1-alpha) CI for mean or median."""
+def bootstrap_ci(samples, *, seed: int = 0) -> tuple[float, float]:
+    """Seeded percentile-bootstrap 95% CI of the mean (2000 resamples)."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("bootstrap_ci needs at least one sample")
-    if stat not in _STATS:
-        raise ValueError(f"unknown stat {stat!r}; pick from {sorted(_STATS)}")
-    fn = _STATS[stat]
     if x.size == 1:
         v = float(x[0])
         return v, v
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, x.size, size=(n_boot, x.size))
-    boots = fn(x[idx], axis=1)
-    lo, hi = np.quantile(boots, [alpha / 2, 1 - alpha / 2])
+    idx = rng.integers(0, x.size, size=(2000, x.size))
+    lo, hi = np.quantile(np.mean(x[idx], axis=1), [0.025, 0.975])
     return float(lo), float(hi)
 
 
@@ -136,16 +122,14 @@ def compare_samples(
     direction: str = "lower",
     alpha: float = 0.01,
     min_effect: float = 0.10,
-    min_samples: int = 3,
-    small_sample_effect: float = 0.50,
 ) -> Comparison:
     """Decide regressed/improved/unchanged for one metric.
 
     A verdict fires only when the shift is *both* statistically
     significant (Mann-Whitney p < *alpha*) *and* practically large
     (|relative median shift| >= *min_effect* in the relevant
-    direction).  Below *min_samples* per side the rank test has no
-    power, so only a shift beyond *small_sample_effect* fires.
+    direction).  Below 3 samples per side the rank test has no power,
+    so only a shift beyond 50% fires.
     """
     if direction not in ("lower", "higher"):
         raise ValueError(f"direction must be 'lower' or 'higher', "
@@ -159,12 +143,12 @@ def compare_samples(
     bad = shift > 0 if direction == "lower" else shift < 0
     magnitude = abs(shift)
 
-    if min(a.size, b.size) < min_samples:
-        fired = magnitude >= max(min_effect, small_sample_effect)
+    if min(a.size, b.size) < 3:
+        threshold = max(min_effect, 0.50)
+        fired = magnitude >= threshold
         reason = (
             f"small-sample fallback (n={a.size} vs {b.size}): "
-            f"|shift| {magnitude:.1%} vs threshold "
-            f"{max(min_effect, small_sample_effect):.0%}"
+            f"|shift| {magnitude:.1%} vs threshold {threshold:.0%}"
         )
         return Comparison(direction, a.size, b.size, shift, None, delta,
                           regressed=fired and bad,

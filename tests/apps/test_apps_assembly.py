@@ -74,11 +74,6 @@ class TestUnitigs:
         unitigs = assemble_unitigs(counts_of(["ACGTAC"] * 7, 3))
         assert unitigs[0].mean_coverage == pytest.approx(7.0)
 
-    def test_min_length_filter(self):
-        unitigs = assemble_unitigs(counts_of(["AAACGTTT", "CCACGTGG"], 4),
-                                   min_length=6)
-        assert all(len(u) >= 6 for u in unitigs)
-
     def test_every_kmer_in_exactly_one_unitig(self):
         """Unitigs partition the k-mer set (no loss, no duplication)."""
         rng = np.random.default_rng(0)

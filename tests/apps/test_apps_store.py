@@ -48,14 +48,6 @@ class TestBinaryRoundTrip:
         assert loaded.k == 21
         assert loaded.n_distinct == 0
 
-    def test_expect_k_mismatch_rejected(self, db, tmp_path):
-        path = tmp_path / "db.kdb"
-        save_counts(path, db)
-        loaded, _ = load_counts(path, expect_k=db.k)
-        assert loaded == db
-        with pytest.raises(FormatError, match=f"k={db.k}, expected k=31") as exc:
-            load_counts(path, expect_k=31)
-        assert exc.value.reason == "mismatch"
 
 
 class TestMergeSortedCounts:
@@ -158,13 +150,6 @@ class TestTextRoundTrip:
         assert kc.k == 5
         assert kc.n_distinct == 1
 
-    def test_explicit_k_overrides_inference(self, tmp_path):
-        path = tmp_path / "d.tsv"
-        path.write_text("ACGTA\t3\n")
-        assert load_text(path, k=5).k == 5
-        with pytest.raises(ValueError, match="length"):
-            load_text(path, k=7)
-
 
 class TestTextErrors:
     def test_malformed_row_no_tab(self, tmp_path):
@@ -219,7 +204,7 @@ class TestTextErrors:
         for cut in (len(blob) // 2, len(blob) - 4, 12, 1, 0):
             path.write_bytes(blob[:cut])
             with pytest.raises(FormatError) as exc:
-                load_text(path, k=db.k)
+                load_text(path)
             assert exc.value.reason == "truncated", (cut, str(exc.value))
         path.write_bytes(b"ACGTA\t3\n")            # a plain dump under a .gz name
         with pytest.raises(FormatError) as exc:
@@ -230,15 +215,3 @@ class TestTextErrors:
         with pytest.raises(FormatError) as exc:
             load_text(path)
         assert exc.value.reason in ("corrupt", "truncated")
-
-    def test_empty_dump_with_k(self, tmp_path):
-        path = tmp_path / "empty.tsv"
-        path.write_text("# nothing\n")
-        kc = load_text(path, k=9)
-        assert kc.k == 9
-        assert kc.n_distinct == 0
-
-    def test_empty_gzip_dump_with_k(self, tmp_path):
-        path = tmp_path / "empty.tsv.gz"
-        assert dump_text(path, KmerCounts.empty(9)) == 0
-        assert load_text(path, k=9).n_distinct == 0

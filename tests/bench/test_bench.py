@@ -129,7 +129,3 @@ class TestTables:
 
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([], title="T")
-
-    def test_explicit_columns(self):
-        out = format_table([{"a": 1, "b": 2}], columns=["b"])
-        assert "a" not in out.splitlines()[0]

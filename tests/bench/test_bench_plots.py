@@ -10,27 +10,22 @@ from repro.bench.plots import ascii_chart, scaling_chart
 
 class TestAsciiChart:
     def test_basic_structure(self):
-        out = ascii_chart({"a": [(1, 1), (10, 10)]}, width=30, height=8,
-                          title="T", xlabel="n", ylabel="t")
+        out = ascii_chart({"a": [(1, 1), (10, 10)]})
         lines = out.splitlines()
-        assert lines[0] == "T"
+        assert lines[0] == "log-log scaling (lower is better)"
         assert any("o" in l for l in lines)  # marker drawn
         assert "o a" in lines[-1]  # legend
 
     def test_multiple_series_distinct_markers(self):
-        out = ascii_chart({"a": [(1, 1)], "b": [(2, 2)]}, logx=False, logy=False)
+        out = ascii_chart({"a": [(1, 1)], "b": [(2, 2)]})
         assert "o a" in out and "x b" in out
 
     def test_log_axis_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            ascii_chart({"a": [(0, 1)]}, logx=True)
+            ascii_chart({"a": [(0, 1)]})
 
     def test_empty(self):
         assert ascii_chart({}) == "(no data)\n"
-
-    def test_linear_axes(self):
-        out = ascii_chart({"a": [(0, 0), (5, 5)]}, logx=False, logy=False)
-        assert "(no data)" not in out
 
 
 class TestScalingChart:

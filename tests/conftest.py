@@ -75,7 +75,8 @@ def tiny_reads() -> np.ndarray:
 @pytest.fixture(scope="session")
 def heavy_reads() -> np.ndarray:
     """Reads from a repeat-laden genome (heavy-hitter k-mers)."""
-    genome = repeat_genome(4_000, RepeatSpec(fraction=0.25, n_tracts=2), seed=11)
+    genome = repeat_genome(4_000, RepeatSpec(fraction=0.25, n_tracts=2),
+                           rng=np.random.default_rng(11))
     cfg = ReadSimConfig(read_len=80, n_reads=300, error_rate=0.0, seed=11)
     return simulate_reads(genome, cfg)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import bsp
 from repro.core.bsp import BspConfig, bsp_count
 from repro.core.owner import owner_pe
 from repro.core.phases import parse_kmers, split_reads
@@ -106,30 +107,28 @@ class TestExchange:
         BspConfig(batch_size=700, blocking=False),
         BspConfig(batch_size=700, preaccumulate=True),
     ], ids=["blocking", "nonblocking", "preaccumulate"])
-    def test_hook_sees_the_per_source_arrays(self, heavy_reads, config):
+    def test_hook_sees_the_per_source_arrays(self, heavy_reads, config, monkeypatch):
+        """A spy on ``_exchange`` sees each superstep's landed array."""
         p, k = 8, 15
         ref = per_source_reference(heavy_reads, k, p, config)
-        seen = []
+        landed = []
+        exchange = bsp._exchange
 
-        def hook(step, recv_plain, recv_pairs, stats):
+        def spy(sent, n_elems):
+            landed.append(exchange(sent, n_elems))
+            return landed[-1]
+
+        monkeypatch.setattr(bsp, "_exchange", spy)
+        got, _ = bsp_count(heavy_reads, k, cost_model(p=p), config)
+        assert len(landed) == len(ref) > 1
+        for (keys, vals, bounds), (want_keys, want_counts) in zip(landed, ref):
             for dst in range(p):
-                want_keys = cat([a for keys, _ in ref[:step + 1] for a in keys[dst]],
-                                np.uint64)
+                lo, hi = bounds[dst], bounds[dst + 1]
+                assert np.array_equal(keys[lo:hi], cat(want_keys[dst], np.uint64))
                 if config.preaccumulate:
-                    assert recv_plain[dst] == []
-                    got_keys = cat([u for u, _ in recv_pairs[dst]], np.uint64)
-                    got_counts = cat([c for _, c in recv_pairs[dst]], np.int64)
-                    want_counts = cat(
-                        [c for _, counts in ref[:step + 1] for c in counts[dst]], np.int64)
-                    assert np.array_equal(got_counts, want_counts)
+                    assert np.array_equal(vals[lo:hi], cat(want_counts[dst], np.int64))
                 else:
-                    assert recv_pairs[dst] == []
-                    got_keys = cat(recv_plain[dst], np.uint64)
-                assert np.array_equal(got_keys, want_keys)
-            seen.append(step)
-
-        got, _ = bsp_count(heavy_reads, k, cost_model(p=p), config, superstep_hook=hook)
-        assert seen == list(range(len(ref))) and len(ref) > 1
+                    assert vals is None
         assert got == serial_count(heavy_reads, k)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.core.dakc import DakcConfig, dakc_count
@@ -43,7 +44,8 @@ PLAN = FaultPlan(seed=5, drop_prob=0.05, duplicate_prob=0.05, delay_prob=0.1,
 
 
 def _reads(n_reads: int, read_len: int, seed: int):
-    genome = repeat_genome(6_000, RepeatSpec(fraction=0.3, n_tracts=3), seed=seed)
+    genome = repeat_genome(6_000, RepeatSpec(fraction=0.3, n_tracts=3),
+                           rng=np.random.default_rng(seed))
     return simulate_reads(genome, ReadSimConfig(read_len=read_len, n_reads=n_reads,
                                                 error_rate=0.0, seed=seed))
 

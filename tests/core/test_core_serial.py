@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.serial import SerialRunInfo, serial_count, serial_count_oracle
+from repro.core.serial import serial_count, serial_count_oracle
 from repro.seq.encoding import encode_seq
 
 read_lists = st.lists(st.text(alphabet="ACGT", min_size=0, max_size=60), min_size=0, max_size=15)
@@ -44,13 +44,6 @@ class TestSerial:
         got = serial_count(tiny_reads, 9, canonical=True)
         want = serial_count_oracle(tiny_reads, 9, canonical=True)
         assert got == want
-
-    def test_run_info_populated(self, small_reads):
-        info = SerialRunInfo()
-        kc = serial_count(small_reads, 15, info=info)
-        assert info.n_kmers == kc.total
-        assert info.n_distinct == kc.n_distinct
-        assert info.sort.radix_calls + info.sort.comparison_calls >= 1
 
     def test_empty_input(self):
         kc = serial_count([], 5)

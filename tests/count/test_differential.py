@@ -25,6 +25,7 @@ import pytest
 
 from repro.api import count_kmers
 from repro.apps.store import merge_sorted_counts
+from repro.apps import streaming
 from repro.apps.streaming import (
     count_file_streaming,
     count_files_streaming,
@@ -102,10 +103,11 @@ def test_streaming_equals_serial_and_counter_oracle(
     assert got.to_counter() == _counter_oracle(records, k, canonical)
 
 
-def test_small_batches_equal_one_batch(fastx_corpus):
+def test_small_batches_equal_one_batch(fastx_corpus, monkeypatch):
     """Batch boundaries must not create or lose k-mers."""
     one = count_files_streaming(fastx_corpus["paths"], 15)
-    tiny = count_files_streaming(fastx_corpus["paths"], 15, batch_records=7)
+    monkeypatch.setattr(streaming, "BATCH_RECORDS", 7)
+    tiny = count_files_streaming(fastx_corpus["paths"], 15)
     _assert_identical(one, tiny)
 
 

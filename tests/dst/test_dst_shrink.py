@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.script import MembershipEvent
 from repro.dst.invariants import Invariant, default_registry
 from repro.dst.schedule import Schedule, ScheduleFuzzer
-from repro.dst.shrink import shrink_failure
+from repro.dst.shrink import MAX_RUNS, shrink_failure
 from repro.dst.sim import SimConfig, Simulation
 from repro.fault.models import FaultPlan
 
@@ -37,8 +37,7 @@ LOADED = Schedule(
 def test_shrinks_to_minimal_reads_and_baseline_schedule():
     sim = _always_failing_sim()
     reads = sim.make_reads(LOADED.seed)
-    result = shrink_failure(sim, LOADED, reads, invariant="always-fire",
-                            max_runs=80)
+    result = shrink_failure(sim, LOADED, reads)
     # Every knob was irrelevant to the failure, so all of them go.
     s = result.schedule
     assert s.plan is None and s.crash_point is None
@@ -49,8 +48,9 @@ def test_shrinks_to_minimal_reads_and_baseline_schedule():
     # ddmin bottoms out at a single read.
     assert result.reads_before == FAST.n_reads
     assert result.reads_after == len(result.reads) == 1
-    assert result.runs <= 80
-    # The kept trajectory still shows the pinned violation.
+    assert result.runs <= MAX_RUNS
+    # The kept trajectory still shows the first violation.
+    assert result.invariant == "always-fire"
     assert any(v.invariant == "always-fire"
                for v in result.trajectory.violations)
 
@@ -60,11 +60,3 @@ def test_shrink_refuses_passing_input():
     schedule = ScheduleFuzzer(seed=0).schedule(0)
     with pytest.raises(ValueError):
         shrink_failure(sim, schedule, sim.make_reads(0))
-
-
-def test_shrink_refuses_wrong_invariant():
-    sim = _always_failing_sim()
-    reads = sim.make_reads(0)
-    with pytest.raises(ValueError):
-        shrink_failure(sim, ScheduleFuzzer(seed=0).schedule(0), reads,
-                       invariant="no-such-violation")

@@ -96,7 +96,7 @@ class TestSimulation:
 
 class TestDstRun:
     def test_small_clean_campaign(self):
-        report = dst_run(budget=6, seed=0, config=FAST, determinism_every=3)
+        report = dst_run(budget=6, seed=0, determinism_every=3)
         assert report.ok
         assert report.schedules_run == 6
         assert report.determinism_checked == 2  # indices 0 and 3

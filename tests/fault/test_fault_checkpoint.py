@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.serial import serial_count
 from repro.dst.schedule import Schedule
+from repro.dst import sim as dst_sim
 from repro.dst.sim import run_runtime
 from repro.fault import CheckpointStore, FaultPlan
 from repro.runtime.conveyors import Conveyor, PacketGroup
@@ -68,10 +69,10 @@ class TestCheckpointStore:
             CheckpointStore(cost).restore_delivered(conv, (0,), stats)
 
 
-def run(reads, plan, *, protocol="1D", protect=True, checkpoint=True):
+def run(reads, plan, *, protocol="1D", protect=True):
     cost = CostModel(laptop(nodes=2, cores=3))
     schedule = Schedule(protocol=protocol, protect=protect, plan=plan)
-    return run_runtime(schedule, reads, 15, cost, checkpoint=checkpoint)
+    return run_runtime(schedule, reads, 15, cost)
 
 
 def exact(out, reads) -> bool:
@@ -109,11 +110,11 @@ class TestCrashRecovery:
         assert out.error.startswith("DeliveryIntegrityError")
         assert out.barrier["crashed"] == [1] and out.barrier["restored"] == []
 
-    def test_crash_without_checkpoint_is_fatal(self, small_reads):
+    def test_crash_without_checkpoint_is_fatal(self, small_reads, monkeypatch):
         """Reliable delivery alone cannot survive a crash — the PE's
         already-acknowledged state is gone; only a checkpoint saves it."""
-        out = run(small_reads, FaultPlan(seed=1, crash_pes=(1,)),
-                  checkpoint=False)
+        monkeypatch.setattr(dst_sim, "CheckpointStore", lambda cost: None)
+        out = run(small_reads, FaultPlan(seed=1, crash_pes=(1,)))
         assert out.counts is None
         assert out.error.startswith("DeliveryIntegrityError")
 

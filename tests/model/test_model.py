@@ -93,8 +93,9 @@ class TestAnalytical:
         assert p2b == pytest.approx(2 * p2a, rel=0.01)
 
     def test_invalid_nodes(self):
+        """A machine of no nodes is refused before the model sees it."""
         with pytest.raises(ValueError):
-            predict(n=10, m=150, k=31, machine=phoenix_intel(1), nodes=0)
+            predict(n=10, m=150, k=31, machine=phoenix_intel(1).with_nodes(0))
 
 
 class TestRoofline:

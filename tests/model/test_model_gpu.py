@@ -23,7 +23,7 @@ class TestProjection:
     @pytest.fixture(scope="class")
     def proj(self):
         spec = get_spec("synthetic-30")
-        return project_speedup(spec.n_reads, spec.read_len, 31, H100, nodes=32)
+        return project_speedup(spec.n_reads, spec.read_len, 31, H100)
 
     def test_workload_stays_bandwidth_bound(self, proj):
         """The paper's conclusion: KC is bandwidth-bound even on an
@@ -43,8 +43,8 @@ class TestProjection:
 
     def test_a100_weaker_than_h100(self):
         spec = get_spec("synthetic-30")
-        h = project_speedup(spec.n_reads, spec.read_len, 31, H100, nodes=32)
-        a = project_speedup(spec.n_reads, spec.read_len, 31, A100, nodes=32)
+        h = project_speedup(spec.n_reads, spec.read_len, 31, H100)
+        a = project_speedup(spec.n_reads, spec.read_len, 31, A100)
         assert a.total_speedup < h.total_speedup
 
     def test_intensity_consistent_with_roofline(self, proj):
@@ -57,5 +57,5 @@ class TestProjection:
         """A bandwidth-poor accelerator cannot speed anything up."""
         slow = Accelerator("potato", mem_bw=10e9, int64_ops=100e12)
         spec = get_spec("synthetic-28")
-        proj = project_speedup(spec.n_reads, spec.read_len, 31, slow, nodes=8)
+        proj = project_speedup(spec.n_reads, spec.read_len, 31, slow)
         assert proj.total_speedup < 1.0

@@ -99,10 +99,10 @@ class TestChromeTrace:
     def test_metadata_names_process_and_threads(self):
         import json
 
-        doc = json.loads(to_chrome_trace(self._trace(), process_name="dakc sim"))
+        doc = json.loads(to_chrome_trace(self._trace()))
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         names = {e["args"]["name"] for e in meta}
-        assert "dakc sim" in names
+        assert "simulated machine" in names
         assert {"PE 0", "PE 1"} <= names
 
     def test_empty_trace_is_valid_json(self):

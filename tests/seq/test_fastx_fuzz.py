@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.apps.streaming import count_file_streaming, count_records_streaming
+from repro.apps import streaming
+from repro.apps.streaming import count_files_streaming, count_records_streaming
 from repro.fileio import FormatError
 from repro.seq import fastx
 from repro.seq.encoding import encode_batch
@@ -152,8 +153,9 @@ def test_hostile_files_are_refused_alike(name, block_bytes, tmp_path, monkeypatc
     assert isinstance(got, FormatError), got
     assert got.reason == reason, str(got)
     assert record is None or f": record {record}: " in str(got)
+    monkeypatch.setattr(streaming, "BATCH_RECORDS", 2)
     with pytest.raises(FormatError):    # neither counts it
-        count_file_streaming(tmp_path / name, 3, batch_records=2)
+        count_files_streaming([tmp_path / name], 3)
     with pytest.raises(FormatError):
         count_records_streaming(read_fastx(tmp_path / name), 3, batch_records=2)
 
@@ -164,7 +166,8 @@ def test_counts_agree(name, k, tmp_path, monkeypatch):
     path = tmp_path / name
     path.write_bytes(WELL_FORMED[name])
     monkeypatch.setattr(fastx, "BLOCK_BYTES", 16)
-    assert (count_file_streaming(path, k, batch_records=2)
+    monkeypatch.setattr(streaming, "BATCH_RECORDS", 2)
+    assert (count_files_streaming([path], k)
             == count_records_streaming(read_fastx(path), k, batch_records=3))
 
 

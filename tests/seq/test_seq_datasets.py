@@ -92,10 +92,6 @@ class TestMaterialize:
         # The repeat tracts must produce far-above-coverage counts.
         assert counts.max() > 20 * w.spec.coverage
 
-    def test_max_reads_cap(self):
-        w = materialize("synthetic-22", fidelity=2**-6, seed=0, max_reads=100)
-        assert w.n_reads == 100
-
     def test_coverage_override(self):
         w = materialize("synthetic-22", fidelity=2**-6, seed=0, coverage=5.0)
         got_cov = w.n_reads * w.read_len / w.genome_len

@@ -35,7 +35,8 @@ class TestUniformGenome:
 
 class TestRepeatGenome:
     def test_contains_repeat_unit(self):
-        g = repeat_genome(20_000, RepeatSpec(fraction=0.2, n_tracts=2), seed=0)
+        g = repeat_genome(20_000, RepeatSpec(fraction=0.2, n_tracts=2),
+                          rng=np.random.default_rng(0))
         s = decode_codes(g)
         assert HUMAN_CENTROMERIC_REPEAT * 10 in s
 
@@ -43,7 +44,8 @@ class TestRepeatGenome:
         """Repeat genomes must produce high-count k-mers (the paper's
         heavy hitters); a uniform genome of the same size must not."""
         k = 15
-        rep = repeat_genome(30_000, RepeatSpec(fraction=0.2, n_tracts=2), seed=1)
+        rep = repeat_genome(30_000, RepeatSpec(fraction=0.2, n_tracts=2),
+                            rng=np.random.default_rng(1))
         uni = uniform_genome(30_000, seed=1)
         rep_k = extract_kmers(rep, k)
         uni_k = extract_kmers(uni, k)
@@ -53,7 +55,7 @@ class TestRepeatGenome:
         assert uni_counts.max() < 10
 
     def test_zero_fraction(self):
-        g = repeat_genome(5_000, RepeatSpec(fraction=0.0), seed=0)
+        g = repeat_genome(5_000, RepeatSpec(fraction=0.0), rng=np.random.default_rng(0))
         assert g.size == 5_000
 
     def test_bad_spec(self):

@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.result import KmerCounts
 from repro.core.serial import serial_count
+from repro.serve import workload
 from repro.serve.workload import arrival_groups, zipf_workload
 from repro.trace.format import QueryTrace
-from repro.trace.recorder import TraceRecorder
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +28,10 @@ def _trace(ts, keys) -> QueryTrace:
 def group_table(db):
     """``arrival_groups``'s inputs from both its callers, one row each:
     ``(name, keys, times, tick, want)``.  A generated workload is grouped
-    on its Poisson ``arrivals``, a recorded trace on its ``ts``; *want*
+    on its Poisson ``arrivals``, a trace on its ``ts``; *want*
     is the exact grouping where a row pins one."""
     w = zipf_workload(db, 3000, seed=0, rate_qps=1e6)
-    rec = TraceRecorder(k=db.k, seed=0, source="unit")
-    rec.record_batch(w.keys, ts=w.arrivals)
-    trace = rec.snapshot()
+    trace = _trace(w.arrivals, w.keys)
     ticks = _trace([0.0, 0.0001, 0.0015, 0.0016, 0.005], np.arange(5))
     empty_w, empty_t = zipf_workload(db, 0, seed=0), _trace([], [])
     return [
@@ -134,6 +132,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             zipf_workload(db, 10, miss_fraction=1.5, seed=0)
 
-    def test_max_support_truncates_tail(self, db):
-        w = zipf_workload(db, 5000, seed=0, max_support=10)
+    def test_max_support_truncates_tail(self, db, monkeypatch):
+        monkeypatch.setattr(workload, "MAX_SUPPORT", 10)
+        w = zipf_workload(db, 5000, seed=0)
         assert np.unique(w.keys).size <= 10

@@ -280,6 +280,33 @@ class TestRetryHints:
         rate = 0.8 * rate + 0.2 * (8 / service)
         assert err.retry_after == pytest.approx(10 / rate)
 
+    def test_shed_hint_counts_against_the_class_bound(self, db, monkeypatch):
+        """A shed request waits for room under its class's bound,
+        ``MAX_INFLIGHT >> priority``, not under the engine-wide one."""
+        monkeypatch.setattr(engine_mod, "MAX_INFLIGHT", 64)
+        service = 1e-2
+        one_shard = ShardedStore.from_counts(db, 1)
+        tenants = TenantRegistry([TenantSpec("gold"), TenantSpec("iron", priority=2)])
+
+        async def go():
+            cfg = EngineConfig(flush_service_time=service)
+            async with QueryEngine(one_shard, cfg, tenants=tenants) as engine:
+                for lo, hi in ((0, 16), (16, 48), (48, 56)):
+                    await engine.query_many(db.kmers[lo:hi], tenant="gold")
+                first = asyncio.create_task(
+                    engine.query_many(db.kmers[:40], tenant="gold"))
+                await asyncio.sleep(0)
+                with pytest.raises(Overloaded) as exc:
+                    await engine.query_many(db.kmers[40:50], tenant="iron")
+                await first
+                return exc.value, engine.metrics.rejected_by_cause
+
+        err, causes = run_virtual(go())
+        assert causes == {"shed": 10}
+        assert (err.inflight, err.limit) == (40, 16)
+        rate = 0.8 * (32 / service) + 0.2 * (8 / service)
+        assert err.retry_after == pytest.approx((40 + 10 - 16) / rate)
+
     def test_shards_finishing_together_count_together(self, db, store):
         """Four shards in service finish each flush in one instant; the
         drain rate counts all their keys, not the first shard's."""

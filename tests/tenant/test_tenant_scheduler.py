@@ -54,8 +54,6 @@ class TestQueueSurface:
         with pytest.raises(ValueError):
             DRRQueue(quantum=0)
         with pytest.raises(ValueError):
-            DRRQueue(default_weight=0.0)
-        with pytest.raises(ValueError):
             DRRQueue({"a": -1.0})
 
 

@@ -25,7 +25,7 @@ def workloads():
         "uniform": materialize("synthetic-20", fidelity=2**-8, seed=5),
         "heavy": materialize("human", fidelity=6e-6, seed=5),
         "tiny-genome": materialize("synthetic-20", fidelity=1e-9, seed=5,
-                                   max_reads=150),
+                                   coverage=10.0),
     }
 
 

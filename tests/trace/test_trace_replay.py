@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core.serial import serial_count
-from repro.serve.cache import HotKeyCache
-from repro.serve.engine import naive_serve
+from repro.serve.cache import TIER_STORE, HotKeyCache
+from repro.serve.engine import QueryEngine, naive_serve
 from repro.serve.shards import ShardedStore
 from repro.serve.workload import zipf_workload
+from repro.trace import replay
 from repro.trace.format import QueryTrace
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replay import (
@@ -28,9 +31,10 @@ def counts(small_reads):
 def recorded(counts):
     """A deterministic synthetic trace over the counted spectrum."""
     w = zipf_workload(counts, 3_000, s=1.2, seed=4, miss_fraction=0.05)
-    rec = TraceRecorder(k=counts.k, seed=4, source="unit")
-    rec.record_batch(w.keys, ts=w.arrivals)
-    return rec.snapshot()
+    n = w.keys.size
+    return QueryTrace(ts=w.arrivals, streams=np.zeros(n, np.int32), keys=w.keys,
+                      tiers=np.full(n, TIER_STORE, np.int8), k=counts.k, seed=4,
+                      source="unit")
 
 
 class TestSimulateCache:
@@ -99,18 +103,20 @@ class TestReplayTrace:
 
     def test_group_size_caps_replayed_batches(self, counts, recorded):
         store = ShardedStore.from_counts(counts, 4)
-        coarse = replay_trace(recorded, store, group_size=512, check=False)
-        fine = replay_trace(recorded, store, group_size=16, check=False)
+        coarse = replay_trace(recorded, store, group_size=512)
+        fine = replay_trace(recorded, store, group_size=16)
         assert fine.n_groups > coarse.n_groups
         with pytest.raises(ValueError):
             replay_trace(recorded, store, group_size=0)
 
-    def test_rerecording_a_replay_round_trips_the_keys(self, counts, recorded):
-        # A replay with a recorder attached captures the same key
-        # sequence it replays — traces survive the loop.
+    def test_rerecording_a_replay_round_trips_the_keys(self, counts, recorded,
+                                                       monkeypatch):
+        # A replay through an engine with a recorder attached captures
+        # the same key sequence it replays — traces survive the loop.
         store = ShardedStore.from_counts(counts, 4)
         rerec = TraceRecorder()
-        replay_trace(recorded, store, recorder=rerec, check=False)
+        monkeypatch.setattr(replay, "QueryEngine", partial(QueryEngine, recorder=rerec))
+        replay_trace(recorded, store)
         again = rerec.snapshot()
         assert np.array_equal(again.keys, recorded.keys)
 
