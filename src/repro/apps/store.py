@@ -47,6 +47,7 @@ __all__ = [
 # fields: k, n_distinct, n_blocks, canonical.  Version 1 was a deflated .npz.
 DATABASE = Framing("count database", b"dakckdb\x00", 2, "<IQQ?")
 _TEXT_KIND = "k-mer text dump"
+_TEXT_K_HEADER = "# k="
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
@@ -170,10 +171,14 @@ def dump_text(path: str | os.PathLike, counts: KmerCounts) -> int:
     """Dump as ``KMER<TAB>count`` text; returns rows written.
 
     A ``.gz`` path writes a gzip-compressed dump (k <= 32, as read back).
+    A dump with no row is one ``# k=N`` line: :func:`load_text` takes k
+    from the rows, and an empty dump has none to take it from.
     """
     check_k(counts.k)
     strs = _decode_kmer_strings(counts.kmers, counts.k)
     with _open_text(Path(path), "w") as fh:
+        if not strs:
+            fh.write(f"{_TEXT_K_HEADER}{counts.k}\n")
         fh.writelines(
             f"{s}\t{count}\n" for s, count in zip(strs, counts.counts.tolist())
         )
@@ -183,10 +188,12 @@ def dump_text(path: str | os.PathLike, counts: KmerCounts) -> int:
 def load_text(path: str | os.PathLike) -> KmerCounts:
     """Load a ``KMER<TAB>count`` text dump (plain or ``.gz``) back.
 
-    An unreadable dump is a :class:`~repro.fileio.FormatError`:
-    ``corrupt`` naming ``line N`` for a malformed row or a k-mer of
-    another length than the first row's, ``truncated`` for a ``.gz``
-    cut short or a dump with no row to infer k from.
+    k is the length of the rows' k-mers, or the ``# k=N`` line of a dump
+    without rows.  An unreadable dump is a
+    :class:`~repro.fileio.FormatError`: ``corrupt`` naming ``line N``
+    for a malformed row or header or a k-mer of another length than the
+    first row's (or the header's), ``truncated`` for a ``.gz`` cut short
+    or a dump with neither a row nor a header to take k from.
     """
     path = Path(path)
 
@@ -207,6 +214,14 @@ def load_text(path: str | os.PathLike) -> KmerCounts:
         with _open_text(path, "r") as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.strip()
+                if line.startswith(_TEXT_K_HEADER) and inferred_k is None:
+                    try:
+                        inferred_k = int(line[len(_TEXT_K_HEADER):])
+                        check_k(inferred_k)
+                    except ValueError as exc:
+                        raise refused("corrupt", f"line {line_no}: malformed "
+                                                 f"k header") from exc
+                    continue
                 if not line or line.startswith("#"):
                     continue
                 try:

@@ -17,7 +17,7 @@ The verbs are the tools that produce or read an artefact:
   store (WAL + memtable + sorted runs).
 * ``compact``  — merge an LSM store's runs down to the configured
   read-amplification bound.
-* ``ooc-count`` — two-pass out-of-core count under a memory ceiling.
+* ``ooc-count`` — out-of-core count under a memory ceiling (slices -> runs -> merge).
 * ``dst``      — deterministic simulation testing: ``run`` a fuzz
   campaign, ``replay`` a repro bundle.
 * ``trace``    — query-trace tooling (repro.trace): ``record`` a served
@@ -159,26 +159,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flush the memtable to a run first")
 
     p_ooc = verb(sub, "ooc-count", _cmd_ooc_count,
-                 help="two-pass out-of-core count under a hard memory ceiling "
-                      "(repro.ooc)")
+                 help="out-of-core count under a hard memory ceiling: "
+                      "slices -> sorted scratch runs -> one merge (repro.ooc)")
     _add_source_args(p_ooc, "--input", "FASTA/FASTQ file to count")
-    p_ooc.add_argument("-w", type=int, default=None,
-                       help="minimizer length (default min(k, 7))")
     p_ooc.add_argument("--n-bins", type=int, default=64,
-                       help="minimizer-partitioned spill bins")
+                       help="most scratch runs on disk at once (the merge fan-in)")
     p_ooc.add_argument("--memory-mb", type=float, default=1.0,
-                       help="hard memory ceiling for pass-1 buffering "
+                       help="hard memory ceiling: slices of half of it in bases "
                             "(and the fused store's memtable budget)")
     p_ooc.add_argument("--seed", type=int, default=0,
                        help="replica seed when using --dataset")
     p_ooc.add_argument("--canonical", action="store_true",
                        help="count canonical (strand-folded) k-mers")
     p_ooc.add_argument("--store", default=None,
-                       help="fuse counted bins into this LSM store directory")
+                       help="load the count into this LSM store directory as one run")
     p_ooc.add_argument("--workdir", default=None,
-                       help="spill-bin directory (default: private tempdir)")
-    p_ooc.add_argument("--keep-bins", action="store_true",
-                       help="leave spill bins on disk after pass 2")
+                       help="scratch-run directory (default: private tempdir)")
     p_ooc.add_argument("--machine", default="laptop",
                        help="machine preset pricing the disk traffic "
                             "(phoenix-intel|phoenix-amd|laptop)")
@@ -641,7 +637,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_ooc_count(args) -> int:
     from .api import load_reads, resolve_machine
-    from .ooc import OocStats, ooc_count
+    from .ooc import OocCountStats, ooc_count
     from .runtime.cost import CostModel
     from .runtime.stats import PEStats
 
@@ -660,7 +656,7 @@ def _cmd_ooc_count(args) -> int:
     ceiling = int(args.memory_mb * (1 << 20))
     cost = CostModel(resolve_machine(args.machine, 1))
     pe = PEStats(0)
-    stats = OocStats()
+    stats = OocCountStats()
 
     store = None
     if args.store is not None:
@@ -670,14 +666,10 @@ def _cmd_ooc_count(args) -> int:
             memtable_bytes=ceiling, canonical=args.canonical))
     try:
         counts = ooc_count(
-            reads, k, w=args.w, n_bins=args.n_bins, memory_bytes=ceiling,
+            reads, k, n_bins=args.n_bins, memory_bytes=ceiling,
             workdir=args.workdir, canonical=args.canonical, store=store,
-            cost=cost, pe_stats=pe, stats=stats, keep_bins=args.keep_bins)
-        store_doc = None
-        if store is not None:
-            store.flush()
-            store.compact()
-            store_doc = store.describe()
+            cost=cost, pe_stats=pe, stats=stats)
+        store_doc = None if store is None else store.describe()
     finally:
         if store is not None:
             store.close()
@@ -694,11 +686,9 @@ def _cmd_ooc_count(args) -> int:
                  / cost.pe_disk_bw)
     print(f"# source:     {source}  ({stats.n_reads:,} reads, "
           f"{stats.n_kmers:,} k-mers, k={k})")
-    print(f"# ceiling:    {ceiling:,} bytes "
-          f"(peak buffered {stats.peak_buffered_bytes:,}, "
-          f"{stats.n_ceiling_hits} ceiling hits)")
-    print(f"# pass 1:     {stats.n_superkmers:,} super-k-mers into "
-          f"{stats.n_bins_used} bins, {stats.n_flushes} flushes")
+    print(f"# ceiling:    {ceiling:,} bytes ({stats.n_slices} slices)")
+    print(f"# runs:       {stats.n_scratch_runs} scratch runs written, "
+          f"{stats.n_merges} merges (fan-in {args.n_bins})")
     print(f"# disk:       {stats.bytes_spilled:,} B spilled, "
           f"{stats.bytes_reread:,} B reread "
           f"(beta_disk {m.beta_disk / 1e9:.1f} GB/s -> "
@@ -1073,7 +1063,12 @@ def _cmd_xp_run(args) -> int:
     if args.json:
         _write_json(args.json, envelope, "envelope")
     if not envelope["ok"]:
-        print("error: correctness checks failed", file=sys.stderr)
+        for cell in envelope["cells"]:
+            for name, passed in sorted(cell["checks"].items()):
+                if not passed:
+                    kind = "cost" if name in cell["cost_checks"] else "answer"
+                    print(f"error: {kind} check failed: {name} "
+                          f"(cell {cell['cell_id'] or 'default'})", file=sys.stderr)
         return 1
     return 0
 

@@ -9,8 +9,8 @@ lands on the same owner, so counting stays exact; but one transfer now
 carries ``run + k - 1`` bases at 2 bits each instead of ``run`` 8-byte
 words, cutting Phase-1 wire volume by up to ~``k/4``x.
 
-The trade-off this module lets you measure (see
-``benchmarks/bench_ablation_minimizer.py``):
+The trade-off this module lets you measure (``dakc bench
+ablation-minimizer``, :func:`repro.bench.experiments.ablation_minimizer`):
 
 * **wire volume** — super-k-mers win big;
 * **load balance** — minimizer frequencies are far more skewed than a

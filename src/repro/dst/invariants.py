@@ -40,12 +40,12 @@ prose, made executable:
     A serving cache subscribed to the store never returns a
     pre-ingest count.
 ``ooc-exact``
-    Out-of-core counting — whatever spill interleaving the schedule
-    forces — produces the oracle multiset, both as the merged result
-    and through the fused LSM store.
+    Out-of-core counting — whatever slice order the schedule forces —
+    produces the oracle multiset, both as the merged result and
+    through the fused LSM store.
 ``spill-conservation``
-    Pass 2 rereads exactly the bytes pass 1 spilled: no bin lost, none
-    read twice.
+    Every scratch-run byte is read by exactly one merge: bytes reread
+    == bytes spilled, no run lost, none merged twice.
 ``ring-rf``
     Every routing-table row names exactly RF distinct live-ring
     members.
@@ -240,7 +240,7 @@ def _spill_conservation(ctx: dict) -> str | None:
     reread = ctx.get("bytes_reread", 0)
     if spilled == reread:
         return None
-    return f"spilled {spilled} bytes but pass 2 reread {reread}"
+    return f"spilled {spilled} bytes to scratch runs but the merges read {reread}"
 
 
 def _ring_rf(ctx: dict) -> str | None:

@@ -97,6 +97,7 @@ def dst_run(
     fuzzer = ScheduleFuzzer(seed=seed, n_pes=config.n_pes,
                             n_nodes=config.n_nodes, rf=config.rf)
     report = DstReport(seed=seed, budget=budget)
+    shrunk = 0
 
     for i, schedule in enumerate(fuzzer.schedules(budget)):
         trajectory = sim.run(schedule)
@@ -110,7 +111,8 @@ def dst_run(
                 report.determinism_ok = False
         if trajectory.violations:
             report.violations.append((schedule, list(trajectory.violations)))
-            if shrink and len(report.bundles) < MAX_BUNDLES:
+            if shrink and shrunk < MAX_BUNDLES:
+                shrunk += 1
                 reads = sim.make_reads(schedule.seed)
                 result = shrink_failure(sim, schedule, reads)
                 bundle = ReproBundle.from_failure(

@@ -47,9 +47,9 @@ class Schedule:
     #: Permutation streams for the actor runtime (exact mode only).
     mailbox_seed: int | None = None
     step_seed: int | None = None
-    #: Permutation stream for out-of-core spill: which bins flush when
-    #: the memory ceiling is hit, and the pass-2 bin counting order
-    #: (None = the production largest-first / ascending policy).
+    #: Permutation stream for out-of-core counting: the order in which
+    #: the ceiling-sized slices are counted into scratch runs and so
+    #: reach the merges (None = input order, the production behaviour).
     spill_seed: int | None = None
     #: Wire/straggler/PE-crash fault plan (None = healthy fabric).
     plan: FaultPlan | None = None

@@ -10,8 +10,8 @@ Runs a schedule through the five stateful layers of the stack —
 * **lsm**: durable ingest of the same reads through an
   :class:`~repro.lsm.store.LsmStore` with the schedule's crash point
   armed, then a recovery reopen;
-* **ooc**: the same reads counted out-of-core under the schedule's
-  spill interleaving, fused into a second LSM store;
+* **ooc**: the same reads counted out-of-core in the schedule's
+  slice order, fused into a second LSM store;
 * **cluster**: the counted database served through a replicated
   router, hedging on, while the schedule's membership script churns
   nodes — on the virtual-time loop of :mod:`repro.serve.clock`;
@@ -86,9 +86,8 @@ class SimConfig:
     memtable_bytes: int = 2048  # tiny: forces flushes (and crash windows)
     max_runs: int = 2           # tiny: forces compactions
     cache_capacity: int = 16
-    # ooc layer
-    ooc_bins: int = 4
-    ooc_ceiling: int = 768  # tiny: forces multi-wave spill interleavings
+    # ooc layer (its scratch-run fan-in is max_runs)
+    ooc_ceiling: int = 512  # tiny: forces scratch runs and merges of them
     # cluster layer
     n_nodes: int = 4
     rf: int = 2
@@ -108,7 +107,7 @@ class SimConfig:
             "max_rounds": self.max_rounds, "n_batches": self.n_batches,
             "memtable_bytes": self.memtable_bytes, "max_runs": self.max_runs,
             "cache_capacity": self.cache_capacity,
-            "ooc_bins": self.ooc_bins, "ooc_ceiling": self.ooc_ceiling,
+            "ooc_ceiling": self.ooc_ceiling,
             "n_nodes": self.n_nodes,
             "rf": self.rf, "vnodes": self.vnodes,
             "n_queries": self.n_queries, "group_size": self.group_size,
@@ -433,26 +432,22 @@ class Simulation:
 
     def _run_ooc(self, schedule: Schedule, reads: list[np.ndarray],
                  reference, workdir: str | Path) -> tuple[dict, dict]:
-        """Out-of-core count the reads under the schedule's spill order.
+        """Out-of-core count the reads in the schedule's slice order.
 
         Both the merged result and the fused LSM store must equal the
-        serial oracle whatever interleaving the spill seed forces, and
-        pass 2 must reread exactly the bytes pass 1 spilled.
+        serial oracle whatever order the slice seed forces, and the
+        merges must read exactly the scratch bytes the slices spilled.
         """
         cfg = self.config
-        from ..ooc import OocStats, ooc_count, seeded_order
+        from ..ooc import OocCountStats, ooc_count, read_slices
 
-        stats = OocStats()
-        flush_order = bin_order = None
+        stats = OocCountStats()
         if schedule.spill_seed is not None:
-            flush_child, bin_child = spawn_seeds(schedule.spill_seed, 2)
-            flush_order = seeded_order(flush_child)
-
-            def bin_order(ids, _seed=bin_child):
-                ids = sorted(int(i) for i in ids)
-                np.random.default_rng(_seed).shuffle(ids)
-                return ids
-
+            # The slice-order hook: ooc_count's own cut, shuffled.
+            slices = [list(piece) for piece in
+                      read_slices(reads, cfg.k, cfg.ooc_ceiling)]
+            np.random.default_rng(schedule.spill_seed).shuffle(slices)
+            reads = [read for piece in slices for read in piece]
         error = None
         counts = None
         snapshot = None
@@ -463,11 +458,10 @@ class Simulation:
                                               fan_in=cfg.max_runs))
             try:
                 counts = ooc_count(
-                    reads, cfg.k, n_bins=cfg.ooc_bins,
+                    reads, cfg.k, n_bins=cfg.max_runs,
                     memory_bytes=cfg.ooc_ceiling,
-                    workdir=Path(workdir) / "ooc-bins",
-                    store=store, stats=stats,
-                    flush_order=flush_order, bin_order=bin_order)
+                    workdir=Path(workdir) / "ooc-scratch",
+                    store=store, stats=stats)
                 snapshot = store.snapshot()
             finally:
                 store.close()

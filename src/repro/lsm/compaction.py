@@ -25,22 +25,24 @@ bounded working set:
    buffers).
 
 Peak memory is O(``fan_in`` x :data:`CHUNK_KEYS`) elements regardless of
-run sizes.  The output run is published with the same atomic
-``.tmp`` + ``os.replace`` dance as a flush, so a crash mid-compaction
-leaves the old runs authoritative and at worst an orphan file for the
-store's reopen sweep.
+run sizes; :func:`repro.ooc.ooc_count` passes a per-run chunk sized
+from its memory ceiling instead.  The output run is published with the
+same atomic ``.tmp`` + ``os.replace`` dance as a flush, so a crash
+mid-compaction leaves the old runs authoritative and at worst an orphan
+file for the store's reopen sweep.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .run import Run, write_run
 
-__all__ = ["CHUNK_KEYS", "pick_compaction", "merge_runs"]
+__all__ = ["CHUNK_KEYS", "pick_compaction", "merge_runs", "merged_chunks"]
 
 #: Keys each input run offers per merge step: the merge's working set is
 #: this many keys per run (1 MiB of keys and counts), whatever the run sizes.
@@ -68,8 +70,45 @@ def _merge_pieces(keys: list[np.ndarray], vals: list[np.ndarray]
             np.add.reduceat(np.concatenate(vals)[order], starts).astype(np.int64))
 
 
-def merge_runs(runs: list[Run], out_path: str | os.PathLike, k: int) -> None:
-    """Merge *runs* into one new run at *out_path* (counts summed)."""
+def merged_chunks(runs: list, chunk_keys: int
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The k-way merge of *runs*, as ascending ``(keys, counts)`` chunks.
+
+    A run is a :class:`~repro.lsm.run.Run` or anything else with
+    ``n_keys`` and ``read_slice`` over sorted, unique keys (an
+    out-of-core slice counted in memory).  Each step every unfinished
+    run offers its next *chunk_keys* pairs.
+    """
+    cursors = [0] * len(runs)
+    while True:
+        heads = [(i, *r.read_slice(cursors[i], cursors[i] + chunk_keys))
+                 for i, r in enumerate(runs) if cursors[i] < r.n_keys]
+        if not heads:
+            return
+        # The prefixes up to the smallest last key offered
+        # jointly hold *all* keys <= that boundary.
+        boundary = min(head[1][-1] for head in heads)
+        piece_keys, piece_vals = [], []
+        for i, bk, bv in heads:
+            cut = int(np.searchsorted(bk, boundary, side="right"))
+            cursors[i] += cut
+            if cut:
+                piece_keys.append(bk[:cut])
+                piece_vals.append(bv[:cut])
+        if len(piece_keys) == 1:   # one run left below the boundary
+            yield piece_keys[0], piece_vals[0]
+        else:
+            yield _merge_pieces(piece_keys, piece_vals)
+
+
+def merge_runs(runs: list, out_path: str | os.PathLike, k: int, *,
+               chunk_keys: int | None = None, fsync: bool = True) -> None:
+    """Merge *runs* into one new run at *out_path* (counts summed).
+
+    *chunk_keys* is each run's offer per merge step (see
+    :func:`merged_chunks`; :data:`CHUNK_KEYS` when ``None``); *fsync*
+    is :func:`~repro.lsm.run.write_run`'s.
+    """
     if not runs:
         raise ValueError("nothing to merge")
     if any(r.k != k for r in runs):
@@ -78,27 +117,10 @@ def merge_runs(runs: list[Run], out_path: str | os.PathLike, k: int) -> None:
     spill_keys = out_path.with_name(out_path.name + ".keys.spill")
     spill_vals = out_path.with_name(out_path.name + ".vals.spill")
 
-    cursors = [0] * len(runs)
     n_out = 0
     try:
         with open(spill_keys, "wb") as fk, open(spill_vals, "wb") as fv:
-            while True:
-                # Every unfinished run offers its next CHUNK_KEYS pairs.
-                heads = [(i, *r.read_slice(cursors[i], cursors[i] + CHUNK_KEYS))
-                         for i, r in enumerate(runs) if cursors[i] < r.n_keys]
-                if not heads:
-                    break
-                # The prefixes up to the smallest last key offered
-                # jointly hold *all* keys <= that boundary.
-                boundary = min(head[1][-1] for head in heads)
-                piece_keys, piece_vals = [], []
-                for i, bk, bv in heads:
-                    cut = int(np.searchsorted(bk, boundary, side="right"))
-                    cursors[i] += cut
-                    if cut:
-                        piece_keys.append(bk[:cut])
-                        piece_vals.append(bv[:cut])
-                mk, mv = _merge_pieces(piece_keys, piece_vals)
+            for mk, mv in merged_chunks(runs, chunk_keys or CHUNK_KEYS):
                 fk.write(mk.tobytes())
                 fv.write(mv.tobytes())
                 n_out += int(mk.size)
@@ -109,7 +131,7 @@ def merge_runs(runs: list[Run], out_path: str | os.PathLike, k: int) -> None:
         else:
             keys = np.empty(0, dtype=np.uint64)
             vals = np.empty(0, dtype=np.int64)
-        write_run(out_path, k, keys, vals)
+        write_run(out_path, k, keys, vals, fsync=fsync)
         del keys, vals
     finally:
         for spill in (spill_keys, spill_vals):

@@ -42,18 +42,20 @@ import numpy as np
 
 from ..fileio import BLOCK_KEYS, FormatError, Framing, publish, record
 
-__all__ = ["RUN", "write_run", "Run"]
+__all__ = ["RUN", "write_run", "Run", "StreamedRun"]
 
 RUN = Framing("LSM run", b"dakcrun\x00", 3, "<QQQQQ")
 """Header fields: k, n, index_stride, fence_min, fence_max."""
 
 
 def write_run(path: str | os.PathLike, k: int, keys: np.ndarray,
-              vals: np.ndarray) -> None:
+              vals: np.ndarray, *, fsync: bool = True) -> None:
     """Atomically write a sorted run (keys strictly increasing).
 
     *keys*/*vals* may be memmaps — their buffers go to the file without
-    a copy, which is what keeps compaction's peak memory flat.
+    a copy, which is what keeps compaction's peak memory flat.  A store
+    run is fsynced before it is published; an out-of-core scratch run,
+    which no crash has to survive, passes ``fsync=False``.
     """
     n = int(keys.shape[0])
     index_keys = np.ascontiguousarray(keys[::BLOCK_KEYS], dtype="<u8")
@@ -67,7 +69,7 @@ def write_run(path: str | os.PathLike, k: int, keys: np.ndarray,
         fh.write(np.ascontiguousarray(keys, dtype="<u8"))
         fh.write(np.ascontiguousarray(vals, dtype="<i8"))
 
-    publish(path, write, fsync=True)
+    publish(path, write, fsync=fsync)
 
 
 class Run:
@@ -189,3 +191,31 @@ class Run:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Run({self.path.name}, n={self.n_keys}, "
                 f"fences=[{self.fence_min:#x}, {self.fence_max:#x}])")
+
+
+class StreamedRun(Run):
+    """A run read front to back, once, by a merge (an out-of-core scratch run).
+
+    Each :meth:`read_slice` is two positioned reads into fresh arrays,
+    so the merge holds one offer of the file at a time; a mapping would
+    keep every page it touched resident until the merge ends.  The file
+    stays open from the first read to :meth:`close`.
+    """
+
+    _fd: int | None = None
+
+    def read_slice(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._closed:
+            raise ValueError(f"{self.path}: run is closed")
+        if self._fd is None:
+            self._fd = os.open(self.path, os.O_RDONLY)
+        lo, hi = min(lo, self.n_keys), min(hi, self.n_keys)
+        keys, counts = (os.pread(self._fd, 8 * (hi - lo), self._keys_at + 8 * (section + lo))
+                        for section in (0, self.n_keys))
+        return np.frombuffer(keys, "<u8"), np.frombuffer(counts, "<i8")
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        super().close()

@@ -83,7 +83,7 @@ class LsmStats:
 
     records_ingested: int = 0
     batches_ingested: int = 0
-    bulk_loads: int = 0       # ingest_counts() calls (no WAL)
+    bulk_loads: int = 0       # ingest_counts() and load_runs() calls (no WAL)
     replayed_batches: int = 0
     flushes: int = 0
     compactions: int = 0
@@ -228,13 +228,12 @@ class LsmStore:
     def ingest_counts(self, keys: np.ndarray, vals: np.ndarray) -> int:
         """Bulk-load a pre-counted ``(kmer, count)`` delta; returns pairs.
 
-        The fusion point of out-of-core counting: pass 2 of
-        :func:`repro.ooc.ooc_count` feeds each counted bin straight in
-        here, so flushes and compactions interleave with counting under
-        the memtable budget.  Unlike :meth:`ingest` this path writes no
-        WAL — the caller's spill bins (or source reads) are the durable
-        input, and a crash loses only deltas the caller can re-derive;
-        call :meth:`flush` afterwards to make the load durable.
+        The delta goes through the memtable, so flushes and compactions
+        interleave with the caller's loads under the memtable budget.
+        Unlike :meth:`ingest` this path writes no WAL — the caller's
+        input is the durable copy, and a crash loses only deltas the
+        caller can re-derive; call :meth:`flush` afterwards to make the
+        load durable.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         vals = np.asarray(vals, dtype=np.int64)
@@ -295,12 +294,20 @@ class LsmStore:
 
     def _compact_once(self, sel: list[int]) -> None:
         victims = [self.runs[i] for i in sel]
+        # The merged run takes the newest victim's slot.
+        self._publish_merge(victims, victims, min(sel))
+        self.stats.compactions += 1
+        self.stats.runs_merged += len(victims)
+
+    def _publish_merge(self, sources: list, victims: list[Run], insert_at: int,
+                       chunk_keys: int | None = None) -> Run:
+        """Merge *sources* into a new run at ``runs[insert_at]`` in place of
+        *victims*: one MANIFEST swap, then the victims are deleted."""
         run_id = self._man["next_run_id"]
         name = f"run-{run_id:06d}.run"
-        merge_runs(victims, self.dir / name, self.k)
+        merge_runs(sources, self.dir / name, self.k, chunk_keys=chunk_keys)
         self.crash.hit("compact.post_run_write")
         victim_names = {v.path.name for v in victims}
-        insert_at = min(sel)  # merged run takes the newest victim's slot
         new_names = [n for n in self._man["runs"] if n not in victim_names]
         new_names.insert(insert_at, name)
         new_man = dict(self._man, runs=new_names, next_run_id=run_id + 1)
@@ -314,8 +321,29 @@ class LsmStore:
         for v in victims:
             v.close()
             v.path.unlink(missing_ok=True)
-        self.stats.compactions += 1
-        self.stats.runs_merged += len(victims)
+        return merged
+
+    def load_runs(self, runs: list, *, chunk_keys: int) -> Run:
+        """Bulk-load the k-way merge of sorted *runs* as one new run.
+
+        The fusion point of out-of-core counting: :func:`repro.ooc.ooc_count`
+        hands its scratch runs (and the slice it counted last) here, and
+        :func:`~.compaction.merge_runs` writes them, *chunk_keys* per run
+        per step, straight into the store's newest run.  One MANIFEST
+        swap publishes it, through compaction's code and crash points: a
+        crash before the swap leaves the store as it was, a crash after
+        it holds the whole load.  No WAL is written — the caller's input
+        is the durable copy.
+        """
+        run = self._publish_merge(runs, [], 0, chunk_keys)
+        if self._listeners:
+            keys = run.load()[0]
+            for listener in self._listeners:
+                listener(keys)
+        self.stats.bulk_loads += 1
+        if self.config.auto_compact:
+            self.compact()
+        return run
 
     # -- reads ---------------------------------------------------------
 

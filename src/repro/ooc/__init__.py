@@ -1,22 +1,21 @@
-"""Out-of-core k-mer counting: disk spill bins fused with the LSM.
+"""Out-of-core k-mer counting under a hard memory ceiling.
 
-KMC 2's two-pass design under a hard memory ceiling:
+:func:`ooc_count` (:mod:`.count`) is external merge sort with the
+counter's own pre-accumulation: the reads are cut into slices of at
+most half the ceiling in bases, each slice is counted in memory with
+the same sort -> accumulate kernel as the in-memory counters
+(:func:`repro.seq.kmers.count_owned_kmers`) and written as a sorted
+scratch run in the LSM ``RUN`` format, and the runs are k-way merged —
+at the end once, straight into a :class:`repro.lsm.LsmStore` as one
+new run, or into the returned counts.
 
-* **pass 1** (:mod:`.spill`) streams reads through the
-  :mod:`repro.seq` minimizer splitter into minimizer-partitioned spill
-  bins on disk, flushing whole bins whenever buffering crosses the
-  ceiling;
-* **pass 2** (:mod:`.count`) counts each bin independently with the
-  same sort -> accumulate kernel as the in-memory counters
-  (:func:`repro.seq.kmers.count_owned_kmers`) and optionally
-  bulk-loads results into a :class:`repro.lsm.LsmStore` as it goes.
-
-The bin file (:mod:`.format`) is framed, versioned and checksummed by
-:mod:`repro.fileio` like every other file of the package
-(``docs/FORMATS.md``).
+:class:`BinWriter` (:mod:`.spill`), :func:`count_bin` and the bin file
+(:mod:`.format`) are KMC 2's two-pass design this replaced: pass 1
+spills minimizer-partitioned super-k-mers to bins, pass 2 counts each
+bin.  The e2e benchmark's traced replay still calls them.
 """
 
-from .count import count_bin, ooc_count
+from .count import OocCountStats, count_bin, ooc_count, read_slices
 from .format import (
     BIN,
     BinHeader,
@@ -25,19 +24,19 @@ from .format import (
     superkmer_kmers,
     unpack_superkmers,
 )
-from .spill import BinWriter, OocStats, largest_first, seeded_order
+from .spill import BinWriter, OocStats
 
 __all__ = [
     "BIN",
     "BinHeader",
     "BinWriter",
+    "OocCountStats",
     "OocStats",
     "count_bin",
-    "largest_first",
     "ooc_count",
     "pack_superkmers",
     "read_bin_records",
-    "seeded_order",
+    "read_slices",
     "superkmer_kmers",
     "unpack_superkmers",
 ]

@@ -1,43 +1,45 @@
-"""Pass 2 of out-of-core counting, and the two-pass orchestrator.
+"""Out-of-core counting: ceiling-sized slices into sorted runs, merged once.
 
-Each spill bin is a closed k-mer multiset, so pass 2 is a loop of
-independent in-memory counts: read a bin in groups of consecutive
-chunks of at most the memory ceiling in bases, expand each group's
-super-k-mers into packed k-mers (:func:`~.format.superkmer_kmers`),
-count them with the one kernel every in-memory counter uses
-(:func:`repro.seq.kmers.count_owned_kmers`: canonical -> sort in
-place -> accumulate), and merge group results — one bin's worth of
-data at a time instead of the whole dataset.
+:func:`ooc_count` is external merge sort with the counter's own
+pre-accumulation.  The reads are cut into slices of at most half the
+memory ceiling in bases (:func:`read_slices`); each slice is counted
+in memory by the one kernel every counter uses
+(:func:`repro.seq.kmers.count_owned_kmers`: canonical -> sort in place
+-> accumulate) and written as a *scratch run* in the LSM store's
+``RUN`` format, so a heavy k-mer costs one ``(key, count)`` pair per
+run.  At most ``n_bins`` scratch runs exist at once: the slice that
+would add one more is merged with the smaller half of them instead
+(:func:`repro.lsm.compaction.merge_runs`, each run offering a chunk
+sized from the ceiling).  What is left at the end — the scratch runs
+and the last slice, still in memory — is merged once: into the
+caller's :class:`~repro.lsm.LsmStore` as one new run
+(:meth:`~repro.lsm.LsmStore.load_runs`, one MANIFEST swap), or into the
+returned :class:`~repro.core.result.KmerCounts`.
 
-:func:`ooc_count` glues both passes together under one memory ceiling
-and optionally *fuses* the results into a :class:`repro.lsm.LsmStore`:
-every counted bin bulk-loads through ``ingest_counts``, so the store
-flushes and compacts under its own (shared) budget while later bins
-are still being counted — count-and-serve, never holding the full
-dataset in memory.
+:func:`count_bin` counts one minimizer-partitioned spill bin of
+:class:`~.spill.BinWriter` (the two-pass design this replaced).
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from ..core.result import KmerCounts
 from ..fileio import FormatError
-from ..seq.kmers import count_owned_kmers
-from ..seq.superkmers import DEFAULT_MINIMIZER_LEN
+from ..lsm.compaction import merge_runs, merged_chunks, pick_compaction
+from ..lsm.run import Run, StreamedRun, write_run
+from ..seq.kmers import check_k, count_owned_kmers, extract_kmers_from_reads
 from ..sort.accumulate import merge_count_arrays
 from .format import BIN, read_bin_records, superkmer_kmers
-from .spill import BinWriter, FlushOrder, OocStats
+from .spill import OocStats
 
-__all__ = ["count_bin", "ooc_count"]
-
-BinOrder = Callable[[Sequence[int]], list[int]]
-"""Pass-2 policy: bin ids -> processing order (identity by default)."""
+__all__ = ["OocCountStats", "count_bin", "ooc_count", "read_slices"]
 
 
 def _chunk_groups(chunks: Iterator[tuple[np.ndarray, np.ndarray]],
@@ -93,11 +95,77 @@ def count_bin(path: str | os.PathLike, *, k: int | None = None,
     return merge_count_arrays(parts)
 
 
+@dataclass(slots=True)
+class OocCountStats:
+    """Measured quantities of one :func:`ooc_count`."""
+
+    n_reads: int = 0
+    n_kmers: int = 0          # k-mer occurrences counted
+    n_slices: int = 0         # pieces the ceiling cut the reads into
+    n_scratch_runs: int = 0   # scratch runs written, merge outputs included
+    n_merges: int = 0         # k-way merges, the final one included
+    bytes_spilled: int = 0    # written to scratch runs
+    bytes_reread: int = 0     # read back by the merges
+
+    def to_doc(self) -> dict:
+        return {f: int(getattr(self, f)) for f in self.__slots__}
+
+
+def read_slices(reads: np.ndarray | list, k: int, memory_bytes: int
+                ) -> Iterator[np.ndarray | list[np.ndarray]]:
+    """The reads cut into slices of at most half the ceiling in bases.
+
+    Reads join a slice in order while they fit; a read longer than a
+    whole slice is cut into pieces overlapping by ``k - 1`` bases, so
+    each of its k-mers is in exactly one piece.  A slice is a block of
+    rows of a read matrix, or a list of reads and pieces.
+    """
+    budget = max(k, memory_bytes // 2)
+    if isinstance(reads, np.ndarray) and reads.ndim == 2 and reads.shape[1] <= budget:
+        rows = budget // max(1, reads.shape[1])
+        for start in range(0, reads.shape[0], rows):
+            yield reads[start:start + rows]
+        return
+    piece: list[np.ndarray] = []
+    bases = 0
+    for read in reads:
+        read = np.asarray(read, dtype=np.uint8).reshape(-1)
+        start = 0
+        while read.size - start > budget:   # a full slice of this read alone
+            if piece:
+                yield piece
+                piece, bases = [], 0
+            yield [read[start:start + budget]]
+            start += budget - (k - 1)
+        rest = read[start:]
+        if piece and bases + rest.size > budget:
+            yield piece
+            piece, bases = [], 0
+        piece.append(rest)
+        bases += rest.size
+    if piece:
+        yield piece
+
+
+class _Counted(NamedTuple):
+    """A slice counted in memory, offered to a merge like a run."""
+
+    k: int
+    keys: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def n_keys(self) -> int:
+        return int(self.keys.size)
+
+    def read_slice(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.keys[lo:hi], self.vals[lo:hi]
+
+
 def ooc_count(
     reads: np.ndarray | list,
     k: int,
     *,
-    w: int | None = None,
     n_bins: int = 16,
     memory_bytes: int = 1 << 20,
     workdir: str | os.PathLike | None = None,
@@ -105,77 +173,110 @@ def ooc_count(
     store=None,
     cost=None,
     pe_stats=None,
-    stats: OocStats | None = None,
-    flush_order: FlushOrder | None = None,
-    bin_order: BinOrder | None = None,
+    stats: OocCountStats | None = None,
     collect: bool = True,
-    keep_bins: bool = False,
 ) -> KmerCounts:
-    """Two-pass out-of-core count, bit-identical to :func:`serial_count`.
+    """Out-of-core count under *memory_bytes*, bit-identical to :func:`serial_count`.
 
-    Pass 1 spills minimizer-partitioned super-k-mers to *workdir* (a
-    private temporary directory when ``None``), buffering at most
-    *memory_bytes*; pass 2 counts bins independently.  With *store*
-    (an :class:`~repro.lsm.LsmStore`), each counted bin bulk-loads via
-    ``ingest_counts`` so flush/compaction interleave with counting —
-    size the store's ``memtable_bytes`` from the same ceiling.  With
-    *cost* (a :class:`~repro.runtime.cost.CostModel`), bytes spilled
-    and reread are charged at the disk rate (β_disk) against
-    *pe_stats* (a :class:`~repro.runtime.stats.PEStats`, created at
-    PE 0 when omitted — pass your own to read the charged clock).
-
-    *flush_order* and *bin_order* pin the spill/count interleaving for
-    deterministic replay (the :mod:`repro.dst` hooks).  ``collect=False``
-    skips the merged in-memory result (returns an empty
-    :class:`KmerCounts`) — the store is then the only output, which is
-    the honest configuration for data that genuinely exceeds RAM.
+    Scratch runs live in *workdir* (a private temporary directory when
+    ``None``) and are removed once merged; at most *n_bins* of them
+    exist at once.  With *store* (an :class:`~repro.lsm.LsmStore`) the
+    final merge is loaded into it as one run.  With *cost* (a
+    :class:`~repro.runtime.cost.CostModel`), scratch bytes written and
+    read are charged at the disk rate (β_disk) against *pe_stats* (a
+    :class:`~repro.runtime.stats.PEStats`, created at PE 0 when omitted
+    — pass your own to read the charged clock).  ``collect=False``
+    returns an empty :class:`KmerCounts`: the store is then the only
+    output, which is the honest configuration for data that genuinely
+    exceeds RAM.
     """
-    if w is None:
-        w = min(k, DEFAULT_MINIMIZER_LEN)
-    own_tmp = workdir is None
-    tmp = tempfile.TemporaryDirectory(prefix="dakc-ooc-") if own_tmp else None
-    bin_dir = Path(tmp.name) if own_tmp else Path(workdir)
-    stats = stats if stats is not None else OocStats()
+    check_k(k)
+    if n_bins < 1:
+        raise ValueError("n_bins must be >= 1")
+    if memory_bytes < 1:
+        raise ValueError("memory_bytes must be >= 1")
+    stats = stats if stats is not None else OocCountStats()
     if cost is not None and pe_stats is None:
         from ..runtime.stats import PEStats
 
         pe_stats = PEStats(0)
-    try:
-        writer = BinWriter(bin_dir, k, w, n_bins,
-                           ceiling_bytes=memory_bytes,
-                           flush_order=flush_order, stats=stats)
-        writer.add_reads(reads)
-        paths = writer.close()
-        if cost is not None and stats.bytes_spilled:
-            cost.charge_disk_write(pe_stats, stats.bytes_spilled,
-                                   ops=max(1, stats.n_flushes))
+    tmp = tempfile.TemporaryDirectory(prefix="dakc-ooc-") if workdir is None else None
+    scratch = Path(tmp.name if tmp is not None else workdir)
+    scratch.mkdir(parents=True, exist_ok=True)
+    runs: list[StreamedRun] = []
 
-        bin_ids = [int(p.stem.split("-")[1]) for p in paths]
-        if bin_order is not None:
-            order = list(bin_order(bin_ids))
-            if sorted(order) != sorted(bin_ids):
-                raise ValueError("bin_order must permute the bin ids")
+    def chunk_keys(sources: list) -> int:
+        """Each source's offer per merge step: together, pairs for half a
+        slice's bases, so a merge step allocates no more than counting a
+        slice does (the offers are read into memory: see StreamedRun)."""
+        return max(1, memory_bytes // (4 * len(sources)))
+
+    def write(sources: list) -> Run:
+        """Write one counted slice, or the merge of *sources*, as a scratch run."""
+        path = scratch / f"scratch-{stats.n_scratch_runs:06d}.run"
+        if len(sources) == 1:
+            write_run(path, k, sources[0].keys, sources[0].vals, fsync=False)
         else:
-            order = bin_ids
-        by_id = dict(zip(bin_ids, paths))
+            merge_runs(sources, path, k, chunk_keys=chunk_keys(sources), fsync=False)
+        stats.n_scratch_runs += 1
+        nbytes = path.stat().st_size
+        stats.bytes_spilled += nbytes
+        if cost is not None:
+            cost.charge_disk_write(pe_stats, nbytes)
+        return StreamedRun(path)
 
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        for b in order:
-            before = stats.bytes_reread
-            uniq, counts = count_bin(by_id[b], k=k, canonical=canonical,
-                                     memory_bytes=memory_bytes, stats=stats)
-            if cost is not None:
-                cost.charge_disk_read(pe_stats, stats.bytes_reread - before)
-            if store is not None:
-                store.ingest_counts(uniq, counts)
+    def consumed(sources: list) -> None:
+        """Account for, and delete, the scratch runs a merge has read."""
+        stats.n_merges += 1
+        for run in sources:
+            if isinstance(run, Run):
+                stats.bytes_reread += run.nbytes
+                if cost is not None:
+                    cost.charge_disk_read(pe_stats, run.nbytes)
+                run.close()
+                run.path.unlink()
+
+    try:
+        stats.n_reads += len(reads)
+        counted = None   # the slice in hand: it reaches disk only if another follows
+        for piece in read_slices(reads, k, memory_bytes):
+            if counted is not None:
+                # With n_bins runs on disk, the smaller half of them are
+                # merged with the slice in hand: a key is rewritten about
+                # log(slices) times, not once per n_bins slices.
+                sel = pick_compaction(runs, n_bins - 1, -(-n_bins // 2)) or []
+                victims = [runs[i] for i in sel]
+                merged = write(victims + [counted])
+                if victims:
+                    consumed(victims)
+                runs = [r for i, r in enumerate(runs) if i not in sel] + [merged]
+            kmers = extract_kmers_from_reads(piece, k)
+            stats.n_slices += 1
+            stats.n_kmers += int(kmers.size)
+            counted = _Counted(k, *count_owned_kmers(kmers, k, canonical=canonical))
+            del kmers
+            if not counted.n_keys:
+                counted = None
+        sources = runs + ([counted] if counted is not None else [])
+        result = KmerCounts.empty(k)
+        if not sources:
+            return result
+        if store is not None:
+            loaded = store.load_runs(sources, chunk_keys=chunk_keys(sources))
             if collect:
-                parts.append((uniq, counts))
-            if not keep_bins:
-                by_id[b].unlink()
-        if not collect:
-            return KmerCounts.empty(k)
-        keys, vals = merge_count_arrays(parts)
-        return KmerCounts(k, keys, vals)
+                result = KmerCounts(k, *(np.array(a) for a in loaded.load()))
+        else:
+            chunks = merged_chunks(sources, chunk_keys(sources))
+            if collect:
+                keys, vals = zip(*chunks)
+                result = KmerCounts(k, np.concatenate(keys), np.concatenate(vals))
+            else:
+                for _chunk in chunks:
+                    pass   # no output: the merge only drains the scratch runs
+        consumed(sources)
+        return result
     finally:
+        for run in runs:
+            run.close()
         if tmp is not None:
             tmp.cleanup()

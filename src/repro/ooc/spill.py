@@ -1,20 +1,20 @@
-"""Pass 1 of out-of-core counting: spill super-k-mers to disk bins.
+"""KMC 2's first pass: spill super-k-mers to minimizer-partitioned bins.
 
-KMC 2's first pass, under a hard memory ceiling: reads stream through
-the :mod:`repro.seq` minimizer splitter, each super-k-mer is routed to
-the bin its minimizer hashes to (the same splitmix64 owner hash that
-shards everything else in this codebase), and bins buffer in memory
-until the ceiling is hit — then whole bins flush to disk as one
-checksummed chunk each.  Which bins flush, and in what order, is a
-pluggable policy: the default is largest-first (fewest, biggest
-chunks), and :mod:`repro.dst` injects seeded shuffles through the same
-hook to fuzz spill interleavings.
+Reads stream through the :mod:`repro.seq` minimizer splitter, each
+super-k-mer is routed to the bin its minimizer hashes to (the same
+splitmix64 owner hash that shards everything else in this codebase),
+and bins buffer in memory until the ceiling is hit — then whole bins
+flush to disk as one checksummed chunk each.  Which bins flush, and in
+what order, is a pluggable policy: the default is largest-first
+(fewest, biggest chunks); :func:`seeded_order` is a seeded shuffle.
 
 Binning by *minimizer* rather than by k-mer keeps the ``k - w``
-overlapping k-mers of a super-k-mer together in one bin, which is what
-makes pass 2 embarrassingly parallel: each bin holds a closed multiset
-of k-mer occurrences (one occurrence lands in exactly one bin), so
-bins count independently and their results concatenate.
+overlapping k-mers of a super-k-mer together in one bin: each bin holds
+a closed multiset of k-mer occurrences (one occurrence lands in exactly
+one bin), so bins count independently (:func:`~.count.count_bin`) and
+their results concatenate.  :func:`~.count.ooc_count` no longer takes
+this path (``docs/OOC.md`` has the measurement); the e2e benchmark's
+traced replay still does.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def largest_first(pending: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def seeded_order(seed: int) -> FlushOrder:
-    """A deterministic shuffled policy (the DST spill-interleaving hook)."""
+    """A deterministic shuffled policy."""
 
     def order(pending: Sequence[tuple[int, int]]) -> list[int]:
         bins = sorted(b for b, _n in pending)
@@ -65,7 +65,7 @@ def seeded_order(seed: int) -> FlushOrder:
 
 @dataclass(slots=True)
 class OocStats:
-    """Measured quantities of one out-of-core count (both passes)."""
+    """Measured quantities of :class:`BinWriter` and :func:`~.count.count_bin`."""
 
     n_reads: int = 0
     n_superkmers: int = 0

@@ -183,19 +183,17 @@ class CostModel:
         """Charge intranode memory traffic of *nbytes*."""
         return self._charge(pe, ClockLedger.MEMORY, nbytes)
 
-    def charge_disk_write(self, pe: PEStats, nbytes: int, *, ops: int = 1) -> float:
-        """Charge an out-of-core spill write of *nbytes* (β_disk).
+    def charge_disk_write(self, pe: PEStats, nbytes: int) -> float:
+        """Charge an out-of-core scratch-run write of *nbytes* (one disk op, β_disk).
 
         Disk traffic is priced like link traffic — a fixed per-I/O
         latency plus a bandwidth term — so ``dakc`` can report bytes
         spilled next to bytes sent in the same virtual-time currency.
-        *ops* is the number of physical I/O operations the bytes
-        arrived in (flushes); each pays the seek/syscall latency.
         """
         m = self.machine
-        dt = self._dilated(pe, ops * m.disk_latency + nbytes / self.pe_disk_bw)
+        dt = self._dilated(pe, m.disk_latency + nbytes / self.pe_disk_bw)
         pe.disk_bytes_written += int(nbytes)
-        pe.disk_ops += int(ops)
+        pe.disk_ops += 1
         t0 = pe.clock
         pe.advance(dt)
         if self.tracer is not None:
@@ -203,7 +201,7 @@ class CostModel:
         return dt
 
     def charge_disk_read(self, pe: PEStats, nbytes: int) -> float:
-        """Charge a pass-2 bin reread of *nbytes* (one disk op, β_disk)."""
+        """Charge a merge's read of a scratch run of *nbytes* (one disk op, β_disk)."""
         m = self.machine
         dt = self._dilated(pe, m.disk_latency + nbytes / self.pe_disk_bw)
         pe.disk_bytes_read += int(nbytes)

@@ -42,7 +42,7 @@ class PEStats:
 
     # Disk (out-of-core spill, repro.ooc)
     disk_bytes_written: int = 0  # spill-bin bytes written
-    disk_bytes_read: int = 0  # spill-bin bytes reread in pass 2
+    disk_bytes_read: int = 0  # out-of-core scratch bytes read back
     disk_ops: int = 0  # charged I/O operations (flushes + bin reads)
 
     # Aggregation layer activity

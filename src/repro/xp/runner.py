@@ -62,6 +62,7 @@ def run_spec(spec: ExperimentSpec, *, progress=None) -> dict:
         rep_seeds = spawn_seeds(cell_seed, policy.warmup + policy.repetitions)
         metrics: dict[str, list[float]] = {}
         checks: dict[str, bool] = {}
+        cost_names: set[str] = set()
         kept_seeds = []
         for rep, rep_seed in enumerate(rep_seeds):
             warm = rep < policy.warmup
@@ -73,6 +74,7 @@ def run_spec(spec: ExperimentSpec, *, progress=None) -> dict:
             # checks made of them) are discarded.
             kept = outcome.checks if warm else {**outcome.checks,
                                                 **outcome.cost_checks}
+            cost_names.update(outcome.cost_checks)
             for name, value in kept.items():
                 checks[name] = checks.get(name, True) and bool(value)
             if warm:
@@ -95,6 +97,8 @@ def run_spec(spec: ExperimentSpec, *, progress=None) -> dict:
             "seeds": kept_seeds,
             "metrics": metrics,
             "checks": checks,
+            # which of the checks are wall-clock ratios, not answers
+            "cost_checks": sorted(cost_names & set(checks)),
             "summary": summary,
         })
 

@@ -119,6 +119,22 @@ class TestTextRoundTrip:
         dump_text(plain, db)
         assert path.stat().st_size < plain.stat().st_size
 
+    @pytest.mark.parametrize("name", ["e.tsv", "e.tsv.gz"])
+    def test_empty_dump_keeps_its_k(self, tmp_path, name):
+        path = tmp_path / name
+        assert dump_text(path, KmerCounts.empty(13)) == 0
+        back = load_text(path)
+        assert back.k == 13 and back.n_distinct == 0
+
+    def test_k_header_must_agree_with_the_rows(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("# k=5\nACGT\t1\n")
+        with pytest.raises(FormatError, match="line 2: k-mer length 4 != 5"):
+            load_text(path)
+        path.write_text("# k=x\n")
+        with pytest.raises(FormatError, match="line 1: malformed k header"):
+            load_text(path)
+
     def test_gzip_matches_plain_content(self, db, tmp_path):
         gz, plain = tmp_path / "a.tsv.gz", tmp_path / "b.tsv"
         dump_text(gz, db)

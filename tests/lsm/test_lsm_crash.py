@@ -18,6 +18,7 @@ import pytest
 from repro.core.serial import serial_count
 from repro.lsm.crash import CRASH_POINTS, CrashPoints, SimulatedCrash
 from repro.lsm.store import LsmConfig, LsmStore
+from repro.ooc.count import ooc_count
 
 K = 17
 BATCH = 10
@@ -66,6 +67,40 @@ def test_recovery_at_every_boundary(tmp_path, small_reads, point):
             recovered.ingest(batch)
         n_final = acked + sum(b.shape[0] for b in batches[resume:])
         assert recovered.snapshot() == serial_count(small_reads[:n_final], K)
+
+
+#: The points a bulk load (``LsmStore.load_runs``) crosses: it publishes
+#: its run through compaction's code.
+LOAD_POINTS = [p for p in CRASH_POINTS if p.startswith("compact.")]
+
+
+@pytest.mark.parametrize("point", LOAD_POINTS)
+def test_recovery_during_a_bulk_load(tmp_path, small_reads, point):
+    """An out-of-core count loaded into a store that also holds WAL'd
+    batches, killed at each point the load crosses: before the MANIFEST
+    swap the store recovers as it was, after it with the whole load."""
+    path = tmp_path / "db"
+    half = small_reads.shape[0] // 2
+    crash = CrashPoints()
+    store = LsmStore(path, K, config=LsmConfig(memtable_bytes=4096), crash=crash)
+    for i in range(0, half, BATCH):
+        store.ingest(small_reads[i:i + BATCH])   # runs and a WAL'd memtable
+    runs_before, hits_before = store.n_runs, crash.hit_counts.get(point, 0)
+    crash.arm(point)
+    with pytest.raises(SimulatedCrash):
+        ooc_count(small_reads[half:], K, n_bins=2, memory_bytes=2048,
+                  workdir=tmp_path / "scratch", store=store, collect=False)
+    assert crash.fired == [point]
+    assert crash.hit_counts[point] == hits_before + 1   # the load's own traversal
+
+    loaded = point == "compact.post_manifest"
+    with LsmStore(path, config=CFG) as recovered:
+        assert recovered.n_runs == runs_before + loaded
+        assert recovered.snapshot() == serial_count(
+            small_reads if loaded else small_reads[:half], K), point
+        if not loaded:   # the caller's reads are the durable copy: load again
+            ooc_count(small_reads[half:], K, memory_bytes=2048, store=recovered)
+        assert recovered.snapshot() == serial_count(small_reads, K)
 
 
 def test_crash_points_are_one_shot(tmp_path, small_reads):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.result import probe_sorted
 from repro.fileio import BLOCK_KEYS, FormatError, record
 from repro.lsm import run as run_module
-from repro.lsm.run import RUN, Run, write_run
+from repro.lsm.run import RUN, Run, StreamedRun, write_run
 from repro.lsm.store import LsmConfig, LsmStore
 
 
@@ -305,6 +305,27 @@ class TestLifetime:
         assert not keys.flags.writeable and not counts.flags.writeable
         assert isinstance(keys.base.obj, mmap.mmap)          # no copy,
         assert keys.base.obj is counts.base.obj              # one map
+
+
+class TestStreamedRun:
+    """A scratch run's positioned reads return what the mapping holds,
+    and never map the file."""
+
+    @pytest.mark.parametrize("lo,hi", [(0, 1), (0, 4096), (100, 200), (19_000, 30_000),
+                                       (5, 5), (40_000, 40_010)])
+    def test_read_slice_matches_the_mapping(self, run, lo, hi):
+        streamed = StreamedRun(run.path)
+        keys, counts = streamed.read_slice(lo, hi)
+        want_keys, want_counts = run.read_slice(lo, hi)
+        assert np.array_equal(keys, want_keys) and np.array_equal(counts, want_counts)
+        assert keys.dtype == want_keys.dtype and counts.dtype == want_counts.dtype
+        assert streamed._sections is None
+
+    def test_closed_streamed_run_refuses_reads(self, run):
+        streamed = StreamedRun(run.path)
+        streamed.close()
+        with pytest.raises(ValueError, match="run is closed"):
+            streamed.read_slice(0, 1)
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""Tests for the two-pass orchestrator: oracle equality, fusion, cost."""
+"""Tests of ``ooc_count`` (oracle equality, fusion, cost) and ``count_bin``."""
 
 from __future__ import annotations
 
@@ -7,10 +7,11 @@ import pytest
 
 from repro.core.serial import serial_count
 from repro.lsm import LsmConfig, LsmStore
-from repro.ooc.count import _chunk_groups, count_bin, ooc_count
+from repro.ooc.count import (OocCountStats, _chunk_groups, count_bin, ooc_count,
+                             read_slices)
 from repro.ooc.format import read_bin_records
 from repro.fileio import FormatError
-from repro.ooc.spill import BinWriter, OocStats, seeded_order
+from repro.ooc.spill import BinWriter
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import laptop
 from repro.runtime.stats import PEStats
@@ -36,10 +37,19 @@ class TestOracleEquality:
         (13, 7, 16, 2048),
         (5, 1, 3, 1 << 20),   # ceiling never hit: single close-flush
     ])
-    def test_matches_serial_count(self, k, w, n_bins, ceiling):
+    def test_matches_serial_count(self, tmp_path, k, w, n_bins, ceiling):
         reads = make_reads()
-        assert ooc_count(reads, k, w=w, n_bins=n_bins,
-                         memory_bytes=ceiling) == serial_count(reads, k)
+        oracle = serial_count(reads, k)
+        assert ooc_count(reads, k, n_bins=n_bins, memory_bytes=ceiling) == oracle
+        # The minimizer bins (length w) the runs replaced hold the same multiset.
+        with BinWriter(tmp_path, k, w, n_bins, ceiling_bytes=ceiling) as bw:
+            bw.add_reads(reads)
+        parts = [count_bin(path, k=k) for path in bw.close()]
+        keys = np.concatenate([p[0] for p in parts])
+        counts = np.concatenate([p[1] for p in parts])
+        order = np.argsort(keys)
+        assert np.array_equal(keys[order], oracle.kmers)
+        assert np.array_equal(counts[order], oracle.counts)
 
     def test_matches_with_ambiguous_bases(self):
         reads = make_reads(ambiguous=0.05)
@@ -58,15 +68,13 @@ class TestOracleEquality:
     def test_matches_under_permuted_orders(self, tmp_path):
         reads = make_reads(n=50)
         oracle = serial_count(reads, 9)
+        slices = [list(piece) for piece in read_slices(reads, 9, 400)]
+        assert len(slices) > 8   # more slices than scratch runs: merges run
         for seed in (0, 7):
-            got = ooc_count(
-                reads, 9, n_bins=8, memory_bytes=400,
-                workdir=tmp_path / f"w{seed}",
-                flush_order=seeded_order(seed),
-                bin_order=lambda ids, s=seed: list(
-                    np.array(sorted(ids))[
-                        np.random.default_rng(s).permutation(len(ids))]),
-            )
+            np.random.default_rng(seed).shuffle(slices)
+            got = ooc_count([r for piece in slices for r in piece], 9,
+                            n_bins=8, memory_bytes=400,
+                            workdir=tmp_path / f"w{seed}")
             assert got == oracle
 
     def test_empty_input(self):
@@ -85,8 +93,8 @@ class TestLsmFusion:
                         store=store)
         assert got == oracle
         assert store.snapshot() == oracle
-        assert store.stats.bulk_loads >= 1
-        assert store.stats.flushes >= 1  # shared budget actually flushed
+        assert store.stats.bulk_loads == 1
+        assert store.n_runs == 1  # the whole count is one run
         store.close()
 
     def test_collect_false_store_is_only_output(self, tmp_path):
@@ -104,7 +112,7 @@ class TestLsmFusion:
 class TestCostCharging:
     def test_disk_traffic_is_charged(self, tmp_path):
         reads = make_reads()
-        stats = OocStats()
+        stats = OocCountStats()
         pe = PEStats(0)
         cost = CostModel(laptop())
         ooc_count(reads, 9, n_bins=8, memory_bytes=512,
@@ -124,19 +132,17 @@ class TestCostCharging:
 
 class TestHousekeeping:
     def test_bins_removed_by_default(self, tmp_path):
+        """The scratch runs (what n_bins bounds) are deleted once merged."""
+        stats = OocCountStats()
         ooc_count(make_reads(n=20), 9, n_bins=4, memory_bytes=512,
-                  workdir=tmp_path)
-        assert not list(tmp_path.glob("*.skb"))
+                  workdir=tmp_path, stats=stats)
+        assert stats.n_scratch_runs > 4   # merges ran before the last one
+        assert not list(tmp_path.iterdir())
 
-    def test_keep_bins(self, tmp_path):
-        ooc_count(make_reads(n=20), 9, n_bins=4, memory_bytes=512,
-                  workdir=tmp_path, keep_bins=True)
-        assert list(tmp_path.glob("*.skb"))
-
-    def test_bad_bin_order_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="permute"):
-            ooc_count(make_reads(n=20), 9, n_bins=4, workdir=tmp_path,
-                      bin_order=lambda ids: ids[:1] if len(ids) > 1 else ids)
+    @pytest.mark.parametrize("bad", [{"n_bins": 0}, {"memory_bytes": 0}])
+    def test_bad_fan_in_or_ceiling_rejected(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ooc_count(make_reads(n=5), 9, workdir=tmp_path, **bad)
 
     def test_count_bin_k_mismatch_raises(self, tmp_path):
         with BinWriter(tmp_path, 9, 4, 1, ceiling_bytes=1 << 20) as bw:

@@ -72,6 +72,16 @@ class TestSave:
         assert tsv.read_bytes()[:2] == b"\x1f\x8b"
         assert load_text(tsv) == load_counts(db)[0]
 
+    def test_empty_dump_round_trips_through_compare(self, tmp_path, capsys):
+        """Reads shorter than k count to nothing; the 0-row dump still
+        names its k, so ``compare`` reads it back."""
+        fastq = tmp_path / "short.fastq"
+        fastq.write_text("@r0\nACGTACGT\n+\nIIIIIIII\n")
+        tsv, db = tmp_path / "e.tsv.gz", tmp_path / "e.kdb"
+        assert main(["count", "--input", str(fastq), "-k", "15",
+                     "--output", str(tsv), "--save", str(db)]) == 0
+        assert main(["compare", str(tsv), str(db)]) == 0, capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_analyze_npz(self, db_paths, capsys):

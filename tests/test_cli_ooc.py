@@ -27,7 +27,7 @@ class TestOocCount:
         assert rc == 0
         out = capsys.readouterr().out
         assert "# verify:     bit-identical to in-memory count" in out
-        assert "B spilled" in out and "ceiling hits" in out
+        assert "B spilled" in out and "slices)" in out
 
     def test_dataset_replica(self, capsys):
         rc = main(["ooc-count", "--dataset", "synthetic-20", "-k", "15",
@@ -55,17 +55,23 @@ class TestOocCount:
         doc = json.loads(report.read_text())
         assert doc["verified"] is True
         assert doc["spill"]["bytes_reread"] == doc["spill"]["bytes_spilled"] > 0
-        assert doc["spill"]["n_ceiling_hits"] >= 1
+        assert doc["spill"]["n_slices"] >= 2
         assert doc["disk_time_s"] > 0
 
-    def test_keep_bins_and_workdir(self, tmp_path, fastq, capsys):
-        workdir = tmp_path / "bins"
+    def test_workdir_is_left_empty(self, tmp_path, fastq, capsys):
+        workdir = tmp_path / "scratch"
         rc = main(["ooc-count", "--input", fastq, "-k", "17",
-                   "--memory-mb", "0.002", "--workdir", str(workdir),
-                   "--keep-bins"])
+                   "--memory-mb", "0.002", "--workdir", str(workdir)])
         assert rc == 0
+        assert "scratch runs written" in capsys.readouterr().out
+        assert workdir.is_dir() and not list(workdir.iterdir())
+
+    def test_removed_options_are_refused(self, fastq, capsys):
+        for extra in (["-w", "5"], ["--keep-bins"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["ooc-count", "--input", fastq, "-k", "17", *extra])
+            assert exc.value.code == 2
         capsys.readouterr()
-        assert list(workdir.glob("bin-*.skb"))
 
     def test_canonical_verified(self, fastq, capsys):
         rc = main(["ooc-count", "--input", fastq, "-k", "17",

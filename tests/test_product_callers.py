@@ -60,6 +60,9 @@ TEST_REFERENCES = {
         "builds spill-bin chunks for the codec and corruption tests",
     "repro.ooc.format:unpack_superkmers":
         "decodes spill-bin chunks so tests can check what was spilled",
+    "repro.ooc.spill:seeded_order":
+        "the seeded flush policy the spill-bin pins run BinWriter under; "
+        "BinWriter stays only for the e2e benchmark's traced replay",
     "repro.runtime.conveyors:Conveyor.staged_bytes":
         "tests check the conveyor's staging ledger with it",
     "repro.runtime.memory:MemoryTracker.usage":
@@ -83,6 +86,12 @@ TEST_PARAMETERS = {
         "the multi-line FASTA parsing is checked against",
     "repro.trace.recorder:TraceRecorder(clock)":
         "fake: tests substitute a clock to pin the recorded timestamps",
+    "repro.ooc.spill:BinWriter(flush_order)":
+        "reference knob: the spill-bin pins and shuffled-flush tests of the "
+        "BinWriter the e2e benchmark's traced replay still calls",
+    "repro.ooc.count:count_bin(memory_bytes)":
+        "reference knob: the chunk-grouping tests of the count_bin the e2e "
+        "benchmark's traced replay still calls",
     "repro.dst.bundle:replay_bundle(registry)":
         "fake: DST's self-tests substitute a registry with an invariant "
         "that always fires",
@@ -94,6 +103,10 @@ BENCHMARK_PARAMETERS = {
     "repro.seq.encoding:encode_batch(validate)":
         "benchmarks/e2e/workloads.py passes validate=False; the e2e "
         "benchmark's files change only with the benchmark",
+    "repro.ooc.count:count_bin(canonical)":
+        "benchmarks/e2e/workloads.py passes canonical=True to the count_bin "
+        "its traced replay still calls; the e2e benchmark's files change "
+        "only with the benchmark",
 }
 
 _DEF = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -115,6 +128,19 @@ def _scan(source: str, *, is_init: bool = False):
     """
     defs, refs, calls = [], [], []
     callees = set()
+    tree = ast.parse(source)
+    # ``np.diff`` names numpy's function, not a definition called
+    # ``diff``: attributes of an imported outside module are skipped.
+    modules = {(a.asname or a.name).split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name.split(".")[0] != "repro"}
+
+    def on_module(node) -> bool:
+        if not isinstance(node, ast.Attribute):
+            return False
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in modules
 
     def visit(node, enclosing: frozenset, qual: str) -> None:
         for child in ast.iter_child_nodes(node):
@@ -142,19 +168,22 @@ def _scan(source: str, *, is_init: bool = False):
     def visit_node(node, enclosing: frozenset, qual: str) -> None:
         name = (node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute) else None)
-        if name is not None:
+        if on_module(node):
+            pass
+        elif name is not None:
             refs.append((name, enclosing))
             if id(node) not in callees:
                 calls.append((name, None, enclosing))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
             refs.append((node.value, enclosing))
-        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+        elif (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+              and not on_module(node.func)):
             callees.add(id(node.func))
             calls.append((getattr(node.func, "id", None) or node.func.attr, node, enclosing))
         visit(node, enclosing, qual)
 
-    visit(ast.parse(source), frozenset(), "")
+    visit(tree, frozenset(), "")
     return defs, refs, calls
 
 
@@ -290,6 +319,19 @@ def test_scan_flags_an_uncalled_definition():
     app = "from pkg.lib import used\nused()\n"
     assert _uncalled([("pkg.lib", lib, False), ("pkg", init, True),
                       (None, app, False)]) == ["pkg.lib:unused"]
+
+
+def test_scan_ignores_attributes_of_an_imported_module():
+    """``np.diff(a)`` calls numpy, not a method named ``diff``; ``obj.diff``
+    and a ``repro`` module's attribute still count."""
+    lib = ("class Table:\n    def diff(self, other=None):\n        pass\n\n"
+           "    def merge(self, other=None):\n        pass\n")
+    app = ("import numpy as np\nimport os.path\nimport repro.pkg.lib as lib\n"
+           "np.diff(np.arange(3))\nos.path.merge\nlib.Table\n")
+    assert _uncalled([("pkg.lib", lib, False), (None, app, False)]) == [
+        "pkg.lib:Table.diff", "pkg.lib:Table.merge"]
+    assert _parameters([("pkg.lib", lib, False), (None, app + "t.merge(1)\n", False)]
+                       )[0] == ["pkg.lib:Table.diff(other)"]
 
 
 def test_every_definition_has_a_product_caller():

@@ -17,6 +17,7 @@ from repro.xp.gate import gate_envelopes
 from repro.xp.ledger import Ledger
 from repro.xp.runner import run_spec
 from repro.xp.spec import ExperimentSpec, RepetitionPolicy, SweepSpec, save_spec
+from repro.xp.targets import TARGETS, TargetOutcome, XpTarget
 
 REPO = Path(__file__).parents[2]
 SMOKE_SPEC = str(REPO / "benchmarks" / "xp" / "smoke.json")
@@ -126,6 +127,27 @@ class TestXpCli:
         assert ci[0] <= ci[1]
         out = capsys.readouterr().out
         assert "ledger entry" in out
+
+    def test_run_names_each_failed_check_and_its_kind(self, tmp_path, monkeypatch,
+                                                       capsys):
+        """A failed wall-clock ratio is a cost check, not a wrong answer:
+        ``xp run`` names every failed check with its kind."""
+        def outcome(params):
+            return TargetOutcome(metrics={"value": 1.0},
+                                 checks={"exact": True, "sorted": False},
+                                 cost_checks={"fast": False, "cheap": True})
+
+        monkeypatch.setitem(TARGETS, "mixed-checks", XpTarget(
+            "mixed-checks", outcome, {"value": "lower"},
+            "fails one answer and one cost check"))
+        spec = save_spec(ExperimentSpec(
+            experiment="xp-kinds", target="mixed-checks", fixed={},
+            sweep=SweepSpec(), seed=0,
+            policy=RepetitionPolicy(warmup=0, repetitions=1)), tmp_path / "kinds.json")
+        assert main(["xp", "run", str(spec), "--no-ledger"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: cost check failed: fast (cell default)",
+                       "error: answer check failed: sorted (cell default)"]
 
     def test_gate_identical_rerun_exits_zero(self, tmp_path):
         args = self.ledger_args(tmp_path)
