@@ -323,7 +323,7 @@ class LsmStore:
             v.path.unlink(missing_ok=True)
         return merged
 
-    def load_runs(self, runs: list, *, chunk_keys: int) -> Run:
+    def load_runs(self, runs: list, *, chunk_keys: int) -> tuple[np.ndarray, np.ndarray]:
         """Bulk-load the k-way merge of sorted *runs* as one new run.
 
         The fusion point of out-of-core counting: :func:`repro.ooc.ooc_count`
@@ -333,17 +333,17 @@ class LsmStore:
         swap publishes it, through compaction's code and crash points: a
         crash before the swap leaves the store as it was, a crash after
         it holds the whole load.  No WAL is written — the caller's input
-        is the durable copy.
+        is the durable copy.  Returns the loaded ``(keys, counts)``:
+        views of the new run's mapping, valid even when the compaction
+        that may follow merges the run away.
         """
-        run = self._publish_merge(runs, [], 0, chunk_keys)
-        if self._listeners:
-            keys = run.load()[0]
-            for listener in self._listeners:
-                listener(keys)
+        loaded = self._publish_merge(runs, [], 0, chunk_keys).load()
+        for listener in self._listeners:
+            listener(loaded[0])
         self.stats.bulk_loads += 1
         if self.config.auto_compact:
             self.compact()
-        return run
+        return loaded
 
     # -- reads ---------------------------------------------------------
 

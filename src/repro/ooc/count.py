@@ -264,7 +264,7 @@ def ooc_count(
         if store is not None:
             loaded = store.load_runs(sources, chunk_keys=chunk_keys(sources))
             if collect:
-                result = KmerCounts(k, *(np.array(a) for a in loaded.load()))
+                result = KmerCounts(k, *(np.array(a) for a in loaded))
         else:
             chunks = merged_chunks(sources, chunk_keys(sources))
             if collect:

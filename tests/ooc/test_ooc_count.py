@@ -97,6 +97,21 @@ class TestLsmFusion:
         assert store.n_runs == 1  # the whole count is one run
         store.close()
 
+    def test_collected_even_when_compaction_merges_the_load_away(self, tmp_path):
+        """A tiny load into a store at its run bound is compacted at once;
+        the returned table is still the load's."""
+        reads = make_reads(n=40)
+        store = LsmStore(tmp_path / "db", 9, config=LsmConfig(
+            memtable_bytes=1, max_runs=2, fan_in=2))
+        for i in range(0, 20, 5):
+            store.ingest(reads[i:i + 5])
+        assert store.n_runs == 2
+        got = ooc_count(reads[20:21], 9, store=store)
+        assert store.stats.compactions >= 3   # the load's run was merged
+        assert got == serial_count(reads[20:21], 9)
+        assert store.snapshot() == serial_count(reads[:21], 9)
+        store.close()
+
     def test_collect_false_store_is_only_output(self, tmp_path):
         reads = make_reads(n=30)
         oracle = serial_count(reads, 9)
