@@ -275,8 +275,9 @@ def ooc_count(
                     pass   # no output: the merge only drains the scratch runs
         consumed(sources)
         return result
-    finally:
+    finally:   # after an error: no scratch run outlives the call
         for run in runs:
             run.close()
+            run.path.unlink(missing_ok=True)
         if tmp is not None:
             tmp.cleanup()

@@ -92,6 +92,7 @@ def test_recovery_during_a_bulk_load(tmp_path, small_reads, point):
                   workdir=tmp_path / "scratch", store=store, collect=False)
     assert crash.fired == [point]
     assert crash.hit_counts[point] == hits_before + 1   # the load's own traversal
+    assert not list((tmp_path / "scratch").iterdir())    # scratch runs cleaned up
 
     loaded = point == "compact.post_manifest"
     with LsmStore(path, config=CFG) as recovered:
