@@ -211,7 +211,7 @@ def ooc_count(
         slice does (the offers are read into memory: see StreamedRun)."""
         return max(1, memory_bytes // (4 * len(sources)))
 
-    def write(sources: list) -> Run:
+    def write(sources: list) -> StreamedRun:
         """Write one counted slice, or the merge of *sources*, as a scratch run."""
         path = scratch / f"scratch-{stats.n_scratch_runs:06d}.run"
         if len(sources) == 1:
