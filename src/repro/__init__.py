@@ -19,16 +19,14 @@ paper-vs-measured results.
 """
 
 from .api import ALGORITHMS, CountRun, count_kmers, load_reads, resolve_machine
-from .core import (
-    AggregationConfig,
-    BspConfig,
-    DakcConfig,
-    KmerCounts,
-    bsp_count,
-    dakc_count,
-    serial_count,
-)
-from .runtime import CostModel, MachineConfig, RunStats, laptop, phoenix_amd, phoenix_intel
+from .core.bsp import BspConfig, bsp_count
+from .core.dakc import DakcConfig, dakc_count
+from .core.l2l3 import AggregationConfig
+from .core.result import KmerCounts
+from .core.serial import serial_count
+from .runtime.cost import CostModel
+from .runtime.machine import MachineConfig, laptop, phoenix_amd, phoenix_intel
+from .runtime.stats import RunStats
 from .seq import DatasetSpec, Workload, materialize
 
 __version__ = "1.0.0"

@@ -21,8 +21,9 @@ The verbs are the tools that produce or read an artefact:
 * ``dst``      — deterministic simulation testing: ``run`` a fuzz
   campaign, ``replay`` a repro bundle.
 * ``trace``    — query-trace tooling (repro.trace): ``record`` a served
-  workload, ``profile`` its exact LRU miss-ratio curve, ``sample`` it
-  spatially/temporally, ``replay`` it bit-identically.
+  workload, ``profile`` the exact miss-ratio curve of its threshold-
+  admission cache, ``sample`` it spatially/temporally, ``replay`` it
+  bit-identically.
 * ``xp``       — declarative experiments (repro.xp): ``run`` a spec's
   sweep under its warmup/repetition policy, ``gate`` it against the
   ledger baseline with Mann-Whitney + minimum-effect thresholds,
@@ -816,7 +817,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dst_run(args) -> int:
-    from .dst import dst_run, format_dst_report
+    from .dst.runner import dst_run, format_dst_report
 
     report = dst_run(budget=args.budget, seed=args.seed,
                      shrink=not args.no_shrink, out_dir=args.out)
@@ -827,7 +828,7 @@ def _cmd_dst_run(args) -> int:
 
 
 def _cmd_dst_replay(args) -> int:
-    from .dst import load_bundle, replay_bundle
+    from .dst.bundle import load_bundle, replay_bundle
 
     bundle = load_bundle(args.bundle)
     trajectory = replay_bundle(bundle)

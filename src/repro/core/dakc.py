@@ -9,17 +9,14 @@ DAKC needs exactly **three** global synchronisations (start, inter-
 phase, end) regardless of input size — the heart of its advantage over
 the BSP baselines whose collective count grows as ``mn / bP``.
 
-Two execution modes share all routing/aggregation semantics:
-
-* ``mode="fast"`` — vectorised (:class:`~repro.core.l2l3.BulkAggregator`),
-  for real workloads;
-* ``mode="exact"`` — per-element Algorithm 4 on the cooperative actor
-  runtime (:class:`~repro.core.l2l3.ExactAggregator`), for tests and
-  small runs.
-
-Both return identical :class:`~repro.core.result.KmerCounts` (property-
-tested) and populate a :class:`~repro.runtime.stats.RunStats` with the
-measured communication behaviour and the simulated time.
+There is one execution path: each source PE's k-mers go through the
+vectorised :class:`~repro.core.l2l3.BulkAggregator`, and receivers
+drain lazily through one busy-period charge per destination
+(:func:`_charge_receives`), which stands in for HClib-Actor's
+interleaving of message handling with source work.  The per-element
+transcription of Algorithm 4 on a cooperative actor scheduler is the
+tests' reference (``tests/dakc_reference.py``): it must deliver the
+same counts and the same wire counters.
 
 The run's opening, read split, parse and close are the shared skeleton
 of :mod:`repro.core.phases`; this module holds what DAKC adds — the
@@ -35,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..runtime.actor import Actor, ActorRuntime
 from ..runtime.cache import CacheAccounting
 from ..runtime.conveyors import Conveyor, PacketGroup
 from ..runtime.cost import CostModel
@@ -46,8 +42,7 @@ from ..runtime.topology import make_topology
 from ..seq.kmers import check_k, count_owned_kmers, kmer_width_bits
 from ..sort.accumulate import accumulate_weighted
 from ..sort.radix import effective_msd_passes
-from .l2l3 import (AggregationConfig, BulkAggregator, ExactAggregator, receive_service_time,
-                   receive_service_times)
+from .l2l3 import AggregationConfig, BulkAggregator, receive_service_times
 from .owner import by_owner, owner_pe
 from .phases import SimRun, n_bases, parse_kmers, split_reads
 from .result import KmerCounts
@@ -55,7 +50,7 @@ from .result import KmerCounts
 __all__ = ["DakcConfig", "dakc_count", "dakc_count_big", "open_conveyor",
            "DeliveryIntegrityError"]
 
-#: k-mers fed to the aggregator per cooperative step (fast mode).
+#: k-mers fed to the aggregator per call.
 PARSE_CHUNK: int = 65_536
 
 
@@ -67,12 +62,7 @@ class DakcConfig:
     c0_bytes: int = L0_BUFFER_BYTES
     c1_packets: int = 1024
     agg: AggregationConfig = field(default_factory=AggregationConfig)
-    mode: str = "fast"  # "fast" | "exact"
     canonical: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("fast", "exact"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def open_conveyor(run: SimRun, config: DakcConfig, factory=None) -> Conveyor:
@@ -82,56 +72,6 @@ def open_conveyor(run: SimRun, config: DakcConfig, factory=None) -> Conveyor:
         run.cost, run.stats, make_topology(config.protocol, run.n_pes), run.memory,
         c0_bytes=config.c0_bytes, c1_packets=config.c1_packets,
     )
-
-
-class _DakcActor(Actor):
-    """Exact-mode PE: parses one read per step through Algorithm 4."""
-
-    def __init__(
-        self,
-        pe: int,
-        reads: np.ndarray | list,
-        k: int,
-        agg: ExactAggregator,
-        cost: CostModel,
-        stats: RunStats,
-        canonical: bool,
-    ) -> None:
-        super().__init__(pe)
-        self.reads = reads
-        self.k = k
-        self.agg = agg
-        self.cost = cost
-        self.stats = stats
-        self.canonical = canonical
-        self._next = 0
-        self._flushed = False
-        self.received: list[PacketGroup] = []
-
-    def step(self) -> bool:
-        n = len(self.reads)
-        if self._next >= n:
-            if not self._flushed:
-                self.agg.flush()
-                self._flushed = True
-            return False
-        row = self.reads[self._next]
-        self._next += 1
-        codes = np.asarray(row, dtype=np.uint8)
-        kmers = parse_kmers([codes], self.k, self.canonical)
-        pe_stats = self.stats.pe[self.pe]
-        pe_stats.kmers_generated += int(kmers.size)
-        self.cost.charge_compute(pe_stats, int(kmers.size))
-        self.cost.charge_mem(pe_stats, int(codes.size))
-        for kmer in kmers.tolist():
-            self.agg.add_kmer(kmer)
-        # Stay active until the exhausted branch has flushed the
-        # aggregation buffers (next call).
-        return True
-
-    def on_message(self, group: PacketGroup, arrival: float) -> float:
-        self.received.append(group)
-        return receive_service_time(self.cost, group)
 
 
 def _phase2(
@@ -197,7 +137,6 @@ def dakc_count(
     config: DakcConfig | None = None,
     *,
     conveyor_factory=None,
-    runtime_factory=None,
     interphase_hook=None,
 ) -> tuple[KmerCounts, RunStats]:
     """Count k-mers with DAKC on the simulated machine.
@@ -219,11 +158,6 @@ def dakc_count(
         with the same positional/keyword arguments.  Used by
         :mod:`repro.fault` to substitute fault-injecting or reliable
         conveyor engines.
-    runtime_factory:
-        Optional replacement for the stock :class:`ActorRuntime`
-        (exact mode only) — called as ``factory(cost, stats,
-        conveyor)``.  Used by :mod:`repro.dst` to install step-order
-        and mailbox-order scheduling hooks.
     interphase_hook:
         Optional ``hook(conveyor, stats)`` invoked at the inter-phase
         barrier, after Phase 1 settles and *before* the delivery
@@ -245,22 +179,9 @@ def dakc_count(
 
     run.barrier()  # sync 1: all PEs enter the counting kernel
 
-    if config.mode == "exact":
-        aggs = [
-            ExactAggregator(pe, config.agg, conveyor, cost, k=k)
-            for pe in range(n_pes)
-        ]
-        actors = [
-            _DakcActor(pe, per_pe_reads[pe], k, aggs[pe], cost, stats, config.canonical)
-            for pe in range(n_pes)
-        ]
-        make_runtime = runtime_factory if runtime_factory is not None else ActorRuntime
-        runtime = make_runtime(cost, stats, conveyor)
-        runtime.run_until_quiescent(actors)  # includes sync 2
-    else:
-        _run_phase1_fast(per_pe_reads, k, cost, stats, conveyor, config)
-        _charge_receives(cost, stats, conveyor)
-        run.barrier()  # sync 2: inter-phase barrier
+    _run_phase1(per_pe_reads, k, cost, stats, conveyor, config)
+    _charge_receives(cost, stats, conveyor)
+    run.barrier()  # sync 2: inter-phase barrier
 
     stats.phase1_time = stats.max_clock
 
@@ -274,7 +195,7 @@ def dakc_count(
         for dst in range(n_pes)
     ]
     # sync 3 (end of the kernel) is the run's exit barrier.
-    return run.finish(k, results, protocol=config.protocol, mode=config.mode)
+    return run.finish(k, results, protocol=config.protocol)
 
 
 def dakc_count_big(
@@ -322,7 +243,7 @@ def dakc_count_big(
     return run.finish(k, results)
 
 
-def _run_phase1_fast(
+def _run_phase1(
     per_pe_reads: list,
     k: int,
     cost: CostModel,

@@ -14,17 +14,11 @@ This is the heart of DAKC's communication design (Section IV):
   so the 32-bit routing header of the 2D/3D protocols is paid once per
   packet rather than once per 8-byte k-mer.
 
-Both layers exist in two implementations with identical semantics and
-identical flush statistics:
-
-* :class:`BulkAggregator` — vectorised, array-at-a-time (the fast
-  path used for real workloads);
-* :class:`ExactAggregator` — a literal per-element transcription of
-  Algorithm 4 (``AddToL3Buffer`` / ``AddToL2Buffer``), used by tests
-  and the exact execution mode.
-
-Property tests assert the two produce the same delivered multiset and
-the same packet/flush counts on identical streams.
+:class:`BulkAggregator` runs both layers array-at-a-time.  The tests
+hold a literal per-element transcription of Algorithm 4
+(``AddToL3Buffer`` / ``AddToL2Buffer``) as its reference and assert
+the same delivered multiset and the same packet/flush counts on
+identical streams.
 """
 
 from __future__ import annotations
@@ -43,12 +37,11 @@ from ..runtime.cost import (
     CostModel,
 )
 from ..sort.radix import effective_msd_passes, radix_passes_for_bits
-from .owner import owner_pe, owner_pe_scalar, owner_split
+from .owner import owner_pe, owner_split
 
 __all__ = [
     "AggregationConfig",
     "BulkAggregator",
-    "ExactAggregator",
     "receive_service_time",
     "receive_service_times",
 ]
@@ -382,129 +375,3 @@ def _concat(*parts):
     """``(groups, n_packets)`` parts, one after the other."""
     groups, n_packets = zip(*parts)
     return list(chain.from_iterable(groups)), np.concatenate(n_packets)
-
-
-class ExactAggregator:
-    """Per-element transcription of Algorithm 4 (tests / exact mode).
-
-    Follows the pseudocode line by line: ``AddToL3Buffer`` fills a
-    single list to exactly ``C3`` before sort+accumulate;
-    ``AddToL2Buffer`` appends to per-destination lists, flushing at
-    exactly ``C2`` elements (NORMAL) or ``C2/2`` pairs (HEAVY).
-    """
-
-    def __init__(
-        self,
-        src: int,
-        config: AggregationConfig,
-        conveyor: Conveyor,
-        cost: CostModel,
-        *,
-        k: int = 31,
-    ) -> None:
-        self.src = src
-        self.config = config
-        self.conveyor = conveyor
-        self.n_pes = cost.n_pes
-        self.k = k
-        self._stats = conveyor.stats.pe[src]
-        self._l3: list[int] = []
-        self._l2n: list[list[int]] = [[] for _ in range(self.n_pes)]
-        self._l2h: list[list[tuple[int, int]]] = [[] for _ in range(self.n_pes)]
-
-    def add_kmer(self, kmer: int) -> None:
-        """``AsyncAdd``'s send half for a single k-mer."""
-        cfg = self.config
-        if not cfg.enable_l3:
-            self._add_to_l2(int(kmer), 1)
-            return
-        self._l3.append(int(kmer))
-        if len(self._l3) == cfg.c3:
-            self._process_l3()
-
-    def _process_l3(self) -> None:
-        self._stats.l3_flushes += 1
-        self._l3.sort()
-        # Accumulate the sorted buffer.
-        runs: list[tuple[int, int]] = []
-        for kmer in self._l3:
-            if runs and runs[-1][0] == kmer:
-                runs[-1] = (kmer, runs[-1][1] + 1)
-            else:
-                runs.append((kmer, 1))
-        self._l3 = []
-        for kmer, count in runs:
-            self._add_to_l2(kmer, count)
-
-    def _add_to_l2(self, kmer: int, count: int) -> None:
-        """``AddToL2Buffer`` of Algorithm 4."""
-        cfg = self.config
-        dst = owner_pe_scalar(kmer, self.n_pes)
-        if not cfg.enable_l2:
-            self._stats.normal_elements_sent += count
-            for _ in range(count):
-                self._emit_packet(dst, "NORMAL", [kmer], None)
-            return
-        if count > cfg.heavy_threshold:
-            self._stats.heavy_pairs_sent += 1
-            self._l2h[dst].append((kmer, count))
-            if len(self._l2h[dst]) == cfg.l2h_capacity_pairs:
-                pairs = self._l2h[dst]
-                self._l2h[dst] = []
-                self._emit_packet(
-                    dst, "HEAVY", [p[0] for p in pairs], [p[1] for p in pairs]
-                )
-        else:
-            # count <= threshold: append `count` occurrences.
-            self._stats.normal_elements_sent += count
-            for _ in range(count):
-                self._l2n[dst].append(kmer)
-                if len(self._l2n[dst]) == cfg.c2:
-                    elems = self._l2n[dst]
-                    self._l2n[dst] = []
-                    self._emit_packet(dst, "NORMAL", elems, None)
-
-    def flush(self) -> None:
-        cfg = self.config
-        if cfg.enable_l3 and self._l3:
-            self._stats.l3_flushes += 1
-            self._l3.sort()
-            runs: list[tuple[int, int]] = []
-            for kmer in self._l3:
-                if runs and runs[-1][0] == kmer:
-                    runs[-1] = (kmer, runs[-1][1] + 1)
-                else:
-                    runs.append((kmer, 1))
-            self._l3 = []
-            for kmer, count in runs:
-                self._add_to_l2(kmer, count)
-        for dst in range(self.n_pes):
-            if self._l2n[dst]:
-                elems = self._l2n[dst]
-                self._l2n[dst] = []
-                self._emit_packet(dst, "NORMAL", elems, None)
-            if self._l2h[dst]:
-                pairs = self._l2h[dst]
-                self._l2h[dst] = []
-                self._emit_packet(
-                    dst, "HEAVY", [p[0] for p in pairs], [p[1] for p in pairs]
-                )
-
-    def _emit_packet(
-        self, dst: int, kind: str, kmers: list[int], counts: list[int] | None
-    ) -> None:
-        self._stats.l2_flushes += 1
-        k_arr = np.asarray(kmers, dtype=np.uint64)
-        c_arr = None if counts is None else np.asarray(counts, dtype=np.int64)
-        per_elem = self.config.elem_bytes * (2 if kind == "HEAVY" else 1)
-        self.conveyor.inject(
-            PacketGroup(
-                src=self.src,
-                dst=dst,
-                kind=kind,
-                kmers=k_arr,
-                counts=c_arr,
-                n_packets=1,
-                payload_bytes=int(k_arr.size) * per_elem,
-            )
-        )

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["splitmix64", "splitmix64_inverse", "owner_pe", "owner_pe_scalar",
-           "owner_split", "by_owner"]
+__all__ = ["splitmix64", "splitmix64_inverse", "owner_pe", "owner_split", "by_owner"]
 
 _C1 = np.uint64(0x9E3779B97F4A7C15)
 _C2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -83,13 +82,6 @@ def owner_pe(kmers: np.ndarray, p: int) -> np.ndarray:
     if kmers.ndim == 2:
         kmers = kmers[:, 0] ^ splitmix64(kmers[:, 1])
     return (splitmix64(kmers) % np.uint64(p)).astype(np.int64)
-
-
-def owner_pe_scalar(kmer: int, p: int) -> int:
-    """Scalar reference of :func:`owner_pe` (Algorithm 2's OwnerPE)."""
-    if p < 1:
-        raise ValueError("P must be >= 1")
-    return int(splitmix64(int(kmer)) % p)
 
 
 def owner_split(owners: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ from ..runtime.machine import MachineConfig
 from ..runtime.stats import RunStats
 from ..seq.kmers import check_k
 from ..sort.accumulate import accumulate_weighted
-from .dakc import DakcConfig, DeliveryIntegrityError, _run_phase1_fast, open_conveyor
+from .dakc import DakcConfig, DeliveryIntegrityError, _run_phase1, open_conveyor
 from .l2l3 import receive_service_time
 from .phases import SimRun, split_reads
 from .result import KmerCounts
@@ -113,15 +113,13 @@ def dakc_overlap_count(
     """
     check_k(k)
     config = config or DakcConfig()
-    if config.mode != "fast":
-        raise ValueError("dakc_overlap_count supports fast mode only")
     run = SimRun(cost)
     cost, stats, n_pes = run.cost, run.stats, run.n_pes
     conveyor = open_conveyor(run, config)
 
     run.barrier()  # sync 1: entry
 
-    _run_phase1_fast(split_reads(reads, n_pes), k, cost, stats, conveyor, config)
+    _run_phase1(split_reads(reads, n_pes), k, cost, stats, conveyor, config)
 
     # Fold deliveries into per-owner sorted sets, charging each
     # delivery's insert inside its lazy-queue service time.

@@ -2,14 +2,14 @@
 
 FoundationDB-style testing discipline applied to the reproduction:
 every source of nondeterminism in a test run — RNG streams, conveyor
-drain order, actor mailbox and step order, fault plans (PE crashes
-included), LSM crash points, cluster membership timing — is owned by one seeded
+drain order, fault plans (PE crashes included), out-of-core slice
+order, LSM crash points, cluster membership timing — is owned by one seeded
 :class:`Simulation`, making ``seed -> trajectory`` a pure function.
 On top of that:
 
 * :mod:`~repro.dst.schedule` — the :class:`Schedule` (one point in the
   nondeterminism space) and the :class:`ScheduleFuzzer` that sweeps
-  drain/mailbox permutations crossed with fault plans, crash-point
+  drain permutations crossed with fault plans, crash-point
   products and membership scripts;
 * :mod:`~repro.dst.invariants` — a pluggable registry of checkers
   (serial-oracle multiset equality, packet conservation, crash
@@ -25,30 +25,3 @@ On top of that:
 * :mod:`~repro.dst.runner` — the fuzz campaign driver behind
   ``dakc dst run`` and the ``dst-sweep`` xp target.
 """
-
-from .bundle import ReproBundle, load_bundle, replay_bundle, save_bundle
-from .invariants import Invariant, InvariantRegistry, Violation, default_registry
-from .runner import DstReport, dst_run, format_dst_report
-from .schedule import Schedule, ScheduleFuzzer
-from .shrink import shrink_failure
-from .sim import SimConfig, Simulation, Trajectory
-
-__all__ = [
-    "Schedule",
-    "ScheduleFuzzer",
-    "Invariant",
-    "InvariantRegistry",
-    "Violation",
-    "default_registry",
-    "SimConfig",
-    "Simulation",
-    "Trajectory",
-    "shrink_failure",
-    "ReproBundle",
-    "save_bundle",
-    "load_bundle",
-    "replay_bundle",
-    "DstReport",
-    "dst_run",
-    "format_dst_report",
-]

@@ -2,8 +2,8 @@
 
 A :class:`Schedule` pins down everything a production run would leave
 to chance — which faults fire, in what order messages pop off the
-drain heap, how actor mailboxes interleave, where the LSM store
-crashes, when cluster nodes churn.  Replaying the same schedule over
+drain heap, in what order out-of-core slices are counted, where the
+LSM store crashes, when cluster nodes churn.  Replaying the same schedule over
 the same input is guaranteed to retrace the same trajectory, which is
 what makes a fuzz-found failure a unit test instead of a war story.
 
@@ -16,7 +16,7 @@ schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,8 +35,6 @@ class Schedule:
     #: Root seed: input data, query streams and ring placement derive
     #: from it through spawned child streams.
     seed: int = 0
-    #: DAKC execution mode ("fast" vectorised / "exact" actor loop).
-    mode: str = "fast"
     #: Conveyors virtual topology (1D / 2D / 3D).
     protocol: str = "1D"
     #: Run the reliability layer over the (possibly faulty) wire.
@@ -44,9 +42,6 @@ class Schedule:
     #: Permutation stream for the conveyor drain heap (None = arrival
     #: order, the production behaviour).
     drain_seed: int | None = None
-    #: Permutation streams for the actor runtime (exact mode only).
-    mailbox_seed: int | None = None
-    step_seed: int | None = None
     #: Permutation stream for out-of-core counting: the order in which
     #: the ceiling-sized slices are counted into scratch runs and so
     #: reach the merges (None = input order, the production behaviour).
@@ -78,8 +73,6 @@ class Schedule:
     scaler_cold: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("fast", "exact"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.crash_point is not None and self.crash_point not in CRASH_POINTS:
             raise ValueError(f"unknown crash point {self.crash_point!r}")
         if self.crash_nth < 1:
@@ -121,12 +114,9 @@ class Schedule:
         """JSON-friendly encoding (repro bundles, digests)."""
         return {
             "seed": self.seed,
-            "mode": self.mode,
             "protocol": self.protocol,
             "protect": self.protect,
             "drain_seed": self.drain_seed,
-            "mailbox_seed": self.mailbox_seed,
-            "step_seed": self.step_seed,
             "spill_seed": self.spill_seed,
             "plan": None if self.plan is None else self.plan.to_doc(),
             "crash_point": self.crash_point,
@@ -144,16 +134,25 @@ class Schedule:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Schedule":
-        """Rebuild a schedule from :meth:`to_doc` output."""
+        """Rebuild a schedule from :meth:`to_doc` output.
+
+        A field the schedule does not have is refused unless it is null
+        or ``mode`` is ``"fast"``: bundles recorded while DAKC also ran
+        an actor-scheduled exact mode carry ``mode`` and two actor
+        permutation seeds, and replaying one of those on the one path
+        left would retrace a different trajectory.
+        """
+        known = {f.name for f in fields(cls)}
+        for name, value in doc.items():
+            if name not in known and value is not None and (name, value) != ("mode", "fast"):
+                raise ValueError(f"schedule field {name!r} = {value!r} is not replayable: "
+                                 "this version has no such setting")
         plan = doc.get("plan")
         return cls(
             seed=int(doc.get("seed", 0)),
-            mode=str(doc.get("mode", "fast")),
             protocol=str(doc.get("protocol", "1D")),
             protect=bool(doc.get("protect", True)),
             drain_seed=doc.get("drain_seed"),
-            mailbox_seed=doc.get("mailbox_seed"),
-            step_seed=doc.get("step_seed"),
             spill_seed=doc.get("spill_seed"),
             plan=None if plan is None else FaultPlan.from_doc(plan),
             crash_point=doc.get("crash_point"),
@@ -171,13 +170,11 @@ class Schedule:
         )
 
     def describe(self) -> str:
-        parts = [f"seed={self.seed}", self.mode, self.protocol]
+        parts = [f"seed={self.seed}", self.protocol]
         if not self.protect:
             parts.append("bare")
         if self.drain_seed is not None:
             parts.append("drain-permuted")
-        if self.mailbox_seed is not None or self.step_seed is not None:
-            parts.append("actor-permuted")
         if self.spill_seed is not None:
             parts.append("spill-permuted")
         if self.plan is not None and not self.plan.benign:
@@ -217,7 +214,6 @@ class ScheduleFuzzer:
     n_nodes: int = 4
     rf: int = 2
     n_batches: int = 4
-    modes: tuple[str, ...] = ("fast", "exact")
     protocols: tuple[str, ...] = ("1D", "2D")
     crash_points: tuple[str, ...] = field(default=CRASH_POINTS)
 
@@ -227,7 +223,6 @@ class ScheduleFuzzer:
         if index == 0:
             return Schedule(seed=child)
         rng = np.random.default_rng(child)
-        mode = str(rng.choice(self.modes))
         protocol = str(rng.choice(self.protocols))
         protect = bool(rng.random() < 0.7)
         plan = None
@@ -236,12 +231,6 @@ class ScheduleFuzzer:
             if plan.benign:
                 plan = None
         drain_seed = int(rng.integers(1 << 63)) if rng.random() < 0.6 else None
-        mailbox_seed = step_seed = None
-        if mode == "exact":
-            if rng.random() < 0.6:
-                mailbox_seed = int(rng.integers(1 << 63))
-            if rng.random() < 0.6:
-                step_seed = int(rng.integers(1 << 63))
         crash_point = None
         crash_nth = 1
         if rng.random() < 0.5:
@@ -285,12 +274,9 @@ class ScheduleFuzzer:
                            crash_pes=crash_pes)
         return Schedule(
             seed=child,
-            mode=mode,
             protocol=protocol,
             protect=protect,
             drain_seed=drain_seed,
-            mailbox_seed=mailbox_seed,
-            step_seed=step_seed,
             spill_seed=spill_seed,
             plan=plan,
             crash_point=crash_point,

@@ -99,8 +99,6 @@ def _simplify_schedule(sim: Simulation, schedule: Schedule,
         {"membership": ()},
         {"drain_seed": None},
         {"spill_seed": None},
-        {"mailbox_seed": None, "step_seed": None},
-        {"mode": "fast", "mailbox_seed": None, "step_seed": None},
         {"protocol": "1D"},
         {"protect": True},
         {"tenant_weights": (), "tenant_rates": (), "tenant_quantum": 0},

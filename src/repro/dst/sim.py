@@ -4,7 +4,7 @@ Runs a schedule through the five stateful layers of the stack —
 
 * **runtime**: ``dakc_count`` on the simulated machine under the
   schedule's fault plan (PE crashes included, restored from a
-  checkpoint when protected), wire ordering and actor interleaving —
+  checkpoint when protected) and wire ordering —
   through :func:`run_runtime`, which the ``dst-sweep`` target's cost
   section uses too;
 * **lsm**: durable ingest of the same reads through an
@@ -51,7 +51,6 @@ from ..fault.reliability import (DEFAULT_MAX_ROUNDS, ReliabilityError,
                                  ReliableConveyor)
 from ..lsm.crash import UNACKED_POINTS, CrashPoints, SimulatedCrash
 from ..lsm.store import LsmConfig, LsmStore
-from ..runtime.actor import ActorRuntime
 from ..runtime.conveyors import Conveyor
 from ..runtime.cost import CostModel
 from ..runtime.machine import laptop
@@ -236,26 +235,6 @@ def run_runtime(schedule: Schedule, reads, k: int, cost: CostModel, *,
         holder["conveyor"] = conv
         return conv
 
-    runtime_factory = None
-    if schedule.mode == "exact" and (schedule.step_seed is not None
-                                     or schedule.mailbox_seed is not None):
-        step_rng = np.random.default_rng(schedule.step_seed or 0)
-        box_rng = np.random.default_rng(schedule.mailbox_seed or 0)
-        step_order = None
-        if schedule.step_seed is not None:
-            def step_order(round_no, n_pes):
-                return [int(p) for p in step_rng.permutation(n_pes)]
-        mailbox_order = None
-        if schedule.mailbox_seed is not None:
-            def mailbox_order(pe, pending):
-                order = box_rng.permutation(len(pending))
-                return [pending[i] for i in order]
-
-        def runtime_factory(cost, stats, conveyor):
-            return ActorRuntime(cost, stats, conveyor,
-                                step_order=step_order,
-                                mailbox_order=mailbox_order)
-
     barrier: dict = {}
 
     def interphase_hook(conveyor, stats):
@@ -283,9 +262,8 @@ def run_runtime(schedule: Schedule, reads, k: int, cost: CostModel, *,
     try:
         counts, stats = dakc_count(
             reads, k, cost,
-            DakcConfig(protocol=schedule.protocol, mode=schedule.mode),
+            DakcConfig(protocol=schedule.protocol),
             conveyor_factory=conveyor_factory,
-            runtime_factory=runtime_factory,
             interphase_hook=interphase_hook,
         )
     except (DeliveryIntegrityError, ReliabilityError) as exc:
@@ -338,7 +316,6 @@ class Simulation:
             **barrier,
         }
         events = {
-            "mode": schedule.mode,
             "protocol": schedule.protocol,
             "error": run.error,
             "counts": None if counts is None else _counts_fingerprint(counts),

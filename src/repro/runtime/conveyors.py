@@ -7,8 +7,7 @@ DeVinney) and the HClib-Actor staging layer on the simulated machine:
   topology (1D: per destination; 2D/3D: per row/column neighbour);
 * application payloads arrive as :class:`PacketGroup`\\ s — one group
   represents ``n_packets`` consecutive wire packets to the same final
-  destination (the exact path injects single-packet groups; the
-  vectorised path injects one group per flushed L2 buffer);
+  destination (the L2 layer injects one group per flushed buffer);
 * a batch of groups is staged in one pass (:meth:`Conveyor.inject_many`):
   per next hop the L0 fill and L1 count are cumsums, and the sender's
   clock advances through one :class:`~repro.runtime.cost.ClockLedger`;
@@ -135,7 +134,7 @@ class Conveyor:
         self.delivered: list[list[tuple[float, PacketGroup]]] = [
             [] for _ in range(cost.n_pes)
         ]
-        #: Elements handed to :meth:`inject` by the application (relays
+        #: Elements handed to :meth:`inject_many` by the application (relays
         #: and retransmissions are not re-counted) — one side of the
         #: packet-conservation ledger checked by :mod:`repro.dst`.
         self.injected_elements: int = 0
@@ -153,10 +152,6 @@ class Conveyor:
         if self.topology.needs_header:
             return group.payload_bytes + group.n_packets * HEADER_BYTES
         return group.payload_bytes
-
-    def inject(self, group: PacketGroup) -> None:
-        """Inject one group at its source PE (application send)."""
-        self.inject_many(group.src, [group])
 
     def inject_many(
         self,

@@ -20,7 +20,7 @@ quotas, priorities, and SLOs.  The layer adds four mechanisms to
 
 :mod:`repro.tenant.bench` runs the antagonist-vs-victim isolation
 experiment behind the ``tenant-bench`` xp target.
-Every scheduling knob is carried by :class:`repro.dst.Schedule`, and
+Every scheduling knob is carried by :class:`repro.dst.schedule.Schedule`, and
 the DST harness fuzzes the `no-starvation` and `fair-share`
 invariants over it.  See ``docs/TENANCY.md``.
 """

@@ -66,7 +66,7 @@ def small_reads() -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def tiny_reads() -> np.ndarray:
-    """~30 reads x 60 bp — small enough for exact-mode DAKC."""
+    """~30 reads x 60 bp — small enough for the per-element reference DAKC."""
     genome = uniform_genome(1_500, seed=9)
     cfg = ReadSimConfig(read_len=60, n_reads=30, error_rate=0.0, seed=9)
     return simulate_reads(genome, cfg)

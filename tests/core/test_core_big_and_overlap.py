@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import count_kmers
-from repro.core.dakc import DakcConfig, dakc_count, dakc_count_big
+from repro.core.dakc import dakc_count, dakc_count_big
 from repro.core.owner import owner_pe
 from repro.core.result import KmerCounts
 from repro.core.serial import serial_count, serial_count_oracle
@@ -189,11 +189,6 @@ class TestOverlapVariant:
         ref = serial_count(heavy_reads, 15)
         got, _ = dakc_overlap_count(heavy_reads, 15, cost_model())
         assert got == ref
-
-    def test_exact_mode_rejected(self, tiny_reads):
-        with pytest.raises(ValueError):
-            dakc_overlap_count(tiny_reads, 9, cost_model(),
-                               DakcConfig(mode="exact"))
 
     def test_stats_mode_tag(self, tiny_reads):
         _, stats = dakc_overlap_count(tiny_reads, 9, cost_model(p=4, nodes=2))

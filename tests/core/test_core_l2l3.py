@@ -9,17 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.l2l3 import (
-    AggregationConfig,
-    BulkAggregator,
-    ExactAggregator,
-    receive_service_time,
-)
+from repro.core.l2l3 import AggregationConfig, BulkAggregator, receive_service_time
 from repro.runtime.conveyors import Conveyor
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import laptop
 from repro.runtime.stats import RunStats
 from repro.runtime.topology import make_topology
+
+from dakc_reference import ExactAggregator
 
 
 def build(p=4, nodes=2, cfg=None, c0=512):
@@ -176,7 +173,8 @@ class TestExactAggregator:
 
 
 class TestParity:
-    """Exact and vectorised paths must agree on results AND statistics."""
+    """The per-element reference and the vectorised aggregator must agree
+    on results AND statistics."""
 
     @given(kmer_streams, st.integers(2, 12), st.integers(4, 40))
     def test_full_parity(self, values, c2, c3):

@@ -23,6 +23,8 @@ from repro.core.sortedset import dakc_overlap_count
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import laptop
 
+from dakc_reference import dakc_count_reference
+
 K = 21
 BIG_K = 41
 
@@ -44,7 +46,8 @@ def _bsp(**kw):
 COUNTERS = {
     "dakc-1d": _dakc(),
     "dakc-2d": _dakc(protocol="2D"),
-    "dakc-exact": _dakc(mode="exact"),
+    "dakc-exact": lambda reads, canonical: dakc_count_reference(
+        reads, K, _cost(), DakcConfig(canonical=canonical)),
     "dakc-overlap": lambda reads, canonical: dakc_overlap_count(
         reads, K, _cost(), DakcConfig(canonical=canonical)),
     "bsp-blocking": _bsp(batch_size=500),

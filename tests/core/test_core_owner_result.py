@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.owner import by_owner, owner_pe, owner_pe_scalar, owner_split, splitmix64
+from repro.core.owner import by_owner, owner_pe, owner_split, splitmix64
 from repro.core.result import KmerCounts, probe_sorted
 from repro.seq.superkmers import partition_superkmers, split_superkmers_batch
+
+from dakc_reference import owner_pe_scalar
 
 kmer_arrays = st.lists(
     st.integers(min_value=0, max_value=2**64 - 1), min_size=0, max_size=300

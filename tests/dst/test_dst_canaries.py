@@ -129,7 +129,7 @@ def test_canary_torn_record_handed_out_is_caught():
             yield payload, pos  # no length check, no CRC check
 
     with patch.object(Framing, "records", lenient_records):
-        index, trajectory = _hunt(4)
+        index, trajectory = _hunt(8)
     assert index is not None
     assert trajectory.schedule.crash_point == "wal.mid_append"
     assert any(v.invariant == "wal-recovery" for v in trajectory.violations)

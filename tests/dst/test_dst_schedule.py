@@ -18,12 +18,9 @@ class TestSchedule:
     def test_roundtrip_fully_loaded(self):
         s = Schedule(
             seed=9,
-            mode="exact",
             protocol="2D",
             protect=False,
             drain_seed=11,
-            mailbox_seed=13,
-            step_seed=17,
             spill_seed=19,
             plan=FaultPlan(seed=3, drop_prob=0.01, straggler_pes=(1,),
                            straggler_factor=2.0),
@@ -41,11 +38,22 @@ class TestSchedule:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Schedule(mode="turbo")
-        with pytest.raises(ValueError):
             Schedule(crash_point="not.a.point")
         with pytest.raises(ValueError):
             Schedule(crash_point=CRASH_POINTS[0], crash_nth=0)
+
+    def test_bundles_from_the_exact_mode_era_fail_loudly(self):
+        """DAKC once also ran an actor-scheduled exact mode, and schedules
+        carried ``mode``, ``mailbox_seed`` and ``step_seed``.  A recorded
+        fast schedule (null seeds) still loads; one that ran the removed
+        path is refused by name instead of replaying another trajectory."""
+        doc = Schedule(seed=9, drain_seed=11).to_doc()
+        assert not {"mode", "mailbox_seed", "step_seed"} & doc.keys()
+        old = {**doc, "mode": "fast", "mailbox_seed": None, "step_seed": None}
+        assert Schedule.from_doc(old) == Schedule(seed=9, drain_seed=11)
+        for field, value in (("mode", "exact"), ("mailbox_seed", 13), ("step_seed", 17)):
+            with pytest.raises(ValueError, match=field):
+                Schedule.from_doc({**old, field: value})
 
     def test_describe_mentions_active_knobs(self):
         s = Schedule(seed=1, protect=False, drain_seed=5, spill_seed=23,
@@ -77,7 +85,7 @@ class TestScheduleFuzzer:
         s = ScheduleFuzzer(seed=0).schedule(0)
         assert s.plan is None and s.crash_point is None
         assert s.drain_seed is None and not s.membership
-        assert s.mode == "fast" and s.protect
+        assert s.protect
         assert s.spill_seed is None
 
     def test_fuzzer_covers_the_knobs(self):
@@ -86,11 +94,8 @@ class TestScheduleFuzzer:
         assert any(s.plan is not None for s in schedules)
         assert any(s.crash_point is not None for s in schedules)
         assert any(s.drain_seed is not None for s in schedules)
-        assert any(s.mode == "exact" for s in schedules)
         assert any(not s.protect for s in schedules)
         assert any(s.membership for s in schedules)
-        assert any(s.mailbox_seed is not None or s.step_seed is not None
-                   for s in schedules)
         assert any(s.spill_seed is not None for s in schedules)
         crashes = [s for s in schedules if s.plan is not None and s.plan.crash_pes]
         assert {s.protect for s in crashes} == {True, False}

@@ -25,8 +25,7 @@ def _always_failing_sim() -> Simulation:
 
 
 LOADED = Schedule(
-    seed=5, mode="exact", protocol="2D", protect=False,
-    drain_seed=3, mailbox_seed=4, step_seed=5,
+    seed=5, protocol="2D", protect=False, drain_seed=3,
     plan=FaultPlan(seed=1, drop_prob=0.05, duplicate_prob=0.05),
     crash_point="flush.pre_manifest",
     membership=(MembershipEvent("kill", 1, 0),
@@ -42,9 +41,8 @@ def test_shrinks_to_minimal_reads_and_baseline_schedule():
     s = result.schedule
     assert s.plan is None and s.crash_point is None
     assert not s.membership
-    assert s.drain_seed is None and s.mailbox_seed is None
-    assert s.step_seed is None
-    assert s.mode == "fast" and s.protocol == "1D" and s.protect
+    assert s.drain_seed is None
+    assert s.protocol == "1D" and s.protect
     # ddmin bottoms out at a single read.
     assert result.reads_before == FAST.n_reads
     assert result.reads_after == len(result.reads) == 1

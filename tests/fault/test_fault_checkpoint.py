@@ -34,7 +34,7 @@ class TestCheckpointStore:
         stats = RunStats(n_pes=4)
         conv = Conveyor(cost, stats, make_topology("1D", 4))
         for i in range(12):
-            conv.inject(group(i % 4, (i * 3) % 4))
+            conv.inject_many(i % 4, [group(i % 4, (i * 3) % 4)])
         conv.finalize()
         return conv, cost, stats
 

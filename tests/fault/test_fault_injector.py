@@ -34,7 +34,7 @@ class TestDrop:
     def test_drop_all_loses_remote_traffic(self):
         conv, cost, stats = make_faulty(FaultPlan(drop_prob=1.0))
         for _ in range(10):
-            conv.inject(group(0, 2))
+            conv.inject_many(0, [group(0, 2)])
         conv.finalize()
         assert conv.delivered_elements(2) == 0
         assert conv.fault_stats.dropped == conv.fault_stats.traversals > 0
@@ -43,7 +43,7 @@ class TestDrop:
 
     def test_self_sends_never_dropped(self):
         conv, *_ = make_faulty(FaultPlan(drop_prob=1.0))
-        conv.inject(group(1, 1))
+        conv.inject_many(1, [group(1, 1)])
         assert conv.delivered_elements(1) == 4
 
 
@@ -51,7 +51,7 @@ class TestDuplicate:
     def test_duplicate_all_doubles_delivery(self):
         conv, *_ = make_faulty(FaultPlan(duplicate_prob=1.0))
         for _ in range(5):
-            conv.inject(group(0, 2))
+            conv.inject_many(0, [group(0, 2)])
         conv.finalize()
         assert conv.delivered_elements(2) == 2 * 5 * 4
         assert conv.fault_stats.duplicated == conv.fault_stats.traversals
@@ -59,7 +59,7 @@ class TestDuplicate:
     def test_duplicate_copy_arrives_later(self):
         plan = FaultPlan(duplicate_prob=1.0, duplicate_lag=1e-3)
         conv, *_ = make_faulty(plan)
-        conv.inject(group(0, 2))
+        conv.inject_many(0, [group(0, 2)])
         conv.finalize()
         arrivals = sorted(a for a, _ in conv.delivered[2])
         assert len(arrivals) == 2
@@ -71,7 +71,7 @@ class TestCorrupt:
         conv, *_ = make_faulty(FaultPlan(corrupt_prob=1.0))
         g = group(0, 2, n=8)
         original = g.kmers.copy()
-        conv.inject(g)
+        conv.inject_many(g.src, [g])
         conv.finalize()
         (_, got), = conv.delivered[2]
         assert got.n_elements == 8  # element count preserved
@@ -88,7 +88,7 @@ class TestBenign:
             rng = np.random.default_rng(5)
             for _ in range(40):
                 s, d = rng.integers(0, 4, size=2)
-                conv.inject(group(int(s), int(d)))
+                conv.inject_many(int(s), [group(int(s), int(d))])
             conv.finalize()
             return ([conv.delivered_elements(pe) for pe in range(4)],
                     [p.clock for p in conv.stats.pe])

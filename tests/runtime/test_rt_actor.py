@@ -1,16 +1,17 @@
-"""Tests for the FA-BSP actor runtime."""
+"""Tests for the reference's FA-BSP actor scheduler (``tests/dakc_reference.py``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.runtime.actor import Actor, ActorRuntime
 from repro.runtime.conveyors import Conveyor, PacketGroup
 from repro.runtime.cost import CostModel
 from repro.runtime.machine import laptop
 from repro.runtime.stats import RunStats
 from repro.runtime.topology import make_topology
+
+from dakc_reference import Actor, ActorRuntime
 
 
 class Producer(Actor):
@@ -27,10 +28,10 @@ class Producer(Actor):
         if self.remaining == 0:
             return False
         dst = (self.pe + self.remaining) % self.n_pes
-        self.conveyor.inject(
+        self.conveyor.inject_many(self.pe, [
             PacketGroup(self.pe, dst, "NORMAL",
                         np.array([self.remaining], dtype=np.uint64), None, 1, 8)
-        )
+        ])
         self.remaining -= 1
         return self.remaining > 0
 
@@ -52,9 +53,9 @@ class PingPong(Actor):
     def step(self) -> bool:
         if self.kick:
             self.kick = False
-            self.conveyor.inject(
+            self.conveyor.inject_many(0, [
                 PacketGroup(0, 1, "NORMAL", np.array([1], dtype=np.uint64), None, 1, 8)
-            )
+            ])
         return False
 
     def on_message(self, group, arrival):
@@ -62,10 +63,10 @@ class PingPong(Actor):
         if self.bounces > 0:
             self.bounces -= 1
             other = 1 - self.pe
-            self.conveyor.inject(
+            self.conveyor.inject_many(self.pe, [
                 PacketGroup(self.pe, other, "NORMAL",
                             group.kmers, None, 1, 8)
-            )
+            ])
         return 1e-9
 
 

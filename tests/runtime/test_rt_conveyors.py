@@ -41,29 +41,29 @@ class TestDelivery:
         for i in range(40):
             g = group(i % 4, (i * 7) % 4)
             sent[g.dst] += g.n_elements
-            conv.inject(g)
+            conv.inject_many(g.src, [g])
         conv.finalize()
         for d in range(4):
             assert conv.delivered_elements(d) == sent[d]
 
     def test_self_send_immediate(self):
         conv, *_ = make_conveyor()
-        conv.inject(group(2, 2))
+        conv.inject_many(2, [group(2, 2)])
         assert conv.delivered_elements(2) == 4
         assert conv.staged_bytes(2) == 0
 
     def test_flush_triggered_at_c0(self):
         conv, cost, stats, _ = make_conveyor(c0=64)
         # Two 32-byte groups to a remote destination fill the 64 B buffer.
-        conv.inject(group(0, 2))
+        conv.inject_many(0, [group(0, 2)])
         assert stats.pe[0].l0_flushes == 0
-        conv.inject(group(0, 2))
+        conv.inject_many(0, [group(0, 2)])
         assert stats.pe[0].l0_flushes == 1
 
     def test_payload_preserved_exactly(self):
         conv, *_ = make_conveyor()
         g = group(0, 3, n=7)
-        conv.inject(g)
+        conv.inject_many(g.src, [g])
         conv.finalize()
         (arrival, got), = conv.delivered[3]
         assert np.array_equal(got.kmers, g.kmers)
@@ -72,7 +72,7 @@ class TestDelivery:
     def test_arrival_times_nondecreasing_per_flush(self):
         conv, cost, stats, _ = make_conveyor(c0=32)
         for _ in range(10):
-            conv.inject(group(0, 2))
+            conv.inject_many(0, [group(0, 2)])
         conv.finalize()
         arrivals = [a for a, _ in conv.delivered[2]]
         assert arrivals == sorted(arrivals)
@@ -81,14 +81,14 @@ class TestDelivery:
 class TestCostCharging:
     def test_remote_put_charges_sender(self):
         conv, cost, stats, _ = make_conveyor(nodes=4, p=4)
-        conv.inject(group(0, 1))
+        conv.inject_many(0, [group(0, 1)])
         conv.finalize()
         assert stats.pe[0].puts_issued >= 1
         assert stats.pe[0].bytes_sent >= 32
 
     def test_local_put_is_memcpy(self):
         conv, cost, stats, _ = make_conveyor(nodes=1, p=4)
-        conv.inject(group(0, 1))  # same node
+        conv.inject_many(0, [group(0, 1)])  # same node
         conv.finalize()
         assert stats.pe[0].puts_issued == 0
         assert stats.pe[0].local_memcpy_bytes >= 32
@@ -96,20 +96,20 @@ class TestCostCharging:
     def test_l1_staging_counted(self):
         conv, cost, stats, _ = make_conveyor(c0=10_000, c1=2)
         for _ in range(6):
-            conv.inject(group(0, 2))
+            conv.inject_many(0, [group(0, 2)])
         assert stats.pe[0].l1_flushes == 3
 
 
 class TestHeaders:
     def test_1d_no_header_bytes(self):
         conv, cost, stats, _ = make_conveyor(protocol="1D")
-        conv.inject(group(0, 2))
+        conv.inject_many(0, [group(0, 2)])
         assert stats.total("header_bytes") == 0
 
     def test_2d_header_bytes_per_packet(self):
         conv, cost, stats, _ = make_conveyor(protocol="2D")
         g = group(0, 3)
-        conv.inject(g)
+        conv.inject_many(g.src, [g])
         assert stats.pe[0].header_bytes == HEADER_BYTES
 
     def test_header_overhead_fraction(self):
@@ -133,7 +133,7 @@ class TestMultiHop:
         sent = np.zeros(p, dtype=int)
         for _ in range(100):
             s, d = rng.integers(0, p, size=2)
-            conv.inject(group(int(s), int(d)))
+            conv.inject_many(int(s), [group(int(s), int(d))])
             sent[d] += 4
         conv.finalize()
         for d in range(p):
@@ -147,7 +147,7 @@ class TestMultiHop:
         pair = next(
             (s, d) for s in range(p) for d in range(p) if t.hop_count(s, d) == 2
         )
-        conv.inject(group(*pair))
+        conv.inject_many(pair[0], [group(*pair)])
         conv.finalize()
         assert stats.total("hops_forwarded") >= 1
 
@@ -155,7 +155,7 @@ class TestMultiHop:
 class TestMemoryAccounting:
     def test_staged_bytes_tracked_and_released(self):
         conv, cost, stats, mem = make_conveyor(c0=10_000)
-        conv.inject(group(0, 2))
+        conv.inject_many(0, [group(0, 2)])
         assert conv.staged_bytes(0) == 32
         assert mem.usage(0) == 32
         conv.finalize()
@@ -184,16 +184,16 @@ class TestL1Accounting:
         """The C1 staging copy moves the actual wire bytes — payload
         plus routing headers on 2D — not a nominal 8 B per packet."""
         conv, cost, stats, _ = make_conveyor(protocol="2D", c0=10_000, c1=2)
-        conv.inject(group(0, 3))  # 32 B payload + 4 B header each
+        conv.inject_many(0, [group(0, 3)])  # 32 B payload + 4 B header each
         assert stats.pe[0].mem_bytes == 0  # one packet: below C1
-        conv.inject(group(0, 3))
+        conv.inject_many(0, [group(0, 3)])
         assert stats.pe[0].l1_flushes == 1
         assert stats.pe[0].mem_bytes == 2 * (32 + HEADER_BYTES)
 
     def test_l1_flush_charges_payload_on_1d(self):
         conv, cost, stats, _ = make_conveyor(protocol="1D", c0=10_000, c1=2)
-        conv.inject(group(0, 2))
-        conv.inject(group(0, 2))
+        conv.inject_many(0, [group(0, 2)])
+        conv.inject_many(0, [group(0, 2)])
         assert stats.pe[0].mem_bytes == 64
 
     def test_partial_l1_batch_charged_at_flush(self):
@@ -201,7 +201,7 @@ class TestL1Accounting:
         copy when the L0 buffer is flushed (end-of-stream)."""
         conv, cost, stats, _ = make_conveyor(protocol="1D", c0=10_000, c1=8)
         for _ in range(3):
-            conv.inject(group(0, 2))
+            conv.inject_many(0, [group(0, 2)])
         assert stats.pe[0].mem_bytes == 0  # still pending below C1
         conv.flush_pe(0)
         assert stats.pe[0].mem_bytes == 96
@@ -231,7 +231,7 @@ class TestDrainTermination:
         cost = CostModel(m)
         stats = RunStats(n_pes=4)
         conv = Conveyor(cost, stats, _CyclicTopology(4), c0_bytes=32)
-        conv.inject(group(0, 1))
+        conv.inject_many(0, [group(0, 1)])
         with pytest.raises(RuntimeError, match="hop bound"):
             conv.finalize()
 
@@ -244,7 +244,7 @@ class TestDrainTermination:
         n_groups = 80
         for _ in range(n_groups):
             s, d = rng.integers(0, p, size=2)
-            conv.inject(group(int(s), int(d)))
+            conv.inject_many(int(s), [group(int(s), int(d))])
         conv.finalize()
         max_relays = conv.topology.max_hops - 1
         assert stats.total("hops_forwarded") <= n_groups * max_relays
@@ -262,7 +262,7 @@ class TestFlushFinalizeEdgeCases:
     def test_finalize_self_sends_only(self):
         conv, cost, stats, _ = make_conveyor()
         for pe in range(4):
-            conv.inject(group(pe, pe))
+            conv.inject_many(pe, [group(pe, pe)])
         conv.finalize()
         for pe in range(4):
             assert conv.delivered_elements(pe) == 4
@@ -271,7 +271,7 @@ class TestFlushFinalizeEdgeCases:
 
     def test_finalize_idempotent(self):
         conv, cost, stats, _ = make_conveyor(c0=10_000)
-        conv.inject(group(0, 2))
+        conv.inject_many(0, [group(0, 2)])
         conv.finalize()
         delivered = conv.delivered_elements(2)
         clock = stats.pe[0].clock
@@ -290,7 +290,7 @@ class TestFlushFinalizeEdgeCases:
         sent = np.zeros(p, dtype=int)
         for _ in range(60):
             s, d = rng.integers(0, p, size=2)
-            conv.inject(group(int(s), int(d)))
+            conv.inject_many(int(s), [group(int(s), int(d))])
             sent[d] += 4
         conv.finalize()
         for pe in range(p):
@@ -314,8 +314,8 @@ def test_conservation_property(p, protocol, seed):
     sent = np.zeros(p, dtype=int)
     for _ in range(60):
         s, d, n = int(rng.integers(p)), int(rng.integers(p)), int(rng.integers(1, 6))
-        conv.inject(PacketGroup(s, d, "NORMAL", rng.integers(0, 100, n).astype(np.uint64),
-                                None, 1, 8 * n))
+        conv.inject_many(s, [PacketGroup(s, d, "NORMAL", rng.integers(0, 100, n).astype(np.uint64),
+                                         None, 1, 8 * n)])
         sent[d] += n
     conv.finalize()
     for d in range(p):
@@ -326,7 +326,7 @@ def test_conservation_property(p, protocol, seed):
 @pytest.mark.parametrize("c0,c1", [(64, 2), (300, 5), (4096, 1024)])
 def test_batch_equals_one_at_a_time(protocol, c0, c1):
     """``inject_many`` with the caller's per-group charges in its ledger
-    is the one-group ``inject`` after each charge, bit for bit: clocks,
+    is one-group batches after each charge, bit for bit: clocks,
     counters, the staged-bytes peak, what was delivered when, and the
     order messages went on the wire."""
     p = 16
@@ -348,7 +348,7 @@ def test_batch_equals_one_at_a_time(protocol, c0, c1):
             conv, cost, stats, _ = single
             for g, o in zip(groups, ops):
                 cost.charge_compute(stats.pe[src], int(o))
-                conv.inject(g)
+                conv.inject_many(src, [g])
     for conv, *_ in (batched, single):
         conv.finalize()
     (a, _, sa, ma), (b, _, sb, mb) = batched, single
@@ -379,7 +379,7 @@ def test_next_hops_follow_an_overridden_route():
     cost = CostModel(laptop(nodes=1, cores=5))
     stats = RunStats(n_pes=5)
     conv = Conveyor(cost, stats, Detour(5))
-    conv.inject(group(0, 3))
+    conv.inject_many(0, [group(0, 3)])
     conv.finalize()
     assert conv.delivered_elements(3) == 4
     assert stats.pe[1].hops_forwarded == 1

@@ -12,7 +12,7 @@ import pytest
 
 import repro.baselines
 import repro.cluster
-import repro.core
+import repro.core.minipart
 import repro.lsm
 from repro.lsm import LsmConfig
 from repro.serve import EngineConfig
@@ -22,7 +22,7 @@ from repro.serve import EngineConfig
     (repro.cluster, "RouterConfig"),
     (repro.lsm, "CompactionConfig"),
     (repro.baselines, "Kmc3Config"),
-    (repro.core, "MinimizerPartitionConfig"),
+    (repro.core.minipart, "MinimizerPartitionConfig"),
 ])
 def test_deleted_config_classes_are_not_exported(package, name):
     assert name not in package.__all__
