@@ -210,20 +210,26 @@ class ClusterRouter:
     async def _route(self, keys: np.ndarray,
                      table: RoutingTable) -> np.ndarray:
         """Serve one batch: queue a round, retry, fail over."""
-        out = np.zeros(keys.size, dtype=np.int64)
-        pending = np.arange(keys.size)
+        out = pending = None     # until the first round fails a key
         rot = self._rr
         self._rr += 1
         backoff = BACKOFF_BASE
         for round_no in range(MAX_RETRY_ROUNDS):
             live = tuple(nid for nid, node in self.nodes.items()
                          if node.state is not NodeState.DOWN)
-            shift = np.full(pending.size, (rot + round_no) % table.rf)
-            request = Request(keys[pending], _Route(table, shift, live, 1))
+            ask = keys if pending is None else keys[pending]
+            shift = np.full(ask.size, (rot + round_no) % table.rf)
+            request = Request(ask, _Route(table, shift, live, 1))
             self._turns.submit(request, (id(table), live))
-            out[pending] = await request.future
+            answers = await request.future
             # A retry per dead node, and one for keys with no live replica.
             self.metrics.retries += len(request.failed)
+            if pending is None:
+                if not request.failed:
+                    return answers   # the first round answered every key
+                out, pending = answers.copy(), np.arange(keys.size)
+            else:
+                out[pending] = answers
             if not request.failed:
                 return out
             pending = pending[np.concatenate(request.failed)]

@@ -71,6 +71,8 @@ def _coverage(schedule: Schedule) -> dict[str, bool]:
         "unprotected_crash": crash and not schedule.protect,
         "wire_faults": plan is not None and plan.has_wire_faults,
         "unprotected": not schedule.protect,
+        "drain_permuted": schedule.drain_seed is not None,
+        "slice_permuted": schedule.spill_seed is not None,
     }
 
 

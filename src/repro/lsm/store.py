@@ -422,13 +422,14 @@ class LsmStore:
 class LsmReadView:
     """Duck-typed :class:`~repro.serve.shards.ShardedStore` over a live store.
 
-    The serve engine only needs routing (``n_shards``, ``shard_of``) and
-    batched lookups (``lookup_batch``); both are answered against the
+    The serve engine needs routing (``n_shards``, ``shard_of``) and
+    batched lookups (``lookup``); lookups are answered against the
     *current* memtable + runs, so a :class:`~repro.serve.engine.QueryEngine`
     holding this view serves exact counts while ingest and compaction
     keep mutating the store underneath — no rebuild, no snapshot copy.
-    Sharding here is virtual (routing only): data stays in one store,
-    but the engine's flush still makes one lookup per owner.
+    Sharding here is virtual, as in every store: data stays in one
+    store, and the engine's flush makes one merge-on-read lookup per
+    loop turn (routing only feeds the in-service shard queues).
     """
 
     def __init__(self, store: LsmStore, n_shards: int = 1):
@@ -440,11 +441,8 @@ class LsmReadView:
 
     shard_of = ShardedStore.shard_of
 
-    def lookup_batch(self, shard_id: int, keys: np.ndarray) -> np.ndarray:
-        """One merge-on-read lookup (shard id is routing-only)."""
-        return self.store.get(keys)
-
     def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """One merge-on-read lookup over memtable + runs."""
         return self.store.get(keys)
 
     def get(self, key: int) -> int:

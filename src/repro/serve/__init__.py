@@ -3,8 +3,8 @@
 The counting layers (:mod:`repro.core`) build an ordered count
 database; this package answers queries against it at service scale:
 
-* :mod:`repro.serve.shards` — splitmix64-sharded sorted-array stores
-  with vectorised batch lookups;
+* :mod:`repro.serve.shards` — the database as one sorted table behind
+  splitmix64 shard routing, one vectorised probe per batch;
 * :mod:`repro.serve.engine` — asyncio front end: bounded admission
   (:class:`Overloaded` backpressure), one batched flush per event-loop
   turn (:mod:`repro.serve.turn`), and a naive one-at-a-time baseline;

@@ -6,10 +6,11 @@ target (``dakc xp run benchmarks/xp/serve.json`` → ledger
 capture a trace):
 
 1. count a dataset replica into a database,
-2. shard it, generate a Zipf query stream from its spectrum,
+2. serve it, generate a Zipf query stream from its spectrum,
 3. answer the stream twice — once with the naive one-at-a-time scalar
-   loop, once through the per-turn batching + hot-key-cache engine (driven
-   by :func:`~repro.serve.workload.drive_load`),
+   loop, once through the per-turn batching + hot-key-cache engine (one
+   store lookup per loop turn; driven by
+   :func:`~repro.serve.workload.drive_load`),
 4. check both answer vectors agree, and report throughput, latency
    percentiles, cache hit rate, and the measured speedup.
 
@@ -72,7 +73,7 @@ def run_serve_bench(
     """Serve one Zipf stream naively and through the engine; compare.
 
     *store* overrides the read path: anything quacking like a
-    :class:`ShardedStore` (``n_shards``/``shard_of``/``lookup_batch``/
+    :class:`ShardedStore` (``n_shards``/``shard_of``/``lookup``/
     ``get``) works — e.g. a live :class:`repro.lsm.LsmReadView` — while
     *counts* still seeds the workload's popularity ranking.
     The cache pair builds one :class:`~repro.serve.cache.HotKeyCache`

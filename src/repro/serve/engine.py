@@ -4,25 +4,32 @@ The serving pipeline for one query is::
 
     client --> admission gate --> hot-key cache --> turn queue --> one
                   (Overloaded)       (L3-style)     flush per loop turn:
-                                                    one lookup per shard
+                                                    one store lookup
 
 * **Bounded admission** — past :data:`MAX_INFLIGHT` keys in flight the
   engine rejects with a typed :class:`Overloaded` error instead of
   queueing unboundedly: latency stays bounded, memory stays flat.
 * **Per-turn batching** — every client batch's misses join one
   :class:`~repro.serve.turn.TurnQueue`, whose one flush per loop turn
-  answers them all with one vectorised lookup per shard, amortising
-  the per-call overhead that makes one-at-a-time serving slow.
+  answers them all with one vectorised store lookup, amortising the
+  per-call overhead that makes one-at-a-time serving slow.
 * **Hot-key caching** — a :class:`~repro.serve.cache.HotKeyCache` in
   front of the flush absorbs the Zipf head (the read-path analogue of
   the paper's L3 heavy-hitter aggregation): one ``get_many`` per client
   batch, one ``offer_many`` per flush.
 
 With a simulated store service cost (``flush_service_time`` /
-``flush_service_per_key``) each shard is one server: keys wait in its
-FIFO (with tenants, a :class:`~repro.tenant.scheduler.DRRQueue`) while
-a flush of at most :data:`BATCH_SIZE` keys is in service, and a
-``call_later`` completion answers it and starts the shard's next one.
+``flush_service_per_key``) the store's routing matters: each shard is
+one server, keys wait in its FIFO (with tenants, a
+:class:`~repro.tenant.scheduler.DRRQueue`) while a flush of at most
+:data:`BATCH_SIZE` keys is in service, and a ``call_later`` completion
+answers it and starts the shard's next one.
+
+The store is anything with ``n_shards`` and ``shard_of`` (the routing),
+``lookup`` (a batch) and ``get`` (one key, for :func:`naive_serve`), and
+optionally ``subscribe`` (a live store's ingest notifications): a
+:class:`~repro.serve.shards.ShardedStore` or a
+:class:`~repro.lsm.LsmReadView`.
 """
 
 from __future__ import annotations
@@ -300,26 +307,23 @@ class QueryEngine:
     # -- the per-turn flush --------------------------------------------
 
     def _flush(self, requests: list[Request]) -> None:
-        """Answer one loop turn's requests (tagged by tenant): one cut by
-        shard, then one lookup per shard, or with a service cost a
-        place in each shard's queue."""
+        """Answer one loop turn's requests (tagged by tenant) with one
+        store lookup, or with a service cost cut them by shard into
+        each shard's queue."""
         turn = Turn(requests)
         keys = turn.keys
-        shards = by_owner(self.store.shard_of(keys), self.store.n_shards,
-                          keys, np.arange(keys.size))
         if self._queues:
-            for sid, _, slots in shards:
+            for sid, slots in by_owner(self.store.shard_of(keys),
+                                       self.store.n_shards, np.arange(keys.size)):
                 for request, _, part in turn.parts(slots):
                     self._queues[sid].put_nowait(
                         _Chunk(keys[part], part, turn, request.tag))
                 if sid not in self._serving:
                     self._serve(sid)
             return
-        n_lookups = 0
-        for n_lookups, (sid, shard_keys, slots) in enumerate(shards, 1):
-            turn.answers[slots] = self.store.lookup_batch(sid, shard_keys)
-        self._answered(keys, turn.answers, n_lookups,
-                       [r.tag for r in requests], turn.starts)
+        turn.answers = self.store.lookup(keys)
+        self._answered(keys, turn.answers, 1, [r.tag for r in requests],
+                       turn.starts)
         turn.settle()
 
     def _serve(self, sid: int) -> None:
@@ -341,7 +345,7 @@ class QueryEngine:
         """Answer shard *sid*'s flush in service; start its next one."""
         del self._serving[sid]
         keys = np.concatenate([c.keys for c in batch])
-        values = self.store.lookup_batch(sid, keys)
+        values = self.store.lookup(keys)
         starts = np.cumsum([0] + [c.keys.size for c in batch]).tolist()
         self._answered(keys, values, 1, [c.tenant for c in batch], starts)
         for chunk, start, end in zip(batch, starts, starts[1:]):

@@ -1,18 +1,19 @@
-"""Sharded read-path over a counted k-mer database.
+"""The served database: one sorted table behind hash routing.
 
-A :class:`ShardedStore` partitions a :class:`~repro.core.result.KmerCounts`
-into N virtual shards with the same splitmix64 owner function the
-distributed counters use to assign k-mers to PEs
-(:func:`repro.core.owner.owner_pe`).  Serving inherits the counting
-layer's partitioning property — every replica of a key routes to the
-same shard — and also its *imbalance*: all queries for one heavy-hitter
-k-mer land on one shard, which is exactly the skew the hot-key cache in
-:mod:`repro.serve.cache` absorbs (the L3 argument, applied to reads).
+A :class:`ShardedStore` holds a :class:`~repro.core.result.KmerCounts`
+as its one sorted ``(k-mer, count)`` table and routes keys to N virtual
+shards with the same splitmix64 owner function the distributed counters
+use to assign k-mers to PEs (:func:`repro.core.owner.owner_pe`).  The
+routing matters only where shards model servers with queues (the
+engine's in-service path): every replica of a key routes to the same
+shard, so serving inherits the counting layer's *imbalance* — all
+queries for one heavy-hitter k-mer land on one shard, the skew the
+hot-key cache in :mod:`repro.serve.cache` absorbs (the L3 argument,
+applied to reads).
 
-Each shard is a sorted-array store: the global key array is strictly
-increasing, so masking out one owner's keys preserves order and a batch
-of lookups is one :func:`~repro.core.result.probe_sorted` call instead
-of per-key binary searches in Python.
+Answering needs no routing: a batch of lookups, whatever shards its
+keys route to, is one :func:`~repro.core.result.probe_sorted` call over
+the whole table instead of per-key binary searches in Python.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.owner import by_owner, owner_pe
+from ..core.owner import owner_pe
 from ..core.result import KmerCounts, probe_sorted
 from ..seq.kmers import check_k
 
@@ -30,7 +31,7 @@ __all__ = ["Shard", "ShardedStore"]
 
 @dataclass(frozen=True)
 class Shard:
-    """One shard: sorted key array + aligned counts."""
+    """A sorted table: key array + aligned counts."""
 
     kmers: np.ndarray  # uint64, strictly increasing
     counts: np.ndarray  # int64
@@ -53,34 +54,25 @@ class Shard:
 
 
 class ShardedStore:
-    """A counted database split into N query shards.
+    """A counted database, one sorted table, routed to N query shards.
 
     The shard of a key is ``splitmix64(key) mod n_shards`` — a pure
     function of the key, so clients, load balancers, and the engine's
-    flush all agree on routing without coordination.
+    in-service queues all agree on routing without coordination.
     """
 
-    def __init__(self, k: int, shards: list[Shard]):
-        if not shards:
-            raise ValueError("need at least one shard")
+    def __init__(self, k: int, table: Shard, n_shards: int):
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
         self.k = k
-        self.shards = shards
-        self.n_shards = len(shards)
+        self.table = table
+        self.n_shards = n_shards
 
     @classmethod
     def from_counts(cls, counts: KmerCounts, n_shards: int) -> "ShardedStore":
-        """Partition a counted database into *n_shards* virtual shards."""
-        check_k(counts.k)  # a shard keys one word per k-mer
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        owners = owner_pe(counts.kmers, n_shards)
-        shards = [
-            Shard(counts.kmers[owners == s], counts.counts[owners == s])
-            for s in range(n_shards)
-        ]
-        return cls(counts.k, shards)
-
-    # -- routing -------------------------------------------------------
+        """Serve a counted database routed to *n_shards* virtual shards."""
+        check_k(counts.k)  # the table keys one word per k-mer
+        return cls(counts.k, Shard(counts.kmers, counts.counts), n_shards)
 
     def shard_of(self, keys: np.ndarray | int) -> np.ndarray | int:
         """Shard id(s) for the given key(s) (splitmix64 mod N)."""
@@ -88,46 +80,25 @@ class ShardedStore:
         ids = owner_pe(np.atleast_1d(np.asarray(keys, dtype=np.uint64)), self.n_shards)
         return int(ids[0]) if scalar else ids
 
-    # -- lookups -------------------------------------------------------
-
-    def lookup_batch(self, shard_id: int, keys: np.ndarray) -> np.ndarray:
-        """One vectorised lookup against a single shard.
-
-        The caller is responsible for routing: every key must belong to
-        *shard_id* (misrouted keys simply answer 0).
-        """
-        return self.shards[shard_id].lookup(keys)
-
     def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Route-and-lookup a mixed batch across all shards."""
+        """Answer a batch in one probe: sorted once, so the binary
+        searches walk the table in order, then scattered back."""
         keys = np.asarray(keys, dtype=np.uint64)
-        out = np.zeros(keys.size, dtype=np.int64)
-        for s, shard_keys, pos in by_owner(owner_pe(keys, self.n_shards),
-                                           self.n_shards, keys,
-                                           np.arange(keys.size)):
-            out[pos] = self.shards[s].lookup(shard_keys)
+        order = keys.argsort()
+        out = np.empty(keys.size, dtype=np.int64)
+        out[order] = self.table.lookup(keys[order])
         return out
 
     def get(self, key: int) -> int:
         """Scalar lookup — the naive per-query path (binary search)."""
-        shard = self.shards[self.shard_of(int(key))]
-        if shard.kmers.size == 0:
-            return 0
-        i = int(np.searchsorted(shard.kmers, np.uint64(key)))
-        if i < shard.kmers.size and shard.kmers[i] == np.uint64(key):
-            return int(shard.counts[i])
-        return 0
-
-    # -- introspection -------------------------------------------------
+        kmers, key = self.table.kmers, np.uint64(key)
+        i = int(np.searchsorted(kmers, key))
+        return int(self.table.counts[i]) if i < kmers.size and kmers[i] == key else 0
 
     @property
     def n_distinct(self) -> int:
-        return sum(s.n_keys for s in self.shards)
+        return self.table.n_keys
 
     @property
     def nbytes(self) -> int:
-        return sum(s.nbytes for s in self.shards)
-
-    def shard_sizes(self) -> np.ndarray:
-        """Keys per shard (the partition-balance diagnostic)."""
-        return np.array([s.n_keys for s in self.shards], dtype=np.int64)
+        return self.table.nbytes

@@ -5,8 +5,9 @@ FA-BSP idea of the paper's L1 layer applied to reads.  The first
 :class:`Request` submitted to a :class:`TurnQueue` in a loop turn
 schedules one ``call_soon`` flush, which gets every request of the
 turn.  A :class:`Turn` concatenates them, so the caller cuts the keys
-once (by shard, by node) and settles slots as answers come in; each
-request's future resolves once, with its own slice of the answers.
+at most once (by node, or by shard in service) and settles slots as
+answers come in; each request's future resolves once, with its own
+slice of the answers.
 """
 
 from __future__ import annotations

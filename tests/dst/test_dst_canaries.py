@@ -5,11 +5,13 @@ conveyor that silently discards a PE's flushes, a ring whose
 replica rows lose a distinct owner, a WAL that acknowledges appends
 without writing the record, a record iterator that hands out torn
 payloads, a checkpoint that never restores a crashed PE, a
-conservation check that checks nothing — and asserts the default invariant registry flags it within
-a small schedule budget.  The companion test pins the other direction:
-on unmutated code the same budget is violation-free.  Together they
-are the evidence the harness has teeth and the invariants are not
-change detectors.
+conservation check that checks nothing — and asserts the default
+invariant registry flags it, hunting from the campaign's first schedule
+that has what the bug needs (an armed crash point, a PE crash).  The
+companion test pins the other direction: on unmutated code the
+campaign's first ten schedules are violation-free.  Together they are
+the evidence the harness has teeth and the invariants are not change
+detectors.
 """
 
 from __future__ import annotations
@@ -38,11 +40,23 @@ def _hunt(budget: int, start: int = 0):
     return None, None
 
 
-def _first_crash(protect: bool, budget: int = 200) -> int:
-    """Index of the campaign's first crash schedule at *protect*."""
-    return next(
-        i for i, s in enumerate(ScheduleFuzzer(seed=0).schedules(budget))
-        if s.protect == protect and s.plan is not None and s.plan.crash_pes)
+def _first(wanted, budget: int = 200) -> int:
+    """Index of the seed-0 campaign's first schedule *wanted* accepts:
+    a canary hunts from there, so a fuzzer that reorders its draws
+    moves the hunt instead of emptying it."""
+    return next(i for i, s in enumerate(ScheduleFuzzer(seed=0).schedules(budget))
+                if wanted(s))
+
+
+def _first_crash(protect: bool) -> int:
+    """Index of the campaign's first PE-crash schedule at *protect*."""
+    return _first(lambda s: s.protect == protect and s.plan is not None
+                  and bool(s.plan.crash_pes))
+
+
+def _first_crash_point(point: str) -> int:
+    """Index of the campaign's first schedule armed at LSM crash *point*."""
+    return _first(lambda s: s.crash_point == point)
 
 
 def test_clean_head_is_violation_free():
@@ -62,8 +76,10 @@ def test_canary_dropped_conveyor_flush_is_caught():
             return
         orig_flush(self, from_pe, next_hop)
 
+    # Needs no crash point: every schedule, the fault-free one first,
+    # runs the conveyors.
     with patch.object(Conveyor, "_flush_hop", buggy_flush):
-        index, trajectory = _hunt(6)
+        index, trajectory = _hunt(200)
     assert index is not None
     names = {v.invariant for v in trajectory.violations}
     assert names & {"serial-multiset", "packet-conservation"}
@@ -79,8 +95,9 @@ def test_canary_ring_rf_off_by_one_is_caught():
             table.rows[0, -1] = table.rows[0, 0]
         return table
 
+    # Needs no crash point: every schedule compiles the ring.
     with patch.object(HashRing, "_compile", buggy_compile):
-        index, trajectory = _hunt(2)
+        index, trajectory = _hunt(200)
     assert index is not None
     assert any(v.invariant == "ring-rf" for v in trajectory.violations)
 
@@ -89,8 +106,8 @@ def test_canary_wal_skipped_record_is_caught():
     """Bug: the WAL acks an append without writing the record.
 
     Invisible on any path where every batch reaches a flush (a flush
-    resets the WAL), so only crash schedules expose it — the fuzzer's
-    armed crash points do, within a modest budget.
+    resets the WAL), so only crash schedules expose it: a crash right
+    after an acknowledged append must find the record in the WAL.
     """
 
     def buggy_append(self, reads):
@@ -104,7 +121,7 @@ def test_canary_wal_skipped_record_is_caught():
         return seq
 
     with patch.object(WriteAheadLog, "append", buggy_append):
-        index, trajectory = _hunt(8)
+        index, trajectory = _hunt(200, start=_first_crash_point("wal.post_append"))
     assert index is not None
     assert any(v.invariant == "wal-recovery" for v in trajectory.violations)
 
@@ -129,7 +146,7 @@ def test_canary_torn_record_handed_out_is_caught():
             yield payload, pos  # no length check, no CRC check
 
     with patch.object(Framing, "records", lenient_records):
-        index, trajectory = _hunt(8)
+        index, trajectory = _hunt(200, start=_first_crash_point("wal.mid_append"))
     assert index is not None
     assert trajectory.schedule.crash_point == "wal.mid_append"
     assert any(v.invariant == "wal-recovery" for v in trajectory.violations)

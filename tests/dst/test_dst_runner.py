@@ -1,5 +1,6 @@
-"""The campaign loop's shrink budget: at most MAX_BUNDLES failures are
-shrunk, whether or not their bundles are written anywhere."""
+"""The campaign loop: its shrink budget (at most MAX_BUNDLES failures are
+shrunk, whether or not their bundles are written anywhere) and the
+schedule classes its coverage block counts."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.dst import runner
 from repro.dst.invariants import Violation
+from repro.dst.schedule import Schedule
 from repro.dst.sim import Simulation, Trajectory
 
 
@@ -37,3 +39,13 @@ def test_shrinks_at_most_max_bundles_failures(monkeypatch, tmp_path, out):
     assert len(report.violations) == budget
     assert len(shrunk) == runner.MAX_BUNDLES
     assert len(report.bundles) == (runner.MAX_BUNDLES if out else 0)
+
+
+def test_coverage_counts_the_order_classes():
+    """A drain-heap permutation and a slice-order permutation each count
+    as their own class, apart from the fault classes."""
+    plain = runner._coverage(Schedule())
+    assert not plain["drain_permuted"] and not plain["slice_permuted"]
+    both = runner._coverage(Schedule(drain_seed=3, spill_seed=5))
+    assert both["drain_permuted"] and both["slice_permuted"]
+    assert not both["protected_crash"] and not both["unprotected"]

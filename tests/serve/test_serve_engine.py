@@ -8,13 +8,14 @@ import copy
 import numpy as np
 import pytest
 
+from repro.core.result import probe_sorted
 from repro.core.serial import serial_count
 from repro.serve import engine as engine_mod
 from repro.serve.cache import TIER_STORE, TIER_T1, HotKeyCache
 from repro.serve.clock import now, run_virtual
 from repro.serve.engine import EngineConfig, Overloaded, QueryEngine, naive_serve
 from repro.serve.shards import ShardedStore
-from repro.serve.workload import drive_load, key_groups
+from repro.serve.workload import drive_load, key_groups, zipf_workload
 from repro.trace.recorder import TraceRecorder
 
 
@@ -33,15 +34,15 @@ def run(coro):
 
 
 class CountingStore:
-    """A store that records the shard and size of every lookup."""
+    """A store that records the size of every lookup."""
 
     def __init__(self, store):
         self.inner, self.calls = store, []
         self.n_shards, self.shard_of = store.n_shards, store.shard_of
 
-    def lookup_batch(self, sid, keys):
-        self.calls.append((sid, int(keys.size)))
-        return self.inner.lookup_batch(sid, keys)
+    def lookup(self, keys):
+        self.calls.append(int(keys.size))
+        return self.inner.lookup(keys)
 
 
 class TestCorrectness:
@@ -116,27 +117,42 @@ class TestBatching:
 
         metrics = run(go())
         assert metrics.n_queries == 300
-        # 30 requests in one loop turn: one flush, one lookup per shard
-        # (30 x 4 shards would be 120 without the turn's batching).
-        assert metrics.n_batches <= store.n_shards
-        assert metrics.mean_batch_size > 2.0
+        # 30 requests in one loop turn: one flush, one store lookup
+        # (30 would be one per request without the turn's batching).
+        assert metrics.n_batches == 1
+        assert metrics.mean_batch_size == 300
         assert metrics.batched_keys == 300
 
-    def test_one_lookup_per_owning_shard_per_turn(self, db, store, rng):
+    def test_zipf_stream_one_lookup_per_turn(self, db, store, monkeypatch):
+        """A small Zipf stream through the threshold-2 cache: answers
+        are the table's, the cache counters are the ones recorded when
+        each turn still made one lookup per shard (the engine offers
+        the same keys in the same order), and every turn without a
+        service cost makes exactly one store lookup, of all its keys."""
+        stream = zipf_workload(db, 4000, s=1.0, seed=0, miss_fraction=0.05)
         counting = CountingStore(store)
-        groups = key_groups(rng.choice(db.kmers, size=8 * 256), 256)
+        turns = []
+        flush = QueryEngine._flush
+
+        def counted_flush(engine, requests):
+            turns.append(sum(int(r.keys.size) for r in requests))
+            flush(engine, requests)
+
+        monkeypatch.setattr(QueryEngine, "_flush", counted_flush)
 
         async def go():
-            async with QueryEngine(counting) as engine:
-                # 8 clients, one turn: their submissions share a flush.
-                return await asyncio.gather(*map(engine.query_many, groups))
+            cache = HotKeyCache(256, admit_threshold=2)
+            async with QueryEngine(counting, cache=cache) as engine:
+                out, _ = await drive_load(engine, key_groups(stream.keys, 64),
+                                          concurrency=4)
+                return out, cache.stats(), engine.metrics
 
-        out = np.concatenate(run(go()))
-        keys = np.concatenate(groups)
-        assert np.array_equal(out, [db.get(int(k)) for k in keys])
-        owners = sorted(set(store.shard_of(keys).tolist()))
-        assert sorted(sid for sid, _ in counting.calls) == owners
-        assert sum(n for _, n in counting.calls) == keys.size
+        out, stats, metrics = run(go())
+        assert np.array_equal(out, probe_sorted(db.kmers, db.counts, stream.keys))
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (2069, 1931, 162)
+        assert len(turns) > 1 and counting.calls == turns
+        assert metrics.n_batches == len(turns)
+        assert metrics.batched_keys == sum(turns) == stats["misses"]
 
     def test_lone_query_answers_in_its_turn(self, db, store):
         """Zero service cost: nothing waits for company, so on virtual
@@ -151,7 +167,7 @@ class TestBatching:
 
     def test_no_window_still_answers(self, db, store, monkeypatch):
         """BATCH_SIZE bounds only a shard in service: without a service
-        cost a group bigger than it is still one lookup per shard."""
+        cost a group bigger than it is still one lookup."""
         monkeypatch.setattr(engine_mod, "BATCH_SIZE", 8)
 
         async def go():
@@ -160,7 +176,7 @@ class TestBatching:
 
         out, metrics = run(go())
         assert np.array_equal(out, db.counts[:64])
-        assert metrics.n_batches <= store.n_shards
+        assert metrics.n_batches == 1
 
     def test_in_service_flushes_split_at_batch_size(self, db, store, monkeypatch):
         """A shard in service is one server: keys queue behind its
@@ -179,7 +195,7 @@ class TestBatching:
         assert metrics.n_queries == metrics.batched_keys == 480
         # A flush stops at the chunk that reaches 16 keys (a chunk is
         # at most one 8-key group), and keys did wait behind flushes.
-        sizes = [n for _, n in counting.calls]
+        sizes = counting.calls
         assert max(sizes) <= 16 + 8 - 1 and len(sizes) >= 480 // 23
         assert metrics.queue_depth_max > 0
 

@@ -1,4 +1,4 @@
-"""Tests for the sharded sorted-array store."""
+"""Tests for the served database: one sorted table behind hash routing."""
 
 from __future__ import annotations
 
@@ -17,33 +17,31 @@ def db(small_reads):
 
 
 class TestPartition:
+    """One table holds the database; the shards are routing only."""
+
     def test_shards_cover_database(self, db):
         store = ShardedStore.from_counts(db, 8)
         assert store.n_shards == 8
         assert store.n_distinct == db.n_distinct
-        assert int(store.shard_sizes().sum()) == db.n_distinct
+        assert np.array_equal(store.table.kmers, db.kmers)
+        assert np.array_equal(store.table.counts, db.counts)
 
     def test_partition_follows_owner_pe(self, db):
         store = ShardedStore.from_counts(db, 4)
-        owners = owner_pe(db.kmers, 4)
-        for s, shard in enumerate(store.shards):
-            assert np.array_equal(shard.kmers, db.kmers[owners == s])
-            assert np.array_equal(shard.counts, db.counts[owners == s])
+        assert np.array_equal(store.shard_of(db.kmers), owner_pe(db.kmers, 4))
 
     def test_shards_stay_sorted(self, db):
-        store = ShardedStore.from_counts(db, 8)
-        for shard in store.shards:
-            if shard.n_keys > 1:
-                assert (shard.kmers[:-1] < shard.kmers[1:]).all()
+        table = ShardedStore.from_counts(db, 8).table
+        assert (table.kmers[:-1] < table.kmers[1:]).all()
 
     def test_single_shard(self, db):
         store = ShardedStore.from_counts(db, 1)
-        assert np.array_equal(store.shards[0].kmers, db.kmers)
+        assert (store.shard_of(db.kmers) == 0).all()
 
     def test_balance(self, db):
         # splitmix64 should spread distinct keys roughly evenly.
         store = ShardedStore.from_counts(db, 8)
-        sizes = store.shard_sizes()
+        sizes = np.bincount(store.shard_of(db.kmers), minlength=8)
         assert sizes.min() > 0.5 * sizes.mean()
         assert sizes.max() < 1.5 * sizes.mean()
 
@@ -64,31 +62,22 @@ class TestLookup:
         absent = np.setdiff1d(
             np.arange(1000, dtype=np.uint64), db.kmers.astype(np.uint64)
         )[:100]
-        looked = ShardedStore.from_counts(db, 4).lookup(absent)
+        store = ShardedStore.from_counts(db, 4)
+        looked = store.lookup(absent)
         assert looked.shape == absent.shape
         assert (looked == 0).all()
-
-    def test_lookup_batch_single_shard(self, db):
-        store = ShardedStore.from_counts(db, 4)
-        keys = store.shards[2].kmers[:50]
-        vals = store.lookup_batch(2, keys)
-        assert np.array_equal(vals, store.shards[2].counts[:50])
-
-    def test_misrouted_keys_answer_zero(self, db):
-        store = ShardedStore.from_counts(db, 4)
-        foreign = store.shards[0].kmers[:10]
-        sid = 1 if store.shard_of(int(foreign[0])) != 1 else 2
-        assert (store.lookup_batch(sid, foreign) == 0).all()
+        beyond = int(db.kmers[-1]) + 1   # past the table's last key
+        assert [store.get(int(k)) for k in absent[:10]] + [store.get(beyond)] == [0] * 11
 
     def test_empty_shard_and_empty_batch(self):
         empty = Shard(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
         assert empty.lookup(np.array([1, 2], dtype=np.uint64)).tolist() == [0, 0]
-        store = ShardedStore(5, [empty])
+        store = ShardedStore(5, empty, 1)
         assert store.lookup(np.empty(0, dtype=np.uint64)).size == 0
         assert store.get(7) == 0
 
     def test_empty_key_batch_early_returns(self, db):
-        shard = ShardedStore.from_counts(db, 2).shards[0]
+        shard = ShardedStore.from_counts(db, 2).table
         out = shard.lookup(np.empty(0, dtype=np.uint64))
         assert out.size == 0
         assert out.dtype == np.int64

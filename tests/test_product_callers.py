@@ -50,8 +50,6 @@ TEST_REFERENCES = {
         "one-key query the engine tests check answers through",
     "repro.cluster.router:ClusterRouter.query":
         "one-key query the router tests check answers through",
-    "repro.serve.shards:ShardedStore.shard_sizes":
-        "tests check the partitioner's balance with it",
     "repro.seq.fastx:write_fasta":
         "writes the FASTA fixtures the readers are tested on",
     "repro.xp.spec:save_spec":
